@@ -10,7 +10,7 @@ CI_SEED ?= 0
 FUZZTIME ?= 60s
 FUZZTIME_SHORT ?= 15s
 
-.PHONY: build test check bench bench-smoke ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
+.PHONY: build test check bench bench-smoke bench-hotpath ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,26 @@ check:
 
 # bench-smoke runs the batch ablation on a small corpus/stream — seconds,
 # not minutes — verifying the bulk path end to end (byte-identical results
-# and the batched >= 2x acceptance check are asserted inside the ablation).
+# and the batched >= 2x acceptance check are asserted inside the ablation),
+# then the hot-path checks below.
 bench-smoke:
 	$(GO) run ./cmd/raft-bench -ablate batch -corpus 1 -items 500000
+	$(MAKE) bench-hotpath
+
+# bench-hotpath prints the two per-element costs every stream pays — one
+# actor step and one port push+pop, both of which must stay allocation-free
+# — then checks the end-to-end benchmark itself: its unit tests, and a
+# 1/50-scale pass over all six workloads that verifies every oracle and
+# that the emitted metric names equal BENCHMARK.json. The benchmark refuses
+# to run on one processor (producer and consumer cannot overlap), so that
+# step is skipped there.
+bench-hotpath:
+	$(GO) test -run '^$$' -bench '^BenchmarkStepTimedNoop$$' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench '^BenchmarkPortPushPop1G$$' -benchmem ./raft/
+	$(GO) test ./bench/
+	@if [ "$$(nproc)" -ge 2 ]; then \
+		echo "$(GO) run ./bench -smoke"; $(GO) run ./bench -smoke; \
+	else echo "bench-hotpath: one processor — skipping go run ./bench -smoke"; fi
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -94,6 +111,7 @@ ci-fuzz:
 ci-smoke:
 	$(GO) run ./cmd/raft-bench -ablate batch -corpus 1 -items 500000 -seed $(CI_SEED)
 	$(GO) run ./cmd/raft-bench -ablate rate -items 2000000 -seed $(CI_SEED)
+	$(MAKE) bench-hotpath
 
 # Gateway gate: race-test the admission front door (token buckets, the
 # source-kernel handoff, the HTTP/framed servers are all concurrent by

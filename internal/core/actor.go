@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -71,47 +72,123 @@ type Actor struct {
 	// actors but replicas of one kernel share their group's id.
 	Trace   *trace.Recorder
 	TraceID int32
-	// TraceStride samples Run spans statistically: one invocation in every
-	// TraceStride emits its RunStart/RunEnd pair (0 and 1 both mean every
-	// invocation). Structural events — restarts, checkpoints, resizes — are
-	// never sampled; only the high-frequency Run spans are. stepSkip is the
-	// countdown to the next sampled invocation, touched only by the actor's
-	// own goroutine (a countdown avoids a division on the hot path).
+	// TraceStride spaces Run spans: an observed invocation (see StepTimed)
+	// emits its RunStart/RunEnd pair when at least TraceStride invocations
+	// have run since the last one that did (0 and 1 both mean every
+	// observed invocation). Structural events — restarts, checkpoints,
+	// resizes — are never sampled; only the high-frequency Run spans are.
 	TraceStride uint32
-	stepSkip    uint32
+
+	// Observation state of StepTimed, touched only by the actor's own
+	// goroutine. unobserved counts down the invocations that run without a
+	// clock read; the one that finds it at zero is observed and enters
+	// Service with weight obsWeight (zero on the very first, which counts
+	// once). nextSpan is the run count from which an observed invocation
+	// emits a Run span; jitter is the xorshift state behind the countdowns.
+	unobserved uint32
+	obsWeight  uint32
+	jitter     uint32
+	nextSpan   uint64
 }
 
-// StepTimed invokes Step and records the service time. The clock is read
-// exactly once per edge: the same end capture feeds both the duty-cycle
-// accounting (Service) and the trace bus, so instrumentation never doubles
-// the timing overhead of an invocation. Run spans are emitted for one
-// invocation in every TraceStride — the amortized bus cost on a
-// fine-grained kernel is a counter increment, not two event publishes.
+const (
+	// observeBudgetNanos bounds what timing may cost: an observation (two
+	// clock reads and a weighted histogram record, ~120 ns on the reference
+	// host) is taken about once per observeBudgetNanos of measured kernel
+	// time, so it stays near 3 % of the kernel it observes. An invocation
+	// that took more than half of this is followed by an observed one.
+	observeBudgetNanos = 4096
+	// maxObserveGap caps the mean distance between observed invocations,
+	// however short they are: a kernel whose service time changes is
+	// noticed within a few times 64 invocations, and a short-lived one
+	// still leaves a histogram.
+	maxObserveGap = 64
+)
+
+// clockSkew is what a time.Now/time.Since pair measures around nothing:
+// the part of the two clock reads that falls inside the interval they
+// time. Observed durations are corrected by it, because an observation
+// that stands for 64 invocations would otherwise charge all of them for a
+// clock only one of them read.
+var clockSkew = func() time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 64; i++ {
+		start := time.Now()
+		best = min(best, time.Since(start))
+	}
+	return best
+}()
+
+// StepTimed invokes Step, counts the invocation, and times it if it is an
+// observed one. Counting is exact and clock-free: Service.Count advances on
+// every invocation. Timing is budgeted. The first invocation is observed;
+// an observed invocation of duration d sets the rate for those that follow,
+// each of which is observed with probability 1/r, r = observeBudgetNanos/d
+// held to [1, maxObserveGap] — so a kernel stepping in microseconds or more
+// is timed on every invocation and one stepping in tens of nanoseconds
+// about once in 64. The coin is flipped as one geometric countdown, which
+// cannot lock onto a period in the kernel (a batch boundary every 64th
+// step), and an observed duration enters Service with weight r. Weighting
+// by the inverse of a probability fixed before the invocation ran keeps
+// Service's mean, quantiles and busy time unbiased over all invocations,
+// whatever the kernel's durations do (weighting by the realised gap would
+// not: the first long step after many short ones would stand for the short
+// ones too).
+//
+// Only an observed invocation reads the clock (once per edge), and only an
+// observed invocation can emit a Run span, from the same two reads.
 func (a *Actor) StepTimed() Status {
+	if a.unobserved != 0 {
+		a.unobserved--
+		st := a.Step()
+		a.Service.Step()
+		return st
+	}
+	return a.stepObserved()
+}
+
+// stepObserved is the timed slow path of StepTimed.
+func (a *Actor) stepObserved() Status {
+	traced := false
 	if a.Trace != nil {
-		if a.stepSkip == 0 {
-			if a.TraceStride > 1 {
-				a.stepSkip = a.TraceStride - 1
-			}
-			return a.stepTraced()
+		if runs := a.Service.Count(); runs >= a.nextSpan {
+			traced = true
+			a.nextSpan = runs + uint64(a.TraceStride)
 		}
-		a.stepSkip--
 	}
 	start := time.Now()
+	if traced {
+		a.Trace.Record(a.TraceID, trace.RunStart, start.UnixNano())
+	}
 	st := a.Step()
-	a.Service.Record(time.Since(start))
-	return st
-}
+	d := time.Since(start)
+	if traced {
+		a.Trace.Record(a.TraceID, trace.RunEnd, start.UnixNano()+int64(d))
+	}
+	d = max(d-clockSkew, 0)
+	a.Service.Step()
+	a.Service.Observe(d, uint64(max(a.obsWeight, 1)))
 
-// stepTraced is the sampled slow path: one invocation bracketed by
-// RunStart/RunEnd events sharing the duty-cycle clock captures.
-func (a *Actor) stepTraced() Status {
-	start := time.Now()
-	a.Trace.Record(a.TraceID, trace.RunStart, start.UnixNano())
-	st := a.Step()
-	end := time.Now()
-	a.Service.Record(end.Sub(start))
-	a.Trace.Record(a.TraceID, trace.RunEnd, end.UnixNano())
+	rate := uint32(maxObserveGap)
+	if d >= observeBudgetNanos/maxObserveGap {
+		rate = max(uint32(observeBudgetNanos/d), 1)
+	}
+	a.obsWeight = rate
+	if rate > 1 {
+		// xorshift32, seeded on first use; u is uniform on (0, 1) and the
+		// quotient of logs a geometric number of failures before a success
+		// of probability 1/rate.
+		x := a.jitter
+		if x == 0 {
+			x = uint32(a.ID)*2654435761 | 1
+		}
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		a.jitter = x
+		u := (float64(x) + 0.5) / (1 << 32)
+		a.unobserved = uint32(math.Log(u) / math.Log1p(-1/float64(rate)))
+	}
 	return st
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -64,4 +65,127 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// BenchmarkStepTimedNoop is the fixed cost StepTimed adds to an invocation:
+// a kernel that does nothing, so run counting, the observation countdown
+// and the amortised share of timing are all that is measured.
+func BenchmarkStepTimedNoop(b *testing.B) {
+	a := &Actor{Step: func() Status { return Proceed }}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.StepTimed()
+	}
+	if a.Service.Count() != uint64(b.N) {
+		b.Fatalf("runs = %d, want %d", a.Service.Count(), b.N)
+	}
+}
+
+// spinFor busy-waits for at least d.
+func spinFor(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// eventually runs attempt up to three times and fails only if every try
+// does. The estimate-quality checks compare two timings of the same steps
+// with a tolerance; a single descheduling of the test process on a busy
+// host lands in one of them and not the other, which says nothing about
+// the estimator.
+func eventually(t *testing.T, attempt func() error) {
+	t.Helper()
+	var err error
+	for try := 0; try < 3; try++ {
+		if err = attempt(); err == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", try+1, err)
+	}
+	t.Fatal(err)
+}
+
+// TestStepTimedEstimateQuality checks what budgeted timing reports against
+// the wall time of the whole loop: a fine-grained kernel is timed on a sample
+// of its invocations and a coarse one on all of them, and for both the
+// busy time and the median land where direct measurement puts them.
+func TestStepTimedEstimateQuality(t *testing.T) {
+	cases := []struct {
+		name       string
+		step       time.Duration
+		steps      int
+		everyStep  bool
+		p50UpperNs uint64
+	}{
+		{"spin-300ns", 300 * time.Nanosecond, 200_000, false, 511},
+		{"spin-100us", 100 * time.Microsecond, 2_000, true, 131071},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eventually(t, func() error {
+				a := &Actor{Step: func() Status {
+					spinFor(tc.step)
+					return Proceed
+				}}
+				start := time.Now()
+				for i := 0; i < tc.steps; i++ {
+					a.StepTimed()
+				}
+				direct := time.Since(start)
+				if got := a.Service.Count(); got != uint64(tc.steps) {
+					t.Fatalf("runs = %d, want %d", got, tc.steps) // exact, never retried
+				}
+				if raceEnabled {
+					return nil
+				}
+				observed := a.Service.Hist().Count()
+				if tc.everyStep && observed != uint64(tc.steps) {
+					return fmt.Errorf("%d of %d coarse invocations observed, want all", observed, tc.steps)
+				}
+				busy := time.Duration(a.Service.BusyNanos())
+				if ratio := float64(busy) / float64(direct); ratio < 0.85 || ratio > 1.15 {
+					return fmt.Errorf("BusyNanos %v vs directly measured %v: ratio %.3f outside ±15%%", busy, direct, ratio)
+				}
+				if p50 := a.Service.Quantile(0.5); p50 != tc.p50UpperNs {
+					return fmt.Errorf("p50 upper bound = %d ns, want %d", p50, tc.p50UpperNs)
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestStepTimedDoesNotAlias runs a kernel whose every 256th invocation is
+// slow. A fixed observation gap that divides the period would see the slow
+// invocations always or never; the geometric countdown must report their
+// share of the histogram as what it is.
+func TestStepTimedDoesNotAlias(t *testing.T) {
+	const period, steps = 256, 2_000_000
+	const slow = 10 * time.Microsecond
+	if raceEnabled {
+		t.Skip("the race detector makes every invocation slow; there is no fine-grained kernel to sample")
+	}
+	eventually(t, func() error {
+		n := 0
+		a := &Actor{Step: func() Status {
+			if n++; n%period == 0 {
+				spinFor(slow)
+			}
+			return Proceed
+		}}
+		for i := 0; i < steps; i++ {
+			a.StepTimed()
+		}
+		snap := a.Service.Hist().Snapshot()
+		var slowWeight uint64
+		for i, c := range snap.Buckets {
+			if uint64(1)<<uint(i+1) > uint64(slow) { // bucket reaches up to the slow duration
+				slowWeight += c
+			}
+		}
+		share := float64(slowWeight) / float64(snap.Count)
+		if want := 1.0 / period; share < 0.7*want || share > 1.3*want {
+			return fmt.Errorf("slow share of the histogram = %.5f, want %.5f ±30%%", share, want)
+		}
+		return nil
+	})
 }

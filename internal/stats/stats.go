@@ -4,9 +4,14 @@
 //
 // The paper (§4.1) stresses that "the data collection process itself is
 // optimized to reduce overhead" (citing the TimeTrial profiler work). The
-// implementations here follow the same discipline: the hot path is one or
-// two uncontended atomic operations; aggregation work happens only when a
-// monitor thread asks for a snapshot.
+// implementations here follow the same discipline: recording is a handful of
+// uncontended atomic operations — one add for a Counter, three adds plus a
+// load (and a CAS only on a new maximum) for a Histogram sample — and
+// aggregation work happens only when a monitor thread asks for a snapshot.
+// Where even that is too much per event, the caller samples: Histogram and
+// ServiceTimer take weighted samples, so a kernel stepping every few tens of
+// nanoseconds is counted on every step but timed on a bounded share of them
+// (see core.Actor.StepTimed).
 package stats
 
 import (
@@ -117,8 +122,9 @@ const nBuckets = 64
 
 // Histogram is a log2-bucketed histogram of non-negative integer samples
 // (durations in nanoseconds, queue occupancies, batch sizes...). Recording
-// is a single atomic increment; percentile queries walk the 64 buckets.
-// The zero value is ready to use.
+// is three uncontended atomic adds (bucket, sum, count) and a load of the
+// running maximum; percentile queries walk the 64 buckets. The zero value is
+// ready to use.
 type Histogram struct {
 	buckets [nBuckets]atomic.Uint64
 	sum     atomic.Uint64
@@ -134,10 +140,15 @@ func bucketIndex(v uint64) int {
 }
 
 // Record adds one sample with value v.
-func (h *Histogram) Record(v uint64) {
-	h.buckets[bucketIndex(v)].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+func (h *Histogram) Record(v uint64) { h.RecordN(v, 1) }
+
+// RecordN adds a sample of value v that stands for n events: count, sum and
+// v's bucket all advance by n, so means and quantiles weigh the sample as n
+// identical ones. Samplers that observe one event in n record this way.
+func (h *Histogram) RecordN(v, n uint64) {
+	h.buckets[bucketIndex(v)].Add(n)
+	h.sum.Add(v * n)
+	h.count.Add(n)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -146,8 +157,11 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
-// Count returns the number of recorded samples.
+// Count returns the number of recorded samples (the sum of their weights).
 func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Sum returns the weighted sum of recorded sample values.
+func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Mean returns the arithmetic mean of recorded samples, or 0 if empty.
 func (h *Histogram) Mean() float64 {
@@ -328,11 +342,16 @@ func (o *Occupancy) StarvedFraction() float64 {
 // Hist exposes the underlying occupancy histogram.
 func (o *Occupancy) Hist() *Histogram { return &o.hist }
 
-// ServiceTimer measures per-invocation service times of a kernel with a
-// log-scale histogram. Use Start/Stop pairs or the Time helper.
+// ServiceTimer counts a kernel's invocations exactly and keeps a log-scale
+// histogram of their service times from weighted samples: every invocation
+// calls Step (one atomic add, no clock), and the invocations that were
+// actually timed call Observe with the number of invocations the measurement
+// stands for. Count is therefore exact; the mean, the quantiles, BusyNanos
+// and RatePerSecond are estimates that are exact when every invocation is
+// observed with weight one (Record).
 type ServiceTimer struct {
+	runs atomic.Uint64
 	hist Histogram
-	busy atomic.Uint64 // cumulative busy nanoseconds
 }
 
 // Time runs fn and records its wall-clock duration.
@@ -342,23 +361,33 @@ func (t *ServiceTimer) Time(fn func()) {
 	t.Record(time.Since(start))
 }
 
-// Record adds one observed service duration.
-func (t *ServiceTimer) Record(d time.Duration) {
+// Step counts one invocation without timing it.
+func (t *ServiceTimer) Step() { t.runs.Add(1) }
+
+// Observe adds a measured service duration standing for n invocations
+// (which Step counts separately).
+func (t *ServiceTimer) Observe(d time.Duration, n uint64) {
 	if d < 0 {
 		d = 0
 	}
-	t.hist.Record(uint64(d))
-	t.busy.Add(uint64(d))
+	t.hist.RecordN(uint64(d), n)
 }
 
-// Count returns the number of recorded invocations.
-func (t *ServiceTimer) Count() uint64 { return t.hist.Count() }
+// Record counts one invocation and observes its duration.
+func (t *ServiceTimer) Record(d time.Duration) {
+	t.Step()
+	t.Observe(d, 1)
+}
+
+// Count returns the exact number of invocations.
+func (t *ServiceTimer) Count() uint64 { return t.runs.Load() }
 
 // MeanNanos returns the mean service time in nanoseconds.
 func (t *ServiceTimer) MeanNanos() float64 { return t.hist.Mean() }
 
-// BusyNanos returns cumulative busy time in nanoseconds.
-func (t *ServiceTimer) BusyNanos() uint64 { return t.busy.Load() }
+// BusyNanos returns cumulative busy time in nanoseconds: each observed
+// duration times the invocations it stands for.
+func (t *ServiceTimer) BusyNanos() uint64 { return t.hist.Sum() }
 
 // RatePerSecond converts the mean service time into a service rate
 // (invocations per second). Returns 0 when no samples exist.

@@ -73,7 +73,7 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 			rate = 1e12
 		}
 		gain := 1.0
-		if inflow[i] > 0 && outflow[i] >= 0 && len(kb.outNames) > 0 {
+		if inflow[i] > 0 && outflow[i] >= 0 && len(kb.outs) > 0 {
 			gain = outflow[i] / inflow[i]
 		}
 		net.Kernels = append(net.Kernels, qmodel.KernelModel{

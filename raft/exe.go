@@ -99,8 +99,9 @@ type Config struct {
 	// a bounded ring exposed on the Report (see WithTrace).
 	TraceCapacity int
 
-	// TraceStride samples kernel Run spans: one invocation in every
-	// TraceStride emits RunStart/RunEnd (1 = every invocation; 0 = the
+	// TraceStride spaces kernel Run spans: a timed invocation emits
+	// RunStart/RunEnd when at least TraceStride invocations have run since
+	// the last span (1 = every timed invocation; 0 = the
 	// DefaultTraceStride). Structural events are never sampled.
 	TraceStride int
 
@@ -259,11 +260,13 @@ func WithSplitPolicy(p SplitPolicy) Option { return func(c *Config) { c.SplitPol
 func WithTopology(t mapper.Topology) Option { return func(c *Config) { c.Topology = t } }
 
 // DefaultTraceStride is the Run-span sampling stride used by WithTrace:
-// one kernel invocation in every DefaultTraceStride publishes its
-// RunStart/RunEnd pair on the event bus. Sampling keeps the always-on
-// cost of tracing a fine-grained kernel to a local counter increment;
-// structural events (resize, batch, restart, bridge, checkpoint) are
-// never sampled. Use WithTraceStride(1) for exhaustive span capture.
+// a kernel publishes a RunStart/RunEnd pair on the event bus at most once
+// per DefaultTraceStride invocations. Spans ride on the invocations the
+// runtime times anyway (every one for a kernel stepping in microseconds,
+// about one in 64 for one stepping in tens of nanoseconds), so tracing a
+// fine-grained kernel reads no extra clock; structural events (resize,
+// batch, restart, bridge, checkpoint) are never sampled. Use
+// WithTraceStride(1) for a span on every timed invocation.
 const DefaultTraceStride = 64
 
 // WithTrace records kernel invocation start/end events into a bounded
@@ -281,10 +284,11 @@ func WithTrace(capacity int) Option {
 	}
 }
 
-// WithTraceStride sets the Run-span sampling stride for WithTrace: one
-// invocation in every n emits its RunStart/RunEnd pair. 1 records every
-// invocation (maximum timeline fidelity, measurable cost on sub-µs
-// kernels); larger strides trade span density for overhead.
+// WithTraceStride sets the Run-span sampling stride for WithTrace: a timed
+// invocation emits its RunStart/RunEnd pair when at least n invocations
+// have run since the last one that did. 1 records every timed invocation
+// (every invocation of a kernel stepping in microseconds or more — maximum
+// timeline fidelity); larger strides trade span density for overhead.
 func WithTraceStride(n int) Option {
 	return func(c *Config) {
 		if n < 1 {
@@ -508,18 +512,29 @@ func TraceNames(r *Report) []string {
 	return names
 }
 
-// KernelReport is the per-kernel slice of a Report.
+// KernelReport is the per-kernel slice of a Report. Runs is exact. The
+// service-time statistics come from the invocations the runtime timed:
+// all of them for a kernel whose invocations take microseconds or more,
+// a weighted random sample (about one in 64 at the finest) for one whose
+// invocations take less, so for such kernels they are unbiased estimates
+// rather than totals, and a timed invocation of ~100 ns reads high by the
+// disturbance of the clock reads around it.
 type KernelReport struct {
-	Name         string
-	Place        int
-	Runs         uint64
+	Name  string
+	Place int
+	// Runs counts the kernel's invocations.
+	Runs uint64
+	// MeanSvcNanos is the mean invocation time.
 	MeanSvcNanos float64
 	// SvcP50Nanos and SvcP99Nanos are service-time quantile upper bounds
 	// from the kernel's log2 histogram.
 	SvcP50Nanos uint64
 	SvcP99Nanos uint64
-	BusyNanos   uint64
-	RatePerSec  float64
+	// BusyNanos is the time spent inside invocations: each timed duration
+	// times the number of invocations it stands for.
+	BusyNanos uint64
+	// RatePerSec is the invocation rate the mean service time implies.
+	RatePerSec float64
 	// Restarts counts supervised recoveries of this kernel.
 	Restarts uint64
 	// MuHat is the online non-blocking service-rate estimate µ̂
@@ -1052,7 +1067,7 @@ func (m *Map) allocate(cfg *Config) ([]*core.LinkInfo, error) {
 			src := l.Src.kernelBase()
 			src.marks = cfg.markers
 			l.Dst.kernelBase().marks = cfg.markers
-			if len(src.inNames) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
+			if len(src.ins) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
 				l.SrcPort.stampEvery = cfg.markers.dom.Stride()
 				l.SrcPort.stampLeft = l.SrcPort.stampEvery
 				l.SrcPort.stampSource = src.Name()
@@ -1077,8 +1092,8 @@ func (m *Map) allocate(cfg *Config) ([]*core.LinkInfo, error) {
 
 // buildActors wraps every kernel into a core.Actor. When tracing is on,
 // each actor carries the shared recorder: core.Actor.StepTimed emits
-// RunStart/RunEnd itself from the same clock reads it uses for duty-cycle
-// accounting, so tracing adds no extra time.Now calls. Kernels that run
+// RunStart/RunEnd itself, only on invocations it times and from the same
+// clock reads, so tracing adds no extra time.Now calls. Kernels that run
 // their own event loops (oar bridges) are handed the recorder through the
 // TraceAttacher interface so their reconnect/replay transitions land on
 // the same bus.
@@ -1341,8 +1356,8 @@ func (m *Map) rewriteReplicated(cfg *Config) ([]*groupScaler, error) {
 			initial = 1
 		}
 
-		inPort := kb.inPorts[kb.inNames[0]]
-		outPort := kb.outPorts[kb.outNames[0]]
+		inPort := kb.ins[0]
+		outPort := kb.outs[0]
 		split := newSplitFromSpec(inPort, r, cfg.SplitPolicy, initial)
 		split.SetName(fmt.Sprintf("split(%s)", kb.Name()))
 		merge := newMergeFromSpec(outPort, r)
@@ -1369,12 +1384,12 @@ func (m *Map) rewriteReplicated(cfg *Config) ([]*groupScaler, error) {
 		}
 		for i, c := range clones {
 			if _, err := m.Link(split, c,
-				From(fmt.Sprintf("%d", i)), To(c.kernelBase().inNames[0]),
+				From(fmt.Sprintf("%d", i)), To(c.kernelBase().ins[0].name),
 				Cap(inbound.capacity), MaxCap(inbound.maxCap)); err != nil {
 				return nil, err
 			}
 			if _, err := m.Link(c, merge,
-				From(c.kernelBase().outNames[0]), To(fmt.Sprintf("%d", i)),
+				From(c.kernelBase().outs[0].name), To(fmt.Sprintf("%d", i)),
 				Cap(outbound.capacity), MaxCap(outbound.maxCap)); err != nil {
 				return nil, err
 			}

@@ -54,11 +54,11 @@ func NewKernelGroup(members ...Kernel) (*KernelGroup, error) {
 	}
 	// Validate signatures and mirror the first member's ports onto the
 	// group.
-	for _, name := range first.inNames {
-		g.addPort(first.inPorts[name].cloneSpec(name, In))
+	for _, p := range first.ins {
+		g.addPort(p.cloneSpec(p.name, In))
 	}
-	for _, name := range first.outNames {
-		g.addPort(first.outPorts[name].cloneSpec(name, Out))
+	for _, p := range first.outs {
+		g.addPort(p.cloneSpec(p.name, Out))
 	}
 	for i, mk := range members[1:] {
 		if err := sameSignature(first, mk.kernelBase()); err != nil {
@@ -70,19 +70,19 @@ func NewKernelGroup(members ...Kernel) (*KernelGroup, error) {
 }
 
 func sameSignature(a, b *KernelBase) error {
-	if len(a.inNames) != len(b.inNames) || len(a.outNames) != len(b.outNames) {
+	if len(a.ins) != len(b.ins) || len(a.outs) != len(b.outs) {
 		return fmt.Errorf("port count differs")
 	}
-	for _, n := range a.inNames {
-		bp, ok := b.inPorts[n]
-		if !ok || bp.elem != a.inPorts[n].elem {
-			return fmt.Errorf("input port %q differs", n)
+	for _, ap := range a.ins {
+		bp, ok := b.inPorts[ap.name]
+		if !ok || bp.elem != ap.elem {
+			return fmt.Errorf("input port %q differs", ap.name)
 		}
 	}
-	for _, n := range a.outNames {
-		bp, ok := b.outPorts[n]
-		if !ok || bp.elem != a.outPorts[n].elem {
-			return fmt.Errorf("output port %q differs", n)
+	for _, ap := range a.outs {
+		bp, ok := b.outPorts[ap.name]
+		if !ok || bp.elem != ap.elem {
+			return fmt.Errorf("output port %q differs", ap.name)
 		}
 	}
 	return nil
@@ -116,13 +116,11 @@ func (g *KernelGroup) Swaps() int { return g.swaps }
 func (g *KernelGroup) Init() error {
 	for _, mk := range g.members {
 		mb := mk.kernelBase()
-		for _, n := range g.inNames {
-			p := g.inPorts[n]
-			mb.inPorts[n].bind(p.q, p.typed, p.async)
+		for _, p := range g.ins {
+			mb.inPorts[p.name].bind(p.q, p.typed, p.async)
 		}
-		for _, n := range g.outNames {
-			p := g.outPorts[n]
-			mb.outPorts[n].bind(p.q, p.typed, p.async)
+		for _, p := range g.outs {
+			mb.outPorts[p.name].bind(p.q, p.typed, p.async)
 		}
 		if init, ok := mk.(Initializer); ok {
 			if err := init.Init(); err != nil {

@@ -57,8 +57,10 @@ type KernelBase struct {
 	weight  float64
 	virtual bool
 
-	inNames  []string
-	outNames []string
+	// ins and outs hold the ports in declaration order, inPorts and
+	// outPorts by name (see lookupPort for which one In and Out consult).
+	ins      []*Port
+	outs     []*Port
 	inPorts  map[string]*Port
 	outPorts map[string]*Port
 
@@ -113,8 +115,8 @@ func (k *KernelBase) Virtual() bool { return k.virtual }
 // kernel-construction bug, analogous to the C++ template failing to
 // compile). The panic value is an error wrapping ErrPortNotFound.
 func (k *KernelBase) In(name string) *Port {
-	p, ok := k.inPorts[name]
-	if !ok {
+	p := lookupPort(k.ins, k.inPorts, name)
+	if p == nil {
 		panic(misuse(ErrPortNotFound, "kernel %q has no input port %q", k.name, name))
 	}
 	return p
@@ -123,38 +125,60 @@ func (k *KernelBase) In(name string) *Port {
 // Out returns the named output port, panicking (with an error wrapping
 // ErrPortNotFound) if it does not exist.
 func (k *KernelBase) Out(name string) *Port {
-	p, ok := k.outPorts[name]
-	if !ok {
+	p := lookupPort(k.outs, k.outPorts, name)
+	if p == nil {
 		panic(misuse(ErrPortNotFound, "kernel %q has no output port %q", k.name, name))
 	}
 	return p
 }
 
+// portScanMax is the port count up to which lookupPort compares names in
+// declaration order instead of hashing.
+const portScanMax = 8
+
+// lookupPort resolves a port name, nil when the kernel has no such port.
+// Kernels call In/Out on every invocation — a lambda kernel once per
+// element — so the usual case must not hash a string: a kernel has a
+// handful of ports, and comparing the name against each is several times
+// cheaper than a map probe. Only wide kernels (a 64-way fan-out) pay for
+// the map.
+func lookupPort(list []*Port, byName map[string]*Port, name string) *Port {
+	if len(list) > portScanMax {
+		return byName[name]
+	}
+	for _, p := range list {
+		if p.name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 // InNames returns the input port names in declaration order.
-func (k *KernelBase) InNames() []string { return append([]string(nil), k.inNames...) }
+func (k *KernelBase) InNames() []string { return portNames(k.ins) }
 
 // OutNames returns the output port names in declaration order.
-func (k *KernelBase) OutNames() []string { return append([]string(nil), k.outNames...) }
+func (k *KernelBase) OutNames() []string { return portNames(k.outs) }
+
+func portNames(ports []*Port) []string {
+	names := make([]string, len(ports))
+	for i, p := range ports {
+		names[i] = p.name
+	}
+	return names
+}
 
 // InPorts returns the input ports in declaration order.
-func (k *KernelBase) InPorts() []*Port { return k.portsOf(k.inNames, k.inPorts) }
+func (k *KernelBase) InPorts() []*Port { return append([]*Port(nil), k.ins...) }
 
 // OutPorts returns the output ports in declaration order.
-func (k *KernelBase) OutPorts() []*Port { return k.portsOf(k.outNames, k.outPorts) }
-
-func (k *KernelBase) portsOf(names []string, m map[string]*Port) []*Port {
-	out := make([]*Port, 0, len(names))
-	for _, n := range names {
-		out = append(out, m[n])
-	}
-	return out
-}
+func (k *KernelBase) OutPorts() []*Port { return append([]*Port(nil), k.outs...) }
 
 // InputsDone reports whether every input stream is closed and drained —
 // the usual Stop condition for multi-input kernels.
 func (k *KernelBase) InputsDone() bool {
-	for _, name := range k.inNames {
-		q := k.inPorts[name].q
+	for _, p := range k.ins {
+		q := p.q
 		if q == nil || !q.Closed() || q.Len() > 0 {
 			return false
 		}
@@ -165,8 +189,8 @@ func (k *KernelBase) InputsDone() bool {
 // CloseOutputs closes every output stream, delivering EOF downstream. The
 // runtime calls it automatically when the kernel stops.
 func (k *KernelBase) CloseOutputs() {
-	for _, name := range k.outNames {
-		k.outPorts[name].Close()
+	for _, p := range k.outs {
+		p.Close()
 	}
 }
 
@@ -174,8 +198,8 @@ func (k *KernelBase) CloseOutputs() {
 // failed kernel unblocks both its producers and consumers.
 func (k *KernelBase) closeAllQueues() {
 	k.CloseOutputs()
-	for _, name := range k.inNames {
-		k.inPorts[name].Close()
+	for _, p := range k.ins {
+		p.Close()
 	}
 }
 
@@ -191,7 +215,7 @@ func (k *KernelBase) addPort(p *Port) {
 			panic(misuse(ErrPortInUse, "kernel %q declares input port %q twice", k.name, p.name))
 		}
 		k.inPorts[p.name] = p
-		k.inNames = append(k.inNames, p.name)
+		k.ins = append(k.ins, p)
 	case Out:
 		if k.outPorts == nil {
 			k.outPorts = map[string]*Port{}
@@ -200,7 +224,7 @@ func (k *KernelBase) addPort(p *Port) {
 			panic(misuse(ErrPortInUse, "kernel %q declares output port %q twice", k.name, p.name))
 		}
 		k.outPorts[p.name] = p
-		k.outNames = append(k.outNames, p.name)
+		k.outs = append(k.outs, p)
 	}
 }
 

@@ -74,8 +74,10 @@ type LiveLink struct {
 // LiveKernel is the instantaneous state of one kernel.
 type LiveKernel struct {
 	Name string
+	// Runs is the exact number of invocations so far.
 	Runs uint64
-	// MeanSvcNanos is the mean Run duration so far.
+	// MeanSvcNanos is the mean Run duration so far, over the invocations
+	// the runtime timed (see KernelReport).
 	MeanSvcNanos float64
 	// SvcP99Nanos is the 99th-percentile Run duration upper bound so far.
 	SvcP99Nanos uint64

@@ -209,9 +209,9 @@ func (m *Map) MustLink(src, dst Kernel, opts ...LinkOption) *Link {
 // pickPort resolves the port to bind: the named one, or the single unbound
 // port in the given direction.
 func pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
-	names, ports := kb.outNames, kb.outPorts
+	list, ports := kb.outs, kb.outPorts
 	if dir == In {
-		names, ports = kb.inNames, kb.inPorts
+		list, ports = kb.ins, kb.inPorts
 	}
 	if name != "" {
 		p, ok := ports[name]
@@ -224,9 +224,9 @@ func pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
 		return p, nil
 	}
 	var free []*Port
-	for _, n := range names {
-		if !ports[n].Bound() {
-			free = append(free, ports[n])
+	for _, p := range list {
+		if !p.Bound() {
+			free = append(free, p)
 		}
 	}
 	switch len(free) {

@@ -86,7 +86,7 @@ func (k *KernelBase) pickupMarks(lane *trace.MarkerLane) {
 				Prev: m.PendingQueueNs(), Arg: int64(m.ID), Label: lane.Name()})
 		}
 	}
-	if len(k.outNames) == 0 && !k.markForward {
+	if len(k.outs) == 0 && !k.markForward {
 		for _, m := range ms {
 			e2e := rig.dom.Retire(m, now)
 			if rig.rec != nil {
@@ -139,8 +139,7 @@ func (k *KernelBase) DepositMarkers(ms []*trace.Marker) {
 	if len(ms) == 0 {
 		return
 	}
-	for _, name := range k.outNames {
-		p := k.outPorts[name]
+	for _, p := range k.outs {
 		if p.lane != nil {
 			now := time.Now().UnixNano()
 			for _, m := range ms {

@@ -300,11 +300,11 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 	}
 
 	// Per-kernel counters and service-time histogram.
-	counter("raft_kernel_runs_total", "Kernel invocations.")
+	counter("raft_kernel_runs_total", "Kernel invocations (exact).")
 	for _, a := range actors {
 		fmt.Fprintf(&b, "raft_kernel_runs_total{kernel=%q} %d\n", a.Name, a.Service.Count())
 	}
-	counter("raft_kernel_busy_ns_total", "Cumulative kernel busy time in nanoseconds.")
+	counter("raft_kernel_busy_ns_total", "Cumulative kernel busy time in nanoseconds (estimated from timed invocations).")
 	for _, a := range actors {
 		fmt.Fprintf(&b, "raft_kernel_busy_ns_total{kernel=%q} %d\n", a.Name, a.Service.BusyNanos())
 	}
@@ -312,7 +312,7 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 	for _, a := range actors {
 		fmt.Fprintf(&b, "raft_kernel_restarts_total{kernel=%q} %d\n", a.Name, a.Restarts.Load())
 	}
-	fmt.Fprintf(&b, "# HELP raft_kernel_service_ns Kernel service time (nanoseconds).\n# TYPE raft_kernel_service_ns histogram\n")
+	fmt.Fprintf(&b, "# HELP raft_kernel_service_ns Kernel service time (nanoseconds) of timed invocations, each weighted by the invocations it stands for.\n# TYPE raft_kernel_service_ns histogram\n")
 	for _, a := range actors {
 		snap := a.Service.Hist().Snapshot()
 		var cum uint64

@@ -93,8 +93,8 @@ func (m *orderedMerge) Run() Status {
 // determinism), so no Scaler is registered.
 func (m *Map) rewriteOrdered(k Kernel, inbound, outbound *Link, width int) error {
 	kb := k.kernelBase()
-	inPort := kb.inPorts[kb.inNames[0]]
-	outPort := kb.outPorts[kb.outNames[0]]
+	inPort := kb.ins[0]
+	outPort := kb.outs[0]
 	split := newOrderedSplitFromSpec(inPort, width)
 	split.SetName("ordered-split(" + kb.Name() + ")")
 	merge := newOrderedMergeFromSpec(outPort, width)
@@ -127,12 +127,12 @@ func (m *Map) rewriteOrdered(k Kernel, inbound, outbound *Link, width int) error
 	}
 	for i, c := range clones {
 		if _, err := m.Link(split, c,
-			From(strconv.Itoa(i)), To(c.kernelBase().inNames[0]),
+			From(strconv.Itoa(i)), To(c.kernelBase().ins[0].name),
 			Cap(inbound.capacity), MaxCap(inbound.maxCap)); err != nil {
 			return err
 		}
 		if _, err := m.Link(c, merge,
-			From(c.kernelBase().outNames[0]), To(strconv.Itoa(i)),
+			From(c.kernelBase().outs[0].name), To(strconv.Itoa(i)),
 			Cap(outbound.capacity), MaxCap(outbound.maxCap)); err != nil {
 			return err
 		}

@@ -232,7 +232,19 @@ func typeMismatchPanic[T any](p *Port) error {
 // descriptive message on element-type mismatch (a programming error that
 // link-time type checking cannot see because the access type parameter is
 // chosen at the call site).
+//
+// Every element-wise stream operation starts here, so the default queue is
+// recognised by its concrete type: asserting p.typed to *Ring[T] compares
+// two type pointers, and the interface value it converts to is built from
+// an itab the compiler resolved. Asserting straight to the generic
+// interface instead makes the runtime search its itab table on every call.
+// That search remains for the lock-free ring and for custom ProvideQueue
+// queues. The binding is read afresh each call, so a port rebound by a
+// graph rewrite needs no invalidation.
 func queueOf[T any](p *Port) typedQueue[T] {
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		return r
+	}
 	p.mustBeBound()
 	q, ok := p.typed.(typedQueue[T])
 	if !ok {
@@ -342,8 +354,12 @@ func PushBatch[T any](p *Port, vs []T, sig Signal) error {
 }
 
 // bulkOf extracts the batched queue interface from a port, panicking with a
-// descriptive message on element-type mismatch.
+// descriptive message on element-type mismatch. Like queueOf it recognises
+// the default ring by concrete type first.
 func bulkOf[T any](p *Port) bulkQueue[T] {
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		return r
+	}
 	p.mustBeBound()
 	q, ok := p.typed.(bulkQueue[T])
 	if !ok {

@@ -329,9 +329,9 @@ func (t *Tx) adopt(k Kernel) error {
 // by a removal staged in this transaction, and not yet claimed by another
 // staged link.
 func (t *Tx) pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
-	names, ports := kb.outNames, kb.outPorts
+	list, ports := kb.outs, kb.outPorts
 	if dir == In {
-		names, ports = kb.inNames, kb.inPorts
+		list, ports = kb.ins, kb.inPorts
 	}
 	free := func(p *Port) bool {
 		if _, taken := t.claimed[p]; taken {
@@ -359,9 +359,9 @@ func (t *Tx) pickPort(kb *KernelBase, dir Direction, name string) (*Port, error)
 		return p, nil
 	}
 	var candidates []*Port
-	for _, n := range names {
-		if free(ports[n]) {
-			candidates = append(candidates, ports[n])
+	for _, p := range list {
+		if free(p) {
+			candidates = append(candidates, p)
 		}
 	}
 	switch len(candidates) {
@@ -634,7 +634,7 @@ func (ex *Execution) buildAdditions(t *Tx, epoch int64) (*built, error) {
 			src := l.Src.kernelBase()
 			if added[src] {
 				src.marks = cfg.markers
-				if len(src.inNames) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
+				if len(src.ins) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
 					l.SrcPort.stampEvery = cfg.markers.dom.Stride()
 					l.SrcPort.stampLeft = l.SrcPort.stampEvery
 					l.SrcPort.stampSource = src.Name()

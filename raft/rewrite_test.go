@@ -105,6 +105,15 @@ func TestRewriteSpliceAndRemoveMidRun(t *testing.T) {
 	rw := ex.Rewriter()
 
 	waitFor(t, "pre-splice traffic", func() bool { return sink.count() >= 500 })
+	// Both endpoints move elements one at a time (PushSig / Pop) through
+	// In/Out lookups on every invocation, so by now every accessor has
+	// resolved the original stream many times over. Ports are written only
+	// by Commit and, for a consumer, before Commit returns, so reading
+	// their binding around a Commit is ordered.
+	q0 := gen.Out("out").Queue()
+	if sink.In("in").Queue() != q0 {
+		t.Fatal("endpoints of one link are bound to different queues")
+	}
 
 	work := newWork()
 	work.SetName("spliced-work")
@@ -125,6 +134,13 @@ func TestRewriteSpliceAndRemoveMidRun(t *testing.T) {
 	}
 	if got := rw.Epoch(); got != 1 {
 		t.Fatalf("epoch after first commit = %d, want 1", got)
+	}
+	// The splice rebound a producer port (gen.out) and a consumer port
+	// (sink.in) of kernels that were mid-stream on the scalar accessors;
+	// segment exactness below proves they followed the new bindings.
+	q1, q2 := gen.Out("out").Queue(), sink.In("in").Queue()
+	if q1 == q0 || q2 == q0 || q1 == q2 {
+		t.Fatalf("after the splice gen.out and sink.in must be bound to two new queues (old %p, now %p and %p)", q0, q1, q2)
 	}
 
 	mark := sink.count()

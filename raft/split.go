@@ -307,7 +307,7 @@ func replicable(k Kernel, inbound *Link) bool {
 		return false
 	}
 	kb := k.kernelBase()
-	if len(kb.inNames) != 1 || len(kb.outNames) != 1 {
+	if len(kb.ins) != 1 || len(kb.outs) != 1 {
 		return false
 	}
 	return inbound != nil && (inbound.outOfOrder || inbound.reorderable)
@@ -324,7 +324,7 @@ func duplicateKernel(k Kernel) (Kernel, error) {
 		return nil, fmt.Errorf("raft: kernel %q Clone returned nil", kernelName(k))
 	}
 	ob, nb := k.kernelBase(), dup.kernelBase()
-	if len(ob.inNames) != len(nb.inNames) || len(ob.outNames) != len(nb.outNames) {
+	if len(ob.ins) != len(nb.ins) || len(ob.outs) != len(nb.outs) {
 		return nil, fmt.Errorf("raft: kernel %q Clone changed port counts", kernelName(k))
 	}
 	return dup, nil

@@ -132,6 +132,9 @@ func isBestEffort(p *Port) bool {
 // viewOf extracts the view surface, panicking with a descriptive message on
 // element-type mismatch or an unsupported queue.
 func viewOf[T any](p *Port) viewQueue[T] {
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		return r // concrete-type fast path, see queueOf
+	}
 	p.mustBeBound()
 	q, ok := p.typed.(viewQueue[T])
 	if !ok {
@@ -145,6 +148,9 @@ func viewOf[T any](p *Port) viewQueue[T] {
 
 // writeViewOf is viewOf for the producer side.
 func writeViewOf[T any](p *Port) writeViewQueue[T] {
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		return r
+	}
 	p.mustBeBound()
 	q, ok := p.typed.(writeViewQueue[T])
 	if !ok {
