@@ -94,7 +94,9 @@ ci-race:
 
 # Short-budget coverage-guided fuzzing of the lock-free ring: the
 # epoch-swap target gets the full budget, the established model-based
-# targets a shorter one. Each -fuzz run must name exactly one target.
+# targets a shorter one. The port-window protocol gets both kinds: a model
+# target on the short budget and its three-goroutine variant on the full
+# one. Each -fuzz run must name exactly one target.
 ci-fuzz:
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzSPSCResize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzViewResize$$' -fuzztime=$(FUZZTIME)
@@ -104,6 +106,8 @@ ci-fuzz:
 	done
 	$(GO) test ./internal/scheduler/ -run='^$$' -fuzz='^FuzzStealDeque$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGraphRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
+	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindow$$' -fuzztime=$(FUZZTIME_SHORT)
+	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 
 # Bench smoke for CI: correctness is always asserted; perf bars downgrade
 # to warnings on small runners (auto-detected via GOMAXPROCS < 2). -seed
@@ -124,13 +128,17 @@ ci-gateway:
 	$(GO) run ./cmd/raft-bench -ablate gateway -seed $(CI_SEED)
 
 # View gate: the borrow/release protocol spans both ring kinds and the
-# epoch-swap resize, so the ringbuffer package gets three racing passes;
+# epoch-swap resize, so the ringbuffer package gets three racing passes,
+# and so do the port windows that carry the scalar path over it — the
+# retire rules, the counters under windows and the seeds of both
+# FuzzPortWindow targets (the 'Window|CountsExact' line);
 # then the A15 ablation runs as a seeded smoke — chaos exactness and the
 # gateway copies-saved bars assert on every run, and the 1.5x speedup
 # bar enforces on multi-core hosts.
 ci-view:
 	$(GO) test -race -count=3 ./internal/ringbuffer/...
 	$(GO) test -race -run 'View|Batch|Pooled|Alloc' ./internal/oar/ ./internal/monitor/ ./kernels/ ./raft/
+	$(GO) test -race -count=3 -run 'Window|CountsExact' ./internal/core/ ./internal/monitor/ ./internal/resilience/ ./raft/
 	$(GO) run ./cmd/raft-bench -ablate view -seed $(CI_SEED)
 
 # Observability gate: race-test the latency-marker path end to end —

@@ -79,6 +79,20 @@ type Actor struct {
 	// resizes — are never sampled; only the high-frequency Run spans are.
 	TraceStride uint32
 
+	// Windows, when non-nil, is the kernel whose port windows (see
+	// ringbuffer/window.go) this actor's steps open. Quiesce retires them;
+	// StepTimed calls it when a step does not return Proceed and once the
+	// steps since the last retire add up to windowHoldNanos of estimated
+	// kernel time, and schedulers and the supervisor call it wherever the
+	// kernel stops running for any other reason (gate pause, park, requeue,
+	// restart back-off, checkpoint).
+	Windows ringbuffer.WindowOwner
+	// holdSteps is how many invocations may pass between two retires, from
+	// the last observed duration (0 or 1: retire after every invocation);
+	// holdLeft counts the current hold down.
+	holdSteps uint32
+	holdLeft  uint32
+
 	// Observation state of StepTimed, touched only by the actor's own
 	// goroutine. unobserved counts down the invocations that run without a
 	// clock read; the one that finds it at zero is observed and enters
@@ -103,6 +117,43 @@ const (
 	// noticed within a few times 64 invocations, and a short-lived one
 	// still leaves a histogram.
 	maxObserveGap = 64
+
+	// windowHoldNanos bounds how long a kernel that keeps running may sit on
+	// an open port window — output written but not committed, input read but
+	// not released — measured in its own estimated run time: invocations
+	// since the last retire times the last observed duration. That is the
+	// latency a window can add to an element; blocking adds none, because a
+	// kernel retires its windows before it sleeps on a port. A kernel whose
+	// invocations take more than half of this retires after every one, so a
+	// stage stepping in ~10 µs or more commits each invocation's output as
+	// it did before windows existed. The estimate lags a kernel that slows
+	// down by the observation gap, at most a few times maxObserveGap of its
+	// new invocations.
+	windowHoldNanos = 16384
+	// minHoldStepNanos floors the duration the hold is computed from, so an
+	// invocation observed at (clock-corrected) zero does not buy an unbounded
+	// hold: at most windowHoldNanos/minHoldStepNanos = 256 invocations pass
+	// between retires.
+	minHoldStepNanos = 64
+
+	// MaxWindow is the default length of a port window, for a link whose
+	// BatchControl holds no decision and no pin (a pinned link — AsLowLatency
+	// pins 1 — and a link the batcher has sized use that value; the ring
+	// further limits any window to half its capacity). It bounds how many
+	// elements ride on one ring synchronisation, and so how many a consumer
+	// may have to wait for: at 16 the lock, the counters and the condition
+	// signal cost about 6 ns an element. A longer window buys throughput on
+	// a saturated pipeline (16/24/32/48/64: 8.1/10.2/11.7/12.5/14.2 M
+	// items/s on `scalar`, EXPERIMENTS PR 19) at the price of a
+	// proportionally longer wait for the commit, and of a rate that is no
+	// longer the library's: from 32 up the kernels outrun the ring and
+	// `scalar` runs at whatever its own closures' cache-line sharing and the
+	// Go scheduler's placement allow (11.5 or 14 M at 32 for the same source,
+	// by where the heap put three counters), with run-to-run spread to match.
+	// At 16 the ring visit is the bottleneck in every layout, which is what
+	// a default should be measured by; a longer window is the adaptive
+	// batcher's to choose per link.
+	MaxWindow = 16
 )
 
 // clockSkew is what a time.Now/time.Since pair measures around nothing:
@@ -142,9 +193,45 @@ func (a *Actor) StepTimed() Status {
 		a.unobserved--
 		st := a.Step()
 		a.Service.Step()
+		a.held(st)
 		return st
 	}
 	return a.stepObserved()
+}
+
+// held accounts one invocation against the window hold: the kernel keeps
+// its port windows across it only if it returned Proceed and the hold has
+// invocations left.
+func (a *Actor) held(st Status) {
+	if st == Proceed && a.holdLeft > 1 {
+		a.holdLeft--
+		return
+	}
+	a.Quiesce()
+}
+
+// Quiesce retires the kernel's port windows and starts a new hold. Callers
+// are on the actor's own goroutine, at a point where its kernel is not
+// inside Run. It is kept out of line so that held, which runs on every
+// invocation and almost never gets here, inlines into StepTimed.
+//
+//go:noinline
+func (a *Actor) Quiesce() {
+	if a.Windows != nil {
+		a.Windows.RetireWindows()
+	}
+	a.holdLeft = a.holdSteps
+}
+
+// PollGate is Gate.Poll at a step boundary, for schedulers: an actor that is
+// about to be held or retired gives up its windows first, so whoever paused
+// it finds every element either in a ring or not yet produced.
+func (a *Actor) PollGate() GateAction {
+	if a.Gate == nil || a.Gate.Open() {
+		return GateProceed
+	}
+	a.Quiesce()
+	return a.Gate.Poll()
 }
 
 // stepObserved is the timed slow path of StepTimed.
@@ -168,6 +255,12 @@ func (a *Actor) stepObserved() Status {
 	d = max(d-clockSkew, 0)
 	a.Service.Step()
 	a.Service.Observe(d, uint64(max(a.obsWeight, 1)))
+	// The hold follows the newest observation at once: a kernel that just
+	// took long (or blocked) retires now and after every invocation until
+	// one is observed short again.
+	a.holdSteps = uint32(windowHoldNanos / max(d, minHoldStepNanos))
+	a.holdLeft = min(a.holdLeft, a.holdSteps)
+	a.held(st)
 
 	rate := uint32(maxObserveGap)
 	if d >= observeBudgetNanos/maxObserveGap {

@@ -189,3 +189,95 @@ func TestStepTimedDoesNotAlias(t *testing.T) {
 		return nil
 	})
 }
+
+// retireCounter stands for a kernel's port windows: it counts retires.
+type retireCounter struct{ n int }
+
+func (r *retireCounter) RetireWindows() { r.n++ }
+
+// TestWindowHoldIsBoundedInKernelTime is retire rule 6. A kernel stepping
+// slower than half of windowHoldNanos retires its windows after every
+// invocation, so each invocation's output is committed as it was before
+// windows existed; a fine-grained one holds them across invocations, but
+// never for more than windowHoldNanos/minHoldStepNanos of them; and
+// whatever the hold, an invocation that does not return Proceed ends it.
+func TestWindowHoldIsBoundedInKernelTime(t *testing.T) {
+	w := &retireCounter{}
+	slow := &Actor{Windows: w, Step: func() Status {
+		spinFor(windowHoldNanos) // well over half the bound, however the clock rounds
+		return Proceed
+	}}
+	for i := 1; i <= 50; i++ {
+		slow.StepTimed()
+		if w.n != i {
+			t.Fatalf("slow kernel: %d retires after %d invocations, want one each", w.n, i)
+		}
+	}
+
+	const steps = 100_000
+	w = &retireCounter{}
+	fast := &Actor{Windows: w, Step: func() Status { return Proceed }}
+	last, longest := 0, 0
+	for i := 1; i <= steps; i++ {
+		before := w.n
+		fast.StepTimed()
+		if w.n != before {
+			longest, last = max(longest, i-last), i
+		}
+	}
+	if bound := windowHoldNanos / minHoldStepNanos; longest > bound {
+		t.Fatalf("fast kernel held its windows across %d invocations, bound is %d", longest, bound)
+	}
+	if !raceEnabled && w.n > steps/8 {
+		t.Fatalf("fast kernel retired %d times in %d invocations: the hold does not amortise", w.n, steps)
+	}
+
+	for _, end := range []Status{Stall, Stop} {
+		w = &retireCounter{}
+		n := 0
+		a := &Actor{Windows: w, Step: func() Status {
+			if n++; n%10 == 0 {
+				return end
+			}
+			return Proceed
+		}}
+		for i := 1; i <= 1000; i++ {
+			before := w.n
+			if st := a.StepTimed(); st == end && w.n != before+1 {
+				t.Fatalf("invocation %d returned %v and left the windows open", i, end)
+			}
+		}
+	}
+}
+
+// TestPollGateRetiresBeforeParking is the gate-pause part of retire rule 5:
+// the controller that paused an actor finds its windows already retired,
+// and an open gate costs no retire.
+func TestPollGateRetiresBeforeParking(t *testing.T) {
+	w := &retireCounter{}
+	a := &Actor{Windows: w, Gate: NewGate(), Step: func() Status { return Proceed }}
+	if a.PollGate() != GateProceed || w.n != 0 {
+		t.Fatalf("open gate: %d retires", w.n)
+	}
+	polled := make(chan GateAction)
+	parked := make(chan bool)
+	go func() { parked <- a.Gate.Pause(5*time.Second, nil) }()
+	for a.Gate.Open() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	go func() { polled <- a.PollGate() }()
+	if !<-parked {
+		t.Fatal("actor never parked")
+	}
+	// Pause has returned: the actor is parked inside Poll, after the retire.
+	if w.n != 1 {
+		t.Fatalf("parked with %d retires, want 1", w.n)
+	}
+	a.Gate.Retire()
+	if got := <-polled; got != GateStop || w.n != 1 {
+		t.Fatalf("retired gate: %v after %d retires", got, w.n)
+	}
+	if a.PollGate() != GateStop || w.n != 2 {
+		t.Fatalf("a retired gate must still retire the windows before the actor finishes (%d)", w.n)
+	}
+}

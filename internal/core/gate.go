@@ -52,6 +52,10 @@ func NewGate() *Gate {
 	return &Gate{ack: make(chan struct{}, 1)}
 }
 
+// Open reports whether Poll would return GateProceed without waiting: one
+// atomic load.
+func (g *Gate) Open() bool { return g.mode.Load() == gateRun }
+
 // Poll is called by the owning scheduler at every step boundary. It
 // returns GateProceed immediately while the gate is open, blocks while a
 // controller holds the actor, and returns GateStop once the actor is

@@ -120,6 +120,54 @@ func TestViewHoldSkipsResize(t *testing.T) {
 	r.Close()
 }
 
+// TestWindowDefersResize states how the monitor treats a port window
+// (ringbuffer/window.go): it is not a held view, so the write-side rule
+// still fires while one is out; the resize it asks for is accepted, waits
+// for the retire, and is not asked for again meanwhile; and the retire
+// applies it — at most one window later.
+func TestWindowDefersResize(t *testing.T) {
+	li, r := mkLink(4, 0)
+	for i := 0; i < 4; i++ {
+		_ = r.Push(i, ringbuffer.SigNone)
+	}
+	// The consumer opens a read window over half the ring and stops midway.
+	if v, _, released, ok, err := r.PopWindowed(64, true); v != 0 || released != 0 || !ok || err != nil {
+		t.Fatalf("first pop = %d (released %d, ok %v, err %v)", v, released, ok, err)
+	}
+	if r.ViewHeldFor() != 0 {
+		t.Fatal("a port window reports a hold time")
+	}
+	pushed := make(chan error)
+	go func() { pushed <- r.Push(4, ringbuffer.SigNone) }()
+	for r.WriterBlockedFor() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
+	time.Sleep(time.Millisecond)
+	m.Tick()
+	m.Tick()
+	if got := len(m.Events()); r.Cap() != 4 || got != 1 || !r.ResizePending() {
+		t.Fatalf("two ticks under an open window: cap %d, %d grow events, pending %v; want 4, 1, true",
+			r.Cap(), got, r.ResizePending())
+	}
+	// The retire applies the deferred grow, which is what unblocks the
+	// producer: the window released one slot, the grow adds four.
+	if n := r.ReleaseWindow(); n != 1 {
+		t.Fatalf("release = %d", n)
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if r.Cap() != 8 || r.ResizePending() {
+		t.Fatalf("after the retire: cap %d, pending %v; want 8, false", r.Cap(), r.ResizePending())
+	}
+	for want := 1; want <= 4; want++ {
+		if v, _, err := r.Pop(); err != nil || v != want {
+			t.Fatalf("pop = %d, %v; want %d", v, err, want)
+		}
+	}
+}
+
 func TestResizeDisabled(t *testing.T) {
 	li, r := mkLink(1, 0)
 	li.ResizeEnabled = false

@@ -193,7 +193,10 @@ func NewEstimator(cfg EstimatorConfig, spans *trace.Reader, kernels []KernelTap,
 	for _, lt := range links {
 		e.links = append(e.links, linkEst{
 			tap: lt,
-			lam: stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak),
+			// Flow-counter deltas are exact, so λ̂ primes on the mean of its
+			// first windows: the arrivals over their span, however unevenly
+			// they fell into them (see stats.BurstEWMA.PrimeOnMean).
+			lam: stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak).PrimeOnMean(),
 		})
 		if lt.Block != nil {
 			if i, ok := e.kidx[lt.Src]; ok {

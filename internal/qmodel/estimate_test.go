@@ -48,6 +48,49 @@ func drive(e *Estimator, s *synthLink, now *time.Time, ticks int, n uint64, bloc
 	}
 }
 
+// A producer much faster than its consumer, on a ring that grows, puts a
+// short run's whole output into the stream within the first two windows
+// (element-wise pushes ride port windows at ~10 ns each) and the consumer
+// drains the backlog for many windows more. λ̂ must prime on what arrived —
+// not at zero because three of its five priming windows were empty — and
+// then follow the arrivals down.
+func TestEstimatorLambdaPrimesWhenArrivalsFillFewWindows(t *testing.T) {
+	s := &synthLink{qcap: 1 << 15}
+	kts, lts := s.taps(0, 1)
+	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	now := time.Now()
+	e.Tick(now) // baseline
+
+	tick := func(pushed uint64) {
+		s.pushes += pushed
+		s.occN += pushed
+		s.pops += 1000
+		s.runs += 1000
+		now = now.Add(win)
+		e.Tick(now)
+	}
+	tick(10_000)
+	tick(20_000)
+	for i := 0; i < 3; i++ {
+		tick(0)
+	}
+	lr, ok := e.Link(0)
+	if !ok || !lr.Primed {
+		t.Fatalf("link not primed after five windows: %+v ok=%v", lr, ok)
+	}
+	// 30k elements over the 10 ms priming span.
+	if lr.Lambda < 2.9e6 || lr.Lambda > 3.1e6 {
+		t.Fatalf("λ̂ = %v, want 3M/s (30k arrivals over 10 ms)", lr.Lambda)
+	}
+	for i := 0; i < 25; i++ {
+		tick(0)
+	}
+	lr, _ = e.Link(0)
+	if lr.Lambda <= 0 || lr.Lambda > 3e6*0.01 {
+		t.Fatalf("λ̂ = %v after 25 empty windows, want decayed but non-zero", lr.Lambda)
+	}
+}
+
 func TestEstimatorSteadyConvergence(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)

@@ -182,6 +182,10 @@ func (s *Supervisor) step(inner func() core.Status) core.Status {
 			s.sinceCk++
 			if s.sinceCk >= s.h.CheckpointEvery || st == core.Stop {
 				s.sinceCk = 0
+				// The snapshot speaks for a stream position: what the kernel
+				// has popped is released and what it has pushed is committed
+				// before its state is saved.
+				s.actor.Quiesce()
 				if err := s.h.Checkpoint(); err != nil {
 					return s.fail(fmt.Errorf("%w: %w", ErrCheckpointFailed, err))
 				}
@@ -207,6 +211,9 @@ func (s *Supervisor) emit(kind trace.Kind, arg int64) {
 // fail applies the restart policy to one failure.
 func (s *Supervisor) fail(cause error) core.Status {
 	caught := time.Now()
+	// The kernel died mid-invocation and is about to sleep through its
+	// back-off: its port windows hold elements its neighbours are owed.
+	s.actor.Quiesce()
 	s.attempts++
 	if s.p.MaxRestarts >= 0 && s.attempts > s.p.MaxRestarts {
 		err := fmt.Errorf("kernel %q: %w after %d restarts: %w",

@@ -287,3 +287,37 @@ func TestFileStoreRoundtripAndResume(t *testing.T) {
 		t.Fatalf("resume Load = %q ok=%v err=%v", snap, ok, err)
 	}
 }
+
+// windows counts retires of a supervised kernel's port windows and records
+// how many had happened when each checkpoint or restore ran.
+type windows struct {
+	retires  int
+	atCkpt   []int
+	atRestor []int
+}
+
+func (w *windows) RetireWindows() { w.retires++ }
+
+// TestSupervisorRetiresWindowsAroundRestartAndCheckpoint is the supervisor's
+// part of retire rule 5: a kernel that died retires its port windows before
+// it sleeps through the back-off (its neighbours are owed what they hold),
+// and a snapshot is taken only of a stream position the neighbours can see.
+func TestSupervisorRetiresWindowsAroundRestartAndCheckpoint(t *testing.T) {
+	a, _ := mkActor("k", 6, map[int]bool{3: true})
+	w := &windows{}
+	a.Windows = w
+	Supervise(a, Policy{MaxRestarts: 2, InitialBackoff: time.Microsecond}, Hooks{
+		Checkpoint: func() error { w.atCkpt = append(w.atCkpt, w.retires); return nil },
+		Restore:    func() error { w.atRestor = append(w.atRestor, w.retires); return nil },
+	})
+	drive(t, a)
+	// Five successful invocations checkpoint (runs 1, 2, 4, 5 and the Stop at
+	// 6), each after its own retire; the failed run 3 retires before the
+	// back-off and the restore.
+	if want := []int{1, 2, 4, 5, 6}; fmt.Sprint(w.atCkpt) != fmt.Sprint(want) {
+		t.Fatalf("retires seen by the checkpoints = %v, want %v", w.atCkpt, want)
+	}
+	if want := []int{3}; fmt.Sprint(w.atRestor) != fmt.Sprint(want) {
+		t.Fatalf("retires seen by the restore = %v, want %v", w.atRestor, want)
+	}
+}

@@ -63,7 +63,32 @@ type Ring[T any] struct {
 	// contract the hook must obey.
 	wake func(Wake)
 
+	// prodOwner and consOwner are the kernels at the two ends of the stream
+	// (nil for a ring used outside a graph). An end that is about to sleep
+	// on this ring first has its owner retire every port window it holds —
+	// see waitForSpaceLocked and window.go.
+	prodOwner, consOwner WindowOwner
+
+	// wpulled is how many slots of the open write window have already been
+	// published from outside it (pullLocked). rwait is set while a consumer
+	// sleeps in waitForItemsLocked and nobody has signalled it since: no
+	// write window is opened then, the push goes straight in and wakes it.
+	wpulled int
+	rwait   bool
+
 	tel Telemetry
+
+	// Port windows (window.go). ww belongs to the producing goroutine and rw
+	// to the consuming one; each is read and written without r.mu by its
+	// side only, once per element, so each sits on cache lines of its own.
+	_    [64]byte
+	ww   window[T]
+	wpub atomic.Int64  // slots of ww written so far; 0 when no window is open
+	attn atomic.Uint32 // attnReader|attnClosed: the producer must visit the ring
+	_    [64]byte
+	rw   window[T]
+	rpos int // elements of rw read so far; 0 when no window is open
+	_    [64]byte
 }
 
 // NewRing returns a Ring with the given initial capacity (DefaultCapacity
@@ -159,11 +184,13 @@ func (r *Ring[T]) evictLocked(want int) {
 	}
 }
 
-// Len returns the number of buffered elements.
+// Len returns the number of buffered elements, counting those the producer
+// has written into an open port window and not committed yet: the consumer
+// obtains them the moment it finds nothing else (window.go).
 func (r *Ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.n + int(r.wpub.Load()) - r.wpulled
 }
 
 // Cap returns the current capacity.
@@ -185,6 +212,7 @@ func (r *Ring[T]) Closed() bool {
 func (r *Ring[T]) Close() {
 	r.mu.Lock()
 	r.closed = true
+	r.setAttnLocked(attnClosed)
 	wake := r.wake
 	r.mu.Unlock()
 	r.notEmpty.Broadcast()
@@ -231,59 +259,18 @@ func (r *Ring[T]) setSigAt(i int, s Signal) {
 }
 
 // Push appends v with signal sig, blocking while the ring is full. It
-// returns ErrClosed if the ring is or becomes closed.
+// returns ErrClosed if the ring is or becomes closed. It is the scalar path
+// of window.go at window length 1: one lock and one commit per element.
 func (r *Ring[T]) Push(v T, sig Signal) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.bestEffort && !r.closed && !r.readOnly && r.n == len(r.vals) {
-		r.evictLocked(1)
-		if r.n == len(r.vals) && sig == SigNone {
-			// Head pinned by a signal-carrying element: shed the incoming
-			// element instead (it is signal-free, so nothing is lost but
-			// payload the policy already permits losing).
-			r.tel.Dropped.Inc()
-			return nil
-		}
-	}
-	if err := r.waitForSpaceLocked(1); err != nil {
-		return err
-	}
-	wasEmpty := r.n == 0
-	i := r.index(r.n)
-	r.vals[i] = v
-	r.setSigAt(i, sig)
-	r.n++
-	r.tel.Pushes.Inc()
-	r.tel.recordOcc(r.n)
-	r.notEmpty.Signal()
-	r.wokeNotEmpty(wasEmpty)
-	return nil
+	_, _, err := r.PushWindowed(v, sig, 1, true)
+	return err
 }
 
 // TryPush appends v with signal sig without blocking. It reports whether
 // the element was accepted; err is ErrClosed when the ring is closed.
 func (r *Ring[T]) TryPush(v T, sig Signal) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.readOnly {
-		return false, ErrClosed
-	}
-	if r.bestEffort && r.n == len(r.vals) {
-		r.evictLocked(1)
-	}
-	if r.n == len(r.vals) {
-		return false, nil
-	}
-	wasEmpty := r.n == 0
-	i := r.index(r.n)
-	r.vals[i] = v
-	r.setSigAt(i, sig)
-	r.n++
-	r.tel.Pushes.Inc()
-	r.tel.recordOcc(r.n)
-	r.notEmpty.Signal()
-	r.wokeNotEmpty(wasEmpty)
-	return true, nil
+	_, ok, err := r.PushWindowed(v, sig, 1, false)
+	return ok, err
 }
 
 // PushBatch appends all of vs; the final element carries sig, earlier ones
@@ -423,7 +410,7 @@ func (r *Ring[T]) DrainTo(dst []T, sigs []Signal) (int, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
+	if r.emptyLocked() {
 		if r.closed {
 			return 0, ErrClosed
 		}
@@ -472,35 +459,17 @@ func clearSignals(s []Signal) {
 
 // Pop removes and returns the oldest element and its signal, blocking while
 // the ring is empty. Once the ring is closed and drained it returns
-// ErrClosed.
+// ErrClosed. Like Push it is the windowed scalar path at window length 1.
 func (r *Ring[T]) Pop() (T, Signal, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.waitForItemsLocked(1); err != nil {
-		var zero T
-		return zero, SigNone, err
-	}
-	v := r.vals[r.head]
-	s := r.sigAt(r.head)
-	r.dropLocked(1)
-	return v, s, nil
+	v, s, _, _, err := r.PopWindowed(1, true)
+	return v, s, err
 }
 
 // TryPop removes the oldest element without blocking. ok reports whether an
 // element was returned; err is ErrClosed once the ring is closed and empty.
 func (r *Ring[T]) TryPop() (v T, s Signal, ok bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		if r.closed {
-			return v, SigNone, false, ErrClosed
-		}
-		return v, SigNone, false, nil
-	}
-	v = r.vals[r.head]
-	s = r.sigAt(r.head)
-	r.dropLocked(1)
-	return v, s, true, nil
+	v, s, _, ok, err = r.PopWindowed(1, false)
+	return v, s, ok, err
 }
 
 // Peek returns the element at offset i from the head without removing it,
@@ -730,6 +699,17 @@ func (r *Ring[T]) waitForSpaceLocked(k int) error {
 	if len(r.vals)-r.n >= k {
 		return nil
 	}
+	if o := r.prodOwner; o != nil {
+		// The producing kernel is about to sleep. It must not do so on
+		// uncommitted output or unreleased input, on this stream or any
+		// other, or a neighbour could wait for exactly those elements.
+		// The lock is dropped for the call (retiring takes other rings'
+		// locks, and this one's for a kernel linked to itself); the wait
+		// loop below re-reads everything.
+		r.mu.Unlock()
+		o.RetireWindows()
+		r.mu.Lock()
+	}
 	start := nowNanos()
 	r.writerBlockSince.Store(start)
 	for len(r.vals)-r.n < k && !r.closed {
@@ -752,11 +732,31 @@ func (r *Ring[T]) waitForItemsLocked(k int) error {
 	if r.closed {
 		return ErrClosed
 	}
+	if o := r.consOwner; o != nil {
+		// As in waitForSpaceLocked: retire the consuming kernel's windows
+		// before it sleeps.
+		r.mu.Unlock()
+		o.RetireWindows()
+		r.mu.Lock()
+	}
 	start := nowNanos()
 	r.readerBlockSince.Store(start)
 	for r.n < k && !r.closed {
+		r.rwait = true
+		if r.wpub.Load() != 0 {
+			// A write window is out, and its producer does not take the lock
+			// to push. Raise attn, then look at its cursor: a producer that
+			// stores its cursor after this look reads attn after that store
+			// and comes to wake us (window.go).
+			r.setAttnLocked(attnReader)
+			if r.pullLocked() {
+				continue
+			}
+		}
 		r.notEmpty.Wait()
 	}
+	r.rwait = false
+	r.clearAttnLocked(attnReader)
 	r.readerBlockSince.Store(0)
 	r.tel.ReadBlockNs.Add(uint64(nowNanos() - start))
 	if r.n < k {

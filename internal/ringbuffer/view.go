@@ -180,7 +180,7 @@ func (r *Ring[T]) TryAcquireView(max int) (View[T], error) {
 	if r.viewOut {
 		panic("ringbuffer: TryAcquireView with a read view already outstanding")
 	}
-	if r.n == 0 {
+	if r.emptyLocked() {
 		if r.closed {
 			return View[T]{}, ErrClosed
 		}
@@ -200,6 +200,7 @@ func (r *Ring[T]) acquireViewLocked(max int) View[T] {
 // elements (they count as Pops, like DrainTo); the rest stay buffered. A
 // Resize deferred by the borrow is applied now.
 func (r *Ring[T]) ReleaseView(n int) {
+	now := nowNanos() // read before the lock: the producer is not kept waiting for a clock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.viewOut {
@@ -210,7 +211,7 @@ func (r *Ring[T]) ReleaseView(n int) {
 	}
 	r.viewOut = false
 	r.tel.Views.Inc()
-	r.tel.ViewHoldNs.Add(uint64(nowNanos() - r.viewSince))
+	r.tel.ViewHoldNs.Add(uint64(now - r.viewSince))
 	r.viewSince = 0
 	if n > 0 {
 		r.dropLocked(n)
@@ -288,6 +289,7 @@ func (r *Ring[T]) acquireWriteViewLocked(max int) WriteView[T] {
 // slots as buffered elements; the rest return to the free region. A Resize
 // deferred by the borrow is applied now.
 func (r *Ring[T]) ReleaseWriteView(n int) {
+	now := nowNanos()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.wviewOut {
@@ -304,7 +306,7 @@ func (r *Ring[T]) ReleaseWriteView(n int) {
 	}
 	r.wviewOut = false
 	r.tel.Views.Inc()
-	r.tel.ViewHoldNs.Add(uint64(nowNanos() - r.wviewSince))
+	r.tel.ViewHoldNs.Add(uint64(now - r.wviewSince))
 	r.wviewSince = 0
 	if n > 0 {
 		wasEmpty := r.n == 0
@@ -333,19 +335,32 @@ func (r *Ring[T]) applyDeferredLocked() {
 	_ = r.resizeLocked(target)
 }
 
-// ViewHeldFor implements ViewHolder.
+// ViewHeldFor implements ViewHolder. Only explicit borrows are stamped: a
+// port window (window.go) is retired within a bounded time by construction,
+// so it reports zero here and reads no clock — not even this one, when no
+// explicit view is out.
 func (r *Ring[T]) ViewHeldFor() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := nowNanos()
-	var d int64
-	if r.viewOut && now-r.viewSince > d {
-		d = now - r.viewSince
+	since := r.viewSince
+	if r.wviewSince != 0 && (since == 0 || r.wviewSince < since) {
+		since = r.wviewSince
 	}
-	if r.wviewOut && now-r.wviewSince > d {
-		d = now - r.wviewSince
+	if since == 0 {
+		return 0
 	}
-	return time.Duration(d)
+	return time.Duration(nowNanos() - since)
+}
+
+// ResizePending reports whether a Resize accepted while a view or a port
+// window pinned the storage is still waiting for the release that applies
+// it. The monitor skips the link meanwhile, as it does for the lock-free
+// ring's epoch swap: the capacity has not changed yet, so the evidence that
+// asked for the resize would ask again.
+func (r *Ring[T]) ResizePending() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deferredCap != 0
 }
 
 // ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ func runActorLifecycle(a *core.Actor, yield func()) (err error) {
 		return nil
 	}
 	for {
-		if a.Gate != nil && a.Gate.Poll() == core.GateStop {
+		if a.PollGate() == core.GateStop {
 			return nil
 		}
 		switch a.StepTimed() {
@@ -335,12 +335,15 @@ func (p Pool) stepQuantum(j *poolJob, errs []error, errMu *sync.Mutex, done func
 			a.Finished.Store(true)
 			done(true)
 		} else {
+			// Off the worker until requeued: other kernels run meanwhile, so
+			// this one's port windows must not stay open.
+			a.Quiesce()
 			done(false)
 		}
 	}()
 	const quantum = 64
 	for i := 0; i < quantum; i++ {
-		if a.Gate != nil && a.Gate.Poll() == core.GateStop {
+		if a.PollGate() == core.GateStop {
 			finished = true
 			return
 		}

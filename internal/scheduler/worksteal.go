@@ -710,7 +710,7 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 	for i := 0; i < wsQuantum; i++ {
 		// Rewrite gate: a held kernel blocks this worker only for the
 		// port-rebind instant; a retired one finishes like a Stop.
-		if t.a.Gate != nil && t.a.Gate.Poll() == core.GateStop {
+		if t.a.PollGate() == core.GateStop {
 			finished = true
 			return
 		}
@@ -718,6 +718,7 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 		// port must not capture this worker — park it and let the link
 		// transition bring it back.
 		if t.a.Ready != nil && !t.a.Ready() {
+			t.a.Quiesce() // never parked on an open port window
 			ws.park(t, shard)
 			return
 		}
@@ -732,7 +733,9 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 		}
 	}
 	// Quantum exhausted: requeue at the top of the shard that ran it (work
-	// follows the thief) so peers already waiting go first.
+	// follows the thief) so peers already waiting go first. The kernel's
+	// port windows do not wait in the deque with it.
+	t.a.Quiesce()
 	t.state.Store(wsQueued)
 	ws.deques[shard].pushTop(t)
 	ws.token()

@@ -28,6 +28,7 @@ type BurstEWMA struct {
 
 	value  float64
 	warm   []float64 // priming window; median-primed to survive an early burst
+	onMean bool      // PrimeOnMean: the priming window settles on its mean
 	streak int
 	n      uint64
 	rej    uint64
@@ -50,6 +51,20 @@ func NewBurstEWMA(alpha, burstFactor float64, maxStreak int) *BurstEWMA {
 	return &BurstEWMA{alpha: alpha, burstFactor: burstFactor, maxStreak: maxStreak}
 }
 
+// PrimeOnMean makes the priming window settle on the mean of its samples
+// instead of their median, and returns e. The median is the guard for
+// duration samples, where one blocked invocation is an outlier to discard.
+// It is the wrong one for rates taken from exact counter deltas: there every
+// window's count is real, the mean of the first k windows is exactly the
+// count over their span, and a stream whose elements legitimately land in a
+// minority of the windows — committed a port window at a time, or all of a
+// short run's output swallowed by a growing ring within two windows — has
+// a median of zero while elements are arriving.
+func (e *BurstEWMA) PrimeOnMean() *BurstEWMA {
+	e.onMean = true
+	return e
+}
+
 // primeWindow is how many samples the median-of-first-k priming holds
 // before the EWMA starts moving; small enough to prime fast, large
 // enough that one blocked first invocation cannot set the baseline.
@@ -64,7 +79,11 @@ func (e *BurstEWMA) Observe(v float64) bool {
 	e.n++
 	if !e.Primed() {
 		e.warm = append(e.warm, v)
-		e.value = median(e.warm)
+		if e.onMean {
+			e.value += (v - e.value) / float64(len(e.warm))
+		} else {
+			e.value = median(e.warm)
+		}
 		return true
 	}
 	if e.value > 0 && v > e.burstFactor*e.value {

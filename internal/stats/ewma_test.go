@@ -19,6 +19,28 @@ func TestBurstEWMAPrimesOnMedian(t *testing.T) {
 	}
 }
 
+func TestBurstEWMAPrimesOnMeanWhenAsked(t *testing.T) {
+	// Counter deltas per window of a stream whose elements all arrive in
+	// two of the five priming windows: the median says nothing arrived.
+	windows := []float64{10_000, 20_000, 0, 0, 0}
+	med, mean := NewBurstEWMA(0.3, 4, 8), NewBurstEWMA(0.3, 4, 8).PrimeOnMean()
+	for _, v := range windows {
+		med.Observe(v)
+		mean.Observe(v)
+	}
+	if !mean.Primed() || mean.Value() != 6000 {
+		t.Fatalf("mean-primed value = %v primed=%v, want 6000", mean.Value(), mean.Primed())
+	}
+	if med.Value() != 0 {
+		t.Fatalf("median-primed value = %v, want 0", med.Value())
+	}
+	// After priming both are the same EWMA.
+	mean.Observe(0)
+	if got, want := mean.Value(), 0.7*6000; got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("after one empty window: %v, want %v", got, want)
+	}
+}
+
 func TestBurstEWMANotPrimedEarly(t *testing.T) {
 	e := NewBurstEWMA(0.3, 4, 8)
 	for i := 0; i < 4; i++ {

@@ -372,6 +372,10 @@ func (d *MarkerDomain) Retire(m *Marker, now int64) time.Duration {
 // Retired returns how many markers have been retired.
 func (d *MarkerDomain) Retired() uint64 { return d.retiredN.Load() }
 
+// Stamped returns how many markers have been minted; on a run that drained
+// to its sinks it equals Retired.
+func (d *MarkerDomain) Stamped() uint64 { return d.seq.Load() }
+
 // Flows returns a stable snapshot of per-flow latency aggregates, sorted
 // by flow label.
 func (d *MarkerDomain) Flows() []FlowStats {

@@ -1118,6 +1118,7 @@ func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.
 		Place:   place,
 		Weight:  kb.Weight(),
 		Step:    k.Run,
+		Windows: kb,
 		Virtual: kb.Virtual(),
 		// Every actor carries a gate so a later rewrite can pause it at a
 		// step boundary (one atomic load per step when idle).
@@ -1185,22 +1186,25 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 // closed). Kernels that pop several elements per invocation can still
 // block past the gate — the documented pool-scheduler caveat, backstopped
 // by WithDeadlockDetection.
+//
+// An open port window answers for its stream: a read window always holds an
+// element the kernel has not popped and a write window a slot it has not
+// filled, whatever the ring's own length says, so such a port is ready
+// without taking the ring's lock.
 func readinessOf(kb *KernelBase) func() bool {
-	ins := kb.InPorts()
-	outs := kb.OutPorts()
 	return func() bool {
-		for _, p := range ins {
-			q := p.Queue()
-			if q == nil {
+		for _, p := range kb.ins {
+			q := p.q
+			if q == nil || (p.win != nil && p.win.WindowPos(false) > 0) {
 				continue
 			}
 			if q.Len() == 0 && !q.Closed() {
 				return false
 			}
 		}
-		for _, p := range outs {
-			q := p.Queue()
-			if q == nil {
+		for _, p := range kb.outs {
+			q := p.q
+			if q == nil || (p.win != nil && p.win.WindowPos(true) > 0) {
 				continue
 			}
 			if q.Len() >= q.Cap() && !q.Closed() {

@@ -117,10 +117,10 @@ func (g *KernelGroup) Init() error {
 	for _, mk := range g.members {
 		mb := mk.kernelBase()
 		for _, p := range g.ins {
-			mb.inPorts[p.name].bind(p.q, p.typed, p.async)
+			mb.inPorts[p.name].share(p)
 		}
 		for _, p := range g.outs {
-			mb.outPorts[p.name].bind(p.q, p.typed, p.async)
+			mb.outPorts[p.name].share(p)
 		}
 		if init, ok := mk.(Initializer); ok {
 			if err := init.Init(); err != nil {

@@ -66,6 +66,11 @@ type KernelBase struct {
 
 	m *Map // owning map, set by Link
 
+	// windowed is set once any port is bound to a stream with port windows
+	// (the default ring); a kernel whose streams are all lock-free or
+	// custom queues never has a window to retire.
+	windowed bool
+
 	// Latency-marker carriage (see marker.go): marks is the execution's
 	// rig (nil when markers are off), pendingMarks holds markers picked up
 	// but not yet forwarded, markForward opts bridge endpoints out of
@@ -178,12 +183,30 @@ func (k *KernelBase) OutPorts() []*Port { return append([]*Port(nil), k.outs...)
 // the usual Stop condition for multi-input kernels.
 func (k *KernelBase) InputsDone() bool {
 	for _, p := range k.ins {
-		q := p.q
-		if q == nil || !q.Closed() || q.Len() > 0 {
+		if p.q == nil || !p.q.Closed() || p.Len() > 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// RetireWindows commits what the kernel has pushed and releases what it has
+// popped on every port whose scalar operations run through a port window
+// (DESIGN §4.2), so that its neighbours see exactly the stream position the
+// kernel is at. It is the runtime's: the ring, the schedulers and the
+// supervisor call it wherever the kernel stops running — before a port
+// operation sleeps, on Stall and Stop, at gate pauses, checkpoints and
+// restarts, and after a bounded run time. A kernel never needs to; one that
+// waits inside Run on something that is not a port (a socket, a channel, a
+// sleep) is covered by the ring itself, whose consumer takes over what the
+// producer has written. It runs on the kernel's own goroutine.
+func (k *KernelBase) RetireWindows() {
+	for _, p := range k.outs {
+		p.retireWindow()
+	}
+	for _, p := range k.ins {
+		p.retireWindow()
+	}
 }
 
 // CloseOutputs closes every output stream, delivering EOF downstream. The

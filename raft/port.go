@@ -79,6 +79,11 @@ type Port struct {
 	async *asyncCell
 	link  *Link
 	batch *core.BatchControl
+	// win is q's port-window surface, nil for a queue that has none (the
+	// lock-free ring, a custom ProvideQueue queue). The window itself lives
+	// in the queue — the stream end — not here: several Port values may be
+	// bound to one end (a KernelGroup's members).
+	win ringbuffer.Windower
 
 	// lane is the link's latency-marker mailbox, shared by both endpoint
 	// ports (like batch above); nil when markers are off, which keeps the
@@ -133,13 +138,13 @@ func (p *Port) migrateOnClosed(err error) bool {
 	if nb == nil || !errors.Is(err, ringbuffer.ErrClosed) {
 		return false
 	}
-	if p.q != nil && p.q.Len() != 0 {
+	if p.Len() != 0 {
 		return false // sealed but not drained; keep consuming
 	}
 	if !p.pending.CompareAndSwap(nb, nil) {
 		return false
 	}
-	p.q, p.typed, p.async = nb.q, nb.typed, nb.async
+	p.bind(nb.q, nb.typed, nb.async)
 	p.link, p.batch, p.lane = nb.link, nb.batch, nb.lane
 	close(nb.applied)
 	return true
@@ -166,6 +171,7 @@ func (p *Port) Queue() ringbuffer.Queue { return p.q }
 // kernel stops) to deliver EOF downstream.
 func (p *Port) Close() {
 	if p.q != nil {
+		p.retireWindow() // what was pushed before Close is delivered before EOF
 		p.q.Close()
 	}
 }
@@ -173,12 +179,21 @@ func (p *Port) Close() {
 // Closed reports whether the attached stream has been closed.
 func (p *Port) Closed() bool { return p.q != nil && p.q.Closed() }
 
-// Len returns the number of buffered elements in the attached stream.
+// Len returns the number of buffered elements in the attached stream:
+// everything Push has accepted (whether or not the port window holding it
+// has been committed yet) that Pop has not returned. The second half is the
+// port's own knowledge — the stream still counts elements a read window has
+// handed out and not released — so call Len on an input port from the
+// kernel that owns it.
 func (p *Port) Len() int {
 	if p.q == nil {
 		return 0
 	}
-	return p.q.Len()
+	n := p.q.Len()
+	if p.win != nil && p.dir == In {
+		n -= p.win.WindowPos(false)
+	}
+	return n
 }
 
 // String implements fmt.Stringer.
@@ -195,6 +210,71 @@ func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
 	p.q = q
 	p.typed = typed
 	p.async = async
+	p.win, _ = q.(ringbuffer.Windower)
+	if p.win != nil && p.owner != nil {
+		p.owner.windowed = true
+		p.win.SetWindowOwner(p.dir == Out, p.owner)
+	}
+}
+
+// share binds p to the stream end src is bound to without claiming it: a
+// KernelGroup's members read and write the group's streams — one port
+// window per end, whichever member is running — and the group, which is the
+// actor, stays the end's owner. The link's batch control comes along so that
+// a member sizes windows as the group would (1 on an AsLowLatency link).
+func (p *Port) share(src *Port) {
+	p.q, p.typed, p.async, p.win, p.batch = src.q, src.typed, src.async, src.win, src.batch
+	if p.win != nil && p.owner != nil {
+		p.owner.windowed = true
+	}
+}
+
+// windowMax is the port-window length a scalar operation asks the stream
+// for: the link's batch size when it has one — a pin (AsLowLatency pins 1,
+// which is one commit per element) or the batcher's decision — and
+// core.MaxWindow otherwise. The ring caps it at half its capacity.
+func (p *Port) windowMax() int {
+	if n := p.batch.Get(); n > 0 {
+		return n
+	}
+	return core.MaxWindow
+}
+
+// retireWindow retires the port's own window: an output port commits what
+// was pushed (and lets the markers that were waiting for those elements
+// go), an input port releases what was popped.
+func (p *Port) retireWindow() {
+	if p.win == nil {
+		return
+	}
+	if p.dir == Out {
+		if n := p.win.CommitWindow(); n > 0 {
+			p.markPush(n)
+		}
+	} else if p.win.ReleaseWindow() > 0 {
+		p.markPop()
+	}
+}
+
+// retireOwner retires every window of the port's kernel. The default ring
+// does this itself before it makes a kernel wait; operations on any other
+// queue kind call it first, because they may wait and that queue cannot. A
+// kernel none of whose streams is windowed (every queue lock-free or
+// custom) has nothing to retire and pays one flag test.
+func (p *Port) retireOwner() {
+	if p.owner != nil && p.owner.windowed {
+		p.owner.RetireWindows()
+	}
+}
+
+// retired returns the port's default ring with the port's own window
+// retired, for operations that address the ring other than element by
+// element; ok is false for any other queue kind.
+func retired[T any](p *Port) (r *ringbuffer.Ring[T], ok bool) {
+	if r, ok = p.typed.(*ringbuffer.Ring[T]); ok && r.WindowPos(p.dir == Out) != 0 {
+		p.retireWindow()
+	}
+	return r, ok
 }
 
 // BatchHint returns the adaptive batcher's chosen transfer size for the
@@ -228,23 +308,17 @@ func typeMismatchPanic[T any](p *Port) error {
 	return misuse(ErrTypeMismatch, "port %s accessed with element type %T", p, zero)
 }
 
-// queueOf extracts the typed queue interface from a port, panicking with a
-// descriptive message on element-type mismatch (a programming error that
-// link-time type checking cannot see because the access type parameter is
-// chosen at the call site).
-//
-// Every element-wise stream operation starts here, so the default queue is
-// recognised by its concrete type: asserting p.typed to *Ring[T] compares
-// two type pointers, and the interface value it converts to is built from
-// an itab the compiler resolved. Asserting straight to the generic
-// interface instead makes the runtime search its itab table on every call.
-// That search remains for the lock-free ring and for custom ProvideQueue
-// queues. The binding is read afresh each call, so a port rebound by a
-// graph rewrite needs no invalidation.
+// queueOf extracts the typed queue interface from a port whose stream is
+// not the default ring (the lock-free ring, a custom ProvideQueue queue),
+// panicking with a descriptive message on element-type mismatch (a
+// programming error that link-time type checking cannot see because the
+// access type parameter is chosen at the call site). Asserting to a generic
+// interface makes the runtime search its itab table, which is why every
+// stream operation tries the default ring by concrete type first — two type
+// pointers compared — and comes here only when that fails. The binding is
+// read afresh each call, so a port rebound by a graph rewrite needs no
+// invalidation.
 func queueOf[T any](p *Port) typedQueue[T] {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
-		return r
-	}
 	p.mustBeBound()
 	q, ok := p.typed.(typedQueue[T])
 	if !ok {
@@ -256,89 +330,153 @@ func queueOf[T any](p *Port) typedQueue[T] {
 // ringOf extracts the dynamic ring for window operations (PeekRange and
 // friends), which the lock-free queue does not support.
 func ringOf[T any](p *Port) *ringbuffer.Ring[T] {
-	p.mustBeBound()
-	r, ok := p.typed.(*ringbuffer.Ring[T])
-	if !ok {
-		if _, isT := p.typed.(typedQueue[T]); isT {
-			panic(misuse(ErrTypeMismatch, "window access on port %s requires dynamic queues (remove WithLockFreeQueues)", p))
-		}
-		panic(typeMismatchPanic[T](p))
+	if r, ok := retired[T](p); ok {
+		return r
 	}
-	return r
+	p.mustBeBound()
+	if _, isT := p.typed.(typedQueue[T]); isT {
+		panic(misuse(ErrTypeMismatch, "window access on port %s requires dynamic queues (remove WithLockFreeQueues)", p))
+	}
+	panic(typeMismatchPanic[T](p))
 }
+
+// Element-wise access. On the default ring a scalar operation is an index
+// into the stream end's port window (ringbuffer/window.go): the inlined
+// first branch below takes no lock and reads no clock (a push publishes its
+// cursor with one atomic store), and the ring is visited once per window by
+// popSlow/pushSlow, which is also where markers are picked up and deposited.
 
 // Pop removes and returns the next element from an input port, blocking
 // until data arrives. It returns ErrClosed when the stream is closed and
 // drained — the paper's pop_s, minus the destructor (Go returns the value
 // directly).
 func Pop[T any](p *Port) (T, error) {
-	for {
-		v, _, err := queueOf[T](p).Pop()
-		if err == nil {
-			p.markPop()
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		if v, _, ok := r.WindowPop(); ok {
 			return v, nil
 		}
-		if !p.migrateOnClosed(err) {
-			return v, err
-		}
 	}
+	v, _, _, err := popSlow[T](p, true)
+	return v, err
 }
 
 // PopSig is Pop plus the synchronized signal delivered with the element.
 func PopSig[T any](p *Port) (T, Signal, error) {
-	for {
-		v, s, err := queueOf[T](p).Pop()
-		if err == nil {
-			p.markPop()
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		if v, s, ok := r.WindowPop(); ok {
 			return v, s, nil
 		}
-		if !p.migrateOnClosed(err) {
-			return v, s, err
-		}
 	}
+	v, s, _, err := popSlow[T](p, true)
+	return v, s, err
 }
 
 // TryPop removes the next element without blocking. ok reports whether an
 // element was available; err is ErrClosed once the stream is closed and
 // drained.
 func TryPop[T any](p *Port) (v T, ok bool, err error) {
-	for {
-		v, _, ok, err = queueOf[T](p).TryPop()
-		if ok {
-			p.markPop()
-			return v, ok, err
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		if v, _, ok := r.WindowPop(); ok {
+			return v, true, nil
 		}
-		if err == nil || !p.migrateOnClosed(err) {
-			return v, ok, err
+	}
+	v, _, ok, err = popSlow[T](p, false)
+	return v, ok, err
+}
+
+// popSlow is the scalar pop off the window's fast path: the last element of
+// a window (which releases it), the first of the next one (which opens it),
+// a direct pop at window length 1, or any other queue kind. A stream sealed
+// by a graph rewrite migrates once drained and the pop retries.
+func popSlow[T any](p *Port, block bool) (v T, s Signal, ok bool, err error) {
+	for {
+		if r, isRing := p.typed.(*ringbuffer.Ring[T]); isRing {
+			var released int
+			v, s, released, ok, err = r.PopWindowed(p.windowMax(), block)
+			if released > 0 {
+				p.markPop()
+			}
+		} else {
+			q := queueOf[T](p)
+			if block {
+				p.retireOwner()
+				v, s, err = q.Pop()
+				ok = err == nil
+			} else {
+				v, s, ok, err = q.TryPop()
+			}
+			if ok {
+				p.markPop()
+			}
+		}
+		if ok || err == nil || !p.migrateOnClosed(err) {
+			return v, s, ok, err
 		}
 	}
 }
 
 // Push appends v to an output port, blocking while the stream is full.
 func Push[T any](p *Port, v T) error {
-	err := queueOf[T](p).Push(v, SigNone)
-	if err == nil {
-		p.markPush(1)
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		if stored, attend := r.WindowPush(v); stored {
+			if attend {
+				r.Attend() // the consumer sleeps, or the stream was closed
+			}
+			return nil
+		}
 	}
+	_, err := pushSlow(p, v, SigNone, true)
 	return err
 }
 
 // PushSig appends v with a synchronized signal that downstream kernels
-// receive together with the element.
+// receive together with the element. A signal is delivered at once: the
+// element commits together with everything pushed before it.
 func PushSig[T any](p *Port, v T, s Signal) error {
-	err := queueOf[T](p).Push(v, s)
-	if err == nil {
-		p.markPush(1)
+	if s == SigNone {
+		return Push(p, v)
 	}
+	_, err := pushSlow(p, v, s, true)
 	return err
 }
 
 // TryPush appends v without blocking; it reports whether the element was
 // accepted.
 func TryPush[T any](p *Port, v T) (bool, error) {
-	ok, err := queueOf[T](p).TryPush(v, SigNone)
-	if ok {
-		p.markPush(1)
+	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+		if stored, attend := r.WindowPush(v); stored {
+			if attend {
+				r.Attend()
+			}
+			return true, nil
+		}
+	}
+	return pushSlow(p, v, SigNone, false)
+}
+
+// pushSlow is the scalar push off the window's fast path: the last slot of
+// a window or a signal-carrying element (which commit it), the first slot of
+// the next one (which opens it), a direct push at window length 1, or any
+// other queue kind.
+func pushSlow[T any](p *Port, v T, s Signal, block bool) (ok bool, err error) {
+	var committed int
+	if r, isRing := p.typed.(*ringbuffer.Ring[T]); isRing {
+		committed, ok, err = r.PushWindowed(v, s, p.windowMax(), block)
+	} else {
+		q := queueOf[T](p)
+		if block {
+			p.retireOwner()
+			err = q.Push(v, s)
+			ok = err == nil
+		} else {
+			ok, err = q.TryPush(v, s)
+		}
+		if ok {
+			committed = 1
+		}
+	}
+	if committed > 0 {
+		p.markPush(committed)
 	}
 	return ok, err
 }
@@ -354,10 +492,14 @@ func PushBatch[T any](p *Port, vs []T, sig Signal) error {
 }
 
 // bulkOf extracts the batched queue interface from a port, panicking with a
-// descriptive message on element-type mismatch. Like queueOf it recognises
-// the default ring by concrete type first.
+// descriptive message on element-type mismatch. The default ring is
+// recognised by concrete type first and comes back with the port's own
+// window retired, so a bulk operation lands behind every element the scalar
+// path already accepted or handed out (FIFO order holds across any mix of
+// the two); another queue kind may wait without telling anyone, so the
+// kernel's windows on its other ports are retired for it.
 func bulkOf[T any](p *Port) bulkQueue[T] {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := retired[T](p); ok {
 		return r
 	}
 	p.mustBeBound()
@@ -365,6 +507,7 @@ func bulkOf[T any](p *Port) bulkQueue[T] {
 	if !ok {
 		panic(typeMismatchPanic[T](p))
 	}
+	p.retireOwner()
 	return q
 }
 
@@ -512,11 +655,7 @@ func (a *Alloc[T]) Send() error {
 		return nil
 	}
 	a.sent = true
-	err := queueOf[T](a.p).Push(a.Val, a.Sig)
-	if err == nil {
-		a.p.markPush(1)
-	}
-	return err
+	return PushSig(a.p, a.Val, a.Sig)
 }
 
 // moveItems transfers up to max elements between two queues of the same

@@ -132,8 +132,8 @@ func isBestEffort(p *Port) bool {
 // viewOf extracts the view surface, panicking with a descriptive message on
 // element-type mismatch or an unsupported queue.
 func viewOf[T any](p *Port) viewQueue[T] {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
-		return r // concrete-type fast path, see queueOf
+	if r, ok := retired[T](p); ok {
+		return r // concrete-type fast path, port window retired: see bulkOf
 	}
 	p.mustBeBound()
 	q, ok := p.typed.(viewQueue[T])
@@ -143,12 +143,13 @@ func viewOf[T any](p *Port) viewQueue[T] {
 		}
 		panic(typeMismatchPanic[T](p))
 	}
+	p.retireOwner()
 	return q
 }
 
 // writeViewOf is viewOf for the producer side.
 func writeViewOf[T any](p *Port) writeViewQueue[T] {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := retired[T](p); ok {
 		return r
 	}
 	p.mustBeBound()
@@ -159,6 +160,7 @@ func writeViewOf[T any](p *Port) writeViewQueue[T] {
 		}
 		panic(typeMismatchPanic[T](p))
 	}
+	p.retireOwner()
 	return q
 }
 
