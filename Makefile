@@ -10,7 +10,7 @@ CI_SEED ?= 0
 FUZZTIME ?= 60s
 FUZZTIME_SHORT ?= 15s
 
-.PHONY: build test check bench bench-smoke bench-hotpath ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
+.PHONY: build test check loc bench bench-smoke bench-hotpath ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
 
 build:
 	$(GO) build ./...
@@ -54,10 +54,17 @@ bench-hotpath:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
+# loc prints the two size numbers the ROADMAP's simplicity aim tracks:
+# non-test Go lines outside bench/, and the public With*/As* options of the
+# importable packages (raft, kernels). Informational: it never fails.
+loc:
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l)"
+	@echo "public With*/As* options: $$(cat $$(ls raft/*.go kernels/*.go | grep -v '_test\.go$$') | grep -cE '^func (With|As)')"
+
 # ci runs exactly what .github/workflows/ci.yml runs, as one local command.
 # The workflow jobs invoke the ci-* sub-targets below so the two can never
 # drift: editing a step here edits it for CI too.
-ci: ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph
+ci: loc ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph
 
 ci-vet:
 	$(GO) vet ./...
@@ -132,9 +139,8 @@ ci-gateway:
 # and so do the port windows that carry the scalar path over it — the
 # retire rules, the counters under windows and the seeds of both
 # FuzzPortWindow targets (the 'Window|CountsExact' line);
-# then the A15 ablation runs as a seeded smoke — chaos exactness and the
-# gateway copies-saved bars assert on every run, and the 1.5x speedup
-# bar enforces on multi-core hosts.
+# then the A15 ablation runs as a seeded smoke — its chaos exactness and
+# gateway copies-saved bars assert on every run.
 ci-view:
 	$(GO) test -race -count=3 ./internal/ringbuffer/...
 	$(GO) test -race -run 'View|Batch|Pooled|Alloc' ./internal/oar/ ./internal/monitor/ ./kernels/ ./raft/
@@ -179,7 +185,7 @@ ci-graph:
 # The nightly perf gate: the A5 (monitoring overhead), A11 (batching
 # speedup), A12 (telemetry overhead), A13 (controller parity/latency/
 # overhead), A14 (gateway admission/isolation), A15 (zero-copy view
-# speedup), A16 (latency-marker overhead), A17 (work-stealing scheduler
+# exactness), A16 (latency-marker overhead), A17 (work-stealing scheduler
 # scale) and A18 (graph-rewrite pause/isolation) bars, *enforced* —
 # -enforce-bars refuses the small-runner downgrade, so a missed bar
 # fails the job. Runs only on the pinned multi-core runner (see the

@@ -244,7 +244,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		opts []raft.Option
 	}{
 		{"goroutine", nil},
-		{"pool", []raft.Option{raft.WithPoolScheduler(2 * runtime.GOMAXPROCS(0))}},
+		{"worksteal", []raft.Option{raft.WithWorkStealing(0)}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

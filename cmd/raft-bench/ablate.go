@@ -259,10 +259,10 @@ func ablateClone(corpusMB int) {
 	fmt.Println("group only as back-pressure appears.")
 }
 
-// ablateSched compares the goroutine-per-kernel scheduler with the worker
-// pool (A4).
+// ablateSched compares the goroutine-per-kernel scheduler with the
+// work-stealing scheduler on text search (A4).
 func ablateSched(corpusMB int) {
-	header("A4: Scheduler — goroutine-per-kernel vs worker pool")
+	header("A4: Scheduler — goroutine-per-kernel vs work stealing")
 	data := corpus.Generate(corpus.Spec{Bytes: corpusMB << 20, Seed: 9 + benchSeed})
 	cores := runtime.GOMAXPROCS(0)
 	fmt.Printf("%-22s %-10s\n", "scheduler", "GB/s")
@@ -272,7 +272,6 @@ func ablateSched(corpusMB int) {
 	}
 	for _, c := range []cfg{
 		{"goroutine-per-kernel", nil},
-		{fmt.Sprintf("pool-%d", 2*cores), []raft.Option{raft.WithPoolScheduler(2 * cores)}},
 		{fmt.Sprintf("worksteal-%d", cores), []raft.Option{raft.WithWorkStealing(cores)}},
 	} {
 		res, err := textsearch.Run(data, textsearch.Config{
@@ -285,7 +284,7 @@ func ablateSched(corpusMB int) {
 		fmt.Printf("%-22s %-10s\n", c.name, gbps(res.Throughput(len(data))))
 	}
 	fmt.Println("\nexpected: comparable throughput here (Go's runtime multiplexes")
-	fmt.Println("goroutines well); the pool matters when kernel count >> cores.")
+	fmt.Println("goroutines well); work stealing matters when kernel count >> cores (A17).")
 }
 
 // benchSchedKernels is the A17 sweep's kernel-count ladder, settable with

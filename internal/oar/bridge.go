@@ -129,16 +129,11 @@ type blob struct{ b []byte }
 
 // sentFrame is one replay-buffer entry: the frame's encoded payload and
 // its element count (for drop accounting under the Drop policy).
-type sentFrame[T any] struct {
+type sentFrame struct {
 	seq  uint64
 	data *blob
 	n    int
 	eof  bool
-	// vals/sigs are populated only under WithCopyEncode: the pre-view
-	// sender retained a value copy of every batch for replay, and the
-	// A15 copy arm must pay that allocation to be a faithful baseline.
-	vals []T
-	sigs []raft.Signal
 	// marks is the frame's latency-marker sidecar, retained alongside the
 	// payload so replay resends byte-identical provenance.
 	marks []byte
@@ -187,7 +182,6 @@ type bridgeOpts struct {
 	policy       Policy
 	firstConnect time.Duration
 	inj          *fault.Injector
-	copyEncode   bool
 }
 
 func defaultBridgeOpts() bridgeOpts {
@@ -267,15 +261,6 @@ func WithBridgeFault(inj *fault.Injector) BridgeOption {
 	return func(o *bridgeOpts) { o.inj = inj }
 }
 
-// WithCopyEncode disables the sender's zero-copy view path: every batch is
-// staged through kernel-owned scratch before encoding, and the replay
-// buffer retains a freshly allocated value copy per frame — the pre-view
-// sender design, kept as the copy arm of the A15 ablation. Views are the
-// default whenever the input queue supports them.
-func WithCopyEncode() BridgeOption {
-	return func(o *bridgeOpts) { o.copyEncode = true }
-}
-
 // Sender is the producing end of a bridge: a sink kernel with input port
 // "in" whose elements are framed, sequenced and encoded onto the TCP
 // connection, with unacknowledged frames buffered for replay.
@@ -307,20 +292,13 @@ type Sender[T any] struct {
 	blobPool   sync.Pool
 
 	// raw selects the blit encoding for data frames: T embeds no pointers
-	// (its bytes ARE its value) and the copy-encode ablation arm is off.
-	// Decided once at construction; every data frame of a sender uses the
+	// (its bytes ARE its value). Decided once at construction; every data frame of a sender uses the
 	// same encoding.
 	raw bool
 
 	nextSeq uint64
-	buffer  []sentFrame[T] // unacknowledged frames, ascending seq
+	buffer  []sentFrame // unacknowledged frames, ascending seq
 	acked   atomic.Uint64
-
-	// popVals/popSigs stage batches only on the fallback path: a custom
-	// ProvideQueue queue without view support, or the WithCopyEncode
-	// ablation arm. Allocated lazily.
-	popVals []T
-	popSigs []raft.Signal
 
 	// stageMarks holds the encoded marker sidecar for the borrow currently
 	// being staged; the first frame staged after a pop consumes it.
@@ -346,7 +324,7 @@ func NewSender[T any](addr, stream string, opts ...BridgeOption) *Sender[T] {
 	for _, o := range opts {
 		o(&k.opt)
 	}
-	k.raw = !k.opt.copyEncode && pointerFree(reflect.TypeFor[T]())
+	k.raw = pointerFree(reflect.TypeFor[T]())
 	k.SetName("tcp-send[" + stream + "]")
 	k.SetMarkerForwarder()
 	raft.AddInput[T](k, "in")
@@ -467,51 +445,35 @@ func (s *Sender[T]) Run() raft.Status {
 	} else if limit < 1 {
 		limit = 1
 	}
-	if !s.opt.copyEncode && raft.HasViews[T](in) {
-		v, err := raft.PopView[T](in, limit)
-		if v.Len() == 0 {
-			_ = err // blocking PopView yields elements or ErrClosed
-			return s.finish()
-		}
-		if s.gaveUp {
-			s.dropped.Add(uint64(v.Len()))
-			raft.ReleaseView[T](in, v.Len())
-			return raft.Proceed
-		}
-		s.stageMarks = s.takeMarkSidecar()
-		first, st := s.stage(v.Vals, v.Sigs)
-		var second uint64
-		if st == raft.Proceed && len(v.Vals2) > 0 {
-			second, st = s.stage(v.Vals2, v.Sigs2)
-		}
-		raft.ReleaseView[T](in, v.Len())
-		if st != raft.Proceed {
-			return st
-		}
-		if err := s.transmit(first); err != nil {
-			return s.giveUp(err)
-		}
-		if second != 0 {
-			if err := s.transmit(second); err != nil {
-				return s.giveUp(err)
-			}
-		}
-		return raft.Proceed
-	}
-	if s.popVals == nil {
-		s.popVals = make([]T, senderBatch)
-		s.popSigs = make([]raft.Signal, senderBatch)
-	}
-	n, err := raft.PopNSig[T](in, s.popVals[:limit], s.popSigs[:limit])
-	if n == 0 || err != nil {
+	v, err := raft.PopView[T](in, limit)
+	if v.Len() == 0 {
+		_ = err // blocking PopView yields elements or ErrClosed
 		return s.finish()
 	}
 	if s.gaveUp {
-		s.dropped.Add(uint64(n))
+		s.dropped.Add(uint64(v.Len()))
+		raft.ReleaseView[T](in, v.Len())
 		return raft.Proceed
 	}
 	s.stageMarks = s.takeMarkSidecar()
-	return s.sendBatch(s.popVals[:n], s.popSigs[:n])
+	first, st := s.stage(v.Vals, v.Sigs)
+	var second uint64
+	if st == raft.Proceed && len(v.Vals2) > 0 {
+		second, st = s.stage(v.Vals2, v.Sigs2)
+	}
+	raft.ReleaseView[T](in, v.Len())
+	if st != raft.Proceed {
+		return st
+	}
+	if err := s.transmit(first); err != nil {
+		return s.giveUp(err)
+	}
+	if second != 0 {
+		if err := s.transmit(second); err != nil {
+			return s.giveUp(err)
+		}
+	}
+	return raft.Proceed
 }
 
 // takeMarkSidecar drains the latency markers picked up by the pop that
@@ -569,15 +531,8 @@ func (s *Sender[T]) stage(vals []T, sigs []raft.Signal) (uint64, raft.Status) {
 	bl := s.getBlob(s.encBuf.Len())
 	copy(bl.b, s.encBuf.Bytes())
 	s.nextSeq++
-	sf := sentFrame[T]{seq: s.nextSeq, data: bl, n: len(vals)}
+	sf := sentFrame{seq: s.nextSeq, data: bl, n: len(vals)}
 	sf.marks, s.stageMarks = s.stageMarks, nil
-	if s.opt.copyEncode {
-		// Faithful pre-view baseline: the legacy sender kept a value copy
-		// of every unacknowledged batch, so the A15 copy arm pays the
-		// same per-frame allocation and retention it did.
-		sf.vals = append([]T(nil), vals...)
-		sf.sigs = append([]raft.Signal(nil), sigs...)
-	}
 	s.buffer = append(s.buffer, sf)
 	s.prune()
 	return s.nextSeq, raft.Proceed
@@ -612,24 +567,11 @@ func (s *Sender[T]) stageRaw(vals []T, sigs []raft.Signal) uint64 {
 		copy(bl.b[off+1:], unsafe.Slice((*byte)(unsafe.Pointer(&sigs[0])), len(sigs)))
 	}
 	s.nextSeq++
-	sf := sentFrame[T]{seq: s.nextSeq, data: bl, n: len(vals)}
+	sf := sentFrame{seq: s.nextSeq, data: bl, n: len(vals)}
 	sf.marks, s.stageMarks = s.stageMarks, nil
 	s.buffer = append(s.buffer, sf)
 	s.prune()
 	return s.nextSeq
-}
-
-// sendBatch stages one batch and transmits it (the staged-copy path; the
-// view path interleaves stage and transmit around the borrow's release).
-func (s *Sender[T]) sendBatch(vals []T, sigs []raft.Signal) raft.Status {
-	seq, st := s.stage(vals, sigs)
-	if st != raft.Proceed {
-		return st
-	}
-	if err := s.transmit(seq); err != nil {
-		return s.giveUp(err)
-	}
-	return raft.Proceed
 }
 
 // getBlob leases a pooled encode buffer of length n.
@@ -720,7 +662,7 @@ func (s *Sender[T]) encodeSeq(seq uint64) error {
 
 // encodeFrameLocked writes one replay-buffer entry as an outer wire frame
 // (caller holds s.mu and flushes).
-func (s *Sender[T]) encodeFrameLocked(sf *sentFrame[T]) error {
+func (s *Sender[T]) encodeFrameLocked(sf *sentFrame) error {
 	s.wf.Seq, s.wf.EOF, s.wf.HB, s.wf.Data = sf.seq, sf.eof, false, nil
 	s.wf.Raw = s.raw && !sf.eof
 	s.wf.Marks = sf.marks
@@ -824,7 +766,7 @@ func (s *Sender[T]) finish() raft.Status {
 		return raft.Stop
 	}
 	s.nextSeq++
-	s.buffer = append(s.buffer, sentFrame[T]{seq: s.nextSeq, eof: true})
+	s.buffer = append(s.buffer, sentFrame{seq: s.nextSeq, eof: true})
 	if err := s.transmit(s.nextSeq); err != nil {
 		return s.giveUp(err)
 	}

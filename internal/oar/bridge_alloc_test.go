@@ -2,13 +2,29 @@ package oar
 
 import (
 	"encoding/gob"
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
 	"raftlib/internal/fault"
+	"raftlib/kernels"
 	"raftlib/raft"
 )
+
+// sendBatch stages one batch and transmits it, outside any kernel: the
+// frame path without a queue in front of it.
+func (s *Sender[T]) sendBatch(vals []T, sigs []raft.Signal) raft.Status {
+	seq, st := s.stage(vals, sigs)
+	if st != raft.Proceed {
+		return st
+	}
+	if err := s.transmit(seq); err != nil {
+		return s.giveUp(err)
+	}
+	return raft.Proceed
+}
 
 // newBenchSender wires a sender's wire path to a sink writer without a real
 // connection, so the framing/encode path can be measured in isolation.
@@ -72,9 +88,10 @@ func TestSenderAllocsWithSignals(t *testing.T) {
 }
 
 // TestBridgeRoundTripPayloads verifies the two-layer wire format end to
-// end over a real connection, on both the view and copy-encode arms, with
-// replay-inducing faults on the view arm (exactly-once across the
-// persistent inner decoder).
+// end over a real connection, on both frame encodings: raw frames for a
+// pointer-free element, with replay-inducing faults (exactly-once across
+// seq/ack/replay), and the persistent inner gob stream for a
+// pointer-bearing one.
 func TestBridgeRoundTripPayloads(t *testing.T) {
 	node := newTestNode(t, "roundtrip")
 	const n = 5000
@@ -84,15 +101,46 @@ func TestBridgeRoundTripPayloads(t *testing.T) {
 	got, errS, errR := runBridge(t, node, "rt-view", n, WithBridgeFault(inj),
 		WithReconnectBackoff(time.Millisecond, 50*time.Millisecond))
 	if errS != nil || errR != nil {
-		t.Fatalf("view arm: exe errors: %v / %v", errS, errR)
+		t.Fatalf("raw arm: exe errors: %v / %v", errS, errR)
 	}
 	requireExactSequence(t, got, n)
 
-	got, errS, errR = runBridge(t, node, "rt-copy", n, WithCopyEncode())
-	if errS != nil || errR != nil {
-		t.Fatalf("copy arm: exe errors: %v / %v", errS, errR)
+	send, recv, err := Bridge[string](node, "rt-gob")
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireExactSequence(t, got, n)
+	producer := raft.NewMap()
+	if _, err := producer.Link(kernels.NewGenerate(n, func(i int64) string { return fmt.Sprint(i) }), send); err != nil {
+		t.Fatal(err)
+	}
+	var strs []string
+	consumer := raft.NewMap()
+	if _, err := consumer.Link(recv, raft.NewLambda[string](1, 0, func(k *raft.LambdaKernel) raft.Status {
+		v, err := raft.Pop[string](k.In("0"))
+		if err != nil {
+			return raft.Stop
+		}
+		strs = append(strs, v)
+		return raft.Proceed
+	})); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _, errS = producer.Exe() }()
+	_, errR = consumer.Exe()
+	wg.Wait()
+	if errS != nil || errR != nil {
+		t.Fatalf("gob arm: exe errors: %v / %v", errS, errR)
+	}
+	if len(strs) != n {
+		t.Fatalf("gob arm: received %d elements, want %d", len(strs), n)
+	}
+	for i, v := range strs {
+		if v != fmt.Sprint(i) {
+			t.Fatalf("gob arm: got[%d] = %q", i, v)
+		}
+	}
 }
 
 // BenchmarkSenderFrame reports the steady-state cost of one frame on the

@@ -16,8 +16,8 @@ func TestRingBestEffortLatestWins(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if got := r.Telemetry().Drops(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	if snap := r.Telemetry().Snapshot(); snap.Evicted != 6 || snap.Shed != 0 {
+		t.Fatalf("evicted %d shed %d, want 6 and 0", snap.Evicted, snap.Shed)
 	}
 	// The four freshest elements survive, in order.
 	for want := 6; want < 10; want++ {
@@ -48,7 +48,7 @@ func TestRingBestEffortPushN(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := r.Telemetry().Drops(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
+		t.Fatalf("Drops() = %d, want 3", got)
 	}
 	got := make([]int, 4)
 	n, err := r.DrainTo(got, nil)
@@ -78,8 +78,8 @@ func TestRingBestEffortSignalPinned(t *testing.T) {
 	if err := r.Push(3, SigNone); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Telemetry().Drops(); got != 1 {
-		t.Fatalf("Dropped = %d, want 1", got)
+	if snap := r.Telemetry().Snapshot(); snap.Evicted != 0 || snap.Shed != 1 {
+		t.Fatalf("evicted %d shed %d, want 0 and 1", snap.Evicted, snap.Shed)
 	}
 	v, sig, err := r.Pop()
 	if err != nil || v != 1 || sig != SigEOF {
@@ -111,7 +111,7 @@ func TestRingBestEffortNeverBlocks(t *testing.T) {
 
 // TestSPSCBestEffortDropNewest checks the lock-free ring's policy: a full
 // queue sheds the incoming elements (drop-newest; the consumer-owned head
-// cannot be stolen), counted in Dropped, and the producer never spins.
+// cannot be stolen), counted in Shed, and the producer never spins.
 func TestSPSCBestEffortDropNewest(t *testing.T) {
 	q := NewSPSC[int](4)
 	q.SetBestEffort(true)
@@ -120,8 +120,8 @@ func TestSPSCBestEffortDropNewest(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if got := q.Telemetry().Drops(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	if snap := q.Telemetry().Snapshot(); snap.Evicted != 0 || snap.Shed != 6 {
+		t.Fatalf("evicted %d shed %d, want 0 and 6", snap.Evicted, snap.Shed)
 	}
 	// The oldest elements survive (drop-newest, unlike the mutex ring).
 	for want := 0; want < 4; want++ {
@@ -141,7 +141,7 @@ func TestSPSCBestEffortPushN(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := q.Telemetry().Drops(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
+		t.Fatalf("Drops() = %d, want 3", got)
 	}
 	snap := q.Telemetry().Snapshot()
 	if snap.Pushes != 4 {

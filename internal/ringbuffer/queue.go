@@ -118,12 +118,16 @@ type Telemetry struct {
 	// the adaptive batcher's grow signal.
 	SpinYields counter64
 	SpinSleeps counter64
-	// Dropped counts elements discarded by the best-effort overflow policy
-	// (SetBestEffort): stale elements evicted from the head of a full mutex
-	// ring (latest-wins) or incoming elements shed by a full lock-free ring.
-	// Dropped elements are counted in neither Pushes nor Pops, so flow-based
-	// rate estimates stay uncontaminated by the shed traffic.
-	Dropped counter64
+	// Evicted and Shed count elements the best-effort overflow policy
+	// (SetBestEffort) discarded. Evicted elements were resident — stale
+	// elements a full mutex ring dropped from its head (latest-wins) — and
+	// are counted in Pushes but never in Pops. Shed elements never entered:
+	// incoming elements a full lock-free ring, or a mutex ring whose head is
+	// pinned by a signal or a read view, discarded; they are counted in
+	// neither. One law holds for both ring kinds: of the elements offered,
+	// Pushes = offered - Shed, and once drained Pushes = Pops + Evicted.
+	Evicted counter64
+	Shed    counter64
 	// Views counts completed borrow/release cycles (read and write batch
 	// views, see view.go); ViewHoldNs is the cumulative wall time views were
 	// held. A link whose mean hold time approaches the monitor's δ is
@@ -195,11 +199,11 @@ func (t *Telemetry) OccStats() (count uint64, weighted float64) {
 	return count, weighted
 }
 
-// Drops returns the cumulative best-effort drop count — the one-atomic-load
+// Drops returns the cumulative best-effort drop count, Evicted + Shed — the
 // read hook the monitor's per-tick drop watcher and the ingestion gateway's
 // per-source counters poll (the full Snapshot copies the whole occupancy
 // histogram, wasted work at those call rates).
-func (t *Telemetry) Drops() uint64 { return t.Dropped.Load() }
+func (t *Telemetry) Drops() uint64 { return t.Evicted.Load() + t.Shed.Load() }
 
 // Snapshot returns a plain-value copy of the counters.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
@@ -213,7 +217,8 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		Shrinks:      t.Shrinks.Load(),
 		SpinYields:   t.SpinYields.Load(),
 		SpinSleeps:   t.SpinSleeps.Load(),
-		Dropped:      t.Dropped.Load(),
+		Evicted:      t.Evicted.Load(),
+		Shed:         t.Shed.Load(),
 		Views:        t.Views.Load(),
 		ViewHoldNs:   t.ViewHoldNs.Load(),
 	}
@@ -234,8 +239,10 @@ type TelemetrySnapshot struct {
 	Shrinks      uint64
 	SpinYields   uint64
 	SpinSleeps   uint64
-	// Dropped counts elements discarded by the best-effort overflow policy.
-	Dropped uint64
+	// Evicted and Shed count elements discarded by the best-effort
+	// overflow policy (see Telemetry).
+	Evicted uint64
+	Shed    uint64
 	// Views counts completed borrow/release view cycles; ViewHoldNs is the
 	// cumulative time views were held (see view.go).
 	Views      uint64
@@ -244,6 +251,9 @@ type TelemetrySnapshot struct {
 	// for bucket semantics). Quantiles come from stats.LogQuantile.
 	Occupancy [OccBuckets]uint64
 }
+
+// Drops returns the best-effort drop count, Evicted + Shed.
+func (t TelemetrySnapshot) Drops() uint64 { return t.Evicted + t.Shed }
 
 // Blocked reports whether either side of the queue spent time blocked or
 // escalated its spin back-off between prev and t — the contention signal

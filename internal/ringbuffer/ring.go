@@ -138,7 +138,8 @@ func (r *Ring[T]) SetMaxCap(n int) {
 // push into a full ring evicts the oldest buffered elements instead of
 // blocking the producer — latest-wins semantics for soft-real-time streams
 // that degrade by freshness rather than latency. Evicted elements are
-// counted in Telemetry.Dropped (and in neither Pushes nor Pops). Elements
+// counted in Telemetry.Evicted (they were pushed, and are never popped);
+// shed incoming elements in Telemetry.Shed. Elements
 // carrying a synchronized signal (EOF, termination) are never evicted: a
 // signal-pinned head sheds the incoming signal-free elements instead, and a
 // signal-carrying incoming element falls back to the blocking path so
@@ -158,7 +159,7 @@ func (r *Ring[T]) BestEffort() bool {
 
 // evictLocked discards up to want of the oldest signal-free elements to
 // make room for a best-effort push, stopping early at a signal-carrying
-// head. Evictions count as Dropped, not Pops: the elements were never
+// head. Evictions count as Evicted, not Pops: the elements were never
 // consumed, and the flow counters feeding λ̂/µ̂ must not see them.
 func (r *Ring[T]) evictLocked(want int) {
 	if r.viewOut {
@@ -177,7 +178,7 @@ func (r *Ring[T]) evictLocked(want int) {
 		dropped++
 	}
 	if dropped > 0 {
-		r.tel.Dropped.Add(uint64(dropped))
+		r.tel.Evicted.Add(uint64(dropped))
 	}
 	if r.n == 0 && !r.wviewOut {
 		r.head = 0 // keep the buffer in the fast non-wrapped position
@@ -334,7 +335,7 @@ func (r *Ring[T]) PushN(vs []T, sigs []Signal) error {
 					shed++
 				}
 				if shed > 0 {
-					r.tel.Dropped.Add(uint64(shed))
+					r.tel.Shed.Add(uint64(shed))
 					vs = vs[shed:]
 					if sigs != nil {
 						sigs = sigs[shed:]

@@ -52,7 +52,7 @@ type SPSC[T any] struct {
 
 	closed atomic.Bool
 	// bestEffort selects the overflow policy: a full queue sheds incoming
-	// signal-free elements (counted in Telemetry.Dropped) instead of
+	// signal-free elements (counted in Telemetry.Shed) instead of
 	// spinning the producer. Unlike the mutex ring, the SPSC queue cannot
 	// evict the oldest element — the head sequence is consumer-owned (plain
 	// release store, no CAS) and stealing it from the producer side would
@@ -130,7 +130,7 @@ func (q *SPSC[T]) Kind() string { return "spsc" }
 
 // SetBestEffort switches the queue's overflow policy to drop-newest: a
 // full queue sheds incoming signal-free elements, counted in
-// Telemetry.Dropped, instead of spinning the producer. Signal-carrying
+// Telemetry.Shed, instead of spinning the producer. Signal-carrying
 // elements (EOF, termination) always take the blocking path. See the
 // bestEffort field for why this side is drop-newest while the mutex ring
 // is latest-wins.
@@ -233,7 +233,7 @@ func (q *SPSC[T]) Push(v T, sig Signal) error {
 		}
 		if q.bestEffort.Load() && sig == SigNone {
 			q.clearWriterBlock(blockedAt)
-			q.tel.Dropped.Inc()
+			q.tel.Shed.Inc()
 			return nil
 		}
 		if blockedAt == 0 {
@@ -280,7 +280,7 @@ func (q *SPSC[T]) PushN(vs []T, sigs []Signal) error {
 					shed++
 				}
 				if shed > 0 {
-					q.tel.Dropped.Add(uint64(shed))
+					q.tel.Shed.Add(uint64(shed))
 					vs = vs[shed:]
 					if sigs != nil {
 						sigs = sigs[shed:]

@@ -536,7 +536,7 @@ type viewFIFO interface {
 // element in place, and releases fuzzer-chosen prefixes — so borrows span
 // epoch swaps, mid-view shrinks and best-effort eviction. Released
 // elements must form the exact FIFO sequence (or, best-effort, an ordered
-// subsequence with every loss counted in Dropped).
+// subsequence with every loss counted as Evicted or Shed).
 func FuzzViewResize(f *testing.F) {
 	f.Add([]byte{4, 9, 1, 16, 3}, []byte{8, 200, 16, 4, 64}, uint8(3), uint8(0))
 	f.Add([]byte{1, 1, 1}, []byte{255, 2, 255, 2}, uint8(1), uint8(1))
@@ -633,23 +633,19 @@ func FuzzViewResize(f *testing.F) {
 			}
 		}
 		wg.Wait()
-		dropped := int(tel.Drops())
-		if released+dropped != total {
-			t.Fatalf("released %d + dropped %d != pushed %d", released, dropped, total)
+		// One law for both ring kinds and both policies: every offered
+		// element was released, evicted (resident, then dropped: counted
+		// in Pushes) or shed (never entered: counted in neither), and after
+		// the drain every push was popped or evicted.
+		snap := tel.Snapshot()
+		if released+int(snap.Evicted+snap.Shed) != total {
+			t.Fatalf("released %d + evicted %d + shed %d != offered %d", released, snap.Evicted, snap.Shed, total)
 		}
 		if !bestEffort && released != total {
 			t.Fatalf("lost elements without best effort: %d/%d", released, total)
 		}
-		// Flow invariant after drain: mutex latest-wins evicts elements that
-		// were already counted as pushed (Pushes = Pops + Dropped), while the
-		// SPSC sheds incoming elements before they are pushed (Pushes = Pops).
-		snap := tel.Snapshot()
-		wantPops := snap.Pushes
-		if mode&1 == 0 {
-			wantPops = snap.Pushes - snap.Dropped
-		}
-		if snap.Pops != wantPops {
-			t.Fatalf("flow imbalance after drain: pushes=%d pops=%d dropped=%d", snap.Pushes, snap.Pops, snap.Dropped)
+		if snap.Pushes != snap.Pops+snap.Evicted {
+			t.Fatalf("flow imbalance after drain: pushes=%d pops=%d evicted=%d shed=%d", snap.Pushes, snap.Pops, snap.Evicted, snap.Shed)
 		}
 	})
 }

@@ -255,7 +255,7 @@ func (r *Ring[T]) PushWindowed(v T, sig Signal, max int, block bool) (committed 
 				// shed the incoming element instead (it is signal-free, so
 				// nothing is lost but payload the policy already permits
 				// losing).
-				r.tel.Dropped.Inc()
+				r.tel.Shed.Inc()
 				return 0, true, nil
 			}
 		}

@@ -154,8 +154,8 @@ func TestWindowBestEffortNotWindowed(t *testing.T) {
 		}
 	}
 	tel := r.Telemetry().Snapshot()
-	if tel.Pushes != 10 || tel.Dropped != 6 {
-		t.Fatalf("pushes %d dropped %d, want 10 and 6 (latest wins)", tel.Pushes, tel.Dropped)
+	if tel.Pushes != 10 || tel.Evicted != 6 || tel.Shed != 0 {
+		t.Fatalf("pushes %d evicted %d shed %d, want 10, 6 and 0 (latest wins)", tel.Pushes, tel.Evicted, tel.Shed)
 	}
 	for want := 6; want < 10; want++ {
 		if v, _ := popW(r, 64); v != want || r.WindowPos(false) != 0 {

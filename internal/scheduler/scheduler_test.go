@@ -54,21 +54,9 @@ func testSchedulerRunsAll(t *testing.T, s Scheduler) {
 
 func TestGoroutineRunsAll(t *testing.T) { testSchedulerRunsAll(t, Goroutine{}) }
 
-func TestPoolRunsAll(t *testing.T) { testSchedulerRunsAll(t, Pool{Workers: 2}) }
-
-func TestPoolFewerWorkersThanActors(t *testing.T) {
-	testSchedulerRunsAll(t, Pool{Workers: 1})
-}
-
 func TestSchedulerNames(t *testing.T) {
 	if (Goroutine{}).Name() != "goroutine-per-kernel" {
 		t.Fatal((Goroutine{}).Name())
-	}
-	if !strings.HasPrefix((Pool{Workers: 3}).Name(), "pool-3") {
-		t.Fatal((Pool{Workers: 3}).Name())
-	}
-	if (Pool{}).workers() < 1 {
-		t.Fatal("default workers must be >= 1")
 	}
 }
 
@@ -89,8 +77,6 @@ func testPanicRecovered(t *testing.T, s Scheduler) {
 }
 
 func TestGoroutinePanicRecovered(t *testing.T) { testPanicRecovered(t, Goroutine{}) }
-
-func TestPoolPanicRecovered(t *testing.T) { testPanicRecovered(t, Pool{Workers: 2}) }
 
 func testInitError(t *testing.T, s Scheduler) {
 	t.Helper()
@@ -116,8 +102,6 @@ func testInitError(t *testing.T, s Scheduler) {
 
 func TestGoroutineInitError(t *testing.T) { testInitError(t, Goroutine{}) }
 
-func TestPoolInitError(t *testing.T) { testInitError(t, Pool{Workers: 2}) }
-
 func testVirtualActorSkipped(t *testing.T, s Scheduler) {
 	t.Helper()
 	var stepped, finished atomic.Bool
@@ -139,8 +123,6 @@ func testVirtualActorSkipped(t *testing.T, s Scheduler) {
 }
 
 func TestGoroutineVirtualActor(t *testing.T) { testVirtualActorSkipped(t, Goroutine{}) }
-
-func TestPoolVirtualActor(t *testing.T) { testVirtualActorSkipped(t, Pool{Workers: 1}) }
 
 func testStallThenFinish(t *testing.T, s Scheduler) {
 	t.Helper()
@@ -165,8 +147,6 @@ func testStallThenFinish(t *testing.T, s Scheduler) {
 
 func TestGoroutineStall(t *testing.T) { testStallThenFinish(t, Goroutine{}) }
 
-func TestPoolStall(t *testing.T) { testStallThenFinish(t, Pool{Workers: 1}) }
-
 func TestServiceTimeRecorded(t *testing.T) {
 	a, _, _ := counterActor("timed", 10)
 	if err := (Goroutine{}).Run([]*core.Actor{a}); err != nil {
@@ -182,9 +162,6 @@ func TestServiceTimeRecorded(t *testing.T) {
 
 func TestEmptyActorList(t *testing.T) {
 	if err := (Goroutine{}).Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Pool{Workers: 2}).Run(nil); err != nil {
 		t.Fatal(err)
 	}
 }

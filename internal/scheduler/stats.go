@@ -20,10 +20,6 @@ type Stats struct {
 	// counts watchdog re-queues (kernels whose stall had no hooked link
 	// transition to wake them, or the rare missed SPSC edge).
 	Parks, Wakes, Rescues uint64
-	// StalledPasses counts scheduling passes that found the kernel unable
-	// to progress (the pool's backoff events; 0 for schedulers that park
-	// instead of polling).
-	StalledPasses uint64
 	// CrossShardLinks is the number of links whose producer and consumer
 	// were placed on different shards (work-stealing only).
 	CrossShardLinks int
@@ -36,11 +32,9 @@ type StatsReporter interface {
 	SchedStats() Stats
 }
 
-// counters is the shared mutable counter block behind Stats. It sits behind
-// a pointer so value-typed schedulers (Pool) keep their copy semantics
-// while Run and SchedStats still observe the same cells.
+// counters is the shared mutable counter block behind Stats.
 type counters struct {
-	steals, stolen, parks, wakes, rescues, stalled atomic.Uint64
+	steals, stolen, parks, wakes, rescues atomic.Uint64
 }
 
 func (c *counters) snapshot(into *Stats) {
@@ -52,5 +46,4 @@ func (c *counters) snapshot(into *Stats) {
 	into.Parks = c.parks.Load()
 	into.Wakes = c.wakes.Load()
 	into.Rescues = c.rescues.Load()
-	into.StalledPasses = c.stalled.Load()
 }

@@ -51,8 +51,8 @@ type wsTask struct {
 	parkedAt atomic.Int64 // UnixNano of the park (watchdog grace base)
 }
 
-// Work-stealing tuning. The quantum matches Pool's so A17 compares
-// scheduling policy, not burst size.
+// Work-stealing tuning. The quantum bounds how long one kernel holds a
+// worker before peers waiting in its shard go first.
 const (
 	wsQuantum = 64
 	// wsIdleRecheck bounds how long an idle worker sleeps between deque
@@ -180,8 +180,8 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	ws.pendCond = sync.NewCond(&ws.dynMu)
 	ws.errs = make([]error, len(actors))
 
-	// Initialize all actors up front (same discipline as Pool): failures
-	// and virtual kernels finish immediately and never enter a deque.
+	// Initialize all actors up front: failures and virtual kernels finish
+	// immediately and never enter a deque.
 	live := make([]*wsTask, 0, len(actors))
 	for i, a := range actors {
 		if a.Init != nil {
@@ -714,7 +714,7 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 			finished = true
 			return
 		}
-		// Readiness gate, same as Pool's: a kernel that would block on a
+		// Readiness gate: a kernel that would block on a
 		// port must not capture this worker — park it and let the link
 		// transition bring it back.
 		if t.a.Ready != nil && !t.a.Ready() {
@@ -746,5 +746,4 @@ var (
 	_ StatsReporter = (*WorkSteal)(nil)
 	_ Spawner       = (*WorkSteal)(nil)
 	_ Spawner       = Goroutine{}
-	_ Spawner       = Pool{}
 )

@@ -265,11 +265,3 @@ func TestWorkStealWakeClosedUnblocksConsumer(t *testing.T) {
 		t.Fatal("consumer did not observe ErrClosed")
 	}
 }
-
-func TestPoolStalledPassesCounted(t *testing.T) {
-	p := Pool{Workers: 1, Counters: &counters{}}
-	testStallThenFinish(t, p)
-	if s := p.SchedStats(); s.StalledPasses == 0 {
-		t.Fatalf("stats = %+v, want stalled passes counted", s)
-	}
-}

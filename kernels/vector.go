@@ -23,8 +23,6 @@ type MapBatch[T any] struct {
 	raft.KernelBase
 	fn    func(vals []T)
 	batch int
-	vals  []T
-	sigs  []raft.Signal
 }
 
 // NewMapBatch returns a kernel applying fn to each borrowed segment of
@@ -49,40 +47,27 @@ func (m *MapBatch[T]) SetBatch(n int) *MapBatch[T] {
 	return m
 }
 
-// Run implements raft.Kernel.
-func (m *MapBatch[T]) Run() raft.Status {
-	in, out := m.In("in"), m.Out("out")
-	b := in.BatchHint(m.batch)
-	if b < 1 {
-		b = 1
-	}
-	if raft.HasViews[T](in) {
-		v, err := raft.PopView[T](in, b)
-		if v.Len() == 0 {
-			_ = err // blocking PopView yields elements or ErrClosed
-			return raft.Stop
-		}
-		ok := m.emit(out, v.Vals, v.Sigs) && m.emit(out, v.Vals2, v.Sigs2)
-		raft.ReleaseView[T](in, v.Len())
-		if !ok {
-			return raft.Stop
-		}
-		return raft.Proceed
-	}
-	if cap(m.vals) < b {
-		m.vals = make([]T, b)
-		m.sigs = make([]raft.Signal, b)
-	}
-	n, err := raft.PopNSig[T](in, m.vals[:b], m.sigs[:b])
-	if n == 0 {
-		_ = err
+// runBorrowed is the Run of both vectorized kernels: borrow up to batch
+// elements of port "in" (the adaptive batcher's hint, when present,
+// overrides batch), hand each contiguous segment to emit, release the
+// borrow. It stops at end of stream or when emit reports a failed push.
+func runBorrowed[T any](k *raft.KernelBase, batch int, emit func(out *raft.Port, vals []T, sigs []raft.Signal) bool) raft.Status {
+	in, out := k.In("in"), k.Out("out")
+	v, err := raft.PopView[T](in, max(in.BatchHint(batch), 1))
+	if v.Len() == 0 {
+		_ = err // blocking PopView yields elements or ErrClosed
 		return raft.Stop
 	}
-	if !m.emit(out, m.vals[:n], m.sigs[:n]) {
+	ok := emit(out, v.Vals, v.Sigs) && emit(out, v.Vals2, v.Sigs2)
+	raft.ReleaseView[T](in, v.Len())
+	if !ok {
 		return raft.Stop
 	}
 	return raft.Proceed
 }
+
+// Run implements raft.Kernel.
+func (m *MapBatch[T]) Run() raft.Status { return runBorrowed(&m.KernelBase, m.batch, m.emit) }
 
 // emit transforms one segment in place and forwards it.
 func (m *MapBatch[T]) emit(out *raft.Port, vals []T, sigs []raft.Signal) bool {
@@ -108,8 +93,8 @@ type FilterBatch[T any] struct {
 	// long as any element follows. A later dropped signal overwrites an
 	// undelivered earlier one.
 	pending raft.Signal
-	vals    []T
-	sigs    []raft.Signal
+	// sigs is scratch for segments borrowed without a signal array.
+	sigs []raft.Signal
 }
 
 // NewFilterBatch returns a kernel forwarding elements of port "in" to port
@@ -135,39 +120,7 @@ func (f *FilterBatch[T]) SetBatch(n int) *FilterBatch[T] {
 }
 
 // Run implements raft.Kernel.
-func (f *FilterBatch[T]) Run() raft.Status {
-	in, out := f.In("in"), f.Out("out")
-	b := in.BatchHint(f.batch)
-	if b < 1 {
-		b = 1
-	}
-	if raft.HasViews[T](in) {
-		v, err := raft.PopView[T](in, b)
-		if v.Len() == 0 {
-			_ = err
-			return raft.Stop
-		}
-		ok := f.emit(out, v.Vals, v.Sigs) && f.emit(out, v.Vals2, v.Sigs2)
-		raft.ReleaseView[T](in, v.Len())
-		if !ok {
-			return raft.Stop
-		}
-		return raft.Proceed
-	}
-	if cap(f.vals) < b {
-		f.vals = make([]T, b)
-		f.sigs = make([]raft.Signal, b)
-	}
-	n, err := raft.PopNSig[T](in, f.vals[:b], f.sigs[:b])
-	if n == 0 {
-		_ = err
-		return raft.Stop
-	}
-	if !f.emit(out, f.vals[:n], f.sigs[:n]) {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
+func (f *FilterBatch[T]) Run() raft.Status { return runBorrowed(&f.KernelBase, f.batch, f.emit) }
 
 // emit compacts one segment in place (values and signals) and forwards the
 // kept prefix.

@@ -80,8 +80,8 @@ func TestBatchHint(t *testing.T) {
 	}
 }
 
-// TestMoveBatchedEquivalence moves a signalled stream through moveBatched
-// and checks the destination matches the source exactly.
+// TestMoveBatchedEquivalence moves a signalled stream through the adapters'
+// framed mover and checks the destination matches the source exactly.
 func TestMoveBatchedEquivalence(t *testing.T) {
 	src, _ := bulkHarness(t, false)
 	out, in := bulkHarness(t, false)
@@ -98,11 +98,9 @@ func TestMoveBatchedEquivalence(t *testing.T) {
 		}
 		src.Close()
 	}()
-	vals := make([]int, 16)
-	sigs := make([]Signal, 16)
 	go func() {
 		for {
-			if _, err := moveBatched[int](src.typed, out.typed, 16, true, vals, sigs); err != nil {
+			if _, err := src.mover(src.typed, out.typed, 16, true); err != nil {
 				out.Close()
 				return
 			}

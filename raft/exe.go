@@ -25,25 +25,19 @@ import (
 // Options.
 type Config struct {
 	// DefaultCapacity is the initial capacity of streams without an
-	// explicit WithCapacity (default 64 elements).
+	// explicit WithCapacity (default 64 elements). Monitor growth stops at
+	// the link's MaxCap, or at defaultMaxCap without one.
 	DefaultCapacity int
-	// MaxCapacity bounds monitor growth for streams without an explicit
-	// WithMaxCapacity (default 1<<20 elements; 0 = unbounded).
-	MaxCapacity int
 	// LockFree selects lock-free SPSC queues instead of mutex rings for
 	// every stream. Window (PeekRange) access is unavailable on SPSC
 	// links; the monitor still resizes them (epoch swap) when
 	// DynamicResize is on.
 	LockFree bool
 
-	// PoolWorkers > 0 selects the worker-pool scheduler with that many
-	// workers; 0 selects the default goroutine-per-kernel scheduler.
-	PoolWorkers int
-
 	// WorkStealing selects the sharded work-stealing scheduler (per-worker
 	// deques, park/wake on queue transitions, locality-aware placement)
-	// with StealWorkers workers (0 = GOMAXPROCS). Takes precedence over
-	// PoolWorkers.
+	// with StealWorkers workers (0 = GOMAXPROCS) instead of the default
+	// goroutine-per-kernel scheduler.
 	WorkStealing bool
 	StealWorkers int
 
@@ -52,11 +46,8 @@ type Config struct {
 	// MonitorDelta is the monitor period δ (default 10µs, per the paper).
 	MonitorDelta time.Duration
 	// DynamicResize enables the monitor's queue-resizing rules (default
-	// true).
+	// true). Resizing only grows a queue.
 	DynamicResize bool
-	// Shrink additionally allows the monitor to shrink over-provisioned
-	// queues (default false; conservative).
-	Shrink bool
 	// AdaptiveBatch enables the monitor's adaptive batcher: transfer batch
 	// sizes on each link grow under contention and shrink when a stream
 	// runs empty, steering the batched stream path toward a
@@ -145,9 +136,8 @@ type Config struct {
 	// otherwise selects an in-memory store.
 	CkptStore CheckpointStore
 	// CkptDir is the file-backed checkpoint directory (see WithCheckpoints).
+	// Checkpointable kernels snapshot after every successful invocation.
 	CkptDir string
-	// CkptEvery is the snapshot period in successful invocations (default 1).
-	CkptEvery uint64
 	// Fault is the armed fault-injection plan, if any (see
 	// WithFaultInjection).
 	Fault *FaultInjector
@@ -170,10 +160,12 @@ type Config struct {
 	flight  *trace.FlightRecorder
 }
 
+// defaultMaxCap bounds monitor growth of a stream linked without MaxCap.
+const defaultMaxCap = 1 << 20
+
 func defaultConfig() Config {
 	return Config{
 		DefaultCapacity: 64,
-		MaxCapacity:     1 << 20,
 		MonitorEnabled:  true,
 		MonitorDelta:    monitor.DefaultDelta,
 		DynamicResize:   true,
@@ -188,19 +180,12 @@ type Option func(*Config)
 // explicit per-link capacity.
 func WithDefaultCapacity(n int) Option { return func(c *Config) { c.DefaultCapacity = n } }
 
-// WithMaxCapacity sets the default growth bound for dynamic streams.
-func WithMaxCapacity(n int) Option { return func(c *Config) { c.MaxCapacity = n } }
-
 // WithLockFreeQueues selects lock-free SPSC streams for every link (no
 // window access) — the fast-ring configuration of the A2 ablation.
 // Since the epoch swap the monitor's dynamic resizing applies to these
 // streams too; combine with WithDynamicResize(false) for truly fixed
 // capacities. Per-link selection is AsLockFree.
 func WithLockFreeQueues() Option { return func(c *Config) { c.LockFree = true } }
-
-// WithPoolScheduler multiplexes kernels over n worker goroutines instead of
-// one goroutine per kernel (the A4 ablation configuration).
-func WithPoolScheduler(n int) Option { return func(c *Config) { c.PoolWorkers = n } }
 
 // WithWorkStealing multiplexes kernels over n worker shards (0 =
 // GOMAXPROCS) under the sharded work-stealing scheduler: each worker owns
@@ -224,9 +209,6 @@ func WithMonitorDelta(d time.Duration) Option { return func(c *Config) { c.Monit
 
 // WithDynamicResize enables or disables the monitor's queue resizing.
 func WithDynamicResize(on bool) Option { return func(c *Config) { c.DynamicResize = on } }
-
-// WithShrink allows the monitor to shrink over-provisioned queues.
-func WithShrink(on bool) Option { return func(c *Config) { c.Shrink = on } }
 
 // WithAdaptiveBatching lets the monitor tune each link's transfer batch
 // size from observed occupancy and blocking: contended links batch more
@@ -458,15 +440,15 @@ type Report struct {
 	// attribution folded from retired markers. Nil when latency markers
 	// are disabled (WithoutLatencyMarkers).
 	Latency *LatencyReport
-	// Sched holds the scheduler's activity counters (steals, parks, wakes,
-	// stalled passes). Nil under the default goroutine-per-kernel
+	// Sched holds the scheduler's activity counters (steals, parks,
+	// wakes). Nil under the default goroutine-per-kernel
 	// scheduler, which delegates entirely to the Go runtime and has no
 	// counters of its own.
 	Sched *SchedReport
 }
 
 // SchedReport is the scheduler-activity section of a Report, populated by
-// the pool and work-stealing schedulers.
+// the work-stealing scheduler.
 type SchedReport struct {
 	// Workers is the number of scheduler worker goroutines.
 	Workers int
@@ -477,7 +459,7 @@ type SchedReport struct {
 	// descheduled until a link readiness hook fired); Wakes counts
 	// hook-driven unparks and Rescues watchdog-driven ones.
 	Parks, Wakes, Rescues uint64
-	// StalledPasses counts scheduling passes that made no progress.
+	// Deprecated: always 0 since the pool scheduler was removed.
 	StalledPasses uint64
 	// CrossShardLinks is the number of links whose endpoints the placement
 	// pass put on different shards (these links get a batch hint to
@@ -826,7 +808,6 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		mon = monitor.New(monitor.Config{
 			Delta:         cfg.MonitorDelta,
 			Resize:        cfg.DynamicResize,
-			Shrink:        cfg.Shrink,
 			AutoScale:     cfg.AutoScale,
 			AdaptiveBatch: cfg.AdaptiveBatch,
 			BatchMax:      cfg.BatchMax,
@@ -872,8 +853,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// implements Spawner and can adopt kernels spliced in by a rewrite.
 	var sched scheduler.Scheduler = scheduler.NewGoroutine()
 	var ws *scheduler.WorkSteal
-	switch {
-	case cfg.WorkStealing:
+	if cfg.WorkStealing {
 		ws = scheduler.NewWorkSteal(cfg.StealWorkers)
 		ws.AttachLinks(linkInfos)
 		ws.AttachTopology(cfg.Topology)
@@ -881,8 +861,6 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 			ws.AttachTrace(rec)
 		}
 		sched = ws
-	case cfg.PoolWorkers > 0:
-		sched = scheduler.NewPool(cfg.PoolWorkers)
 	}
 	schedStats, _ := sched.(scheduler.StatsReporter)
 
@@ -1007,87 +985,114 @@ func (m *Map) buildGraph() (*graph.Graph, error) {
 func (m *Map) allocate(cfg *Config) ([]*core.LinkInfo, error) {
 	infos := make([]*core.LinkInfo, 0, len(m.links))
 	for i, l := range m.links {
-		capacity := l.capacity
-		if capacity <= 0 {
-			capacity = cfg.DefaultCapacity
-		}
-		maxCap := l.maxCap
-		if maxCap <= 0 {
-			maxCap = cfg.MaxCapacity
-		}
-
-		var q ringbuffer.Queue
-		var typed any
-		// Lock-free links are resizable too since the epoch swap: the
-		// monitor publishes a new ring and the producer installs it at
-		// its next push, so every allocation choice obeys the §4.1 rules.
-		resizable := true
-		if qp, ok := l.Src.(QueueProvider); ok {
-			if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
-				q, typed = pq, pt
-				resizable = false // provider-owned storage (zero copy)
-			}
-		}
-		if q == nil {
-			q, typed = l.SrcPort.mk(capacity, maxCap, cfg.LockFree || l.lockFree)
-		}
-		if l.bestEffort {
-			// Both ring kinds implement the setter; provider-owned queues
-			// (read-only source rings) have nothing to drop and simply keep
-			// their default policy.
-			if be, ok := q.(interface{ SetBestEffort(bool) }); ok {
-				be.SetBestEffort(true)
-			}
-		}
-		async := &asyncCell{}
-		l.SrcPort.bind(q, typed, async)
-		l.DstPort.bind(q, typed, async)
-
-		// One batch control per stream, shared by both endpoints and the
-		// monitor. Low-latency links are pinned at 1 so the adaptive
-		// batcher never holds their elements back.
-		bc := &core.BatchControl{}
-		if l.lowLatency {
-			bc.Pin(1)
-		}
-		l.SrcPort.batch = bc
-		l.DstPort.batch = bc
-
-		name := fmt.Sprintf("%s.%s->%s.%s", l.Src.kernelBase().Name(), l.SrcPort.name, l.Dst.kernelBase().Name(), l.DstPort.name)
-
-		// One marker lane per stream, shared by both endpoints (the same
-		// pattern as the batch control): the producer's push deposits,
-		// the consumer's pop collects. Ingest ports — out ports of kernels
-		// with no inputs that have not opted out via SetMarkerForwarder —
-		// additionally stamp fresh markers at the sampling stride.
+		s := newStream(cfg, l, i)
+		s.bindPort(l.SrcPort, l)
+		s.bindPort(l.DstPort, l)
 		if cfg.markers != nil {
-			lane := trace.NewMarkerLane(name)
-			l.SrcPort.lane = lane
-			l.DstPort.lane = lane
-			src := l.Src.kernelBase()
-			src.marks = cfg.markers
-			l.Dst.kernelBase().marks = cfg.markers
-			if len(src.ins) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
-				l.SrcPort.stampEvery = cfg.markers.dom.Stride()
-				l.SrcPort.stampLeft = l.SrcPort.stampEvery
-				l.SrcPort.stampSource = src.Name()
-			}
+			rigMarkers(cfg.markers, l, true, true)
 		}
-
-		infos = append(infos, &core.LinkInfo{
-			ID:              i,
-			Name:            name,
-			Queue:           q,
-			SrcActor:        m.index[l.Src.kernelBase()],
-			DstActor:        m.index[l.Dst.kernelBase()],
-			ResizeEnabled:   resizable,
-			MaxCap:          maxCap,
-			Batch:           bc,
-			LatencyPriority: l.lowLatency,
-			BestEffort:      l.bestEffort,
-		})
+		s.li.SrcActor = m.index[l.Src.kernelBase()]
+		s.li.DstActor = m.index[l.Dst.kernelBase()]
+		infos = append(infos, s.li)
 	}
 	return infos, nil
+}
+
+// stream is one link's allocated stream: the queue and the state both
+// endpoint ports share with it.
+type stream struct {
+	q     ringbuffer.Queue
+	typed any
+	async *asyncCell
+	// bc is the stream's batch control, shared by both endpoints and the
+	// monitor; lane its latency-marker mailbox (nil with markers off): the
+	// producer's push deposits, the consumer's pop collects.
+	bc   *core.BatchControl
+	lane *trace.MarkerLane
+	li   *core.LinkInfo
+}
+
+// newStream allocates l's stream under the execution's policy, for the
+// initial allocate and for the rewriter's staged links alike: default
+// capacity and growth bound, a provider-owned queue (zero copy, never
+// resized), the best-effort overflow policy, a batch control pinned at 1 on
+// AsLowLatency links so the adaptive batcher never holds their elements
+// back, the link name and the marker lane. It binds no port and touches no
+// kernel; the caller sets the LinkInfo's actor IDs.
+func newStream(cfg *Config, l *Link, id int) stream {
+	capacity := l.capacity
+	if capacity <= 0 {
+		capacity = cfg.DefaultCapacity
+	}
+	maxCap := l.maxCap
+	if maxCap <= 0 {
+		maxCap = defaultMaxCap
+	}
+	s := stream{async: &asyncCell{}, bc: &core.BatchControl{}}
+	// Lock-free links are resizable too since the epoch swap: the monitor
+	// publishes a new ring and the producer installs it at its next push,
+	// so every allocation choice obeys the §4.1 rules.
+	resizable := true
+	if qp, ok := l.Src.(QueueProvider); ok {
+		if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
+			s.q, s.typed = pq, pt
+			resizable = false
+		}
+	}
+	if s.q == nil {
+		s.q, s.typed = l.SrcPort.mk(capacity, maxCap, cfg.LockFree || l.lockFree)
+	}
+	if l.bestEffort {
+		// Both ring kinds implement the setter; provider-owned queues
+		// (read-only source rings) have nothing to drop and simply keep
+		// their default policy.
+		if be, ok := s.q.(interface{ SetBestEffort(bool) }); ok {
+			be.SetBestEffort(true)
+		}
+	}
+	if l.lowLatency {
+		s.bc.Pin(1)
+	}
+	name := fmt.Sprintf("%s.%s->%s.%s", l.Src.kernelBase().Name(), l.SrcPort.name, l.Dst.kernelBase().Name(), l.DstPort.name)
+	if cfg.markers != nil {
+		s.lane = trace.NewMarkerLane(name)
+	}
+	s.li = &core.LinkInfo{
+		ID:              id,
+		Name:            name,
+		Queue:           s.q,
+		ResizeEnabled:   resizable,
+		MaxCap:          maxCap,
+		Batch:           s.bc,
+		LatencyPriority: l.lowLatency,
+		BestEffort:      l.bestEffort,
+	}
+	return s
+}
+
+// bindPort attaches one endpoint port of link l to the stream.
+func (s *stream) bindPort(p *Port, l *Link) {
+	p.bind(s.q, s.typed, s.async)
+	p.link, p.batch, p.lane = l, s.bc, s.lane
+}
+
+// rigMarkers installs the marker rig on l's producer (src) and/or consumer
+// (dst) kernel. An ingest port — the out port of a kernel with no inputs
+// that has not opted out via SetMarkerForwarder — additionally stamps fresh
+// markers at the sampling stride.
+func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
+	if src {
+		kb := l.Src.kernelBase()
+		kb.marks = rig
+		if len(kb.ins) == 0 && !kb.markForward && l.SrcPort.stampEvery == 0 {
+			l.SrcPort.stampEvery = rig.dom.Stride()
+			l.SrcPort.stampLeft = l.SrcPort.stampEvery
+			l.SrcPort.stampSource = kb.Name()
+		}
+	}
+	if dst {
+		l.Dst.kernelBase().marks = rig
+	}
 }
 
 // buildActors wraps every kernel into a core.Actor. When tracing is on,
@@ -1184,8 +1189,8 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 // kernel: every input stream must hold data (or be closed, so the pop
 // returns immediately) and every output stream must have space (or be
 // closed). Kernels that pop several elements per invocation can still
-// block past the gate — the documented pool-scheduler caveat, backstopped
-// by WithDeadlockDetection.
+// block past the gate and capture a work-stealing worker (DESIGN §9),
+// backstopped by WithDeadlockDetection.
 //
 // An open port window answers for its stream: a read window always holds an
 // element the kernel has not popped and a write window a slot it has not
@@ -1233,7 +1238,6 @@ func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignme
 			Parks:           ss.Parks,
 			Wakes:           ss.Wakes,
 			Rescues:         ss.Rescues,
-			StalledPasses:   ss.StalledPasses,
 			CrossShardLinks: ss.CrossShardLinks,
 		}
 	}
@@ -1284,7 +1288,7 @@ func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignme
 			Shrinks:       tel.Shrinks,
 			SpinYields:    tel.SpinYields,
 			SpinSleeps:    tel.SpinSleeps,
-			Dropped:       tel.Dropped,
+			Dropped:       tel.Drops(),
 			OccHist:       tel.Occupancy,
 			OccP50:        stats.LogQuantile(tel.Occupancy[:], 0.50),
 			OccP99:        stats.LogQuantile(tel.Occupancy[:], 0.99),

@@ -80,9 +80,6 @@ type Source[T any] struct {
 	// through a write view, buffer recycled. Surfaced as CopiesSaved in the
 	// gateway's /v1/stats.
 	copiesSaved atomic.Uint64
-	// copyPush forces the plain PushN delivery path (the copy arm of the
-	// A15 ablation).
-	copyPush bool
 }
 
 // NewSource builds a gateway-fed source kernel. The name doubles as the
@@ -133,13 +130,12 @@ func (s *Source[T]) Run() Status {
 	}
 }
 
-// deliver commits one admitted batch to the output stream. On streams with
-// write views (both built-in queue kinds) the batch is copied exactly once,
-// straight into reserved ring storage; best-effort links keep the PushN
-// path because its shed policy is the link's contract. A pooled buffer is
-// recycled after delivery — together with the write view that makes the
-// decode buffer the only intermediate the batch ever touches, counted in
-// copiesSaved.
+// deliver commits one admitted batch to the output stream. The batch is
+// copied exactly once, straight into ring storage reserved by a write view;
+// best-effort links keep the PushN path because its shed policy is the
+// link's contract. A pooled buffer is recycled after delivery — together
+// with the write view that makes the decode buffer the only intermediate
+// the batch ever touches, counted in copiesSaved.
 func (s *Source[T]) deliver(out *Port, b sourceBatch[T]) error {
 	// Same-goroutine write: deliver and the push hook that reads
 	// stampTenant both run on the kernel's goroutine.
@@ -156,7 +152,7 @@ func (s *Source[T]) push(out *Port, vals []T) error {
 	if len(vals) == 0 {
 		return nil
 	}
-	if s.copyPush || !HasWriteViews[T](out) || isBestEffort(out) {
+	if isBestEffort(out) {
 		return PushN[T](out, vals)
 	}
 	off := 0
@@ -186,10 +182,6 @@ func (s *Source[T]) lease() []T {
 // CopiesSaved reports how many admitted batches avoided the per-request
 // intermediate allocation (pooled decode buffer + write-view delivery).
 func (s *Source[T]) CopiesSaved() uint64 { return s.copiesSaved.Load() }
-
-// SetCopyDelivery forces plain PushN delivery (no write views). This is
-// the copy arm of the A15 ablation; zero-copy delivery is the default.
-func (s *Source[T]) SetCopyDelivery(on bool) { s.copyPush = on }
 
 // Finalize marks the kernel stopped, failing any inject still in flight.
 func (s *Source[T]) Finalize() {

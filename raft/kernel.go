@@ -67,8 +67,8 @@ type KernelBase struct {
 	m *Map // owning map, set by Link
 
 	// windowed is set once any port is bound to a stream with port windows
-	// (the default ring); a kernel whose streams are all lock-free or
-	// custom queues never has a window to retire.
+	// (the default ring); a kernel whose streams are all lock-free never
+	// has a window to retire.
 	windowed bool
 
 	// Latency-marker carriage (see marker.go): marks is the execution's
@@ -269,32 +269,8 @@ func newPort[T any](name string, dir Direction) *Port {
 			}
 			return r, r
 		},
-		move:         moveItems[T],
+		mover:        moveView[T],
 		moveBlocking: moveItemsBlocking[T],
-		mkMover: func(scratch int) func(src, dst any, max int, block bool) (int, error) {
-			if scratch < 1 {
-				scratch = 1
-			}
-			// Scratch is allocated lazily: both built-in queue kinds take
-			// the zero-copy view path (moveView), which never stages
-			// elements, so the buffers exist only for custom ProvideQueue
-			// queues without view support.
-			var vals []T
-			var sigs []Signal
-			return func(src, dst any, max int, block bool) (int, error) {
-				if max > scratch {
-					max = scratch // keep the framing ceiling of the scratch path
-				}
-				if n, err, ok := moveView[T](src, dst, max, block); ok {
-					return n, err
-				}
-				if vals == nil {
-					vals = make([]T, scratch)
-					sigs = make([]Signal, scratch)
-				}
-				return moveBatched[T](src, dst, max, block, vals, sigs)
-			}
-		},
 	}
 }
 

@@ -172,7 +172,7 @@ func (s *statsStreamer) snapshot() LiveStats {
 			OccP99:        stats.LogQuantile(tel.Occupancy[:], 0.99),
 			SpinYields:    tel.SpinYields,
 			SpinSleeps:    tel.SpinSleeps,
-			Dropped:       tel.Dropped,
+			Dropped:       tel.Drops(),
 			Batch:         l.Batch.Get(),
 		}
 		if s.est != nil {

@@ -179,7 +179,7 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 		{"raft_link_shrinks_total", "Monitor-driven capacity shrinks.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Shrinks }},
 		{"raft_link_spin_yields_total", "Lock-free back-off spin-to-yield escalations.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.SpinYields }},
 		{"raft_link_spin_sleeps_total", "Lock-free back-off yield-to-sleep escalations.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.SpinSleeps }},
-		{"raft_link_dropped_total", "Elements discarded by the best-effort overflow policy.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Dropped }},
+		{"raft_link_dropped_total", "Elements discarded by the best-effort overflow policy.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Drops() }},
 		{"raft_link_views_total", "Completed zero-copy borrow/release view cycles.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Views }},
 	}
 	for _, c := range linkCounters {
@@ -381,7 +381,7 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 		fmt.Fprintf(&b, "raft_trace_dropped_total %d\n", rec.Dropped())
 	}
 
-	// Scheduler activity (pool and work-stealing schedulers only; the
+	// Scheduler activity (work-stealing scheduler only; the
 	// default goroutine-per-kernel scheduler has no counters to report).
 	if sched != nil {
 		ss := sched.SchedStats()
@@ -398,7 +398,6 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 			{"raft_sched_parks_total", "Kernel park transitions (stalled, descheduled).", ss.Parks},
 			{"raft_sched_wakes_total", "Kernel wakes from link readiness hooks.", ss.Wakes},
 			{"raft_sched_rescues_total", "Watchdog rescues of parked kernels.", ss.Rescues},
-			{"raft_sched_stalled_passes_total", "Scheduling passes that made no progress.", ss.StalledPasses},
 		}
 		for _, c := range schedCounters {
 			counter(c.name, c.help)

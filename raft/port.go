@@ -60,19 +60,16 @@ type Port struct {
 	// mk allocates the stream queue for a link whose producer has this
 	// element type. Captured generically by AddInput/AddOutput.
 	mk func(capacity, maxCap int, lockFree bool) (ringbuffer.Queue, any)
-	// move transfers up to max elements from one typed queue to another
-	// (both must carry this port's element type). Non-blocking on the
-	// source; blocking on the destination. Used by the runtime's split and
-	// merge adapters so they can be built without knowing T.
-	move func(src, dst any, max int) (int, error)
+	// mover transfers up to max elements from one typed queue to another
+	// (both must carry this port's element type) as one frame: a borrowed
+	// view of the source's storage pushed into the destination (moveView).
+	// block selects whether it waits for the source's first element; it
+	// always waits for room at the destination. Used by the runtime's split
+	// and merge adapters so they can be built without knowing T.
+	mover func(src, dst any, max int, block bool) (int, error)
 	// moveBlocking transfers at least one element (blocking on the source
-	// for the first), then up to max total.
+	// for the first), then up to max total, element by element.
 	moveBlocking func(src, dst any, max int) (int, error)
-	// mkMover returns a batched transfer closure with its own scratch
-	// buffers of the given capacity: elements move src→dst as whole frames
-	// (one PopN/DrainTo plus one PushN) instead of element-wise. Adapters
-	// construct one mover each, so the scratch allocation happens once.
-	mkMover func(scratch int) func(src, dst any, max int, block bool) (int, error)
 
 	q     ringbuffer.Queue
 	typed any
@@ -80,7 +77,7 @@ type Port struct {
 	link  *Link
 	batch *core.BatchControl
 	// win is q's port-window surface, nil for a queue that has none (the
-	// lock-free ring, a custom ProvideQueue queue). The window itself lives
+	// lock-free ring). The window itself lives
 	// in the queue — the stream end — not here: several Port values may be
 	// bound to one end (a KernelGroup's members).
 	win ringbuffer.Windower
@@ -259,8 +256,8 @@ func (p *Port) retireWindow() {
 // retireOwner retires every window of the port's kernel. The default ring
 // does this itself before it makes a kernel wait; operations on any other
 // queue kind call it first, because they may wait and that queue cannot. A
-// kernel none of whose streams is windowed (every queue lock-free or
-// custom) has nothing to retire and pays one flag test.
+// kernel none of whose streams is windowed (every queue lock-free) has
+// nothing to retire and pays one flag test.
 func (p *Port) retireOwner() {
 	if p.owner != nil && p.owner.windowed {
 		p.owner.RetireWindows()
@@ -293,7 +290,7 @@ func (p *Port) BatchHint(def int) int {
 func (p *Port) cloneSpec(name string, dir Direction) *Port {
 	return &Port{
 		name: name, dir: dir, elem: p.elem,
-		mk: p.mk, move: p.move, moveBlocking: p.moveBlocking, mkMover: p.mkMover,
+		mk: p.mk, mover: p.mover, moveBlocking: p.moveBlocking,
 	}
 }
 
@@ -309,15 +306,14 @@ func typeMismatchPanic[T any](p *Port) error {
 }
 
 // queueOf extracts the typed queue interface from a port whose stream is
-// not the default ring (the lock-free ring, a custom ProvideQueue queue),
-// panicking with a descriptive message on element-type mismatch (a
-// programming error that link-time type checking cannot see because the
-// access type parameter is chosen at the call site). Asserting to a generic
-// interface makes the runtime search its itab table, which is why every
-// stream operation tries the default ring by concrete type first — two type
-// pointers compared — and comes here only when that fails. The binding is
-// read afresh each call, so a port rebound by a graph rewrite needs no
-// invalidation.
+// not the default ring (the lock-free ring), panicking with a descriptive
+// message on element-type mismatch (a programming error that link-time
+// type checking cannot see because the access type parameter is chosen at
+// the call site). Asserting to a generic interface makes the runtime search
+// its itab table, which is why every stream operation tries the default
+// ring by concrete type first — two type pointers compared — and comes here
+// only when that fails. The binding is read afresh each call, so a port
+// rebound by a graph rewrite needs no invalidation.
 func queueOf[T any](p *Port) typedQueue[T] {
 	p.mustBeBound()
 	q, ok := p.typed.(typedQueue[T])
@@ -656,75 +652,6 @@ func (a *Alloc[T]) Send() error {
 	}
 	a.sent = true
 	return PushSig(a.p, a.Val, a.Sig)
-}
-
-// moveItems transfers up to max elements between two queues of the same
-// element type without blocking on the source. It returns the number moved
-// and ErrClosed once the source is closed and drained.
-func moveItems[T any](src, dst any, max int) (int, error) {
-	s, ok := src.(typedQueue[T])
-	if !ok {
-		panic(misuse(ErrTypeMismatch, "internal transfer source type mismatch (%T)", src))
-	}
-	d := dst.(typedQueue[T])
-	moved := 0
-	for moved < max {
-		v, sig, ok, err := s.TryPop()
-		if err != nil {
-			return moved, err
-		}
-		if !ok {
-			return moved, nil
-		}
-		if err := d.Push(v, sig); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
-}
-
-// moveBatched transfers up to max elements src→dst as one frame: a single
-// PopN (block=true) or DrainTo (block=false) into the caller-owned scratch
-// buffers followed by a single PushN — two bulk queue operations per hop
-// instead of 2×n element operations. When either queue lacks the bulk
-// interface it falls back to the element-wise movers. max is capped at the
-// scratch capacity.
-func moveBatched[T any](src, dst any, max int, block bool, vals []T, sigs []Signal) (int, error) {
-	sb, sok := src.(bulkQueue[T])
-	db, dok := dst.(bulkQueue[T])
-	if !sok || !dok {
-		if block {
-			return moveItemsBlocking[T](src, dst, max)
-		}
-		return moveItems[T](src, dst, max)
-	}
-	if max > len(vals) {
-		max = len(vals)
-	}
-	if max < 1 {
-		max = 1
-	}
-	var (
-		n   int
-		err error
-	)
-	if block {
-		n, err = sb.PopN(vals[:max], sigs[:max])
-	} else {
-		n, err = sb.DrainTo(vals[:max], sigs[:max])
-	}
-	if n == 0 {
-		return 0, err
-	}
-	if err := db.PushN(vals[:n], sigs[:n]); err != nil {
-		return 0, err
-	}
-	var zero T
-	for i := 0; i < n; i++ {
-		vals[i] = zero // release references held by the scratch buffer
-	}
-	return n, nil
 }
 
 // moveItemsBlocking transfers at least one element (blocking on the source

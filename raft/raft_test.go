@@ -159,17 +159,6 @@ func TestSumApplication(t *testing.T) {
 	}
 }
 
-func TestSumApplicationPoolScheduler(t *testing.T) {
-	// Pool with enough workers that blocked kernels cannot starve the rest.
-	sink, rep := runSumApp(t, 5_000, WithPoolScheduler(4))
-	if len(sink.values()) != 5_000 {
-		t.Fatalf("received %d sums, want 5000", len(sink.values()))
-	}
-	if rep.Scheduler != "pool-4" {
-		t.Fatalf("scheduler = %q", rep.Scheduler)
-	}
-}
-
 func TestSumApplicationLockFreeQueues(t *testing.T) {
 	sink, _ := runSumApp(t, 5_000, WithLockFreeQueues())
 	if len(sink.values()) != 5_000 {

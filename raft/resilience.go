@@ -118,13 +118,6 @@ func WithCheckpointStore(s CheckpointStore) Option {
 	}
 }
 
-// WithCheckpointEvery sets the snapshot period in successful invocations
-// (default 1). Larger periods cost less but may re-process up to n-1
-// inputs' worth of state mutation after a restart.
-func WithCheckpointEvery(n uint64) Option {
-	return func(c *Config) { c.CkptEvery = n }
-}
-
 // WithFaultInjection installs an armed fault plan. Injected kernel kills
 // panic at the top of the chosen invocation (before any input is popped),
 // so a supervised run recovers them losslessly; bridge faults fire at
@@ -184,9 +177,8 @@ func wireActorResilience(cfg *Config, k Kernel, a *core.Actor) {
 	store := cfg.resStore
 	kb := k.kernelBase()
 	hooks := resilience.Hooks{
-		CheckpointEvery: cfg.CkptEvery,
-		OnExhausted:     kb.Raise,
-		Log:             cfg.resLog,
+		OnExhausted: kb.Raise,
+		Log:         cfg.resLog,
 	}
 	if ck, ok := k.(Checkpointable); ok {
 		name := a.Name

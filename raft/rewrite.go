@@ -9,7 +9,6 @@ import (
 
 	"raftlib/internal/core"
 	"raftlib/internal/graph"
-	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 )
 
@@ -377,13 +376,8 @@ func (t *Tx) pickPort(kb *KernelBase, dir Direction, name string) (*Port, error)
 
 // stagedLink is one allocated-but-not-yet-live stream.
 type stagedLink struct {
-	l     *Link
-	li    *core.LinkInfo
-	q     ringbuffer.Queue
-	typed any
-	async *asyncCell
-	bc    *core.BatchControl
-	lane  *trace.MarkerLane
+	stream
+	l *Link
 	// srcDefer/dstDefer mark endpoints owned by continuing kernels, which
 	// are rebound at the seal (producer, under gate) or by the kernel
 	// itself (consumer, via Port.pending) instead of immediately.
@@ -591,73 +585,20 @@ func (ex *Execution) buildAdditions(t *Tx, epoch int64) (*built, error) {
 		}
 	}
 
-	// Allocate every staged stream (same policy as the initial allocate).
+	// Allocate every staged stream (the initial allocate's newStream).
 	for _, l := range t.addLinks {
-		capacity := l.capacity
-		if capacity <= 0 {
-			capacity = cfg.DefaultCapacity
-		}
-		maxCap := l.maxCap
-		if maxCap <= 0 {
-			maxCap = cfg.MaxCapacity
-		}
-		var q ringbuffer.Queue
-		var typed any
-		resizable := true
-		if qp, ok := l.Src.(QueueProvider); ok {
-			if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
-				q, typed = pq, pt
-				resizable = false
-			}
-		}
-		if q == nil {
-			q, typed = l.SrcPort.mk(capacity, maxCap, cfg.LockFree || l.lockFree)
-		}
-		if l.bestEffort {
-			if be, ok := q.(interface{ SetBestEffort(bool) }); ok {
-				be.SetBestEffort(true)
-			}
-		}
-		bc := &core.BatchControl{}
-		if l.lowLatency {
-			bc.Pin(1)
-		}
-		name := fmt.Sprintf("%s.%s->%s.%s", l.Src.kernelBase().Name(), l.SrcPort.name,
-			l.Dst.kernelBase().Name(), l.DstPort.name)
-		var lane *trace.MarkerLane
-		if cfg.markers != nil {
-			lane = trace.NewMarkerLane(name)
-			// Marker plumbing is only written on kernels added by this
-			// transaction: continuing endpoints already carry it from their
-			// original allocation, and they are live — writing here would
-			// race their stamping hot path.
-			src := l.Src.kernelBase()
-			if added[src] {
-				src.marks = cfg.markers
-				if len(src.ins) == 0 && !src.markForward && l.SrcPort.stampEvery == 0 {
-					l.SrcPort.stampEvery = cfg.markers.dom.Stride()
-					l.SrcPort.stampLeft = l.SrcPort.stampEvery
-					l.SrcPort.stampSource = src.Name()
-				}
-			}
-			if dst := l.Dst.kernelBase(); added[dst] {
-				dst.marks = cfg.markers
-			}
-		}
+		src, dst := l.Src.kernelBase(), l.Dst.kernelBase()
 		s := &stagedLink{
-			l: l, q: q, typed: typed, async: &asyncCell{}, bc: bc, lane: lane,
-			srcDefer: !added[l.Src.kernelBase()],
-			dstDefer: !added[l.Dst.kernelBase()],
+			stream: newStream(cfg, l, nextLinkID), l: l,
+			srcDefer: !added[src],
+			dstDefer: !added[dst],
 		}
-		s.li = &core.LinkInfo{
-			ID:              nextLinkID,
-			Name:            name,
-			Queue:           q,
-			ResizeEnabled:   resizable,
-			MaxCap:          maxCap,
-			Batch:           bc,
-			LatencyPriority: l.lowLatency,
-			BestEffort:      l.bestEffort,
+		// Marker plumbing is only written on kernels added by this
+		// transaction: continuing endpoints already carry it from their
+		// original allocation, and they are live — writing here would race
+		// their stamping hot path.
+		if cfg.markers != nil {
+			rigMarkers(cfg.markers, l, added[src], added[dst])
 		}
 		nextLinkID++
 		b.staged = append(b.staged, s)
@@ -666,14 +607,10 @@ func (ex *Execution) buildAdditions(t *Tx, epoch int64) (*built, error) {
 	// Bind new-kernel endpoints now; stage continuing ones.
 	for _, s := range b.staged {
 		if !s.srcDefer {
-			p := s.l.SrcPort
-			p.bind(s.q, s.typed, s.async)
-			p.link, p.batch, p.lane = s.l, s.bc, s.lane
+			s.bindPort(s.l.SrcPort, s.l)
 		}
 		if !s.dstDefer {
-			p := s.l.DstPort
-			p.bind(s.q, s.typed, s.async)
-			p.link, p.batch, p.lane = s.l, s.bc, s.lane
+			s.bindPort(s.l.DstPort, s.l)
 		} else {
 			s.pending = &pendingRebind{
 				q: s.q, typed: s.typed, async: s.async,
@@ -878,9 +815,7 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 	// All affected producers are at step boundaries (or finished): splice.
 	for _, kb := range producers {
 		for _, s := range rebinds[kb] {
-			p := s.l.SrcPort
-			p.bind(s.q, s.typed, s.async)
-			p.link, p.batch, p.lane = s.l, s.bc, s.lane
+			s.bindPort(s.l.SrcPort, s.l)
 		}
 		for _, li := range sealQ[kb] {
 			li.Queue.Close()

@@ -27,7 +27,6 @@ func TestRunsExactUnderSampledTiming(t *testing.T) {
 		kills int64
 	}{
 		{"goroutine", nil, 0},
-		{"pool", []Option{WithPoolScheduler(2)}, 0},
 		{"worksteal", []Option{WithWorkStealing(2)}, 0},
 		{"supervised-restart", []Option{WithSupervision(SupervisionPolicy{InitialBackoff: time.Microsecond})}, 1},
 	}

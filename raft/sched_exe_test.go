@@ -129,15 +129,14 @@ func TestWorkStealSupervisionRestartBudget(t *testing.T) {
 }
 
 // TestCheckpointResumeUnderPooledSchedulers re-runs the cross-execution
-// checkpoint resume scenario under both pooled scheduling strategies: the
-// persisted counter must survive an injected kill and carry across
-// executions regardless of which scheduler drives the kernels.
+// checkpoint resume scenario under the work-stealing scheduler, whose
+// workers multiplex kernels: the persisted counter must survive an
+// injected kill and carry across executions there too.
 func TestCheckpointResumeUnderPooledSchedulers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  Option
 	}{
-		{"pool", WithPoolScheduler(2)},
 		{"worksteal", WithWorkStealing(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,9 +37,9 @@ func (p SplitPolicy) String() string {
 // policy decision without harming balance.
 const splitBatch = 16
 
-// adapterScratch sizes the scratch buffers of an adapter's batched mover —
-// the ceiling on a single framed transfer regardless of the batch hint.
-const adapterScratch = 256
+// adapterFrame is the ceiling on a single framed adapter transfer,
+// regardless of the batch hint.
+const adapterFrame = 256
 
 // splitKernel distributes one input stream across up to width output
 // streams, honoring a dynamically adjustable active width (the monitor's
@@ -49,9 +49,6 @@ type splitKernel struct {
 	policy SplitPolicy
 	active atomic.Int32
 	rr     int
-	// mover is the batched transfer closure (one PopN + one PushN per hop)
-	// built from the port spec; its scratch buffers are allocated once here.
-	mover func(src, dst any, max int, block bool) (int, error)
 }
 
 // newSplitFromSpec builds a split whose ports replicate the element type of
@@ -60,9 +57,6 @@ type splitKernel struct {
 func newSplitFromSpec(spec *Port, width int, policy SplitPolicy, initialActive int) *splitKernel {
 	s := &splitKernel{policy: policy}
 	s.SetName("split")
-	if spec.mkMover != nil {
-		s.mover = spec.mkMover(adapterScratch)
-	}
 	s.addPort(spec.cloneSpec("in", In))
 	for i := 0; i < width; i++ {
 		s.addPort(spec.cloneSpec(strconv.Itoa(i), Out))
@@ -104,22 +98,12 @@ func NewSplit[T any](width int, policy SplitPolicy) Kernel {
 func (s *splitKernel) Run() Status {
 	in := s.In("in")
 	out, batch := s.pick(in.BatchHint(splitBatch))
-	if s.mover != nil {
-		n, err := s.mover(in.typed, out.typed, batch, true)
-		if n > 0 {
-			forwardMarks(in, out)
-		}
-		if err != nil {
-			return Stop // input drained (or a downstream queue force-closed)
-		}
-		return Proceed
-	}
-	n, err := in.moveBlocking(in.typed, out.typed, batch)
+	n, err := in.mover(in.typed, out.typed, min(batch, adapterFrame), true)
 	if n > 0 {
 		forwardMarks(in, out)
 	}
 	if err != nil {
-		return Stop
+		return Stop // input drained (or a downstream queue force-closed)
 	}
 	return Proceed
 }
@@ -169,9 +153,6 @@ type mergeKernel struct {
 	KernelBase
 	next int
 	idle int
-	// mover frames each input sweep (one DrainTo + one PushN per input)
-	// instead of ping-ponging TryPop/Push element-wise.
-	mover func(src, dst any, max int, block bool) (int, error)
 }
 
 // newMergeFromSpec builds a merge whose ports replicate the element type of
@@ -179,9 +160,6 @@ type mergeKernel struct {
 func newMergeFromSpec(spec *Port, width int) *mergeKernel {
 	m := &mergeKernel{}
 	m.SetName("merge")
-	if spec.mkMover != nil {
-		m.mover = spec.mkMover(adapterScratch)
-	}
 	for i := 0; i < width; i++ {
 		m.addPort(spec.cloneSpec(strconv.Itoa(i), In))
 	}
@@ -205,20 +183,14 @@ func NewMerge[T any](width int) Kernel {
 func (m *mergeKernel) Run() Status {
 	out := m.Out("out")
 	ins := m.InPorts()
-	hint := out.BatchHint(splitBatch)
+	hint := min(out.BatchHint(splitBatch), adapterFrame)
 	moved := 0
 	open := 0
 	for i := range ins {
 		in := ins[(m.next+i)%len(ins)]
-		var (
-			n   int
-			err error
-		)
-		if m.mover != nil {
-			n, err = m.mover(in.typed, out.typed, hint, false)
-		} else {
-			n, err = in.move(in.typed, out.typed, hint)
-		}
+		// One framed transfer per input per sweep, never waiting on an
+		// empty input.
+		n, err := in.mover(in.typed, out.typed, hint, false)
 		if n > 0 {
 			forwardMarks(in, out)
 		}

@@ -13,11 +13,11 @@ import "raftlib/internal/ringbuffer"
 // mirror: decoded or generated batches are materialized straight into the
 // queue's free region and published with ReleaseWriteView.
 //
-// Both built-in queue kinds support views; a custom queue installed via
-// ProvideQueue may not, so callers either check HasViews first or use the
-// kernels'/movers' built-in PopN fallback. The borrow discipline (one view
-// per side, release exactly once, slices invalid after release) is
-// documented on the ringbuffer package.
+// Every queue a port can be bound to supports views: both ring kinds, and
+// the slice-backed ring a QueueProvider hands out (ProvideQueue returns an
+// internal/ringbuffer type, so no other queue can reach a port). The borrow
+// discipline (one view per side, release exactly once, slices invalid after
+// release) is documented on the ringbuffer package.
 
 // View is a borrowed read window over stream storage: up to two contiguous
 // value segments with their aligned signal segments. A nil signal segment
@@ -99,38 +99,20 @@ type writeViewQueue[T any] interface {
 	ReleaseWriteView(int)
 }
 
-// HasViews reports whether the stream attached to the port supports
-// zero-copy batch views (true for both built-in queue kinds; false for a
-// custom ProvideQueue queue that lacks the surface, where callers fall back
-// to PopN/PushN).
-func HasViews[T any](p *Port) bool {
-	p.mustBeBound()
-	_, ok := p.typed.(viewQueue[T])
-	return ok
-}
-
-// HasWriteViews reports whether the stream attached to the port supports
-// producer-side write views.
-func HasWriteViews[T any](p *Port) bool {
-	p.mustBeBound()
-	_, ok := p.typed.(writeViewQueue[T])
-	return ok
-}
-
-// bestEffortQueue is implemented by both built-in queue kinds; a best-effort
-// link's shed policy lives in PushN, so view-based producers route around
-// write views there.
+// bestEffortQueue is implemented by both ring kinds; a best-effort link's
+// shed policy lives in PushN, so view-based producers route around write
+// views there.
 type bestEffortQueue interface{ BestEffort() bool }
 
 // isBestEffort reports whether the port's stream runs a best-effort
-// overflow policy (false for custom queues that do not expose one).
+// overflow policy.
 func isBestEffort(p *Port) bool {
 	q, ok := p.typed.(bestEffortQueue)
 	return ok && q.BestEffort()
 }
 
 // viewOf extracts the view surface, panicking with a descriptive message on
-// element-type mismatch or an unsupported queue.
+// element-type mismatch.
 func viewOf[T any](p *Port) viewQueue[T] {
 	if r, ok := retired[T](p); ok {
 		return r // concrete-type fast path, port window retired: see bulkOf
@@ -138,9 +120,6 @@ func viewOf[T any](p *Port) viewQueue[T] {
 	p.mustBeBound()
 	q, ok := p.typed.(viewQueue[T])
 	if !ok {
-		if _, isT := p.typed.(typedQueue[T]); isT {
-			panic(misuse(ErrTypeMismatch, "view access on port %s requires a queue with batch views (check HasViews)", p))
-		}
 		panic(typeMismatchPanic[T](p))
 	}
 	p.retireOwner()
@@ -155,9 +134,6 @@ func writeViewOf[T any](p *Port) writeViewQueue[T] {
 	p.mustBeBound()
 	q, ok := p.typed.(writeViewQueue[T])
 	if !ok {
-		if _, isT := p.typed.(typedQueue[T]); isT {
-			panic(misuse(ErrTypeMismatch, "view access on port %s requires a queue with batch views (check HasViews)", p))
-		}
 		panic(typeMismatchPanic[T](p))
 	}
 	p.retireOwner()
@@ -230,16 +206,10 @@ func ReleaseWriteView[T any](p *Port, n int) {
 
 // moveView transfers up to max elements src→dst by borrowing the source's
 // storage: one AcquireView, one PushN per segment (the only copy on the
-// hop), one release. ok is false when either queue lacks the needed surface
-// and the caller should fall back to the scratch-buffer mover. Unlike the
-// scratch path, a destination failure mid-hop leaves the undelivered
+// hop), one release. A destination failure mid-hop leaves the undelivered
 // elements in the source queue.
-func moveView[T any](src, dst any, max int, block bool) (n int, err error, ok bool) {
-	sv, sok := src.(viewQueue[T])
-	db, dok := dst.(bulkQueue[T])
-	if !sok || !dok {
-		return 0, nil, false
-	}
+func moveView[T any](src, dst any, max int, block bool) (n int, err error) {
+	sv, db := src.(viewQueue[T]), dst.(bulkQueue[T])
 	if max < 1 {
 		max = 1
 	}
@@ -250,21 +220,21 @@ func moveView[T any](src, dst any, max int, block bool) (n int, err error, ok bo
 		v, err = sv.TryAcquireView(max)
 	}
 	if v.Len() == 0 {
-		return 0, err, true
+		return 0, err
 	}
 	if perr := db.PushN(v.Vals, v.Sigs); perr != nil {
 		sv.ReleaseView(0)
-		return 0, perr, true
+		return 0, perr
 	}
 	if len(v.Vals2) > 0 {
 		if perr := db.PushN(v.Vals2, v.Sigs2); perr != nil {
 			sv.ReleaseView(len(v.Vals)) // the first segment was delivered
-			return len(v.Vals), perr, true
+			return len(v.Vals), perr
 		}
 	}
 	n = v.Len()
 	sv.ReleaseView(n)
-	return n, err, true
+	return n, err
 }
 
 // NewBatchLambda builds a 1-in/1-out kernel that processes the stream one
@@ -276,8 +246,7 @@ func moveView[T any](src, dst any, max int, block bool) (n int, err error, ok bo
 // signals; a filter must carry any dropped element's non-SigNone signal
 // onto an emitted element itself, or the signal is lost. batch bounds the
 // borrow size (the adaptive batcher's per-link hint, when present,
-// overrides it). On queues without view support the kernel falls back to
-// PopNSig into kernel-owned scratch — fn's contract is identical.
+// overrides it).
 //
 // State captured by fn is subject to the lambda-replication caveat; use
 // NewLambdaCloneable with a maker that calls NewBatchLambda for a
@@ -286,7 +255,6 @@ func NewBatchLambda[T any](batch int, fn func(vals []T, sigs []Signal) int) *Lam
 	if batch < 1 {
 		batch = 1
 	}
-	var scratchV []T
 	var scratchS []Signal
 	l := &LambdaKernel{}
 	l.SetName("batch_lambdak")
@@ -314,51 +282,24 @@ func NewBatchLambda[T any](batch int, fn func(vals []T, sigs []Signal) int) *Lam
 		if max < 1 {
 			max = 1
 		}
-		if HasViews[T](in) {
-			v, err := PopView[T](in, max)
-			if v.Len() == 0 {
-				_ = err // blocking PopView returns elements or ErrClosed
-				return Stop
-			}
-			emit := func(vals, vals2 []T, sigs, sigs2 []Signal) bool {
-				if len(vals) > 0 {
-					ss := sigsFor(sigs, len(vals))
-					if keep := fn(vals, ss); keep > 0 {
-						if err := PushNSig(out, vals[:keep], ss[:keep]); err != nil {
-							return false
-						}
-					}
-				}
-				if len(vals2) > 0 {
-					ss := sigsFor(sigs2, len(vals2))
-					if keep := fn(vals2, ss); keep > 0 {
-						if err := PushNSig(out, vals2[:keep], ss[:keep]); err != nil {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			ok := emit(v.Vals, v.Vals2, v.Sigs, v.Sigs2)
-			ReleaseView[T](in, v.Len())
-			if !ok {
-				return Stop
-			}
-			return Proceed
-		}
-		if cap(scratchV) < max {
-			scratchV = make([]T, max)
-		}
-		sigs := sigsFor(nil, max)
-		n, err := PopNSig[T](in, scratchV[:max], sigs)
-		if n == 0 {
-			_ = err
+		v, err := PopView[T](in, max)
+		if v.Len() == 0 {
+			_ = err // blocking PopView returns elements or ErrClosed
 			return Stop
 		}
-		if keep := fn(scratchV[:n], sigs[:n]); keep > 0 {
-			if err := PushNSig(out, scratchV[:keep], sigs[:keep]); err != nil {
-				return Stop
+		// emit runs fn over one segment and pushes the kept prefix.
+		emit := func(vals []T, sigs []Signal) bool {
+			if len(vals) == 0 {
+				return true
 			}
+			ss := sigsFor(sigs, len(vals))
+			keep := fn(vals, ss)
+			return keep == 0 || PushNSig(out, vals[:keep], ss[:keep]) == nil
+		}
+		ok := emit(v.Vals, v.Sigs) && emit(v.Vals2, v.Sigs2)
+		ReleaseView[T](in, v.Len())
+		if !ok {
+			return Stop
 		}
 		return Proceed
 	}

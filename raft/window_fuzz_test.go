@@ -41,9 +41,8 @@ type windowRig struct {
 	rings      []*ringbuffer.Ring[int64]
 	staged     *pendingRebind // the last splice's consumer-side binding
 	bestEffort bool
-	// shed counts elements a best-effort stream refused outright. They are
-	// in Dropped but were never in Pushes (ROADMAP item 1 splits the
-	// counter); the balance below takes them out again.
+	// shed counts elements a best-effort stream refused outright: the
+	// streams' Telemetry.Shed, never in Pushes.
 	shed uint64
 }
 
@@ -101,15 +100,20 @@ func (g *windowRig) splice(capacity int) {
 // may be called only when neither end holds a window.
 func (g *windowRig) balanced(where string) {
 	g.t.Helper()
+	var shed uint64
 	for i, r := range g.rings {
 		tel := r.Telemetry().Snapshot()
 		if r.WindowPos(true) != 0 || r.WindowPos(false) != 0 {
 			g.t.Fatalf("%s: stream %d still has a window out", where, i)
 		}
-		if got, want := tel.Pushes, tel.Pops+tel.Dropped-g.shed+uint64(r.Len()); got != want {
+		if got, want := tel.Pushes, tel.Pops+tel.Evicted+uint64(r.Len()); got != want {
 			g.t.Fatalf("%s: stream %d: pushes %d != pops %d + evicted %d + resident %d",
-				where, i, tel.Pushes, tel.Pops, tel.Dropped-g.shed, r.Len())
+				where, i, tel.Pushes, tel.Pops, tel.Evicted, r.Len())
 		}
+		shed += tel.Shed
+	}
+	if shed != g.shed {
+		g.t.Fatalf("%s: streams shed %d, the model %d", where, shed, g.shed)
 	}
 }
 
