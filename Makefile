@@ -178,7 +178,7 @@ ci-sched:
 # asserts on every run; the splice-pause and untouched-throughput bars
 # warn on small runners and are enforced by the nightly perf-bars job.
 ci-graph:
-	$(GO) test -race -count=3 -run 'Rewrite|Template' ./raft/
+	$(GO) test -race -count=3 -run 'Exe|Validate|Rewrite|Template' ./raft/
 	$(GO) test -race -run 'ChaosTextsearchExactAcrossMidRunSplice' .
 	$(GO) run ./cmd/raft-bench -ablate graph -items 500000 -seed $(CI_SEED)
 

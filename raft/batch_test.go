@@ -171,10 +171,14 @@ func TestAsLowLatencyPinsBatch(t *testing.T) {
 	if !l.LowLatency() {
 		t.Fatal("link not marked low-latency")
 	}
-	infos, err := m.allocate(&Config{DefaultCapacity: 8})
+	ex, err := m.ExeAsync(WithDefaultCapacity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ex.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	infos := ex.reg.linkInfoList()
 	if !infos[0].LatencyPriority {
 		t.Fatal("LinkInfo.LatencyPriority not set")
 	}

@@ -150,9 +150,10 @@ type Config struct {
 
 	// resLog collects supervision events during one Exe for the Report.
 	resLog *resilience.Log
-	// resStore is the resolved checkpoint store for this execution; set by
-	// wireResilience, or lazily by the template manager so scale-to-zero
-	// reaping can checkpoint instances even in unsupervised runs.
+	// resStore is the execution's checkpoint store, resolved once when the
+	// execution is created: CkptStore, else a file store over CkptDir, else
+	// an in-memory store. Every Checkpointable kernel restores from it
+	// before its first step, and scale-to-zero reaping saves into it.
 	resStore CheckpointStore
 	// markers is this execution's latency-marker rig (domain + bus), built
 	// from MarkerStride; flight is the armed flight recorder, if any.
@@ -613,22 +614,23 @@ func (m *Map) Exe(opts ...Option) (*Report, error) {
 // transactions that add and remove kernels and links under graph epochs
 // while the rest of the application keeps streaming.
 type Execution struct {
-	m       *Map
-	cfg     *Config
-	g       *graph.Graph
-	assign  mapper.Assignment
-	rec     *trace.Recorder
-	stride  int
-	mon     *monitor.Monitor
-	dw      *monitor.DeadlockWatch
-	est     *qmodel.Estimator
-	sched   scheduler.Scheduler
-	spawn   scheduler.Spawner
+	m      *Map
+	cfg    *Config
+	g      *graph.Graph
+	assign mapper.Assignment
+	rec    *trace.Recorder
+	stride int
+	mon    *monitor.Monitor
+	dw     *monitor.DeadlockWatch
+	est    *qmodel.Estimator
+	sched  interface {
+		scheduler.Scheduler
+		scheduler.Spawner
+	}
 	ws      *scheduler.WorkSteal
 	scalers []*groupScaler
 	health  *execHealth
 	msrv    *metricsServer
-	start   time.Time
 
 	reg  *registry
 	rw   *Rewriter
@@ -655,11 +657,7 @@ func (ex *Execution) Rewriter() *Rewriter { return ex.rw }
 func (ex *Execution) Wait() (*Report, error) {
 	<-ex.done
 	ex.repOnce.Do(func() {
-		actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
-		rep := ex.m.buildReport(ex.g, *ex.cfg, ex.assign, actors, links,
-			ex.mon, ex.scalers, ex.est, ex.sched, ex.elapsed)
-		rep.Trace = ex.rec
-		ex.reg.stampReport(rep)
+		rep := ex.buildReport()
 		if ex.cfg.Gateway != nil {
 			rep.Gateway = gatewayReport(ex.cfg.Gateway)
 		}
@@ -672,11 +670,12 @@ func (ex *Execution) Wait() (*Report, error) {
 	return ex.rep, ex.runErr
 }
 
-// ExeAsync is Exe without the blocking half: it performs verification,
-// the auto-replication rewrite, allocation, mapping and scheduling, then
-// returns while the application runs. The handle's Rewriter can splice
-// kernels and links into (and out of) the running graph; Wait completes
-// the execution exactly as Exe would have.
+// ExeAsync is Exe without the blocking half: it performs the
+// auto-replication rewrite, commits the whole map as epoch 0 of the graph
+// (verification, mapping, allocation, actors), starts the runtime services
+// and the scheduler, then returns while the application runs. The handle's
+// Rewriter can splice kernels and links into (and out of) the running
+// graph; Wait completes the execution exactly as Exe would have.
 func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	if m.executed {
 		return nil, fmt.Errorf("%w (kernels and streams are single-use; build a fresh Map)", ErrAlreadyExecuted)
@@ -690,7 +689,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		cfg.Topology = mapper.NewLocal(runtime.GOMAXPROCS(0), 1)
 	}
 
-	// 1. Auto-replication rewrite (before any allocation).
+	// 1. Auto-replication rewrites the map itself, before anything is built.
 	var scalers []*groupScaler
 	if cfg.AutoReplicate && cfg.MaxReplicas > 1 {
 		var err error
@@ -700,24 +699,23 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		}
 	}
 
-	// 2. Structural verification.
-	g, err := m.buildGraph()
-	if err != nil {
-		return nil, err
+	// 2. The empty execution epoch 0 commits into: the checkpoint store, the
+	// latency-marker rig, the trace recorder, an empty registry and the
+	// rewriter.
+	cfg.resStore = cfg.CkptStore
+	if cfg.resStore == nil && cfg.CkptDir != "" {
+		fs, err := resilience.NewFileStore(cfg.CkptDir)
+		if err != nil {
+			return nil, err
+		}
+		cfg.resStore = fs
 	}
-	if err := g.Verify(); err != nil {
-		return nil, err
+	if cfg.resStore == nil {
+		cfg.resStore = resilience.NewMemStore()
 	}
-
-	// 3. Mapping.
-	assignment, err := mapper.Assign(g, cfg.Topology)
-	if err != nil {
-		return nil, err
+	if cfg.Supervised {
+		cfg.resLog = &resilience.Log{}
 	}
-
-	// 4. Stream allocation (with the latency-marker rig, when markers are
-	// on — allocate installs one lane per link and the rig on every
-	// endpoint kernel).
 	if cfg.MarkerStride >= 0 {
 		stride := cfg.MarkerStride
 		if stride == 0 {
@@ -725,46 +723,57 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		}
 		cfg.markers = &markerRig{dom: trace.NewMarkerDomain(stride)}
 	}
-	linkInfos, err := m.allocate(&cfg)
-	if err != nil {
-		return nil, err
+	ex := &Execution{
+		m: m, cfg: &cfg, scalers: scalers,
+		stride: cfg.TraceStride,
+		reg:    &registry{},
+		done:   make(chan struct{}),
 	}
-	for _, s := range scalers {
-		s.attachLinks(linkInfos)
+	if ex.stride < 1 {
+		ex.stride = DefaultTraceStride
 	}
-
-	// 5. Actors.
-	var rec *trace.Recorder
 	if cfg.TraceCapacity > 0 {
-		rec = trace.NewRecorder(cfg.TraceCapacity)
-	}
-	stride := cfg.TraceStride
-	if stride < 1 {
-		stride = DefaultTraceStride
+		ex.rec = trace.NewRecorder(cfg.TraceCapacity)
 	}
 	if cfg.markers != nil {
-		cfg.markers.rec = rec
+		cfg.markers.rec = ex.rec
 	}
-	actors := m.buildActors(assignment, rec, stride)
-	if cfg.Fault != nil || cfg.Supervised {
-		if err := m.wireResilience(&cfg, actors); err != nil {
-			return nil, err
-		}
-	}
-
-	// 5a. Runtime registry: the live kernel/link book the rewriter, the
-	// abort pathway and the report build all read, since the static slices
-	// above stop being the whole story once a rewrite commits.
-	reg := newRegistry(m, actors, linkInfos, scalers)
+	ex.rw = &Rewriter{ex: ex}
+	ex.tmpl = newTemplateSet(ex)
 	// Global exception pathway: a kernel Raise force-closes every stream
 	// (including dynamically spliced ones) so the whole application
 	// unblocks and stops.
-	m.setAbort(reg.closeAllQueues)
+	m.setAbort(ex.reg.closeAllQueues)
 
-	// 5b. Flight recorder and latency SLO. The recorder taps the trace bus
-	// for anomaly kinds (deadlock, escalation, shed storm, SLO breach); a
-	// breach itself is detected at marker retirement and published as an
-	// SLOBreach event, so the tap sees it like any other anomaly.
+	// 3. Epoch 0: every kernel and link of the map, as one transaction
+	// against the empty graph. Map.Link has already resolved ports, checked
+	// types and inserted converters, so the links are staged as they are.
+	// The mapper places the validated graph ("the graph is first checked to
+	// ensure it is fully connected", §4.2).
+	tx := &Tx{addKernels: m.kernels, addLinks: m.links}
+	var err error
+	if ex.g, err = tx.validate(ex.reg); err != nil {
+		return nil, err
+	}
+	if ex.assign, err = mapper.Assign(ex.g, cfg.Topology); err != nil {
+		return nil, err
+	}
+	ex.build(tx, ex.assign)
+
+	// 4. Runtime services, constructed from the registry epoch 0 filled.
+	actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
+	coreScalers := make([]core.Scaler, len(scalers))
+	for i, s := range scalers {
+		coreScalers[i] = s
+		s.attachLinks(links)
+		s.resolveWorkers(m.index)
+	}
+
+	// Flight recorder and latency SLO. The recorder taps the trace bus for
+	// anomaly kinds (deadlock, escalation, shed storm, SLO breach); a breach
+	// itself is detected at marker retirement and published as an SLOBreach
+	// event, so the tap sees it like any other anomaly.
+	rec := ex.rec
 	if cfg.FlightPath != "" && rec != nil {
 		var dom *trace.MarkerDomain
 		if cfg.markers != nil {
@@ -779,10 +788,10 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		rec.Watch(cfg.flight.Observe)
 	}
 	if cfg.SLO > 0 && cfg.markers != nil {
-		breachRec, fl := rec, cfg.flight
+		fl := cfg.flight
 		cfg.markers.dom.SetSLO(cfg.SLO, func(mk *trace.Marker, e2e time.Duration) {
-			if breachRec != nil {
-				breachRec.Emit(trace.Event{Actor: -1, Kind: trace.SLOBreach,
+			if rec != nil {
+				rec.Emit(trace.Event{Actor: -1, Kind: trace.SLOBreach,
 					At: time.Now().UnixNano(), Prev: int64(mk.ID), Arg: int64(e2e),
 					Label: mk.Flow()})
 			} else if fl != nil {
@@ -792,31 +801,23 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		})
 	}
 
-	// 6. Monitor (and the rate estimator it drives, when requested).
-	var mon *monitor.Monitor
-	coreScalers := make([]core.Scaler, len(scalers))
-	for i, s := range scalers {
-		coreScalers[i] = s
-		s.resolveWorkers(m.index)
-	}
-	var est *qmodel.Estimator
+	// Monitor (and the rate estimator it drives, when requested).
 	if cfg.ServiceRateControl {
-		est = buildEstimator(actors, linkInfos, rec)
+		ex.est = buildEstimator(actors, links, rec)
 	}
-	var dw *monitor.DeadlockWatch
 	if cfg.MonitorEnabled {
-		mon = monitor.New(monitor.Config{
+		ex.mon = monitor.New(monitor.Config{
 			Delta:         cfg.MonitorDelta,
 			Resize:        cfg.DynamicResize,
 			AutoScale:     cfg.AutoScale,
 			AdaptiveBatch: cfg.AdaptiveBatch,
 			BatchMax:      cfg.BatchMax,
 			Trace:         rec,
-			Rates:         est,
+			Rates:         ex.est,
 			RateControl:   cfg.ServiceRateControl,
-		}, linkInfos, coreScalers)
+		}, links, coreScalers)
 		if cfg.DeadlockGrace > 0 {
-			dw = monitor.NewDeadlockWatch(actors, linkInfos, cfg.DeadlockGrace,
+			ex.dw = monitor.NewDeadlockWatch(actors, links, cfg.DeadlockGrace,
 				func(diag string) {
 					m.exc.mu.Lock()
 					if m.exc.err == nil {
@@ -829,110 +830,81 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 					if cfg.flight != nil {
 						cfg.flight.Trigger("deadlock detected: " + diag)
 					}
-					reg.closeAllQueues()
+					ex.reg.closeAllQueues()
 				})
-			mon.SetDeadlockWatch(dw)
+			ex.mon.SetDeadlockWatch(ex.dw)
 		}
-		mon.Start()
-	}
-
-	// 6b. Ingestion gateway: bind each registered source to its engine link
-	// so admission control sees live occupancy, rates and replica width.
-	if cfg.Gateway != nil {
-		if err := m.wireGateway(&cfg, linkInfos, scalers, est, rec); err != nil {
-			if mon != nil {
-				mon.Stop()
-			}
-			return nil, err
-		}
-	}
-
-	// 7. Scheduler selection — before the metrics endpoint and the stats
-	// streamer start, so both can poll the scheduler's counters mid-run.
-	// Every scheduler is constructed through its New* constructor so it
-	// implements Spawner and can adopt kernels spliced in by a rewrite.
-	var sched scheduler.Scheduler = scheduler.NewGoroutine()
-	var ws *scheduler.WorkSteal
-	if cfg.WorkStealing {
-		ws = scheduler.NewWorkSteal(cfg.StealWorkers)
-		ws.AttachLinks(linkInfos)
-		ws.AttachTopology(cfg.Topology)
-		if rec != nil {
-			ws.AttachTrace(rec)
-		}
-		sched = ws
-	}
-	schedStats, _ := sched.(scheduler.StatsReporter)
-
-	// Runtime services up (metrics endpoint, stats streamer, gateway), then
-	// launch and return the handle.
-	health := &execHealth{}
-	var msrv *metricsServer
-	if cfg.MetricsAddr != "" || cfg.MetricsListener != nil {
-		msrv, err = startMetrics(&cfg, linkInfos, actors, scalers, m, mon, rec, est, health, schedStats)
-		if err != nil {
-			if mon != nil {
-				mon.Stop()
-			}
-			return nil, err
-		}
+		ex.mon.Start()
 	}
 	var streamer *statsStreamer
-	if cfg.Observer != nil {
-		var dom *trace.MarkerDomain
-		if cfg.markers != nil {
-			dom = cfg.markers.dom
-		}
-		streamer = startStatsStreamer(cfg.ObserveEvery, cfg.Observer, linkInfos, actors, est, dom, schedStats)
-	}
-	if cfg.Gateway != nil {
-		if err := cfg.Gateway.Start(); err != nil {
-			if mon != nil {
-				mon.Stop()
-			}
-			if streamer != nil {
-				streamer.Stop()
-			}
-			if msrv != nil {
-				msrv.Stop()
-			}
-			return nil, err
-		}
-	}
-
-	ex := &Execution{
-		m: m, cfg: &cfg, g: g, assign: assignment,
-		rec: rec, stride: stride, mon: mon, dw: dw, est: est,
-		sched: sched, ws: ws, scalers: scalers,
-		health: health, msrv: msrv,
-		reg:  reg,
-		done: make(chan struct{}),
-	}
-	ex.spawn, _ = sched.(scheduler.Spawner)
-	ex.rw = &Rewriter{ex: ex}
-	ex.tmpl = newTemplateSet(ex)
-	if cfg.Gateway != nil {
-		// Unknown/unwired ingest sources get one shot at template-driven
-		// instantiation before the gateway answers 404/503.
-		cfg.Gateway.SetResolver(ex.tmpl.resolve)
-	}
-	reg.start = time.Now()
-	ex.start = reg.start
-	health.set(healthRunning)
-	go func() {
-		runErr := sched.Run(actors)
-		ex.elapsed = time.Since(ex.start)
-		health.set(healthDraining)
-		if cfg.Gateway != nil {
-			cfg.Gateway.Stop()
-		}
-		if mon != nil {
-			mon.Stop()
+	stop := func() {
+		if ex.mon != nil {
+			ex.mon.Stop()
 		}
 		if streamer != nil {
 			streamer.Stop()
 		}
-		health.set(healthDone)
+	}
+
+	// Ingestion gateway: bind each registered source to its engine link so
+	// admission control sees live occupancy, rates and replica width.
+	if cfg.Gateway != nil {
+		if err := ex.wireGateway(); err != nil {
+			stop()
+			return nil, err
+		}
+	}
+
+	// Scheduler selection — before the metrics endpoint and the stats
+	// streamer start, so both can poll the scheduler's counters mid-run.
+	// Both schedulers can adopt kernels spliced in by a rewrite.
+	if cfg.WorkStealing {
+		ex.ws = scheduler.NewWorkSteal(cfg.StealWorkers)
+		ex.ws.AttachLinks(links)
+		ex.ws.AttachTopology(cfg.Topology)
+		if rec != nil {
+			ex.ws.AttachTrace(rec)
+		}
+		ex.sched = ex.ws
+	} else {
+		ex.sched = scheduler.NewGoroutine()
+	}
+
+	// Metrics endpoint, stats streamer and gateway listeners up, then launch
+	// and return the handle.
+	ex.health = &execHealth{}
+	if cfg.MetricsAddr != "" || cfg.MetricsListener != nil {
+		if ex.msrv, err = startMetrics(ex); err != nil {
+			stop()
+			return nil, err
+		}
+	}
+	if cfg.Observer != nil {
+		streamer = startStatsStreamer(ex)
+	}
+	ex.reg.start = time.Now()
+	if cfg.Gateway != nil {
+		if err := cfg.Gateway.Start(); err != nil {
+			stop()
+			if ex.msrv != nil {
+				ex.msrv.Stop()
+			}
+			return nil, err
+		}
+		// Unknown/unwired ingest sources get one shot at template-driven
+		// instantiation before the gateway answers 404/503.
+		cfg.Gateway.SetResolver(ex.tmpl.resolve)
+	}
+	ex.health.set(healthRunning)
+	go func() {
+		runErr := ex.sched.Run(actors)
+		ex.elapsed = time.Since(ex.reg.start)
+		ex.health.set(healthDraining)
+		if cfg.Gateway != nil {
+			cfg.Gateway.Stop()
+		}
+		stop()
+		ex.health.set(healthDone)
 		if raised := m.raisedError(); raised != nil {
 			runErr = errors.Join(raised, runErr)
 		}
@@ -942,60 +914,14 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	return ex, nil
 }
 
-// Validate runs Exe's structural checks — every port linked, types
-// matching, graph acyclic with sources and sinks — without executing,
-// so topology construction can be verified cheaply (e.g. in tests or
-// before shipping a map to a remote node).
+// Validate runs Exe's structural checks — every port linked, graph acyclic
+// with sources and sinks — without executing, so topology construction can
+// be verified cheaply (e.g. in tests or before shipping a map to a remote
+// node). It is the validator of Exe's epoch-0 transaction, run against an
+// empty graph, so it refuses exactly what Exe would, with the same error.
 func (m *Map) Validate() error {
-	g, err := m.buildGraph()
-	if err != nil {
-		return err
-	}
-	return g.Verify()
-}
-
-// buildGraph converts the map into the structural graph and checks that
-// every declared port is bound ("the graph is first checked to ensure it
-// is fully connected", §4.2).
-func (m *Map) buildGraph() (*graph.Graph, error) {
-	g := &graph.Graph{}
-	ids := map[*KernelBase]int{}
-	for _, k := range m.kernels {
-		kb := k.kernelBase()
-		ids[kb] = g.AddNode(kb.Name(), kb.Weight())
-		for _, p := range append(kb.InPorts(), kb.OutPorts()...) {
-			if !p.Bound() {
-				return nil, fmt.Errorf("raft: port %s is not linked", p)
-			}
-		}
-	}
-	for _, l := range m.links {
-		// Link-time checking already validated types; re-verify here as the
-		// paper does at exe() ("type checking is performed across each link").
-		if l.SrcPort.elem != l.DstPort.elem {
-			return nil, fmt.Errorf("raft: type mismatch on %s -> %s", l.SrcPort, l.DstPort)
-		}
-		g.AddEdge(ids[l.Src.kernelBase()], ids[l.Dst.kernelBase()],
-			l.SrcPort.name, l.DstPort.name, l.SrcPort.elem.String(), 1)
-	}
-	return g, nil
-}
-
-// allocate creates the stream queue for every link and binds both ports.
-func (m *Map) allocate(cfg *Config) ([]*core.LinkInfo, error) {
-	infos := make([]*core.LinkInfo, 0, len(m.links))
-	for i, l := range m.links {
-		s := newStream(cfg, l, i)
-		s.bindPort(l.SrcPort, l)
-		s.bindPort(l.DstPort, l)
-		if cfg.markers != nil {
-			rigMarkers(cfg.markers, l, true, true)
-		}
-		s.li.SrcActor = m.index[l.Src.kernelBase()]
-		s.li.DstActor = m.index[l.Dst.kernelBase()]
-		infos = append(infos, s.li)
-	}
-	return infos, nil
+	_, err := (&Tx{addKernels: m.kernels, addLinks: m.links}).validate(&registry{})
+	return err
 }
 
 // stream is one link's allocated stream: the queue and the state both
@@ -1012,9 +938,8 @@ type stream struct {
 	li   *core.LinkInfo
 }
 
-// newStream allocates l's stream under the execution's policy, for the
-// initial allocate and for the rewriter's staged links alike: default
-// capacity and growth bound, a provider-owned queue (zero copy, never
+// newStream allocates l's stream under the execution's policy for the
+// build pass (rewrite.go): default capacity and growth bound, a provider-owned queue (zero copy, never
 // resized), the best-effort overflow policy, a batch control pinned at 1 on
 // AsLowLatency links so the adaptive batcher never holds their elements
 // back, the link name and the marker lane. It binds no port and touches no
@@ -1095,24 +1020,13 @@ func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 	}
 }
 
-// buildActors wraps every kernel into a core.Actor. When tracing is on,
-// each actor carries the shared recorder: core.Actor.StepTimed emits
-// RunStart/RunEnd itself, only on invocations it times and from the same
-// clock reads, so tracing adds no extra time.Now calls. Kernels that run
-// their own event loops (oar bridges) are handed the recorder through the
-// TraceAttacher interface so their reconnect/replay transitions land on
+// buildActor wraps one kernel into an actor for the build pass. When
+// tracing is on, the actor carries the shared recorder: core.Actor.StepTimed
+// emits RunStart/RunEnd itself, only on invocations it times and from the
+// same clock reads, so tracing adds no extra time.Now calls. Kernels that
+// run their own event loops (oar bridges) are handed the recorder through
+// the TraceAttacher interface so their reconnect/replay transitions land on
 // the same bus.
-func (m *Map) buildActors(assignment mapper.Assignment, rec *trace.Recorder, stride int) []*core.Actor {
-	actors := make([]*core.Actor, len(m.kernels))
-	for i, k := range m.kernels {
-		actors[i] = buildActor(k, i, assignment[i], rec, stride)
-	}
-	return actors
-}
-
-// buildActor wraps one kernel into an actor — shared by the initial build
-// above and the rewriter, which spawns actors for kernels spliced into a
-// running graph.
 func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
 	kb := k.kernelBase()
 	// Marker lifecycle events attribute to the kernel's trace track.
@@ -1220,16 +1134,17 @@ func readinessOf(kb *KernelBase) func() bool {
 	}
 }
 
-func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignment,
-	actors []*core.Actor, links []*core.LinkInfo, mon *monitor.Monitor,
-	scalers []*groupScaler, est *qmodel.Estimator, sched scheduler.Scheduler, elapsed time.Duration) *Report {
-
+// buildReport assembles the Report from the registry once the run is over.
+func (ex *Execution) buildReport() *Report {
+	cfg, est := ex.cfg, ex.est
+	actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
 	rep := &Report{
-		Elapsed:   elapsed,
-		Scheduler: sched.Name(),
-		CutCost:   mapper.CutCost(g, cfg.Topology, assignment),
+		Elapsed:   ex.elapsed,
+		Scheduler: ex.sched.Name(),
+		CutCost:   mapper.CutCost(ex.g, cfg.Topology, ex.assign),
+		Trace:     ex.rec,
 	}
-	if sr, ok := sched.(scheduler.StatsReporter); ok {
+	if sr, ok := ex.sched.(scheduler.StatsReporter); ok {
 		ss := sr.SchedStats()
 		rep.Sched = &SchedReport{
 			Workers:         ss.Workers,
@@ -1263,7 +1178,7 @@ func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignme
 	if cfg.resLog != nil {
 		rep.Recoveries = cfg.resLog.Events()
 	}
-	for _, k := range m.kernels {
+	for _, k := range ex.m.kernels {
 		if br, ok := k.(BridgeReporter); ok {
 			if b, carried := br.BridgeStats(); carried {
 				rep.Bridges = append(rep.Bridges, b)
@@ -1303,11 +1218,11 @@ func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignme
 		}
 		rep.Links = append(rep.Links, lr)
 	}
-	if mon != nil {
-		rep.MonitorTicks = mon.Ticks()
-		rep.MonitorEvents = mon.Events()
+	if ex.mon != nil {
+		rep.MonitorTicks = ex.mon.Ticks()
+		rep.MonitorEvents = ex.mon.Events()
 	}
-	for _, s := range scalers {
+	for _, s := range ex.scalers {
 		rep.Groups = append(rep.Groups, GroupReport{
 			Name:        s.Name(),
 			MaxReplicas: s.Max(),
@@ -1326,6 +1241,7 @@ func (m *Map) buildReport(g *graph.Graph, cfg Config, assignment mapper.Assignme
 			rep.Latency.FlightDumps = cfg.flight.Dumps()
 		}
 	}
+	ex.reg.stampReport(rep)
 	return rep
 }
 

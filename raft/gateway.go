@@ -6,10 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"raftlib/internal/core"
 	"raftlib/internal/gateway"
-	"raftlib/internal/qmodel"
-	"raftlib/internal/trace"
 )
 
 // WithGateway attaches a multi-tenant ingestion gateway (see
@@ -282,64 +279,72 @@ func BindSourceAppend[T any](gw *gateway.Server, src *Source[T], dec func(payloa
 	})
 }
 
-// wireGateway completes every registered binding with closures over the
-// engine state allocated for this run: the source's outbound link (the
-// admission model's target), its telemetry drop counter, the online rate
-// estimates when WithServiceRateControl is active, and the active replica
-// width when the source feeds a replicated group's split.
-func (m *Map) wireGateway(cfg *Config, linkInfos []*core.LinkInfo,
-	scalers []*groupScaler, est *qmodel.Estimator, rec *trace.Recorder) error {
-
-	gw := cfg.Gateway
+// wireGateway completes every source binding registered up front with the
+// engine state epoch 0 allocated: the source's outbound link, found in the
+// registry, is the admission model's target.
+func (ex *Execution) wireGateway() error {
+	gw := ex.cfg.Gateway
+	ex.reg.mu.Lock()
+	links := ex.reg.links
+	ex.reg.mu.Unlock()
 	for _, name := range gw.Sources() {
-		idx := -1
-		for i, l := range m.links {
-			if l.Src.kernelBase().Name() == name {
-				idx = i
+		var out *linkEntry
+		for _, le := range links {
+			if le.l.Src.kernelBase().Name() == name {
+				out = le
 				break
 			}
 		}
-		if idx < 0 {
+		if out == nil {
 			return fmt.Errorf("raft: gateway source %q has no outbound link in this map", name)
 		}
-		l, li := m.links[idx], linkInfos[idx]
-		tel := li.Queue.Telemetry()
-		w := gateway.Wiring{
-			Queue:      func() (int, int) { return li.Queue.Len(), li.Queue.Cap() },
-			Dropped:    tel.Drops,
-			Servers:    func() int { return 1 },
-			BestEffort: li.BestEffort,
+		if err := gw.Wire(name, ex.gatewayWiring(out)); err != nil {
+			return err
 		}
-		if est != nil {
-			linkIdx := idx
+	}
+	if ex.rec != nil {
+		gw.SetTrace(ex.rec, -1)
+	}
+	if ex.cfg.markers != nil {
+		dom := ex.cfg.markers.dom
+		gw.SetLatency(func(tenant string) (time.Duration, bool) {
+			return dom.TenantQuantile(tenant, 0.99)
+		})
+	}
+	return nil
+}
+
+// gatewayWiring is the admission model's view of a source's outbound link:
+// live occupancy and capacity, the telemetry drop counter, the online rate
+// estimates when the link has an estimator tap (WithServiceRateControl, a
+// link of epoch 0), and the active replica width when the link feeds a
+// replicated group's split.
+func (ex *Execution) gatewayWiring(le *linkEntry) gateway.Wiring {
+	li := le.li
+	w := gateway.Wiring{
+		Queue:      func() (int, int) { return li.Queue.Len(), li.Queue.Cap() },
+		Dropped:    li.Queue.Telemetry().Drops,
+		Servers:    func() int { return 1 },
+		BestEffort: li.BestEffort,
+	}
+	if est := ex.est; est != nil {
+		if _, tapped := est.Link(li.ID); tapped {
 			w.Rates = func() (lambda, mu, rho float64, ok bool) {
-				r, ok := est.Link(linkIdx)
+				r, ok := est.Link(li.ID)
 				if !ok || !r.Primed {
 					return 0, 0, 0, false
 				}
 				return r.Lambda, r.Mu, r.Rho, true
 			}
 		}
-		for _, sc := range scalers {
-			if l.Dst.kernelBase() == sc.split.kernelBase() {
-				w.Servers = sc.Active
-				break
-			}
-		}
-		if err := gw.Wire(name, w); err != nil {
-			return err
+	}
+	for _, sc := range ex.scalers {
+		if le.l.Dst.kernelBase() == sc.split.kernelBase() {
+			w.Servers = sc.Active
+			break
 		}
 	}
-	if rec != nil {
-		gw.SetTrace(rec, -1)
-	}
-	if cfg.markers != nil {
-		dom := cfg.markers.dom
-		gw.SetLatency(func(tenant string) (time.Duration, bool) {
-			return dom.TenantQuantile(tenant, 0.99)
-		})
-	}
-	return nil
+	return w
 }
 
 // GatewayReport summarizes ingestion-gateway activity for one run.

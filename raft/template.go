@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"raftlib/internal/gateway"
-	"raftlib/internal/resilience"
 )
 
 // SubgraphTemplate is a parameterized subgraph instantiated per key at
@@ -286,22 +285,8 @@ func (ts *templateSet) build(inst *templateInstance) error {
 	}
 
 	// Re-instantiation after a reap resumes from the reaped instance's
-	// snapshots. Supervised runs restore in the actor's Init wrap (see
-	// wireActorResilience); unsupervised ones restore here.
-	if !ex.cfg.Supervised && ex.cfg.resStore != nil {
-		for _, k := range tx.addKernels {
-			ck, ok := k.(Checkpointable)
-			if !ok {
-				continue
-			}
-			if snap, found, err := ex.cfg.resStore.Load(k.kernelBase().Name()); err == nil && found {
-				if err := ck.Restore(snap); err != nil {
-					return fmt.Errorf("raft: template %q restore %q: %w", inst.def.Name, k.kernelBase().Name(), err)
-				}
-			}
-		}
-	}
-
+	// snapshots: every Checkpointable kernel restores from the execution's
+	// store before its first step (see wireActorResilience).
 	inst.kernels = append(inst.kernels, tx.addKernels...)
 	if err := tx.Commit(); err != nil {
 		return err
@@ -329,15 +314,7 @@ func (ts *templateSet) build(inst *templateInstance) error {
 		if srcLink == nil {
 			return fmt.Errorf("raft: template %q intake source has no instance link", inst.def.Name)
 		}
-		li := srcLink.li
-		tel := li.Queue.Telemetry()
-		w := gateway.Wiring{
-			Queue:      func() (int, int) { return li.Queue.Len(), li.Queue.Cap() },
-			Dropped:    tel.Drops,
-			Servers:    func() int { return 1 },
-			BestEffort: li.BestEffort,
-		}
-		if err := gw.Wire(inst.binding, w); err != nil {
+		if err := gw.Wire(inst.binding, ex.gatewayWiring(srcLink)); err != nil {
 			return err
 		}
 		inst.gwClose = b.gwClose
@@ -444,15 +421,6 @@ func (ts *templateSet) reap(inst *templateInstance) error {
 	}
 	err := tx.Commit()
 
-	ts.mu.Lock()
-	store := ex.cfg.resStore
-	if store == nil {
-		// Reap-time snapshots need a store even in unsupervised runs; the
-		// in-memory default keeps resume working within this execution.
-		store = resilience.NewMemStore()
-		ex.cfg.resStore = store
-	}
-	ts.mu.Unlock()
 	for _, k := range inst.kernels {
 		ck, ok := k.(Checkpointable)
 		if !ok {
@@ -465,7 +433,7 @@ func (ts *templateSet) reap(inst *templateInstance) error {
 			}
 			continue
 		}
-		if werr := store.Save(k.kernelBase().Name(), snap); werr != nil && err == nil {
+		if werr := ex.cfg.resStore.Save(k.kernelBase().Name(), snap); werr != nil && err == nil {
 			err = werr
 		}
 	}
