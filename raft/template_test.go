@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -310,6 +311,204 @@ func TestTemplateReapRestoresState(t *testing.T) {
 	ctl.CloseIntake()
 	if _, err := ex.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// duplicateSeries returns the series of a Prometheus text exposition that
+// occur more than once (a scraper rejects the whole exposition for one).
+func duplicateSeries(body string) []string {
+	seen := map[string]bool{}
+	var dups []string
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			dups = append(dups, series)
+		}
+		seen[series] = true
+	}
+	return dups
+}
+
+// TestTemplateReinstantiationKeepsSeriesUnique reaps a template instance
+// and brings it back under the same key. The new instance reuses the
+// reaped one's kernel and link names, so /metrics and LiveStats must list
+// only the live graph: the instance once, every series name once.
+func TestTemplateReinstantiationKeepsSeriesUnique(t *testing.T) {
+	gw, err := NewGateway(GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var last LiveStats
+	var accs []*ckptAccum
+	m, ctl := keepAlive(t, gw)
+	ex, err := m.ExeAsync(WithGateway(gw), WithMetricsListener(ln),
+		WithObserver(time.Millisecond, func(ls LiveStats) {
+			mu.Lock()
+			last = ls
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := ex.Rewriter()
+	err = rw.RegisterTemplate(&SubgraphTemplate{
+		Name: "series",
+		Build: func(b *InstanceBuilder, key string) error {
+			src := NewSource[int64]("in")
+			BindInstanceSource(b, src, decodeInts)
+			acc := newCkptAccum()
+			b.MustLink(src, acc)
+			mu.Lock()
+			accs = append(accs, acc)
+			mu.Unlock()
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	for round, want := range []int64{3, 6} { // the second instance resumes at 3
+		if code := postInts(t, ts.URL, "series", "t1", 1, 2); code != http.StatusAccepted {
+			t.Fatalf("round %d: post returned %d", round, code)
+		}
+		mu.Lock()
+		acc := accs[len(accs)-1]
+		mu.Unlock()
+		waitFor(t, "instance sum", func() bool { return acc.sum.Load() == want })
+		if round == 0 {
+			if err := rw.Reap("series", "t1"); err != nil {
+				t.Fatalf("reap: %v", err)
+			}
+		}
+	}
+	mu.Lock()
+	builds := len(accs)
+	mu.Unlock()
+	if builds != 2 {
+		t.Fatalf("template built %d times, want 2", builds)
+	}
+
+	body, err := pollMetricsOnce(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dups := duplicateSeries(body); len(dups) > 0 {
+		t.Fatalf("scrape after re-instantiation repeats %d series, e.g. %s", len(dups), dups[0])
+	}
+	if n := strings.Count(body, `raft_kernel_runs_total{kernel="series@t1/acc"}`); n != 1 {
+		t.Fatalf("scrape lists the instance kernel %d times, want 1", n)
+	}
+	waitFor(t, "a LiveStats snapshot holding the new instance", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, k := range last.Kernels {
+			if k.Name == "series@t1/acc" {
+				return true
+			}
+		}
+		return false
+	})
+	mu.Lock()
+	names := map[string]bool{}
+	for _, l := range last.Links {
+		if names["link "+l.Name] {
+			t.Errorf("LiveStats lists link %q twice", l.Name)
+		}
+		names["link "+l.Name] = true
+	}
+	for _, k := range last.Kernels {
+		if names["kernel "+k.Name] {
+			t.Errorf("LiveStats lists kernel %q twice", k.Name)
+		}
+		names["kernel "+k.Name] = true
+	}
+	mu.Unlock()
+
+	if err := rw.Reap("series", "t1"); err != nil {
+		t.Fatalf("final reap: %v", err)
+	}
+	ctl.CloseIntake()
+	rep, err := ex.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The report keeps the run's history: both instances, with stamps.
+	instKernels := 0
+	for _, kr := range rep.Kernels {
+		if kr.Name == "series@t1/acc" {
+			instKernels++
+		}
+	}
+	if instKernels != 2 {
+		t.Fatalf("report shows the instance kernel %d times, want 2", instKernels)
+	}
+}
+
+// TestTemplateCorruptSnapshotFailsInit: a template instance whose stored
+// snapshot its kernel rejects joins the graph like any other, and the
+// rejected restore fails that kernel's initialization. The error names the
+// kernel and the restore and comes back from Wait.
+func TestTemplateCorruptSnapshotFailsInit(t *testing.T) {
+	gw, err := NewGateway(GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ctl := keepAlive(t, gw)
+	ex, err := m.ExeAsync(WithGateway(gw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.cfg.resStore.Save("corrupt@t1/acc", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	rw := ex.Rewriter()
+	err = rw.RegisterTemplate(&SubgraphTemplate{
+		Name: "corrupt",
+		Build: func(b *InstanceBuilder, key string) error {
+			src := NewSource[int64]("in")
+			BindInstanceSource(b, src, decodeInts)
+			b.MustLink(src, newCkptAccum())
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	// The instantiating post is admitted, or refused as unavailable when the
+	// kernel has already failed and closed the intake link.
+	if code := postInts(t, ts.URL, "corrupt", "t1", 1); code != http.StatusAccepted && code != http.StatusServiceUnavailable {
+		t.Fatalf("post returned %d", code)
+	}
+	waitFor(t, "the instance kernel to fail", func() bool {
+		_, actors := ex.reg.live()
+		for _, a := range actors {
+			if a.Name == "corrupt@t1/acc" {
+				return a.Finished.Load()
+			}
+		}
+		return false
+	})
+	if err := rw.Reap("corrupt", "t1"); err != nil {
+		t.Fatalf("reap: %v", err)
+	}
+	ctl.CloseIntake()
+	_, err = ex.Wait()
+	if err == nil || !strings.Contains(err.Error(), `kernel "corrupt@t1/acc" init: checkpoint restore: bad snapshot length 1`) {
+		t.Fatalf("Wait returned %v, want the instance kernel's failed restore", err)
 	}
 }
 
