@@ -4,13 +4,13 @@ GO ?= go
 # it from the run number); locally it defaults to 0 = the canonical seeds.
 CI_SEED ?= 0
 
-# FUZZTIME is the budget for the epoch-swap fuzz target (the newest,
-# least-soaked concurrency protocol); FUZZTIME_SHORT for the established
-# ringbuffer targets that mostly re-verify their corpora.
+# FUZZTIME is the budget for the primary fuzz targets — the port-window
+# protocol under three goroutines and the view/resize race; FUZZTIME_SHORT
+# for the model-based targets that mostly re-verify their corpora.
 FUZZTIME ?= 60s
 FUZZTIME_SHORT ?= 15s
 
-.PHONY: build test check loc bench bench-smoke bench-hotpath ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
+.PHONY: build test check loc bench bench-smoke bench-hotpath ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-flake ci-nightly-bars
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ test:
 
 # check is the fast pre-commit gate: vet everything, race-test the
 # packages with the trickiest concurrency (resilience supervisor, oar
-# bridge healing, lock-free ring buffer, batched port path, sharded
+# bridge healing, ring buffer, batched port path, sharded
 # trace bus, monitor, histogram counters), then smoke the batch
 # ablation so a batching regression fails loudly.
 check:
@@ -92,29 +92,28 @@ ci-test:
 	$(GO) test ./...
 
 # Same package list as `check`: the packages with real concurrency. The
-# ringbuffer package runs three times — the epoch-swap protocol's races
-# are interleaving-dependent, and repeated runs shake out schedules a
-# single pass misses.
+# ringbuffer package runs three times — the window, view and deferred-
+# resize races are interleaving-dependent, and repeated runs shake out
+# schedules a single pass misses.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
 	$(GO) test -race -count=3 ./internal/ringbuffer/...
 
-# Short-budget coverage-guided fuzzing of the lock-free ring: the
-# epoch-swap target gets the full budget, the established model-based
-# targets a shorter one. The port-window protocol gets both kinds: a model
-# target on the short budget and its three-goroutine variant on the full
-# one. Each -fuzz run must name exactly one target.
+# Short-budget coverage-guided fuzzing of the ring: the port-window
+# protocol under three goroutines — the ring protocol that ships — and the
+# view/resize race get the full budget, the model-based targets (the port
+# window's among them) a shorter one. Each -fuzz run must name exactly one
+# target.
 ci-fuzz:
-	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzSPSCResize$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzViewResize$$' -fuzztime=$(FUZZTIME)
-	@for t in FuzzSPSCModelResize FuzzViewModelResize FuzzRingAgainstModel FuzzRingBulkAgainstModel FuzzRingBulkConcurrentResize; do \
+	@for t in FuzzViewModelResize FuzzRingAgainstModel FuzzRingBulkAgainstModel FuzzRingBulkConcurrentResize; do \
 		echo "$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz=^$$t\$$ -fuzztime=$(FUZZTIME_SHORT)"; \
 		$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME_SHORT) || exit 1; \
 	done
 	$(GO) test ./internal/scheduler/ -run='^$$' -fuzz='^FuzzStealDeque$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGraphRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindow$$' -fuzztime=$(FUZZTIME_SHORT)
-	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 
 # Bench smoke for CI: correctness is always asserted; perf bars downgrade
 # to warnings on small runners (auto-detected via GOMAXPROCS < 2). -seed
@@ -134,8 +133,8 @@ ci-gateway:
 	$(GO) test -race -run 'Gateway' ./raft/
 	$(GO) run ./cmd/raft-bench -ablate gateway -seed $(CI_SEED)
 
-# View gate: the borrow/release protocol spans both ring kinds and the
-# epoch-swap resize, so the ringbuffer package gets three racing passes,
+# View gate: the borrow/release protocol and the resizes it defers are
+# interleaving-dependent, so the ringbuffer package gets three racing passes,
 # and so do the port windows that carry the scalar path over it — the
 # retire rules, the counters under windows and the seeds of both
 # FuzzPortWindow targets (the 'Window|CountsExact' line);
@@ -181,6 +180,14 @@ ci-graph:
 	$(GO) test -race -count=3 -run 'Exe|Validate|Rewrite|Template' ./raft/
 	$(GO) test -race -run 'ChaosTextsearchExactAcrossMidRunSplice' .
 	$(GO) run ./cmd/raft-bench -ablate graph -items 500000 -seed $(CI_SEED)
+
+# Flake gate (ROADMAP aim 3), run nightly: the whole suite twenty times at
+# GOMAXPROCS 1, 2 and 4; a single failure fails it.
+ci-flake:
+	@for p in 1 2 4; do \
+		echo "GOMAXPROCS=$$p $(GO) test -count=20 -timeout=60m ./..."; \
+		GOMAXPROCS=$$p $(GO) test -count=20 -timeout=60m ./... || exit 1; \
+	done
 
 # The nightly perf gate: the A5 (monitoring overhead), A11 (batching
 # speedup), A12 (telemetry overhead), A13 (controller parity/latency/

@@ -5,7 +5,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -147,22 +146,10 @@ func ablateResize() {
 		{name: "dynamic(4->)",
 			opts: []raft.Option{raft.WithDynamicResize(true)},
 			link: []raft.LinkOption{raft.Cap(4)}},
-		// The same three shapes on the lock-free SPSC ring: since the
-		// epoch swap the monitor's §4.1 rules apply to it too, so the
-		// dynamic case must converge like the mutex ring does.
-		{name: "spsc-fixed-4",
-			opts: []raft.Option{raft.WithLockFreeQueues(), raft.WithDynamicResize(false)},
-			link: []raft.LinkOption{raft.Cap(4), raft.MaxCap(4)}},
-		{name: "spsc-fixed-256",
-			opts: []raft.Option{raft.WithLockFreeQueues(), raft.WithDynamicResize(false)},
-			link: []raft.LinkOption{raft.Cap(256), raft.MaxCap(256)}},
-		{name: "spsc-dyn(4->)",
-			opts: []raft.Option{raft.WithLockFreeQueues(), raft.WithDynamicResize(true)},
-			link: []raft.LinkOption{raft.Cap(4)}},
 	}
 	fmt.Printf("burst=%d items, %d bursts, %v fetch latency per burst, %v drain per item\n\n",
 		burst, bursts, fetchLat, drainLat)
-	fmt.Printf("%-16s %-6s %-12s %-10s %-10s\n", "config", "ring", "elapsed(ms)", "grows", "finalCap")
+	fmt.Printf("%-16s %-12s %-10s %-10s\n", "config", "elapsed(ms)", "grows", "finalCap")
 	for _, c := range cases {
 		m := raft.NewMap()
 		var produced int64
@@ -195,22 +182,16 @@ func ablateResize() {
 		}
 		var grows uint64
 		finalCap := 0
-		ring := ""
 		for _, l := range rep.Links {
 			grows += l.Grows
 			finalCap = l.FinalCap
-			ring = l.Ring
 		}
-		fmt.Printf("%-16s %-6s %-12.1f %-10d %-10d\n", c.name, ring,
+		fmt.Printf("%-16s %-12.1f %-10d %-10d\n", c.name,
 			float64(time.Since(start))/float64(time.Millisecond), grows, finalCap)
-		if strings.HasPrefix(c.name, "spsc-dyn") && grows == 0 {
-			failf("A2: the monitor never grew the dynamic lock-free link (epoch swap broken?)")
-		}
 	}
 	fmt.Println("\nexpected: fixed-4 is ~2x slower (consumer idles through every")
 	fmt.Println("fetch); dynamic grows to burst size and matches fixed-256")
-	fmt.Println("without pre-committing the memory — on both ring kinds: the")
-	fmt.Println("epoch swap gives the lock-free ring the same adaptivity.")
+	fmt.Println("without pre-committing the memory.")
 }
 
 // ablateClone compares no replication, static full-width replication, and

@@ -226,14 +226,13 @@ func TestChaosTextsearchIdenticalToUndisturbed(t *testing.T) {
 	}
 }
 
-// TestChaosTextsearchLockFreeResizeIdentical is the epoch-swap chaos
-// gauntlet: the same disturbed Figure 9 topology as above, but every
-// producer-side stream runs on the lock-free SPSC ring, starting at
-// capacity 2 with dynamic resize on — so the monitor is growing queues
-// via epoch swaps while a kernel is killed and the bridge severed. The
-// answer must be byte-identical to the mutex-ring run and the ground
-// truth, and the report must show the swaps actually happened.
-func TestChaosTextsearchLockFreeResizeIdentical(t *testing.T) {
+// TestChaosTextsearchSmallRingResizeIdentical is the resize chaos
+// gauntlet: the disturbed Figure 9 topology above, with every
+// producer-side stream starting at capacity 2 and dynamic resize on — so
+// the monitor is growing rings (deferred past open port windows and views)
+// while a kernel is killed and the bridge severed. The answer must equal
+// the ground truth, and the report must show the resizes happened.
+func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 	data := corpus.Generate(corpus.Spec{Bytes: 2 << 20, Seed: 4242})
 	pattern := []byte(corpus.DefaultPattern)
 	want := int64(bytes.Count(data, pattern))
@@ -241,87 +240,68 @@ func TestChaosTextsearchLockFreeResizeIdentical(t *testing.T) {
 		t.Fatal("corpus has no hits")
 	}
 
-	run := func(lockFree bool) (int64, *raft.Report) {
-		t.Helper()
-		node, err := oar.NewNode("chaos-search-lf", "127.0.0.1:0")
+	node, err := oar.NewNode("chaos-search-small", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	inj := raft.NewFaultInjector()
+	inj.KillKernel("search[", 5)
+	inj.SeverBridge("hits-small", 1)
+	send, recv, err := oar.Bridge[int64](node, "hits-small",
+		oar.WithBridgeFault(inj),
+		oar.WithReconnectBackoff(time.Millisecond, 50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	producer := raft.NewMap()
+	match, err := kernels.NewCountSearch("horspool", pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	producer.MustLink(kernels.NewBytesReader(data, 8<<10, len(pattern)-1), match, raft.AsOutOfOrder())
+	producer.MustLink(match, send)
+	prodOpts := []raft.Option{
+		raft.WithAutoReplicate(3), raft.WithAdaptiveBatching(true),
+		raft.WithTrace(1 << 14),
+		raft.WithSupervision(raft.SupervisionPolicy{InitialBackoff: time.Microsecond}),
+		raft.WithFaultInjection(inj),
+		// Tiny initial capacities force the monitor's write-block grow
+		// rule to fire mid-chaos.
+		raft.WithDefaultCapacity(2), raft.WithDynamicResize(true),
+	}
+
+	var total int64
+	consumer := raft.NewMap()
+	consumer.MustLink(recv, kernels.NewReduce(func(a, v int64) int64 { return a + v }, 0, &total))
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	var rep *raft.Report
+	wg.Add(2)
+	go func() { defer wg.Done(); rep, errs[0] = producer.Exe(prodOpts...) }()
+	go func() { defer wg.Done(); _, errs[1] = consumer.Exe() }()
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-
-		inj := raft.NewFaultInjector()
-		inj.KillKernel("search[", 5)
-		inj.SeverBridge("hits-lf", 1)
-		send, recv, err := oar.Bridge[int64](node, "hits-lf",
-			oar.WithBridgeFault(inj),
-			oar.WithReconnectBackoff(time.Millisecond, 50*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		producer := raft.NewMap()
-		match, err := kernels.NewCountSearch("horspool", pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		producer.MustLink(kernels.NewBytesReader(data, 8<<10, len(pattern)-1), match, raft.AsOutOfOrder())
-		producer.MustLink(match, send)
-		prodOpts := []raft.Option{
-			raft.WithAutoReplicate(3), raft.WithAdaptiveBatching(true),
-			raft.WithTrace(1 << 14),
-			raft.WithSupervision(raft.SupervisionPolicy{InitialBackoff: time.Microsecond}),
-			raft.WithFaultInjection(inj),
-			// Tiny initial capacities force the monitor's write-block
-			// grow rule to fire mid-chaos on every stream.
-			raft.WithDefaultCapacity(2), raft.WithDynamicResize(true),
-		}
-		if lockFree {
-			prodOpts = append(prodOpts, raft.WithLockFreeQueues())
-		}
-
-		var total int64
-		consumer := raft.NewMap()
-		consumer.MustLink(recv, kernels.NewReduce(func(a, v int64) int64 { return a + v }, 0, &total))
-
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		var rep *raft.Report
-		wg.Add(2)
-		go func() { defer wg.Done(); rep, errs[0] = producer.Exe(prodOpts...) }()
-		go func() { defer wg.Done(); _, errs[1] = consumer.Exe() }()
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("map %d (lockFree=%v): %v", i, lockFree, err)
-			}
-		}
-		if inj.Fired("kill") != 1 || inj.Fired("sever") != 1 {
-			t.Fatalf("faults fired: kill=%d sever=%d, want 1 and 1",
-				inj.Fired("kill"), inj.Fired("sever"))
-		}
-		return total, rep
-	}
-
-	mutexHits, _ := run(false)
-	lfHits, lfRep := run(true)
-	if mutexHits != want {
-		t.Fatalf("mutex-ring chaos hits = %d, want %d", mutexHits, want)
-	}
-	if lfHits != mutexHits {
-		t.Fatalf("lock-free chaos hits = %d, mutex-ring = %d (must be byte-identical)", lfHits, mutexHits)
-	}
-	spsc, resizes := 0, uint64(0)
-	for _, l := range lfRep.Links {
-		if l.Ring == "spsc" {
-			spsc++
-			resizes += l.Resizes
+			t.Fatalf("map %d: %v", i, err)
 		}
 	}
-	if spsc == 0 {
-		t.Fatal("no spsc link in the lock-free report")
+	if inj.Fired("kill") != 1 || inj.Fired("sever") != 1 {
+		t.Fatalf("faults fired: kill=%d sever=%d, want 1 and 1",
+			inj.Fired("kill"), inj.Fired("sever"))
+	}
+	if total != want {
+		t.Fatalf("chaos hits = %d, want %d (must be identical)", total, want)
+	}
+	var resizes uint64
+	for _, l := range rep.Links {
+		resizes += l.Resizes
 	}
 	if resizes == 0 {
-		t.Fatal("no epoch swap installed on any lock-free link despite capacity-2 starts")
+		t.Fatal("no resize on any link despite capacity-2 starts")
 	}
 }
 

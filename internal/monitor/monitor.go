@@ -48,9 +48,9 @@ type Config struct {
 	// groups via their Scalers.
 	AutoScale bool
 	// AdaptiveBatch enables the per-link batch-size controller: links whose
-	// endpoints demonstrably contend (blocked time or spin escalations
-	// accruing, or sustained near-full occupancy) have their transfer batch
-	// grown ×4 per window toward BatchMax, amortizing synchronization;
+	// endpoints demonstrably contend (blocked time accruing, or sustained
+	// near-full occupancy) have their transfer batch grown ×4 per window
+	// toward BatchMax, amortizing synchronization;
 	// links that go idle are halved back toward 1 so latency does not hide
 	// in stale batches. Latency-priority links (pinned controls) are
 	// bypassed. The ramp is deliberately steep: on loaded hosts the monitor
@@ -324,20 +324,6 @@ func (m *Monitor) loop() {
 	}
 }
 
-// resizePending is implemented by queues whose Resize is asynchronous
-// (the lock-free SPSC ring's epoch swap): it reports a published swap
-// the producer has not yet installed.
-type resizePending interface {
-	ResizePending() bool
-}
-
-// viewHolder is implemented by queues that lend zero-copy batch views
-// over their storage (both ring kinds do): it reports how long the
-// oldest outstanding borrow has been held, or 0 when none is out.
-type viewHolder interface {
-	ViewHeldFor() time.Duration
-}
-
 // workerLister is implemented by scalers that can report the trace actor
 // ids of their replica workers (raft's group scaler does); the rate-driven
 // width rule needs them to look up per-replica µ̂.
@@ -373,19 +359,14 @@ func (m *Monitor) Tick() {
 		if !m.cfg.Resize || !l.ResizeEnabled {
 			continue
 		}
-		// Lock-free queues resize asynchronously (epoch swap): the request
-		// is installed at the producer's next push. While one is in flight
-		// the capacity has not changed yet, so skip the link — re-applying
-		// the rules now would stack a second request on the same evidence.
-		if rp, ok := l.Queue.(resizePending); ok && rp.ResizePending() {
-			st.quiet = 0
-			continue
-		}
-		// A borrowed batch view pins the current storage epoch: resizing
-		// under it would only defer (mutex ring) or churn a sealed segment
-		// (SPSC), so the evidence gathered this tick cannot take effect.
-		// Skip the link and re-decide once the view is released.
-		if vh, ok := l.Queue.(viewHolder); ok && vh.ViewHeldFor() > 0 {
+		// A resize accepted under a view or a port window is applied at
+		// its release. While one is in flight the capacity has not changed
+		// yet, so skip the link — re-applying the rules now would stack a
+		// second request on the same evidence. A borrowed batch view pins
+		// the storage too: resizing under it would only defer, so the
+		// evidence gathered this tick cannot take effect. Skip the link
+		// and re-decide once the view is released.
+		if l.Queue.ResizePending() || l.Queue.ViewHeldFor() > 0 {
 			st.quiet = 0
 			continue
 		}
@@ -541,8 +522,8 @@ func (m *Monitor) dropStep(st *linkState) {
 // batchStep accumulates one tick of occupancy evidence for link i and, every
 // BatchWindow ticks, moves its transfer batch size toward the
 // latency/throughput balance: grow ×2 while the link demonstrably contends
-// (blocked time or spin escalations accrued, or the queue sat near-full for
-// half the window) and elements are actually flowing; shrink ÷2 once the
+// (blocked time accrued, or the queue sat near-full for half the window)
+// and elements are actually flowing; shrink ÷2 once the
 // link goes quiet so a later latency-sensitive phase is not stuck behind a
 // large batch. The size is capped at min(BatchMax, cap/2) so neither side
 // can monopolize the queue, and pinned (latency-priority) links are skipped.

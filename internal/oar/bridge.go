@@ -309,6 +309,9 @@ type Sender[T any] struct {
 	started  bool
 	gaveUp   bool
 
+	// dials counts the connections established so far; each stream header
+	// carries the count before it, the connection's generation.
+	dials      uint64
 	reconnects atomic.Uint64
 	replayed   atomic.Uint64
 	dropped    atomic.Uint64
@@ -348,10 +351,11 @@ func (s *Sender[T]) connect(dialTimeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(conn, "%s %s\n", hdrStream, s.stream); err != nil {
+	if _, err := fmt.Fprintf(conn, "%s %s %d\n", hdrStream, s.stream, s.dials); err != nil {
 		conn.Close()
 		return err
 	}
+	s.dials++
 	var enc *gob.Encoder
 	var flush func() error
 	var closeEnc func()
@@ -923,8 +927,14 @@ func (r *Receiver[T]) Init() error {
 	}
 }
 
-// setup adopts one connection.
+// setup adopts one connection. Its generation is how many times the sender
+// had connected before, so Reconnects also counts the reconnects whose
+// connection this receiver never adopted: a sever that lands before Init, or
+// a severed connection whose header the node read after its successor's.
 func (r *Receiver[T]) setup(conn net.Conn) {
+	if bc, ok := conn.(*bufferedConn); ok && bc.gen > r.reconnects.Load() {
+		r.reconnects.Store(bc.gen)
+	}
 	r.conn = conn
 	if r.mkDec != nil {
 		r.dec = r.mkDec(conn)
@@ -1125,7 +1135,6 @@ func (r *Receiver[T]) await() (raft.Status, bool) {
 	select {
 	case conn := <-r.accept:
 		r.setup(conn)
-		r.reconnects.Add(1)
 		r.trc.emit(trace.BridgeReconnect, r.stream, int64(r.reconnects.Load()))
 		return raft.Proceed, false
 	case <-expire:

@@ -164,12 +164,13 @@ func (n *Node) handle(conn net.Conn) {
 		return
 	}
 	var kind, arg string
-	fmt.Sscanf(header, "%s %s", &kind, &arg)
+	var gen uint64 // stream headers only: the sender's connection generation
+	fmt.Sscanf(header, "%s %s %d", &kind, &arg, &gen)
 	switch kind {
 	case hdrGossip:
 		n.serveGossip(conn, br)
 	case hdrStream:
-		n.serveStream(conn, br, arg)
+		n.serveStream(conn, br, arg, gen)
 	case hdrService:
 		n.serveService(conn, br, arg)
 	case stageHdr:
@@ -368,7 +369,7 @@ func (n *Node) registerStream(name string) (<-chan net.Conn, error) {
 	return ch, nil
 }
 
-func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string) {
+func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string, gen uint64) {
 	n.mu.Lock()
 	ch, ok := n.streams[name]
 	n.mu.Unlock()
@@ -376,8 +377,9 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string) {
 		conn.Close()
 		return
 	}
+	bc := &bufferedConn{Conn: conn, r: br, gen: gen}
 	select {
-	case ch <- &bufferedConn{Conn: conn, r: br}:
+	case ch <- bc:
 	default:
 		// Newest wins: a second connection to the same stream is a sender
 		// reconnecting after a failure the receiver has not noticed yet.
@@ -388,7 +390,7 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string) {
 		default:
 		}
 		select {
-		case ch <- &bufferedConn{Conn: conn, r: br}:
+		case ch <- bc:
 		default:
 			conn.Close()
 		}
@@ -396,9 +398,12 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string) {
 }
 
 // bufferedConn keeps bytes already buffered by the header reader readable.
+// gen is the number of connections the sender had established for the
+// stream before this one (see Receiver.setup).
 type bufferedConn struct {
 	net.Conn
-	r *bufio.Reader
+	r   *bufio.Reader
+	gen uint64
 }
 
 func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }

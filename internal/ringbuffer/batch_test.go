@@ -1,10 +1,6 @@
 package ringbuffer
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRingPushNWrapAround forces a batch across the physical end of the
 // ring and checks FIFO order and signal alignment on the way out.
@@ -120,159 +116,5 @@ func TestRingPushNStaleSignalCleared(t *testing.T) {
 	}
 	if _, s, err := r.Pop(); err != nil || s != SigNone {
 		t.Fatalf("stale signal leaked: sig=%v err=%v", s, err)
-	}
-}
-
-// TestSPSCBulkWrapAround pushes batches across the mask boundary of the
-// lock-free queue and checks order and signals.
-func TestSPSCBulkWrapAround(t *testing.T) {
-	q := NewSPSC[int](8)
-	// Advance indices to near the wrap point.
-	for i := 0; i < 6; i++ {
-		q.Push(i, SigNone)
-	}
-	for i := 0; i < 6; i++ {
-		q.Pop()
-	}
-	vs := []int{1, 2, 3, 4, 5}
-	sigs := []Signal{SigUser, SigNone, SigNone, SigEOF, SigUser}
-	if err := q.PushN(vs, sigs); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, 8)
-	out := make([]Signal, 8)
-	n, err := q.DrainTo(dst, out)
-	if err != nil || n != 5 {
-		t.Fatalf("DrainTo = (%d,%v), want (5,nil)", n, err)
-	}
-	for i := range vs {
-		if dst[i] != vs[i] || out[i] != sigs[i] {
-			t.Fatalf("element %d = (%d,%v), want (%d,%v)", i, dst[i], out[i], vs[i], sigs[i])
-		}
-	}
-}
-
-// TestSPSCBulkProducerConsumer streams a large sequence through bulk ops
-// concurrently (the SPSC contract: exactly one of each).
-func TestSPSCBulkProducerConsumer(t *testing.T) {
-	const total = 50000
-	q := NewSPSC[int](64)
-	go func() {
-		vs := make([]int, 37)
-		next := 0
-		for next < total {
-			k := len(vs)
-			if k > total-next {
-				k = total - next
-			}
-			for i := 0; i < k; i++ {
-				vs[i] = next + i
-			}
-			if err := q.PushN(vs[:k], nil); err != nil {
-				t.Errorf("PushN: %v", err)
-				return
-			}
-			next += k
-		}
-		q.Close()
-	}()
-	dst := make([]int, 53)
-	want := 0
-	for {
-		n, err := q.PopN(dst, nil)
-		for i := 0; i < n; i++ {
-			if dst[i] != want {
-				t.Fatalf("order broken: got %d want %d", dst[i], want)
-			}
-			want++
-		}
-		if err != nil {
-			break
-		}
-	}
-	if want != total {
-		t.Fatalf("received %d, want %d", want, total)
-	}
-}
-
-// TestSPSCLenNeverNegative hammers Len from a third goroutine while a
-// producer/consumer pair races — the load-order fix must keep the result
-// non-negative and within capacity.
-func TestSPSCLenNeverNegative(t *testing.T) {
-	q := NewSPSC[int](16)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			q.TryPush(i, SigNone)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			q.TryPop()
-		}
-	}()
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if l := q.Len(); l < 0 || l > q.Cap() {
-			close(stop)
-			t.Fatalf("Len = %d outside [0,%d]", l, q.Cap())
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-// TestSetBackoff verifies the configurable escalation: invalid fields are
-// replaced with defaults, and the previous configuration round-trips.
-func TestSetBackoff(t *testing.T) {
-	prev := SetBackoff(BackoffConfig{SpinLimit: 8, YieldLimit: 16, Sleep: time.Microsecond})
-	defer SetBackoff(prev)
-	cur := SetBackoff(BackoffConfig{})
-	if cur.SpinLimit != 8 || cur.YieldLimit != 16 || cur.Sleep != time.Microsecond {
-		t.Fatalf("previous config not returned: %+v", cur)
-	}
-	// The zero config we just stored must have been sanitized to defaults.
-	got := SetBackoff(prev)
-	if got.SpinLimit != DefaultBackoff.SpinLimit || got.YieldLimit != DefaultBackoff.YieldLimit || got.Sleep != DefaultBackoff.Sleep {
-		t.Fatalf("zero config not sanitized: %+v", got)
-	}
-}
-
-// TestBackoffTransitionCounters checks that a full-queue SPSC push records
-// spin→yield→sleep escalation in the telemetry.
-func TestBackoffTransitionCounters(t *testing.T) {
-	prev := SetBackoff(BackoffConfig{SpinLimit: 2, YieldLimit: 4, Sleep: time.Microsecond})
-	defer SetBackoff(prev)
-	q := NewSPSC[int](2)
-	q.Push(1, SigNone)
-	q.Push(2, SigNone)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		q.Push(3, SigNone) // blocks; spins through both tiers
-	}()
-	time.Sleep(5 * time.Millisecond)
-	q.Pop()
-	<-done
-	tel := q.Telemetry().Snapshot()
-	if tel.SpinYields == 0 {
-		t.Fatalf("SpinYields = 0, want > 0")
-	}
-	if tel.SpinSleeps == 0 {
-		t.Fatalf("SpinSleeps = 0, want > 0")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// TestRingBestEffortLatestWins checks the mutex ring's overflow policy:
+// TestRingBestEffortLatestWins checks the ring's overflow policy:
 // pushes into a full ring evict the oldest elements, so the consumer sees
 // the freshest suffix and the producer never blocks.
 func TestRingBestEffortLatestWins(t *testing.T) {
@@ -106,77 +106,5 @@ func TestRingBestEffortNeverBlocks(t *testing.T) {
 	}
 	if r.Telemetry().Drops() == 0 {
 		t.Fatal("expected drops")
-	}
-}
-
-// TestSPSCBestEffortDropNewest checks the lock-free ring's policy: a full
-// queue sheds the incoming elements (drop-newest; the consumer-owned head
-// cannot be stolen), counted in Shed, and the producer never spins.
-func TestSPSCBestEffortDropNewest(t *testing.T) {
-	q := NewSPSC[int](4)
-	q.SetBestEffort(true)
-	for i := 0; i < 10; i++ {
-		if err := q.Push(i, SigNone); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	if snap := q.Telemetry().Snapshot(); snap.Evicted != 0 || snap.Shed != 6 {
-		t.Fatalf("evicted %d shed %d, want 0 and 6", snap.Evicted, snap.Shed)
-	}
-	// The oldest elements survive (drop-newest, unlike the mutex ring).
-	for want := 0; want < 4; want++ {
-		v, _, err := q.Pop()
-		if err != nil || v != want {
-			t.Fatalf("pop = %d, %v; want %d", v, err, want)
-		}
-	}
-}
-
-// TestSPSCBestEffortPushN checks the bulk path sheds the overflow suffix
-// without spinning and keeps counts consistent.
-func TestSPSCBestEffortPushN(t *testing.T) {
-	q := NewSPSC[int](4)
-	q.SetBestEffort(true)
-	if err := q.PushN([]int{0, 1, 2, 3, 4, 5, 6}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Telemetry().Drops(); got != 3 {
-		t.Fatalf("Drops() = %d, want 3", got)
-	}
-	snap := q.Telemetry().Snapshot()
-	if snap.Pushes != 4 {
-		t.Fatalf("Pushes = %d, want 4", snap.Pushes)
-	}
-}
-
-// TestSPSCBestEffortEOFSurvives checks that an EOF-carrying push on a full
-// best-effort queue is not shed: it waits for space, so stream teardown is
-// reliable under the drop policy.
-func TestSPSCBestEffortEOFSurvives(t *testing.T) {
-	q := NewSPSC[int](2)
-	q.SetBestEffort(true)
-	if err := q.PushN([]int{1, 2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- q.Push(99, SigEOF) }()
-	select {
-	case err := <-done:
-		t.Fatalf("EOF push completed on a full queue (err=%v); it must wait", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if _, _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("EOF push after space freed: %v", err)
-	}
-	// Drain to the EOF element.
-	if v, _, err := q.Pop(); err != nil || v != 2 {
-		t.Fatalf("pop = %d, %v", v, err)
-	}
-	v, sig, err := q.Pop()
-	if err != nil || v != 99 || sig != SigEOF {
-		t.Fatalf("pop = %d/%v/%v, want 99/eof", v, sig, err)
 	}
 }

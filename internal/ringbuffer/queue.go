@@ -2,22 +2,19 @@
 // compute kernels.
 //
 // Each stream in the paper's model is a FIFO queue whose allocation is
-// chosen by the runtime (§1, §4.2). Three implementations are provided:
+// chosen by the runtime (§1, §4.2). There is one queue, Ring[T]: a
+// dynamically resizable single-producer single-consumer FIFO in which every
+// slot carries a value plus a synchronized signal (§4.2: "downstream kernels
+// will receive the signal at the same time the corresponding data element is
+// received"). A monitor thread may grow or shrink it at runtime using the
+// paper's §4.1 rules. Its scalar path runs through port windows (window.go),
+// which take no lock per element; NewRingFromSlice builds a pre-filled
+// read-only Ring that aliases caller memory, realizing the paper's zero-copy
+// for_each source (§4.2, Fig. 6).
 //
-//   - Ring[T]: the default dynamically resizable queue. Every slot carries a
-//     value plus a synchronized signal (§4.2: "downstream kernels will
-//     receive the signal at the same time the corresponding data element is
-//     received"). A monitor thread may grow or shrink it at runtime using
-//     the paper's §4.1 rules.
-//   - SPSC[T]: a lock-free single-producer single-consumer ring whose
-//     capacity changes through an epoch swap (spsc_resize.go), so the
-//     monitor's resize rules apply to it without a lock on the hot path.
-//   - NewRingFromSlice: a pre-filled read-only ring that aliases caller
-//     memory, realizing the paper's zero-copy for_each source (§4.2,
-//     Fig. 6).
-//
-// All queues expose the untyped Queue interface consumed by the runtime
-// monitor; element-typed access goes through the generic methods.
+// The ring exposes the untyped Queue interface consumed by the runtime
+// scheduler and monitor; element-typed access goes through the generic
+// methods.
 package ringbuffer
 
 import (
@@ -68,8 +65,9 @@ var ErrClosed = errors.New("ringbuffer: queue closed")
 var ErrTooSmall = errors.New("ringbuffer: new capacity smaller than current length")
 
 // Queue is the element-type-agnostic view of a stream queue used by the
-// runtime scheduler and monitor.
+// runtime scheduler, the monitor and the port layer.
 type Queue interface {
+	Windower
 	// Len returns the number of buffered elements.
 	Len() int
 	// Cap returns the current capacity.
@@ -77,6 +75,10 @@ type Queue interface {
 	// Resize changes capacity, preserving buffered elements. Growing is
 	// always legal; shrinking below Len returns ErrTooSmall.
 	Resize(newCap int) error
+	// ResizePending reports whether a Resize accepted while a view or a port
+	// window pinned the storage is still waiting for the release that
+	// applies it.
+	ResizePending() bool
 	// Close marks the producer side finished. Buffered elements remain
 	// readable; subsequent reads return ErrClosed once drained.
 	Close()
@@ -94,9 +96,9 @@ type Queue interface {
 	// exceeds availability (e.g. a PeekRange(n) with n > Cap). This feeds
 	// the paper's read-side resize trigger.
 	PendingDemand() int
-	// Kind identifies the queue implementation ("mutex" or "spsc") for
-	// reports and telemetry.
-	Kind() string
+	// ViewHeldFor returns how long the longest currently outstanding batch
+	// view (read or write, view.go) has been held, or zero when none is out.
+	ViewHeldFor() time.Duration
 	// Telemetry returns the queue's performance counters.
 	Telemetry() *Telemetry
 }
@@ -111,21 +113,14 @@ type Telemetry struct {
 	Resizes      counter64
 	Grows        counter64
 	Shrinks      counter64
-	// SpinYields and SpinSleeps count back-off escalations on the lock-free
-	// queue: each transition from busy-spinning to Gosched (yield) and from
-	// yielding to timed sleeps. They expose contention directly — a queue
-	// whose peers escalate often is synchronizing too frequently, which is
-	// the adaptive batcher's grow signal.
-	SpinYields counter64
-	SpinSleeps counter64
 	// Evicted and Shed count elements the best-effort overflow policy
 	// (SetBestEffort) discarded. Evicted elements were resident — stale
-	// elements a full mutex ring dropped from its head (latest-wins) — and
-	// are counted in Pushes but never in Pops. Shed elements never entered:
-	// incoming elements a full lock-free ring, or a mutex ring whose head is
-	// pinned by a signal or a read view, discarded; they are counted in
-	// neither. One law holds for both ring kinds: of the elements offered,
-	// Pushes = offered - Shed, and once drained Pushes = Pops + Evicted.
+	// elements a full ring dropped from its head (latest-wins) — and are
+	// counted in Pushes but never in Pops. Shed elements never entered:
+	// incoming elements a full ring whose head is pinned by a signal or a
+	// read view discarded; they are counted in neither. Of the elements
+	// offered, Pushes = offered - Shed, and once drained Pushes = Pops +
+	// Evicted.
 	Evicted counter64
 	Shed    counter64
 	// Views counts completed borrow/release cycles (read and write batch
@@ -215,8 +210,6 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		Resizes:      t.Resizes.Load(),
 		Grows:        t.Grows.Load(),
 		Shrinks:      t.Shrinks.Load(),
-		SpinYields:   t.SpinYields.Load(),
-		SpinSleeps:   t.SpinSleeps.Load(),
 		Evicted:      t.Evicted.Load(),
 		Shed:         t.Shed.Load(),
 		Views:        t.Views.Load(),
@@ -237,8 +230,6 @@ type TelemetrySnapshot struct {
 	Resizes      uint64
 	Grows        uint64
 	Shrinks      uint64
-	SpinYields   uint64
-	SpinSleeps   uint64
 	// Evicted and Shed count elements discarded by the best-effort
 	// overflow policy (see Telemetry).
 	Evicted uint64
@@ -255,12 +246,9 @@ type TelemetrySnapshot struct {
 // Drops returns the best-effort drop count, Evicted + Shed.
 func (t TelemetrySnapshot) Drops() uint64 { return t.Evicted + t.Shed }
 
-// Blocked reports whether either side of the queue spent time blocked or
-// escalated its spin back-off between prev and t — the contention signal
-// consumed by the monitor's adaptive batcher.
+// Blocked reports whether either side of the queue spent time blocked
+// between prev and t — the contention signal consumed by the monitor's
+// adaptive batcher.
 func (t TelemetrySnapshot) Blocked(prev TelemetrySnapshot) bool {
-	return t.WriteBlockNs > prev.WriteBlockNs ||
-		t.ReadBlockNs > prev.ReadBlockNs ||
-		t.SpinYields > prev.SpinYields ||
-		t.SpinSleeps > prev.SpinSleeps
+	return t.WriteBlockNs > prev.WriteBlockNs || t.ReadBlockNs > prev.ReadBlockNs
 }

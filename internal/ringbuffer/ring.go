@@ -572,10 +572,13 @@ func (r *Ring[T]) Recycle(n int) {
 // dropLocked removes k elements from the head and wakes the producer.
 func (r *Ring[T]) dropLocked(k int) {
 	wasFull := r.n == len(r.vals)
-	// Release references so the GC can reclaim popped payloads.
-	var zero T
-	for j := 0; j < k; j++ {
-		r.vals[r.index0(r.head+j)] = zero
+	if !r.readOnly {
+		// Release references so the GC can reclaim popped payloads. A
+		// slice-backed ring's storage is the caller's array: left as it was.
+		var zero T
+		for j := 0; j < k; j++ {
+			r.vals[r.index0(r.head+j)] = zero
+		}
 	}
 	r.head = r.index0(r.head + k)
 	r.n -= k
@@ -681,9 +684,6 @@ func (r *Ring[T]) ReaderStarvedFor() time.Duration {
 // PendingDemand returns the largest outstanding consumer request observed
 // to exceed capacity, or zero.
 func (r *Ring[T]) PendingDemand() int { return int(r.pendingDemand.Load()) }
-
-// Kind identifies the queue implementation for reports and telemetry.
-func (r *Ring[T]) Kind() string { return "mutex" }
 
 // Telemetry returns the ring's performance counters.
 func (r *Ring[T]) Telemetry() *Telemetry { return &r.tel }

@@ -16,22 +16,11 @@ import "time"
 // free slots of the backing array so decoded batches can be materialized
 // directly into ring storage and published with ReleaseWriteView(n).
 //
-// Both ring kinds implement the same surface:
-//
-//   - Ring[T] (mutex): the view pins the borrowed region. Best-effort
-//     eviction never touches a pinned head (incoming signal-free elements
-//     are shed instead, exactly like a signal-pinned head), and a Resize
-//     requested while a view is out is deferred and applied at release, so
-//     the backing array is never repacked under a borrower.
-//   - SPSC[T] (lock-free): a read view spans one epoch — at most up to the
-//     segment's sealed tail — and is valid across the epoch-swap resize by
-//     construction: sealed segments are immutable (the producer only writes
-//     sequences past the seal, which live in the successor), and the
-//     consumer's segment pointer keeps the borrowed epoch alive. A pending
-//     swap therefore completes at the producer's next operation while the
-//     consumer still holds the old epoch's storage, and the consumer
-//     follows across the seal after release — the same discipline DrainTo
-//     uses, stretched over a borrow window.
+// A view pins the borrowed region. Best-effort eviction never touches a
+// pinned head (incoming signal-free elements are shed instead, exactly like
+// a signal-pinned head), and a Resize requested while a view is out is
+// deferred and applied at release, so the backing array is never repacked
+// under a borrower.
 //
 // Contract (single consumer / single producer, as for Pop/Push):
 //   - At most one read view and one write view may be outstanding per ring;
@@ -123,19 +112,6 @@ func (v WriteView[T]) CopyIn(off int, vals []T, sigs []Signal) int {
 	}
 	return n
 }
-
-// ViewHolder is implemented by queues supporting batch views; the monitor
-// uses it to skip resize decisions for links whose storage is pinned by an
-// outstanding borrow.
-type ViewHolder interface {
-	// ViewHeldFor returns how long the longest currently outstanding view
-	// (read or write) has been held, or zero when none is out.
-	ViewHeldFor() time.Duration
-}
-
-// ---------------------------------------------------------------------------
-// Mutex ring
-// ---------------------------------------------------------------------------
 
 // sliceViewLocked builds the read view of the first n buffered elements,
 // aliasing storage in at most two segments.
@@ -335,7 +311,7 @@ func (r *Ring[T]) applyDeferredLocked() {
 	_ = r.resizeLocked(target)
 }
 
-// ViewHeldFor implements ViewHolder. Only explicit borrows are stamped: a
+// ViewHeldFor implements Queue. Only explicit borrows are stamped: a
 // port window (window.go) is retired within a bounded time by construction,
 // so it reports zero here and reads no clock — not even this one, when no
 // explicit view is out.
@@ -354,228 +330,10 @@ func (r *Ring[T]) ViewHeldFor() time.Duration {
 
 // ResizePending reports whether a Resize accepted while a view or a port
 // window pinned the storage is still waiting for the release that applies
-// it. The monitor skips the link meanwhile, as it does for the lock-free
-// ring's epoch swap: the capacity has not changed yet, so the evidence that
-// asked for the resize would ask again.
+// it. The monitor skips the link meanwhile: the capacity has not changed
+// yet, so the evidence that asked for the resize would ask again.
 func (r *Ring[T]) ResizePending() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.deferredCap != 0
 }
-
-// ---------------------------------------------------------------------------
-// Lock-free SPSC ring
-// ---------------------------------------------------------------------------
-
-// AcquireView borrows up to max buffered elements, spinning (with the
-// usual escalating back-off) until at least one is available. The view
-// spans a single epoch: at most up to the borrowed segment's sealed tail,
-// so a swap installed mid-borrow never invalidates it. Once the queue is
-// closed and drained it returns ErrClosed with an empty view.
-func (q *SPSC[T]) AcquireView(max int) (View[T], error) {
-	var spins int
-	var blockedAt int64
-	for {
-		v, err := q.TryAcquireView(max)
-		if v.Len() > 0 || err != nil {
-			q.clearReaderBlock(blockedAt)
-			return v, err
-		}
-		if blockedAt == 0 {
-			blockedAt = nowNanos()
-			q.readerBlockSince.Store(blockedAt)
-		}
-		backoff(&spins, &q.tel)
-	}
-}
-
-// TryAcquireView is the non-blocking AcquireView: an empty view with a nil
-// error when the queue is empty but open, (empty, ErrClosed) once it is
-// closed and drained. Consumer-only, like TryPop.
-func (q *SPSC[T]) TryAcquireView(max int) (View[T], error) {
-	if max <= 0 {
-		return View[T]{}, nil
-	}
-	if q.viewOut {
-		panic("ringbuffer: TryAcquireView with a read view already outstanding")
-	}
-	h := q.head.Load()
-	t := q.tail.Load()
-	if t == h {
-		if !q.closed.Load() {
-			return View[T]{}, nil
-		}
-		// Re-check emptiness after observing closed: the producer may have
-		// pushed between our tail load and its Close.
-		t = q.tail.Load()
-		if t == h {
-			return View[T]{}, ErrClosed
-		}
-	}
-	s := q.segFor(h)
-	limit := t
-	if sealed := s.sealedAt.Load(); sealed < limit {
-		limit = sealed // this epoch ends before the tail
-	}
-	n := min(int(limit-h), max)
-	i := int((h - s.base) & s.mask)
-	first := min(n, len(s.vals)-i)
-	v := View[T]{
-		Vals: s.vals[i : i+first], Sigs: s.sigs[i : i+first],
-		Vals2: s.vals[:n-first], Sigs2: s.sigs[:n-first],
-	}
-	q.viewOut, q.viewN, q.viewH = true, n, h
-	q.viewSince.Store(nowNanos())
-	return v, nil
-}
-
-// ReleaseView ends the outstanding read view, consuming its first n
-// elements with a single head publish (they count as Pops, like DrainTo);
-// the rest stay buffered.
-func (q *SPSC[T]) ReleaseView(n int) {
-	if !q.viewOut {
-		panic("ringbuffer: ReleaseView without an outstanding view")
-	}
-	if n < 0 || n > q.viewN {
-		panic("ringbuffer: ReleaseView past the borrowed window")
-	}
-	q.viewOut = false
-	q.tel.Views.Inc()
-	q.tel.ViewHoldNs.Add(uint64(nowNanos() - q.viewSince.Load()))
-	q.viewSince.Store(0)
-	if n == 0 {
-		return
-	}
-	// The view was built from q.cons (segFor caches it), whose slots for
-	// [viewH, viewH+n) are exactly the borrowed segments; zero them so the
-	// GC can reclaim consumed payloads, then publish the head advance.
-	s := q.cons
-	h := q.viewH
-	i := int((h - s.base) & s.mask)
-	first := min(n, len(s.vals)-i)
-	var zero T
-	for j := 0; j < first; j++ {
-		s.vals[i+j] = zero
-	}
-	for j := 0; j < n-first; j++ {
-		s.vals[j] = zero
-	}
-	q.head.Store(h + uint64(n))
-	q.tel.Pops.Add(uint64(n))
-	q.notifyPopped(h)
-}
-
-// AcquireWriteView reserves up to max free slots of the producer's epoch,
-// spinning until at least one is free. A pending epoch swap is installed
-// first, so a full old ring never wedges the producer once the monitor has
-// granted space. On a best-effort queue a full ring returns an empty view
-// immediately instead of spinning (this side is drop-newest: the caller
-// sheds via PushN, which counts the loss). Returns ErrClosed with an empty
-// view on a closed queue.
-func (q *SPSC[T]) AcquireWriteView(max int) (WriteView[T], error) {
-	var spins int
-	var blockedAt int64
-	for {
-		v, err := q.TryAcquireWriteView(max)
-		if v.Len() > 0 || err != nil {
-			q.clearWriterBlock(blockedAt)
-			return v, err
-		}
-		if q.bestEffort.Load() {
-			q.clearWriterBlock(blockedAt)
-			return WriteView[T]{}, nil
-		}
-		if blockedAt == 0 {
-			blockedAt = nowNanos()
-			q.writerBlockSince.Store(blockedAt)
-		}
-		backoff(&spins, &q.tel)
-	}
-}
-
-// TryAcquireWriteView is the non-blocking AcquireWriteView: an empty view
-// with a nil error means the queue is full right now. Producer-only, like
-// TryPush.
-func (q *SPSC[T]) TryAcquireWriteView(max int) (WriteView[T], error) {
-	if max <= 0 {
-		return WriteView[T]{}, nil
-	}
-	if q.wviewOut {
-		panic("ringbuffer: TryAcquireWriteView with a write view already outstanding")
-	}
-	if q.closed.Load() {
-		return WriteView[T]{}, ErrClosed
-	}
-	t := q.tail.Load()
-	if q.pending.Load() != nil {
-		q.install(t)
-	}
-	s := q.prod
-	h := q.head.Load()
-	free := s.freeAt(t, h)
-	if free == 0 {
-		return WriteView[T]{}, nil
-	}
-	k := min(free, max)
-	i := int((t - s.base) & s.mask)
-	first := min(k, len(s.vals)-i)
-	wv := WriteView[T]{
-		Vals: s.vals[i : i+first], Sigs: s.sigs[i : i+first],
-		Vals2: s.vals[:k-first], Sigs2: s.sigs[:k-first],
-	}
-	clearSignals(wv.Sigs)
-	clearSignals(wv.Sigs2)
-	q.wviewOut, q.wviewN, q.wviewT = true, k, t
-	q.wviewSince.Store(nowNanos())
-	return wv, nil
-}
-
-// ReleaseWriteView ends the outstanding write view, publishing its first n
-// slots with a single tail store; the rest return to the free region.
-func (q *SPSC[T]) ReleaseWriteView(n int) {
-	if !q.wviewOut {
-		panic("ringbuffer: ReleaseWriteView without an outstanding view")
-	}
-	if n < 0 || n > q.wviewN {
-		panic("ringbuffer: ReleaseWriteView past the reserved window")
-	}
-	// The view was carved from q.prod at tail q.wviewT; an epoch swap
-	// cannot have moved the producer meanwhile (installs happen only in
-	// producer-side operations, and the producer was holding this view).
-	s := q.prod
-	t := q.wviewT
-	var zero T
-	for j := n; j < q.wviewN; j++ {
-		s.vals[(t+uint64(j)-s.base)&s.mask] = zero
-	}
-	q.wviewOut = false
-	q.tel.Views.Inc()
-	q.tel.ViewHoldNs.Add(uint64(nowNanos() - q.wviewSince.Load()))
-	q.wviewSince.Store(0)
-	if n == 0 {
-		return
-	}
-	q.tail.Store(t + uint64(n)) // release: publishes the batch
-	q.tel.Pushes.Add(uint64(n))
-	q.tel.recordOcc(int(t + uint64(n) - q.head.Load()))
-	q.notifyPushed(t)
-}
-
-// ViewHeldFor implements ViewHolder.
-func (q *SPSC[T]) ViewHeldFor() time.Duration {
-	now := nowNanos()
-	var d int64
-	if since := q.viewSince.Load(); since != 0 && now-since > d {
-		d = now - since
-	}
-	if since := q.wviewSince.Load(); since != 0 && now-since > d {
-		d = now - since
-	}
-	return time.Duration(d)
-}
-
-// guard: both ring kinds implement the view surface and the monitor hook.
-var (
-	_ ViewHolder = (*Ring[int])(nil)
-	_ ViewHolder = (*SPSC[int])(nil)
-)

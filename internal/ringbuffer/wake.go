@@ -33,17 +33,14 @@ func (w Wake) String() string {
 	return "wake(?)"
 }
 
-// WakeHooker is implemented by queue kinds that can notify a scheduler of
+// WakeHooker is implemented by queues that can notify a scheduler of
 // readiness transitions. The hook contract is strict, because it runs on
-// the queues' hot paths (under the mutex ring's lock; on the SPSC ring's
-// lock-free push/pop sequence):
+// the ring's hot path, under its lock:
 //
 //   - it must not block,
 //   - it must not call back into any queue, and
-//   - it must tolerate spurious invocations (the SPSC transition detection
-//     is conservative under concurrent endpoint races — a rare missed edge
-//     is rescued by the scheduler's watchdog, a rare extra edge must be
-//     harmless).
+//   - it must tolerate spurious invocations (a rare extra edge must be
+//     harmless; a rare missed one is rescued by the scheduler's watchdog).
 //
 // Passing nil detaches the hook. Installation is not synchronized with
 // in-flight operations beyond the queue's own ordering: install before the

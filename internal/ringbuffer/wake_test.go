@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// wakeLog collects hook invocations (the mutex ring calls the hook under
+// wakeLog collects hook invocations (the ring calls the hook under
 // its lock, so the log needs its own).
 type wakeLog struct {
 	mu sync.Mutex
@@ -105,83 +105,6 @@ func TestRingWakeHookGrowFiresNotFull(t *testing.T) {
 	}
 	if got := log.count(WakeNotFull); got != 1 {
 		t.Fatalf("grow not-full fires = %d, want 1", got)
-	}
-}
-
-func TestSPSCWakeHook(t *testing.T) {
-	q := NewSPSC[int](2)
-	var log wakeLog
-	q.SetWakeHook(log.hook)
-
-	ok, err := q.TryPush(1, SigNone)
-	if !ok || err != nil {
-		t.Fatal(ok, err)
-	}
-	ok, err = q.TryPush(2, SigNone)
-	if !ok || err != nil {
-		t.Fatal(ok, err)
-	}
-	if got := log.count(WakeNotEmpty); got != 1 {
-		t.Fatalf("not-empty fires = %d, want 1", got)
-	}
-
-	// Queue is at capacity: the first pop is a full -> non-full edge.
-	if _, _, ok, err := q.TryPop(); !ok || err != nil {
-		t.Fatal(ok, err)
-	}
-	if got := log.count(WakeNotFull); got != 1 {
-		t.Fatalf("not-full fires = %d, want 1", got)
-	}
-	if _, _, ok, err := q.TryPop(); !ok || err != nil {
-		t.Fatal(ok, err)
-	}
-	if got := log.count(WakeNotFull); got != 1 {
-		t.Fatalf("non-full pop fired spuriously (= %d)", got)
-	}
-
-	// Batch paths: PushN into empty fires once, DrainTo from full fires once.
-	if err := q.PushN([]int{1, 2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := log.count(WakeNotEmpty); got != 2 {
-		t.Fatalf("PushN not-empty fires = %d, want 2", got)
-	}
-	dst := make([]int, 2)
-	if _, err := q.DrainTo(dst, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := log.count(WakeNotFull); got != 2 {
-		t.Fatalf("DrainTo not-full fires = %d, want 2", got)
-	}
-
-	q.Close()
-	if got := log.count(WakeClosed); got != 1 {
-		t.Fatalf("closed fires = %d, want 1", got)
-	}
-}
-
-func TestSPSCWakeHookViews(t *testing.T) {
-	q := NewSPSC[int](2)
-	var log wakeLog
-	q.SetWakeHook(log.hook)
-
-	wv, err := q.TryAcquireWriteView(2)
-	if err != nil || wv.Len() != 2 {
-		t.Fatal(err, wv.Len())
-	}
-	wv.Vals[0], wv.Vals[1] = 10, 11
-	q.ReleaseWriteView(2)
-	if got := log.count(WakeNotEmpty); got != 1 {
-		t.Fatalf("write-view not-empty fires = %d, want 1", got)
-	}
-
-	v, err := q.AcquireView(2)
-	if err != nil || v.Len() != 2 {
-		t.Fatal(err, v.Len())
-	}
-	q.ReleaseView(2)
-	if got := log.count(WakeNotFull); got != 1 {
-		t.Fatalf("read-view not-full fires = %d, want 1", got)
 	}
 }
 

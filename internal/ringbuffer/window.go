@@ -454,5 +454,3 @@ func (r *Ring[T]) ReleaseWindow() int {
 	r.applyDeferredLocked()
 	return n
 }
-
-var _ Windower = (*Ring[int])(nil)

@@ -18,7 +18,7 @@ type Stats struct {
 	// Parks counts kernels parked after a Stall to await a link wake;
 	// Wakes counts link-transition re-queues of parked kernels; Rescues
 	// counts watchdog re-queues (kernels whose stall had no hooked link
-	// transition to wake them, or the rare missed SPSC edge).
+	// transition to wake them).
 	Parks, Wakes, Rescues uint64
 	// CrossShardLinks is the number of links whose producer and consumer
 	// were placed on different shards (work-stealing only).

@@ -63,8 +63,7 @@ const (
 	// grace for kernels with no hooked links (their stalls have no wake
 	// source, so the watchdog IS their scheduler), wsGraceHooked the much
 	// longer grace for kernels whose links carry hooks (rescue only covers
-	// the rare conservatively-missed SPSC edge and non-queue stall
-	// reasons).
+	// non-queue stall reasons).
 	wsWatchdogTick = 5 * time.Millisecond
 	wsGraceBare    = time.Millisecond
 	wsGraceHooked  = 10 * time.Millisecond
@@ -594,9 +593,8 @@ func (ws *WorkSteal) park(t *wsTask, shard int) {
 
 // watchdog periodically rescues overdue parked tasks. It is the liveness
 // backstop for kernels that stall without any hooked link (their stalls
-// have no wake source) and for the SPSC detector's conservatively missed
-// edges; with hooks installed it should almost never fire — Rescues
-// spiking in a report means wakes are being lost.
+// have no wake source); with hooks installed it should almost never fire —
+// Rescues spiking in a report means wakes are being lost.
 func (ws *WorkSteal) watchdog(done chan struct{}) {
 	tick := time.NewTicker(wsWatchdogTick)
 	defer tick.Stop()

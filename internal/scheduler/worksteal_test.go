@@ -52,19 +52,11 @@ func TestWorkStealStallCountsRescues(t *testing.T) {
 	}
 }
 
-// tryQueue is the typed surface the pipeline harness needs on top of the
-// untyped Queue interface (both Ring[int] and SPSC[int] satisfy it).
-type tryQueue interface {
-	ringbuffer.Queue
-	TryPush(v int, sig ringbuffer.Signal) (bool, error)
-	TryPop() (int, ringbuffer.Signal, bool, error)
-}
-
 // pipelineActors builds a producer->consumer pair over one hooked queue:
 // the producer pushes n elements (stalling when full) and the consumer pops
 // them (stalling when empty), so completion requires park/wake to work in
 // both directions.
-func pipelineActors(t *testing.T, q tryQueue, n int) ([]*core.Actor, *atomic.Int64) {
+func pipelineActors(t *testing.T, q *ringbuffer.Ring[int], n int) ([]*core.Actor, *atomic.Int64) {
 	t.Helper()
 	var got atomic.Int64
 	sent := 0
@@ -104,7 +96,7 @@ func pipelineActors(t *testing.T, q tryQueue, n int) ([]*core.Actor, *atomic.Int
 	return []*core.Actor{prod, cons}, &got
 }
 
-func testWorkStealParkWake(t *testing.T, q tryQueue) {
+func testWorkStealParkWake(t *testing.T, q *ringbuffer.Ring[int]) {
 	t.Helper()
 	const n = 5000
 	actors, got := pipelineActors(t, q, n)
@@ -124,10 +116,6 @@ func testWorkStealParkWake(t *testing.T, q tryQueue) {
 
 func TestWorkStealParkWakeRing(t *testing.T) {
 	testWorkStealParkWake(t, ringbuffer.NewRing[int](4))
-}
-
-func TestWorkStealParkWakeSPSC(t *testing.T) {
-	testWorkStealParkWake(t, ringbuffer.NewSPSC[int](4))
 }
 
 func TestWorkStealPlacementLocality(t *testing.T) {

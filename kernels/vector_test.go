@@ -115,21 +115,3 @@ func TestBatchLambda(t *testing.T) {
 		}
 	}
 }
-
-// TestVectorKernelsLockFree runs the vectorized kernels over lock-free
-// SPSC links, where PopView borrows sealed-epoch storage.
-func TestVectorKernelsLockFree(t *testing.T) {
-	got := runPipe[int64](t, ints(2000), NewMapBatch(func(vals []int64) {
-		for i := range vals {
-			vals[i] += 5
-		}
-	}), raft.WithLockFreeQueues())
-	if len(got) != 2000 {
-		t.Fatalf("mapped %d elements, want 2000", len(got))
-	}
-	for i, v := range got {
-		if v != int64(i+5) {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-}

@@ -8,11 +8,11 @@ import (
 )
 
 // bulkHarness binds a pair of ports to one queue, mimicking allocate().
-func bulkHarness(t *testing.T, lockFree bool) (*Port, *Port) {
+func bulkHarness(t *testing.T) (*Port, *Port) {
 	t.Helper()
 	src := newPort[int]("out", Out)
 	dst := newPort[int]("in", In)
-	q, typed := src.mk(8, 0, lockFree)
+	q, typed := src.mk(8, 0)
 	async := &asyncCell{}
 	src.bind(q, typed, async)
 	dst.bind(q, typed, async)
@@ -21,8 +21,8 @@ func bulkHarness(t *testing.T, lockFree bool) (*Port, *Port) {
 	return src, dst
 }
 
-func testBulkRoundTrip(t *testing.T, lockFree bool) {
-	src, dst := bulkHarness(t, lockFree)
+func TestBulkAccessorsRing(t *testing.T) {
+	src, dst := bulkHarness(t)
 	vs := []int{1, 2, 3, 4, 5}
 	sigs := []Signal{SigNone, SigUser, SigNone, SigNone, SigEOF}
 	if err := PushNSig(src, vs, sigs); err != nil {
@@ -49,12 +49,9 @@ func testBulkRoundTrip(t *testing.T, lockFree bool) {
 	}
 }
 
-func TestBulkAccessorsRing(t *testing.T) { testBulkRoundTrip(t, false) }
-func TestBulkAccessorsSPSC(t *testing.T) { testBulkRoundTrip(t, true) }
-
 // TestBulkTypeMismatchPanics mirrors the element-wise accessors' contract.
 func TestBulkTypeMismatchPanics(t *testing.T) {
-	src, _ := bulkHarness(t, false)
+	src, _ := bulkHarness(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on type mismatch")
@@ -70,7 +67,7 @@ func TestBatchHint(t *testing.T) {
 	if got := p.BatchHint(16); got != 16 {
 		t.Fatalf("unbound BatchHint = %d, want fallback 16", got)
 	}
-	src, _ := bulkHarness(t, false)
+	src, _ := bulkHarness(t)
 	if got := src.BatchHint(16); got != 16 {
 		t.Fatalf("no-decision BatchHint = %d, want 16", got)
 	}
@@ -83,8 +80,8 @@ func TestBatchHint(t *testing.T) {
 // TestMoveBatchedEquivalence moves a signalled stream through the adapters'
 // framed mover and checks the destination matches the source exactly.
 func TestMoveBatchedEquivalence(t *testing.T) {
-	src, _ := bulkHarness(t, false)
-	out, in := bulkHarness(t, false)
+	src, _ := bulkHarness(t)
+	out, in := bulkHarness(t)
 	const total = 300
 	go func() {
 		for i := 0; i < total; i++ {

@@ -139,10 +139,6 @@ func (m *Map) convertedLink(src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link
 		srcSideOpts = append(srcSideOpts, AsLowLatency())
 		dstSideOpts = append(dstSideOpts, AsLowLatency())
 	}
-	if spec.lockFree {
-		srcSideOpts = append(srcSideOpts, AsLockFree())
-		dstSideOpts = append(dstSideOpts, AsLockFree())
-	}
 	if spec.bestEffort {
 		srcSideOpts = append(srcSideOpts, AsBestEffort())
 		dstSideOpts = append(dstSideOpts, AsBestEffort())
@@ -157,7 +153,6 @@ func (m *Map) convertedLink(src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link
 		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
 		capacity: spec.capacity, maxCap: spec.maxCap,
 		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, lockFree: spec.lockFree,
-		bestEffort: spec.bestEffort,
+		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
 	}, nil
 }

@@ -28,11 +28,6 @@ type Config struct {
 	// explicit WithCapacity (default 64 elements). Monitor growth stops at
 	// the link's MaxCap, or at defaultMaxCap without one.
 	DefaultCapacity int
-	// LockFree selects lock-free SPSC queues instead of mutex rings for
-	// every stream. Window (PeekRange) access is unavailable on SPSC
-	// links; the monitor still resizes them (epoch swap) when
-	// DynamicResize is on.
-	LockFree bool
 
 	// WorkStealing selects the sharded work-stealing scheduler (per-worker
 	// deques, park/wake on queue transitions, locality-aware placement)
@@ -180,13 +175,6 @@ type Option func(*Config)
 // WithDefaultCapacity sets the initial capacity for streams without an
 // explicit per-link capacity.
 func WithDefaultCapacity(n int) Option { return func(c *Config) { c.DefaultCapacity = n } }
-
-// WithLockFreeQueues selects lock-free SPSC streams for every link (no
-// window access) — the fast-ring configuration of the A2 ablation.
-// Since the epoch swap the monitor's dynamic resizing applies to these
-// streams too; combine with WithDynamicResize(false) for truly fixed
-// capacities. Per-link selection is AsLockFree.
-func WithLockFreeQueues() Option { return func(c *Config) { c.LockFree = true } }
 
 // WithWorkStealing multiplexes kernels over n worker shards (0 =
 // GOMAXPROCS) under the sharded work-stealing scheduler: each worker owns
@@ -534,10 +522,7 @@ type KernelReport struct {
 
 // LinkReport is the per-stream slice of a Report.
 type LinkReport struct {
-	Name string
-	// Ring is the queue implementation backing the stream ("mutex" or
-	// "spsc"), so reports show which links ran lock-free.
-	Ring          string
+	Name          string
 	FinalCap      int
 	MeanOccupancy float64
 	FullFrac      float64
@@ -546,14 +531,10 @@ type LinkReport struct {
 	Pops          uint64
 	WriteBlockNs  uint64
 	ReadBlockNs   uint64
-	// Resizes counts installed capacity changes (Grows + Shrinks); on
-	// lock-free links these are epoch swaps.
+	// Resizes counts installed capacity changes (Grows + Shrinks).
 	Resizes uint64
 	Grows   uint64
 	Shrinks uint64
-	// SpinYields and SpinSleeps count lock-free back-off escalations.
-	SpinYields uint64
-	SpinSleeps uint64
 	// Dropped counts elements discarded by the best-effort overflow policy
 	// (AsBestEffort). Zero on backpressure links.
 	Dropped uint64
@@ -954,9 +935,6 @@ func newStream(cfg *Config, l *Link, id int) stream {
 		maxCap = defaultMaxCap
 	}
 	s := stream{async: &asyncCell{}, bc: &core.BatchControl{}}
-	// Lock-free links are resizable too since the epoch swap: the monitor
-	// publishes a new ring and the producer installs it at its next push,
-	// so every allocation choice obeys the §4.1 rules.
 	resizable := true
 	if qp, ok := l.Src.(QueueProvider); ok {
 		if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
@@ -965,12 +943,11 @@ func newStream(cfg *Config, l *Link, id int) stream {
 		}
 	}
 	if s.q == nil {
-		s.q, s.typed = l.SrcPort.mk(capacity, maxCap, cfg.LockFree || l.lockFree)
+		s.q, s.typed = l.SrcPort.mk(capacity, maxCap)
 	}
 	if l.bestEffort {
-		// Both ring kinds implement the setter; provider-owned queues
-		// (read-only source rings) have nothing to drop and simply keep
-		// their default policy.
+		// Provider-owned queues (read-only source rings) have nothing to
+		// drop and simply keep their default policy.
 		if be, ok := s.q.(interface{ SetBestEffort(bool) }); ok {
 			be.SetBestEffort(true)
 		}
@@ -1114,7 +1091,7 @@ func readinessOf(kb *KernelBase) func() bool {
 	return func() bool {
 		for _, p := range kb.ins {
 			q := p.q
-			if q == nil || (p.win != nil && p.win.WindowPos(false) > 0) {
+			if q == nil || q.WindowPos(false) > 0 {
 				continue
 			}
 			if q.Len() == 0 && !q.Closed() {
@@ -1123,7 +1100,7 @@ func readinessOf(kb *KernelBase) func() bool {
 		}
 		for _, p := range kb.outs {
 			q := p.q
-			if q == nil || (p.win != nil && p.win.WindowPos(true) > 0) {
+			if q == nil || q.WindowPos(true) > 0 {
 				continue
 			}
 			if q.Len() >= q.Cap() && !q.Closed() {
@@ -1189,7 +1166,6 @@ func (ex *Execution) buildReport() *Report {
 		tel := l.Queue.Telemetry().Snapshot()
 		lr := LinkReport{
 			Name:          l.Name,
-			Ring:          l.Queue.Kind(),
 			FinalCap:      l.Queue.Cap(),
 			MeanOccupancy: l.Occupancy.Mean(),
 			FullFrac:      l.Occupancy.FullFraction(),
@@ -1201,8 +1177,6 @@ func (ex *Execution) buildReport() *Report {
 			Resizes:       tel.Resizes,
 			Grows:         tel.Grows,
 			Shrinks:       tel.Shrinks,
-			SpinYields:    tel.SpinYields,
-			SpinSleeps:    tel.SpinSleeps,
 			Dropped:       tel.Drops(),
 			OccHist:       tel.Occupancy,
 			OccP50:        stats.LogQuantile(tel.Occupancy[:], 0.50),

@@ -149,7 +149,8 @@ func (s *Source[T]) push(out *Port, vals []T) error {
 	if len(vals) == 0 {
 		return nil
 	}
-	if isBestEffort(out) {
+	if ringOf[T](out).BestEffort() {
+		// The link's shed policy lives in PushN.
 		return PushN[T](out, vals)
 	}
 	off := 0

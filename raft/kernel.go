@@ -66,11 +66,6 @@ type KernelBase struct {
 
 	m *Map // owning map, set by Link
 
-	// windowed is set once any port is bound to a stream with port windows
-	// (the default ring); a kernel whose streams are all lock-free never
-	// has a window to retire.
-	windowed bool
-
 	// Latency-marker carriage (see marker.go): marks is the execution's
 	// rig (nil when markers are off), pendingMarks holds markers picked up
 	// but not yet forwarded, markForward opts bridge endpoints out of
@@ -251,18 +246,14 @@ func (k *KernelBase) addPort(p *Port) {
 	}
 }
 
-// newPort builds a typed port with its generically-captured queue factory
+// newPort builds a typed port with its generically-captured ring factory
 // and transfer closures.
 func newPort[T any](name string, dir Direction) *Port {
 	return &Port{
 		name: name,
 		dir:  dir,
 		elem: reflect.TypeOf((*T)(nil)).Elem(),
-		mk: func(capacity, maxCap int, lockFree bool) (ringbuffer.Queue, any) {
-			if lockFree {
-				q := ringbuffer.NewSPSC[T](capacity)
-				return q, q
-			}
+		mk: func(capacity, maxCap int) (ringbuffer.Queue, any) {
 			r := ringbuffer.NewRing[T](capacity)
 			if maxCap > 0 {
 				r.SetMaxCap(maxCap)

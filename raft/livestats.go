@@ -54,9 +54,6 @@ type LiveLink struct {
 	// OccP50 and OccP99 are occupancy quantile upper bounds from the
 	// ring's per-push log2 histogram (elements buffered at push time).
 	OccP50, OccP99 uint64
-	// SpinYields and SpinSleeps count back-off escalations on lock-free
-	// links — the live contention signal.
-	SpinYields, SpinSleeps uint64
 	// Dropped counts elements shed so far by the best-effort overflow
 	// policy (zero on backpressure links).
 	Dropped uint64
@@ -161,8 +158,6 @@ func (s *statsStreamer) snapshot() LiveStats {
 			MeanOccupancy: l.Occupancy.Mean(),
 			OccP50:        stats.LogQuantile(tel.Occupancy[:], 0.50),
 			OccP99:        stats.LogQuantile(tel.Occupancy[:], 0.99),
-			SpinYields:    tel.SpinYields,
-			SpinSleeps:    tel.SpinSleeps,
 			Dropped:       tel.Drops(),
 			Batch:         l.Batch.Get(),
 		}

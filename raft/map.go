@@ -33,7 +33,6 @@ type Link struct {
 	outOfOrder  bool
 	reorderable bool
 	lowLatency  bool
-	lockFree    bool
 	bestEffort  bool
 }
 
@@ -47,9 +46,6 @@ func (l *Link) Reorderable() bool { return l.reorderable }
 
 // LowLatency reports whether the link is exempt from adaptive batching.
 func (l *Link) LowLatency() bool { return l.lowLatency }
-
-// LockFree reports whether the link requested a lock-free SPSC queue.
-func (l *Link) LockFree() bool { return l.lockFree }
 
 // BestEffort reports whether the link runs the drop/latest-wins overflow
 // policy instead of producer backpressure.
@@ -65,7 +61,6 @@ type linkSpec struct {
 	outOfOrder  bool
 	reorderable bool
 	lowLatency  bool
-	lockFree    bool
 	bestEffort  bool
 	convert     bool
 }
@@ -99,21 +94,12 @@ func AsOutOfOrder() LinkOption { return func(s *linkSpec) { s.outOfOrder = true 
 // the monitor's batching decisions are bypassed.
 func AsLowLatency() LinkOption { return func(s *linkSpec) { s.lowLatency = true } }
 
-// AsLockFree backs this one stream with a lock-free SPSC queue instead of
-// the default mutex ring — the per-link form of WithLockFreeQueues. The
-// stream loses window (PeekRange) access but keeps dynamic resizing: the
-// monitor publishes a larger ring and the producer installs it at its
-// next push (epoch swap), so hot single-stream links get the fast ring
-// without giving up §4.1's buffer-sizing rules.
-func AsLockFree() LinkOption { return func(s *linkSpec) { s.lockFree = true } }
-
 // AsBestEffort opts the stream out of producer backpressure: when the
 // queue is full, elements are discarded instead of blocking the producer.
-// The default mutex ring evicts the oldest buffered elements (latest-wins
-// — the consumer always sees the freshest suffix, the natural policy for
-// monitoring/sampling streams); a lock-free stream (AsLockFree /
-// WithLockFreeQueues) sheds the incoming elements instead, since its
-// consumer owns the head slot. Either way drops are counted in the link's
+// The ring evicts the oldest buffered elements (latest-wins — the consumer
+// always sees the freshest suffix, the natural policy for monitoring/
+// sampling streams), and sheds the incoming ones only while its head is
+// pinned by a signal or a borrowed view. Drops are counted in the link's
 // Dropped telemetry — surfaced in Report, live stats and Prometheus — and
 // signal-carrying elements (SigEOF etc.) are never dropped, so stream
 // teardown stays reliable. Latency is bounded; delivery is not.
@@ -187,8 +173,7 @@ func (m *Map) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
 		capacity: spec.capacity, maxCap: spec.maxCap,
 		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, lockFree: spec.lockFree,
-		bestEffort: spec.bestEffort,
+		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
 	}
 	sp.link = l
 	dp.link = l

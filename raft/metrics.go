@@ -173,8 +173,6 @@ func (ex *Execution) writeMetrics(w io.Writer) {
 		{"raft_link_read_block_ns_total", "Consumer block time in nanoseconds.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.ReadBlockNs }},
 		{"raft_link_grows_total", "Monitor-driven capacity grows.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Grows }},
 		{"raft_link_shrinks_total", "Monitor-driven capacity shrinks.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Shrinks }},
-		{"raft_link_spin_yields_total", "Lock-free back-off spin-to-yield escalations.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.SpinYields }},
-		{"raft_link_spin_sleeps_total", "Lock-free back-off yield-to-sleep escalations.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.SpinSleeps }},
 		{"raft_link_dropped_total", "Elements discarded by the best-effort overflow policy.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Drops() }},
 		{"raft_link_views_total", "Completed zero-copy borrow/release view cycles.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Views }},
 	}

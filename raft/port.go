@@ -30,24 +30,6 @@ func (d Direction) String() string {
 	return "out"
 }
 
-// typedQueue is the element-typed operation set shared by both queue
-// implementations (dynamic Ring and lock-free SPSC).
-type typedQueue[T any] interface {
-	Push(T, Signal) error
-	TryPush(T, Signal) (bool, error)
-	Pop() (T, Signal, error)
-	TryPop() (T, Signal, bool, error)
-}
-
-// bulkQueue is the batched operation set both queue implementations provide:
-// one lock acquisition (Ring) or one atomic publish (SPSC) per batch instead
-// of per element.
-type bulkQueue[T any] interface {
-	PushN([]T, []Signal) error
-	PopN([]T, []Signal) (int, error)
-	DrainTo([]T, []Signal) (int, error)
-}
-
 // Port is one named, typed stream endpoint on a kernel. Ports are declared
 // with AddInput / AddOutput in the kernel's constructor and accessed from
 // Run via the generic stream operations (Pop, Push, Peek, ...).
@@ -57,10 +39,11 @@ type Port struct {
 	elem  reflect.Type
 	owner *KernelBase
 
-	// mk allocates the stream queue for a link whose producer has this
-	// element type. Captured generically by AddInput/AddOutput.
-	mk func(capacity, maxCap int, lockFree bool) (ringbuffer.Queue, any)
-	// mover transfers up to max elements from one typed queue to another
+	// mk allocates the stream's ring for a link whose producer has this
+	// element type, returning it as a Queue and as the *ringbuffer.Ring[T]
+	// the typed operations assert. Captured generically by AddInput/AddOutput.
+	mk func(capacity, maxCap int) (ringbuffer.Queue, any)
+	// mover transfers up to max elements from one ring to another
 	// (both must carry this port's element type) as one frame: a borrowed
 	// view of the source's storage pushed into the destination (moveView).
 	// block selects whether it waits for the source's first element; it
@@ -71,16 +54,14 @@ type Port struct {
 	// for the first), then up to max total, element by element.
 	moveBlocking func(src, dst any, max int) (int, error)
 
+	// q is the stream's ring, typed the same ring as a *ringbuffer.Ring[T].
+	// The port window lives in the ring — the stream end — not here:
+	// several Port values may be bound to one end (a KernelGroup's members).
 	q     ringbuffer.Queue
 	typed any
 	async *asyncCell
 	link  *Link
 	batch *core.BatchControl
-	// win is q's port-window surface, nil for a queue that has none (the
-	// lock-free ring). The window itself lives
-	// in the queue — the stream end — not here: several Port values may be
-	// bound to one end (a KernelGroup's members).
-	win ringbuffer.Windower
 
 	// lane is the link's latency-marker mailbox, shared by both endpoint
 	// ports (like batch above); nil when markers are off, which keeps the
@@ -187,8 +168,8 @@ func (p *Port) Len() int {
 		return 0
 	}
 	n := p.q.Len()
-	if p.win != nil && p.dir == In {
-		n -= p.win.WindowPos(false)
+	if p.dir == In {
+		n -= p.q.WindowPos(false)
 	}
 	return n
 }
@@ -207,10 +188,8 @@ func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
 	p.q = q
 	p.typed = typed
 	p.async = async
-	p.win, _ = q.(ringbuffer.Windower)
-	if p.win != nil && p.owner != nil {
-		p.owner.windowed = true
-		p.win.SetWindowOwner(p.dir == Out, p.owner)
+	if p.owner != nil {
+		q.SetWindowOwner(p.dir == Out, p.owner)
 	}
 }
 
@@ -220,10 +199,7 @@ func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
 // actor, stays the end's owner. The link's batch control comes along so that
 // a member sizes windows as the group would (1 on an AsLowLatency link).
 func (p *Port) share(src *Port) {
-	p.q, p.typed, p.async, p.win, p.batch = src.q, src.typed, src.async, src.win, src.batch
-	if p.win != nil && p.owner != nil {
-		p.owner.windowed = true
-	}
+	p.q, p.typed, p.async, p.batch = src.q, src.typed, src.async, src.batch
 }
 
 // windowMax is the port-window length a scalar operation asks the stream
@@ -241,37 +217,16 @@ func (p *Port) windowMax() int {
 // was pushed (and lets the markers that were waiting for those elements
 // go), an input port releases what was popped.
 func (p *Port) retireWindow() {
-	if p.win == nil {
+	if p.q == nil {
 		return
 	}
 	if p.dir == Out {
-		if n := p.win.CommitWindow(); n > 0 {
+		if n := p.q.CommitWindow(); n > 0 {
 			p.markPush(n)
 		}
-	} else if p.win.ReleaseWindow() > 0 {
+	} else if p.q.ReleaseWindow() > 0 {
 		p.markPop()
 	}
-}
-
-// retireOwner retires every window of the port's kernel. The default ring
-// does this itself before it makes a kernel wait; operations on any other
-// queue kind call it first, because they may wait and that queue cannot. A
-// kernel none of whose streams is windowed (every queue lock-free) has
-// nothing to retire and pays one flag test.
-func (p *Port) retireOwner() {
-	if p.owner != nil && p.owner.windowed {
-		p.owner.RetireWindows()
-	}
-}
-
-// retired returns the port's default ring with the port's own window
-// retired, for operations that address the ring other than element by
-// element; ok is false for any other queue kind.
-func retired[T any](p *Port) (r *ringbuffer.Ring[T], ok bool) {
-	if r, ok = p.typed.(*ringbuffer.Ring[T]); ok && r.WindowPos(p.dir == Out) != 0 {
-		p.retireWindow()
-	}
-	return r, ok
 }
 
 // BatchHint returns the adaptive batcher's chosen transfer size for the
@@ -305,42 +260,38 @@ func typeMismatchPanic[T any](p *Port) error {
 	return misuse(ErrTypeMismatch, "port %s accessed with element type %T", p, zero)
 }
 
-// queueOf extracts the typed queue interface from a port whose stream is
-// not the default ring (the lock-free ring), panicking with a descriptive
-// message on element-type mismatch (a programming error that link-time
-// type checking cannot see because the access type parameter is chosen at
-// the call site). Asserting to a generic interface makes the runtime search
-// its itab table, which is why every stream operation tries the default
-// ring by concrete type first — two type pointers compared — and comes here
-// only when that fails. The binding is read afresh each call, so a port
-// rebound by a graph rewrite needs no invalidation.
-func queueOf[T any](p *Port) typedQueue[T] {
-	p.mustBeBound()
-	q, ok := p.typed.(typedQueue[T])
+// ringOf returns the port's ring, panicking with a descriptive message on an
+// unbound port or an element-type mismatch (a programming error that
+// link-time type checking cannot see because the access type parameter is
+// chosen at the call site). The assertion compares two type pointers, and
+// the binding is read afresh each call, so a port rebound by a graph
+// rewrite needs no invalidation.
+func ringOf[T any](p *Port) *ringbuffer.Ring[T] {
+	r, ok := p.typed.(*ringbuffer.Ring[T])
 	if !ok {
+		p.mustBeBound()
 		panic(typeMismatchPanic[T](p))
 	}
-	return q
+	return r
 }
 
-// ringOf extracts the dynamic ring for window operations (PeekRange and
-// friends), which the lock-free queue does not support.
-func ringOf[T any](p *Port) *ringbuffer.Ring[T] {
-	if r, ok := retired[T](p); ok {
-		return r
+// retired is ringOf with the port's own window retired, for operations that
+// address the ring other than element by element (bulk, peek, views): they
+// land behind every element the scalar path already accepted or handed out,
+// so FIFO order holds across any mix of the two.
+func retired[T any](p *Port) *ringbuffer.Ring[T] {
+	r := ringOf[T](p)
+	if r.WindowPos(p.dir == Out) != 0 {
+		p.retireWindow()
 	}
-	p.mustBeBound()
-	if _, isT := p.typed.(typedQueue[T]); isT {
-		panic(misuse(ErrTypeMismatch, "window access on port %s requires dynamic queues (remove WithLockFreeQueues)", p))
-	}
-	panic(typeMismatchPanic[T](p))
+	return r
 }
 
-// Element-wise access. On the default ring a scalar operation is an index
-// into the stream end's port window (ringbuffer/window.go): the inlined
-// first branch below takes no lock and reads no clock (a push publishes its
-// cursor with one atomic store), and the ring is visited once per window by
-// popSlow/pushSlow, which is also where markers are picked up and deposited.
+// Element-wise access. A scalar operation is an index into the stream end's
+// port window (ringbuffer/window.go): the inlined first branch below takes no
+// lock and reads no clock (a push publishes its cursor with one atomic
+// store), and the ring is visited once per window by popSlow/pushSlow, which
+// is also where markers are picked up and deposited.
 
 // Pop removes and returns the next element from an input port, blocking
 // until data arrives. It returns ErrClosed when the stream is closed and
@@ -382,28 +333,14 @@ func TryPop[T any](p *Port) (v T, ok bool, err error) {
 
 // popSlow is the scalar pop off the window's fast path: the last element of
 // a window (which releases it), the first of the next one (which opens it),
-// a direct pop at window length 1, or any other queue kind. A stream sealed
-// by a graph rewrite migrates once drained and the pop retries.
+// or a direct pop at window length 1. A stream sealed by a graph rewrite
+// migrates once drained and the pop retries.
 func popSlow[T any](p *Port, block bool) (v T, s Signal, ok bool, err error) {
 	for {
-		if r, isRing := p.typed.(*ringbuffer.Ring[T]); isRing {
-			var released int
-			v, s, released, ok, err = r.PopWindowed(p.windowMax(), block)
-			if released > 0 {
-				p.markPop()
-			}
-		} else {
-			q := queueOf[T](p)
-			if block {
-				p.retireOwner()
-				v, s, err = q.Pop()
-				ok = err == nil
-			} else {
-				v, s, ok, err = q.TryPop()
-			}
-			if ok {
-				p.markPop()
-			}
+		var released int
+		v, s, released, ok, err = ringOf[T](p).PopWindowed(p.windowMax(), block)
+		if released > 0 {
+			p.markPop()
 		}
 		if ok || err == nil || !p.migrateOnClosed(err) {
 			return v, s, ok, err
@@ -452,25 +389,9 @@ func TryPush[T any](p *Port, v T) (bool, error) {
 
 // pushSlow is the scalar push off the window's fast path: the last slot of
 // a window or a signal-carrying element (which commit it), the first slot of
-// the next one (which opens it), a direct push at window length 1, or any
-// other queue kind.
+// the next one (which opens it), or a direct push at window length 1.
 func pushSlow[T any](p *Port, v T, s Signal, block bool) (ok bool, err error) {
-	var committed int
-	if r, isRing := p.typed.(*ringbuffer.Ring[T]); isRing {
-		committed, ok, err = r.PushWindowed(v, s, p.windowMax(), block)
-	} else {
-		q := queueOf[T](p)
-		if block {
-			p.retireOwner()
-			err = q.Push(v, s)
-			ok = err == nil
-		} else {
-			ok, err = q.TryPush(v, s)
-		}
-		if ok {
-			committed = 1
-		}
-	}
+	committed, ok, err := ringOf[T](p).PushWindowed(v, s, p.windowMax(), block)
 	if committed > 0 {
 		p.markPush(committed)
 	}
@@ -480,40 +401,19 @@ func pushSlow[T any](p *Port, v T, s Signal, block bool) (ok bool, err error) {
 // PushBatch appends all of vs (more efficient than element-wise Push for
 // high-rate streams); the final element carries sig.
 func PushBatch[T any](p *Port, vs []T, sig Signal) error {
-	err := ringOf[T](p).PushBatch(vs, sig)
+	err := retired[T](p).PushBatch(vs, sig)
 	if err == nil {
 		p.markPush(len(vs))
 	}
 	return err
 }
 
-// bulkOf extracts the batched queue interface from a port, panicking with a
-// descriptive message on element-type mismatch. The default ring is
-// recognised by concrete type first and comes back with the port's own
-// window retired, so a bulk operation lands behind every element the scalar
-// path already accepted or handed out (FIFO order holds across any mix of
-// the two); another queue kind may wait without telling anyone, so the
-// kernel's windows on its other ports are retired for it.
-func bulkOf[T any](p *Port) bulkQueue[T] {
-	if r, ok := retired[T](p); ok {
-		return r
-	}
-	p.mustBeBound()
-	q, ok := p.typed.(bulkQueue[T])
-	if !ok {
-		panic(typeMismatchPanic[T](p))
-	}
-	p.retireOwner()
-	return q
-}
-
 // PushN appends all of vs to an output port in one bulk operation — a
-// single lock acquisition (dynamic ring) or atomic publish (lock-free ring)
-// per batch instead of one per element. Every element carries SigNone; use
+// single lock acquisition per batch instead of one per element. Every element carries SigNone; use
 // PushNSig to attach synchronized signals. PushN blocks while the stream is
 // full and returns ErrClosed on a closed stream.
 func PushN[T any](p *Port, vs []T) error {
-	err := bulkOf[T](p).PushN(vs, nil)
+	err := retired[T](p).PushN(vs, nil)
 	if err == nil {
 		p.markPush(len(vs))
 	}
@@ -524,7 +424,7 @@ func PushN[T any](p *Port, vs []T) error {
 // (all SigNone) or have exactly len(vs) entries, delivered downstream
 // aligned with their elements.
 func PushNSig[T any](p *Port, vs []T, sigs []Signal) error {
-	err := bulkOf[T](p).PushN(vs, sigs)
+	err := retired[T](p).PushN(vs, sigs)
 	if err == nil {
 		p.markPush(len(vs))
 	}
@@ -538,7 +438,7 @@ func PushNSig[T any](p *Port, vs []T, sigs []Signal) error {
 // to observe them.
 func PopN[T any](p *Port, dst []T) (int, error) {
 	for {
-		n, err := bulkOf[T](p).PopN(dst, nil)
+		n, err := retired[T](p).PopN(dst, nil)
 		if n > 0 {
 			p.markPop()
 		}
@@ -553,7 +453,7 @@ func PopN[T any](p *Port, dst []T) (int, error) {
 // aligned with dst.
 func PopNSig[T any](p *Port, dst []T, sigs []Signal) (int, error) {
 	for {
-		n, err := bulkOf[T](p).PopN(dst, sigs)
+		n, err := retired[T](p).PopN(dst, sigs)
 		if n > 0 {
 			p.markPop()
 		}
@@ -568,7 +468,7 @@ func PopNSig[T any](p *Port, dst []T, sigs []Signal) (int, error) {
 // but open and (0, ErrClosed) once it is closed and drained.
 func DrainTo[T any](p *Port, dst []T) (int, error) {
 	for {
-		n, err := bulkOf[T](p).DrainTo(dst, nil)
+		n, err := retired[T](p).DrainTo(dst, nil)
 		if n > 0 {
 			p.markPop()
 		}
@@ -582,7 +482,7 @@ func DrainTo[T any](p *Port, dst []T) (int, error) {
 // consuming it, blocking until it arrives.
 func Peek[T any](p *Port, i int) (T, error) {
 	for {
-		v, _, err := ringOf[T](p).Peek(i)
+		v, _, err := retired[T](p).Peek(i)
 		if err == nil || !p.migrateOnClosed(err) {
 			return v, err
 		}
@@ -598,7 +498,7 @@ func Peek[T any](p *Port, i int) (T, error) {
 // with Recycle.
 func PeekRange[T any](p *Port, n int) ([]T, error) {
 	for {
-		vs, _, err := ringOf[T](p).PeekRange(n)
+		vs, _, err := retired[T](p).PeekRange(n)
 		if err == nil || len(vs) > 0 || !p.migrateOnClosed(err) {
 			return vs, err
 		}
@@ -609,7 +509,7 @@ func PeekRange[T any](p *Port, n int) ([]T, error) {
 // when every signal is SigNone).
 func PeekRangeSig[T any](p *Port, n int) ([]T, []Signal, error) {
 	for {
-		vs, sigs, err := ringOf[T](p).PeekRange(n)
+		vs, sigs, err := retired[T](p).PeekRange(n)
 		if err == nil || len(vs) > 0 || !p.migrateOnClosed(err) {
 			return vs, sigs, err
 		}
@@ -619,7 +519,7 @@ func PeekRangeSig[T any](p *Port, n int) ([]T, []Signal, error) {
 // Recycle consumes the n oldest elements of an input port after a
 // PeekRange, sliding the window forward.
 func Recycle[T any](p *Port, n int) {
-	ringOf[T](p).Recycle(n)
+	retired[T](p).Recycle(n)
 	if n > 0 {
 		p.markPop()
 	}
@@ -657,8 +557,7 @@ func (a *Alloc[T]) Send() error {
 // moveItemsBlocking transfers at least one element (blocking on the source
 // for the first) and then up to max total.
 func moveItemsBlocking[T any](src, dst any, max int) (int, error) {
-	s := src.(typedQueue[T])
-	d := dst.(typedQueue[T])
+	s, d := src.(*ringbuffer.Ring[T]), dst.(*ringbuffer.Ring[T])
 	v, sig, err := s.Pop()
 	if err != nil {
 		return 0, err

@@ -19,7 +19,7 @@ func boundRelay() (*LambdaKernel, *ringbuffer.Ring[int64]) {
 }
 
 // TestPortFastPathKeepsMisuseErrors pins the misuse taxonomy around the
-// concrete-type fast path of queueOf/bulkOf/viewOf and the scan in In/Out:
+// concrete-type assertion of ringOf/retired and the scan in In/Out:
 // a correct access first, then the wrong one, must still be diagnosed.
 func TestPortFastPathKeepsMisuseErrors(t *testing.T) {
 	k, _ := boundRelay()

@@ -70,25 +70,6 @@ func TestWrongElementTypePanics(t *testing.T) {
 	}
 }
 
-func TestWindowAccessOnLockFreeQueueSurfacesError(t *testing.T) {
-	m := NewMap()
-	windowed := NewLambdaIO[int64, int64](1, 1, func(k *LambdaKernel) Status {
-		_, _ = PeekRange[int64](k.In("0"), 4) // unsupported on SPSC
-		return Stop
-	})
-	sink := newCollect()
-	if _, err := m.Link(newGen(10), windowed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(windowed, sink); err != nil {
-		t.Fatal(err)
-	}
-	_, err := m.Exe(WithLockFreeQueues())
-	if err == nil || !strings.Contains(err.Error(), "dynamic queues") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestPortIntrospection(t *testing.T) {
 	k := newSum()
 	p := k.In("input_a")

@@ -172,7 +172,6 @@ func writeTable[T any](b *strings.Builder, cols []col[T], n int, row func(int) T
 func streamCols(rates, drops, views, life bool) []col[*LinkReport] {
 	cols := []col[*LinkReport]{
 		{"link", 44, func(l *LinkReport) string { return l.Name }},
-		{"ring", 6, func(l *LinkReport) string { return l.Ring }},
 		{"cap", 8, func(l *LinkReport) string { return fmt.Sprintf("%d", l.FinalCap) }},
 		{"mean occ", 10, func(l *LinkReport) string { return fmt.Sprintf("%.1f", l.MeanOccupancy) }},
 		{"occ p99", 8, func(l *LinkReport) string { return fmt.Sprintf("%d", l.OccP99) }},
@@ -180,7 +179,6 @@ func streamCols(rates, drops, views, life bool) []col[*LinkReport] {
 		{"starv%", 8, func(l *LinkReport) string { return fmt.Sprintf("%.1f", 100*l.StarvedFrac) }},
 		{"resz", 5, func(l *LinkReport) string { return fmt.Sprintf("%d", l.Resizes) }},
 		{"grows", 6, func(l *LinkReport) string { return fmt.Sprintf("%d", l.Grows) }},
-		{"spins", 7, func(l *LinkReport) string { return fmt.Sprintf("%d", l.SpinYields+l.SpinSleeps) }},
 		{"batch", 6, func(l *LinkReport) string { return fmt.Sprintf("%d", l.Batch) }},
 	}
 	if drops {

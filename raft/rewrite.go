@@ -327,8 +327,7 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
 		capacity: spec.capacity, maxCap: spec.maxCap,
 		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, lockFree: spec.lockFree,
-		bestEffort: spec.bestEffort,
+		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
 	}
 	t.claimed[sp] = l
 	t.claimed[dp] = l

@@ -13,9 +13,8 @@ import "raftlib/internal/ringbuffer"
 // mirror: decoded or generated batches are materialized straight into the
 // queue's free region and published with ReleaseWriteView.
 //
-// Every queue a port can be bound to supports views: both ring kinds, and
-// the slice-backed ring a QueueProvider hands out (ProvideQueue returns an
-// internal/ringbuffer type, so no other queue can reach a port). The borrow
+// Every stream is a ring, and every ring supports views — the slice-backed
+// one a QueueProvider hands out included. The borrow
 // discipline (one view per side, release exactly once, slices invalid after
 // release) is documented on the ringbuffer package.
 
@@ -84,62 +83,6 @@ func (v WriteView[T]) CopyIn(off int, vals []T, sigs []Signal) int {
 	return ringbuffer.WriteView[T](v).CopyIn(off, vals, sigs)
 }
 
-// viewQueue is the borrow/release read surface both built-in queue kinds
-// implement (see internal/ringbuffer/view.go).
-type viewQueue[T any] interface {
-	AcquireView(int) (ringbuffer.View[T], error)
-	TryAcquireView(int) (ringbuffer.View[T], error)
-	ReleaseView(int)
-}
-
-// writeViewQueue is the producer-side mirror.
-type writeViewQueue[T any] interface {
-	AcquireWriteView(int) (ringbuffer.WriteView[T], error)
-	TryAcquireWriteView(int) (ringbuffer.WriteView[T], error)
-	ReleaseWriteView(int)
-}
-
-// bestEffortQueue is implemented by both ring kinds; a best-effort link's
-// shed policy lives in PushN, so view-based producers route around write
-// views there.
-type bestEffortQueue interface{ BestEffort() bool }
-
-// isBestEffort reports whether the port's stream runs a best-effort
-// overflow policy.
-func isBestEffort(p *Port) bool {
-	q, ok := p.typed.(bestEffortQueue)
-	return ok && q.BestEffort()
-}
-
-// viewOf extracts the view surface, panicking with a descriptive message on
-// element-type mismatch.
-func viewOf[T any](p *Port) viewQueue[T] {
-	if r, ok := retired[T](p); ok {
-		return r // concrete-type fast path, port window retired: see bulkOf
-	}
-	p.mustBeBound()
-	q, ok := p.typed.(viewQueue[T])
-	if !ok {
-		panic(typeMismatchPanic[T](p))
-	}
-	p.retireOwner()
-	return q
-}
-
-// writeViewOf is viewOf for the producer side.
-func writeViewOf[T any](p *Port) writeViewQueue[T] {
-	if r, ok := retired[T](p); ok {
-		return r
-	}
-	p.mustBeBound()
-	q, ok := p.typed.(writeViewQueue[T])
-	if !ok {
-		panic(typeMismatchPanic[T](p))
-	}
-	p.retireOwner()
-	return q
-}
-
 // PopView borrows up to max buffered elements of an input port in place,
 // blocking until at least one is available; once the stream is closed and
 // drained it returns ErrClosed with an empty view. A non-empty view MUST be
@@ -147,7 +90,7 @@ func writeViewOf[T any](p *Port) writeViewQueue[T] {
 // and are invalid after release.
 func PopView[T any](p *Port, max int) (View[T], error) {
 	for {
-		v, err := viewOf[T](p).AcquireView(max)
+		v, err := retired[T](p).AcquireView(max)
 		if len(v.Vals) > 0 {
 			p.markPop()
 		}
@@ -162,7 +105,7 @@ func PopView[T any](p *Port, max int) (View[T], error) {
 // and drained. An empty view must not be released.
 func TryPopView[T any](p *Port, max int) (View[T], error) {
 	for {
-		v, err := viewOf[T](p).TryAcquireView(max)
+		v, err := retired[T](p).TryAcquireView(max)
 		if len(v.Vals) > 0 {
 			p.markPop()
 		}
@@ -175,7 +118,7 @@ func TryPopView[T any](p *Port, max int) (View[T], error) {
 // ReleaseView ends the port's outstanding read view, consuming its first n
 // elements; the remainder stays buffered for the next PopView.
 func ReleaseView[T any](p *Port, n int) {
-	viewOf[T](p).ReleaseView(n)
+	retired[T](p).ReleaseView(n)
 }
 
 // AcquireWriteView reserves up to max free slots of an output port for
@@ -183,7 +126,7 @@ func ReleaseView[T any](p *Port, n int) {
 // prefix and publish it with ReleaseWriteView; a non-empty view MUST be
 // released exactly once.
 func AcquireWriteView[T any](p *Port, max int) (WriteView[T], error) {
-	v, err := writeViewOf[T](p).AcquireWriteView(max)
+	v, err := retired[T](p).AcquireWriteView(max)
 	return WriteView[T](v), err
 }
 
@@ -191,14 +134,14 @@ func AcquireWriteView[T any](p *Port, max int) (WriteView[T], error) {
 // with a nil error means no slot is free right now (callers fall back to
 // PushN, which also carries the best-effort shed policy).
 func TryAcquireWriteView[T any](p *Port, max int) (WriteView[T], error) {
-	v, err := writeViewOf[T](p).TryAcquireWriteView(max)
+	v, err := retired[T](p).TryAcquireWriteView(max)
 	return WriteView[T](v), err
 }
 
 // ReleaseWriteView ends the port's outstanding write view, publishing its
 // first n slots downstream; the rest return to the free region.
 func ReleaseWriteView[T any](p *Port, n int) {
-	writeViewOf[T](p).ReleaseWriteView(n)
+	retired[T](p).ReleaseWriteView(n)
 	if n > 0 {
 		p.markPush(n)
 	}
@@ -209,7 +152,7 @@ func ReleaseWriteView[T any](p *Port, n int) {
 // hop), one release. A destination failure mid-hop leaves the undelivered
 // elements in the source queue.
 func moveView[T any](src, dst any, max int, block bool) (n int, err error) {
-	sv, db := src.(viewQueue[T]), dst.(bulkQueue[T])
+	sv, db := src.(*ringbuffer.Ring[T]), dst.(*ringbuffer.Ring[T])
 	if max < 1 {
 		max = 1
 	}
