@@ -92,18 +92,18 @@ ci-test:
 	$(GO) test ./...
 
 # Same package list as `check`: the packages with real concurrency. The
-# ringbuffer package runs three times — the window, view and deferred-
-# resize races are interleaving-dependent, and repeated runs shake out
-# schedules a single pass misses.
+# ringbuffer and scheduler packages run three times — the lock-free commit,
+# the resize handover and the park/wake Dekker pair are interleaving-
+# dependent, and repeated runs shake out schedules a single pass misses.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
-	$(GO) test -race -count=3 ./internal/ringbuffer/...
+	$(GO) test -race -count=3 ./internal/ringbuffer/... ./internal/scheduler/...
 
 # Short-budget coverage-guided fuzzing of the ring: the port-window
-# protocol under three goroutines — the ring protocol that ships — and the
-# view/resize race get the full budget, the model-based targets (the port
-# window's among them) a shorter one. Each -fuzz run must name exactly one
-# target.
+# protocol under three goroutines (lock-free commits, parks and wakes, the
+# resize handover) and the view/resize race get the full budget, the
+# model-based targets (the port window's among them) a shorter one. Each
+# -fuzz run must name exactly one target.
 ci-fuzz:
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzViewResize$$' -fuzztime=$(FUZZTIME)
@@ -133,7 +133,7 @@ ci-gateway:
 	$(GO) test -race -run 'Gateway' ./raft/
 	$(GO) run ./cmd/raft-bench -ablate gateway -seed $(CI_SEED)
 
-# View gate: the borrow/release protocol and the resizes it defers are
+# View gate: the borrow/release protocol and the resize handover are
 # interleaving-dependent, so the ringbuffer package gets three racing passes,
 # and so do the port windows that carry the scalar path over it — the
 # retire rules, the counters under windows and the seeds of both

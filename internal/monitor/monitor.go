@@ -359,13 +359,13 @@ func (m *Monitor) Tick() {
 		if !m.cfg.Resize || !l.ResizeEnabled {
 			continue
 		}
-		// A resize accepted under a view or a port window is applied at
-		// its release. While one is in flight the capacity has not changed
-		// yet, so skip the link — re-applying the rules now would stack a
-		// second request on the same evidence. A borrowed batch view pins
-		// the storage too: resizing under it would only defer, so the
-		// evidence gathered this tick cannot take effect. Skip the link
-		// and re-decide once the view is released.
+		// A resize accepted while the producer holds a write window or
+		// view is applied at its end. While one is in flight the capacity
+		// has not changed yet, so skip the link — re-applying the rules now
+		// would stack a second request on the same evidence. A borrowed
+		// batch view is skipped too: its holder is not moving elements, so
+		// the occupancy and block times gathered this tick do not describe
+		// the link. Re-decide once the view is released.
 		if l.Queue.ResizePending() || l.Queue.ViewHeldFor() > 0 {
 			st.quiet = 0
 			continue

@@ -122,9 +122,10 @@ func TestViewHoldSkipsResize(t *testing.T) {
 
 // TestWindowDefersResize states how the monitor treats a port window
 // (ringbuffer/window.go): it is not a held view, so the write-side rule
-// still fires while one is out; the resize it asks for is accepted, waits
-// for the retire, and is not asked for again meanwhile; and the retire
-// applies it — at most one window later.
+// fires while a read window is out, and the grow reaches a parked producer
+// at once — the window reads on in the sealed store. A resize that meets
+// the producer's open write window waits for its commit, and the monitor
+// does not ask for it again meanwhile.
 func TestWindowDefersResize(t *testing.T) {
 	li, r := mkLink(4, 0)
 	for i := 0; i < 4; i++ {
@@ -145,26 +146,36 @@ func TestWindowDefersResize(t *testing.T) {
 	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
-	m.Tick()
-	if got := len(m.Events()); r.Cap() != 4 || got != 1 || !r.ResizePending() {
-		t.Fatalf("two ticks under an open window: cap %d, %d grow events, pending %v; want 4, 1, true",
-			r.Cap(), got, r.ResizePending())
-	}
-	// The retire applies the deferred grow, which is what unblocks the
-	// producer: the window released one slot, the grow adds four.
-	if n := r.ReleaseWindow(); n != 1 {
-		t.Fatalf("release = %d", n)
-	}
 	if err := <-pushed; err != nil {
 		t.Fatal(err)
 	}
-	if r.Cap() != 8 || r.ResizePending() {
-		t.Fatalf("after the retire: cap %d, pending %v; want 8, false", r.Cap(), r.ResizePending())
+	m.Tick()
+	if got := len(m.Events()); r.Cap() != 8 || got != 1 || r.ResizePending() {
+		t.Fatalf("two ticks under an open read window: cap %d, %d grow events, pending %v; want 8, 1, false",
+			r.Cap(), got, r.ResizePending())
+	}
+	if n := r.ReleaseWindow(); n != 1 {
+		t.Fatalf("release = %d", n)
 	}
 	for want := 1; want <= 4; want++ {
 		if v, _, err := r.Pop(); err != nil || v != want {
 			t.Fatalf("pop = %d, %v; want %d", v, err, want)
 		}
+	}
+
+	// The producer's write window holds a resize up until its commit.
+	if _, _, err := r.PushWindowed(5, ringbuffer.SigNone, 4, true); err != nil || r.WindowPos(true) != 1 {
+		t.Fatalf("no write window opened: cursor %d, %v", r.WindowPos(true), err)
+	}
+	if err := r.Resize(16); err != nil || r.Cap() != 8 || !r.ResizePending() {
+		t.Fatalf("resize under a write window: %v, cap %d, pending %v; want 8 and pending", err, r.Cap(), r.ResizePending())
+	}
+	m.Tick()
+	if got := len(m.Events()); got != 1 {
+		t.Fatalf("monitor acted on a link whose resize is pending: %d events", got)
+	}
+	if n := r.CommitWindow(); n != 1 || r.Cap() != 16 || r.ResizePending() {
+		t.Fatalf("commit = %d: cap %d, pending %v; want 16 and applied", n, r.Cap(), r.ResizePending())
 	}
 }
 

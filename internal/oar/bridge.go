@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"raftlib/internal/fault"
+	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 	"raftlib/raft"
 )
@@ -327,7 +328,7 @@ func NewSender[T any](addr, stream string, opts ...BridgeOption) *Sender[T] {
 	for _, o := range opts {
 		o(&k.opt)
 	}
-	k.raw = pointerFree(reflect.TypeFor[T]())
+	k.raw = ringbuffer.PointerFree(reflect.TypeFor[T]())
 	k.SetName("tcp-send[" + stream + "]")
 	k.SetMarkerForwarder()
 	raft.AddInput[T](k, "in")
@@ -799,32 +800,6 @@ func (s *Sender[T]) BridgeStats() (raft.BridgeReport, bool) {
 	}, s.started
 }
 
-// pointerFree reports whether values of type t embed no pointers, so a
-// decoded batch slice may be reused in place across frames. Strings are
-// classed as pointer-bearing out of caution; the cost of a false negative
-// is only the per-frame slice allocation.
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32,
-		reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // blobReader feeds the persistent inner decoder one outer frame's Data at
 // a time. It implements io.ByteReader so gob reads it directly (no bufio
 // wrapper that could read ahead across blob boundaries).
@@ -903,7 +878,7 @@ func NewReceiver[T any](node *Node, stream string, opts ...BridgeOption) (*Recei
 	}
 	k := &Receiver[T]{
 		node: node, stream: stream, accept: ch, opt: defaultBridgeOpts(),
-		reuseVals: pointerFree(reflect.TypeFor[T]()),
+		reuseVals: ringbuffer.PointerFree(reflect.TypeFor[T]()),
 	}
 	for _, o := range opts {
 		o(&k.opt)

@@ -6,39 +6,56 @@ import (
 )
 
 // FuzzRingAgainstModel drives a Ring with a fuzzer-chosen op sequence and
-// checks every observation against a plain-slice FIFO model. Ops are
-// encoded one byte each: 0-99 push, 100-199 pop, 200-229 resize (capacity
-// from the low bits), 230-255 peek.
+// checks every observation against a plain-slice FIFO model: the scalar
+// paths through port windows of fuzzer-chosen length (the lock-free commit),
+// retires at any point, and resizes that meet an open write window (the
+// handover waits for its end) or an open read window (it does not). Ops
+// are one byte each: 0-79 push (window op%5+1), 80-99 commit, 100-179 pop
+// (window op%5+1), 180-199 release, 200-229 resize (capacity from the low
+// bits), 230-255 peek. The counters obey the drop law at every retire.
 func FuzzRingAgainstModel(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 150, 150, 201, 4, 150})
 	f.Add([]byte{10, 210, 120, 230})
+	f.Add([]byte{4, 4, 4, 4, 203, 104, 104, 220, 90, 104, 190, 240, 104, 104})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip()
 		}
 		r := NewRing[int](4)
-		var model []int
+		var model []int // published, not yet popped
 		next := 0
 		for _, op := range ops {
+			wpos := r.WindowPos(true)
 			switch {
-			case op < 100: // try-push
-				ok, err := r.TryPush(next, SigNone)
-				if err != nil {
-					t.Fatalf("push err: %v", err)
+			case op < 80:
+				free := wpos != 0 || r.Len() < r.Cap()
+				stored, attend := r.WindowPush(next)
+				ok := stored
+				if attend {
+					r.Attend()
 				}
-				if ok != (len(model) < r.Cap()) {
-					// TryPush succeeded iff there was space; Cap may have
-					// just changed, so re-derive from the result.
-					_ = ok
+				if !stored {
+					var err error
+					if _, ok, err = r.PushWindowed(next, SigNone, int(op%5)+1, false); err != nil {
+						t.Fatalf("push err: %v", err)
+					}
+				}
+				if ok != free {
+					t.Fatalf("push ok=%v with a free slot %v", ok, free)
 				}
 				if ok {
 					model = append(model, next)
+					next++
 				}
-				next++
-			case op < 200: // try-pop
-				v, _, ok, err := r.TryPop()
-				if err != nil {
-					t.Fatalf("pop err: %v", err)
+			case op < 100:
+				r.CommitWindow()
+			case op < 180:
+				v, _, ok := r.WindowPop()
+				if !ok {
+					var err error
+					if v, _, _, ok, err = r.PopWindowed(int(op%5)+1, false); err != nil {
+						t.Fatalf("pop err: %v", err)
+					}
 				}
 				if ok != (len(model) > 0) {
 					t.Fatalf("pop ok=%v with model len %d", ok, len(model))
@@ -49,17 +66,30 @@ func FuzzRingAgainstModel(f *testing.F) {
 					}
 					model = model[1:]
 				}
-			case op < 230: // resize
+			case op < 200:
+				r.ReleaseWindow()
+			case op < 230:
 				newCap := int(op-199) * 2
+				before := r.Cap()
 				err := r.Resize(newCap)
-				if newCap < len(model) {
+				if newCap < r.Len() {
 					if err != ErrTooSmall {
 						t.Fatalf("undersized resize err = %v", err)
 					}
 				} else if err != nil {
 					t.Fatalf("resize err: %v", err)
+				} else if want := newCap; wpos != 0 && newCap != before {
+					if r.Cap() != before || !r.ResizePending() {
+						t.Fatalf("resize under a write window: cap %d pending %v", r.Cap(), r.ResizePending())
+					}
+					if n := r.CommitWindow(); n != wpos || r.Cap() != want || r.ResizePending() {
+						t.Fatalf("commit = %d: cap %d pending %v, want %d applied", n, r.Cap(), r.ResizePending(), want)
+					}
+				} else if r.Cap() != want || r.ResizePending() {
+					t.Fatalf("resize with no write window: cap %d pending %v, want %d", r.Cap(), r.ResizePending(), want)
 				}
-			default: // peek head
+			default: // peek head, which retires the read window first
+				r.ReleaseWindow()
 				if len(model) == 0 {
 					continue
 				}
@@ -71,11 +101,19 @@ func FuzzRingAgainstModel(f *testing.F) {
 					t.Fatalf("peek = %d, model head %d", v, model[0])
 				}
 			}
-			if r.Len() != len(model) {
-				t.Fatalf("len = %d, model %d", r.Len(), len(model))
+			if got, want := r.Len(), len(model)+r.WindowPos(false); got != want {
+				t.Fatalf("len = %d, model %d", got, want)
+			}
+			if r.WindowPos(true) == 0 && r.WindowPos(false) == 0 {
+				tel := r.Telemetry().Snapshot()
+				if tel.Pushes != uint64(next) || tel.Pops != uint64(next-len(model)) {
+					t.Fatalf("pushes %d pops %d, want %d and %d", tel.Pushes, tel.Pops, next, next-len(model))
+				}
 			}
 		}
-		// Drain and compare the tail.
+		// Retire, drain and compare the tail.
+		r.CommitWindow()
+		r.ReleaseWindow()
 		r.Close()
 		for _, want := range model {
 			v, _, err := r.Pop()
@@ -191,14 +229,19 @@ func FuzzRingBulkAgainstModel(f *testing.F) {
 	})
 }
 
-// FuzzRingBulkConcurrentResize runs a bulk producer, a bulk consumer and a
-// resizer concurrently on one Ring, then asserts the consumer observed the
-// exact FIFO sequence with every signal still aligned to its element —
-// batches must survive wrap-around splits and storage relocation intact.
-// The fuzzer chooses the batch-size schedule and the resize schedule.
+// FuzzRingBulkConcurrentResize runs a producer, a consumer and a resizer
+// concurrently on one Ring, then asserts the consumer observed the exact
+// FIFO sequence with every signal still aligned to its element, and that
+// the counters balance. Both ends mix the bulk path (loops over views) with
+// the scalar path (port windows), so commits without a lock meet the
+// handover to a new store from either side; batches must survive
+// wrap-around splits and the move between stores intact. The fuzzer
+// chooses the batch-size schedule, which batches go scalar (a byte >= 128),
+// and the resize schedule.
 func FuzzRingBulkConcurrentResize(f *testing.F) {
 	f.Add([]byte{4, 9, 1, 16, 3, 7}, []byte{8, 200, 16, 4, 64})
 	f.Add([]byte{1, 1, 1}, []byte{255, 2, 255, 2})
+	f.Add([]byte{133, 9, 200, 3, 255}, []byte{8, 100, 4, 60, 16})
 	f.Fuzz(func(t *testing.T, batches, resizes []byte) {
 		if len(batches) == 0 || len(batches) > 64 || len(resizes) > 64 {
 			t.Skip()
@@ -223,6 +266,19 @@ func FuzzRingBulkConcurrentResize(f *testing.F) {
 				if batch > total-next {
 					batch = total - next
 				}
+				if b := batches[(bi-1)%len(batches)]; b >= 128 {
+					// The scalar path: a port window of length b%9+1,
+					// committed at the end of the batch.
+					for i := 0; i < batch; i++ {
+						if _, _, err := r.PushWindowed(next, sigFor(next), int(b%9)+1, true); err != nil {
+							t.Errorf("PushWindowed: %v", err)
+							return
+						}
+						next++
+					}
+					r.CommitWindow()
+					continue
+				}
 				vs := make([]int, batch)
 				sigs := make([]Signal, batch)
 				for i := range vs {
@@ -245,8 +301,22 @@ func FuzzRingBulkConcurrentResize(f *testing.F) {
 		got := make([]int, 0, total)
 		dst := make([]int, 13)
 		sigs := make([]Signal, 13)
-		for {
-			n, err := r.PopN(dst, sigs)
+		for round := 0; ; round++ {
+			var n int
+			var err error
+			if round%2 == 0 {
+				n, err = r.PopN(dst, sigs)
+			} else {
+				// The scalar path: a read window of up to 8, released after
+				// 13 pops or at the end of the stream.
+				for n < len(dst) {
+					if dst[n], sigs[n], _, _, err = r.PopWindowed(8, true); err != nil {
+						break
+					}
+					n++
+				}
+				r.ReleaseWindow()
+			}
 			for i := 0; i < n; i++ {
 				if want := sigFor(dst[i]); sigs[i] != want {
 					t.Fatalf("signal misaligned: v=%d sig=%v want %v", dst[i], sigs[i], want)
@@ -265,6 +335,9 @@ func FuzzRingBulkConcurrentResize(f *testing.F) {
 			if v != i {
 				t.Fatalf("FIFO order broken at %d: got %d", i, v)
 			}
+		}
+		if tel := r.Telemetry().Snapshot(); tel.Pushes != total || tel.Pops != total {
+			t.Fatalf("pushes %d pops %d, want %d each", tel.Pushes, tel.Pops, total)
 		}
 	})
 }

@@ -6,11 +6,11 @@
 // dynamically resizable single-producer single-consumer FIFO in which every
 // slot carries a value plus a synchronized signal (§4.2: "downstream kernels
 // will receive the signal at the same time the corresponding data element is
-// received"). A monitor thread may grow or shrink it at runtime using the
-// paper's §4.1 rules. Its scalar path runs through port windows (window.go),
-// which take no lock per element; NewRingFromSlice builds a pre-filled
-// read-only Ring that aliases caller memory, realizing the paper's zero-copy
-// for_each source (§4.2, Fig. 6).
+// received"). Its two ends share no lock on the data path: the producer owns
+// the tail index and the consumer the head. A monitor thread may grow or
+// shrink it at runtime using the paper's §4.1 rules; NewRingFromSlice builds
+// a pre-filled read-only Ring that aliases caller memory, realizing the
+// paper's zero-copy for_each source (§4.2, Fig. 6).
 //
 // The ring exposes the untyped Queue interface consumed by the runtime
 // scheduler and monitor; element-typed access goes through the generic
@@ -99,20 +99,29 @@ type Queue interface {
 	// ViewHeldFor returns how long the longest currently outstanding batch
 	// view (read or write, view.go) has been held, or zero when none is out.
 	ViewHeldFor() time.Duration
+	// Blocked reports whether an operation at one end would block now: the
+	// consumer's (producer false) finds nothing buffered, the producer's no
+	// free slot, and the queue is open. When it would, the end is armed: the
+	// other end's next release or publish wakes it through the WakeHooker
+	// hook. Call it from that end's goroutine.
+	Blocked(producer bool) bool
 	// Telemetry returns the queue's performance counters.
 	Telemetry() *Telemetry
 }
 
 // Telemetry aggregates per-queue performance counters. The hot-path cost is
-// a handful of atomic adds; see package stats for the primitives.
+// a handful of atomic adds; see package stats for the primitives. The
+// producer's and the consumer's counters sit on cache lines of their own,
+// so that neither end's counting moves a line the other end is writing.
 type Telemetry struct {
+	// Written under the ring lock by whoever resizes, rarely.
+	Resizes counter64
+	Grows   counter64
+	Shrinks counter64
+
+	// Written by the producer.
 	Pushes       counter64
-	Pops         counter64
 	WriteBlockNs counter64 // cumulative producer block time
-	ReadBlockNs  counter64 // cumulative consumer block time
-	Resizes      counter64
-	Grows        counter64
-	Shrinks      counter64
 	// Evicted and Shed count elements the best-effort overflow policy
 	// (SetBestEffort) discarded. Evicted elements were resident — stale
 	// elements a full ring dropped from its head (latest-wins) — and are
@@ -123,22 +132,26 @@ type Telemetry struct {
 	// Evicted.
 	Evicted counter64
 	Shed    counter64
+	// occ is the paper's §4.1 "queue occupancy histogram" recorded on the
+	// write side itself rather than by monitor sampling: bucket i counts
+	// commits that left the queue at a log2-bucketed occupancy (bucket 0 =
+	// {0,1} elements, bucket i = [2^i, 2^(i+1))). One atomic increment per
+	// commit — a window or a batch records once — so the histogram weights
+	// synchronization points, which is exactly what the allocator and
+	// batcher reason about.
+	occ [OccBuckets]counter64
+	_   [64]byte
+
+	// Written by the consumer.
+	Pops        counter64
+	ReadBlockNs counter64 // cumulative consumer block time
 	// Views counts completed borrow/release cycles (read and write batch
 	// views, see view.go); ViewHoldNs is the cumulative wall time views were
 	// held. A link whose mean hold time approaches the monitor's δ is
-	// pinning its ring storage long enough to distort occupancy-based
-	// decisions — the monitor skips resize decisions while a view is out,
-	// and these counters make that pressure observable.
+	// holding its ring storage long enough to distort occupancy-based
+	// decisions, and these counters make that pressure observable.
 	Views      counter64
 	ViewHoldNs counter64
-	// occ is the paper's §4.1 "queue occupancy histogram" recorded on the
-	// write side itself rather than by monitor sampling: bucket i counts
-	// push operations that left the queue at a log2-bucketed occupancy
-	// (bucket 0 = {0,1} elements, bucket i = [2^i, 2^(i+1))). One atomic
-	// increment per push op — batched pushes record once per batch, so the
-	// histogram weights synchronization points, which is exactly what the
-	// allocator and batcher reason about.
-	occ [OccBuckets]counter64
 }
 
 // OccBuckets is the number of log2 occupancy buckets; bucket OccBuckets-1

@@ -1,6 +1,8 @@
 package ringbuffer
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,80 +17,156 @@ const DefaultCapacity = 64
 // concurrently; a third party (the runtime monitor) may call Resize, Len,
 // Cap and the telemetry accessors at any time.
 //
-// Values and their synchronized signals are stored in parallel arrays so
-// that PeekRange can hand the consumer a contiguous, copy-free view of the
-// element array whenever the buffered region does not wrap (the same
-// "non-wrapped position" the paper exploits for fast resizing, §4.1).
+// The ends share no lock on the data path (DESIGN §4.1). Elements carry
+// sequence numbers that never wrap: the producer owns tail, the next one it
+// writes, and the consumer owns head, the next one it reads. Each end
+// caches the other's index and re-reads it when its cache says full or
+// empty. A push is a slot store and a store of tail, so the consumer sees
+// each element at once; a release is a store of head. The mutex guards the
+// slow paths only: sleeping and waking, Close, Peek and PeekRange,
+// best-effort eviction and the resize handover.
+//
+// Values and their synchronized signals sit in parallel arrays, so a view
+// of the buffered region is a pair of slices of the ring's own storage
+// (view.go, window.go).
 type Ring[T any] struct {
-	mu       sync.Mutex
-	notFull  sync.Cond
-	notEmpty sync.Cond
+	mu sync.Mutex
+	// wait is where an end sleeps, under mu, for room or for elements. The
+	// two ends share it: a broadcast wakes at most the other end, since the
+	// end that broadcasts is awake.
+	wait sync.Cond
 
-	vals []T
-	sigs []Signal
-	head int // index of the oldest element
-	n    int // number of buffered elements
+	// Storage is a chain of stores. live is the one the producer writes;
+	// the consumer reads cst and moves to the next store when head reaches
+	// the sealed end of its own. s0 is the first, allocated with the ring.
+	live atomic.Pointer[store[T]]
+	s0   store[T]
 
-	closed     bool
+	closed     atomic.Bool
+	bestEffort atomic.Bool
 	readOnly   bool // slice-backed rings reject writes and resizes
-	bestEffort bool // full ring evicts oldest (latest-wins) instead of blocking
-	maxCap     int  // growth bound; 0 means unbounded
-
-	// writerBlockSince/readerBlockSince hold the UnixNano at which the
-	// producer/consumer began waiting, or 0 when not blocked. They are
-	// written by the blocking side and read lock-free by the monitor.
-	writerBlockSince atomic.Int64
-	readerBlockSince atomic.Int64
-
-	// pendingDemand records the largest consumer request observed to exceed
-	// capacity since the last Resize, for monitor visibility.
-	pendingDemand atomic.Int64
-
-	// Batch-view state (see view.go). While a read view is out the head
-	// region is pinned: eviction stops and the storage may not be repacked.
-	// While a write view is out the physical write index (head+n mod cap)
-	// must stay fixed, so the empty-ring head reset is suppressed. Resizes
-	// requested while either view is out are recorded in deferredCap and
-	// applied at release.
-	viewOut     bool
-	viewN       int
-	viewSince   int64
-	wviewOut    bool
-	wviewN      int
-	wviewSince  int64
+	zero       bool // T holds pointers: released slots are zeroed for the GC
+	maxCap     int  // growth bound, under mu; 0 means unbounded
+	// wparked is set under mu while the producer sleeps in waitForSpace;
+	// deferredCap is a resize waiting for the producer (applyDeferredLocked).
+	wparked     bool
 	deferredCap int
 
-	// wake, when set, is called on readiness transitions (empty→non-empty,
-	// full→non-full, close) while r.mu is held — see WakeHooker for the
-	// contract the hook must obey.
+	// wake, when set, is called under r.mu when an armed end may proceed
+	// (see WakeHooker and Blocked).
 	wake func(Wake)
 
 	// prodOwner and consOwner are the kernels at the two ends of the stream
 	// (nil for a ring used outside a graph). An end that is about to sleep
-	// on this ring first has its owner retire every port window it holds —
-	// see waitForSpaceLocked and window.go.
+	// on this ring first has its owner retire every port window it holds.
 	prodOwner, consOwner WindowOwner
 
-	// wpulled is how many slots of the open write window have already been
-	// published from outside it (pullLocked). rwait is set while a consumer
-	// sleeps in waitForItemsLocked and nobody has signalled it since: no
-	// write window is opened then, the push goes straight in and wakes it.
-	wpulled int
-	rwait   bool
+	writerBlockSince, readerBlockSince atomic.Int64 // UnixNano, 0 when not blocked
+	pendingDemand                      atomic.Int64
 
-	tel Telemetry
+	// The producer's cache lines, which run on into the producer's
+	// counters at the head of tel: tail and rattn are read by others, the
+	// rest is the producer's own.
+	_          [64]byte
+	tail       atomic.Uint64
+	rattn      atomic.Uint32 // attnReader|attnClosed|attnResize: the producer must visit
+	pbusy      atomic.Uint32 // 1 while the producer may write its store
+	headCache  uint64
+	ww         window[T]
+	wviewN     int          // slots of the outstanding write view; 0 when none
+	wviewSince atomic.Int64 // UnixNano of the explicit write view, 0 when none
 
-	// Port windows (window.go). ww belongs to the producing goroutine and rw
-	// to the consuming one; each is read and written without r.mu by its
-	// side only, once per element, so each sits on cache lines of its own.
-	_    [64]byte
-	ww   window[T]
-	wpub atomic.Int64  // slots of ww written so far; 0 when no window is open
-	attn atomic.Uint32 // attnReader|attnClosed: the producer must visit the ring
-	_    [64]byte
-	rw   window[T]
-	rpos int // elements of rw read so far; 0 when no window is open
-	_    [64]byte
+	tel Telemetry // the producer's counters, a pad, the consumer's
+
+	// The consumer's, after its counters. head and wattn, which the
+	// producer reads, fill the last cache line alone: the consumer's
+	// per-element writes (rw.pos) do not move the line the producer loads.
+	tailCache uint64
+	cst       *store[T]
+	rw        window[T]
+	viewN     int          // elements of the outstanding read view; 0 when none
+	viewSince atomic.Int64 // UnixNano of the explicit read view, 0 when none
+	_         [16]byte
+	head      atomic.Uint64
+	wattn     atomic.Uint32 // attnWriter: the consumer must wake the producer
+	_         [52]byte
+}
+
+// store is one backing array of the ring. A resize does not copy: it seals
+// the live store at the producer's tail and starts an empty one there, so
+// the new store begins unwrapped (the position the paper's resizer
+// targets, §4.1) and the consumer drains the old one before following.
+type store[T any] struct {
+	vals   []T
+	sigs   []Signal // nil only for a slice-backed ring: every signal is SigNone
+	base   uint64   // sequence number of vals[0]
+	size   int      // len(vals), kept apart so that readers race nothing
+	mask   uint64   // size-1 when size is a power of two, else 0
+	sealed atomic.Uint64
+	next   atomic.Pointer[store[T]]
+}
+
+// noSeal is the sealed mark of the live store.
+const noSeal = math.MaxUint64
+
+func newStore[T any](vals []T, sigs []Signal, base uint64) *store[T] {
+	s := &store[T]{}
+	s.init(vals, sigs, base)
+	return s
+}
+
+func (s *store[T]) init(vals []T, sigs []Signal, base uint64) {
+	s.vals, s.sigs, s.base, s.size = vals, sigs, base, len(vals)
+	if s.size&(s.size-1) == 0 {
+		s.mask = uint64(s.size - 1)
+	}
+	s.sealed.Store(noSeal)
+}
+
+// at maps a sequence number to its index: a mask for the power-of-two
+// capacities the monitor grows by, a division otherwise.
+func (s *store[T]) at(seq uint64) int {
+	if s.mask != 0 {
+		return int((seq - s.base) & s.mask)
+	}
+	return int((seq - s.base) % uint64(s.size))
+}
+
+func (s *store[T]) sig(i int) Signal {
+	if s.sigs == nil {
+		return SigNone
+	}
+	return s.sigs[i]
+}
+
+// in clamps n to the elements from seq onward that this store holds.
+func (s *store[T]) in(seq uint64, n int) int {
+	if left := s.sealed.Load() - seq; left < uint64(n) {
+		return int(left)
+	}
+	return n
+}
+
+// Bits of Ring.rattn, which the producer reads after every publish, and of
+// Ring.wattn, which the consumer reads after every release. Both words are
+// written under r.mu only.
+const (
+	attnReader = 1 << iota // the consumer found the ring empty: wake it
+	attnWriter             // the producer found the ring full: wake it
+	attnClosed             // the ring was closed; never cleared
+	attnResize             // a resize waits for the producer's boundary
+)
+
+func setBits(w *atomic.Uint32, b uint32) {
+	if a := w.Load(); a&b != b {
+		w.Store(a | b)
+	}
+}
+
+func clearBits(w *atomic.Uint32, b uint32) {
+	if a := w.Load(); a&b != 0 {
+		w.Store(a &^ b)
+	}
 }
 
 // NewRing returns a Ring with the given initial capacity (DefaultCapacity
@@ -97,32 +175,53 @@ func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Ring[T]{
-		vals: make([]T, capacity),
-		sigs: make([]Signal, capacity),
-	}
-	r.notFull.L = &r.mu
-	r.notEmpty.L = &r.mu
+	r := &Ring[T]{zero: !PointerFree(reflect.TypeFor[T]())}
+	r.init(make([]T, capacity), make([]Signal, capacity))
 	return r
 }
 
 // NewRingFromSlice returns a read-only Ring whose element storage aliases
 // data: no copy of the payload is ever made. It realizes the paper's
 // zero-copy for_each source (§4.2, Fig. 6): the caller's array is used
-// directly as the queue. The ring is created closed, so consumers drain
-// data and then observe EOF.
+// directly as the queue, and is left as it was while it drains. The ring is
+// created closed, so consumers drain data and then observe EOF.
 func NewRingFromSlice[T any](data []T) *Ring[T] {
-	r := &Ring[T]{
-		vals:     data,
-		sigs:     nil, // all SigNone; saves len(data) bytes and a fill pass
-		head:     0,
-		n:        len(data),
-		closed:   true,
-		readOnly: true,
-	}
-	r.notFull.L = &r.mu
-	r.notEmpty.L = &r.mu
+	r := &Ring[T]{readOnly: true}
+	r.init(data, nil)
+	r.tail.Store(uint64(len(data)))
+	r.closed.Store(true)
 	return r
+}
+
+func (r *Ring[T]) init(vals []T, sigs []Signal) {
+	r.s0.init(vals, sigs, 0)
+	r.live.Store(&r.s0)
+	r.cst = &r.s0
+	r.wait.L = &r.mu
+}
+
+// PointerFree reports whether values of type t hold no pointers, so that
+// storage holding them needs no clearing for the garbage collector and can
+// be reused as raw memory.
+func PointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32,
+		reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return PointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !PointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // SetMaxCap bounds the capacity the ring may grow to (the paper's "buffer
@@ -134,27 +233,30 @@ func (r *Ring[T]) SetMaxCap(n int) {
 	r.mu.Unlock()
 }
 
-// SetBestEffort switches the ring's overflow policy: with best effort on, a
-// push into a full ring evicts the oldest buffered elements instead of
-// blocking the producer — latest-wins semantics for soft-real-time streams
-// that degrade by freshness rather than latency. Evicted elements are
-// counted in Telemetry.Evicted (they were pushed, and are never popped);
-// shed incoming elements in Telemetry.Shed. Elements
+// SetBestEffort switches the ring's overflow policy, before its ends start:
+// with best effort on, a push into a full ring evicts the oldest buffered
+// elements instead of blocking the producer — latest-wins semantics for
+// soft-real-time streams that degrade by freshness rather than latency.
+// Evicted elements are counted in Telemetry.Evicted (they were pushed, and
+// are never popped); shed incoming elements in Telemetry.Shed. Elements
 // carrying a synchronized signal (EOF, termination) are never evicted: a
 // signal-pinned head sheds the incoming signal-free elements instead, and a
 // signal-carrying incoming element falls back to the blocking path so
-// control flow is never lost.
-func (r *Ring[T]) SetBestEffort(on bool) {
-	r.mu.Lock()
-	r.bestEffort = on
-	r.mu.Unlock()
-}
+// control flow is never lost. Eviction moves the consumer's head, so on a
+// best-effort ring the consumer takes the lock for each operation and
+// neither end is windowed.
+func (r *Ring[T]) SetBestEffort(on bool) { r.bestEffort.Store(on) }
 
 // BestEffort reports whether the ring runs the latest-wins overflow policy.
-func (r *Ring[T]) BestEffort() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bestEffort
+func (r *Ring[T]) BestEffort() bool { return r.bestEffort.Load() }
+
+// lockBE takes the lock for a consumer operation on a best-effort ring.
+func (r *Ring[T]) lockBE() bool {
+	if r.bestEffort.Load() {
+		r.mu.Lock()
+		return true
+	}
+	return false
 }
 
 // evictLocked discards up to want of the oldest signal-free elements to
@@ -162,62 +264,62 @@ func (r *Ring[T]) BestEffort() bool {
 // head. Evictions count as Evicted, not Pops: the elements were never
 // consumed, and the flow counters feeding λ̂/µ̂ must not see them.
 func (r *Ring[T]) evictLocked(want int) {
-	if r.viewOut {
+	if r.viewN != 0 {
 		// The head region is borrowed by an outstanding read view: nothing
 		// may be evicted from under it. Best-effort pushes shed the incoming
 		// signal-free elements instead (the same fallback as a signal-pinned
 		// head), so the producer still never blocks on payload.
 		return
 	}
-	var zero T
-	dropped := 0
-	for dropped < want && r.n > 0 && r.sigAt(r.head) == SigNone {
-		r.vals[r.head] = zero
-		r.head = r.index0(r.head + 1)
-		r.n--
-		dropped++
+	h, t := r.head.Load(), r.tail.Load()
+	n := 0
+	for ; n < want && h < t; n++ {
+		st := r.seek(h)
+		i := st.at(h)
+		if st.sig(i) != SigNone {
+			break
+		}
+		if r.zero {
+			var zero T
+			st.vals[i] = zero
+		}
+		h++
 	}
-	if dropped > 0 {
-		r.tel.Evicted.Add(uint64(dropped))
-	}
-	if r.n == 0 && !r.wviewOut {
-		r.head = 0 // keep the buffer in the fast non-wrapped position
+	r.head.Store(h)
+	r.tel.Evicted.Add(uint64(n))
+}
+
+// Len returns the number of buffered elements: everything published and
+// not released, which includes what the consumer's open read window has
+// handed out.
+func (r *Ring[T]) Len() int {
+	for i := 0; ; i++ {
+		h := r.head.Load()
+		t := r.tail.Load()
+		if i == 8 || r.head.Load() == h {
+			return int(t - h)
+		}
 	}
 }
 
-// Len returns the number of buffered elements, counting those the producer
-// has written into an open port window and not committed yet: the consumer
-// obtains them the moment it finds nothing else (window.go).
-func (r *Ring[T]) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n + int(r.wpub.Load()) - r.wpulled
-}
+// buffered is Len for the consumer, whose head cannot move under it.
+func (r *Ring[T]) buffered() int { return int(r.tail.Load() - r.head.Load()) }
 
 // Cap returns the current capacity.
-func (r *Ring[T]) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.vals)
-}
+func (r *Ring[T]) Cap() int { return r.live.Load().size }
 
 // Closed reports whether the producer closed the queue.
-func (r *Ring[T]) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
+func (r *Ring[T]) Closed() bool { return r.closed.Load() }
 
 // Close marks the producer side finished and wakes any waiters. Buffered
 // elements remain readable. Close is idempotent.
 func (r *Ring[T]) Close() {
 	r.mu.Lock()
-	r.closed = true
-	r.setAttnLocked(attnClosed)
+	r.closed.Store(true)
+	setBits(&r.rattn, attnClosed)
 	wake := r.wake
 	r.mu.Unlock()
-	r.notEmpty.Broadcast()
-	r.notFull.Broadcast()
+	r.wait.Broadcast()
 	if wake != nil {
 		wake(WakeClosed)
 	}
@@ -231,231 +333,20 @@ func (r *Ring[T]) SetWakeHook(fn func(Wake)) {
 	r.mu.Unlock()
 }
 
-// wokeNotEmpty fires the hook after an insert that filled an empty ring.
-// Called with r.mu held.
-func (r *Ring[T]) wokeNotEmpty(wasEmpty bool) {
-	if wasEmpty && r.n > 0 && r.wake != nil {
-		r.wake(WakeNotEmpty)
-	}
-}
-
-// sigAt returns the signal stored at ring index i.
-func (r *Ring[T]) sigAt(i int) Signal {
-	if r.sigs == nil {
-		return SigNone
-	}
-	return r.sigs[i]
-}
-
-// setSigAt stores signal s at ring index i, materializing the signal array
-// for slice-backed rings only when a non-default signal appears.
-func (r *Ring[T]) setSigAt(i int, s Signal) {
-	if r.sigs == nil {
-		if s == SigNone {
-			return
-		}
-		r.sigs = make([]Signal, len(r.vals))
-	}
-	r.sigs[i] = s
-}
-
 // Push appends v with signal sig, blocking while the ring is full. It
 // returns ErrClosed if the ring is or becomes closed. It is the scalar path
-// of window.go at window length 1: one lock and one commit per element.
+// of window.go at window length 1.
 func (r *Ring[T]) Push(v T, sig Signal) error {
 	_, _, err := r.PushWindowed(v, sig, 1, true)
 	return err
 }
 
 // TryPush appends v with signal sig without blocking. It reports whether
-// the element was accepted; err is ErrClosed when the ring is closed.
+// the element was accepted; err is ErrClosed when the ring is closed. A
+// refusal arms the producer's end (see Blocked).
 func (r *Ring[T]) TryPush(v T, sig Signal) (bool, error) {
 	_, ok, err := r.PushWindowed(v, sig, 1, false)
 	return ok, err
-}
-
-// PushBatch appends all of vs; the final element carries sig, earlier ones
-// SigNone. It blocks as needed and returns ErrClosed on a closed ring.
-func (r *Ring[T]) PushBatch(vs []T, sig Signal) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(vs) > 0 {
-		if r.bestEffort && !r.closed && r.n == len(r.vals) {
-			r.evictLocked(len(vs))
-		}
-		if err := r.waitForSpaceLocked(1); err != nil {
-			return err
-		}
-		wasEmpty := r.n == 0
-		free := len(r.vals) - r.n
-		k := min(free, len(vs))
-		for j := 0; j < k; j++ {
-			i := r.index(r.n)
-			r.vals[i] = vs[j]
-			s := SigNone
-			if j == k-1 && k == len(vs) {
-				s = sig
-			}
-			r.setSigAt(i, s)
-			r.n++
-		}
-		r.tel.Pushes.Add(uint64(k))
-		r.tel.recordOcc(r.n)
-		vs = vs[k:]
-		r.notEmpty.Broadcast()
-		r.wokeNotEmpty(wasEmpty)
-	}
-	return nil
-}
-
-// PushN appends all of vs with their parallel signals in bulk: one lock
-// acquisition per batch (plus condition waits while full) instead of one per
-// element, with the wrap-around handled as a two-copy split. sigs may be nil
-// (every element carries SigNone) or must have len(vs) entries. PushN blocks
-// as needed and returns ErrClosed on a closed ring.
-func (r *Ring[T]) PushN(vs []T, sigs []Signal) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	if sigs != nil && len(sigs) != len(vs) {
-		panic("ringbuffer: PushN signal slice length mismatch")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(vs) > 0 {
-		if r.bestEffort && !r.closed && !r.readOnly && r.n == len(r.vals) {
-			r.evictLocked(len(vs))
-			if r.n == len(r.vals) {
-				// Head pinned by a signal-carrying element: shed the
-				// incoming signal-free prefix instead of blocking, and let
-				// any signal-carrying element fall through to the blocking
-				// path below.
-				shed := 0
-				for shed < len(vs) && (sigs == nil || sigs[shed] == SigNone) {
-					shed++
-				}
-				if shed > 0 {
-					r.tel.Shed.Add(uint64(shed))
-					vs = vs[shed:]
-					if sigs != nil {
-						sigs = sigs[shed:]
-					}
-					continue
-				}
-			}
-		}
-		if err := r.waitForSpaceLocked(1); err != nil {
-			return err
-		}
-		wasEmpty := r.n == 0
-		k := min(len(r.vals)-r.n, len(vs))
-		r.enqueueLocked(vs[:k], sigs)
-		vs = vs[k:]
-		if sigs != nil {
-			sigs = sigs[k:]
-		}
-		r.tel.Pushes.Add(uint64(k))
-		r.tel.recordOcc(r.n)
-		r.notEmpty.Broadcast()
-		r.wokeNotEmpty(wasEmpty)
-	}
-	return nil
-}
-
-// enqueueLocked bulk-copies vs (and the matching prefix of sigs, which may
-// be nil) into the free region starting at the write index, splitting into
-// two copies when the region wraps. Caller guarantees len(vs) free slots.
-func (r *Ring[T]) enqueueLocked(vs []T, sigs []Signal) {
-	idx := r.index(r.n)
-	first := min(len(vs), len(r.vals)-idx)
-	copy(r.vals[idx:], vs[:first])
-	copy(r.vals, vs[first:])
-	if r.sigs == nil && anySignal(sigs, len(vs)) {
-		r.sigs = make([]Signal, len(r.vals))
-	}
-	if r.sigs != nil {
-		if sigs == nil {
-			clearSignals(r.sigs[idx : idx+first])
-			clearSignals(r.sigs[:len(vs)-first])
-		} else {
-			copy(r.sigs[idx:], sigs[:first])
-			copy(r.sigs, sigs[first:len(vs)])
-		}
-	}
-	r.n += len(vs)
-}
-
-// PopN removes up to len(dst) elements in bulk, blocking until at least one
-// is available: one lock acquisition per batch with the wrap-around handled
-// as a two-copy split. When sigs is non-nil its first n entries receive the
-// elements' synchronized signals (it must hold at least len(dst) entries).
-// Once the ring is closed and drained PopN returns (0, ErrClosed).
-func (r *Ring[T]) PopN(dst []T, sigs []Signal) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.waitForItemsLocked(1); err != nil {
-		return 0, err
-	}
-	return r.dequeueLocked(dst, sigs), nil
-}
-
-// DrainTo is the non-blocking PopN: it removes whatever is buffered, up to
-// len(dst) elements, returning 0 with a nil error when the ring is empty but
-// open and (0, ErrClosed) once it is closed and drained.
-func (r *Ring[T]) DrainTo(dst []T, sigs []Signal) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.emptyLocked() {
-		if r.closed {
-			return 0, ErrClosed
-		}
-		return 0, nil
-	}
-	return r.dequeueLocked(dst, sigs), nil
-}
-
-// dequeueLocked bulk-copies min(r.n, len(dst)) elements (and signals, when
-// requested) out of the head region, then drops them. Caller guarantees at
-// least one buffered element.
-func (r *Ring[T]) dequeueLocked(dst []T, sigs []Signal) int {
-	n := min(r.n, len(dst))
-	first := min(n, len(r.vals)-r.head)
-	copy(dst, r.vals[r.head:r.head+first])
-	copy(dst[first:n], r.vals)
-	if sigs != nil {
-		if r.sigs == nil {
-			clearSignals(sigs[:n])
-		} else {
-			copy(sigs, r.sigs[r.head:r.head+first])
-			copy(sigs[first:n], r.sigs)
-		}
-	}
-	r.dropLocked(n)
-	return n
-}
-
-// anySignal reports whether the first n entries of sigs carry a non-default
-// signal (sigs may be nil).
-func anySignal(sigs []Signal, n int) bool {
-	for _, s := range sigs[:min(n, len(sigs))] {
-		if s != SigNone {
-			return true
-		}
-	}
-	return false
-}
-
-// clearSignals zeroes a signal region (the compiler lowers this to memclr).
-func clearSignals(s []Signal) {
-	for i := range s {
-		s[i] = SigNone
-	}
 }
 
 // Pop removes and returns the oldest element and its signal, blocking while
@@ -468,9 +359,328 @@ func (r *Ring[T]) Pop() (T, Signal, error) {
 
 // TryPop removes the oldest element without blocking. ok reports whether an
 // element was returned; err is ErrClosed once the ring is closed and empty.
+// Finding nothing arms the consumer's end (see Blocked).
 func (r *Ring[T]) TryPop() (v T, s Signal, ok bool, err error) {
 	v, s, _, ok, err = r.PopWindowed(1, false)
 	return v, s, ok, err
+}
+
+// The producer's side. Every section in which it may write its store sits
+// between enter and exit, which is what lets a resize seal the store
+// without a lock on the data path.
+
+// enter marks the producer busy and returns the store to write, first
+// installing a resize that waits for it.
+func (r *Ring[T]) enter() *store[T] {
+	for {
+		r.pbusy.Store(1)
+		if r.rattn.Load()&attnResize == 0 {
+			return r.live.Load()
+		}
+		r.exit()
+	}
+}
+
+// exit marks the producer idle and then does what it was asked for: wake
+// a consumer that found the ring empty, install a resize. Each is one side
+// of a Dekker pair — this end stores pbusy or tail and then loads rattn, the
+// other stores rattn and then loads pbusy or tail — so one of the two
+// always sees the other.
+func (r *Ring[T]) exit() {
+	r.pbusy.Store(0)
+	if r.rattn.Load()&(attnReader|attnResize) != 0 {
+		r.mu.Lock()
+		r.attendLocked()
+		r.mu.Unlock()
+	}
+}
+
+func (r *Ring[T]) attendLocked() {
+	if r.rattn.Load()&attnReader != 0 {
+		clearBits(&r.rattn, attnReader)
+		r.wait.Broadcast()
+		if r.wake != nil {
+			r.wake(WakeNotEmpty)
+		}
+	}
+	r.applyDeferredLocked()
+}
+
+// free returns the free slots at tail t in store st, re-reading head when
+// the cached copy shows fewer than want.
+func (r *Ring[T]) free(st *store[T], t uint64, want int) int {
+	f := st.size - int(t-r.headCache)
+	if f < want {
+		r.headCache = r.head.Load()
+		f = st.size - int(t-r.headCache)
+	}
+	return max(f, 0)
+}
+
+// room waits (block) until the producer's store has a free slot at the
+// tail and returns the store, the tail and the free count. A full
+// best-effort ring evicts first; if its head is pinned and the caller may
+// shed (shedOK), shed is set and nothing waits. With block unset a full
+// ring arms the producer's end and returns a zero count. Called between
+// enter and exit.
+func (r *Ring[T]) room(st *store[T], want int, block, shedOK bool) (_ *store[T], t uint64, f int, shed bool, err error) {
+	t = r.tail.Load()
+	for {
+		if r.closed.Load() {
+			return st, t, 0, false, ErrClosed
+		}
+		if f = r.free(st, t, want); f > 0 {
+			return r.rebase(st, t, f), t, f, false, nil
+		}
+		if r.bestEffort.Load() {
+			r.mu.Lock()
+			r.evictLocked(want)
+			r.mu.Unlock()
+			if f = r.free(st, t, want); f > 0 {
+				return st, t, f, false, nil
+			}
+			if shedOK {
+				return st, t, 0, true, nil
+			}
+		}
+		if !block {
+			if r.armFull() {
+				return st, t, 0, false, nil
+			}
+			continue
+		}
+		if err = r.waitForSpace(); err != nil {
+			return st, t, 0, false, err
+		}
+		st = r.live.Load()
+	}
+}
+
+// rebase starts an empty ring over at index 0 — the fast non-wrapped
+// position — so that the windows and views that follow do not wrap. f ==
+// size proves head == tail: no element, window or view of the consumer's is
+// left, and the consumer reads base only after a tail that this write
+// precedes.
+func (r *Ring[T]) rebase(st *store[T], t uint64, f int) *store[T] {
+	if f == st.size && st.base != t {
+		st.base = t
+	}
+	return st
+}
+
+// account counts n elements published in one commit and samples the
+// occupancy they left. head is re-read only when the cached copy is more
+// than this commit behind tail: a consumer that keeps up costs the producer
+// no load of its line, and the sample (at most n) then lands in the bucket
+// of one commit.
+func (r *Ring[T]) account(n int) {
+	r.tel.Pushes.Add(uint64(n))
+	t := r.tail.Load()
+	if t-r.headCache > uint64(n) {
+		r.headCache = r.head.Load()
+	}
+	r.tel.recordOcc(int(t - r.headCache))
+}
+
+// armFull raises attnWriter and reports whether the ring is still full with
+// it raised; the consumer's next release then wakes this end.
+func (r *Ring[T]) armFull() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	setBits(&r.wattn, attnWriter)
+	return !r.closed.Load() && r.free(r.live.Load(), r.tail.Load(), 1) == 0
+}
+
+// armEmpty is armFull for the consumer.
+func (r *Ring[T]) armEmpty(locked bool) bool {
+	if !locked {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	setBits(&r.rattn, attnReader)
+	return !r.closed.Load() && r.buffered() == 0
+}
+
+// Blocked implements Queue.
+func (r *Ring[T]) Blocked(producer bool) bool {
+	if r.closed.Load() {
+		return false
+	}
+	if producer {
+		return r.free(r.live.Load(), r.tail.Load(), 1) == 0 && r.armFull()
+	}
+	return r.buffered() == 0 && r.armEmpty(false)
+}
+
+// waitForSpace sleeps until the producer's store has a free slot. The
+// producer is idle for the resizer meanwhile (wparked).
+func (r *Ring[T]) waitForSpace() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if o := r.prodOwner; o != nil {
+		// The producing kernel is about to sleep. It must not do so on
+		// uncommitted output or unreleased input, on this stream or any
+		// other, or a neighbour could wait for exactly those elements.
+		// The lock is dropped for the call (retiring takes other rings'
+		// locks, and this one's for a kernel linked to itself).
+		r.mu.Unlock()
+		o.RetireWindows()
+		r.mu.Lock()
+	}
+	start := nowNanos()
+	r.writerBlockSince.Store(start)
+	r.wparked = true
+	r.applyDeferredLocked()
+	for !r.closed.Load() {
+		setBits(&r.wattn, attnWriter)
+		if r.free(r.live.Load(), r.tail.Load(), 1) > 0 {
+			break
+		}
+		r.wait.Wait()
+	}
+	r.wparked = false
+	clearBits(&r.wattn, attnWriter)
+	r.writerBlockSince.Store(0)
+	r.tel.WriteBlockNs.Add(uint64(nowNanos() - start))
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// The consumer's side.
+
+// waitMode is how a consumer operation meets an empty ring: sleep, arm the
+// end and return (a try), or return.
+type waitMode uint8
+
+const (
+	waitBlock waitMode = iota
+	waitTry
+	waitNone
+)
+
+// avail returns the store holding head, head itself, and how many elements
+// from head on that store holds, at most want; tail is re-read when the
+// cached copy shows fewer than want.
+func (r *Ring[T]) avail(want int) (st *store[T], h uint64, n int) {
+	h = r.head.Load()
+	if r.tailCache < h+uint64(want) {
+		r.tailCache = r.tail.Load()
+	}
+	if r.tailCache <= h {
+		return r.cst, h, 0
+	}
+	st = r.seek(h)
+	return st, h, st.in(h, min(int(r.tailCache-h), want))
+}
+
+// seek moves the consumer to the store holding sequence h, letting go of
+// the stores it has drained. tail is loaded before any store's seal, and a
+// resize seals before the producer publishes past the seal, so every
+// element below a tail the consumer has seen is where seek finds it.
+func (r *Ring[T]) seek(h uint64) *store[T] {
+	st := r.cst
+	for h >= st.sealed.Load() {
+		next := st.next.Load()
+		st.vals, st.sigs = nil, nil
+		st.next.Store(nil)
+		st = next
+	}
+	r.cst = st
+	return st
+}
+
+// take returns the head's store, head and up to want elements available
+// there, meeting an empty ring as mode says. A zero count comes with
+// ErrClosed on a closed, drained ring and nil otherwise.
+func (r *Ring[T]) take(want int, mode waitMode, locked bool) (st *store[T], h uint64, n int, err error) {
+	for {
+		closed := r.closed.Load()
+		if st, h, n = r.avail(want); n > 0 {
+			return st, h, n, nil
+		}
+		switch {
+		case closed:
+			return st, h, 0, ErrClosed
+		case mode == waitBlock:
+			_ = r.waitForItems(1, locked) // the loop re-reads what it found
+		case mode == waitNone || r.armEmpty(locked):
+			return st, h, 0, nil
+		}
+	}
+}
+
+// drop releases n elements at head h, all in store st: it zeroes them when
+// T holds pointers (the GC must be able to collect popped payloads),
+// publishes head and wakes a producer that found the ring full.
+func (r *Ring[T]) drop(st *store[T], h uint64, n int, locked bool) {
+	if r.zero {
+		i := st.at(h)
+		first := min(n, st.size-i)
+		clear(st.vals[i : i+first])
+		clear(st.vals[:n-first])
+	}
+	r.head.Store(h + uint64(n))
+	r.tel.Pops.Add(uint64(n))
+	if r.wattn.Load() != 0 {
+		if !locked {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+		}
+		if r.wattn.Load() != 0 {
+			clearBits(&r.wattn, attnWriter)
+			r.wait.Broadcast()
+			if r.wake != nil {
+				r.wake(WakeNotFull)
+			}
+		}
+	}
+}
+
+// waitForItems sleeps until at least k elements are buffered or the ring
+// is closed, which it reports as ErrClosed when fewer than k are left.
+func (r *Ring[T]) waitForItems(k int, locked bool) error {
+	if !locked {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	if r.buffered() >= k {
+		return nil
+	}
+	if o := r.consOwner; o != nil && !r.closed.Load() {
+		// As in waitForSpace: retire the consuming kernel's windows before
+		// it sleeps.
+		r.mu.Unlock()
+		o.RetireWindows()
+		r.mu.Lock()
+	}
+	start := nowNanos()
+	r.readerBlockSince.Store(start)
+	for {
+		setBits(&r.rattn, attnReader)
+		closed := r.closed.Load()
+		if r.buffered() >= k || closed {
+			break
+		}
+		r.wait.Wait()
+	}
+	clearBits(&r.rattn, attnReader)
+	r.readerBlockSince.Store(0)
+	r.tel.ReadBlockNs.Add(uint64(nowNanos() - start))
+	if r.buffered() < k {
+		return ErrClosed
+	}
+	return nil
+}
+
+// locate returns the store and index holding buffered sequence seq.
+func (r *Ring[T]) locate(seq uint64) (*store[T], int) {
+	st := r.seek(r.head.Load())
+	for seq >= st.sealed.Load() {
+		st = st.next.Load()
+	}
+	return st, st.at(seq)
 }
 
 // Peek returns the element at offset i from the head without removing it,
@@ -479,33 +689,32 @@ func (r *Ring[T]) TryPop() (v T, s Signal, ok bool, err error) {
 func (r *Ring[T]) Peek(i int) (T, Signal, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.waitForItemsLocked(i + 1); err != nil {
+	if err := r.waitForItems(i+1, true); err != nil {
 		var zero T
 		return zero, SigNone, err
 	}
-	idx := r.index(i)
-	return r.vals[idx], r.sigAt(idx), nil
+	st, j := r.locate(r.head.Load() + uint64(i))
+	return st.vals[j], st.sig(j), nil
 }
 
 // PeekRange blocks until n elements are available and returns a view of
-// them ordered oldest-first. Whenever the buffered region does not wrap,
-// the returned slice aliases the ring's storage and no copy occurs; the
-// view is valid until the next Recycle/Pop/Resize. This is the paper's
-// sliding-window peek_range accessor (§3).
+// them ordered oldest-first. Whenever the buffered region is contiguous in
+// one store the returned slice aliases the ring's storage and no copy
+// occurs; the view is valid until the next Recycle/Pop/Resize. This is the
+// paper's sliding-window peek_range accessor (§3).
 //
 // If the ring closes with fewer than n elements buffered, PeekRange returns
 // what remains along with ErrClosed. If n exceeds the current capacity the
 // ring grows to accommodate the request — the read-side resize rule of
 // §4.1 ("if the reading compute kernel requests more items than the queue
-// has available then the queue is tagged for resizing"), performed
-// synchronously by the reader so the request is always fulfilled.
+// has available then the queue is tagged for resizing").
 func (r *Ring[T]) PeekRange(n int) ([]T, []Signal, error) {
 	if n <= 0 {
 		return nil, nil, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n > len(r.vals) && !r.readOnly && !r.closed {
+	if n > r.Cap() && !r.readOnly && !r.closed.Load() {
 		r.pendingDemand.Store(int64(n))
 		if r.maxCap > 0 && n > r.maxCap {
 			// Correctness trumps the growth bound: a window request the
@@ -519,38 +728,33 @@ func (r *Ring[T]) PeekRange(n int) ([]T, []Signal, error) {
 		}
 		r.pendingDemand.Store(0)
 	}
-	if err := r.waitForItemsLocked(n); err != nil {
+	err := r.waitForItems(n, true)
+	if err != nil {
 		// Closed with fewer than n elements: surface the remainder.
-		n = r.n
-		if n == 0 {
+		if n = r.buffered(); n == 0 {
 			return nil, nil, err
 		}
-		vs, ss := r.viewLocked(n)
-		return vs, ss, err
 	}
 	vs, ss := r.viewLocked(n)
-	return vs, ss, nil
+	return vs, ss, err
 }
 
 // viewLocked returns the first n buffered elements, aliasing storage when
-// the region is contiguous and copying only when it wraps.
+// they are contiguous in one store and copying otherwise.
 func (r *Ring[T]) viewLocked(n int) ([]T, []Signal) {
-	if r.head+n <= len(r.vals) {
+	h := r.head.Load()
+	st := r.seek(h)
+	if i := st.at(h); st.in(h, n) == n && i+n <= st.size {
 		var ss []Signal
-		if r.sigs != nil {
-			ss = r.sigs[r.head : r.head+n]
+		if st.sigs != nil {
+			ss = st.sigs[i : i+n]
 		}
-		return r.vals[r.head : r.head+n], ss
+		return st.vals[i : i+n], ss
 	}
-	vs := make([]T, n)
-	first := len(r.vals) - r.head
-	copy(vs, r.vals[r.head:])
-	copy(vs[first:], r.vals[:n-first])
-	var ss []Signal
-	if r.sigs != nil {
-		ss = make([]Signal, n)
-		copy(ss, r.sigs[r.head:])
-		copy(ss[first:], r.sigs[:n-first])
+	vs, ss := make([]T, n), make([]Signal, n)
+	for j := range vs {
+		s, i := r.locate(h + uint64(j))
+		vs[j], ss[j] = s.vals[i], s.sig(i)
 	}
 	return vs, ss
 }
@@ -561,47 +765,28 @@ func (r *Ring[T]) Recycle(n int) {
 	if n <= 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > r.n {
+	locked := r.lockBE()
+	if locked {
+		defer r.mu.Unlock()
+	}
+	if n > r.buffered() {
 		panic("ringbuffer: Recycle past end of buffered data")
 	}
-	r.dropLocked(n)
-}
-
-// dropLocked removes k elements from the head and wakes the producer.
-func (r *Ring[T]) dropLocked(k int) {
-	wasFull := r.n == len(r.vals)
-	if !r.readOnly {
-		// Release references so the GC can reclaim popped payloads. A
-		// slice-backed ring's storage is the caller's array: left as it was.
-		var zero T
-		for j := 0; j < k; j++ {
-			r.vals[r.index0(r.head+j)] = zero
-		}
-	}
-	r.head = r.index0(r.head + k)
-	r.n -= k
-	if r.n == 0 && !r.wviewOut {
-		// Keep the buffer in the fast non-wrapped position — unless a write
-		// view is out, whose reserved slots sit at the physical index
-		// (head+n) mod cap and must not move.
-		r.head = 0
-	}
-	r.tel.Pops.Add(uint64(k))
-	r.notFull.Broadcast()
-	if wasFull && k > 0 && r.wake != nil {
-		r.wake(WakeNotFull)
+	for n > 0 {
+		h := r.head.Load()
+		st := r.seek(h)
+		k := st.in(h, n)
+		r.drop(st, h, k, locked)
+		n -= k
 	}
 }
 
-// Resize changes the capacity to newCap, preserving buffered elements and
-// leaving the buffer in the non-wrapped position (head == 0), which is the
-// efficient layout the paper's resizer targets. Shrinking below the current
-// length returns ErrTooSmall; resizing a slice-backed read-only ring or a
-// ring whose buffered region is borrowed by an outstanding zero-copy view
-// is the monitor's responsibility to avoid (the runtime only resizes
-// between consumer windows).
+// Resize changes the capacity to newCap, preserving buffered elements;
+// shrinking below the current length returns ErrTooSmall. The new store is
+// installed at once when the producer is idle or asleep, and otherwise at
+// its next boundary — the end of the write window or view it holds, at
+// most one push away (ResizePending reports the wait). Read views and
+// windows never delay it: the consumer reads on in the sealed store.
 func (r *Ring[T]) Resize(newCap int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -612,39 +797,47 @@ func (r *Ring[T]) resizeLocked(newCap int) error {
 	if r.readOnly {
 		return ErrClosed
 	}
-	if newCap < 1 {
-		newCap = 1
+	newCap = max(newCap, 1)
+	if r.maxCap > 0 {
+		newCap = min(newCap, r.maxCap)
 	}
-	if r.maxCap > 0 && newCap > r.maxCap {
-		newCap = r.maxCap
-	}
-	if newCap < r.n {
+	if newCap < r.Len() {
 		return ErrTooSmall
 	}
-	if newCap == len(r.vals) {
+	if newCap == r.Cap() {
 		return nil
 	}
-	if r.viewOut || r.wviewOut {
-		// An outstanding view aliases the backing array; repacking now would
-		// pull the storage out from under the borrower. Record the target and
-		// apply it when the last view is released (view.go).
-		r.deferredCap = newCap
-		return nil
+	r.deferredCap = newCap
+	setBits(&r.rattn, attnResize)
+	r.applyDeferredLocked()
+	return nil
+}
+
+// applyDeferredLocked installs a requested resize if the producer cannot
+// be writing: it is idle (the load of pbusy after the resizer's store of
+// attnResize), asleep, or the caller. The target is clamped to the current
+// length: the request was accepted, so it must not start failing because
+// the buffer filled meanwhile.
+func (r *Ring[T]) applyDeferredLocked() {
+	if r.deferredCap == 0 || r.pbusy.Load() != 0 && !r.wparked {
+		return
 	}
-	grew := newCap > len(r.vals)
-	nv := make([]T, newCap)
-	ns := make([]Signal, newCap)
-	for j := 0; j < r.n; j++ {
-		idx := r.index0(r.head + j)
-		nv[j] = r.vals[idx]
-		if r.sigs != nil {
-			ns[j] = r.sigs[idx]
-		}
+	old := r.live.Load()
+	target := max(r.deferredCap, r.Len())
+	r.deferredCap = 0
+	// The bit goes down only once live is the new store: a producer that
+	// enters after reading it down must load the new one.
+	defer clearBits(&r.rattn, attnResize)
+	if target == old.size {
+		return
 	}
-	r.vals = nv
-	r.sigs = ns
-	r.head = 0
+	t := r.tail.Load()
+	ns := newStore(make([]T, target), make([]Signal, target), t)
+	old.next.Store(ns)
+	old.sealed.Store(t)
+	r.live.Store(ns)
 	r.tel.Resizes.Inc()
+	grew := target > old.size
 	if grew {
 		r.tel.Grows.Inc()
 	} else {
@@ -652,29 +845,36 @@ func (r *Ring[T]) resizeLocked(newCap int) error {
 	}
 	// Capacity changed in the producer's favor (or consumer demand can now
 	// be met); wake both sides to re-evaluate.
-	r.notFull.Broadcast()
-	r.notEmpty.Broadcast()
+	r.wait.Broadcast()
 	if grew && r.wake != nil {
 		r.wake(WakeNotFull)
 	}
-	return nil
+}
+
+// ResizePending reports whether an accepted Resize still waits for the
+// producer's boundary. The monitor skips the link meanwhile: the capacity
+// has not changed yet, so the evidence that asked for the resize would ask
+// again.
+func (r *Ring[T]) ResizePending() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deferredCap != 0
 }
 
 // WriterBlockedFor returns how long the producer has currently been blocked
 // waiting for free space, or zero if it is not blocked. Lock-free; intended
 // for the monitor's 3×δ resize rule.
 func (r *Ring[T]) WriterBlockedFor() time.Duration {
-	since := r.writerBlockSince.Load()
-	if since == 0 {
-		return 0
-	}
-	return time.Duration(nowNanos() - since)
+	return sinceNanos(r.writerBlockSince.Load())
 }
 
 // ReaderStarvedFor returns how long the consumer has currently been blocked
 // waiting for data, or zero if it is not blocked.
 func (r *Ring[T]) ReaderStarvedFor() time.Duration {
-	since := r.readerBlockSince.Load()
+	return sinceNanos(r.readerBlockSince.Load())
+}
+
+func sinceNanos(since int64) time.Duration {
 	if since == 0 {
 		return 0
 	}
@@ -687,95 +887,6 @@ func (r *Ring[T]) PendingDemand() int { return int(r.pendingDemand.Load()) }
 
 // Telemetry returns the ring's performance counters.
 func (r *Ring[T]) Telemetry() *Telemetry { return &r.tel }
-
-// waitForSpaceLocked blocks until at least k free slots exist. It must be
-// called with r.mu held; it returns ErrClosed for closed/read-only rings.
-func (r *Ring[T]) waitForSpaceLocked(k int) error {
-	if r.readOnly {
-		return ErrClosed
-	}
-	if r.closed {
-		return ErrClosed
-	}
-	if len(r.vals)-r.n >= k {
-		return nil
-	}
-	if o := r.prodOwner; o != nil {
-		// The producing kernel is about to sleep. It must not do so on
-		// uncommitted output or unreleased input, on this stream or any
-		// other, or a neighbour could wait for exactly those elements.
-		// The lock is dropped for the call (retiring takes other rings'
-		// locks, and this one's for a kernel linked to itself); the wait
-		// loop below re-reads everything.
-		r.mu.Unlock()
-		o.RetireWindows()
-		r.mu.Lock()
-	}
-	start := nowNanos()
-	r.writerBlockSince.Store(start)
-	for len(r.vals)-r.n < k && !r.closed {
-		r.notFull.Wait()
-	}
-	r.writerBlockSince.Store(0)
-	r.tel.WriteBlockNs.Add(uint64(nowNanos() - start))
-	if r.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// waitForItemsLocked blocks until at least k elements are buffered. It must
-// be called with r.mu held; it returns ErrClosed if the ring closes first.
-func (r *Ring[T]) waitForItemsLocked(k int) error {
-	if r.n >= k {
-		return nil
-	}
-	if r.closed {
-		return ErrClosed
-	}
-	if o := r.consOwner; o != nil {
-		// As in waitForSpaceLocked: retire the consuming kernel's windows
-		// before it sleeps.
-		r.mu.Unlock()
-		o.RetireWindows()
-		r.mu.Lock()
-	}
-	start := nowNanos()
-	r.readerBlockSince.Store(start)
-	for r.n < k && !r.closed {
-		r.rwait = true
-		if r.wpub.Load() != 0 {
-			// A write window is out, and its producer does not take the lock
-			// to push. Raise attn, then look at its cursor: a producer that
-			// stores its cursor after this look reads attn after that store
-			// and comes to wake us (window.go).
-			r.setAttnLocked(attnReader)
-			if r.pullLocked() {
-				continue
-			}
-		}
-		r.notEmpty.Wait()
-	}
-	r.rwait = false
-	r.clearAttnLocked(attnReader)
-	r.readerBlockSince.Store(0)
-	r.tel.ReadBlockNs.Add(uint64(nowNanos() - start))
-	if r.n < k {
-		return ErrClosed
-	}
-	return nil
-}
-
-// index maps a logical offset from the head to a physical index.
-func (r *Ring[T]) index(off int) int { return r.index0(r.head + off) }
-
-// index0 wraps a physical index into the buffer.
-func (r *Ring[T]) index0(i int) int {
-	if i >= len(r.vals) {
-		i -= len(r.vals)
-	}
-	return i
-}
 
 // growTarget doubles up from the demand to leave headroom, honoring maxCap.
 func growTarget(demand, maxCap int) int {

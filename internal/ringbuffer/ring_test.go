@@ -467,10 +467,14 @@ func TestRingResizeNoop(t *testing.T) {
 	}
 }
 
-func TestRingPushBatch(t *testing.T) {
+// TestRingPushNFinalSignal: a bulk push larger than the ring, whose last
+// element carries a signal, arrives in order with the signal aligned.
+func TestRingPushNFinalSignal(t *testing.T) {
 	r := NewRing[int](4)
 	done := make(chan error, 1)
-	go func() { done <- r.PushBatch([]int{0, 1, 2, 3, 4, 5, 6, 7}, SigEOF) }()
+	sigs := make([]Signal, 8)
+	sigs[7] = SigEOF
+	go func() { done <- r.PushN([]int{0, 1, 2, 3, 4, 5, 6, 7}, sigs) }()
 	for i := 0; i < 8; i++ {
 		v, s, err := r.Pop()
 		if err != nil || v != i {
@@ -492,10 +496,10 @@ func TestRingPushBatch(t *testing.T) {
 	}
 }
 
-func TestRingPushBatchClosed(t *testing.T) {
+func TestRingPushNClosed(t *testing.T) {
 	r := NewRing[int](2)
 	r.Close()
-	if err := r.PushBatch([]int{1}, SigNone); !errors.Is(err, ErrClosed) {
+	if err := r.PushN([]int{1}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch on closed = %v, want ErrClosed", err)
 	}
 }

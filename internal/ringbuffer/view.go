@@ -18,9 +18,9 @@ import "time"
 //
 // A view pins the borrowed region. Best-effort eviction never touches a
 // pinned head (incoming signal-free elements are shed instead, exactly like
-// a signal-pinned head), and a Resize requested while a view is out is
-// deferred and applied at release, so the backing array is never repacked
-// under a borrower.
+// a signal-pinned head). A Resize never moves an element: one requested
+// while a write view is out waits for its release, and a read view goes on
+// reading the store the resize sealed.
 //
 // Contract (single consumer / single producer, as for Pop/Push):
 //   - At most one read view and one write view may be outstanding per ring;
@@ -113,86 +113,119 @@ func (v WriteView[T]) CopyIn(off int, vals []T, sigs []Signal) int {
 	return n
 }
 
-// sliceViewLocked builds the read view of the first n buffered elements,
-// aliasing storage in at most two segments.
-func (r *Ring[T]) sliceViewLocked(n int) View[T] {
-	first := min(n, len(r.vals)-r.head)
-	v := View[T]{Vals: r.vals[r.head : r.head+first], Vals2: r.vals[:n-first]}
-	if r.sigs != nil {
-		v.Sigs = r.sigs[r.head : r.head+first]
-		v.Sigs2 = r.sigs[:n-first]
-	}
-	return v
-}
-
 // AcquireView borrows up to max buffered elements, blocking until at least
 // one is available. Once the ring is closed and drained it returns
 // ErrClosed with an empty view (which must not be released).
-func (r *Ring[T]) AcquireView(max int) (View[T], error) {
-	if max <= 0 {
-		return View[T]{}, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.viewOut {
-		panic("ringbuffer: AcquireView with a read view already outstanding")
-	}
-	if err := r.waitForItemsLocked(1); err != nil {
-		return View[T]{}, err
-	}
-	return r.acquireViewLocked(max), nil
-}
+func (r *Ring[T]) AcquireView(max int) (View[T], error) { return r.borrow(max, waitBlock) }
 
 // TryAcquireView is the non-blocking AcquireView: it borrows whatever is
 // buffered, up to max elements, returning an empty view with a nil error
 // when the ring is empty but open and (empty, ErrClosed) once it is closed
 // and drained.
-func (r *Ring[T]) TryAcquireView(max int) (View[T], error) {
+func (r *Ring[T]) TryAcquireView(max int) (View[T], error) { return r.borrow(max, waitTry) }
+
+func (r *Ring[T]) borrow(max int, mode waitMode) (View[T], error) {
 	if max <= 0 {
 		return View[T]{}, nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.viewOut {
-		panic("ringbuffer: TryAcquireView with a read view already outstanding")
+	if r.viewN != 0 {
+		panic("ringbuffer: AcquireView with a read view already outstanding")
 	}
-	if r.emptyLocked() {
-		if r.closed {
-			return View[T]{}, ErrClosed
-		}
-		return View[T]{}, nil
+	v, err := r.view(max, mode)
+	if v.Len() > 0 {
+		r.viewSince.Store(nowNanos())
 	}
-	return r.acquireViewLocked(max), nil
+	return v, err
 }
 
-func (r *Ring[T]) acquireViewLocked(max int) View[T] {
-	n := min(r.n, max)
-	r.viewOut, r.viewN = true, n
-	r.viewSince = nowNanos()
-	return r.sliceViewLocked(n)
+// view takes up to want elements at the head, in at most two segments of
+// one store. A best-effort ring is locked so its producer cannot evict
+// what is being borrowed; viewN pins the head against eviction after that.
+func (r *Ring[T]) view(want int, mode waitMode) (View[T], error) {
+	locked := r.lockBE()
+	if locked {
+		defer r.mu.Unlock()
+	}
+	st, h, n, err := r.take(want, mode, locked)
+	if n == 0 {
+		return View[T]{}, err
+	}
+	i := st.at(h)
+	first := min(n, st.size-i)
+	v := View[T]{Vals: st.vals[i : i+first], Vals2: st.vals[:n-first]}
+	if st.sigs != nil {
+		v.Sigs, v.Sigs2 = st.sigs[i:i+first], st.sigs[:n-first]
+	}
+	r.viewN = n
+	return v, nil
 }
 
 // ReleaseView ends the outstanding read view, consuming its first n
-// elements (they count as Pops, like DrainTo); the rest stay buffered. A
-// Resize deferred by the borrow is applied now.
+// elements (they count as Pops, like DrainTo); the rest stay buffered.
 func (r *Ring[T]) ReleaseView(n int) {
-	now := nowNanos() // read before the lock: the producer is not kept waiting for a clock
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.viewOut {
+	if since := r.viewSince.Swap(0); since != 0 {
+		r.tel.Views.Inc()
+		r.tel.ViewHoldNs.Add(uint64(nowNanos() - since))
+	}
+	r.unview(n)
+}
+
+func (r *Ring[T]) unview(n int) {
+	if r.viewN == 0 {
 		panic("ringbuffer: ReleaseView without an outstanding view")
 	}
 	if n < 0 || n > r.viewN {
 		panic("ringbuffer: ReleaseView past the borrowed window")
 	}
-	r.viewOut = false
-	r.tel.Views.Inc()
-	r.tel.ViewHoldNs.Add(uint64(now - r.viewSince))
-	r.viewSince = 0
-	if n > 0 {
-		r.dropLocked(n)
+	locked := r.lockBE()
+	if locked {
+		defer r.mu.Unlock()
 	}
-	r.applyDeferredLocked()
+	r.viewN = 0
+	if n > 0 {
+		r.drop(r.cst, r.head.Load(), n, locked)
+	}
+}
+
+// PopN removes up to len(dst) elements in bulk, blocking until at least one
+// is available: a loop over read views, each copied out with at most two
+// copies and released with one store of head. When sigs is non-nil its
+// first n entries receive the elements' synchronized signals (it must hold
+// at least len(dst) entries). Once the ring is closed and drained PopN
+// returns (0, ErrClosed).
+func (r *Ring[T]) PopN(dst []T, sigs []Signal) (int, error) { return r.popN(dst, sigs, waitBlock) }
+
+// DrainTo is the non-blocking PopN: it removes whatever is buffered, up to
+// len(dst) elements, returning 0 with a nil error when the ring is empty but
+// open and (0, ErrClosed) once it is closed and drained.
+func (r *Ring[T]) DrainTo(dst []T, sigs []Signal) (int, error) { return r.popN(dst, sigs, waitTry) }
+
+func (r *Ring[T]) popN(dst []T, sigs []Signal, mode waitMode) (int, error) {
+	n := 0
+	for n < len(dst) {
+		v, err := r.view(len(dst)-n, mode)
+		k := v.Len()
+		if k == 0 {
+			if n > 0 {
+				err = nil
+			}
+			return n, err
+		}
+		copy(dst[n:], v.Vals)
+		copy(dst[n+len(v.Vals):], v.Vals2)
+		if sigs != nil {
+			if v.Sigs == nil {
+				clear(sigs[n : n+k])
+			} else {
+				copy(sigs[n:], v.Sigs)
+				copy(sigs[n+len(v.Sigs):], v.Sigs2)
+			}
+		}
+		r.unview(k)
+		n += k
+		mode = waitNone
+	}
+	return n, nil
 }
 
 // AcquireWriteView reserves up to max free slots for in-place production,
@@ -200,140 +233,130 @@ func (r *Ring[T]) ReleaseView(n int) {
 // stale elements first, unless a read view pins them). It returns ErrClosed
 // with an empty view on a closed or read-only ring.
 func (r *Ring[T]) AcquireWriteView(max int) (WriteView[T], error) {
-	if max <= 0 {
-		return WriteView[T]{}, nil
+	wv, _, err := r.reserve(max, true, false)
+	if wv.Len() > 0 {
+		r.wviewSince.Store(nowNanos())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.wviewOut {
-		panic("ringbuffer: AcquireWriteView with a write view already outstanding")
-	}
-	if r.bestEffort && !r.closed && !r.readOnly && r.n == len(r.vals) {
-		r.evictLocked(max)
-	}
-	if err := r.waitForSpaceLocked(1); err != nil {
-		return WriteView[T]{}, err
-	}
-	return r.acquireWriteViewLocked(max), nil
+	return wv, err
 }
 
 // TryAcquireWriteView is the non-blocking AcquireWriteView: an empty view
 // with a nil error means no slot is free right now (callers fall back to
 // PushN, which also carries the best-effort shed policy).
 func (r *Ring[T]) TryAcquireWriteView(max int) (WriteView[T], error) {
-	if max <= 0 {
-		return WriteView[T]{}, nil
+	wv, _, err := r.reserve(max, false, false)
+	if wv.Len() > 0 {
+		r.wviewSince.Store(nowNanos())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.wviewOut {
-		panic("ringbuffer: TryAcquireWriteView with a write view already outstanding")
-	}
-	if r.closed || r.readOnly {
-		return WriteView[T]{}, ErrClosed
-	}
-	if r.bestEffort && r.n == len(r.vals) {
-		r.evictLocked(max)
-	}
-	if r.n == len(r.vals) {
-		return WriteView[T]{}, nil
-	}
-	return r.acquireWriteViewLocked(max), nil
+	return wv, err
 }
 
-func (r *Ring[T]) acquireWriteViewLocked(max int) WriteView[T] {
-	k := min(len(r.vals)-r.n, max)
-	if r.sigs == nil {
-		// Writers may set signals directly in the view; materialize the
-		// lazily-allocated signal array up front.
-		r.sigs = make([]Signal, len(r.vals))
+// reserve takes up to want free slots at the tail, in at most two segments
+// of the live store, with their signals cleared. The producer stays busy
+// until publish. shed reports a full best-effort ring whose head is pinned,
+// when the caller may shed (shedOK).
+func (r *Ring[T]) reserve(want int, block, shedOK bool) (wv WriteView[T], shed bool, err error) {
+	if want <= 0 {
+		return wv, false, nil
 	}
-	idx := r.index(r.n)
-	first := min(k, len(r.vals)-idx)
-	wv := WriteView[T]{
-		Vals: r.vals[idx : idx+first], Sigs: r.sigs[idx : idx+first],
-		Vals2: r.vals[:k-first], Sigs2: r.sigs[:k-first],
+	if r.wviewN != 0 {
+		panic("ringbuffer: AcquireWriteView with a write view already outstanding")
 	}
-	clearSignals(wv.Sigs)
-	clearSignals(wv.Sigs2)
-	r.wviewOut, r.wviewN = true, k
-	r.wviewSince = nowNanos()
-	return wv
+	st, t, f, shed, err := r.room(r.enter(), want, block, shedOK)
+	if f == 0 {
+		r.exit()
+		return wv, shed, err
+	}
+	k := min(want, f)
+	i := st.at(t)
+	first := min(k, st.size-i)
+	wv = WriteView[T]{
+		Vals: st.vals[i : i+first], Sigs: st.sigs[i : i+first],
+		Vals2: st.vals[:k-first], Sigs2: st.sigs[:k-first],
+	}
+	clear(wv.Sigs)
+	clear(wv.Sigs2)
+	r.wviewN = k
+	return wv, false, nil
 }
 
 // ReleaseWriteView ends the outstanding write view, publishing its first n
-// slots as buffered elements; the rest return to the free region. A Resize
-// deferred by the borrow is applied now.
+// slots as buffered elements; the rest return to the free region.
 func (r *Ring[T]) ReleaseWriteView(n int) {
-	now := nowNanos()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wviewOut {
-		panic("ringbuffer: ReleaseWriteView without an outstanding view")
+	if since := r.wviewSince.Swap(0); since != 0 {
+		r.tel.Views.Inc()
+		r.tel.ViewHoldNs.Add(uint64(nowNanos() - since))
 	}
-	if n < 0 || n > r.wviewN {
-		panic("ringbuffer: ReleaseWriteView past the reserved window")
-	}
-	// Slots written but not published return to the free region; drop any
-	// payload references the borrower left there.
-	var zero T
-	for j := n; j < r.wviewN; j++ {
-		r.vals[r.index(r.n+j)] = zero
-	}
-	r.wviewOut = false
-	r.tel.Views.Inc()
-	r.tel.ViewHoldNs.Add(uint64(now - r.wviewSince))
-	r.wviewSince = 0
-	if n > 0 {
-		wasEmpty := r.n == 0
-		r.n += n
-		r.tel.Pushes.Add(uint64(n))
-		r.tel.recordOcc(r.n)
-		r.notEmpty.Broadcast()
-		r.wokeNotEmpty(wasEmpty)
-	}
-	r.applyDeferredLocked()
+	r.publish(n)
 }
 
-// applyDeferredLocked performs a resize that was requested while a view
-// was out, once the last view is released. The target is clamped to the
-// current length: the deferred request was accepted, so it must not start
-// failing retroactively because the buffer filled meanwhile.
-func (r *Ring[T]) applyDeferredLocked() {
-	if r.deferredCap == 0 || r.viewOut || r.wviewOut {
-		return
+// publish makes the first n reserved slots buffered elements with one
+// store of tail, and ends the producer's busy section.
+func (r *Ring[T]) publish(n int) {
+	k := r.wviewN
+	if k == 0 {
+		panic("ringbuffer: ReleaseWriteView without an outstanding view")
 	}
-	target := r.deferredCap
-	r.deferredCap = 0
-	if target < r.n {
-		target = r.n
+	if n < 0 || n > k {
+		panic("ringbuffer: ReleaseWriteView past the reserved window")
 	}
-	_ = r.resizeLocked(target)
+	r.wviewN = 0
+	t := r.tail.Load()
+	if r.zero && n < k {
+		// Drop any payload references the borrower left in slots that go
+		// back to the free region.
+		st := r.live.Load()
+		i := st.at(t + uint64(n))
+		first := min(k-n, st.size-i)
+		clear(st.vals[i : i+first])
+		clear(st.vals[:k-n-first])
+	}
+	if n > 0 {
+		r.tail.Store(t + uint64(n))
+		r.account(n)
+	}
+	r.exit()
+}
+
+// PushN appends all of vs with their parallel signals in bulk: a loop over
+// write views, each filled with at most two copies and published with one
+// store of tail. sigs may be nil (every element carries SigNone) or must
+// have len(vs) entries. PushN blocks as needed and returns ErrClosed on a
+// closed ring. On a full best-effort ring whose head is pinned it sheds the
+// incoming signal-free prefix; a signal-carrying element waits for room.
+func (r *Ring[T]) PushN(vs []T, sigs []Signal) error {
+	if sigs != nil && len(sigs) != len(vs) {
+		panic("ringbuffer: PushN signal slice length mismatch")
+	}
+	for len(vs) > 0 {
+		wv, shed, err := r.reserve(len(vs), true, sigs == nil || sigs[0] == SigNone)
+		n := wv.Len()
+		if shed {
+			for n < len(vs) && (sigs == nil || sigs[n] == SigNone) {
+				n++
+			}
+			r.tel.Shed.Add(uint64(n))
+		} else if err != nil {
+			return err
+		} else {
+			wv.CopyIn(0, vs, sigs)
+			r.publish(n)
+		}
+		vs = vs[n:]
+		if sigs != nil {
+			sigs = sigs[n:]
+		}
+	}
+	return nil
 }
 
 // ViewHeldFor implements Queue. Only explicit borrows are stamped: a
-// port window (window.go) is retired within a bounded time by construction,
-// so it reports zero here and reads no clock — not even this one, when no
-// explicit view is out.
+// port window is retired within a bounded time by construction, so it
+// reports zero here and reads no clock.
 func (r *Ring[T]) ViewHeldFor() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	since := r.viewSince
-	if r.wviewSince != 0 && (since == 0 || r.wviewSince < since) {
-		since = r.wviewSince
+	since := r.viewSince.Load()
+	if w := r.wviewSince.Load(); w != 0 && (since == 0 || w < since) {
+		since = w
 	}
-	if since == 0 {
-		return 0
-	}
-	return time.Duration(nowNanos() - since)
-}
-
-// ResizePending reports whether a Resize accepted while a view or a port
-// window pinned the storage is still waiting for the release that applies
-// it. The monitor skips the link meanwhile: the capacity has not changed
-// yet, so the evidence that asked for the resize would ask again.
-func (r *Ring[T]) ResizePending() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deferredCap != 0
+	return sinceNanos(since)
 }

@@ -180,8 +180,10 @@ func TestRingWriteViewSurvivesDrainToEmpty(t *testing.T) {
 	}
 }
 
-// TestRingViewDefersResize: a resize requested while a view is out must
-// not repack the borrowed storage; it applies when the view is released.
+// TestRingViewDefersResize: a resize requested while a write view is out
+// waits for its release (the producer may be writing the store); one
+// requested while a read view is out applies at once, and the borrowed
+// storage is not touched: the consumer drains the sealed store.
 func TestRingViewDefersResize(t *testing.T) {
 	r := NewRing[int](4)
 	for i := 0; i < 3; i++ {
@@ -189,32 +191,44 @@ func TestRingViewDefersResize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := r.AcquireView(2)
+	w, err := r.AcquireWriteView(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Resize(16); err != nil {
 		t.Fatal(err)
 	}
-	if r.Cap() != 4 {
-		t.Fatalf("cap changed under the view: %d", r.Cap())
+	if r.Cap() != 4 || !r.ResizePending() {
+		t.Fatalf("cap %d pending %v under a write view, want 4 and pending", r.Cap(), r.ResizePending())
 	}
 	// Shrink below the published length must still be refused mid-view.
 	if err := r.Resize(2); !errors.Is(err, ErrTooSmall) {
 		t.Fatalf("undersized resize = %v, want ErrTooSmall", err)
 	}
+	w.SetAt(0, 3, SigNone)
+	r.ReleaseWriteView(1)
+	if r.Cap() != 16 || r.ResizePending() {
+		t.Fatalf("deferred resize not applied: cap = %d, pending %v", r.Cap(), r.ResizePending())
+	}
+
+	v, err := r.AcquireView(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Resize(32); err != nil || r.Cap() != 32 {
+		t.Fatalf("resize under a read view = %v, cap %d; want applied at once", err, r.Cap())
+	}
 	if v.At(0) != 0 || v.At(1) != 1 {
-		t.Fatal("view contents changed under deferred resize")
+		t.Fatal("view contents changed under the resize")
 	}
 	r.ReleaseView(2)
-	if r.Cap() != 16 {
-		t.Fatalf("deferred resize not applied: cap = %d, want 16", r.Cap())
+	if r.Len() != 2 {
+		t.Fatalf("len = %d, want 2", r.Len())
 	}
-	if r.Len() != 1 {
-		t.Fatalf("len = %d, want 1", r.Len())
-	}
-	if v, _, err := r.Pop(); err != nil || v != 2 {
-		t.Fatalf("pop = (%d, %v), want 2", v, err)
+	for want := 2; want < 4; want++ {
+		if v, _, err := r.Pop(); err != nil || v != want {
+			t.Fatalf("pop = (%d, %v), want %d", v, err, want)
+		}
 	}
 }
 
@@ -340,11 +354,13 @@ func TestViewHeldFor(t *testing.T) {
 	}
 }
 
-// FuzzViewResize runs a bulk producer, a resizer and a view-borrowing
-// consumer concurrently, with either overflow policy (the fuzzer picks).
-// The consumer acquires views, verifies every visible element in place, and
-// releases fuzzer-chosen prefixes — so borrows span deferred resizes,
-// mid-view shrinks and best-effort eviction. Released
+// FuzzViewResize runs a bulk producer (PushN, or write views when mode bit
+// 2 is set), a resizer and a view-borrowing consumer concurrently, with
+// either overflow policy (the fuzzer picks). The consumer acquires views,
+// verifies every visible element in place, and releases fuzzer-chosen
+// prefixes — so read views span the handover to a new store and mid-view
+// shrinks, write views hold resizes up, and best-effort eviction meets
+// pinned heads. Released
 // elements must form the exact FIFO sequence (or, best-effort, an ordered
 // subsequence with every loss counted as Evicted or Shed).
 func FuzzViewResize(f *testing.F) {
@@ -352,6 +368,7 @@ func FuzzViewResize(f *testing.F) {
 	f.Add([]byte{1, 1, 1}, []byte{255, 2, 255, 2}, uint8(1), uint8(1))
 	f.Add([]byte{17, 5}, []byte{3, 120, 7}, uint8(12), uint8(2))
 	f.Add([]byte{8, 8, 8, 8}, []byte{2, 90, 2, 90}, uint8(7), uint8(3))
+	f.Add([]byte{6, 2, 11, 4}, []byte{40, 3, 250, 9}, uint8(5), uint8(2))
 	f.Fuzz(func(t *testing.T, batches, resizes []byte, grains, mode uint8) {
 		if len(batches) == 0 || len(batches) > 64 || len(resizes) > 64 {
 			t.Skip()
@@ -371,7 +388,7 @@ func FuzzViewResize(f *testing.F) {
 		q.SetBestEffort(bestEffort)
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { // producer: PushN with fuzzer-chosen batch sizes
+		go func() { // producer: PushN or write views, fuzzer-chosen batch sizes
 			defer wg.Done()
 			defer q.Close()
 			next, bi := 0, 0
@@ -380,6 +397,24 @@ func FuzzViewResize(f *testing.F) {
 				bi++
 				if batch > total-next {
 					batch = total - next
+				}
+				if mode&2 != 0 && batch%2 == 0 {
+					// A write view: reserve, fill in place, publish.
+					w, err := q.AcquireWriteView(batch)
+					if err != nil {
+						t.Errorf("AcquireWriteView: %v", err)
+						return
+					}
+					for i := 0; i < w.Len(); i++ {
+						s := SigNone
+						if !bestEffort {
+							s = sigFor(next + i)
+						}
+						w.SetAt(i, next+i, s)
+					}
+					q.ReleaseWriteView(w.Len())
+					next += w.Len()
+					continue
 				}
 				vs := make([]int, batch)
 				var sigs []Signal

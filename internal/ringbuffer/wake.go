@@ -4,15 +4,17 @@ package ringbuffer
 // scheduler: the transitions are exactly the edges of the cooperative
 // readiness predicate (inputs non-empty or closed, outputs non-full or
 // closed), so a kernel parked on a Stall needs to be re-queued on no other
-// occasion.
+// occasion. A transition is reported for an end that found the queue empty
+// or full and armed it (Queue.Blocked, a failed try, a sleep), on the
+// other end's first publish or release after.
 type Wake uint8
 
 const (
-	// WakeNotEmpty fires when a push transitions the queue from empty to
-	// non-empty: the consumer, if parked, can make progress again.
+	// WakeNotEmpty fires when a push follows the consumer's finding the
+	// queue empty: the consumer, if parked, can make progress again.
 	WakeNotEmpty Wake = iota
-	// WakeNotFull fires when a pop (or a capacity grow) transitions the
-	// queue from full to non-full: the producer, if parked, can push again.
+	// WakeNotFull fires when a pop follows the producer's finding the queue
+	// full, and on a capacity grow: the producer, if parked, can push again.
 	WakeNotFull
 	// WakeClosed fires on Close: both endpoints must re-run so they can
 	// observe ErrClosed and stop (deadlock aborts close every queue, so a
@@ -35,7 +37,7 @@ func (w Wake) String() string {
 
 // WakeHooker is implemented by queues that can notify a scheduler of
 // readiness transitions. The hook contract is strict, because it runs on
-// the ring's hot path, under its lock:
+// the other end's commit, under the queue's lock:
 //
 //   - it must not block,
 //   - it must not call back into any queue, and

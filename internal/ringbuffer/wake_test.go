@@ -30,33 +30,52 @@ func (l *wakeLog) count(w Wake) int {
 	return n
 }
 
+// TestRingWakeHook: the hook wakes an end that found the ring empty or
+// full — once, on the other end's next publish or release — and stays quiet
+// for an end that never looked.
 func TestRingWakeHook(t *testing.T) {
 	r := NewRing[int](2)
 	var log wakeLog
 	r.SetWakeHook(log.hook)
 
-	// Empty -> non-empty fires exactly once; the second push stays quiet.
+	// Nobody is waiting: pushes fire nothing.
 	mustPush(t, r, 1)
+	if got := log.count(WakeNotEmpty); got != 0 {
+		t.Fatalf("not-empty fires with no consumer waiting = %d, want 0", got)
+	}
+	if _, _, err := r.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	// The consumer finds the ring empty: the next push fires once.
+	if _, _, ok, _ := r.TryPop(); ok {
+		t.Fatal("TryPop on an empty ring returned an element")
+	}
 	mustPush(t, r, 2)
+	mustPush(t, r, 3)
 	if got := log.count(WakeNotEmpty); got != 1 {
 		t.Fatalf("not-empty fires = %d, want 1", got)
 	}
 
-	// Full -> non-full fires on the first pop only.
-	if _, _, err := r.Pop(); err != nil {
-		t.Fatal(err)
+	// The producer finds the ring full: the first pop fires once.
+	if ok, _ := r.TryPush(4, SigNone); ok {
+		t.Fatal("TryPush into a full ring succeeded")
 	}
-	if _, _, err := r.Pop(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.Pop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := log.count(WakeNotFull); got != 1 {
 		t.Fatalf("not-full fires = %d, want 1", got)
 	}
 
-	// Refill after drain: a fresh empty -> non-empty edge.
-	mustPush(t, r, 3)
+	// Blocked arms the same way as a failed try.
+	if !r.Blocked(false) {
+		t.Fatal("Blocked(consumer) on an empty ring = false")
+	}
+	mustPush(t, r, 5)
 	if got := log.count(WakeNotEmpty); got != 2 {
-		t.Fatalf("not-empty fires after refill = %d, want 2", got)
+		t.Fatalf("not-empty fires after Blocked = %d, want 2", got)
 	}
 
 	r.Close()
@@ -68,6 +87,7 @@ func TestRingWakeHook(t *testing.T) {
 	r2 := NewRing[int](2)
 	r2.SetWakeHook(log.hook)
 	r2.SetWakeHook(nil)
+	r2.TryPop()
 	mustPush(t, r2, 1)
 	if got := log.count(WakeNotEmpty); got != 2 {
 		t.Fatalf("detached hook fired (not-empty = %d)", got)
@@ -79,13 +99,19 @@ func TestRingWakeHookBatchPaths(t *testing.T) {
 	var log wakeLog
 	r.SetWakeHook(log.hook)
 
+	dst := make([]int, 4)
+	if n, err := r.DrainTo(dst, nil); n != 0 || err != nil {
+		t.Fatalf("DrainTo on empty = %d, %v", n, err)
+	}
 	if err := r.PushN([]int{1, 2, 3, 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.count(WakeNotEmpty); got != 1 {
 		t.Fatalf("PushN not-empty fires = %d, want 1", got)
 	}
-	dst := make([]int, 4)
+	if wv, err := r.TryAcquireWriteView(1); wv.Len() != 0 || err != nil {
+		t.Fatalf("write view on a full ring = %d slots, %v", wv.Len(), err)
+	}
 	if _, err := r.DrainTo(dst, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,10 @@ func TestWindowBestEffortNotWindowed(t *testing.T) {
 }
 
 // TestWindowDefersResize states the monitor's view of a window: it is not a
-// held view, a resize that meets it is accepted, reported pending, and
-// applied by the retire — at most one window away.
+// held view. A resize that meets a write window is accepted, reported
+// pending, and applied when the window ends — at most one window away; one
+// that meets a read window applies at once, the window reading on in the
+// store the resize sealed.
 func TestWindowDefersResize(t *testing.T) {
 	r := NewRing[int](16)
 	_ = pushW(r, 0, 8)
@@ -185,25 +187,31 @@ func TestWindowDefersResize(t *testing.T) {
 	if r.Cap() != 64 || r.ResizePending() {
 		t.Fatalf("cap %d pending %v after the commit, want 64 and applied", r.Cap(), r.ResizePending())
 	}
-	// Same on the read side.
+	// The read side does not hold a resize up.
 	for i := 1; i < 6; i++ {
 		_ = r.Push(i, SigNone)
 	}
-	if v, _ := popW(r, 4); v != 0 || r.WindowPos(false) != 1 {
+	if v, _ := popW(r, 4); v != 0 {
+		t.Fatalf("pop = %d, want 0", v)
+	}
+	if v, _ := popW(r, 4); v != 1 || r.WindowPos(false) != 1 {
 		t.Fatalf("pop = %d, cursor %d", v, r.WindowPos(false))
 	}
 	_ = r.Resize(8)
-	if r.Cap() != 64 || r.ViewHeldFor() != 0 {
-		t.Fatalf("cap %d hold %v under an open read window", r.Cap(), r.ViewHeldFor())
+	if r.Cap() != 8 || r.ResizePending() || r.ViewHeldFor() != 0 {
+		t.Fatalf("cap %d pending %v hold %v under an open read window", r.Cap(), r.ResizePending(), r.ViewHeldFor())
 	}
-	if n := r.ReleaseWindow(); n != 1 || r.Cap() != 8 {
-		t.Fatalf("release = %d, cap %d; want 1 and 8", n, r.Cap())
+	if v, _ := popW(r, 4); v != 2 {
+		t.Fatalf("pop = %d, want 2 out of the sealed store", v)
+	}
+	if n := r.ReleaseWindow(); n != 2 {
+		t.Fatalf("release = %d, want 2", n)
 	}
 	tel := r.Telemetry().Snapshot()
 	if tel.Views != 0 || tel.ViewHoldNs != 0 {
 		t.Fatalf("windows counted as views: %d views, %d ns", tel.Views, tel.ViewHoldNs)
 	}
-	for want := 1; want < 6; want++ {
+	for want := 3; want < 6; want++ {
 		if v, _ := popW(r, 4); v != want {
 			t.Fatalf("pop = %d, want %d", v, want)
 		}
@@ -211,8 +219,8 @@ func TestWindowDefersResize(t *testing.T) {
 }
 
 // TestWindowConsumerPullsWhatIsWritten: the consumer never goes without an
-// element the producer has finished writing, commit or no commit — whether
-// it looks before the write (and sleeps) or after.
+// element the producer has finished writing, commit or no commit: each push
+// into a window publishes the ring's tail. The commit counts the window.
 func TestWindowConsumerPullsWhatIsWritten(t *testing.T) {
 	r := NewRing[int](16)
 	_ = pushW(r, 7, 8)
@@ -228,7 +236,7 @@ func TestWindowConsumerPullsWhatIsWritten(t *testing.T) {
 	if n, _ := r.DrainTo(buf, nil); n != 1 || buf[0] != 8 {
 		t.Fatalf("DrainTo = %d %v", n, buf[:n])
 	}
-	// The producer writes on and commits: only the part not pulled is new.
+	// The producer writes on and commits: the count covers the window.
 	_ = pushW(r, 9, 8)
 	if n := r.CommitWindow(); n != 3 {
 		t.Fatalf("commit reports %d elements carried, want 3", n)
@@ -244,11 +252,10 @@ func TestWindowConsumerPullsWhatIsWritten(t *testing.T) {
 
 // TestWindowSleepingConsumerIsWoken: a consumer that found nothing and went
 // to sleep is woken by the producer's next push, wherever that push lands —
-// it opens no window while the consumer waits, and one made into a window
-// that was already open finds attn raised and pulls for the sleeper. The
-// producer here pushes once and never comes back (it stands for a kernel
-// blocked inside Run on a channel), so nothing but that one push can
-// deliver the element.
+// the push that opens a window, or a slot store into one already open,
+// which finds rattn raised. The producer here pushes once and never comes
+// back (it stands for a kernel blocked inside Run on a channel), so nothing
+// but that one push can deliver the element.
 func TestWindowSleepingConsumerIsWoken(t *testing.T) {
 	asleep := func(r *Ring[int]) chan int {
 		got := make(chan int)
@@ -273,49 +280,43 @@ func TestWindowSleepingConsumerIsWoken(t *testing.T) {
 		}
 	}
 
-	// Asleep before any window exists: the push goes straight in.
+	// Asleep before any window exists: the push that opens one wakes it.
 	r := NewRing[int](16)
 	got := asleep(r)
 	_ = pushW(r, 10, 8)
 	receive(got, 10)
-	if r.WindowPos(true) != 0 || pushes(r) != 1 {
-		t.Fatalf("push to a sleeping consumer opened a window: cursor %d, pushes %d", r.WindowPos(true), pushes(r))
+	if r.WindowPos(true) != 1 || pushes(r) != 0 {
+		t.Fatalf("cursor %d, pushes %d; want the window open and uncounted", r.WindowPos(true), pushes(r))
 	}
 
-	// Asleep beside an open window whose contents it has already pulled.
-	_ = pushW(r, 11, 8)
-	if r.WindowPos(true) != 1 {
-		t.Fatalf("no window opened with the consumer awake: cursor %d", r.WindowPos(true))
-	}
-	if v, _, _ := r.Pop(); v != 11 {
-		t.Fatalf("pop = %d, want 11", v)
-	}
+	// Asleep beside the open window.
 	got = asleep(r)
-	_ = pushW(r, 12, 8) // fast path: one slot store, then attn is seen
+	_ = pushW(r, 12, 8) // fast path: one slot store, then rattn is seen
 	receive(got, 12)
 	if r.WindowPos(true) != 2 {
 		t.Fatalf("the window was retired to wake the consumer: cursor %d, want 2", r.WindowPos(true))
 	}
 	// Awake again, the consumer costs the producer nothing.
 	_ = pushW(r, 13, 8)
-	if pushes(r) != 3 {
-		t.Fatalf("pushes = %d with the consumer awake, want 3 (13 is still in the window)", pushes(r))
+	if n := r.CommitWindow(); n != 3 || pushes(r) != 3 {
+		t.Fatalf("commit = %d, pushes %d; want 3 and 3", n, pushes(r))
 	}
-	if n := r.CommitWindow(); n != 3 || pushes(r) != 4 {
-		t.Fatalf("commit = %d, pushes %d; want 3 and 4 (pulled elements are not published twice)", n, pushes(r))
+	if v, _, _ := r.Pop(); v != 13 {
+		t.Fatalf("pop = %d, want 13", v)
 	}
 }
 
 // TestWindowClosedUnderProducer: a ring closed by someone other than its
 // producer while a write window is open (a consumer that died, an aborted
 // run) stops accepting at the producer's next push — one element late, not
-// a window late — and what was written and never taken is counted nowhere.
+// a window late. What was published before the producer saw the close
+// stays deliverable and is counted.
 func TestWindowClosedUnderProducer(t *testing.T) {
 	r := NewRing[int](16)
 	for i := 0; i < 3; i++ {
 		_ = pushW(r, i, 8)
 	}
-	if v, _, _ := r.Pop(); v != 0 { // pulls all three
+	if v, _, _ := r.Pop(); v != 0 {
 		t.Fatalf("pop = %d, want 0", v)
 	}
 	_ = pushW(r, 3, 8)
@@ -329,10 +330,10 @@ func TestWindowClosedUnderProducer(t *testing.T) {
 	if err := pushW(r, 5, 8); !errors.Is(err, ErrClosed) {
 		t.Fatalf("push after close = %v, want ErrClosed", err)
 	}
-	if pushes(r) != 3 || r.Len() != 2 {
-		t.Fatalf("pushes %d, len %d; want the 3 the consumer took and the 2 it has not popped", pushes(r), r.Len())
+	if pushes(r) != 5 || r.Len() != 4 {
+		t.Fatalf("pushes %d, len %d; want 5 published and 4 not popped", pushes(r), r.Len())
 	}
-	for want := 1; want < 3; want++ {
+	for want := 1; want < 5; want++ {
 		if v, _, err := r.Pop(); err != nil || v != want {
 			t.Fatalf("drain = %d, %v; want %d", v, err, want)
 		}
@@ -341,16 +342,17 @@ func TestWindowClosedUnderProducer(t *testing.T) {
 		t.Fatalf("drained closed ring: %v", err)
 	}
 
-	// The same at a commit: the last slot of a window closed under it.
+	// The same at the last slot of a window: the push is refused and the
+	// window ends with what it delivered.
 	r = NewRing[int](16)
 	_ = pushW(r, 0, 2)
 	r.Close()
 	n, ok, err := r.PushWindowed(1, SigNone, 2, true)
-	if n != 0 || ok || !errors.Is(err, ErrClosed) {
-		t.Fatalf("commit into a closed ring = %d, %v, %v; want 0, false, ErrClosed", n, ok, err)
+	if n != 1 || ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit into a closed ring = %d, %v, %v; want 1, false, ErrClosed", n, ok, err)
 	}
-	if pushes(r) != 0 || r.Len() != 0 {
-		t.Fatalf("closed ring took %d pushes, len %d", pushes(r), r.Len())
+	if pushes(r) != 1 || r.Len() != 1 {
+		t.Fatalf("closed ring took %d pushes, len %d; want 1 and 1", pushes(r), r.Len())
 	}
 }
 
@@ -413,8 +415,9 @@ func TestWindowOwnerRetiresBeforeSleeping(t *testing.T) {
 	}
 }
 
-// TestWindowCommitWakesParkedConsumer: the scheduler hook fires on the
-// commit, not on the writes into the window.
+// TestWindowCommitWakesParkedConsumer: the scheduler hook wakes a parked
+// end once, at the first publish (or release) after it armed — inside a
+// window as well as at its commit — and not on the writes that follow.
 func TestWindowCommitWakesParkedConsumer(t *testing.T) {
 	r := NewRing[int](16)
 	var notEmpty, notFull int
@@ -427,17 +430,31 @@ func TestWindowCommitWakesParkedConsumer(t *testing.T) {
 		}
 	})
 	_ = pushW(r, 0, 8)
-	_ = pushW(r, 1, 8)
 	if notEmpty != 0 {
-		t.Fatal("wake hook fired on a write into an open window")
+		t.Fatal("wake hook fired with no consumer parked")
+	}
+	if v, _, ok, _ := r.TryPop(); !ok || v != 0 {
+		t.Fatalf("TryPop = %d, %v", v, ok)
+	}
+	if !r.Blocked(false) {
+		t.Fatal("consumer not blocked on an empty ring")
+	}
+	_ = pushW(r, 1, 8)
+	_ = pushW(r, 2, 8)
+	if notEmpty != 1 {
+		t.Fatalf("not-empty wakes = %d after two writes into the window, want 1", notEmpty)
 	}
 	r.CommitWindow()
 	if notEmpty != 1 {
 		t.Fatalf("not-empty wakes = %d after the commit, want 1", notEmpty)
 	}
-	// Fill the ring; the release of a read window reopens it once.
-	for i := 2; i < 16; i++ {
+	// Fill the ring and park the producer; the release of a read window
+	// wakes it once.
+	for i := 3; i < 17; i++ {
 		_ = r.Push(i, SigNone)
+	}
+	if !r.Blocked(true) {
+		t.Fatal("producer not blocked on a full ring")
 	}
 	for i := 0; i < 3; i++ {
 		_, _ = popW(r, 8)
@@ -451,10 +468,11 @@ func TestWindowCommitWakesParkedConsumer(t *testing.T) {
 	}
 }
 
-// A window operation that meets the ring lock held spins for it, and one
-// that meets it held for longer than the spin lasts parks and still gets it:
-// either way it comes back with the lock and the ring intact.
-func TestWindowLockSpinsThenParks(t *testing.T) {
+// TestWindowCommitTakesNoLock: scalar pushes and pops through windows, and
+// the commits and releases between them, go on while a third party holds
+// the ring lock — for nothing, briefly, or for milliseconds at a time —
+// and deliver every element in order.
+func TestWindowCommitTakesNoLock(t *testing.T) {
 	for _, hold := range []time.Duration{0, 20 * time.Microsecond, 5 * time.Millisecond} {
 		r := NewRing[int](64)
 		const n = 2000

@@ -24,10 +24,12 @@ import (
 //	Running --hook fires mid-step--> RunningWake --park attempt--> Queued
 //	Running --Stop/panic--> Done
 //
-// The RunningWake detour closes the check-then-park race: the ring hooks
-// fire after the queue transition is published, so a transition that lands
-// between a kernel's readiness check and its park CAS must observe state
-// Running, flip it to RunningWake, and thereby turn the park into an
+// The RunningWake detour closes the check-then-park race. A kernel's
+// readiness check or failed try arms the ring it would block on, and the
+// ring fires the hook on the other end's first publish or release after
+// the arming (a Dekker pair: one of the two sees the other), so a
+// transition that lands between the check and the park CAS must observe
+// state Running, flip it to RunningWake, and thereby turn the park into an
 // immediate requeue.
 const (
 	wsParked int32 = iota

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -116,6 +117,90 @@ func testWorkStealParkWake(t *testing.T, q *ringbuffer.Ring[int]) {
 
 func TestWorkStealParkWakeRing(t *testing.T) {
 	testWorkStealParkWake(t, ringbuffer.NewRing[int](4))
+}
+
+// TestWorkStealEveryParkIsWoken runs a chain of stages over two-slot rings
+// whose every end parks: a stage stalls when its input is empty or its
+// output full, and only a ring's wake hook — fired by the other end's next
+// publish or release after the failed try armed the ring — brings it back.
+// A wake lost between the arming and the park would leave the stage to the
+// watchdog, so the run must finish with no rescue at all.
+func TestWorkStealEveryParkIsWoken(t *testing.T) {
+	const n, stages = 20000, 4
+	rings := make([]*ringbuffer.Ring[int], stages-1)
+	links := make([]*core.LinkInfo, len(rings))
+	for i := range rings {
+		rings[i] = ringbuffer.NewRing[int](2)
+		links[i] = &core.LinkInfo{ID: i, Queue: rings[i], SrcActor: i, DstActor: i + 1}
+	}
+	var got atomic.Int64
+	actors := make([]*core.Actor, stages)
+	for i := range actors {
+		var in, out *ringbuffer.Ring[int]
+		if i > 0 {
+			in = rings[i-1]
+		}
+		if i < stages-1 {
+			out = rings[i]
+		}
+		sent, held, have := 0, 0, false
+		actors[i] = &core.Actor{ID: i, Name: fmt.Sprintf("s%d", i),
+			Step: func() core.Status {
+				if !have {
+					if in == nil {
+						if sent == n {
+							return core.Stop
+						}
+						held, have = sent, true
+						sent++
+					} else {
+						v, _, ok, err := in.TryPop()
+						if err != nil {
+							return core.Stop
+						}
+						if !ok {
+							return core.Stall
+						}
+						held, have = v, true
+					}
+				}
+				if out == nil {
+					if held != int(got.Load()) {
+						t.Errorf("sink got %d, want %d", held, got.Load())
+					}
+					got.Add(1)
+					have = false
+					return core.Proceed
+				}
+				ok, err := out.TryPush(held, ringbuffer.SigNone)
+				if err != nil {
+					t.Error(err)
+					return core.Stop
+				}
+				if !ok {
+					return core.Stall
+				}
+				have = false
+				return core.Proceed
+			},
+			Finish: func() {
+				if out != nil {
+					out.Close()
+				}
+			}}
+	}
+	ws := NewWorkSteal(2)
+	ws.AttachLinks(links)
+	if err := ws.Run(actors); err != nil {
+		t.Fatal(err)
+	}
+	if got.Load() != n {
+		t.Fatalf("consumed %d, want %d", got.Load(), n)
+	}
+	s := ws.SchedStats()
+	if s.Parks == 0 || s.Wakes == 0 || s.Rescues != 0 {
+		t.Fatalf("stats = %+v, want parks, link wakes and no rescue", s)
+	}
 }
 
 func TestWorkStealPlacementLocality(t *testing.T) {

@@ -37,7 +37,8 @@ func NewGenerate[T any](n int64, fn func(i int64) T) *Generate[T] {
 }
 
 // SetBatch makes each Run produce up to n elements delivered with one bulk
-// push (one lock acquisition) instead of n element-wise pushes. The
+// push (one publish per contiguous run of slots) instead of n element-wise
+// pushes. The
 // adaptive batcher's per-link hint, when present, overrides n. Returns the
 // kernel for chaining.
 func (g *Generate[T]) SetBatch(n int) *Generate[T] {

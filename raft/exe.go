@@ -1085,8 +1085,9 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 //
 // An open port window answers for its stream: a read window always holds an
 // element the kernel has not popped and a write window a slot it has not
-// filled, whatever the ring's own length says, so such a port is ready
-// without taking the ring's lock.
+// filled, so such a port is ready. Any other port asks its ring, which arms
+// a blocked end as it answers: the predicate returning false is the park,
+// and the other end's next publish or release fires the wake hook.
 func readinessOf(kb *KernelBase) func() bool {
 	return func() bool {
 		for _, p := range kb.ins {
@@ -1094,7 +1095,7 @@ func readinessOf(kb *KernelBase) func() bool {
 			if q == nil || q.WindowPos(false) > 0 {
 				continue
 			}
-			if q.Len() == 0 && !q.Closed() {
+			if q.Blocked(false) {
 				return false
 			}
 		}
@@ -1103,7 +1104,7 @@ func readinessOf(kb *KernelBase) func() bool {
 			if q == nil || q.WindowPos(true) > 0 {
 				continue
 			}
-			if q.Len() >= q.Cap() && !q.Closed() {
+			if q.Blocked(true) {
 				return false
 			}
 		}

@@ -193,8 +193,8 @@ func (k *KernelBase) InputsDone() bool {
 // operation sleeps, on Stall and Stop, at gate pauses, checkpoints and
 // restarts, and after a bounded run time. A kernel never needs to; one that
 // waits inside Run on something that is not a port (a socket, a channel, a
-// sleep) is covered by the ring itself, whose consumer takes over what the
-// producer has written. It runs on the kernel's own goroutine.
+// sleep) is covered by the ring itself, where every push is published as
+// it is written. It runs on the kernel's own goroutine.
 func (k *KernelBase) RetireWindows() {
 	for _, p := range k.outs {
 		p.retireWindow()

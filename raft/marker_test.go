@@ -96,6 +96,7 @@ type healthzPoller struct {
 	mu   sync.Mutex
 	code int
 	body string
+	seen chan struct{} // closed once a probe has landed
 }
 
 func (h *healthzPoller) observe(LiveStats) {
@@ -112,19 +113,44 @@ func (h *healthzPoller) observe(LiveStats) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	h.code, h.body = resp.StatusCode, string(b)
+	close(h.seen)
 }
 
+// heldGen is genKernel holding its last element until hold closes, so the
+// run cannot end before whatever holds it has looked.
+type heldGen struct {
+	genKernel
+	hold <-chan struct{}
+}
+
+func (g *heldGen) Run() Status {
+	if g.next == g.n-1 {
+		select {
+		case <-g.hold:
+		case <-time.After(10 * time.Second): // the test reports the missing probe
+		}
+	}
+	return g.genKernel.Run()
+}
+
+// TestHealthzDuringRun: a /healthz probe made while the graph runs answers
+// 200 "running". The source holds its last element until the probe has
+// landed, so the probe is mid-run at any GOMAXPROCS and however fast the
+// run would otherwise finish.
 func TestHealthzDuringRun(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	poller := &healthzPoller{addr: ln.Addr().String()}
+	poller := &healthzPoller{addr: ln.Addr().String(), seen: make(chan struct{})}
 
 	m := NewMap()
+	gen := &heldGen{hold: poller.seen}
+	gen.n = 20000
+	AddOutput[int64](gen, "out")
 	work := newWork()
 	sink := newCollect()
-	if _, err := m.Link(newGen(200000), work); err != nil {
+	if _, err := m.Link(gen, work); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Link(work, sink); err != nil {

@@ -289,9 +289,9 @@ func retired[T any](p *Port) *ringbuffer.Ring[T] {
 
 // Element-wise access. A scalar operation is an index into the stream end's
 // port window (ringbuffer/window.go): the inlined first branch below takes no
-// lock and reads no clock (a push publishes its cursor with one atomic
-// store), and the ring is visited once per window by popSlow/pushSlow, which
-// is also where markers are picked up and deposited.
+// lock and reads no clock (a push publishes the ring's tail with one atomic
+// store), and the once-per-window work happens in popSlow/pushSlow, which is
+// also where markers are picked up and deposited.
 
 // Pop removes and returns the next element from an input port, blocking
 // until data arrives. It returns ErrClosed when the stream is closed and
@@ -353,7 +353,7 @@ func Push[T any](p *Port, v T) error {
 	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
 		if stored, attend := r.WindowPush(v); stored {
 			if attend {
-				r.Attend() // the consumer sleeps, or the stream was closed
+				p.attend(r.Attend()) // a consumer waits, the stream was closed, or a resize waits
 			}
 			return nil
 		}
@@ -379,12 +379,19 @@ func TryPush[T any](p *Port, v T) (bool, error) {
 	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
 		if stored, attend := r.WindowPush(v); stored {
 			if attend {
-				r.Attend()
+				p.attend(r.Attend())
 			}
 			return true, nil
 		}
 	}
 	return pushSlow(p, v, SigNone, false)
+}
+
+// attend deposits the markers of a window Attend ended.
+func (p *Port) attend(committed int) {
+	if committed > 0 {
+		p.markPush(committed)
+	}
 }
 
 // pushSlow is the scalar push off the window's fast path: the last slot of
@@ -401,15 +408,23 @@ func pushSlow[T any](p *Port, v T, s Signal, block bool) (ok bool, err error) {
 // PushBatch appends all of vs (more efficient than element-wise Push for
 // high-rate streams); the final element carries sig.
 func PushBatch[T any](p *Port, vs []T, sig Signal) error {
-	err := retired[T](p).PushBatch(vs, sig)
+	if len(vs) == 0 {
+		return nil
+	}
+	r := retired[T](p)
+	last := [1]Signal{sig}
+	err := r.PushN(vs[:len(vs)-1], nil)
+	if err == nil {
+		err = r.PushN(vs[len(vs)-1:], last[:])
+	}
 	if err == nil {
 		p.markPush(len(vs))
 	}
 	return err
 }
 
-// PushN appends all of vs to an output port in one bulk operation — a
-// single lock acquisition per batch instead of one per element. Every element carries SigNone; use
+// PushN appends all of vs to an output port in one bulk operation — one
+// publish per contiguous run of free slots instead of one per element. Every element carries SigNone; use
 // PushNSig to attach synchronized signals. PushN blocks while the stream is
 // full and returns ErrClosed on a closed stream.
 func PushN[T any](p *Port, vs []T) error {

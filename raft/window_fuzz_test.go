@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"raftlib/internal/core"
 	"raftlib/internal/ringbuffer"
@@ -44,10 +45,13 @@ type windowRig struct {
 	// shed counts elements a best-effort stream refused outright: the
 	// streams' Telemetry.Shed, never in Pushes.
 	shed uint64
+	// notEmpty and notFull receive the streams' wake-hook calls, for a
+	// kernel that parks the way a cooperative scheduler parks it.
+	notEmpty, notFull chan struct{}
 }
 
 func newWindowRig(t *testing.T, capacity int, bestEffort, lowLatency bool) *windowRig {
-	g := &windowRig{t: t, bestEffort: bestEffort}
+	g := &windowRig{t: t, bestEffort: bestEffort, notEmpty: make(chan struct{}, 1), notFull: make(chan struct{}, 1)}
 	g.prod = NewLambda[int64](0, 1, nil)
 	g.cons = NewLambda[int64](1, 0, nil)
 	if lowLatency {
@@ -64,8 +68,39 @@ func newWindowRig(t *testing.T, capacity int, bestEffort, lowLatency bool) *wind
 func (g *windowRig) addRing(capacity int) *ringbuffer.Ring[int64] {
 	r := ringbuffer.NewRing[int64](capacity)
 	r.SetBestEffort(g.bestEffort)
+	r.SetWakeHook(func(w ringbuffer.Wake) {
+		if w != ringbuffer.WakeNotFull {
+			signal(g.notEmpty)
+		}
+		if w != ringbuffer.WakeNotEmpty {
+			signal(g.notFull)
+		}
+	})
 	g.rings = append(g.rings, r)
 	return r
+}
+
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// park is a kernel parking the way the work-stealing scheduler parks one:
+// it retires its windows and asks its stream whether it would block, which
+// arms the stream; if so, it waits for the wake hook. An armed end that is
+// never woken is a lost wakeup.
+func (g *windowRig) park(k *LambdaKernel, p *Port, producer bool, wake chan struct{}) {
+	k.RetireWindows()
+	if !p.q.Blocked(producer) {
+		return
+	}
+	select {
+	case <-wake:
+	case <-time.After(5 * time.Second):
+		g.t.Errorf("parked end (producer %v) never woken", producer)
+	}
 }
 
 func (g *windowRig) out() *Port { return g.prod.Out("0") }
@@ -370,15 +405,19 @@ func FuzzPortWindow(f *testing.F) {
 
 // FuzzPortWindowConcurrent runs the same protocol on three goroutines: the
 // producing kernel, the consuming kernel, and a third party that resizes
-// streams under open windows, probes lengths, and splices fresh streams in
-// with the producer paused at a step boundary. The consumer checks order
-// and signal alignment from the values themselves; the counters are
-// balanced once both ends have finished.
+// streams under open windows (the handover to a new store), probes
+// lengths, and splices fresh streams in with the producer paused at a step
+// boundary. Either kernel may park as a cooperative scheduler parks it
+// (op 11) and must be woken by the other's next publish or release, by a
+// grow, or by the close. The consumer checks order and signal alignment
+// from the values themselves; the counters are balanced once both ends
+// have finished.
 func FuzzPortWindowConcurrent(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 9, 0, 10, 0, 0, 0}, []byte{2, 2, 5, 2, 8, 2, 7, 2, 6, 2}, []byte{11, 14, 11, 27})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 2, 2, 2, 2, 3}, []byte{14, 14})
 	f.Add([]byte{34, 0, 1, 0, 4, 0, 12, 0}, []byte{3, 3, 2, 6, 10, 2}, []byte{11, 43})
 	f.Add([]byte{3, 4, 4, 9, 9, 0, 0, 0, 10}, []byte{5, 5, 8, 8, 7, 7, 2, 10}, []byte{75, 14, 11})
+	f.Add([]byte{0, 0, 0, 11, 0, 11, 4, 11}, []byte{11, 2, 11, 3, 11, 8}, []byte{11, 27, 14})
 	f.Fuzz(func(t *testing.T, pscript, cscript, mscript []byte) {
 		if len(pscript) < 2 || len(pscript) > 128 || len(cscript) == 0 || len(cscript) > 128 || len(mscript) > 32 {
 			t.Skip()
@@ -424,6 +463,8 @@ func FuzzPortWindowConcurrent(f *testing.F) {
 						ReleaseWriteView[int64](g.out(), wv.Len())
 					case 10:
 						g.prod.RetireWindows()
+					case 11:
+						g.park(g.prod, g.out(), true, g.notFull)
 					case 12:
 						if sigFor(next) != SigNone { // TryPush carries no signal
 							break
@@ -511,6 +552,8 @@ func FuzzPortWindowConcurrent(f *testing.F) {
 						}
 					case 10:
 						g.cons.RetireWindows()
+					case 11:
+						g.park(g.cons, g.in(), false, g.notEmpty)
 					default:
 						var v int64
 						var s Signal

@@ -352,9 +352,9 @@ func TestWindowRetiresAtStepBoundaries(t *testing.T) {
 // TestWindowProducerWaitingOffPortDelivers: a producer that stops inside Run
 // on something that is not a port — a channel-fed source, the gateway's
 // shape — is invisible to every retire rule, and still each element it
-// pushed reaches the consumer at once: the consumer pulls what the window
-// holds when it arrives after the push, and is woken by the push when it
-// went to sleep before it. The test hands the source one element at a time
+// pushed reaches the consumer at once: each push publishes the ring's
+// tail, so a consumer arriving after the push finds the element, and one
+// that went to sleep before it is woken by it. The test hands the source one element at a time
 // and waits for the sink to report it, so every round trip depends on
 // exactly one push being delivered with nothing behind it to force a
 // commit; both orders of push and sleep occur over the run.
@@ -427,8 +427,10 @@ func TestWindowClosedUnderProducerStopsIt(t *testing.T) {
 	if accepted > 1 {
 		t.Fatalf("%d pushes accepted after the stream was closed under the window, want at most the one that finds out", accepted)
 	}
-	if committed(out) != 0 {
-		t.Fatalf("%d elements counted as pushed into a closed stream", committed(out))
+	// What was published before the producer found out stays deliverable,
+	// and is counted.
+	if n := uint64(3 + accepted); committed(out) != n || out.Len() != int(n) {
+		t.Fatalf("%d counted, %d buffered; want the %d pushed before the close was seen", committed(out), out.Len(), n)
 	}
 }
 
@@ -589,7 +591,8 @@ func TestWindowReadinessAndParkedWake(t *testing.T) {
 		t.Fatal("ready with a full output and no window")
 	}
 
-	// Parked consumer: the wake fires on the producer's commit.
+	// Parked consumer: its readiness check arms the ring, and the wake fires
+	// on the producer's first publish after — a write into a window — once.
 	var wakes atomic.Int64
 	k2, _, out2 := windowed(8, 64)
 	out2.SetWakeHook(func(w ringbuffer.Wake) {
@@ -597,13 +600,14 @@ func TestWindowReadinessAndParkedWake(t *testing.T) {
 			wakes.Add(1)
 		}
 	})
-	_ = Push(k2.Out("0"), int64(1))
-	if wakes.Load() != 0 {
-		t.Fatal("consumer woken by a write into an open window")
+	if !out2.Blocked(false) {
+		t.Fatal("consumer of an empty stream not blocked")
 	}
+	_ = Push(k2.Out("0"), int64(1))
+	_ = Push(k2.Out("0"), int64(2))
 	k2.RetireWindows()
 	if wakes.Load() != 1 {
-		t.Fatalf("wakes = %d after the commit, want 1", wakes.Load())
+		t.Fatalf("wakes = %d after two pushes and a commit, want 1", wakes.Load())
 	}
 }
 
