@@ -102,8 +102,9 @@ ci-race:
 # Short-budget coverage-guided fuzzing of the ring: the port-window
 # protocol under three goroutines (lock-free commits, parks and wakes, the
 # resize handover) and the view/resize race get the full budget, the
-# model-based targets (the port window's among them) a shorter one. Each
-# -fuzz run must name exactly one target.
+# model-based targets (the port window's among them) and the bridge's
+# binary frame reader a shorter one. Each -fuzz run must name exactly one
+# target.
 ci-fuzz:
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzViewResize$$' -fuzztime=$(FUZZTIME)
@@ -114,6 +115,7 @@ ci-fuzz:
 	$(GO) test ./internal/scheduler/ -run='^$$' -fuzz='^FuzzStealDeque$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGraphRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindow$$' -fuzztime=$(FUZZTIME_SHORT)
+	$(GO) test ./internal/oar/ -run='^$$' -fuzz='^FuzzBridgeFrame$$' -fuzztime=$(FUZZTIME_SHORT)
 
 # Bench smoke for CI: correctness is always asserted; perf bars downgrade
 # to warnings on small runners (auto-detected via GOMAXPROCS < 2). -seed

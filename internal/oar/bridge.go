@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,49 +66,82 @@ func (b *bridgeTrace) emit(kind trace.Kind, stream string, arg int64) {
 // raises a global exception wrapping raft.ErrBridgeDown; Drop keeps the
 // local map running and discards traffic.
 //
-// Wire format: a header line ("stream <name>\n"), then gob-encoded
-// wireFrame records sender->receiver (heartbeat frames carry Seq 0 and no
-// data) and gob-encoded ackMsg records receiver->sender on the same
-// connection. A data frame's Data field holds one element batch encoded by
-// a persistent inner gob stream: type descriptors cross the wire once per
-// stream (not once per frame, and not again after a reconnect), the sender
-// encodes batches directly out of borrowed queue storage (see Run), and
-// the receiver deduplicates replayed frames by sequence number BEFORE the
-// inner decode, so the persistent inner decoder consumes every unique
-// frame's bytes exactly once, in order. An EOF frame closes the stream.
+// Wire format: a header line ("stream <name> <generation>\n"), then binary
+// frames sender->receiver and 8-byte little-endian acknowledgments
+// receiver->sender on the same connection. A frame is a fixed
+// frameHdrLen-byte header, then its marker sidecar, then its data:
 //
-// When T is pointer-free the sender skips the inner gob stream entirely and
-// marks each data frame Raw: the borrowed ring segment is blitted
-// byte-for-byte into the frame blob behind a small self-describing header
-// (element size, native-order sentinel, count), and the receiver blits it
-// back into a reused batch slice. Each raw frame decodes statelessly, so
-// replay and deduplication need no decoder-state coordination; the header's
-// size and sentinel checks turn an endianness or layout disagreement
-// between endpoints into an immediate, permanent bridge failure instead of
-// silent corruption.
+//	[0:4)   magic (frameMagic, little-endian)
+//	[4]     flags: none (inner-gob data), flagEOF, flagHB or flagRaw
+//	[5:8)   zero
+//	[8:16)  Seq: data and EOF frames count from 1; heartbeats carry 0
+//	[16:20) sidecar length (at most maxMarksLen)
+//	[20:24) data length (bounded per encoding, see Receiver.dataBound)
+//
+// The sender writes header, sidecar and data with one vectored write
+// straight from the pooled replay blob, so framing adds no copy; the
+// receiver checks the magic and both lengths before it reads a byte more,
+// and skips a duplicate's bytes without reading them into anything. A
+// heartbeat carries no sidecar and no data; an EOF frame closes the stream.
+//
+// When T is pointer-free (flagRaw) the data is the borrowed ring segment
+// blitted byte-for-byte behind a fixed rawHdrLen-byte header: element size
+// and count (uint32, little-endian) and a native-order sentinel, then the
+// elements, a signals-present byte, and one byte per signal when any is
+// set. The receiver reads the elements from the socket straight into its
+// reused batch slice and publishes the batch only once the whole frame is
+// in, so a frame cut off mid-read is replayed, never half-delivered. Each
+// raw frame decodes statelessly, so replay and deduplication need no
+// decoder-state coordination; the size and sentinel checks turn an
+// endianness or layout disagreement between endpoints into an immediate,
+// permanent bridge failure instead of silent corruption.
+//
+// Otherwise the data is one element batch encoded by a persistent inner
+// gob stream: type descriptors cross the wire once per stream (not once per
+// frame, and not again after a reconnect), and the receiver deduplicates
+// replayed frames by sequence number BEFORE the inner decode, so the
+// persistent inner decoder consumes every unique frame's bytes exactly
+// once, in order.
+//
+// The marker sidecar (trace.EncodeMarkers) carries provenance for a sample
+// of the frame's elements out-of-band, so the data bytes are identical with
+// markers on or off. It rides the replay buffer with its frame: a replayed
+// frame resends the same sidecar and the seq dedup filters both together.
+//
+// Compressed bridges (BridgeCompressed) run the same frames through a
+// deflate layer flushed once per frame; acknowledgments stay uncompressed.
 
-// wireFrame is one outer wire message. Replay safety lives here: the outer
-// encoder/decoder pair is recreated per connection, while Data blobs are
-// immutable once encoded and replayed verbatim.
-type wireFrame struct {
-	// Seq numbers data and EOF frames from 1; heartbeats carry 0.
-	Seq  uint64
-	Data []byte
-	EOF  bool
-	// HB marks a heartbeat: no payload, refreshes the receiver's liveness
-	// deadline, never acknowledged or replayed.
-	HB bool
-	// Raw marks Data as a raw-blitted batch (see the package comment on the
-	// wire format) rather than an inner-gob payload. Senders set it for
-	// every data frame or none, but the receiver dispatches per frame.
-	Raw bool
-	// Marks is the optional latency-marker sidecar (trace.EncodeMarkers):
-	// provenance for a sample of the elements in Data, carried out-of-band
-	// so the payload bytes are identical with markers on or off. It rides
-	// the replay buffer with its frame — a replayed frame resends the same
-	// sidecar bytes and the receiver's seq dedup filters both together. Gob
-	// omits a nil slice, so marker-free senders emit pre-sidecar frames.
-	Marks []byte
+// Frame header layout; see the wire format above.
+const (
+	frameMagic  uint32 = 0x31464252 // "RBF1"
+	frameHdrLen        = 24
+
+	flagEOF byte = 1 << 0
+	flagHB  byte = 1 << 1
+	flagRaw byte = 1 << 2
+
+	// maxMarksLen bounds a frame's marker sidecar.
+	maxMarksLen = 16 << 20
+	// maxPayloadLen bounds an inner-gob data blob: gob's own message limit.
+	maxPayloadLen = 1 << 30
+	// rawHdrLen is the raw data header: element size, count, sentinel.
+	rawHdrLen = 16
+)
+
+// putFrameHdr fills a frame header.
+func putFrameHdr(h *[frameHdrLen]byte, flags byte, seq uint64, marks, data int) {
+	binary.LittleEndian.PutUint32(h[0:], frameMagic)
+	h[4], h[5], h[6], h[7] = flags, 0, 0, 0
+	binary.LittleEndian.PutUint64(h[8:], seq)
+	binary.LittleEndian.PutUint32(h[16:], uint32(marks))
+	binary.LittleEndian.PutUint32(h[20:], uint32(data))
+}
+
+// frameHdr is what the receiver keeps of a frame header once the frame
+// has been read.
+type frameHdr struct {
+	flags byte
+	seq   uint64
 }
 
 // rawSentinel is written in native byte order after the element size in
@@ -138,11 +172,6 @@ type sentFrame struct {
 	// marks is the frame's latency-marker sidecar, retained alongside the
 	// payload so replay resends byte-identical provenance.
 	marks []byte
-}
-
-// ackMsg acknowledges delivery of every frame up to and including Seq.
-type ackMsg struct {
-	Seq uint64
 }
 
 // senderBatch bounds elements per frame (amortizes encoder overhead
@@ -271,16 +300,19 @@ type Sender[T any] struct {
 	stream string
 	opt    bridgeOpts
 
-	// mkEnc layers the frame encoder over a fresh connection (compressed
-	// bridges swap in a flate layer); nil selects plain gob.
-	mkEnc func(conn net.Conn) (enc *gob.Encoder, flush func() error, closeEnc func(), err error)
+	// mkEnc layers the frame writer over a fresh connection (compressed
+	// bridges swap in a flate writer, flushed once per frame); nil writes
+	// frames to the connection itself.
+	mkEnc func(conn net.Conn) io.Writer
 
-	mu       sync.Mutex // guards conn, enc, flush, closeEnc, wf
-	conn     net.Conn
-	enc      *gob.Encoder
-	flush    func() error
-	closeEnc func()
-	wf       wireFrame // persistent outer frame: Encode(&wf) avoids boxing
+	mu   sync.Mutex // guards conn, w, hdr, iov, iovs
+	conn net.Conn
+	w    io.Writer
+	// hdr and iov are the persistent frame header and write vector: one
+	// writev per frame, with nothing boxed or allocated per frame.
+	hdr  [frameHdrLen]byte
+	iov  net.Buffers
+	iovs [3][]byte
 
 	// The persistent inner payload stream: one encoder for the life of the
 	// sender, writing into the reusable encBuf, with the finished bytes
@@ -346,7 +378,8 @@ func (s *Sender[T]) Init() error {
 	return nil
 }
 
-// connect establishes one connection: dial, header, encoder, ack reader.
+// connect establishes one connection: dial, header, frame writer, ack
+// reader.
 func (s *Sender[T]) connect(dialTimeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 	if err != nil {
@@ -357,20 +390,12 @@ func (s *Sender[T]) connect(dialTimeout time.Duration) error {
 		return err
 	}
 	s.dials++
-	var enc *gob.Encoder
-	var flush func() error
-	var closeEnc func()
+	var w io.Writer = conn
 	if s.mkEnc != nil {
-		enc, flush, closeEnc, err = s.mkEnc(conn)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-	} else {
-		enc = gob.NewEncoder(conn)
+		w = s.mkEnc(conn)
 	}
 	s.mu.Lock()
-	s.conn, s.enc, s.flush, s.closeEnc = conn, enc, flush, closeEnc
+	s.conn, s.w = conn, w
 	s.mu.Unlock()
 	// Acks ride the same connection receiver->sender, always uncompressed.
 	go s.ackLoop(conn)
@@ -379,15 +404,15 @@ func (s *Sender[T]) connect(dialTimeout time.Duration) error {
 
 // ackLoop drains acknowledgments from one connection until it dies.
 func (s *Sender[T]) ackLoop(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
+	var b [8]byte
 	for {
-		var a ackMsg
-		if err := dec.Decode(&a); err != nil {
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
 			return
 		}
+		seq := binary.LittleEndian.Uint64(b[:])
 		for {
 			cur := s.acked.Load()
-			if a.Seq <= cur || s.acked.CompareAndSwap(cur, a.Seq) {
+			if seq <= cur || s.acked.CompareAndSwap(cur, seq) {
 				break
 			}
 		}
@@ -400,19 +425,14 @@ func (s *Sender[T]) ackLoop(conn net.Conn) {
 func (s *Sender[T]) heartbeatLoop() {
 	t := time.NewTicker(s.opt.heartbeat)
 	defer t.Stop()
-	hb := wireFrame{HB: true}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if s.enc != nil {
-				err := s.enc.Encode(&hb)
-				if err == nil && s.flush != nil {
-					err = s.flush()
-				}
-				if err != nil && s.conn != nil {
+			if s.w != nil {
+				if err := s.writeHeartbeatLocked(); err != nil && s.conn != nil {
 					s.conn.Close()
 				}
 			}
@@ -421,16 +441,32 @@ func (s *Sender[T]) heartbeatLoop() {
 	}
 }
 
+// writeHeartbeatLocked writes and flushes one heartbeat frame (caller holds
+// s.mu).
+func (s *Sender[T]) writeHeartbeatLocked() error {
+	putFrameHdr(&s.hdr, flagHB, 0, 0, 0)
+	if _, err := s.w.Write(s.hdr[:]); err != nil {
+		return err
+	}
+	return flushFrame(s.w)
+}
+
+// flushFrame pushes a finished frame through a buffering frame writer (the
+// compressed bridge's deflate layer); a bare connection needs nothing.
+func flushFrame(w io.Writer) error {
+	if f, ok := w.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
 // dropConn abandons the current connection (the ack loop exits on its own).
 func (s *Sender[T]) dropConn() {
 	s.mu.Lock()
-	if s.closeEnc != nil {
-		s.closeEnc()
-	}
 	if s.conn != nil {
 		s.conn.Close()
 	}
-	s.conn, s.enc, s.flush, s.closeEnc = nil, nil, nil, nil
+	s.conn, s.w = nil, nil
 	s.mu.Unlock()
 }
 
@@ -484,7 +520,8 @@ func (s *Sender[T]) Run() raft.Status {
 // takeMarkSidecar drains the latency markers picked up by the pop that
 // produced the current borrow and encodes them for the wire, closing each
 // marker's open queue hop at the moment of departure. Returns nil when
-// markers are disabled or none rode the batch.
+// markers are disabled or none rode the batch, and drops a sidecar over
+// maxMarksLen, which the receiver would refuse on every replay.
 func (s *Sender[T]) takeMarkSidecar() []byte {
 	ms := s.TakeMarkers()
 	if len(ms) == 0 {
@@ -494,7 +531,10 @@ func (s *Sender[T]) takeMarkSidecar() []byte {
 	for _, m := range ms {
 		m.BeginTransit(now)
 	}
-	return trace.EncodeMarkers(ms)
+	if b := trace.EncodeMarkers(ms); len(b) <= maxMarksLen {
+		return b
+	}
+	return nil
 }
 
 // allSigNone reports whether the signal slice (possibly nil) carries no
@@ -545,23 +585,21 @@ func (s *Sender[T]) stage(vals []T, sigs []raft.Signal) (uint64, raft.Status) {
 
 // stageRaw sequences one batch as a raw frame: the element bytes are
 // blitted straight from the (possibly borrowed) slice into a pooled blob,
-// with no per-element encoding. Layout: uvarint element size, 8-byte
-// native-order sentinel, uvarint count, count*size element bytes, one
-// signals-present flag byte, then count signal bytes when any signal is
-// set. It cannot fail: the blit has no encodable-type error mode.
+// with no per-element encoding. Layout: uint32 element size, uint32 count,
+// 8-byte native-order sentinel, count*size element bytes, one
+// signals-present byte, then count signal bytes when any signal is set. It
+// cannot fail: the blit has no encodable-type error mode.
 func (s *Sender[T]) stageRaw(vals []T, sigs []raft.Signal) uint64 {
 	if allSigNone(sigs) {
 		sigs = nil
 	}
 	var zero T
 	size := int(unsafe.Sizeof(zero))
-	var hdr [2*binary.MaxVarintLen64 + 8]byte
-	h := binary.PutUvarint(hdr[:], uint64(size))
-	binary.NativeEndian.PutUint64(hdr[h:], rawSentinel)
-	h += 8
-	h += binary.PutUvarint(hdr[h:], uint64(len(vals)))
-	bl := s.getBlob(h + len(vals)*size + 1 + len(sigs))
-	off := copy(bl.b, hdr[:h])
+	bl := s.getBlob(rawHdrLen + len(vals)*size + 1 + len(sigs))
+	binary.LittleEndian.PutUint32(bl.b[0:], uint32(size))
+	binary.LittleEndian.PutUint32(bl.b[4:], uint32(len(vals)))
+	binary.NativeEndian.PutUint64(bl.b[8:], rawSentinel)
+	off := rawHdrLen
 	if size > 0 && len(vals) > 0 {
 		off += copy(bl.b[off:], unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*size))
 	}
@@ -633,7 +671,7 @@ func (s *Sender[T]) transmit(seq uint64) error {
 		s.mu.Unlock()
 		s.dropConn()
 	default:
-		if err := s.encodeSeq(seq); err == nil {
+		if err := s.writeSeq(seq); err == nil {
 			return nil
 		}
 		s.dropConn()
@@ -643,39 +681,43 @@ func (s *Sender[T]) transmit(seq uint64) error {
 	return s.reconnect()
 }
 
-// encodeSeq writes the buffered frame with the given seq (no-op if it has
+// writeSeq writes the buffered frame with the given seq (no-op if it has
 // been acknowledged and pruned meanwhile).
-func (s *Sender[T]) encodeSeq(seq uint64) error {
+func (s *Sender[T]) writeSeq(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.enc == nil {
+	if s.w == nil {
 		return fmt.Errorf("oar: stream %q: %w", s.stream, ErrPeerGone)
 	}
 	for i := range s.buffer {
 		if s.buffer[i].seq == seq {
-			if err := s.encodeFrameLocked(&s.buffer[i]); err != nil {
+			if err := s.writeFrameLocked(&s.buffer[i]); err != nil {
 				return err
 			}
-			if s.flush != nil {
-				return s.flush()
-			}
-			return nil
+			return flushFrame(s.w)
 		}
 	}
 	return nil
 }
 
-// encodeFrameLocked writes one replay-buffer entry as an outer wire frame
-// (caller holds s.mu and flushes).
-func (s *Sender[T]) encodeFrameLocked(sf *sentFrame) error {
-	s.wf.Seq, s.wf.EOF, s.wf.HB, s.wf.Data = sf.seq, sf.eof, false, nil
-	s.wf.Raw = s.raw && !sf.eof
-	s.wf.Marks = sf.marks
-	if sf.data != nil {
-		s.wf.Data = sf.data.b
+// writeFrameLocked writes one replay-buffer entry as a wire frame: header,
+// sidecar and blob in one vectored write (caller holds s.mu and flushes).
+func (s *Sender[T]) writeFrameLocked(sf *sentFrame) error {
+	var flags byte
+	switch {
+	case sf.eof:
+		flags = flagEOF
+	case s.raw:
+		flags = flagRaw
 	}
-	err := s.enc.Encode(&s.wf)
-	s.wf.Data, s.wf.Marks = nil, nil
+	var data []byte
+	if sf.data != nil {
+		data = sf.data.b
+	}
+	putFrameHdr(&s.hdr, flags, sf.seq, len(sf.marks), len(data))
+	s.iovs = [3][]byte{s.hdr[:], sf.marks, data}
+	s.iov = s.iovs[:]
+	_, err := s.iov.WriteTo(s.w)
 	return err
 }
 
@@ -728,22 +770,19 @@ func (s *Sender[T]) replay() error {
 	acked := s.acked.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.enc == nil {
+	if s.w == nil {
 		return fmt.Errorf("oar: stream %q: %w", s.stream, ErrPeerGone)
 	}
 	for i := range s.buffer {
 		if s.buffer[i].seq <= acked {
 			continue
 		}
-		if err := s.encodeFrameLocked(&s.buffer[i]); err != nil {
+		if err := s.writeFrameLocked(&s.buffer[i]); err != nil {
 			return err
 		}
 		s.replayed.Add(1)
 	}
-	if s.flush != nil {
-		return s.flush()
-	}
-	return nil
+	return flushFrame(s.w)
 }
 
 // giveUp applies the degradation policy to a permanent failure.
@@ -770,9 +809,7 @@ func (s *Sender[T]) finish() raft.Status {
 	if s.gaveUp || !s.started {
 		return raft.Stop
 	}
-	s.nextSeq++
-	s.buffer = append(s.buffer, sentFrame{seq: s.nextSeq, eof: true})
-	if err := s.transmit(s.nextSeq); err != nil {
+	if err := s.transmit(s.stageEOF()); err != nil {
 		return s.giveUp(err)
 	}
 	deadline := time.Now().Add(s.opt.peerTimeout)
@@ -780,6 +817,13 @@ func (s *Sender[T]) finish() raft.Status {
 		time.Sleep(time.Millisecond)
 	}
 	return raft.Stop
+}
+
+// stageEOF sequences the EOF frame into the replay buffer.
+func (s *Sender[T]) stageEOF() uint64 {
+	s.nextSeq++
+	s.buffer = append(s.buffer, sentFrame{seq: s.nextSeq, eof: true})
+	return s.nextSeq
 }
 
 // Finalize implements raft.Finalizer by stopping the heartbeat and closing
@@ -800,8 +844,8 @@ func (s *Sender[T]) BridgeStats() (raft.BridgeReport, bool) {
 	}, s.started
 }
 
-// blobReader feeds the persistent inner decoder one outer frame's Data at
-// a time. It implements io.ByteReader so gob reads it directly (no bufio
+// blobReader feeds the persistent inner decoder one frame's data at a
+// time. It implements io.ByteReader so gob reads it directly (no bufio
 // wrapper that could read ahead across blob boundaries).
 type blobReader struct {
 	data []byte
@@ -838,16 +882,22 @@ type Receiver[T any] struct {
 	accept <-chan net.Conn
 	opt    bridgeOpts
 
-	// mkDec layers the frame decoder over a fresh connection (compressed
-	// bridges swap in a flate layer); nil selects plain gob.
-	mkDec func(conn net.Conn) *gob.Decoder
+	// mkDec layers the frame reader over a fresh connection (compressed
+	// bridges swap in a flate reader); nil reads the connection itself.
+	mkDec func(conn net.Conn) io.Reader
 
-	conn   net.Conn
-	dec    *gob.Decoder
-	ackEnc *gob.Encoder
+	conn net.Conn
+	rd   io.Reader
+	// hdr holds frame and raw headers as they are read, ackBuf outbound acks;
+	// marks and buf hold the current frame's sidecar and inner-gob blob.
+	// All four persist, so a frame costs no allocation once they have grown.
+	hdr    [frameHdrLen]byte
+	ackBuf [8]byte
+	marks  []byte
+	buf    []byte
 
 	// The persistent inner payload stream, mirroring the sender's: one
-	// decoder for the life of the receiver, fed each frame's Data blob in
+	// decoder for the life of the receiver, fed each frame's data blob in
 	// sequence order (duplicates are filtered by seq before the decode so
 	// the descriptor state never desynchronizes). pl's slices are reused
 	// across frames only when T is pointer-free (see reuseVals): the bulk
@@ -910,13 +960,10 @@ func (r *Receiver[T]) setup(conn net.Conn) {
 	if bc, ok := conn.(*bufferedConn); ok && bc.gen > r.reconnects.Load() {
 		r.reconnects.Store(bc.gen)
 	}
-	r.conn = conn
+	r.conn, r.rd = conn, conn
 	if r.mkDec != nil {
-		r.dec = r.mkDec(conn)
-	} else {
-		r.dec = gob.NewDecoder(conn)
+		r.rd = r.mkDec(conn)
 	}
-	r.ackEnc = gob.NewEncoder(conn)
 }
 
 // dropConn abandons the current connection.
@@ -924,14 +971,13 @@ func (r *Receiver[T]) dropConn() {
 	if r.conn != nil {
 		r.conn.Close()
 	}
-	r.conn, r.dec, r.ackEnc = nil, nil, nil
+	r.conn, r.rd = nil, nil
 }
 
-// Run implements raft.Kernel: decode one outer frame, deduplicate by
-// sequence, decode the payload on the persistent inner stream, deliver,
-// ack. Connection failures (timeout, EOF mid-stream, corrupt frames) are
-// healed by waiting for the sender's reconnect; an outage outlasting
-// MaxDowntime degrades per the policy.
+// Run implements raft.Kernel: read one frame, deduplicate by sequence,
+// deliver, ack. Connection failures (timeout, EOF mid-stream, a bad magic or
+// an out-of-bound length) are healed by waiting for the sender's reconnect;
+// an outage outlasting MaxDowntime degrades per the policy.
 func (r *Receiver[T]) Run() raft.Status {
 	for {
 		if r.conn == nil {
@@ -940,66 +986,38 @@ func (r *Receiver[T]) Run() raft.Status {
 			}
 		}
 		_ = r.conn.SetReadDeadline(time.Now().Add(r.opt.peerTimeout))
-		var wf wireFrame
-		if err := r.dec.Decode(&wf); err != nil {
+		h, dup, err := r.readFrame()
+		if errors.Is(err, errBadPayload) {
+			// A replay would resend the same bytes: permanent by
+			// classification.
+			if r.opt.policy == Fail {
+				r.Raise(fmt.Errorf("oar: stream %q: %w (%v)", r.stream, raft.ErrBridgeDown, err))
+			}
+			return raft.Stop
+		}
+		if err != nil {
 			// Transient by classification: the healing protocol owns it.
 			r.dropConn()
 			continue
 		}
-		if wf.HB {
+		switch {
+		case h.flags == flagHB:
 			continue
-		}
-		if wf.Seq != 0 && wf.Seq <= r.delivered {
-			// Replayed duplicate: its bytes already went through the inner
-			// decoder once, so it must be filtered here, before the decode.
+		case dup:
 			// Re-acknowledge so the sender prunes it.
-			r.ack(wf.Seq)
+			r.ack(h.seq)
 			continue
-		}
-		if wf.EOF {
-			r.ack(wf.Seq)
+		case h.flags == flagEOF:
+			r.ack(h.seq)
 			return raft.Stop
 		}
-		if wf.Raw {
-			// A malformed raw frame is permanent by classification: the
-			// outer decode already validated transport integrity, so the
-			// endpoints disagree on element layout or byte order.
-			if err := r.decodeRaw(wf.Data); err != nil {
-				if r.opt.policy == Fail {
-					r.Raise(fmt.Errorf("oar: stream %q: raw frame: %w (%v)",
-						r.stream, raft.ErrBridgeDown, err))
-				}
-				return raft.Stop
-			}
-		} else {
-			r.blobSrc.load(wf.Data)
-			if r.payloadDec == nil {
-				r.payloadDec = gob.NewDecoder(&r.blobSrc)
-			}
-			if r.reuseVals {
-				r.pl.Vals = r.pl.Vals[:0]
-			} else {
-				r.pl.Vals = nil // force fresh element storage (see field doc)
-			}
-			r.pl.Sigs = r.pl.Sigs[:0]
-			if err := r.payloadDec.Decode(&r.pl); err != nil {
-				// The inner stream is poisoned: a fresh decoder could not
-				// pick up mid-stream (descriptors were sent once), so this
-				// outage is permanent by construction.
-				if r.opt.policy == Fail {
-					r.Raise(fmt.Errorf("oar: stream %q: payload decode: %w (%v)",
-						r.stream, raft.ErrBridgeDown, err))
-				}
-				return raft.Stop
-			}
-		}
-		if len(wf.Marks) > 0 {
+		if len(r.marks) > 0 {
 			// Re-inject the sidecar's markers before the push so they ride
 			// onto the out lane with this frame's elements. The seq dedup
-			// above already filtered replayed duplicates, so each marker
-			// crosses exactly once; a malformed sidecar is dropped rather
-			// than poisoning an otherwise healthy data frame.
-			if ms, err := trace.DecodeMarkers(wf.Marks); err == nil {
+			// already filtered replayed duplicates, so each marker crosses
+			// exactly once; a malformed sidecar is dropped rather than
+			// poisoning an otherwise healthy data frame.
+			if ms, err := trace.DecodeMarkers(r.marks); err == nil {
 				now := time.Now().UnixNano()
 				for _, m := range ms {
 					m.EndTransit("bridge:"+r.stream, now)
@@ -1009,85 +1027,188 @@ func (r *Receiver[T]) Run() raft.Status {
 		}
 		out := r.Out("out")
 		if len(r.pl.Sigs) == len(r.pl.Vals) {
-			// Whole frame in one bulk push: a single lock acquisition
-			// delivers the batch with its signals aligned.
+			// Whole frame in one bulk push, its signals aligned.
 			if err := raft.PushNSig(out, r.pl.Vals, r.pl.Sigs); err != nil {
 				return raft.Stop
 			}
 		} else if err := raft.PushN(out, r.pl.Vals); err != nil {
 			return raft.Stop
 		}
-		if wf.Seq != 0 {
-			r.delivered = wf.Seq
-			r.ack(wf.Seq)
+		if h.seq != 0 {
+			r.delivered = h.seq
+			r.ack(h.seq)
 		}
 		return raft.Proceed
 	}
 }
 
-// decodeRaw unpacks one raw frame (see stageRaw for the layout) into
-// r.pl, blitting element bytes into the reused batch slice. Raw frames
-// exist only for pointer-free T, so in-place reuse is always safe here;
-// the element-size and sentinel checks make a layout or byte-order
-// disagreement between endpoints fail loudly instead of delivering
-// garbage elements.
-func (r *Receiver[T]) decodeRaw(data []byte) error {
-	var zero T
-	size, h := binary.Uvarint(data)
-	if h <= 0 || len(data) < h+8 {
-		return fmt.Errorf("truncated raw header")
+// errBadPayload marks a frame whose data cannot be decoded although the
+// frame itself arrived whole: the endpoints disagree on element layout or
+// byte order, or the inner gob stream is poisoned. A replay would resend
+// the same bytes, so the receiver gives up instead of healing.
+var errBadPayload = errors.New("bad payload")
+
+// badPayload wraps a decode failure in errBadPayload.
+func badPayload(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", errBadPayload, fmt.Sprintf(format, args...))
+}
+
+// dataBound is the largest data length a frame with the given flags may
+// declare: exact for a raw batch of at most senderBatch elements of T (with
+// its signals), gob's message limit for an inner-gob blob.
+func (r *Receiver[T]) dataBound(flags byte) int {
+	switch flags {
+	case 0:
+		return maxPayloadLen
+	case flagRaw:
+		var zero T
+		return rawHdrLen + senderBatch*(int(unsafe.Sizeof(zero))+1) + 1
+	default:
+		return 0
 	}
-	if !r.reuseVals {
-		return fmt.Errorf("raw frame for pointer-bearing element type %T", zero)
+}
+
+// readFrame reads one frame from r.rd. A data frame lands in r.pl and its
+// sidecar in r.marks; a duplicate (seq already delivered) is skipped without
+// being read into anything and reported by dup. Nothing is published: the
+// caller delivers only a frame that was read whole. An error wrapping
+// errBadPayload is permanent; any other error means the connection is
+// unusable (transport failure, bad magic, a length out of bounds).
+func (r *Receiver[T]) readFrame() (h frameHdr, dup bool, err error) {
+	if _, err := io.ReadFull(r.rd, r.hdr[:]); err != nil {
+		return h, false, err
 	}
-	if size != uint64(unsafe.Sizeof(zero)) {
-		return fmt.Errorf("element size mismatch: sender %d bytes, receiver %d (%T)",
-			size, unsafe.Sizeof(zero), zero)
+	if m := binary.LittleEndian.Uint32(r.hdr[0:]); m != frameMagic {
+		return h, false, fmt.Errorf("bad frame magic %#x", m)
 	}
-	if got := binary.NativeEndian.Uint64(data[h:]); got != rawSentinel {
-		return fmt.Errorf("byte-order sentinel mismatch (%#x): endpoints disagree on endianness", got)
+	h.flags, h.seq = r.hdr[4], binary.LittleEndian.Uint64(r.hdr[8:])
+	marks, data := int(binary.LittleEndian.Uint32(r.hdr[16:])), int(binary.LittleEndian.Uint32(r.hdr[20:]))
+	switch bound := r.dataBound(h.flags); {
+	case h.flags != 0 && h.flags != flagEOF && h.flags != flagHB && h.flags != flagRaw:
+		return h, false, fmt.Errorf("bad frame flags %#x", h.flags)
+	case data > bound, h.flags == flagRaw && data < rawHdrLen+1:
+		return h, false, fmt.Errorf("frame data length %d out of bounds (max %d)", data, bound)
+	case marks > maxMarksLen, h.flags == flagHB && marks != 0:
+		return h, false, fmt.Errorf("frame sidecar length %d out of bounds", marks)
 	}
-	data = data[h+8:]
-	cnt64, h := binary.Uvarint(data)
-	if h <= 0 {
-		return fmt.Errorf("truncated raw count")
+	if h.flags == flagHB {
+		return h, false, nil
 	}
-	cnt := int(cnt64)
-	data = data[h:]
-	need := cnt * int(size)
-	if cnt < 0 || len(data) < need+1 {
-		return fmt.Errorf("raw frame holds %d bytes, want %d elements of %d", len(data), cnt, size)
+	if h.seq != 0 && h.seq <= r.delivered {
+		// Replayed duplicate: its bytes already went through the inner
+		// decoder once, so it must be dropped here, before the decode.
+		_, err := io.CopyN(io.Discard, r.rd, int64(marks+data))
+		return h, true, err
 	}
-	if cap(r.pl.Vals) < cnt {
-		r.pl.Vals = make([]T, cnt)
+	if r.marks, err = readGrow(r.rd, r.marks, marks); err != nil {
+		return h, false, err
 	}
-	r.pl.Vals = r.pl.Vals[:cnt]
-	if need > 0 {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&r.pl.Vals[0])), need), data)
+	switch h.flags {
+	case flagEOF:
+		return h, false, nil
+	case flagRaw:
+		return h, false, r.readRaw(data)
 	}
-	data = data[need:]
+	if r.buf, err = readGrow(r.rd, r.buf, data); err != nil {
+		return h, false, err
+	}
+	r.blobSrc.load(r.buf)
+	if r.payloadDec == nil {
+		r.payloadDec = gob.NewDecoder(&r.blobSrc)
+	}
+	if r.reuseVals {
+		r.pl.Vals = r.pl.Vals[:0]
+	} else {
+		r.pl.Vals = nil // force fresh element storage (see field doc)
+	}
 	r.pl.Sigs = r.pl.Sigs[:0]
-	if data[0] != 0 {
-		if len(data) < 1+cnt {
-			return fmt.Errorf("raw frame truncated in signals")
+	if err := r.payloadDec.Decode(&r.pl); err != nil {
+		// The inner stream is poisoned: a fresh decoder could not pick up
+		// mid-stream (descriptors were sent once).
+		return h, false, badPayload("payload decode: %v", err)
+	}
+	return h, false, nil
+}
+
+// readRaw reads the n data bytes of one raw frame (see stageRaw for the
+// layout) into r.pl: the element bytes go from the stream straight into the
+// reused batch slice. Raw frames exist only for pointer-free T, so in-place
+// reuse is always safe here; the element-size and sentinel checks make a
+// layout or byte-order disagreement between endpoints fail loudly instead of
+// delivering garbage elements.
+func (r *Receiver[T]) readRaw(n int) error {
+	var zero T
+	if !r.reuseVals {
+		return badPayload("raw frame for pointer-bearing element type %T", zero)
+	}
+	if _, err := io.ReadFull(r.rd, r.hdr[:rawHdrLen]); err != nil {
+		return err
+	}
+	size := int(unsafe.Sizeof(zero))
+	if got := binary.LittleEndian.Uint32(r.hdr[0:]); uint64(got) != uint64(size) {
+		return badPayload("element size mismatch: sender %d bytes, receiver %d (%T)", got, size, zero)
+	}
+	if got := binary.NativeEndian.Uint64(r.hdr[8:]); got != rawSentinel {
+		return badPayload("byte-order sentinel mismatch (%#x): endpoints disagree on endianness", got)
+	}
+	cnt := int(binary.LittleEndian.Uint32(r.hdr[4:]))
+	sigLen := n - rawHdrLen - cnt*size - 1
+	if cnt > senderBatch || (sigLen != 0 && sigLen != cnt) {
+		return badPayload("raw frame holds %d bytes, want %d elements of %d", n, cnt, size)
+	}
+	r.pl.Vals = slices.Grow(r.pl.Vals[:0], cnt)[:cnt]
+	if cnt > 0 && size > 0 {
+		if _, err := io.ReadFull(r.rd, unsafe.Slice((*byte)(unsafe.Pointer(&r.pl.Vals[0])), cnt*size)); err != nil {
+			return err
 		}
-		if cap(r.pl.Sigs) < cnt {
-			r.pl.Sigs = make([]raft.Signal, cnt)
-		}
-		r.pl.Sigs = r.pl.Sigs[:cnt]
+	}
+	if _, err := io.ReadFull(r.rd, r.hdr[:1]); err != nil {
+		return err
+	}
+	r.pl.Sigs = r.pl.Sigs[:0]
+	switch flag := r.hdr[0]; {
+	case flag == 0 && sigLen == 0:
+	case flag == 1 && sigLen == cnt:
+		r.pl.Sigs = slices.Grow(r.pl.Sigs, cnt)[:cnt]
 		if cnt > 0 {
-			copy(unsafe.Slice((*byte)(unsafe.Pointer(&r.pl.Sigs[0])), cnt), data[1:])
+			if _, err := io.ReadFull(r.rd, unsafe.Slice((*byte)(unsafe.Pointer(&r.pl.Sigs[0])), cnt)); err != nil {
+				return err
+			}
 		}
+	default:
+		return badPayload("raw frame signals byte %d with %d signal bytes for %d elements", flag, sigLen, cnt)
 	}
 	return nil
 }
 
-// ack reports delivery through Seq; failures are ignored (a dying
-// connection means the sender will reconnect and replay, and the
-// deduplication window absorbs the repeats).
+// readGrow reads exactly n bytes from rd into buf's storage. When buf is too
+// small it grows only as bytes arrive, so a corrupt length costs at most
+// about twice what the stream actually carried.
+func readGrow(rd io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(rd, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4096)))
+		k, err := io.ReadFull(rd, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// ack reports delivery through seq as 8 little-endian bytes; failures are
+// ignored (a dying connection means the sender will reconnect and replay,
+// and the deduplication window absorbs the repeats).
 func (r *Receiver[T]) ack(seq uint64) {
-	if r.ackEnc != nil {
-		_ = r.ackEnc.Encode(ackMsg{Seq: seq})
+	if r.conn != nil {
+		binary.LittleEndian.PutUint64(r.ackBuf[:], seq)
+		_, _ = r.conn.Write(r.ackBuf[:])
 	}
 }
 

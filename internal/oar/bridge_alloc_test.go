@@ -1,7 +1,7 @@
 package oar
 
 import (
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -30,20 +30,14 @@ func (s *Sender[T]) sendBatch(vals []T, sigs []raft.Signal) raft.Status {
 // connection, so the framing/encode path can be measured in isolation.
 func newBenchSender(w io.Writer) *Sender[int64] {
 	s := NewSender[int64]("unused", "allocs")
-	s.enc = gob.NewEncoder(w)
+	s.w = w
 	return s
 }
 
 // TestSenderSteadyStateAllocs pins the zero-allocation property of the
-// sender's frame path: after warm-up (type descriptors sent, pool and
-// scratch grown), sequencing + blob lease + outer transmit of a frame
-// allocates nothing of its own. The replay blob comes from the pool, the
-// payload encoder and its buffer persist, and the outer frame is encoded
-// through a persistent struct. The one tolerated allocation per frame is
-// gob-internal: the encoder's element-slice fast path boxes the slice
-// header through reflect (reflect.packEface in encInt64Slice), a cost of
-// the codec itself, not of the framing path — regression past it means
-// per-frame garbage crept back into our code.
+// sender's raw frame path: after warm-up (pool and replay buffer grown),
+// sequencing + blob lease + frame write allocates nothing. The replay blob
+// comes from the pool and the frame header and write vector persist.
 func TestSenderSteadyStateAllocs(t *testing.T) {
 	s := newBenchSender(io.Discard)
 	vals := make([]int64, senderBatch)
@@ -61,13 +55,13 @@ func TestSenderSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		send()
 	}
-	if avg := testing.AllocsPerRun(200, send); avg > 1 {
-		t.Fatalf("bridge sender allocates %.2f allocs/frame in steady state, want <=1 (gob-internal only)", avg)
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("bridge sender allocates %.2f allocs/frame in steady state, want 0", avg)
 	}
 }
 
-// TestSenderAllocsWithSignals covers the signal-carrying arm (payload.Sigs
-// encoded): still allocation-free in steady state.
+// TestSenderAllocsWithSignals covers the signal-carrying arm (signal bytes
+// behind the elements): still allocation-free in steady state.
 func TestSenderAllocsWithSignals(t *testing.T) {
 	s := newBenchSender(io.Discard)
 	vals := make([]int64, 64)
@@ -82,8 +76,42 @@ func TestSenderAllocsWithSignals(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		send()
 	}
-	if avg := testing.AllocsPerRun(200, send); avg > 1 {
-		t.Fatalf("bridge sender allocates %.2f allocs/frame with signals, want <=1 (gob-internal only)", avg)
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("bridge sender allocates %.2f allocs/frame with signals, want 0", avg)
+	}
+}
+
+// TestReceiverSteadyStateAllocs pins the receive side: once its batch slice
+// has grown, reading a raw frame (header, bounds checks, element bytes read
+// straight into the batch) allocates nothing per frame.
+func TestReceiverSteadyStateAllocs(t *testing.T) {
+	var wire bytes.Buffer
+	s := newBenchSender(&wire)
+	vals := make([]int64, senderBatch)
+	sigs := make([]raft.Signal, senderBatch)
+	const frames = 300 // warm-up + AllocsPerRun's 200 runs and its extra one
+	for i := 0; i < frames; i++ {
+		vals[0] = int64(i)
+		if st := s.sendBatch(vals, sigs); st != raft.Proceed {
+			t.Fatal("sendBatch did not proceed")
+		}
+		s.acked.Store(s.nextSeq)
+	}
+	r := &Receiver[int64]{reuseVals: true, rd: bytes.NewReader(wire.Bytes())}
+	want := int64(0)
+	recv := func() {
+		h, dup, err := r.readFrame()
+		if err != nil || dup || h.seq != uint64(want+1) || len(r.pl.Vals) != senderBatch || r.pl.Vals[0] != want {
+			t.Fatalf("frame %d: seq %d dup %v err %v, %d vals", want, h.seq, dup, err, len(r.pl.Vals))
+		}
+		r.delivered = h.seq
+		want++
+	}
+	for i := 0; i < 16; i++ {
+		recv()
+	}
+	if avg := testing.AllocsPerRun(200, recv); avg != 0 {
+		t.Fatalf("bridge receiver allocates %.2f allocs/frame in steady state, want 0", avg)
 	}
 }
 

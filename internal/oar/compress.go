@@ -2,7 +2,7 @@ package oar
 
 import (
 	"compress/flate"
-	"encoding/gob"
+	"io"
 	"net"
 
 	"raftlib/raft"
@@ -10,28 +10,24 @@ import (
 
 // Compressed bridges implement the paper's §4.2 roadmap item "Future
 // versions will incorporate link data compression as well, further
-// improving the cache-able data": frames are deflate-compressed on the
-// wire, flushed per frame so latency stays bounded. Both ends are created
-// by one BridgeCompressed call, so no codec negotiation is needed.
+// improving the cache-able data": the binary frames of Bridge are
+// deflate-compressed on the wire, flushed per frame so latency stays
+// bounded. Both ends are created by one BridgeCompressed call, so no codec
+// negotiation is needed.
 //
-// Compression is installed as encoder/decoder factories so the healing
+// Compression is installed as frame writer/reader factories so the healing
 // protocol recreates the flate layers on every reconnect; acknowledgments
 // ride the connection uncompressed in the reverse direction.
 
-// flateEnc layers a deflate writer between the gob encoder and the
-// connection.
-func flateEnc(conn net.Conn) (*gob.Encoder, func() error, func(), error) {
-	fw, err := flate.NewWriter(conn, flate.BestSpeed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return gob.NewEncoder(fw), fw.Flush, func() { _ = fw.Close() }, nil
+// flateEnc layers a deflate writer over the connection; the sender flushes
+// it once per frame.
+func flateEnc(conn net.Conn) io.Writer {
+	fw, _ := flate.NewWriter(conn, flate.BestSpeed) // errs only on a bad level
+	return fw
 }
 
-// flateDec layers a deflate reader under the gob decoder.
-func flateDec(conn net.Conn) *gob.Decoder {
-	return gob.NewDecoder(flate.NewReader(conn))
-}
+// flateDec layers a deflate reader over the connection.
+func flateDec(conn net.Conn) io.Reader { return flate.NewReader(conn) }
 
 // BridgeCompressed wires a sender/receiver pair like Bridge, with the
 // stream deflate-compressed on the wire. Worth it for compressible

@@ -10,8 +10,9 @@
 //   - a gossip mesh: nodes join each other, periodically exchange NodeInfo
 //     (core counts, load, queue stats) and expose the merged view;
 //   - stream bridges: a sender/receiver kernel pair that tunnels a raft
-//     stream over a TCP connection with gob framing, so a topology can be
-//     split across processes without changing any kernel code;
+//     stream over a TCP connection in sequenced binary frames, so a
+//     topology can be split across processes without changing any kernel
+//     code;
 //   - remote execution: nodes register named services (kernel pipelines)
 //     that peers invoke with a request/response exchange — the stand-in
 //     for the paper's remote compile-and-execute (shipping Go source and

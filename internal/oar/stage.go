@@ -28,7 +28,7 @@ import (
 const stageHdr = "spawn"
 
 // frame is one stage wire batch. Stage connections are not self-healing
-// (the bridge's sequenced wireFrame protocol is), so a plain batch struct
+// (the bridge's sequenced binary frames are), so a plain gob batch struct
 // suffices.
 type frame[T any] struct {
 	Vals []T

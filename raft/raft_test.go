@@ -287,11 +287,14 @@ func TestAutoScaleStartsNarrowAndWidens(t *testing.T) {
 		t.Fatalf("groups = %+v", rep.Groups)
 	}
 	// The group starts at 1; under a full 8-slot input queue the monitor
-	// should have widened it at least once.
-	if rep.Groups[0].ActiveAtEnd < 2 {
-		t.Logf("monitor events: %+v", rep.MonitorEvents)
-		t.Fatalf("active replicas at end = %d; expected the monitor to scale up", rep.Groups[0].ActiveAtEnd)
+	// should have widened it at least once. The width at the end is no
+	// witness: the monitor narrows the group again as the stream drains.
+	for _, e := range rep.MonitorEvents {
+		if e.Kind == "scale-up" && e.Target == rep.Groups[0].Name {
+			return
+		}
 	}
+	t.Fatalf("no scale-up of group %q among monitor events %+v", rep.Groups[0].Name, rep.MonitorEvents)
 }
 
 func TestLinkErrors(t *testing.T) {

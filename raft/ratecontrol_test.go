@@ -114,8 +114,14 @@ func TestServiceRateControlMetricsGauges(t *testing.T) {
 	}
 }
 
+// TestLiveStatsCarryEstimates: the observer sees λ̂ and µ̂ while the graph
+// runs. µ̂ primes only over windows in which the sink was busy, so the
+// source keeps elements flowing — at least 30 000, then until the observer
+// has seen both estimates — and an observer tick lands mid-flow at any
+// GOMAXPROCS.
 func TestLiveStatsCarryEstimates(t *testing.T) {
 	var sawLambda, sawMuHat bool
+	seen := make(chan struct{})
 	obs := func(ls LiveStats) {
 		for _, l := range ls.Links {
 			if l.LambdaHat > 0 {
@@ -127,10 +133,37 @@ func TestLiveStatsCarryEstimates(t *testing.T) {
 				sawMuHat = true
 			}
 		}
+		if sawLambda && sawMuHat {
+			select {
+			case <-seen:
+			default:
+				close(seen)
+			}
+		}
 	}
+	const minItems = 30_000
+	var sent int64
+	deadline := time.Now().Add(10 * time.Second) // the test reports what was missing
+	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		if sent >= minItems {
+			select {
+			case <-seen:
+				return Stop
+			default:
+			}
+			if time.Now().After(deadline) {
+				return Stop
+			}
+		}
+		if err := Push(k.Out("0"), sent); err != nil {
+			return Stop
+		}
+		sent++
+		return Proceed
+	})
 	m := NewMap()
 	sink := newSlowSink(2 * time.Microsecond)
-	if _, err := m.Link(newGen(30_000), sink); err != nil {
+	if _, err := m.Link(src, sink); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Exe(WithServiceRateControl(), WithObserver(1_000_000, obs)); err != nil {
