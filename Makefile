@@ -114,6 +114,7 @@ ci-fuzz:
 	done
 	$(GO) test ./internal/scheduler/ -run='^$$' -fuzz='^FuzzStealDeque$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGraphRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
+	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGroupRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindow$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./internal/oar/ -run='^$$' -fuzz='^FuzzBridgeFrame$$' -fuzztime=$(FUZZTIME_SHORT)
 
@@ -171,7 +172,8 @@ ci-sched:
 	$(GO) test -race -count=3 ./internal/scheduler/... ./internal/core/...
 	$(GO) run ./cmd/raft-bench -ablate sched -corpus 4 -seed $(CI_SEED)
 
-# Graph-rewrite gate: race-test the rewrite transaction protocol and the
+# Graph-rewrite gate: race-test the rewrite transaction protocol, the
+# replicated groups whose width steps are rewrite commits, and the
 # subgraph-template lifecycle with three passes — gate-pause sequencing,
 # drain/retire ordering and template reap/restore are all interleaving-
 # dependent — plus the chaos mid-run-splice integration test, then run
@@ -179,7 +181,7 @@ ci-sched:
 # asserts on every run; the splice-pause and untouched-throughput bars
 # warn on small runners and are enforced by the nightly perf-bars job.
 ci-graph:
-	$(GO) test -race -count=3 -run 'Exe|Validate|Rewrite|Template' ./raft/
+	$(GO) test -race -count=3 -run 'Exe|Validate|Rewrite|Template|Replic|Scale' ./raft/
 	$(GO) test -race -run 'ChaosTextsearchExactAcrossMidRunSplice' .
 	$(GO) run ./cmd/raft-bench -ablate graph -items 500000 -seed $(CI_SEED)
 

@@ -424,8 +424,7 @@ func TestChaosTextsearchExactAcrossMidRunSplice(t *testing.T) {
 		}
 
 		// Producer half: filereader -> relay -> match -> tcp-send. The
-		// relay is the splice site; match stays unreplicated so the graph
-		// has no rigid kernels.
+		// relay is the splice site.
 		var relayed atomic.Int64
 		relay := newRelay("relay", &relayed, time.Millisecond)
 		producer := raft.NewMap()

@@ -373,21 +373,23 @@ func (b *BatchControl) Pin(n int) {
 func (b *BatchControl) Pinned() bool { return b != nil && b.pinned.Load() }
 
 // Scaler is a control handle for a replicated kernel group: the monitor
-// widens or narrows the number of active replicas through it (the paper's
-// automatic parallelization, §4.1).
+// widens or narrows the group through it, one replica per step (the
+// paper's automatic parallelization, §4.1).
 type Scaler interface {
 	// Name identifies the group in reports.
 	Name() string
-	// Active returns the number of currently active replicas.
+	// Active returns the number of live replicas.
 	Active() int
 	// Max returns the replica ceiling chosen at graph construction.
 	Max() int
-	// SetActive requests n active replicas (clamped to [1, Max]).
-	SetActive(n int)
+	// Stepping reports whether a width step is in flight.
+	Stepping() bool
+	// Step starts one width step — delta is +1 or -1 — off the caller's
+	// goroutine, unless one is already in flight. committed runs once the
+	// step has committed, with the width before and after; a step that
+	// fails changes nothing and does not call it.
+	Step(delta int, committed func(from, to int))
 	// InputLink returns the engine link feeding the group's distributor,
 	// whose pressure drives scale-up decisions; may be nil for sources.
 	InputLink() *LinkInfo
-	// OutputLink returns the engine link draining the group's collector;
-	// may be nil for sinks.
-	OutputLink() *LinkInfo
 }

@@ -406,6 +406,12 @@ func (m *Monitor) Tick() {
 
 	if m.cfg.AutoScale {
 		for i, s := range m.scalers {
+			if s.Stepping() {
+				// What this window saw describes the width the step is
+				// replacing: start a fresh one once it lands.
+				m.scaleTick[i], m.fullTicks[i], m.emptyTicks[i] = 0, 0, 0
+				continue
+			}
 			m.scaleTick[i]++
 			in := s.InputLink()
 			if in == nil {
@@ -431,13 +437,9 @@ func (m *Monitor) Tick() {
 			}
 			switch {
 			case fullFrac >= m.cfg.ScaleUpFullFrac && s.Active() < s.Max():
-				from := s.Active()
-				s.SetActive(from + 1)
-				m.record("scale-up", s.Name(), from, from+1)
+				m.step(s, +1)
 			case emptyFrac >= 0.9 && s.Active() > 1:
-				from := s.Active()
-				s.SetActive(from - 1)
-				m.record("scale-down", s.Name(), from, from-1)
+				m.step(s, -1)
 			}
 		}
 	}
@@ -487,13 +489,21 @@ func (m *Monitor) rateWidth(s core.Scaler, in *core.LinkInfo) bool {
 	cur := s.Active()
 	switch {
 	case target > cur && cur < s.Max():
-		s.SetActive(cur + 1)
-		m.record("scale-up", s.Name(), cur, cur+1)
+		m.step(s, +1)
 	case target < cur && cur > 1:
-		s.SetActive(cur - 1)
-		m.record("scale-down", s.Name(), cur, cur-1)
+		m.step(s, -1)
 	}
 	return true
+}
+
+// step starts one width step on s; its scale-up or scale-down event is
+// recorded only once the step has committed.
+func (m *Monitor) step(s core.Scaler, delta int) {
+	kind := "scale-up"
+	if delta < 0 {
+		kind = "scale-down"
+	}
+	s.Step(delta, func(from, to int) { m.record(kind, s.Name(), from, to) })
 }
 
 // dropWindow is the tick interval between drop-watcher emissions. A

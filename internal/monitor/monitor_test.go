@@ -218,21 +218,34 @@ func TestShrinkAfterHysteresis(t *testing.T) {
 	}
 }
 
+// fakeScaler commits every step at once, on the caller's goroutine; with
+// stepping set it reports a step in flight and refuses new ones.
 type fakeScaler struct {
-	name    string
-	active  int
-	max     int
-	in      *core.LinkInfo
-	workers []int32
+	name     string
+	active   int
+	max      int
+	in       *core.LinkInfo
+	workers  []int32
+	stepping bool
+	steps    int
 }
 
-func (f *fakeScaler) Name() string               { return f.name }
-func (f *fakeScaler) Active() int                { return f.active }
-func (f *fakeScaler) Max() int                   { return f.max }
-func (f *fakeScaler) SetActive(n int)            { f.active = n }
-func (f *fakeScaler) InputLink() *core.LinkInfo  { return f.in }
-func (f *fakeScaler) OutputLink() *core.LinkInfo { return nil }
-func (f *fakeScaler) WorkerActors() []int32      { return f.workers }
+func (f *fakeScaler) Name() string              { return f.name }
+func (f *fakeScaler) Active() int               { return f.active }
+func (f *fakeScaler) Max() int                  { return f.max }
+func (f *fakeScaler) Stepping() bool            { return f.stepping }
+func (f *fakeScaler) InputLink() *core.LinkInfo { return f.in }
+func (f *fakeScaler) WorkerActors() []int32     { return f.workers }
+
+func (f *fakeScaler) Step(delta int, committed func(from, to int)) {
+	if f.stepping {
+		return
+	}
+	f.steps++
+	from := f.active
+	f.active += delta
+	committed(from, f.active)
+}
 
 func TestAutoScaleUpOnPressure(t *testing.T) {
 	li, r := mkLink(4, 4)
@@ -266,6 +279,37 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 	}
 	if sc.active != 2 {
 		t.Fatalf("active = %d, want scaled down to 2", sc.active)
+	}
+}
+
+// TestAutoScaleSkipsGroupWhileStepping: a group whose width step is in
+// flight gets no second one, however full its input — and the evidence
+// gathered meanwhile is dropped, so the next window starts after the step.
+func TestAutoScaleSkipsGroupWhileStepping(t *testing.T) {
+	li, r := mkLink(4, 4)
+	li.ResizeEnabled = false
+	for i := 0; i < 4; i++ {
+		_ = r.Push(i, ringbuffer.SigNone)
+	}
+	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li, stepping: true}
+	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 8},
+		[]*core.LinkInfo{li}, []core.Scaler{sc})
+	for i := 0; i < 16; i++ {
+		m.Tick()
+	}
+	if sc.steps != 0 || len(m.Events()) != 0 {
+		t.Fatalf("%d steps, events %+v while a step was in flight", sc.steps, m.Events())
+	}
+	sc.stepping = false
+	for i := 0; i < 7; i++ {
+		m.Tick()
+	}
+	if sc.steps != 0 {
+		t.Fatal("stepped before a full window had passed since the in-flight step")
+	}
+	m.Tick()
+	if sc.steps != 1 || sc.active != 2 {
+		t.Fatalf("steps %d, active %d after a full window: want one step to 2", sc.steps, sc.active)
 	}
 }
 

@@ -32,11 +32,21 @@ type Advice struct {
 
 // Analyze builds the flow model of an executed Map from its Report and
 // returns bottleneck analysis plus sizing suggestions. It must be called
-// with the Report produced by this Map's Exe.
+// with the Report produced by this Map's Exe. The model is of the graph
+// the execution ran — replicated kernels as their groups — whose kernels
+// and links the report rows follow.
 func Analyze(m *Map, rep *Report) (*Advice, error) {
-	if len(rep.Kernels) != len(m.kernels) || len(rep.Links) != len(m.links) {
+	kernels, links := m.kernels, m.links
+	if m.reg != nil {
+		kernels, links = m.reg.graph()
+	}
+	if len(rep.Kernels) != len(kernels) || len(rep.Links) != len(links) {
 		return nil, fmt.Errorf("raft: report does not match map (%d/%d kernels, %d/%d links)",
-			len(rep.Kernels), len(m.kernels), len(rep.Links), len(m.links))
+			len(rep.Kernels), len(kernels), len(rep.Links), len(links))
+	}
+	index := make(map[*KernelBase]int, len(kernels))
+	for i, k := range kernels {
+		index[k.kernelBase()] = i
 	}
 	elapsed := rep.Elapsed.Seconds()
 	if elapsed <= 0 {
@@ -50,13 +60,13 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 	// a Run invocation that waits on a port is idle, not serving, and
 	// counting the wait would make every kernel look as slow as the
 	// bottleneck.
-	inflow := make([]float64, len(m.kernels))
-	outflow := make([]float64, len(m.kernels))
-	blockedNs := make([]float64, len(m.kernels))
-	for i, l := range m.links {
+	inflow := make([]float64, len(kernels))
+	outflow := make([]float64, len(kernels))
+	blockedNs := make([]float64, len(kernels))
+	for i, l := range links {
 		n := float64(rep.Links[i].Pushes)
-		src := m.index[l.Src.kernelBase()]
-		dst := m.index[l.Dst.kernelBase()]
+		src := index[l.Src.kernelBase()]
+		dst := index[l.Dst.kernelBase()]
 		outflow[src] += n
 		inflow[dst] += n
 		blockedNs[src] += float64(rep.Links[i].WriteBlockNs)
@@ -64,7 +74,7 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 	}
 
 	net := &qmodel.Network{}
-	for i, k := range m.kernels {
+	for i, k := range kernels {
 		kb := k.kernelBase()
 		rate := effectiveRate(rep.Kernels[i], blockedNs[i])
 		if rate <= 0 {
@@ -83,14 +93,14 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 			Gain:        gain,
 		})
 	}
-	for i, l := range m.links {
-		src := m.index[l.Src.kernelBase()]
+	for i, l := range links {
+		src := index[l.Src.kernelBase()]
 		frac := 1.0
 		if outflow[src] > 0 {
 			frac = float64(rep.Links[i].Pushes) / outflow[src]
 		}
 		net.Edges = append(net.Edges, qmodel.EdgeModel{
-			Src: src, Dst: m.index[l.Dst.kernelBase()], Fraction: frac,
+			Src: src, Dst: index[l.Dst.kernelBase()], Fraction: frac,
 		})
 	}
 
@@ -113,9 +123,9 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 		// model's capacity view).
 		adv.ReplicaSuggestion[k.Name] = qmodel.MinServers(pred.KernelLoad[i], k.ServiceRate, 0.2, 64)
 	}
-	for i, l := range m.links {
+	for i, l := range links {
 		lambda := float64(rep.Links[i].Pushes) / elapsed
-		dst := m.index[l.Dst.kernelBase()]
+		dst := index[l.Dst.kernelBase()]
 		mu := effectiveRate(rep.Kernels[dst], blockedNs[dst])
 		if lambda <= 0 || mu <= 0 {
 			continue

@@ -135,3 +135,24 @@ func TestAnalyzeGainForFilteringKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeReplicatedRun: the model follows the graph the execution ran,
+// so a run whose kernel was replicated is analyzable, adapters included.
+func TestAnalyzeReplicatedRun(t *testing.T) {
+	m := NewMap()
+	m.MustLink(newGen(5000), newWork(), AsOutOfOrder())
+	m.MustLink(m.Kernels()[1], newCollect())
+	rep, err := m.Exe(WithAutoReplicate(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := Analyze(m, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"split(workKernel#1)", "workKernel#1[1]", "merge(workKernel#1)"} {
+		if _, ok := adv.Utilization[name]; !ok {
+			t.Fatalf("advice has no %s: %v", name, adv.Utilization)
+		}
+	}
+}

@@ -115,9 +115,11 @@ func newConverterFor(from, to reflect.Type) (Kernel, error) {
 }
 
 // convertedLink joins two ports of different numeric types through a cast
-// kernel, honoring the narrowest-type placement rule. It returns a
+// kernel, honoring the narrowest-type placement rule; link stages the two
+// halves (Map.Link at construction, Tx.Link in a rewrite). It returns a
 // synthetic Link carrying the caller's original endpoints for chaining.
-func (m *Map) convertedLink(src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link, error) {
+func convertedLink(link func(src, dst Kernel, opts ...LinkOption) (*Link, error),
+	src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link, error) {
 	conv, err := newConverterFor(sp.elem, dp.elem)
 	if err != nil {
 		return nil, err
@@ -143,10 +145,10 @@ func (m *Map) convertedLink(src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link
 		srcSideOpts = append(srcSideOpts, AsBestEffort())
 		dstSideOpts = append(dstSideOpts, AsBestEffort())
 	}
-	if _, err := m.Link(src, conv, srcSideOpts...); err != nil {
+	if _, err := link(src, conv, srcSideOpts...); err != nil {
 		return nil, err
 	}
-	if _, err := m.Link(conv, dst, dstSideOpts...); err != nil {
+	if _, err := link(conv, dst, dstSideOpts...); err != nil {
 		return nil, err
 	}
 	return &Link{

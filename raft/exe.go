@@ -53,15 +53,17 @@ type Config struct {
 	// half its queue capacity).
 	BatchMax int
 
-	// AutoReplicate rewrites eligible kernels (Cloner + single in/out +
-	// inbound link marked AsOutOfOrder) into split/replicas/merge groups.
+	// AutoReplicate builds eligible kernels (Cloner + single in/out +
+	// inbound link marked AsOutOfOrder or AsReorderable) as
+	// split/replicas/merge groups.
 	AutoReplicate bool
 	// MaxReplicas is the replica ceiling for auto-replicated kernels
 	// (default GOMAXPROCS).
 	MaxReplicas int
-	// AutoScale starts each replicated group at one active replica and
-	// lets the monitor widen it on observed back-pressure; when false the
-	// group runs at full width from the start.
+	// AutoScale starts each out-of-order group at one replica and lets
+	// the monitor widen and narrow it — each step a rewrite commit that
+	// adds or removes one replica; when false the group is built at full
+	// width.
 	AutoScale bool
 	// SplitPolicy selects the data distribution strategy for replicated
 	// groups.
@@ -220,8 +222,8 @@ func WithAutoReplicate(maxReplicas int) Option {
 	}
 }
 
-// WithAutoScale makes replicated groups start at one active replica and
-// grow under monitor control instead of running at full width.
+// WithAutoScale makes out-of-order replicated groups start at one replica
+// and change width under monitor control instead of running at full width.
 func WithAutoScale(on bool) Option { return func(c *Config) { c.AutoScale = on } }
 
 // WithSplitPolicy selects the replica data-distribution strategy.
@@ -576,9 +578,9 @@ type GroupReport struct {
 	ActiveAtEnd int
 }
 
-// Exe executes the topology: it verifies the graph, performs the
-// auto-replication rewrite, allocates every stream, maps kernels to
-// places, runs them under the configured scheduler with the monitor
+// Exe executes the topology: it verifies the graph (with each replicated
+// kernel's group in place of its two links), allocates every stream, maps
+// kernels to places, runs them under the configured scheduler with the monitor
 // optimizing dynamically, and blocks until every kernel has stopped
 // (paper §4, "map.exe()"). A Map can be executed once.
 func (m *Map) Exe(opts ...Option) (*Report, error) {
@@ -610,8 +612,11 @@ type Execution struct {
 	}
 	ws      *scheduler.WorkSteal
 	scalers []*groupScaler
-	health  *execHealth
-	msrv    *metricsServer
+	// steps counts the scalers' width steps in flight; Wait waits for
+	// them.
+	steps  sync.WaitGroup
+	health *execHealth
+	msrv   *metricsServer
 
 	reg  *registry
 	rw   *Rewriter
@@ -637,6 +642,7 @@ func (ex *Execution) Rewriter() *Rewriter { return ex.rw }
 // report is assembled once.
 func (ex *Execution) Wait() (*Report, error) {
 	<-ex.done
+	ex.steps.Wait()
 	ex.repOnce.Do(func() {
 		rep := ex.buildReport()
 		if ex.cfg.Gateway != nil {
@@ -651,8 +657,8 @@ func (ex *Execution) Wait() (*Report, error) {
 	return ex.rep, ex.runErr
 }
 
-// ExeAsync is Exe without the blocking half: it performs the
-// auto-replication rewrite, commits the whole map as epoch 0 of the graph
+// ExeAsync is Exe without the blocking half: it commits the whole map —
+// replicated kernels as their groups — as epoch 0 of the graph
 // (verification, mapping, allocation, actors), starts the runtime services
 // and the scheduler, then returns while the application runs. The handle's
 // Rewriter can splice kernels and links into (and out of) the running
@@ -670,17 +676,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		cfg.Topology = mapper.NewLocal(runtime.GOMAXPROCS(0), 1)
 	}
 
-	// 1. Auto-replication rewrites the map itself, before anything is built.
-	var scalers []*groupScaler
-	if cfg.AutoReplicate && cfg.MaxReplicas > 1 {
-		var err error
-		scalers, err = m.rewriteReplicated(&cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. The empty execution epoch 0 commits into: the checkpoint store, the
+	// 1. The empty execution epoch 0 commits into: the checkpoint store, the
 	// latency-marker rig, the trace recorder, an empty registry and the
 	// rewriter.
 	cfg.resStore = cfg.CkptStore
@@ -705,7 +701,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		cfg.markers = &markerRig{dom: trace.NewMarkerDomain(stride)}
 	}
 	ex := &Execution{
-		m: m, cfg: &cfg, scalers: scalers,
+		m: m, cfg: &cfg,
 		stride: cfg.TraceStride,
 		reg:    &registry{},
 		done:   make(chan struct{}),
@@ -725,14 +721,22 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// (including dynamically spliced ones) so the whole application
 	// unblocks and stops.
 	m.setAbort(ex.reg.closeAllQueues)
+	m.reg = ex.reg
 
-	// 3. Epoch 0: every kernel and link of the map, as one transaction
+	// 2. Epoch 0: every kernel and link of the map, as one transaction
 	// against the empty graph. Map.Link has already resolved ports, checked
-	// types and inserted converters, so the links are staged as they are.
-	// The mapper places the validated graph ("the graph is first checked to
-	// ensure it is fully connected", §4.2).
-	tx := &Tx{addKernels: m.kernels, addLinks: m.links}
+	// types and inserted converters, so the links are staged as they are;
+	// under WithAutoReplicate each replicable kernel's two links give way
+	// to its group (stageGroups). The mapper places the validated graph
+	// ("the graph is first checked to ensure it is fully connected", §4.2).
+	tx := m.stage()
+	tx.rw = ex.rw
 	var err error
+	if cfg.AutoReplicate && cfg.MaxReplicas > 1 {
+		if ex.scalers, err = ex.stageGroups(tx); err != nil {
+			return nil, err
+		}
+	}
 	if ex.g, err = tx.validate(ex.reg); err != nil {
 		return nil, err
 	}
@@ -741,13 +745,11 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	}
 	ex.build(tx, ex.assign)
 
-	// 4. Runtime services, constructed from the registry epoch 0 filled.
+	// 3. Runtime services, constructed from the registry epoch 0 filled.
 	actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
-	coreScalers := make([]core.Scaler, len(scalers))
-	for i, s := range scalers {
+	coreScalers := make([]core.Scaler, len(ex.scalers))
+	for i, s := range ex.scalers {
 		coreScalers[i] = s
-		s.attachLinks(links)
-		s.resolveWorkers(m.index)
 	}
 
 	// Flight recorder and latency SLO. The recorder taps the trace bus for
@@ -901,8 +903,18 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 // node). It is the validator of Exe's epoch-0 transaction, run against an
 // empty graph, so it refuses exactly what Exe would, with the same error.
 func (m *Map) Validate() error {
-	_, err := (&Tx{addKernels: m.kernels, addLinks: m.links}).validate(&registry{})
+	_, err := m.stage().validate(&registry{})
 	return err
+}
+
+// stage returns the map's kernels and links as one transaction — epoch 0's
+// — each link claiming the two ports Map.Link bound.
+func (m *Map) stage() *Tx {
+	t := &Tx{addKernels: m.kernels, addLinks: m.links, claimed: make(map[*Port]*Link, 2*len(m.links))}
+	for _, l := range m.links {
+		t.claimed[l.SrcPort], t.claimed[l.DstPort] = l, l
+	}
+	return t
 }
 
 // stream is one link's allocated stream: the queue and the state both
@@ -1218,152 +1230,4 @@ func (ex *Execution) buildReport() *Report {
 	}
 	ex.reg.stampReport(rep)
 	return rep
-}
-
-// rewriteReplicated rewrites every eligible kernel k
-//
-//	u --(out-of-order)--> k --> v
-//
-// into
-//
-//	u --> split --> {k, clone1, ..., cloneR-1} --> merge --> v
-//
-// preserving the original link capacities on the boundary streams
-// (§4.1: "There are default split and reduce adapters that are inserted
-// where needed").
-func (m *Map) rewriteReplicated(cfg *Config) ([]*groupScaler, error) {
-	var scalers []*groupScaler
-	kernels := append([]Kernel(nil), m.kernels...)
-	for _, k := range kernels {
-		kb := k.kernelBase()
-		inbound := m.linkInto(kb)
-		outbound := m.linkOutOf(kb)
-		if outbound == nil || !replicable(k, inbound) {
-			continue
-		}
-		if inbound.reorderable {
-			// Order-restoring mode: fixed-width deterministic adapters, no
-			// monitor scaler (see raft/ordered.go).
-			if err := m.rewriteOrdered(k, inbound, outbound, cfg.MaxReplicas); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		r := cfg.MaxReplicas
-		initial := r
-		if cfg.AutoScale {
-			initial = 1
-		}
-
-		inPort := kb.ins[0]
-		outPort := kb.outs[0]
-		split := newSplitFromSpec(inPort, r, cfg.SplitPolicy, initial)
-		split.SetName(fmt.Sprintf("split(%s)", kb.Name()))
-		merge := newMergeFromSpec(outPort, r)
-		merge.SetName(fmt.Sprintf("merge(%s)", kb.Name()))
-
-		clones := make([]Kernel, r)
-		clones[0] = k
-		for i := 1; i < r; i++ {
-			dup, err := duplicateKernel(k)
-			if err != nil {
-				return nil, err
-			}
-			dup.kernelBase().SetName(fmt.Sprintf("%s[%d]", kb.Name(), i))
-			clones[i] = dup
-		}
-
-		// Detach the original links and reconnect through the adapters.
-		m.removeLink(inbound)
-		m.removeLink(outbound)
-		if _, err := m.Link(inbound.Src, split,
-			From(inbound.SrcPort.name), To("in"),
-			Cap(inbound.capacity), MaxCap(inbound.maxCap)); err != nil {
-			return nil, err
-		}
-		for i, c := range clones {
-			if _, err := m.Link(split, c,
-				From(fmt.Sprintf("%d", i)), To(c.kernelBase().ins[0].name),
-				Cap(inbound.capacity), MaxCap(inbound.maxCap)); err != nil {
-				return nil, err
-			}
-			if _, err := m.Link(c, merge,
-				From(c.kernelBase().outs[0].name), To(fmt.Sprintf("%d", i)),
-				Cap(outbound.capacity), MaxCap(outbound.maxCap)); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := m.Link(merge, outbound.Dst,
-			From("out"), To(outbound.DstPort.name),
-			Cap(outbound.capacity), MaxCap(outbound.maxCap)); err != nil {
-			return nil, err
-		}
-
-		// Group structure is monitor-owned; the rewriter must not splice it.
-		split.kernelBase().rigid = true
-		merge.kernelBase().rigid = true
-		for _, c := range clones {
-			c.kernelBase().rigid = true
-		}
-		scalers = append(scalers, &groupScaler{
-			name:    kb.Name(),
-			split:   split,
-			max:     r,
-			workers: clones,
-		})
-	}
-	return scalers, nil
-}
-
-// linkInto returns the single link whose destination is kb, or nil.
-func (m *Map) linkInto(kb *KernelBase) *Link {
-	var found *Link
-	for _, l := range m.links {
-		if l.Dst.kernelBase() == kb {
-			if found != nil {
-				return nil // multiple inputs: not the simple replication shape
-			}
-			found = l
-		}
-	}
-	return found
-}
-
-// linkOutOf returns the single link whose source is kb, or nil.
-func (m *Map) linkOutOf(kb *KernelBase) *Link {
-	var found *Link
-	for _, l := range m.links {
-		if l.Src.kernelBase() == kb {
-			if found != nil {
-				return nil
-			}
-			found = l
-		}
-	}
-	return found
-}
-
-// removeLink detaches a link from the map and unbinds its ports.
-func (m *Map) removeLink(target *Link) {
-	target.SrcPort.link = nil
-	target.DstPort.link = nil
-	for i, l := range m.links {
-		if l == target {
-			m.links = append(m.links[:i], m.links[i+1:]...)
-			return
-		}
-	}
-}
-
-// attachLinks finds the group's inbound boundary stream in the engine link
-// list (identified by its queue) so the monitor can observe the group's
-// back-pressure.
-func (s *groupScaler) attachLinks(infos []*core.LinkInfo) {
-	inQ := s.split.In("in").Queue()
-	for _, li := range infos {
-		if li.Queue == inQ {
-			s.inLink = li
-			break
-		}
-	}
 }

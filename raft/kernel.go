@@ -75,11 +75,6 @@ type KernelBase struct {
 	pendingMarks []*trace.Marker
 	markForward  bool
 	actor        int32
-
-	// rigid marks kernels a live graph rewrite must not touch: replication
-	// adapters and group members, whose movers capture typed queues at
-	// construction and therefore cannot be rebound.
-	rigid bool
 }
 
 func (k *KernelBase) kernelBase() *KernelBase { return k }
@@ -260,8 +255,7 @@ func newPort[T any](name string, dir Direction) *Port {
 			}
 			return r, r
 		},
-		mover:        moveView[T],
-		moveBlocking: moveItemsBlocking[T],
+		mover: moveView[T],
 	}
 }
 

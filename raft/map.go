@@ -12,6 +12,8 @@ type Map struct {
 	links    []*Link
 	exc      exception
 	executed bool
+	// reg is the registry of the map's execution, once Exe has built it.
+	reg *registry
 }
 
 // NewMap returns an empty topology.
@@ -165,7 +167,7 @@ func (m *Map) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	}
 	if sp.elem != dp.elem {
 		if spec.convert {
-			return m.convertedLink(src, dst, sp, dp, spec)
+			return convertedLink(m.Link, src, dst, sp, dp, spec)
 		}
 		return nil, fmt.Errorf("raft: %w linking %s -> %s (AllowConvert permits numeric casts)", ErrTypeMismatch, sp, dp)
 	}

@@ -50,9 +50,6 @@ type Port struct {
 	// always waits for room at the destination. Used by the runtime's split
 	// and merge adapters so they can be built without knowing T.
 	mover func(src, dst any, max int, block bool) (int, error)
-	// moveBlocking transfers at least one element (blocking on the source
-	// for the first), then up to max total, element by element.
-	moveBlocking func(src, dst any, max int) (int, error)
 
 	// q is the stream's ring, typed the same ring as a *ringbuffer.Ring[T].
 	// The port window lives in the ring — the stream end — not here:
@@ -245,7 +242,7 @@ func (p *Port) BatchHint(def int) int {
 func (p *Port) cloneSpec(name string, dir Direction) *Port {
 	return &Port{
 		name: name, dir: dir, elem: p.elem,
-		mk: p.mk, mover: p.mover, moveBlocking: p.moveBlocking,
+		mk: p.mk, mover: p.mover,
 	}
 }
 
@@ -567,32 +564,4 @@ func (a *Alloc[T]) Send() error {
 	}
 	a.sent = true
 	return PushSig(a.p, a.Val, a.Sig)
-}
-
-// moveItemsBlocking transfers at least one element (blocking on the source
-// for the first) and then up to max total.
-func moveItemsBlocking[T any](src, dst any, max int) (int, error) {
-	s, d := src.(*ringbuffer.Ring[T]), dst.(*ringbuffer.Ring[T])
-	v, sig, err := s.Pop()
-	if err != nil {
-		return 0, err
-	}
-	if err := d.Push(v, sig); err != nil {
-		return 0, err
-	}
-	moved := 1
-	for moved < max {
-		v, sig, ok, err := s.TryPop()
-		if err != nil {
-			return moved, err
-		}
-		if !ok {
-			return moved, nil
-		}
-		if err := d.Push(v, sig); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
 }

@@ -2,8 +2,10 @@ package raft
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"raftlib/internal/mapper"
 )
@@ -169,22 +171,39 @@ func TestSumApplicationWithoutMonitor(t *testing.T) {
 	}
 }
 
+// TestSmallQueuesForceDynamicResize: the monitor grows 1-element queues
+// under load. The source keeps elements flowing — at least 20 000, then
+// until an observer has seen a grown queue (or a cap) — so the monitor
+// meets the load at any GOMAXPROCS.
 func TestSmallQueuesForceDynamicResize(t *testing.T) {
+	seen := make(chan struct{})
+	obs := func(ls LiveStats) {
+		for _, l := range ls.Links {
+			if l.Cap > 1 {
+				select {
+				case <-seen:
+				default:
+					close(seen)
+				}
+			}
+		}
+	}
+	src, sent := sourceUntil(20_000, seen)
 	m := NewMap()
 	sink := newCollect()
 	work := newWork()
-	if _, err := m.Link(newGen(20_000), work, Cap(1)); err != nil {
+	if _, err := m.Link(src, work, Cap(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Link(work, sink, Cap(1)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Exe(WithDynamicResize(true))
+	rep, err := m.Exe(WithDynamicResize(true), WithObserver(time.Millisecond, obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.values()) != 20_000 {
-		t.Fatalf("received %d", len(sink.values()))
+	if got := int64(len(sink.values())); got != *sent {
+		t.Fatalf("received %d of %d", got, *sent)
 	}
 	var grows uint64
 	for _, l := range rep.Links {
@@ -295,6 +314,184 @@ func TestAutoScaleStartsNarrowAndWidens(t *testing.T) {
 		}
 	}
 	t.Fatalf("no scale-up of group %q among monitor events %+v", rep.Groups[0].Name, rep.MonitorEvents)
+}
+
+// TestAutoScaleBuildsOnlyLiveReplicas: under AutoScale a group is built at
+// width 1 whatever its ceiling — one replica, not 64 idle clones — and a
+// pipeline that never backs up never widens it: the run registers exactly
+// source, split, replica, merge and sink.
+func TestAutoScaleBuildsOnlyLiveReplicas(t *testing.T) {
+	const n = 500
+	sink := newPacedCollect(0)
+	var sent int64
+	// The source hands over one element at a time — it stalls until the
+	// sink holds the previous one — so the group's input never fills.
+	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		if sent == n {
+			return Stop
+		}
+		if int64(sink.count()) < sent {
+			return Stall
+		}
+		if err := Push(k.Out("0"), sent); err != nil {
+			return Stop
+		}
+		sent++
+		return Proceed
+	})
+	m := NewMap()
+	m.MustLink(src, newWork(), AsOutOfOrder())
+	m.MustLink(m.Kernels()[1], sink)
+	rep, err := m.Exe(WithAutoReplicate(64), WithAutoScale(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDoubledMultiset(t, sink.values(), n)
+	if len(rep.Kernels) != 5 {
+		var names []string
+		for _, k := range rep.Kernels {
+			names = append(names, k.Name)
+		}
+		t.Fatalf("registered %d kernels %v, want 5", len(rep.Kernels), names)
+	}
+	if len(rep.Groups) != 1 || rep.Groups[0].MaxReplicas != 64 || rep.Groups[0].ActiveAtEnd != 1 {
+		t.Fatalf("groups = %+v", rep.Groups)
+	}
+}
+
+// TestScaleStepsAreCommits drives an AutoScale group's width by hand,
+// under each scheduler, through the steps the monitor takes: scale-ups to
+// the ceiling, then two scale-downs. Each is one rewrite commit that ends
+// within A18's 100 ms pause bar, a step past either end is refused, the
+// retired replicas stay in the report with a departure time, and every
+// element arrives exactly once.
+func TestScaleStepsAreCommits(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"goroutine", nil},
+		{"worksteal", []Option{WithWorkStealing(2)}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			const n = 40_000
+			m := NewMap()
+			sink := newPacedCollect(time.Millisecond)
+			m.MustLink(newGen(n), newWork(), AsOutOfOrder())
+			m.MustLink(m.Kernels()[1], sink)
+			ex, err := m.ExeAsync(append(sc.opts, WithAutoReplicate(4), WithAutoScale(true), WithoutMonitor())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := ex.scalers[0]
+			waitFor(t, "traffic", func() bool { return sink.count() >= 300 })
+			step := func(delta, want int) {
+				t.Helper()
+				t0 := time.Now()
+				if err := g.step(delta); err != nil {
+					t.Fatalf("step %+d to %d: %v", delta, want, err)
+				}
+				d := time.Since(t0)
+				t.Logf("step %+d to width %d committed in %v", delta, want, d.Round(time.Microsecond))
+				if d > 100*time.Millisecond {
+					t.Errorf("step %+d to %d took %v, over the 100ms pause bar", delta, want, d)
+				}
+				if got := g.Active(); got != want {
+					t.Fatalf("width %d after a step to %d", got, want)
+				}
+			}
+			step(+1, 2)
+			step(+1, 3)
+			step(+1, 4)
+			if err := g.step(+1); err == nil {
+				t.Fatal("a scale-up past the ceiling committed")
+			}
+			step(-1, 3)
+			step(-1, 2)
+			rep, err := ex.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDoubledMultiset(t, sink.values(), n)
+			var left []string
+			for _, k := range rep.Kernels {
+				if k.LeftAt > 0 {
+					left = append(left, k.Name)
+				}
+			}
+			if len(rep.Kernels) != 8 || len(left) != 2 || left[0] != "workKernel#1[2]" || left[1] != "workKernel#1[3]" {
+				t.Fatalf("%d kernels, departed %v: want 8 with the two newest replicas departed", len(rep.Kernels), left)
+			}
+			if rep.Groups[0].ActiveAtEnd != 2 {
+				t.Fatalf("width at the end %d, want 2", rep.Groups[0].ActiveAtEnd)
+			}
+			// A replica that joins must be woken by its streams, not found
+			// parked by the watchdog: with its wake hooks wired before it
+			// was a task, this run took over 1000 rescues.
+			if rep.Sched != nil {
+				t.Logf("work-stealing rescues: %d", rep.Sched.Rescues)
+				if rep.Sched.Rescues > 100 {
+					t.Fatalf("%d watchdog rescues: a spliced replica is not woken by its streams", rep.Sched.Rescues)
+				}
+			}
+		})
+	}
+}
+
+// TestScaleUpRacingEndOfStreamRollsBack: a scale-up that reaches the seal
+// after the group's split has finished cannot commit. The step says so,
+// rolls back — its replica departs at once — records no event, and no
+// element is lost.
+func TestScaleUpRacingEndOfStreamRollsBack(t *testing.T) {
+	const n = 100 // fits in the group's streams while the sink is held
+	release := make(chan struct{})
+	sink := newCollect()
+	hold := NewLambda[int64](1, 1, func(k *LambdaKernel) Status {
+		<-release
+		v, err := Pop[int64](k.In("0"))
+		if err != nil {
+			return Stop
+		}
+		if err := Push(k.Out("0"), v); err != nil {
+			return Stop
+		}
+		return Proceed
+	})
+	m := NewMap()
+	m.MustLink(newGen(n), newWork(), AsOutOfOrder())
+	m.MustLink(m.Kernels()[1], hold)
+	m.MustLink(hold, sink)
+	ex, err := m.ExeAsync(WithAutoReplicate(4), WithAutoScale(true), WithoutMonitor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ex.scalers[0]
+	split := ex.reg.liveKernel(g.split.kernelBase()).a
+	waitFor(t, "the split to finish", split.Finished.Load)
+
+	committed := 0
+	g.Step(+1, func(from, to int) { committed++ })
+	ex.steps.Wait()
+	if committed != 0 {
+		t.Fatal("a scale-up after the split finished recorded its event")
+	}
+	if err := g.step(+1); err == nil || !strings.Contains(err.Error(), "finished before the seal") {
+		t.Fatalf("scale-up after the split finished: %v", err)
+	}
+	close(release)
+	rep, err := ex.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDoubledMultiset(t, sink.values(), n)
+	for _, k := range rep.Kernels {
+		if strings.HasPrefix(k.Name, "workKernel#1[") && (k.LeftAt == 0 || k.Runs > 1) {
+			t.Fatalf("rolled-back replica %s: left at %v after %d runs", k.Name, k.LeftAt, k.Runs)
+		}
+	}
+	if rep.Groups[0].ActiveAtEnd != 1 {
+		t.Fatalf("width at the end %d, want 1", rep.Groups[0].ActiveAtEnd)
+	}
 }
 
 func TestLinkErrors(t *testing.T) {

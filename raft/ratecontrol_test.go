@@ -32,19 +32,41 @@ func (s *slowSink) Run() Status {
 	return Proceed
 }
 
+// TestServiceRateControlEndToEnd: the final report carries primed λ̂, µ̂
+// and ρ̂ on the link and µ̂ on the consumer. µ̂ primes only over windows in
+// which the sink was busy, so the source keeps elements flowing — at least
+// 30 000, then until an observer has seen every estimate (or a cap) — and
+// the estimates prime at any GOMAXPROCS.
 func TestServiceRateControlEndToEnd(t *testing.T) {
-	const items = 30_000
+	seen := make(chan struct{})
+	obs := func(ls LiveStats) {
+		var link, kernel bool
+		for _, l := range ls.Links {
+			link = link || l.LambdaHat > 0 && l.MuHat > 0 && l.RhoHat > 0
+		}
+		for _, k := range ls.Kernels {
+			kernel = kernel || k.MuHat > 0
+		}
+		if link && kernel {
+			select {
+			case <-seen:
+			default:
+				close(seen)
+			}
+		}
+	}
+	src, sent := sourceUntil(30_000, seen)
 	m := NewMap()
 	sink := newSlowSink(2 * time.Microsecond)
-	if _, err := m.Link(newGen(items), sink); err != nil {
+	if _, err := m.Link(src, sink); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Exe(WithServiceRateControl())
+	rep, err := m.Exe(WithServiceRateControl(), WithObserver(time.Millisecond, obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink.n != items {
-		t.Fatalf("sink consumed %d of %d", sink.n, items)
+	if sink.n != *sent {
+		t.Fatalf("sink consumed %d of %d", sink.n, *sent)
 	}
 
 	// The report must carry primed λ̂/µ̂/ρ̂ on the one link and µ̂ on the
@@ -141,26 +163,7 @@ func TestLiveStatsCarryEstimates(t *testing.T) {
 			}
 		}
 	}
-	const minItems = 30_000
-	var sent int64
-	deadline := time.Now().Add(10 * time.Second) // the test reports what was missing
-	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
-		if sent >= minItems {
-			select {
-			case <-seen:
-				return Stop
-			default:
-			}
-			if time.Now().After(deadline) {
-				return Stop
-			}
-		}
-		if err := Push(k.Out("0"), sent); err != nil {
-			return Stop
-		}
-		sent++
-		return Proceed
-	})
+	src, _ := sourceUntil(30_000, seen)
 	m := NewMap()
 	sink := newSlowSink(2 * time.Microsecond)
 	if _, err := m.Link(src, sink); err != nil {
@@ -172,4 +175,32 @@ func TestLiveStatsCarryEstimates(t *testing.T) {
 	if !sawLambda || !sawMuHat {
 		t.Fatalf("live stats estimates: λ̂ seen=%v µ̂ seen=%v", sawLambda, sawMuHat)
 	}
+}
+
+// sourceUntil returns a source of consecutive int64s that sends at least
+// min elements, then keeps sending until seen closes — an observer's
+// witness that what a test asserts on has happened while elements flowed —
+// or 10 s have passed, after which the test reports what was missing. sent
+// counts the elements sent; read it after the run.
+func sourceUntil(min int64, seen <-chan struct{}) (src *LambdaKernel, sent *int64) {
+	sent = new(int64)
+	deadline := time.Now().Add(10 * time.Second)
+	src = NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		if *sent >= min {
+			select {
+			case <-seen:
+				return Stop
+			default:
+			}
+			if time.Now().After(deadline) {
+				return Stop
+			}
+		}
+		if err := Push(k.Out("0"), *sent); err != nil {
+			return Stop
+		}
+		*sent++
+		return Proceed
+	})
+	return src, sent
 }

@@ -297,28 +297,32 @@ func fmtNanos(ns float64) string {
 
 // Dot renders the current topology in Graphviz DOT format — kernels as
 // nodes, streams as edges labeled with port names and element types. Call
-// it before or after Exe (after Exe it includes runtime-inserted adapters
-// and replicas).
+// it before or after Exe: once executed it renders the graph as it runs,
+// with the runtime's adapters and replicas and every rewrite so far.
 func (m *Map) Dot() string {
-	var b strings.Builder
-	b.WriteString("digraph raft {\n  rankdir=LR;\n  node [shape=box];\n")
-	names := make(map[*KernelBase]string, len(m.kernels))
-	ordered := make([]string, 0, len(m.kernels))
-	for _, k := range m.kernels {
+	links := m.links
+	if m.reg != nil {
+		links = nil
+		for _, le := range m.reg.linksWhere(func(*Link) bool { return true }) {
+			links = append(links, le.l)
+		}
+	}
+	ids := map[*KernelBase]string{}
+	var nodes []string
+	id := func(k Kernel) string {
 		kb := k.kernelBase()
-		id := fmt.Sprintf("k%d", m.index[kb])
-		names[kb] = id
-		ordered = append(ordered, fmt.Sprintf("  %s [label=%q];\n", id, kb.Name()))
+		if _, ok := ids[kb]; !ok {
+			ids[kb] = fmt.Sprintf("k%d", len(ids))
+			nodes = append(nodes, fmt.Sprintf("  %s [label=%q];\n", ids[kb], kb.Name()))
+		}
+		return ids[kb]
 	}
-	sort.Strings(ordered)
-	for _, line := range ordered {
-		b.WriteString(line)
+	var edges strings.Builder
+	for _, l := range links {
+		fmt.Fprintf(&edges, "  %s -> %s [label=\"%s->%s : %s\"];\n",
+			id(l.Src), id(l.Dst), l.SrcPort.name, l.DstPort.name, l.SrcPort.elem)
 	}
-	for _, l := range m.links {
-		fmt.Fprintf(&b, "  %s -> %s [label=\"%s->%s : %s\"];\n",
-			names[l.Src.kernelBase()], names[l.Dst.kernelBase()],
-			l.SrcPort.name, l.DstPort.name, l.SrcPort.elem)
-	}
-	b.WriteString("}\n")
-	return b.String()
+	sort.Strings(nodes)
+	return "digraph raft {\n  rankdir=LR;\n  node [shape=box];\n" +
+		strings.Join(nodes, "") + edges.String() + "}\n"
 }

@@ -195,14 +195,43 @@ func (r *registry) liveKernel(kb *KernelBase) *actorEntry {
 
 // liveLink returns the live link entry for l, or nil.
 func (r *registry) liveLink(l *Link) *linkEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, le := range r.links {
-		if le.l == l && !le.removed {
-			return le
-		}
+	if les := r.linksWhere(func(x *Link) bool { return x == l }); len(les) > 0 {
+		return les[0]
 	}
 	return nil
+}
+
+// graph returns every kernel and link the execution has had, departed
+// ones included, in registry order — the order of the report's rows.
+func (r *registry) graph() (kernels []Kernel, links []*Link) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ae := range r.actors {
+		kernels = append(kernels, ae.k)
+	}
+	for _, le := range r.links {
+		links = append(links, le.l)
+	}
+	return kernels, links
+}
+
+// linksWhere returns the live links for which keep holds, in registry
+// order.
+func (r *registry) linksWhere(keep func(*Link) bool) []*linkEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*linkEntry
+	for _, le := range r.links {
+		if !le.removed && keep(le.l) {
+			out = append(out, le)
+		}
+	}
+	return out
+}
+
+// linksFrom returns the live links out of k, in registry order.
+func (r *registry) linksFrom(k Kernel) []*linkEntry {
+	return r.linksWhere(func(l *Link) bool { return l.Src == k })
 }
 
 // Rewriter is the live graph-rewrite handle of one execution. Obtain it
@@ -291,7 +320,8 @@ func (t *Tx) RemoveKernel(k Kernel) error {
 // Link stages a new stream between two kernels — existing ones (whose
 // affected ports must be freed by removals staged earlier in this
 // transaction) or new ones, which join the graph at commit. Options
-// mirror Map.Link; AllowConvert is not supported on rewrites.
+// mirror Map.Link, AllowConvert included: the cast kernel joins with the
+// link.
 func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if t.done {
 		return nil, errRewriteDone
@@ -299,9 +329,6 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	var spec linkSpec
 	for _, o := range opts {
 		o(&spec)
-	}
-	if spec.convert {
-		return nil, errors.New("raft: AllowConvert is not supported on rewrite links")
 	}
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("raft: Link requires non-nil kernels")
@@ -321,6 +348,9 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 		return nil, err
 	}
 	if sp.elem != dp.elem {
+		if spec.convert {
+			return convertedLink(t.Link, src, dst, sp, dp, spec)
+		}
 		return nil, fmt.Errorf("raft: %w linking %s -> %s", ErrTypeMismatch, sp, dp)
 	}
 	l := &Link{
@@ -340,9 +370,6 @@ var errRewriteDone = errors.New("raft: rewrite transaction already committed")
 // adopt tracks a kernel the transaction introduces (no-op for live ones).
 func (t *Tx) adopt(k Kernel) error {
 	kb := k.kernelBase()
-	if kb.rigid {
-		return fmt.Errorf("raft: kernel %q belongs to a replicated group and cannot be rewired", kb.Name())
-	}
 	if t.rw.ex.reg.liveKernel(kb) != nil {
 		return nil
 	}
@@ -358,29 +385,39 @@ func (t *Tx) adopt(k Kernel) error {
 	return nil
 }
 
-// pickPort resolves a port for a staged link: free means unbound, freed
-// by a removal staged in this transaction, and not yet claimed by another
-// staged link.
+// bound reports whether port p carries a stream once t commits: a link
+// staged in t claims it, or a live link that t does not remove holds it.
+// A port whose link an earlier commit removed — a group adapter's slot
+// after a scale-down — is free again.
+func (t *Tx) bound(p *Port, live func(*Link) bool) bool {
+	if t.claimed[p] != nil {
+		return true
+	}
+	el := effectiveLink(p)
+	return el != nil && live(el) && !slices.Contains(t.rmLinks, el)
+}
+
+// isLive reports whether l is a live link of the execution.
+func (t *Tx) isLive(l *Link) bool { return t.rw.ex.reg.liveLink(l) != nil }
+
+// freeSlot returns the first of slots that is free in t, or nil.
+func (t *Tx) freeSlot(slots []*Port) *Port {
+	for _, p := range slots {
+		if !t.bound(p, t.isLive) {
+			return p
+		}
+	}
+	return nil
+}
+
+// pickPort resolves a port for a staged link: free means bound neither by
+// a live link this transaction keeps nor by another staged link.
 func (t *Tx) pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
 	list, ports := kb.outs, kb.outPorts
 	if dir == In {
 		list, ports = kb.ins, kb.inPorts
 	}
-	free := func(p *Port) bool {
-		if _, taken := t.claimed[p]; taken {
-			return false
-		}
-		el := effectiveLink(p)
-		if el == nil {
-			return true
-		}
-		for _, rm := range t.rmLinks {
-			if rm == el {
-				return true
-			}
-		}
-		return false
-	}
+	free := func(p *Port) bool { return !t.bound(p, t.isLive) }
 	if name != "" {
 		p, ok := ports[name]
 		if !ok {
@@ -425,6 +462,10 @@ type built struct {
 	actors []*actorEntry
 	links  []*linkEntry
 	staged []stagedLink
+	// spawned counts the leading actors join handed to the scheduler;
+	// armed reports that join installed the staged consumer bindings.
+	spawned int
+	armed   bool
 }
 
 // Commit applies the transaction to the running graph. On success the
@@ -482,17 +523,18 @@ func (t *Tx) validate(reg *registry) (*graph.Graph, error) {
 			return nil, fmt.Errorf("raft: RemoveLink: %s.%s -> %s.%s is not a live link of this execution",
 				l.Src.kernelBase().Name(), l.SrcPort.name, l.Dst.kernelBase().Name(), l.DstPort.name)
 		}
-		if l.Src.kernelBase().rigid || l.Dst.kernelBase().rigid {
-			return nil, fmt.Errorf("raft: RemoveLink: %s touches a replicated group", le.li.Name)
+		// An ordered group restores order by position: its split's outputs
+		// and its merge's inputs stay as epoch 0 built them.
+		_, fromSplit := l.Src.(*orderedSplit)
+		_, intoMerge := l.Dst.(*orderedMerge)
+		if fromSplit || intoMerge {
+			return nil, fmt.Errorf("raft: RemoveLink: %s is a position of an ordered (AsReorderable) group", le.li.Name)
 		}
 		rmLink[l] = true
 	}
 	rmKernel := map[*KernelBase]bool{}
 	for _, k := range t.rmKernels {
 		kb := k.kernelBase()
-		if kb.rigid {
-			return nil, fmt.Errorf("raft: RemoveKernel: %q belongs to a replicated group", kb.Name())
-		}
 		if reg.liveKernel(kb) == nil {
 			return nil, fmt.Errorf("raft: RemoveKernel: %q is not a live kernel of this execution", kb.Name())
 		}
@@ -511,12 +553,15 @@ func (t *Tx) validate(reg *registry) (*graph.Graph, error) {
 		}
 	}
 	liveLinks := make([]*linkEntry, 0, len(reg.links))
+	live := make(map[*Link]bool, len(reg.links))
 	for _, le := range reg.links {
 		if !le.removed {
 			liveLinks = append(liveLinks, le)
+			live[le.l] = true
 		}
 	}
 	reg.mu.Unlock()
+	isLive := func(l *Link) bool { return live[l] }
 	for _, k := range t.addKernels {
 		name := k.kernelBase().name
 		if name != "" && names[name] {
@@ -536,33 +581,46 @@ func (t *Tx) validate(reg *registry) (*graph.Graph, error) {
 
 	// Prospective graph: live structure minus removals plus additions, with
 	// every port of every surviving kernel bound ("the graph is first
-	// checked to ensure it is fully connected", §4.2).
+	// checked to ensure it is fully connected", §4.2) — except the slots of
+	// a fan adapter, of which at least one must be.
 	nKernels := len(liveKernels) + len(t.addKernels)
 	g := &graph.Graph{
 		Nodes: make([]graph.Node, 0, nKernels),
 		Edges: make([]graph.Edge, 0, len(liveLinks)+len(t.addLinks)),
 	}
 	ids := make(map[*KernelBase]int, nKernels)
-	addNode := func(kb *KernelBase) error {
+	addNode := func(k Kernel) error {
+		kb := k.kernelBase()
+		sl, fan := k.(slotted)
+		linkedSlots := 0
 		for _, ports := range [2][]*Port{kb.ins, kb.outs} {
 			for _, p := range ports {
-				if el := effectiveLink(p); (el == nil || rmLink[el]) && t.claimed[p] == nil {
+				slot := fan && p.dir == sl.slotDir()
+				switch {
+				case t.bound(p, isLive):
+					if slot {
+						linkedSlots++
+					}
+				case !slot:
 					return fmt.Errorf("raft: port %s is not linked", p)
 				}
 			}
+		}
+		if fan && linkedSlots == 0 {
+			return fmt.Errorf("raft: kernel %q has none of its %s slots linked", kb.Name(), sl.slotDir())
 		}
 		ids[kb] = g.AddNode(kb.Name(), kb.Weight())
 		return nil
 	}
 	for _, ae := range liveKernels {
-		if kb := ae.k.kernelBase(); !rmKernel[kb] {
-			if err := addNode(kb); err != nil {
+		if !rmKernel[ae.k.kernelBase()] {
+			if err := addNode(ae.k); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for _, k := range t.addKernels {
-		if err := addNode(k.kernelBase()); err != nil {
+		if err := addNode(k); err != nil {
 			return nil, err
 		}
 	}
@@ -680,9 +738,6 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		if ex.dw != nil {
 			ex.dw.AddLink(le.li)
 		}
-		if ex.ws != nil {
-			ex.ws.TakeLink(le.li)
-		}
 	}
 	if ex.dw != nil {
 		for _, ae := range b.actors {
@@ -694,7 +749,8 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 
 // join starts what a rewrite's build pass added to the running execution:
 // it announces the additions on the trace bus, spawns the new actors onto
-// the scheduler, and arms the staged consumer migrations last, so that
+// the scheduler, hands it the new streams' wake hooks, and arms the staged
+// consumer migrations last, so that
 // everything the swap publishes is in place before any ErrClosed wake-up
 // can observe the staging. (At epoch 0 the scheduler's Run starts the
 // actors instead.)
@@ -713,30 +769,43 @@ func (ex *Execution) join(b *built, epoch int64) error {
 		if err := ex.sched.Spawn(ae.a); err != nil {
 			return fmt.Errorf("raft: spawning %q: %w", ae.a.Name, err)
 		}
+		b.spawned++
+	}
+	// The work-stealing scheduler wires a stream's wake hooks to the tasks
+	// at its ends, so the new actors must be its tasks first.
+	if ex.ws != nil {
+		for _, le := range b.links {
+			ex.ws.TakeLink(le.li)
+		}
 	}
 	for i := range b.staged {
 		if s := &b.staged[i]; s.pending != nil {
 			s.l.DstPort.installPending(s.pending)
 		}
 	}
+	b.armed = true
 	return nil
 }
 
 // rollback unwinds a rewrite's build after a failed join or seal: staged
-// consumer migrations are disarmed, the new streams close (stopping any
-// spawned kernels via the EOF cascade), and the registry records the
-// aborted entries as immediately departed.
+// consumer migrations are disarmed, the new streams close (stopping the
+// spawned kernels via the EOF cascade — an actor the scheduler never took
+// has nothing to wait for), and the registry records the aborted entries
+// as immediately departed.
 func (ex *Execution) rollback(b *built, epoch int64) {
 	for i := range b.staged {
-		if s := &b.staged[i]; s.pending != nil {
-			s.l.DstPort.pending.Store(nil)
+		// A consumer that already adopted its staged binding (an adapter
+		// slot adopts it at once) has rebound its port: wait until it is
+		// done, so a later commit reads the port after that write.
+		if s := &b.staged[i]; b.armed && s.pending != nil && !s.l.DstPort.pending.CompareAndSwap(s.pending, nil) {
+			<-s.pending.applied
 		}
 	}
 	for _, le := range b.links {
 		le.li.Queue.Close()
 	}
 	deadline := time.Now().Add(drainTimeout)
-	for _, ae := range b.actors {
+	for _, ae := range b.actors[:b.spawned] {
 		for !ae.a.Finished.Load() && time.Now().Before(deadline) {
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -840,6 +909,9 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 		a := ae.a
 		if !a.Gate.Pause(sealTimeout, a.Finished.Load) {
 			resumeAll()
+			if a.Finished.Load() {
+				return fmt.Errorf("raft: kernel %q finished before the seal", kb.Name())
+			}
 			return fmt.Errorf("raft: kernel %q did not reach a step boundary within %v (idle kernels cannot be spliced around; drive traffic or remove them)",
 				kb.Name(), sealTimeout)
 		}

@@ -38,11 +38,12 @@ func FuzzGraphRewrite(f *testing.F) {
 		}
 		rw := ex.Rewriter()
 
-		// benign: the run raced the script — the producer finished (it can
-		// no longer be paused or rewired) or the execution completed.
+		// benign: the run raced the script — the producer finished before
+		// the seal (it can no longer be paused or rewired) or the execution
+		// completed.
 		benign := func(err error) bool {
 			return strings.Contains(err.Error(), "already completed") ||
-				strings.Contains(err.Error(), "step boundary")
+				strings.Contains(err.Error(), "finished before the seal")
 		}
 
 		// chain[0]=gen ... chain[len-1]=sink; links[i] connects chain[i]
@@ -140,5 +141,113 @@ func FuzzGraphRewrite(f *testing.F) {
 				t.Fatalf("index %d: value %d, want %d (script %v)", i, v, i, script)
 			}
 		}
+	})
+}
+
+// FuzzGroupRewrite drives a random script of width steps and user rewrites
+// against the out-of-order group of a live gen -> double -> collect
+// pipeline (WithAutoReplicate(4), starting at width 1 under AutoScale,
+// the monitor off so only the script moves the width): scale up, scale
+// down, remove the oldest replica in a user transaction, and relink a
+// replica through an identity relay. Whatever commits or is refused, the
+// sink must receive every doubled value exactly once, in some order.
+func FuzzGroupRewrite(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 0, 3, 1})
+	f.Add([]byte{0, 0, 0, 0, 2, 2, 2})
+	f.Add([]byte{3, 0, 3, 1, 1, 2})
+	f.Add([]byte{1, 2, 0, 1, 0, 3, 3})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 16 {
+			script = script[:16]
+		}
+		const n = 4000
+		m := NewMap()
+		sink := newPacedCollect(500 * time.Microsecond)
+		m.MustLink(newGen(n), newWork(), AsOutOfOrder())
+		m.MustLink(m.Kernels()[1], sink)
+		ex, err := m.ExeAsync(WithAutoReplicate(4), WithAutoScale(true), WithoutMonitor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ex.scalers[0]
+		reg := ex.reg
+
+		// finished: the run raced the script — the group's split or a
+		// replica finished before the seal, or the execution completed.
+		finished := func(err error) bool {
+			return strings.Contains(err.Error(), "finished before the seal") ||
+				strings.Contains(err.Error(), "already completed")
+		}
+		// refused: the step or rewrite is not possible at this width.
+		refused := func(err error) bool {
+			for _, s := range []string{"no free slot", "down to one replica",
+				"linked straight", "slots linked"} {
+				if strings.Contains(err.Error(), s) {
+					return true
+				}
+			}
+			return false
+		}
+		relays := 0
+
+	script:
+		for _, b := range script {
+			var err error
+			switch b % 4 {
+			case 0:
+				err = g.step(+1)
+			case 1:
+				err = g.step(-1)
+			case 2: // remove the oldest replica that feeds the merge directly
+				tx := ex.Rewriter().Begin()
+				for _, in := range reg.linksFrom(g.split) {
+					r := in.l.Dst
+					if outs := reg.linksFrom(r); len(outs) == 1 && outs[0].l.Dst == g.merge {
+						tx.RemoveLink(in.l)
+						tx.RemoveLink(outs[0].l)
+						tx.RemoveKernel(r)
+						break
+					}
+				}
+				err = tx.Commit()
+			case 3: // relink the newest direct replica through a relay
+				if relays == 2 {
+					continue
+				}
+				tx := ex.Rewriter().Begin()
+				ins := reg.linksFrom(g.split)
+				for i := len(ins) - 1; i >= 0; i-- {
+					r := ins[i].l.Dst
+					if outs := reg.linksFrom(r); len(outs) == 1 && outs[0].l.Dst == g.merge {
+						relay := newRelay(fmt.Sprintf("fuzz-relay-%d", relays))
+						relays++
+						tx.RemoveLink(outs[0].l)
+						if _, err := tx.Link(r, relay); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := tx.Link(relay, g.merge, To(outs[0].l.DstPort.Name())); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+				err = tx.Commit()
+			}
+			switch {
+			case err == nil:
+			case finished(err):
+				break script
+			case !refused(err):
+				t.Fatalf("op %d: %v (script %v)", b%4, err, script)
+			}
+			if w := g.Active(); w < 1 || w > g.Max() {
+				t.Fatalf("width %d outside [1, %d] (script %v)", w, g.Max(), script)
+			}
+		}
+
+		if _, err := ex.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		checkDoubledMultiset(t, sink.values(), n)
 	})
 }

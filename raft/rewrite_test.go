@@ -474,38 +474,198 @@ func TestRewriteValidation(t *testing.T) {
 	}
 }
 
-// TestRewriteRejectsRigidKernels: members of an auto-replicated group are
-// load-balanced by the runtime's own split/merge adapters; splicing user
-// structure onto them would break the ordered-merge invariants, so the
-// validator refuses.
-func TestRewriteRejectsRigidKernels(t *testing.T) {
-	const n = 20_000
+// newRelay returns a named identity kernel on int64 ports "0".
+func newRelay(name string) *LambdaKernel {
+	k := NewLambdaIO[int64, int64](1, 1, func(k *LambdaKernel) Status {
+		v, err := Pop[int64](k.In("0"))
+		if err != nil {
+			return Stop
+		}
+		if err := Push(k.Out("0"), v); err != nil {
+			return Stop
+		}
+		return Proceed
+	})
+	k.SetName(name)
+	return k
+}
+
+// checkDoubledMultiset fails unless got holds 2i exactly once for every i
+// in [0, n), in any order.
+func checkDoubledMultiset(t *testing.T, got []int64, n int) {
+	t.Helper()
+	if len(got) != n {
+		t.Fatalf("received %d values, want %d", len(got), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range got {
+		if v%2 != 0 || v < 0 || v/2 >= int64(n) || seen[v/2] {
+			t.Fatalf("value %d is foreign or repeated", v)
+		}
+		seen[v/2] = true
+	}
+}
+
+// TestRewriteOnReplicatedGroups: the replicas of an out-of-order group are
+// ordinary live kernels — a rewrite that relinks one through a relay
+// commits, and the sink still receives every element exactly once, in
+// some order — while an ordered group keeps its positions: removing an
+// ordered-split output is refused, since the order it restores depends on
+// which replica holds which position.
+func TestRewriteOnReplicatedGroups(t *testing.T) {
+	t.Run("out-of-order replica relinked", func(t *testing.T) {
+		const n = 20_000
+		m := NewMap()
+		sink := newPacedCollect(time.Millisecond)
+		m.MustLink(newGen(n), newWork(), AsOutOfOrder())
+		m.MustLink(m.Kernels()[1], sink)
+		ex, err := m.ExeAsync(WithAutoReplicate(3), WithoutMonitor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "traffic", func() bool { return sink.count() >= 300 })
+
+		// replica -> merge becomes replica -> relay -> merge.
+		g := ex.scalers[0]
+		replica := ex.reg.linksFrom(g.split)[1].l.Dst
+		out := ex.reg.linksFrom(replica)[0].l
+		tx := ex.Rewriter().Begin()
+		if err := tx.RemoveLink(out); err != nil {
+			t.Fatal(err)
+		}
+		relay := newRelay("relay")
+		if _, err := tx.Link(replica, relay); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Link(relay, g.merge, To(out.DstPort.Name())); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("relinking a replica: %v", err)
+		}
+		rep, err := ex.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDoubledMultiset(t, sink.values(), n)
+		for _, k := range rep.Kernels {
+			if k.Name == "relay" && k.Runs == 0 {
+				t.Fatal("the relay carried nothing")
+			}
+		}
+	})
+
+	t.Run("ordered position refused", func(t *testing.T) {
+		const n = 20_000
+		m := NewMap()
+		sink := newPacedCollect(time.Millisecond)
+		m.MustLink(newGen(n), newWork(), AsReorderable())
+		m.MustLink(m.Kernels()[1], sink)
+		ex, err := m.ExeAsync(WithAutoReplicate(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "traffic", func() bool { return sink.count() >= 300 })
+		var split Kernel
+		kernels, _ := ex.reg.graph()
+		for _, k := range kernels {
+			if _, ok := k.(*orderedSplit); ok {
+				split = k
+			}
+		}
+		if split == nil {
+			t.Fatal("no ordered split was built")
+		}
+		tx := ex.Rewriter().Begin()
+		if err := tx.RemoveLink(ex.reg.linksFrom(split)[0].l); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "ordered") {
+			t.Fatalf("removing an ordered-split output: %v", err)
+		}
+		if _, err := ex.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		got := sink.values()
+		if len(got) != n {
+			t.Fatalf("received %d values, want %d", len(got), n)
+		}
+		for i, v := range got {
+			if v != 2*int64(i) {
+				t.Fatalf("index %d: value %d, want %d", i, v, 2*i)
+			}
+		}
+	})
+}
+
+// TestRewriteConvertedLink: a rewrite links ports of different numeric
+// types with AllowConvert as Map.Link does — the cast kernel joins with the
+// link, and the configured capacity goes to the stream of the narrower
+// type — and the sink receives every value exactly once, in order.
+func TestRewriteConvertedLink(t *testing.T) {
+	const n = 30_000
 	m := NewMap()
 	gen := newGen(n)
-	work := newWork()
 	sink := newPacedCollect(time.Millisecond)
-	m.MustLink(gen, work)
-	m.MustLink(work, sink)
-
-	ex, err := m.ExeAsync(WithAutoReplicate(3))
+	l0 := m.MustLink(gen, sink)
+	ex, err := m.ExeAsync(WithDynamicResize(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "traffic", func() bool { return sink.count() >= 100 })
+	waitFor(t, "pre-splice traffic", func() bool { return sink.count() >= 500 })
 
-	tx := ex.Rewriter().Begin()
-	_, linkErr := tx.Link(work, newCollect())
-	if linkErr == nil {
-		if err := tx.Commit(); err == nil {
-			t.Fatal("linking a replicated-group member committed")
+	// gen -> sink becomes gen -> narrow (int32 out) -> cast -> sink (int64 in).
+	narrow := NewLambdaIO[int64, int32](1, 1, func(k *LambdaKernel) Status {
+		v, err := Pop[int64](k.In("0"))
+		if err != nil {
+			return Stop
 		}
-	}
-
-	if _, err := ex.Wait(); err != nil {
+		if err := Push(k.Out("0"), int32(v)); err != nil {
+			return Stop
+		}
+		return Proceed
+	})
+	narrow.SetName("narrow")
+	tx := ex.Rewriter().Begin()
+	if err := tx.RemoveLink(l0); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.count(); got != n {
-		t.Fatalf("received %d values, want %d", got, n)
+	if _, err := tx.Link(gen, narrow); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Link(narrow, sink, Cap(32)); err == nil {
+		t.Fatal("an int32 -> int64 link without AllowConvert was staged")
+	}
+	if _, err := tx.Link(narrow, sink, AllowConvert(), Cap(32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	rep, err := ex.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sink.values()
+	if len(got) != n {
+		t.Fatalf("received %d values, want %d", len(got), n)
+	}
+	var sum int64
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("index %d: value %d", i, v)
+		}
+		sum += v
+	}
+	if want := int64(n) * (n - 1) / 2; sum != want {
+		t.Fatalf("sum %d, want %d", sum, want)
+	}
+	caps := map[string]int{}
+	for _, l := range rep.Links {
+		caps[l.Name] = l.FinalCap
+	}
+	if caps["narrow.0->convert.in"] != 32 {
+		t.Fatalf("the narrow side of the cast does not carry the configured capacity: %v", caps)
 	}
 }
 
@@ -614,11 +774,11 @@ func TestRegistryLiveListsEachNameOnce(t *testing.T) {
 
 // TestExeIsEpochZero: Exe commits the whole map as the epoch-0 rewrite
 // transaction and leaves no trace of being one. Under each scheduler, with
-// latency markers and tracing on, the registry holds every kernel and link
-// of the map in order with zero join stamps, the epoch stays 0, the trace
-// bus carries no GraphAdd or EpochSeal, and a member of a group that Exe
-// auto-replicated stays out of reach of rewrites. Validate and Exe refuse
-// an unbound port and an empty map with the same error.
+// latency markers and tracing on, the registry holds every kernel of the
+// map in order, then the replicated kernel's group in place of its two
+// links, all with zero join stamps; the epoch stays 0 and the trace bus
+// carries no GraphAdd or EpochSeal. Validate and Exe refuse an unbound
+// port and an empty map with the same error.
 func TestExeIsEpochZero(t *testing.T) {
 	for _, sc := range []struct {
 		name string
@@ -660,43 +820,40 @@ func TestExeIsEpochZero(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// gen -> work -> sink, with work built as its group of two.
+			wantKernels := []string{"gen", "work", "collectKernel#2", "split(work)", "merge(work)", "work[1]"}
+			wantLinks := []string{
+				"gen.0->split(work).in",
+				"split(work).0->work.in", "work.out->merge(work).0",
+				"split(work).1->work[1].in", "work[1].out->merge(work).1",
+				"merge(work).out->collectKernel#2.in",
+			}
 			reg := ex.reg
 			reg.mu.Lock()
-			if len(reg.actors) != len(m.kernels) || len(reg.links) != len(m.links) {
-				t.Errorf("registry holds %d kernels and %d links, the map %d and %d",
-					len(reg.actors), len(reg.links), len(m.kernels), len(m.links))
+			if len(reg.actors) != len(wantKernels) || len(reg.links) != len(wantLinks) {
+				t.Errorf("registry holds %d kernels and %d links, want %d and %d",
+					len(reg.actors), len(reg.links), len(wantKernels), len(wantLinks))
 			}
 			for i, ae := range reg.actors {
-				if i < len(m.kernels) && ae.k != m.kernels[i] || ae.a.ID != i || ae.joinedNs != 0 || ae.left {
+				if i < len(m.kernels) && ae.k != m.kernels[i] || i < len(wantKernels) && ae.a.Name != wantKernels[i] ||
+					ae.a.ID != i || ae.joinedNs != 0 || ae.left {
 					t.Errorf("kernel entry %d (%s): id %d joined %d left %v", i, ae.a.Name, ae.a.ID, ae.joinedNs, ae.left)
 				}
 			}
 			for i, le := range reg.links {
-				if i < len(m.links) && le.l != m.links[i] || le.li.ID != i || le.joinedNs != 0 || le.removed {
+				if i < len(wantLinks) && le.li.Name != wantLinks[i] || le.li.ID != i || le.joinedNs != 0 || le.removed {
 					t.Errorf("link entry %d (%s): id %d joined %d removed %v", i, le.li.Name, le.li.ID, le.joinedNs, le.removed)
 				}
-				if le.li.SrcActor != m.index[le.l.Src.kernelBase()] || le.li.DstActor != m.index[le.l.Dst.kernelBase()] {
+				if le.li.SrcActor != int(le.l.Src.kernelBase().actor) || le.li.DstActor != int(le.l.Dst.kernelBase().actor) {
 					t.Errorf("link %s: actors %d -> %d", le.li.Name, le.li.SrcActor, le.li.DstActor)
 				}
 			}
 			reg.mu.Unlock()
+			if len(m.kernels) != 3 || len(m.links) != 2 {
+				t.Errorf("Exe rewired the map: %d kernels, %d links", len(m.kernels), len(m.links))
+			}
 			if got := ex.Rewriter().Epoch(); got != 0 {
 				t.Errorf("Epoch() = %d after Exe, want 0", got)
-			}
-
-			if !work.kernelBase().rigid {
-				t.Fatal("work was not auto-replicated")
-			}
-			tx := ex.Rewriter().Begin()
-			if _, err := tx.Link(work, newCollect()); err == nil || !strings.Contains(err.Error(), "replicated group") {
-				t.Errorf("linking a replicated member: %v", err)
-			}
-			tx = ex.Rewriter().Begin()
-			if err := tx.RemoveKernel(work); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "replicated group") {
-				t.Errorf("removing a replicated member: %v", err)
 			}
 
 			close(hold)
