@@ -54,12 +54,15 @@ bench-hotpath:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# loc prints the two size numbers the ROADMAP's simplicity aim tracks:
-# non-test Go lines outside bench/, and the public With*/As* options of the
-# importable packages (raft, kernels). Informational: it never fails.
+# loc prints the size numbers the ROADMAP's simplicity aim tracks:
+# non-test Go lines outside bench/, the public With*/As* options of the
+# importable packages (raft, kernels), and every exported func there that
+# returns an Option or a LinkOption (which adds From, To, Cap, MaxCap and
+# AllowConvert). Informational: it never fails.
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l)"
 	@echo "public With*/As* options: $$(cat $$(ls raft/*.go kernels/*.go | grep -v '_test\.go$$') | grep -cE '^func (With|As)')"
+	@echo "exported funcs returning Option/LinkOption: $$(cat $$(ls raft/*.go kernels/*.go | grep -v '_test\.go$$') | grep -cE '^func [A-Z][A-Za-z0-9_]*(\[[^]]*\])?\(.*\) (Option|LinkOption) \{')"
 
 # ci runs exactly what .github/workflows/ci.yml runs, as one local command.
 # The workflow jobs invoke the ci-* sub-targets below so the two can never

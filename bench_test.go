@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"raftlib/internal/apps/matmul"
 	"raftlib/internal/apps/textsearch"
@@ -262,8 +261,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 }
 
 // BenchmarkAblationMonitorOverhead (A5) quantifies the monitoring cost:
-// identical pipeline with the monitor off, at the paper's δ, and at a
-// 10x-faster δ.
+// identical pipeline with the monitor off and at the paper's δ.
 func BenchmarkAblationMonitorOverhead(b *testing.B) {
 	data := benchCorpus()
 	cases := []struct {
@@ -272,7 +270,6 @@ func BenchmarkAblationMonitorOverhead(b *testing.B) {
 	}{
 		{"off", []raft.Option{raft.WithoutMonitor()}},
 		{"delta-10us", nil},
-		{"delta-1us", []raft.Option{raft.WithMonitorDelta(time.Microsecond)}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -5,14 +5,12 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"raftlib/internal/apps/textsearch"
 	"raftlib/internal/corpus"
 	"raftlib/internal/graph"
 	"raftlib/internal/mapper"
-	"raftlib/internal/oar"
 	"raftlib/kernels"
 	"raftlib/raft"
 )
@@ -27,20 +25,15 @@ func runAblation(name string, corpusMB int, cores []int) {
 	case "clone":
 		ablateClone(corpusMB)
 	case "sched":
-		ablateSched(corpusMB)
 		ablateSchedScale()
 	case "monitor":
 		ablateMonitor(corpusMB)
 	case "map":
 		ablateMap()
-	case "tcp":
-		ablateTCP()
 	case "model":
 		ablateModel(corpusMB)
 	case "swap":
 		ablateSwap(corpusMB)
-	case "fault":
-		ablateFault(corpusMB)
 	case "batch":
 		ablateBatch(corpusMB)
 	case "obs":
@@ -240,34 +233,6 @@ func ablateClone(corpusMB int) {
 	fmt.Println("group only as back-pressure appears.")
 }
 
-// ablateSched compares the goroutine-per-kernel scheduler with the
-// work-stealing scheduler on text search (A4).
-func ablateSched(corpusMB int) {
-	header("A4: Scheduler — goroutine-per-kernel vs work stealing")
-	data := corpus.Generate(corpus.Spec{Bytes: corpusMB << 20, Seed: 9 + benchSeed})
-	cores := runtime.GOMAXPROCS(0)
-	fmt.Printf("%-22s %-10s\n", "scheduler", "GB/s")
-	type cfg struct {
-		name string
-		opts []raft.Option
-	}
-	for _, c := range []cfg{
-		{"goroutine-per-kernel", nil},
-		{fmt.Sprintf("worksteal-%d", cores), []raft.Option{raft.WithWorkStealing(cores)}},
-	} {
-		res, err := textsearch.Run(data, textsearch.Config{
-			Algo: "horspool", Cores: min(4, cores), ExtraExeOpts: c.opts,
-		})
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("%-22s %-10s\n", c.name, gbps(res.Throughput(len(data))))
-	}
-	fmt.Println("\nexpected: comparable throughput here (Go's runtime multiplexes")
-	fmt.Println("goroutines well); work stealing matters when kernel count >> cores (A17).")
-}
-
 // benchSchedKernels is the A17 sweep's kernel-count ladder, settable with
 // the -sched-kernels flag.
 var benchSchedKernels = []int{1000, 10000, 100000}
@@ -379,8 +344,7 @@ func ablateSchedScale() {
 }
 
 // ablateMonitor measures the paper's low-overhead monitoring claim (A5):
-// the same pipeline with monitoring off, at the default δ, and at an
-// aggressively small δ.
+// the same pipeline with monitoring off and at the paper's δ.
 func ablateMonitor(corpusMB int) {
 	header("A5: Monitoring overhead (TimeTrial-style low-impact claim)")
 	data := corpus.Generate(corpus.Spec{Bytes: corpusMB << 20, Seed: 11 + benchSeed})
@@ -391,7 +355,6 @@ func ablateMonitor(corpusMB int) {
 	cases := []cfg{
 		{"off", []raft.Option{raft.WithoutMonitor()}},
 		{"delta=10us (paper)", nil},
-		{"delta=1us", []raft.Option{raft.WithMonitorDelta(time.Microsecond)}},
 	}
 	// Interleave repetitions (rep-major) so host drift hits every config
 	// equally, and keep the best rate per config — same discipline as A12.
@@ -469,71 +432,6 @@ func ablateMap() {
 	fmt.Printf("%-18s %-14v (worst %v over %d seeds)\n", "random(avg)", sum/seeds, worst, seeds)
 	fmt.Println("\nexpected: the partitioner places the fewest streams across the")
 	fmt.Println("TCP and cross-socket boundaries, so its cut cost is smallest.")
-}
-
-// ablateTCP compares a stream inside one process against the same stream
-// tunneled over a loopback TCP bridge (A7).
-func ablateTCP() {
-	header("A7: Stream transport — in-process FIFO vs loopback TCP (oar)")
-	const items = 500_000
-	mkSum := func() (*raft.Map, *int64, raft.Kernel) {
-		m := raft.NewMap()
-		var total int64
-		red := kernels.NewReduce(func(a, v int64) int64 { return a + v }, 0, &total)
-		return m, &total, red
-	}
-
-	// In-process.
-	m, total, red := mkSum()
-	m.MustLink(kernels.NewGenerate(items, func(i int64) int64 { return i }), red)
-	start := time.Now()
-	if _, err := m.Exe(); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	local := time.Since(start)
-
-	// Over TCP.
-	node, err := oar.NewNode("bench", "127.0.0.1:0")
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	defer node.Close()
-	send, recv, err := oar.Bridge[int64](node, "bench-sum")
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	producer := raft.NewMap()
-	producer.MustLink(kernels.NewGenerate(items, func(i int64) int64 { return i }), send)
-	consumer, totalTCP, redTCP := mkSum()
-	consumer.MustLink(recv, redTCP)
-
-	start = time.Now()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var errA, errB error
-	go func() { defer wg.Done(); _, errA = producer.Exe() }()
-	go func() { defer wg.Done(); _, errB = consumer.Exe() }()
-	wg.Wait()
-	tcp := time.Since(start)
-	if errA != nil || errB != nil {
-		fmt.Println("error:", errA, errB)
-		return
-	}
-
-	want := int64(items) * (items - 1) / 2
-	fmt.Printf("%-14s %-12s %-14s\n", "transport", "elapsed(ms)", "Mitems/s")
-	fmt.Printf("%-14s %-12.1f %-14.2f\n", "in-process",
-		float64(local)/float64(time.Millisecond), items/local.Seconds()/1e6)
-	fmt.Printf("%-14s %-12.1f %-14.2f\n", "loopback-tcp",
-		float64(tcp)/float64(time.Millisecond), items/tcp.Seconds()/1e6)
-	if *total != want || *totalTCP != want {
-		fmt.Printf("!! sums differ: local=%d tcp=%d want=%d\n", *total, *totalTCP, want)
-	}
-	fmt.Println("\nexpected: identical results; TCP pays serialization + syscalls,")
-	fmt.Println("quantifying what the mapper avoids by minimizing cut streams.")
 }
 
 // ablateModel validates the flow model (A8): run the text search
@@ -887,147 +785,4 @@ func ablateObs(corpusMB int) {
 	fmt.Println("exporter sit within the 3% bar even element-wise; stride=1 pays")
 	fmt.Println("two event publishes per timed invocation and is priced here honestly.")
 	fmt.Println("batched and chunk-based pipelines bury even stride-1 in the batch.")
-}
-
-// ablateFault measures the resilience subsystem (A10): the overhead of
-// supervision on an unfaulted run, the recovery latency of a supervised
-// kernel kill, and the throughput degradation of a severed self-healing
-// bridge — all with exactness checks, since recovery that loses or
-// duplicates elements would be worse than no recovery.
-func ablateFault(corpusMB int) {
-	header("A10: Fault injection — supervision overhead, recovery latency, bridge healing")
-	data := corpus.Generate(corpus.Spec{Bytes: corpusMB << 20, Seed: 17 + benchSeed})
-	pattern := []byte(corpus.DefaultPattern)
-	cores := min(4, runtime.GOMAXPROCS(0))
-
-	// 1. Supervision overhead on an unfaulted Figure 10 run.
-	fmt.Printf("supervision overhead (unfaulted, %d MiB, %d cores):\n", corpusMB, cores)
-	fmt.Printf("  %-22s %-10s\n", "config", "GB/s")
-	var base, supervised float64
-	for _, c := range []struct {
-		name  string
-		extra []raft.Option
-	}{
-		{"unsupervised", nil},
-		{"supervised", []raft.Option{raft.WithSupervision(raft.SupervisionPolicy{})}},
-	} {
-		best := 0.0
-		for rep := 0; rep < 3; rep++ { // best-of-3: isolate overhead from noise
-			res, err := textsearch.Run(data, textsearch.Config{
-				Algo: "horspool", Cores: cores, ExtraExeOpts: c.extra,
-			})
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			if t := res.Throughput(len(data)); t > best {
-				best = t
-			}
-		}
-		fmt.Printf("  %-22s %-10s\n", c.name, gbps(best))
-		if c.extra == nil {
-			base = best
-		} else {
-			supervised = best
-		}
-	}
-	fmt.Printf("  overhead: %.1f%% (acceptance: <= 3%%)\n\n", 100*(1-supervised/base))
-
-	// 2. Recovery latency of a supervised kernel kill.
-	want := int64(0)
-	for i := 0; i+len(pattern) <= len(data); i++ {
-		if string(data[i:i+len(pattern)]) == string(pattern) {
-			want++
-		}
-	}
-	inj := raft.NewFaultInjector()
-	inj.KillKernel("search[", 40)
-	res, err := textsearch.Run(data, textsearch.Config{
-		Algo: "horspool", Cores: cores,
-		ExtraExeOpts: []raft.Option{
-			raft.WithSupervision(raft.SupervisionPolicy{}),
-			raft.WithFaultInjection(inj),
-		},
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("kernel kill (one match kernel at its 40th invocation):\n")
-	for _, e := range res.Report.Recoveries {
-		fmt.Printf("  %-28s attempt %d, backoff %v, recovered in %v\n",
-			e.Kernel, e.Attempt, e.Backoff, e.Recovery.Round(time.Microsecond))
-	}
-	fmt.Printf("  hits %d, want %d", res.Hits, want)
-	if res.Hits != want {
-		fmt.Printf("  !! recovery lost or duplicated work")
-	}
-	fmt.Println()
-
-	// 3. Bridge healing: distributed sum, undisturbed vs severed twice.
-	fmt.Printf("\nbridge healing (loopback TCP sum, 500k items):\n")
-	fmt.Printf("  %-14s %-12s %-12s %-10s %-10s\n", "run", "elapsed(ms)", "Mitems/s", "reconnects", "replayed")
-	const items = 500_000
-	var healthy time.Duration
-	for _, chaos := range []bool{false, true} {
-		node, err := oar.NewNode("a10", "127.0.0.1:0")
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		var opts []oar.BridgeOption
-		var binj *raft.FaultInjector
-		if chaos {
-			binj = raft.NewFaultInjector()
-			binj.SeverBridge("a10-sum", 3)
-			binj.SeverBridge("a10-sum", 9)
-			opts = append(opts, oar.WithBridgeFault(binj),
-				oar.WithReconnectBackoff(time.Millisecond, 50*time.Millisecond))
-		}
-		send, recv, err := oar.Bridge[int64](node, "a10-sum", opts...)
-		if err != nil {
-			fmt.Println("error:", err)
-			node.Close()
-			return
-		}
-		producer := raft.NewMap()
-		producer.MustLink(kernels.NewGenerate(items, func(i int64) int64 { return i }), send)
-		var total int64
-		consumer := raft.NewMap()
-		consumer.MustLink(recv, kernels.NewReduce(func(a, v int64) int64 { return a + v }, 0, &total))
-
-		start := time.Now()
-		var wg sync.WaitGroup
-		var errA, errB error
-		wg.Add(2)
-		go func() { defer wg.Done(); _, errA = producer.Exe() }()
-		go func() { defer wg.Done(); _, errB = consumer.Exe() }()
-		wg.Wait()
-		elapsed := time.Since(start)
-		node.Close()
-		if errA != nil || errB != nil {
-			fmt.Println("error:", errA, errB)
-			return
-		}
-		name := "healthy"
-		if chaos {
-			name = "severed-x2"
-		} else {
-			healthy = elapsed
-		}
-		sr, _ := send.BridgeStats()
-		fmt.Printf("  %-14s %-12.1f %-12.2f %-10d %-10d\n", name,
-			float64(elapsed)/float64(time.Millisecond), items/elapsed.Seconds()/1e6,
-			sr.Reconnects, sr.Replayed)
-		if total != int64(items)*(items-1)/2 {
-			fmt.Printf("  !! severed sum = %d, want %d\n", total, int64(items)*(items-1)/2)
-		}
-		if chaos {
-			fmt.Printf("  degradation: %.1f%% (downtime %v across %d reconnects)\n",
-				100*(float64(elapsed)/float64(healthy)-1), sr.Downtime.Round(time.Millisecond), sr.Reconnects)
-		}
-	}
-	fmt.Println("\nexpected: supervision overhead within noise (the per-invocation")
-	fmt.Println("cost is one deferred recover); recovery latency ~ the configured")
-	fmt.Println("backoff; severed-bridge runs stay exact, paying only reconnect time.")
 }

@@ -7,8 +7,8 @@
 //	raft-bench -fig10             text search GB/s vs cores (paper Figure 10)
 //	raft-bench -ablate <names>    comma-separated list drawn from:
 //	                              split | resize | clone | sched | monitor |
-//	                              map | tcp | model | swap | fault | batch |
-//	                              obs | rate | gateway | view | latency | graph
+//	                              map | model | swap | batch | obs | rate |
+//	                              gateway | view | latency | graph
 //	raft-bench -all               everything above
 //
 // Absolute numbers depend on the host; EXPERIMENTS.md records the shape
@@ -43,7 +43,7 @@ func main() {
 		table1   = flag.Bool("table1", false, "print the hardware summary (Table 1)")
 		fig4     = flag.Bool("fig4", false, "run the queue-size sweep (Figure 4)")
 		fig10    = flag.Bool("fig10", false, "run the text-search scaling study (Figure 10)")
-		ablate   = flag.String("ablate", "", "comma-separated ablations: split|resize|clone|sched|monitor|map|tcp|model|swap|fault|batch|obs|rate|gateway|view|latency|graph")
+		ablate   = flag.String("ablate", "", "comma-separated ablations: split|resize|clone|sched|monitor|map|model|swap|batch|obs|rate|gateway|view|latency|graph")
 		all      = flag.Bool("all", false, "run every experiment")
 		corpusMB = flag.Int("corpus", 64, "text-search corpus size in MiB (Figure 10)")
 		items    = flag.Int("items", 2_000_000, "synthetic pipeline length in elements (batch ablation)")
@@ -108,7 +108,7 @@ func main() {
 		}
 		ran = true
 	} else if *all {
-		for _, name := range []string{"split", "resize", "clone", "sched", "monitor", "map", "tcp", "model", "swap", "fault", "batch", "obs", "rate", "gateway", "view", "latency", "graph"} {
+		for _, name := range []string{"split", "resize", "clone", "sched", "monitor", "map", "model", "swap", "batch", "obs", "rate", "gateway", "view", "latency", "graph"} {
 			runAblation(name, *corpusMB, cores)
 		}
 	}

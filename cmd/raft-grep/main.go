@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"sort"
@@ -58,7 +59,12 @@ func main() {
 		exeOpts = append(exeOpts, raft.WithTrace(1<<16))
 	}
 	if *metrics != "" {
-		exeOpts = append(exeOpts, raft.WithMetricsAddr(*metrics))
+		ln, err := net.Listen("tcp", *metrics)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "raft-grep: metrics: %v\n", err)
+			os.Exit(1)
+		}
+		exeOpts = append(exeOpts, raft.WithMetricsListener(ln))
 	}
 	if *rate {
 		exeOpts = append(exeOpts, raft.WithServiceRateControl())

@@ -261,16 +261,16 @@ func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	producer.MustLink(kernels.NewBytesReader(data, 8<<10, len(pattern)-1), match, raft.AsOutOfOrder())
-	producer.MustLink(match, send)
+	// Tiny initial capacities force the monitor's write-block grow rule to
+	// fire mid-chaos; the replica links inherit Cap(2) from the group's.
+	producer.MustLink(kernels.NewBytesReader(data, 8<<10, len(pattern)-1), match, raft.AsOutOfOrder(), raft.Cap(2))
+	producer.MustLink(match, send, raft.Cap(2))
 	prodOpts := []raft.Option{
 		raft.WithAutoReplicate(3), raft.WithAdaptiveBatching(true),
 		raft.WithTrace(1 << 14),
 		raft.WithSupervision(raft.SupervisionPolicy{InitialBackoff: time.Microsecond}),
 		raft.WithFaultInjection(inj),
-		// Tiny initial capacities force the monitor's write-block grow
-		// rule to fire mid-chaos.
-		raft.WithDefaultCapacity(2), raft.WithDynamicResize(true),
+		raft.WithDynamicResize(true),
 	}
 
 	var total int64

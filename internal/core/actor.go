@@ -218,7 +218,7 @@ func (a *Actor) held(st Status) {
 //go:noinline
 func (a *Actor) Quiesce() {
 	if a.Windows != nil {
-		a.Windows.RetireWindows()
+		a.Windows.RetireAll()
 	}
 	a.holdLeft = a.holdSteps
 }

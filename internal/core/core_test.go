@@ -193,7 +193,7 @@ func TestStepTimedDoesNotAlias(t *testing.T) {
 // retireCounter stands for a kernel's port windows: it counts retires.
 type retireCounter struct{ n int }
 
-func (r *retireCounter) RetireWindows() { r.n++ }
+func (r *retireCounter) RetireAll() { r.n++ }
 
 // TestWindowHoldIsBoundedInKernelTime is retire rule 6. A kernel stepping
 // slower than half of windowHoldNanos retires its windows after every

@@ -296,7 +296,7 @@ type windows struct {
 	atRestor []int
 }
 
-func (w *windows) RetireWindows() { w.retires++ }
+func (w *windows) RetireAll() { w.retires++ }
 
 // TestSupervisorRetiresWindowsAroundRestartAndCheckpoint is the supervisor's
 // part of retire rule 5: a kernel that died retires its port windows before

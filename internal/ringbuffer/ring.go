@@ -524,7 +524,7 @@ func (r *Ring[T]) waitForSpace() error {
 		// The lock is dropped for the call (retiring takes other rings'
 		// locks, and this one's for a kernel linked to itself).
 		r.mu.Unlock()
-		o.RetireWindows()
+		o.RetireAll()
 		r.mu.Lock()
 	}
 	start := nowNanos()
@@ -652,7 +652,7 @@ func (r *Ring[T]) waitForItems(k int, locked bool) error {
 		// As in waitForSpace: retire the consuming kernel's windows before
 		// it sleeps.
 		r.mu.Unlock()
-		o.RetireWindows()
+		o.RetireAll()
 		r.mu.Lock()
 	}
 	start := nowNanos()

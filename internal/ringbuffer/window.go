@@ -43,11 +43,11 @@ package ringbuffer
 // Any other operation by the same end (PushN, PopN, Peek, views, Close)
 // requires that end's window to be retired first; raft's port layer does so.
 
-// WindowOwner is the kernel at one end of a stream. RetireWindows commits
+// WindowOwner is the kernel at one end of a stream. RetireAll commits
 // every write window and releases every read window the kernel holds, on
 // all of its streams; the ring calls it on the owner's own goroutine.
 type WindowOwner interface {
-	RetireWindows()
+	RetireAll()
 }
 
 // Windower is the element-type-agnostic window surface of Ring[T], through

@@ -363,7 +363,7 @@ type windowOwner struct {
 	also    func()
 }
 
-func (o *windowOwner) RetireWindows() {
+func (o *windowOwner) RetireAll() {
 	o.retires.Add(1)
 	if o.also != nil {
 		o.also()

@@ -6,7 +6,7 @@ import (
 )
 
 // This file makes the library's stateful kernels Checkpointable: under
-// raft.WithSupervision / raft.WithCheckpoints their progress state is
+// raft.WithSupervision / raft.WithCheckpointStore their progress state is
 // snapshotted after successful invocations and restored on restart, so a
 // recovered kernel resumes exactly where it left off (and, with a
 // file-backed store, a re-executed application resumes across processes).

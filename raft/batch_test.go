@@ -2,7 +2,6 @@ package raft
 
 import (
 	"testing"
-	"time"
 
 	"raftlib/internal/core"
 )
@@ -136,13 +135,13 @@ func TestExeAdaptiveBatchingEquivalence(t *testing.T) {
 		AddInput[int](sink, "in")
 		m := NewMap()
 		m.MustLink(src, sink)
-		if _, err := m.Exe(append(opts, WithMonitorDelta(ringDelta))...); err != nil {
+		if _, err := m.Exe(opts...); err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
 	plain := run()
-	adaptive := run(WithAdaptiveBatching(true), WithBatchMax(32))
+	adaptive := run(WithAdaptiveBatching(true))
 	if len(plain) != len(adaptive) {
 		t.Fatalf("lengths differ: %d vs %d", len(plain), len(adaptive))
 	}
@@ -164,11 +163,11 @@ func TestAsLowLatencyPinsBatch(t *testing.T) {
 	sink.SetName("sink")
 	AddInput[int](sink, "in")
 	m := NewMap()
-	l := m.MustLink(src, sink, AsLowLatency())
+	l := m.MustLink(src, sink, AsLowLatency(), Cap(8))
 	if !l.LowLatency() {
 		t.Fatal("link not marked low-latency")
 	}
-	ex, err := m.ExeAsync(WithDefaultCapacity(8))
+	ex, err := m.ExeAsync()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +187,6 @@ func TestAsLowLatencyPinsBatch(t *testing.T) {
 }
 
 // --- minimal helper kernels ---
-
-const ringDelta = 50 * time.Microsecond // keep the monitor cheap in tests
 
 type sliceSource struct {
 	KernelBase

@@ -142,11 +142,11 @@ func TestNoFalsePositiveOnSlowKernel(t *testing.T) {
 
 func TestDeadlockDetectionOffByDefault(t *testing.T) {
 	cfg := defaultConfig()
-	if cfg.DeadlockGrace != 0 {
+	if cfg.deadlockGrace != 0 {
 		t.Fatal("deadlock detection must be opt-in")
 	}
 	WithDeadlockDetection(0)(&cfg)
-	if cfg.DeadlockGrace != time.Second {
-		t.Fatalf("zero grace must default to 1s, got %v", cfg.DeadlockGrace)
+	if cfg.deadlockGrace != time.Second {
+		t.Fatalf("zero grace must default to 1s, got %v", cfg.deadlockGrace)
 	}
 }

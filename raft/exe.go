@@ -21,139 +21,119 @@ import (
 	"raftlib/internal/trace"
 )
 
-// Config holds the runtime parameters Exe uses; construct it through
-// Options.
+// Config holds the runtime parameters Exe uses. Its fields are unexported:
+// every setting has exactly one handle, an Option, so the options' clamps
+// and defaults always apply.
 type Config struct {
-	// DefaultCapacity is the initial capacity of streams without an
-	// explicit WithCapacity (default 64 elements). Monitor growth stops at
-	// the link's MaxCap, or at defaultMaxCap without one.
-	DefaultCapacity int
-
-	// WorkStealing selects the sharded work-stealing scheduler (per-worker
+	// workStealing selects the sharded work-stealing scheduler (per-worker
 	// deques, park/wake on queue transitions, locality-aware placement)
-	// with StealWorkers workers (0 = GOMAXPROCS) instead of the default
+	// with stealWorkers workers (0 = GOMAXPROCS) instead of the default
 	// goroutine-per-kernel scheduler.
-	WorkStealing bool
-	StealWorkers int
+	workStealing bool
+	stealWorkers int
 
-	// MonitorEnabled runs the δ-tick monitor thread (default true).
-	MonitorEnabled bool
-	// MonitorDelta is the monitor period δ (default 10µs, per the paper).
-	MonitorDelta time.Duration
-	// DynamicResize enables the monitor's queue-resizing rules (default
+	// monitorEnabled runs the δ-tick monitor thread (default true), at the
+	// paper's period monitor.DefaultDelta.
+	monitorEnabled bool
+	// dynamicResize enables the monitor's queue-resizing rules (default
 	// true). Resizing only grows a queue.
-	DynamicResize bool
-	// AdaptiveBatch enables the monitor's adaptive batcher: transfer batch
+	dynamicResize bool
+	// adaptiveBatch enables the monitor's adaptive batcher: transfer batch
 	// sizes on each link grow under contention and shrink when a stream
-	// runs empty, steering the batched stream path toward a
-	// latency/throughput balance (default false).
-	AdaptiveBatch bool
-	// BatchMax caps the batch size the adaptive batcher may choose for any
-	// link (default monitor.DefaultBatchMax; each link is further capped at
-	// half its queue capacity).
-	BatchMax int
+	// runs empty, up to monitor.DefaultBatchMax and half the link's
+	// capacity (default false).
+	adaptiveBatch bool
 
-	// AutoReplicate builds eligible kernels (Cloner + single in/out +
+	// autoReplicate builds eligible kernels (Cloner + single in/out +
 	// inbound link marked AsOutOfOrder or AsReorderable) as
-	// split/replicas/merge groups.
-	AutoReplicate bool
-	// MaxReplicas is the replica ceiling for auto-replicated kernels
-	// (default GOMAXPROCS).
-	MaxReplicas int
-	// AutoScale starts each out-of-order group at one replica and lets
+	// split/replicas/merge groups of up to maxReplicas replicas (default
+	// GOMAXPROCS).
+	autoReplicate bool
+	maxReplicas   int
+	// autoScale starts each out-of-order group at one replica and lets
 	// the monitor widen and narrow it — each step a rewrite commit that
 	// adds or removes one replica; when false the group is built at full
 	// width.
-	AutoScale bool
-	// SplitPolicy selects the data distribution strategy for replicated
+	autoScale bool
+	// splitPolicy selects the data distribution strategy for replicated
 	// groups.
-	SplitPolicy SplitPolicy
+	splitPolicy SplitPolicy
 
-	// Topology is the compute-place model for the mapper (default: one
-	// machine, GOMAXPROCS cores, one socket).
-	Topology mapper.Topology
+	// topology is the compute-place model for the mapper: one machine,
+	// GOMAXPROCS cores, one socket, unless an in-package test sets it.
+	topology mapper.Topology
 
-	// Observer, when non-nil, receives LiveStats every ObserveEvery while
+	// observer, when non-nil, receives LiveStats every observeEvery while
 	// the application runs (see WithObserver).
-	Observer     Observer
-	ObserveEvery time.Duration
+	observer     Observer
+	observeEvery time.Duration
 
-	// DeadlockGrace, when positive, makes the monitor abort a globally
+	// deadlockGrace, when positive, makes the monitor abort a globally
 	// frozen application after this duration instead of hanging (see
 	// WithDeadlockDetection).
-	DeadlockGrace time.Duration
+	deadlockGrace time.Duration
 
-	// TraceCapacity, when positive, records kernel start/end events into
+	// traceCapacity, when positive, records kernel start/end events into
 	// a bounded ring exposed on the Report (see WithTrace).
-	TraceCapacity int
+	traceCapacity int
 
-	// TraceStride spaces kernel Run spans: a timed invocation emits
-	// RunStart/RunEnd when at least TraceStride invocations have run since
+	// traceStride spaces kernel Run spans: a timed invocation emits
+	// RunStart/RunEnd when at least traceStride invocations have run since
 	// the last span (1 = every timed invocation; 0 = the
 	// DefaultTraceStride). Structural events are never sampled.
-	TraceStride int
+	traceStride int
 
-	// MarkerStride samples end-to-end latency markers: one element in
-	// every MarkerStride pushed by each ingest port (source kernels and
+	// markerStride samples end-to-end latency markers: one element in
+	// every markerStride pushed by each ingest port (source kernels and
 	// gateway bindings) carries a provenance marker that accumulates
 	// per-stage queue/kernel residence and retires into latency histograms
 	// at a sink. 0 selects DefaultMarkerStride (markers are on by
 	// default); negative disables marker carriage entirely.
-	MarkerStride int
-	// SLO, when positive, is the end-to-end latency objective: a retired
+	markerStride int
+	// slo, when positive, is the end-to-end latency objective: a retired
 	// marker whose ingest-to-sink latency exceeds it emits an SLOBreach
 	// event on the trace bus and (when armed) triggers the flight
 	// recorder (see WithLatencySLO).
-	SLO time.Duration
-	// FlightPath, when non-empty, arms the anomaly-triggered flight
-	// recorder dumping into <FlightPath>.flightdump/ (see
+	slo time.Duration
+	// flightPath, when non-empty, arms the anomaly-triggered flight
+	// recorder dumping into <flightPath>.flightdump/ (see
 	// WithFlightRecorder).
-	FlightPath string
+	flightPath string
 
-	// ServiceRateControl switches the monitor's batcher and replica scaler
+	// serviceRateControl switches the monitor's batcher and replica scaler
 	// from contended-window heuristics to decisions driven by online λ̂/µ̂
 	// estimates (see WithServiceRateControl).
-	ServiceRateControl bool
+	serviceRateControl bool
 
-	// MetricsAddr, when non-empty, serves Prometheus text-format metrics
-	// (and net/http/pprof) on that address for the duration of the run
-	// (see WithMetricsAddr). MetricsListener takes precedence when set:
-	// the caller owns the listener and therefore knows its address.
-	MetricsAddr     string
-	MetricsListener net.Listener
+	// metricsListener, when non-nil, serves Prometheus text-format metrics
+	// (and net/http/pprof) for the duration of the run (see
+	// WithMetricsListener). Exe owns it: it is closed when the run ends or
+	// when ExeAsync fails.
+	metricsListener net.Listener
 
-	// Supervised wraps every kernel in a restart supervisor (see
-	// WithSupervision / WithCheckpoints).
-	Supervised bool
-	// Supervision is the restart policy for supervised kernels (zero value
-	// = defaults).
-	Supervision SupervisionPolicy
-	// CkptStore persists Checkpointable kernel snapshots; nil with a
-	// non-empty CkptDir selects a file store over that directory, and nil
-	// otherwise selects an in-memory store.
-	CkptStore CheckpointStore
-	// CkptDir is the file-backed checkpoint directory (see WithCheckpoints).
-	// Checkpointable kernels snapshot after every successful invocation.
-	CkptDir string
-	// Fault is the armed fault-injection plan, if any (see
+	// supervised wraps every kernel in a restart supervisor under the
+	// supervision policy (zero value = defaults; see WithSupervision).
+	supervised  bool
+	supervision SupervisionPolicy
+	// ckptStore persists Checkpointable kernel snapshots (see
+	// WithCheckpointStore); ExeAsync sets an in-memory store when none was
+	// given. Every Checkpointable kernel restores from it before its first
+	// step, and scale-to-zero reaping saves into it.
+	ckptStore CheckpointStore
+	// fault is the armed fault-injection plan, if any (see
 	// WithFaultInjection).
-	Fault *FaultInjector
+	fault *FaultInjector
 
-	// Gateway, when non-nil, is the multi-tenant ingestion front door wired
+	// gateway, when non-nil, is the multi-tenant ingestion front door wired
 	// to this run's source kernels (see WithGateway). Exe binds each
 	// registered source to its link, starts the gateway's listeners for the
 	// duration of the run, and stops them before returning.
-	Gateway *gateway.Server
+	gateway *gateway.Server
 
 	// resLog collects supervision events during one Exe for the Report.
 	resLog *resilience.Log
-	// resStore is the execution's checkpoint store, resolved once when the
-	// execution is created: CkptStore, else a file store over CkptDir, else
-	// an in-memory store. Every Checkpointable kernel restores from it
-	// before its first step, and scale-to-zero reaping saves into it.
-	resStore CheckpointStore
 	// markers is this execution's latency-marker rig (domain + bus), built
-	// from MarkerStride; flight is the armed flight recorder, if any.
+	// from markerStride; flight is the armed flight recorder, if any.
 	markers *markerRig
 	flight  *trace.FlightRecorder
 }
@@ -163,20 +143,15 @@ const defaultMaxCap = 1 << 20
 
 func defaultConfig() Config {
 	return Config{
-		DefaultCapacity: 64,
-		MonitorEnabled:  true,
-		MonitorDelta:    monitor.DefaultDelta,
-		DynamicResize:   true,
-		MaxReplicas:     runtime.GOMAXPROCS(0),
+		monitorEnabled: true,
+		dynamicResize:  true,
+		maxReplicas:    runtime.GOMAXPROCS(0),
+		topology:       mapper.NewLocal(runtime.GOMAXPROCS(0), 1),
 	}
 }
 
 // Option customizes Exe.
 type Option func(*Config)
-
-// WithDefaultCapacity sets the initial capacity for streams without an
-// explicit per-link capacity.
-func WithDefaultCapacity(n int) Option { return func(c *Config) { c.DefaultCapacity = n } }
 
 // WithWorkStealing multiplexes kernels over n worker shards (0 =
 // GOMAXPROCS) under the sharded work-stealing scheduler: each worker owns
@@ -189,48 +164,39 @@ func WithDefaultCapacity(n int) Option { return func(c *Config) { c.DefaultCapac
 // Report.Sched, LiveStats and the Prometheus counters (the A17 ablation
 // configuration).
 func WithWorkStealing(n int) Option {
-	return func(c *Config) { c.WorkStealing = true; c.StealWorkers = n }
+	return func(c *Config) { c.workStealing = true; c.stealWorkers = n }
 }
 
 // WithoutMonitor disables the runtime monitor entirely (A5 ablation).
-func WithoutMonitor() Option { return func(c *Config) { c.MonitorEnabled = false } }
-
-// WithMonitorDelta sets the monitor tick period δ.
-func WithMonitorDelta(d time.Duration) Option { return func(c *Config) { c.MonitorDelta = d } }
+func WithoutMonitor() Option { return func(c *Config) { c.monitorEnabled = false } }
 
 // WithDynamicResize enables or disables the monitor's queue resizing.
-func WithDynamicResize(on bool) Option { return func(c *Config) { c.DynamicResize = on } }
+func WithDynamicResize(on bool) Option { return func(c *Config) { c.dynamicResize = on } }
 
 // WithAdaptiveBatching lets the monitor tune each link's transfer batch
 // size from observed occupancy and blocking: contended links batch more
 // (amortizing per-element synchronization), links that run empty batch
 // less (keeping latency low). Links marked AsLowLatency are pinned at
 // batch size 1 and never touched. Requires the monitor (the default).
-func WithAdaptiveBatching(on bool) Option { return func(c *Config) { c.AdaptiveBatch = on } }
-
-// WithBatchMax caps the batch size the adaptive batcher may choose.
-func WithBatchMax(n int) Option { return func(c *Config) { c.BatchMax = n } }
+func WithAdaptiveBatching(on bool) Option { return func(c *Config) { c.adaptiveBatch = on } }
 
 // WithAutoReplicate enables automatic kernel replication with the given
 // replica ceiling (0 = GOMAXPROCS).
 func WithAutoReplicate(maxReplicas int) Option {
 	return func(c *Config) {
-		c.AutoReplicate = true
+		c.autoReplicate = true
 		if maxReplicas > 0 {
-			c.MaxReplicas = maxReplicas
+			c.maxReplicas = maxReplicas
 		}
 	}
 }
 
 // WithAutoScale makes out-of-order replicated groups start at one replica
 // and change width under monitor control instead of running at full width.
-func WithAutoScale(on bool) Option { return func(c *Config) { c.AutoScale = on } }
+func WithAutoScale(on bool) Option { return func(c *Config) { c.autoScale = on } }
 
 // WithSplitPolicy selects the replica data-distribution strategy.
-func WithSplitPolicy(p SplitPolicy) Option { return func(c *Config) { c.SplitPolicy = p } }
-
-// WithTopology supplies an explicit compute-place model to the mapper.
-func WithTopology(t mapper.Topology) Option { return func(c *Config) { c.Topology = t } }
+func WithSplitPolicy(p SplitPolicy) Option { return func(c *Config) { c.splitPolicy = p } }
 
 // DefaultTraceStride is the Run-span sampling stride used by WithTrace:
 // a kernel publishes a RunStart/RunEnd pair on the event bus at most once
@@ -253,7 +219,7 @@ func WithTrace(capacity int) Option {
 		if capacity <= 0 {
 			capacity = 1 << 16
 		}
-		c.TraceCapacity = capacity
+		c.traceCapacity = capacity
 	}
 }
 
@@ -267,7 +233,7 @@ func WithTraceStride(n int) Option {
 		if n < 1 {
 			n = 1
 		}
-		c.TraceStride = n
+		c.traceStride = n
 	}
 }
 
@@ -287,14 +253,14 @@ func WithLatencyMarkers(stride int) Option {
 		if stride < 1 {
 			stride = DefaultMarkerStride
 		}
-		c.MarkerStride = stride
+		c.markerStride = stride
 	}
 }
 
 // WithoutLatencyMarkers disables latency-marker carriage for the run:
 // no lanes are installed and every port operation pays exactly one nil
 // check.
-func WithoutLatencyMarkers() Option { return func(c *Config) { c.MarkerStride = -1 } }
+func WithoutLatencyMarkers() Option { return func(c *Config) { c.markerStride = -1 } }
 
 // WithLatencySLO sets the end-to-end latency objective: any retired
 // marker whose ingest-to-sink latency exceeds d emits an SLOBreach event
@@ -302,7 +268,7 @@ func WithoutLatencyMarkers() Option { return func(c *Config) { c.MarkerStride = 
 func WithLatencySLO(d time.Duration) Option {
 	return func(c *Config) {
 		if d > 0 {
-			c.SLO = d
+			c.slo = d
 		}
 	}
 }
@@ -320,9 +286,9 @@ func WithFlightRecorder(base string) Option {
 		if base == "" {
 			base = "raft"
 		}
-		c.FlightPath = base
-		if c.TraceCapacity <= 0 {
-			c.TraceCapacity = 1 << 16
+		c.flightPath = base
+		if c.traceCapacity <= 0 {
+			c.traceCapacity = 1 << 16
 		}
 	}
 }
@@ -345,26 +311,23 @@ func WithFlightRecorder(base string) Option {
 // up on LiveStats, the Report, and the Prometheus endpoint.
 func WithServiceRateControl() Option {
 	return func(c *Config) {
-		c.ServiceRateControl = true
-		if c.TraceCapacity <= 0 {
-			c.TraceCapacity = 1 << 16
+		c.serviceRateControl = true
+		if c.traceCapacity <= 0 {
+			c.traceCapacity = 1 << 16
 		}
 	}
 }
 
-// WithMetricsAddr serves Prometheus text-format metrics on addr (e.g.
-// ":9090") while the application runs: per-link occupancy histograms,
-// push/pop/block counters and batch sizes, per-kernel invocation counts
-// and service-time histograms, replicated-group widths, and bridge
-// recovery counters. net/http/pprof is mounted on the same listener under
-// /debug/pprof/. The listener is closed when Exe returns.
-func WithMetricsAddr(addr string) Option { return func(c *Config) { c.MetricsAddr = addr } }
-
-// WithMetricsListener is WithMetricsAddr with a caller-owned listener —
-// the form tests use, since the caller knows the bound address. Exe closes
-// the listener when the run ends.
+// WithMetricsListener serves Prometheus text-format metrics on l while
+// the application runs: per-link occupancy histograms, push/pop/block
+// counters and batch sizes, per-kernel invocation counts and service-time
+// histograms, replicated-group widths, and bridge recovery counters.
+// net/http/pprof is mounted on the same listener under /debug/pprof/. The
+// caller binds l (so it knows the address; see Report.MetricsAddr) and
+// hands it over: Exe closes it when the run ends, and ExeAsync closes it
+// when it fails.
 func WithMetricsListener(l net.Listener) Option {
-	return func(c *Config) { c.MetricsListener = l }
+	return func(c *Config) { c.metricsListener = l }
 }
 
 // TraceAttacher is implemented by kernels that run their own event loops
@@ -386,7 +349,7 @@ func WithDeadlockDetection(grace time.Duration) Option {
 		if grace <= 0 {
 			grace = time.Second
 		}
-		c.DeadlockGrace = grace
+		c.deadlockGrace = grace
 	}
 }
 
@@ -420,7 +383,7 @@ type Report struct {
 	// Bridges reports recovery counters of self-healing remote streams.
 	Bridges []BridgeReport
 	// MetricsAddr is the address the Prometheus endpoint was bound to
-	// during the run (empty unless WithMetricsAddr/WithMetricsListener).
+	// during the run (empty unless WithMetricsListener).
 	// The endpoint itself is closed by the time Exe returns.
 	MetricsAddr string
 	// Gateway summarizes ingestion-gateway admission activity (per-tenant
@@ -645,8 +608,8 @@ func (ex *Execution) Wait() (*Report, error) {
 	ex.steps.Wait()
 	ex.repOnce.Do(func() {
 		rep := ex.buildReport()
-		if ex.cfg.Gateway != nil {
-			rep.Gateway = gatewayReport(ex.cfg.Gateway)
+		if ex.cfg.gateway != nil {
+			rep.Gateway = gatewayReport(ex.cfg.gateway)
 		}
 		if ex.msrv != nil {
 			rep.MetricsAddr = ex.msrv.Addr()
@@ -663,38 +626,34 @@ func (ex *Execution) Wait() (*Report, error) {
 // and the scheduler, then returns while the application runs. The handle's
 // Rewriter can splice kernels and links into (and out of) the running
 // graph; Wait completes the execution exactly as Exe would have.
-func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
-	if m.executed {
-		return nil, fmt.Errorf("%w (kernels and streams are single-use; build a fresh Map)", ErrAlreadyExecuted)
-	}
-	m.executed = true
+func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if len(cfg.Topology.Places) == 0 {
-		cfg.Topology = mapper.NewLocal(runtime.GOMAXPROCS(0), 1)
+	// The metrics listener is Exe's from here on: a failed start closes it
+	// (a started endpoint closes it itself).
+	defer func() {
+		if err != nil && cfg.metricsListener != nil {
+			cfg.metricsListener.Close()
+		}
+	}()
+	if m.executed {
+		return nil, fmt.Errorf("%w (kernels and streams are single-use; build a fresh Map)", ErrAlreadyExecuted)
 	}
+	m.executed = true
 
 	// 1. The empty execution epoch 0 commits into: the checkpoint store, the
 	// latency-marker rig, the trace recorder, an empty registry and the
 	// rewriter.
-	cfg.resStore = cfg.CkptStore
-	if cfg.resStore == nil && cfg.CkptDir != "" {
-		fs, err := resilience.NewFileStore(cfg.CkptDir)
-		if err != nil {
-			return nil, err
-		}
-		cfg.resStore = fs
+	if cfg.ckptStore == nil {
+		cfg.ckptStore = resilience.NewMemStore()
 	}
-	if cfg.resStore == nil {
-		cfg.resStore = resilience.NewMemStore()
-	}
-	if cfg.Supervised {
+	if cfg.supervised {
 		cfg.resLog = &resilience.Log{}
 	}
-	if cfg.MarkerStride >= 0 {
-		stride := cfg.MarkerStride
+	if cfg.markerStride >= 0 {
+		stride := cfg.markerStride
 		if stride == 0 {
 			stride = DefaultMarkerStride
 		}
@@ -702,15 +661,15 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	}
 	ex := &Execution{
 		m: m, cfg: &cfg,
-		stride: cfg.TraceStride,
+		stride: cfg.traceStride,
 		reg:    &registry{},
 		done:   make(chan struct{}),
 	}
 	if ex.stride < 1 {
 		ex.stride = DefaultTraceStride
 	}
-	if cfg.TraceCapacity > 0 {
-		ex.rec = trace.NewRecorder(cfg.TraceCapacity)
+	if cfg.traceCapacity > 0 {
+		ex.rec = trace.NewRecorder(cfg.traceCapacity)
 	}
 	if cfg.markers != nil {
 		cfg.markers.rec = ex.rec
@@ -731,8 +690,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// ("the graph is first checked to ensure it is fully connected", §4.2).
 	tx := m.stage()
 	tx.rw = ex.rw
-	var err error
-	if cfg.AutoReplicate && cfg.MaxReplicas > 1 {
+	if cfg.autoReplicate && cfg.maxReplicas > 1 {
 		if ex.scalers, err = ex.stageGroups(tx); err != nil {
 			return nil, err
 		}
@@ -740,7 +698,7 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	if ex.g, err = tx.validate(ex.reg); err != nil {
 		return nil, err
 	}
-	if ex.assign, err = mapper.Assign(ex.g, cfg.Topology); err != nil {
+	if ex.assign, err = mapper.Assign(ex.g, cfg.topology); err != nil {
 		return nil, err
 	}
 	ex.build(tx, ex.assign)
@@ -757,12 +715,12 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// itself is detected at marker retirement and published as an SLOBreach
 	// event, so the tap sees it like any other anomaly.
 	rec := ex.rec
-	if cfg.FlightPath != "" && rec != nil {
+	if cfg.flightPath != "" && rec != nil {
 		var dom *trace.MarkerDomain
 		if cfg.markers != nil {
 			dom = cfg.markers.dom
 		}
-		cfg.flight = trace.NewFlightRecorder(cfg.FlightPath, rec, dom)
+		cfg.flight = trace.NewFlightRecorder(cfg.flightPath, rec, dom)
 		names := make([]string, len(actors))
 		for i, a := range actors {
 			names[i] = a.Name
@@ -770,9 +728,9 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		cfg.flight.SetNames(names)
 		rec.Watch(cfg.flight.Observe)
 	}
-	if cfg.SLO > 0 && cfg.markers != nil {
+	if cfg.slo > 0 && cfg.markers != nil {
 		fl := cfg.flight
-		cfg.markers.dom.SetSLO(cfg.SLO, func(mk *trace.Marker, e2e time.Duration) {
+		cfg.markers.dom.SetSLO(cfg.slo, func(mk *trace.Marker, e2e time.Duration) {
 			if rec != nil {
 				rec.Emit(trace.Event{Actor: -1, Kind: trace.SLOBreach,
 					At: time.Now().UnixNano(), Prev: int64(mk.ID), Arg: int64(e2e),
@@ -785,22 +743,20 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	}
 
 	// Monitor (and the rate estimator it drives, when requested).
-	if cfg.ServiceRateControl {
+	if cfg.serviceRateControl {
 		ex.est = buildEstimator(actors, links, rec)
 	}
-	if cfg.MonitorEnabled {
+	if cfg.monitorEnabled {
 		ex.mon = monitor.New(monitor.Config{
-			Delta:         cfg.MonitorDelta,
-			Resize:        cfg.DynamicResize,
-			AutoScale:     cfg.AutoScale,
-			AdaptiveBatch: cfg.AdaptiveBatch,
-			BatchMax:      cfg.BatchMax,
+			Resize:        cfg.dynamicResize,
+			AutoScale:     cfg.autoScale,
+			AdaptiveBatch: cfg.adaptiveBatch,
 			Trace:         rec,
 			Rates:         ex.est,
-			RateControl:   cfg.ServiceRateControl,
+			RateControl:   cfg.serviceRateControl,
 		}, links, coreScalers)
-		if cfg.DeadlockGrace > 0 {
-			ex.dw = monitor.NewDeadlockWatch(actors, links, cfg.DeadlockGrace,
+		if cfg.deadlockGrace > 0 {
+			ex.dw = monitor.NewDeadlockWatch(actors, links, cfg.deadlockGrace,
 				func(diag string) {
 					m.exc.mu.Lock()
 					if m.exc.err == nil {
@@ -831,8 +787,8 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 
 	// Ingestion gateway: bind each registered source to its engine link so
 	// admission control sees live occupancy, rates and replica width.
-	if cfg.Gateway != nil {
-		if err := ex.wireGateway(); err != nil {
+	if cfg.gateway != nil {
+		if err = ex.wireGateway(); err != nil {
 			stop()
 			return nil, err
 		}
@@ -841,10 +797,10 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// Scheduler selection — before the metrics endpoint and the stats
 	// streamer start, so both can poll the scheduler's counters mid-run.
 	// Both schedulers can adopt kernels spliced in by a rewrite.
-	if cfg.WorkStealing {
-		ex.ws = scheduler.NewWorkSteal(cfg.StealWorkers)
+	if cfg.workStealing {
+		ex.ws = scheduler.NewWorkSteal(cfg.stealWorkers)
 		ex.ws.AttachLinks(links)
-		ex.ws.AttachTopology(cfg.Topology)
+		ex.ws.AttachTopology(cfg.topology)
 		if rec != nil {
 			ex.ws.AttachTrace(rec)
 		}
@@ -856,18 +812,15 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 	// Metrics endpoint, stats streamer and gateway listeners up, then launch
 	// and return the handle.
 	ex.health = &execHealth{}
-	if cfg.MetricsAddr != "" || cfg.MetricsListener != nil {
-		if ex.msrv, err = startMetrics(ex); err != nil {
-			stop()
-			return nil, err
-		}
+	if cfg.metricsListener != nil {
+		ex.msrv = startMetrics(ex)
 	}
-	if cfg.Observer != nil {
+	if cfg.observer != nil {
 		streamer = startStatsStreamer(ex)
 	}
 	ex.reg.start = time.Now()
-	if cfg.Gateway != nil {
-		if err := cfg.Gateway.Start(); err != nil {
+	if cfg.gateway != nil {
+		if err = cfg.gateway.Start(); err != nil {
 			stop()
 			if ex.msrv != nil {
 				ex.msrv.Stop()
@@ -876,15 +829,15 @@ func (m *Map) ExeAsync(opts ...Option) (*Execution, error) {
 		}
 		// Unknown/unwired ingest sources get one shot at template-driven
 		// instantiation before the gateway answers 404/503.
-		cfg.Gateway.SetResolver(ex.tmpl.resolve)
+		cfg.gateway.SetResolver(ex.tmpl.resolve)
 	}
 	ex.health.set(healthRunning)
 	go func() {
 		runErr := ex.sched.Run(actors)
 		ex.elapsed = time.Since(ex.reg.start)
 		ex.health.set(healthDraining)
-		if cfg.Gateway != nil {
-			cfg.Gateway.Stop()
+		if cfg.gateway != nil {
+			cfg.gateway.Stop()
 		}
 		stop()
 		ex.health.set(healthDone)
@@ -932,16 +885,13 @@ type stream struct {
 }
 
 // newStream allocates l's stream under the execution's policy for the
-// build pass (rewrite.go): default capacity and growth bound, a provider-owned queue (zero copy, never
-// resized), the best-effort overflow policy, a batch control pinned at 1 on
+// build pass (rewrite.go): the ring's default capacity
+// (ringbuffer.DefaultCapacity) without Cap and growth bound without MaxCap,
+// a provider-owned queue (zero copy, never resized), the best-effort overflow policy, a batch control pinned at 1 on
 // AsLowLatency links so the adaptive batcher never holds their elements
 // back, the link name and the marker lane. It binds no port and touches no
 // kernel; the caller sets the LinkInfo's actor IDs.
 func newStream(cfg *Config, l *Link, id int) stream {
-	capacity := l.capacity
-	if capacity <= 0 {
-		capacity = cfg.DefaultCapacity
-	}
 	maxCap := l.maxCap
 	if maxCap <= 0 {
 		maxCap = defaultMaxCap
@@ -955,7 +905,7 @@ func newStream(cfg *Config, l *Link, id int) stream {
 		}
 	}
 	if s.q == nil {
-		s.q, s.typed = l.SrcPort.mk(capacity, maxCap)
+		s.q, s.typed = l.SrcPort.mk(l.capacity, maxCap)
 	}
 	if l.bestEffort {
 		// Provider-owned queues (read-only source rings) have nothing to
@@ -1026,7 +976,7 @@ func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.
 		Place:   place,
 		Weight:  kb.Weight(),
 		Step:    k.Run,
-		Windows: kb,
+		Windows: (*windowOwner)(kb),
 		Virtual: kb.Virtual(),
 		// Every actor carries a gate so a later rewrite can pause it at a
 		// step boundary (one atomic load per step when idle).
@@ -1131,7 +1081,7 @@ func (ex *Execution) buildReport() *Report {
 	rep := &Report{
 		Elapsed:   ex.elapsed,
 		Scheduler: ex.sched.Name(),
-		CutCost:   mapper.CutCost(ex.g, cfg.Topology, ex.assign),
+		CutCost:   mapper.CutCost(ex.g, cfg.topology, ex.assign),
 		Trace:     ex.rec,
 	}
 	if sr, ok := ex.sched.(scheduler.StatsReporter); ok {

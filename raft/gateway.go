@@ -18,7 +18,7 @@ import (
 // decisions land on the run's trace bus when WithTrace is active, and the
 // Report carries a GatewayReport.
 func WithGateway(gw *gateway.Server) Option {
-	return func(c *Config) { c.Gateway = gw }
+	return func(c *Config) { c.gateway = gw }
 }
 
 // Gateway re-exports the ingestion-gateway server type so applications
@@ -284,7 +284,7 @@ func BindSourceAppend[T any](gw *gateway.Server, src *Source[T], dec func(payloa
 // engine state epoch 0 allocated: the source's outbound link, found in the
 // registry, is the admission model's target.
 func (ex *Execution) wireGateway() error {
-	gw := ex.cfg.Gateway
+	gw := ex.cfg.gateway
 	ex.reg.mu.Lock()
 	links := ex.reg.links
 	ex.reg.mu.Unlock()

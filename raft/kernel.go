@@ -180,17 +180,18 @@ func (k *KernelBase) InputsDone() bool {
 	return true
 }
 
-// RetireWindows commits what the kernel has pushed and releases what it has
+// retireWindows commits what the kernel has pushed and releases what it has
 // popped on every port whose scalar operations run through a port window
 // (DESIGN §4.2), so that its neighbours see exactly the stream position the
 // kernel is at. It is the runtime's: the ring, the schedulers and the
-// supervisor call it wherever the kernel stops running — before a port
-// operation sleeps, on Stall and Stop, at gate pauses, checkpoints and
-// restarts, and after a bounded run time. A kernel never needs to; one that
-// waits inside Run on something that is not a port (a socket, a channel, a
-// sleep) is covered by the ring itself, where every push is published as
-// it is written. It runs on the kernel's own goroutine.
-func (k *KernelBase) RetireWindows() {
+// supervisor call it, through windowOwner, wherever the kernel stops
+// running — before a port operation sleeps, on Stall and Stop, at gate
+// pauses, checkpoints and restarts, and after a bounded run time. A kernel
+// never needs to; one that waits inside Run on something that is not a
+// port (a socket, a channel, a sleep) is covered by the ring itself, where
+// every push is published as it is written. It runs on the kernel's own
+// goroutine.
+func (k *KernelBase) retireWindows() {
 	for _, p := range k.outs {
 		p.retireWindow()
 	}
@@ -198,6 +199,12 @@ func (k *KernelBase) RetireWindows() {
 		p.retireWindow()
 	}
 }
+
+// windowOwner is a KernelBase seen as the ring's and the actor's
+// ringbuffer.WindowOwner, so that retiring stays off the public surface.
+type windowOwner KernelBase
+
+func (o *windowOwner) RetireAll() { (*KernelBase)(o).retireWindows() }
 
 // CloseOutputs closes every output stream, delivering EOF downstream. The
 // runtime calls it automatically when the kernel stops.

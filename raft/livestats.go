@@ -99,8 +99,8 @@ func WithObserver(interval time.Duration, fn Observer) Option {
 		if interval < time.Millisecond {
 			interval = time.Millisecond
 		}
-		c.ObserveEvery = interval
-		c.Observer = fn
+		c.observeEvery = interval
+		c.observer = fn
 	}
 }
 
@@ -125,8 +125,8 @@ func startStatsStreamer(ex *Execution) *statsStreamer {
 
 func (s *statsStreamer) loop() {
 	defer close(s.done)
-	fn := s.ex.cfg.Observer
-	t := time.NewTicker(s.ex.cfg.ObserveEvery)
+	fn := s.ex.cfg.observer
+	t := time.NewTicker(s.ex.cfg.observeEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -67,8 +67,8 @@ func TestObserverReceivesSnapshots(t *testing.T) {
 func TestObserverIntervalClamped(t *testing.T) {
 	cfg := defaultConfig()
 	WithObserver(0, func(LiveStats) {})(&cfg)
-	if cfg.ObserveEvery < time.Millisecond {
-		t.Fatalf("interval = %v, want clamped to >= 1ms", cfg.ObserveEvery)
+	if cfg.observeEvery < time.Millisecond {
+		t.Fatalf("interval = %v, want clamped to >= 1ms", cfg.observeEvery)
 	}
 }
 

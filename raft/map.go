@@ -75,8 +75,8 @@ func From(port string) LinkOption { return func(s *linkSpec) { s.from = port } }
 // third link() argument (e.g. "input_b" in Fig. 3).
 func To(port string) LinkOption { return func(s *linkSpec) { s.to = port } }
 
-// Cap sets the stream's initial queue capacity, overriding the Exe-wide
-// default. The runtime monitor may still resize it dynamically.
+// Cap sets the stream's initial queue capacity (default 64 elements). The runtime monitor may still
+// resize it dynamically.
 func Cap(n int) LinkOption { return func(s *linkSpec) { s.capacity = n } }
 
 // MaxCap bounds monitor-driven growth for this stream (the paper's buffer

@@ -1,9 +1,14 @@
 package raft
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +91,64 @@ func TestMarkersDisabled(t *testing.T) {
 	}
 	if got := len(sink.values()); got != 5000 {
 		t.Fatalf("delivered %d, want 5000", got)
+	}
+}
+
+// TestFlightRecorderDumpsOnSLOBreach: every element waits on a sink that
+// sleeps 2 ms per element, so with a marker on each one the 1 ms SLO is
+// breached and the armed flight recorder dumps; the same run without the
+// SLO dumps nothing.
+func TestFlightRecorderDumpsOnSLOBreach(t *testing.T) {
+	run := func(base string, opts ...Option) *Report {
+		m := NewMap()
+		sink := newPacedCollect(2 * time.Millisecond)
+		sink.every = 1
+		if _, err := m.Link(newGen(20), sink); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Exe(append(opts, WithLatencyMarkers(1), WithFlightRecorder(base))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(sink.values()); got != 20 {
+			t.Fatalf("delivered %d elements, want 20", got)
+		}
+		return rep
+	}
+
+	base := filepath.Join(t.TempDir(), "slo")
+	rep := run(base, WithLatencySLO(time.Millisecond))
+	if rep.Latency == nil || rep.Latency.FlightDumps == 0 {
+		t.Fatalf("latency = %+v, want a flight dump after SLO breaches", rep.Latency)
+	}
+	dir := base + ".flightdump"
+	if rep.Latency.FlightDir != dir {
+		t.Fatalf("flight dir = %q, want %q", rep.Latency.FlightDir, dir)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("trace.json is not a Chrome trace with events (err %v, %d events)", err, len(doc.TraceEvents))
+	}
+	pm, err := os.ReadFile(filepath.Join(dir, "postmortem.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(pm), "SLO breach") {
+		t.Fatalf("post-mortem does not name the SLO breach:\n%s", pm)
+	}
+
+	base = filepath.Join(t.TempDir(), "noslo")
+	if rep := run(base); rep.Latency.FlightDumps != 0 {
+		t.Fatalf("%d flight dumps without an SLO, want 0", rep.Latency.FlightDumps)
+	}
+	if _, err := os.Stat(base + ".flightdump"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stat %s.flightdump = %v, want not exist", base, err)
 	}
 }
 

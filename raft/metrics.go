@@ -72,16 +72,8 @@ type metricsServer struct {
 	done chan struct{}
 }
 
-func startMetrics(ex *Execution) (*metricsServer, error) {
-	cfg, rec, health := ex.cfg, ex.rec, ex.health
-	ln := cfg.MetricsListener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.MetricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("raft: metrics listener: %w", err)
-		}
-	}
+func startMetrics(ex *Execution) *metricsServer {
+	ln, rec, health := ex.cfg.metricsListener, ex.rec, ex.health
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -122,7 +114,7 @@ func startMetrics(ex *Execution) (*metricsServer, error) {
 		defer close(ms.done)
 		_ = ms.srv.Serve(ln)
 	}()
-	return ms, nil
+	return ms
 }
 
 // Addr returns the bound address of the metrics endpoint.

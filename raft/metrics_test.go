@@ -3,10 +3,12 @@ package raft
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // scrapingObserver polls the metrics endpoint mid-run from the observer
@@ -80,6 +82,29 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 	// Endpoint must be down once Exe returns.
 	if _, err := pollMetricsOnce(rep.MetricsAddr); err == nil {
 		t.Fatal("metrics endpoint still up after Exe returned")
+	}
+}
+
+// TestMetricsListenerClosedWhenExeFails: Exe owns the listener it is
+// handed, so a run that never starts must close it too.
+func TestMetricsListenerClosedWhenExeFails(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMap()
+	if _, err := m.Link(newGen(5), newWork()); err != nil { // work's out is unbound
+		t.Fatal(err)
+	}
+	if _, err := m.Exe(WithMetricsListener(ln)); err == nil {
+		t.Fatal("Exe accepted a map with an unbound port")
+	}
+	// A listener left open would block Accept; the deadline turns that
+	// into a timeout error.
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second))
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		ln.Close()
+		t.Fatalf("Accept after a failed Exe = %v, want net.ErrClosed", err)
 	}
 }
 

@@ -186,7 +186,7 @@ func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
 	p.typed = typed
 	p.async = async
 	if p.owner != nil {
-		q.SetWindowOwner(p.dir == Out, p.owner)
+		q.SetWindowOwner(p.dir == Out, (*windowOwner)(p.owner))
 	}
 }
 

@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -933,7 +934,22 @@ func TestExeTwiceRejected(t *testing.T) {
 	}
 }
 
-func TestWithTopologyDrivesCutCost(t *testing.T) {
+// TestConfigIsOpaque: Options are the only way to set a run parameter, so
+// Config exports no field.
+func TestConfigIsOpaque(t *testing.T) {
+	typ := reflect.TypeFor[Config]()
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			t.Errorf("Config.%s is exported; set it through an Option", f.Name)
+		}
+	}
+}
+
+// onTopology is a test-local Option: the mapper always maps onto the
+// host's topology, so only an in-package test can hand it another one.
+func onTopology(top mapper.Topology) Option { return func(c *Config) { c.topology = top } }
+
+func TestTopologyDrivesCutCost(t *testing.T) {
 	// A deep pipeline mapped onto two sockets plus a remote node must
 	// report a non-zero latency-weighted cut cost.
 	m := NewMap()
@@ -951,7 +967,7 @@ func TestWithTopologyDrivesCutCost(t *testing.T) {
 	}
 	top := mapper.NewLocal(4, 2)
 	top.AddRemoteNode(4)
-	rep, err := m.Exe(WithTopology(top))
+	rep, err := m.Exe(onTopology(top))
 	if err != nil {
 		t.Fatal(err)
 	}

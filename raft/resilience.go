@@ -23,7 +23,7 @@ import (
 // restarts. The supervisor snapshots after successful invocations and
 // restores before re-running a kernel it just restarted; every execution,
 // supervised or not, restores the kernel from its checkpoint store before
-// the first step. With a file-backed store (WithCheckpoints) state also
+// the first step. With a file-backed store (NewFileCheckpointStore) state also
 // survives process exit, enabling cross-execution resume.
 //
 // A Restore that fails before the first step fails the kernel's
@@ -102,29 +102,20 @@ type BridgeReporter interface {
 // ErrRetriesExhausted. Pass the zero SupervisionPolicy for defaults.
 func WithSupervision(p SupervisionPolicy) Option {
 	return func(c *Config) {
-		c.Supervised = true
-		c.Supervision = p
+		c.supervised = true
+		c.supervision = p
 	}
 }
 
-// WithCheckpoints enables supervision with file-backed checkpoints under
-// dir: Checkpointable kernels snapshot after successful invocations,
-// restore on restart, and resume from the latest snapshot when a new
-// execution starts over the same directory.
-func WithCheckpoints(dir string) Option {
-	return func(c *Config) {
-		c.Supervised = true
-		c.CkptDir = dir
-	}
-}
-
-// WithCheckpointStore is WithCheckpoints with a caller-supplied store
-// (e.g. NewMemCheckpointStore for in-process restart protection without
-// touching disk).
+// WithCheckpointStore enables supervision with checkpoints in s:
+// Checkpointable kernels snapshot after successful invocations and restore
+// on restart. With NewFileCheckpointStore(dir) they also resume from the
+// latest snapshot when a new execution starts over the same directory;
+// NewMemCheckpointStore protects restarts in-process without touching disk.
 func WithCheckpointStore(s CheckpointStore) Option {
 	return func(c *Config) {
-		c.Supervised = true
-		c.CkptStore = s
+		c.supervised = true
+		c.ckptStore = s
 	}
 }
 
@@ -133,7 +124,7 @@ func WithCheckpointStore(s CheckpointStore) Option {
 // so a supervised run recovers them losslessly; bridge faults fire at
 // exact frame sequence numbers inside the oar transport.
 func WithFaultInjection(inj *FaultInjector) Option {
-	return func(c *Config) { c.Fault = inj }
+	return func(c *Config) { c.fault = inj }
 }
 
 // wireActorResilience applies the execution's resilience configuration to
@@ -149,10 +140,10 @@ func wireActorResilience(cfg *Config, k Kernel, a *core.Actor) {
 	if a.Virtual {
 		return
 	}
-	if cfg.Fault != nil {
+	if cfg.fault != nil {
 		inner := a.Step
 		name := a.Name
-		inj := cfg.Fault
+		inj := cfg.fault
 		var runs atomic.Uint64
 		a.Step = func() core.Status {
 			inj.BeforeRun(name, runs.Add(1))
@@ -161,7 +152,7 @@ func wireActorResilience(cfg *Config, k Kernel, a *core.Actor) {
 	}
 	var hooks resilience.Hooks
 	if ck, ok := k.(Checkpointable); ok {
-		store, name := cfg.resStore, a.Name
+		store, name := cfg.ckptStore, a.Name
 		hooks.Checkpoint = func() error {
 			snap, err := ck.Snapshot()
 			if err != nil {
@@ -189,8 +180,8 @@ func wireActorResilience(cfg *Config, k Kernel, a *core.Actor) {
 			return nil
 		}
 	}
-	if cfg.Supervised {
+	if cfg.supervised {
 		hooks.OnExhausted, hooks.Log = k.kernelBase().Raise, cfg.resLog
-		resilience.Supervise(a, cfg.Supervision, hooks)
+		resilience.Supervise(a, cfg.supervision, hooks)
 	}
 }

@@ -177,9 +177,13 @@ func TestCheckpointStoreCrossExecutionResume(t *testing.T) {
 		if _, err := m.Link(flaky, sink); err != nil {
 			t.Fatal(err)
 		}
+		store, err := NewFileCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		opts := []Option{
 			WithSupervision(SupervisionPolicy{InitialBackoff: time.Microsecond}),
-			WithCheckpoints(dir),
+			WithCheckpointStore(store),
 		}
 		if len(kills) > 0 {
 			inj := NewFaultInjector()

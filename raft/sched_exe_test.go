@@ -152,10 +152,14 @@ func TestCheckpointResumeUnderPooledSchedulers(t *testing.T) {
 				if _, err := m.Link(flaky, sink); err != nil {
 					t.Fatal(err)
 				}
+				store, err := NewFileCheckpointStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
 				opts := []Option{
 					tc.opt,
 					WithSupervision(SupervisionPolicy{InitialBackoff: time.Microsecond}),
-					WithCheckpoints(dir),
+					WithCheckpointStore(store),
 				}
 				if len(kills) > 0 {
 					inj := NewFaultInjector()

@@ -372,7 +372,7 @@ var _ core.Scaler = (*groupScaler)(nil)
 
 // stageGroups stages every replicable kernel of the epoch-0 transaction t
 // as a group: the kernel's two links give way to a split, the initial
-// replicas and a merge — one replica under AutoScale, MaxReplicas
+// replicas and a merge — one replica under WithAutoScale, the ceiling
 // otherwise and for an AsReorderable group, which stays at that width. It
 // returns the out-of-order groups, the monitor's scalers.
 func (ex *Execution) stageGroups(t *Tx) ([]*groupScaler, error) {
@@ -391,16 +391,16 @@ func (ex *Execution) stageGroups(t *Tx) ([]*groupScaler, error) {
 		if in == nil || out == nil || !in.outOfOrder && !in.reorderable {
 			continue
 		}
-		g := &groupScaler{ex: ex, name: kb.Name(), proto: k, max: cfg.MaxReplicas, in: in, out: out}
+		g := &groupScaler{ex: ex, name: kb.Name(), proto: k, max: cfg.maxReplicas, in: in, out: out}
 		initial, kind := g.max, ""
 		if in.reorderable {
 			g.split = newOrderedSplitFromSpec(kb.ins[0], g.max)
 			g.merge = newOrderedMergeFromSpec(kb.outs[0], g.max)
 			kind = "ordered-"
 		} else {
-			g.split = newSplitFromSpec(kb.ins[0], g.max, cfg.SplitPolicy)
+			g.split = newSplitFromSpec(kb.ins[0], g.max, cfg.splitPolicy)
 			g.merge = newMergeFromSpec(kb.outs[0], g.max)
-			if cfg.AutoScale {
+			if cfg.autoScale {
 				initial = 1
 			}
 			scalers = append(scalers, g)

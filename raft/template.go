@@ -299,8 +299,8 @@ func (ts *templateSet) build(inst *templateInstance) error {
 
 	// Gateway intake: registered only after the instance is live, so an
 	// admitted batch always has a running pipeline under it.
-	if b.gwRegister != nil && ex.cfg.Gateway != nil {
-		gw := ex.cfg.Gateway
+	if b.gwRegister != nil && ex.cfg.gateway != nil {
+		gw := ex.cfg.gateway
 		if err := b.gwRegister(gw, inst.binding); err != nil {
 			return err
 		}
@@ -399,8 +399,8 @@ func (ts *templateSet) reapPeriod() time.Duration {
 // state so a future instantiation of the key resumes.
 func (ts *templateSet) reap(inst *templateInstance) error {
 	ex := ts.ex
-	if inst.hasGw && ex.cfg.Gateway != nil {
-		ex.cfg.Gateway.Unregister(inst.binding)
+	if inst.hasGw && ex.cfg.gateway != nil {
+		ex.cfg.gateway.Unregister(inst.binding)
 	}
 	if inst.gwClose != nil {
 		inst.gwClose()
@@ -433,7 +433,7 @@ func (ts *templateSet) reap(inst *templateInstance) error {
 			}
 			continue
 		}
-		if werr := ex.cfg.resStore.Save(k.kernelBase().Name(), snap); werr != nil && err == nil {
+		if werr := ex.cfg.ckptStore.Save(k.kernelBase().Name(), snap); werr != nil && err == nil {
 			err = werr
 		}
 	}

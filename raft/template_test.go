@@ -469,7 +469,7 @@ func TestTemplateCorruptSnapshotFailsInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.cfg.resStore.Save("corrupt@t1/acc", []byte{1}); err != nil {
+	if err := ex.cfg.ckptStore.Save("corrupt@t1/acc", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	rw := ex.Rewriter()

@@ -92,7 +92,7 @@ func signal(c chan struct{}) {
 // arms the stream; if so, it waits for the wake hook. An armed end that is
 // never woken is a lost wakeup.
 func (g *windowRig) park(k *LambdaKernel, p *Port, producer bool, wake chan struct{}) {
-	k.RetireWindows()
+	k.retireWindows()
 	if !p.q.Blocked(producer) {
 		return
 	}
@@ -122,7 +122,7 @@ func (g *windowRig) splice(capacity int) {
 			return
 		}
 	}
-	g.prod.RetireWindows()
+	g.prod.retireWindows()
 	old := g.tail()
 	r := g.addRing(capacity)
 	g.staged = &pendingRebind{q: r, typed: r, batch: g.in().batch, applied: make(chan struct{})}
@@ -339,8 +339,8 @@ func FuzzPortWindow(f *testing.F) {
 				}
 				ReleaseWriteView[int64](g.out(), keep)
 			case 10: // both kernels reach a step boundary that retires
-				g.prod.RetireWindows()
-				g.cons.RetireWindows()
+				g.prod.retireWindows()
+				g.cons.retireWindows()
 				g.balanced("retire")
 				if got := g.in().Len(); len(g.rings) == 1 && got != len(model) {
 					t.Fatalf("Len = %d, model holds %d", got, len(model))
@@ -462,7 +462,7 @@ func FuzzPortWindowConcurrent(f *testing.F) {
 						}
 						ReleaseWriteView[int64](g.out(), wv.Len())
 					case 10:
-						g.prod.RetireWindows()
+						g.prod.retireWindows()
 					case 11:
 						g.park(g.prod, g.out(), true, g.notFull)
 					case 12:
@@ -551,7 +551,7 @@ func FuzzPortWindowConcurrent(f *testing.F) {
 							ReleaseView[int64](g.in(), v.Len())
 						}
 					case 10:
-						g.cons.RetireWindows()
+						g.cons.retireWindows()
 					case 11:
 						g.park(g.cons, g.in(), false, g.notEmpty)
 					default:

@@ -605,7 +605,7 @@ func TestWindowReadinessAndParkedWake(t *testing.T) {
 	}
 	_ = Push(k2.Out("0"), int64(1))
 	_ = Push(k2.Out("0"), int64(2))
-	k2.RetireWindows()
+	k2.retireWindows()
 	if wakes.Load() != 1 {
 		t.Fatalf("wakes = %d after two pushes and a commit, want 1", wakes.Load())
 	}
@@ -626,7 +626,7 @@ func TestWindowMarkersWaitForTheirElements(t *testing.T) {
 			t.Fatalf("marker stamped or deposited after push %d with %d committed", i, committed(out))
 		}
 	}
-	k.RetireWindows()
+	k.retireWindows()
 	if committed(out) != 5 || p.lane.Empty() || dom.Stamped() != 1 {
 		t.Fatalf("after the retire: %d committed, lane empty %v, %d stamped", committed(out), p.lane.Empty(), dom.Stamped())
 	}
