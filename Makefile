@@ -38,7 +38,9 @@ bench-smoke:
 
 # bench-hotpath prints the two per-element costs every stream pays — one
 # actor step and one port push+pop, both of which must stay allocation-free
-# — then checks the end-to-end benchmark itself: its unit tests, and a
+# — and the construction cost of a many-kernel execution (Exe of 10k empty
+# gen -> sink pairs; printed, not gated), then checks the end-to-end
+# benchmark itself: its unit tests, and a
 # 1/50-scale pass over all six workloads that verifies every oracle and
 # that the emitted metric names equal BENCHMARK.json. The benchmark refuses
 # to run on one processor (producer and consumer cannot overlap), so that
@@ -46,6 +48,7 @@ bench-smoke:
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkStepTimedNoop$$' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench '^BenchmarkPortPushPop1G$$' -benchmem ./raft/
+	$(GO) test -run '^$$' -bench '^BenchmarkExeManyPairs$$' -benchmem -benchtime 5x ./raft/
 	$(GO) test ./bench/
 	@if [ "$$(nproc)" -ge 2 ]; then \
 		echo "$(GO) run ./bench -smoke"; $(GO) run ./bench -smoke; \

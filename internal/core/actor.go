@@ -29,10 +29,10 @@ type Actor struct {
 	Init func() error
 	// Step performs one kernel invocation.
 	Step func() Status
-	// Finish, if non-nil, runs once after the final Step (regardless of
-	// whether the actor stopped voluntarily or the engine shut it down);
-	// it must close the actor's output queues.
-	Finish func()
+	// Life, if non-nil, is the kernel's side of the actor's lifecycle
+	// besides its steps: the readiness predicate and the teardown (see
+	// Ready and Finish).
+	Life Lifecycle
 
 	// Service accumulates per-invocation service times; the monitor reads
 	// it to estimate service rates for bottleneck detection and modeling.
@@ -42,13 +42,6 @@ type Actor struct {
 	// for_each source, which "appears as a kernel only momentarily",
 	// §4.2): the engine runs Finish immediately and never schedules Step.
 	Virtual bool
-
-	// Ready, when non-nil, reports whether one Step can make progress
-	// without blocking (inputs have data or are closed; outputs have
-	// space or are closed). Cooperative schedulers consult it before
-	// dispatching so a blocked kernel cannot capture a pooled worker;
-	// the goroutine-per-kernel scheduler ignores it.
-	Ready func() bool
 
 	// Restarts counts supervised recoveries of this actor: each time the
 	// resilience supervisor absorbs a panic and restarts the kernel the
@@ -103,6 +96,32 @@ type Actor struct {
 	obsWeight  uint32
 	jitter     uint32
 	nextSpan   uint64
+}
+
+// Lifecycle is what a scheduler asks of the kernel behind an actor besides
+// its steps. The raft package implements it on its registry entries, so an
+// actor carries it without a closure of its own.
+type Lifecycle interface {
+	// Ready reports whether one Step can make progress without blocking
+	// (inputs have data or are closed; outputs have space or are closed).
+	// Cooperative schedulers consult it before dispatching so a blocked
+	// kernel cannot capture a pooled worker; the goroutine-per-kernel
+	// scheduler ignores it.
+	Ready() bool
+	// Finish runs once after the final Step (regardless of whether the
+	// actor stopped voluntarily or the engine shut it down); it must close
+	// the actor's output queues.
+	Finish()
+}
+
+// Ready is Life.Ready; an actor without a Lifecycle is always ready.
+func (a *Actor) Ready() bool { return a.Life == nil || a.Life.Ready() }
+
+// Finish is Life.Finish, if the actor has a Lifecycle.
+func (a *Actor) Finish() {
+	if a.Life != nil {
+		a.Life.Finish()
+	}
 }
 
 const (

@@ -255,7 +255,7 @@ func TestWindowHoldIsBoundedInKernelTime(t *testing.T) {
 // and an open gate costs no retire.
 func TestPollGateRetiresBeforeParking(t *testing.T) {
 	w := &retireCounter{}
-	a := &Actor{Windows: w, Gate: NewGate(), Step: func() Status { return Proceed }}
+	a := &Actor{Windows: w, Gate: &Gate{}, Step: func() Status { return Proceed }}
 	if a.PollGate() != GateProceed || w.n != 0 {
 		t.Fatalf("open gate: %d retires", w.n)
 	}

@@ -33,23 +33,18 @@ const (
 // kernels that have no upstream EOF to cascade from.
 //
 // The fast path is one atomic load per step; a gate on an undisturbed
-// actor costs nothing else.
+// actor costs nothing else. The zero value is an open gate that allocates
+// nothing until its first Pause, so the runtime can lay gates out in a slab.
 type Gate struct {
 	mode atomic.Int32
 
-	// ack carries the actor's "parked" signal to the controller (cap 1;
-	// stale signals are drained before each Pause arms).
-	ack chan struct{}
-
-	// mu guards release, the per-pause channel the parked actor blocks on
+	// mu guards ack, the actor's "parked" signal to the controller (cap 1;
+	// made by the first Pause; stale signals are drained before each Pause
+	// arms), and release, the per-pause channel the parked actor blocks on
 	// until Resume or Retire closes it.
 	mu      sync.Mutex
+	ack     chan struct{}
 	release chan struct{}
-}
-
-// NewGate returns an open gate.
-func NewGate() *Gate {
-	return &Gate{ack: make(chan struct{}, 1)}
 }
 
 // Open reports whether Poll would return GateProceed without waiting: one
@@ -69,14 +64,14 @@ func (g *Gate) Poll() GateAction {
 			return GateStop
 		default:
 			g.mu.Lock()
-			rel := g.release
+			rel, ack := g.release, g.ack
 			g.mu.Unlock()
 			if rel == nil {
 				// Pause raced a Resume; mode is (about to be) run again.
 				continue
 			}
 			select {
-			case g.ack <- struct{}{}:
+			case ack <- struct{}{}:
 			default:
 			}
 			<-rel
@@ -92,10 +87,14 @@ func (g *Gate) Poll() GateAction {
 // be mutated.
 func (g *Gate) Pause(timeout time.Duration, finished func() bool) bool {
 	g.mu.Lock()
+	if g.ack == nil {
+		g.ack = make(chan struct{}, 1)
+	}
+	ack := g.ack
 	g.release = make(chan struct{})
 	g.mu.Unlock()
 	select {
-	case <-g.ack: // drain a stale signal from a prior cycle
+	case <-ack: // drain a stale signal from a prior cycle
 	default:
 	}
 	g.mode.Store(gateHold)
@@ -106,7 +105,7 @@ func (g *Gate) Pause(timeout time.Duration, finished func() bool) bool {
 	defer poll.Stop()
 	for {
 		select {
-		case <-g.ack:
+		case <-ack:
 			return true
 		case <-deadline.C:
 			g.Resume()

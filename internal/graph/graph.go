@@ -147,28 +147,25 @@ func (g *Graph) WeaklyConnected() bool {
 // node on a cycle. Streaming graphs executed by the runtime must be acyclic
 // (a cycle of blocking FIFOs can deadlock), so exe() rejects cycles.
 func (g *Graph) TopoSort() ([]int, error) {
+	off, dst := g.Successors()
 	indeg := make([]int, len(g.Nodes))
-	adj := make([][]int, len(g.Nodes))
 	for _, e := range g.Edges {
 		indeg[e.Dst]++
-		adj[e.Src] = append(adj[e.Src], e.Dst)
 	}
-	var queue []int
+	// Kahn's algorithm with order as its own FIFO queue, seeded with the
+	// sources in ID order.
+	order := make([]int, 0, len(g.Nodes))
 	for id := range g.Nodes {
 		if indeg[id] == 0 {
-			queue = append(queue, id)
+			order = append(order, id)
 		}
 	}
-	sort.Ints(queue)
-	var order []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range adj[v] {
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, w := range dst[off[v]:off[v+1]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
@@ -180,6 +177,29 @@ func (g *Graph) TopoSort() ([]int, error) {
 		}
 	}
 	return order, nil
+}
+
+// Successors returns the graph's adjacency in compressed form: the
+// successors of node v are dst[off[v]:off[v+1]], one per edge, in edge
+// order. It makes two allocations, whatever the size of the graph.
+func (g *Graph) Successors() (off, dst []int) {
+	off = make([]int, len(g.Nodes)+1)
+	for _, e := range g.Edges {
+		off[e.Src+1]++
+	}
+	for v := range g.Nodes {
+		off[v+1] += off[v]
+	}
+	// Fill with off[v] as v's cursor, which leaves it at v's end, the
+	// start of v+1; shifting by one restores the starts.
+	dst = make([]int, len(g.Edges))
+	for _, e := range g.Edges {
+		dst[off[e.Src]] = e.Dst
+		off[e.Src]++
+	}
+	copy(off[1:], off[:len(g.Nodes)])
+	off[0] = 0
+	return off, dst
 }
 
 // Verify runs the paper's pre-execution structural checks: the graph must

@@ -22,8 +22,10 @@
 package mapper
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -226,7 +228,7 @@ func partition(g *graph.Graph, kernels []int, k int) [][]int {
 	if k <= 1 || len(kernels) <= 1 {
 		return pad([][]int{append([]int(nil), kernels...)}, k)
 	}
-	inSet := make(map[int]bool, len(kernels))
+	inSet := make([]bool, len(g.Nodes))
 	for _, v := range kernels {
 		inSet[v] = true
 	}
@@ -255,7 +257,7 @@ func partition(g *graph.Graph, kernels []int, k int) [][]int {
 
 	// spanCost[p] = total weight of edges whose endpoints straddle a cut
 	// between order positions p-1 and p.
-	pos := make(map[int]int, n)
+	pos := make([]int, len(g.Nodes))
 	for i, v := range order {
 		pos[v] = i
 	}
@@ -342,41 +344,53 @@ func pad(parts [][]int, k int) [][]int {
 // (the paper's "similar to a spanning tree"), taking the branch with the
 // fewest descendants first so short side chains stay adjacent to their
 // fork instead of straddling a cut. Cyclic leftovers are appended as-is.
-func chainOrder(g *graph.Graph, kernels []int, inSet map[int]bool) []int {
-	indeg := map[int]int{}
-	adj := map[int][]int{}
+func chainOrder(g *graph.Graph, kernels []int, inSet []bool) []int {
+	// Dense tables indexed by node ID: the subset's in-degrees, and each
+	// node's memoized descendant count (-1 until counted; over-counts on
+	// diamonds, a fine tie-break heuristic).
+	off, dst := g.Successors()
+	indeg := make([]int, len(g.Nodes))
+	desc := make([]int, len(g.Nodes))
 	for _, v := range kernels {
-		indeg[v] = 0
+		desc[v] = -1
 	}
 	for _, e := range g.Edges {
 		if inSet[e.Src] && inSet[e.Dst] {
 			indeg[e.Dst]++
-			adj[e.Src] = append(adj[e.Src], e.Dst)
 		}
 	}
+	// children appends v's successors inside the subset to buf.
+	children := func(buf []int, v int) []int {
+		for _, w := range dst[off[v]:off[v+1]] {
+			if inSet[w] {
+				buf = append(buf, w)
+			}
+		}
+		return buf
+	}
 
-	// Memoized descendant count (over-counts on diamonds; a fine
-	// tie-break heuristic).
-	desc := map[int]int{}
-	var countDesc func(v int, onPath map[int]bool) int
-	countDesc = func(v int, onPath map[int]bool) int {
-		if n, ok := desc[v]; ok {
-			return n
+	onPath := make([]bool, len(g.Nodes))
+	var countDesc func(v int) int
+	countDesc = func(v int) int {
+		if desc[v] >= 0 {
+			return desc[v]
 		}
 		if onPath[v] {
 			return 0 // cycle guard
 		}
 		onPath[v] = true
 		n := 0
-		for _, w := range adj[v] {
-			n += 1 + countDesc(w, onPath)
+		for _, w := range dst[off[v]:off[v+1]] {
+			if inSet[w] {
+				n += 1 + countDesc(w)
+			}
 		}
-		delete(onPath, v)
+		onPath[v] = false
 		desc[v] = n
 		return n
 	}
 
-	var roots []int
+	roots := make([]int, 0, len(kernels))
 	for _, v := range kernels {
 		if indeg[v] == 0 {
 			roots = append(roots, v)
@@ -384,8 +398,11 @@ func chainOrder(g *graph.Graph, kernels []int, inSet map[int]bool) []int {
 	}
 	sort.Ints(roots)
 
-	var order []int
-	seen := map[int]bool{}
+	order := make([]int, 0, len(kernels))
+	seen := make([]bool, len(g.Nodes))
+	// stack holds the children of every node on the walk's path, each
+	// node's after its parent's: a frame only appends past its own.
+	var stack []int
 	var dfs func(v int)
 	dfs = func(v int) {
 		if seen[v] {
@@ -393,18 +410,19 @@ func chainOrder(g *graph.Graph, kernels []int, inSet map[int]bool) []int {
 		}
 		seen[v] = true
 		order = append(order, v)
-		children := append([]int(nil), adj[v]...)
-		sort.Slice(children, func(i, j int) bool {
-			di := countDesc(children[i], map[int]bool{})
-			dj := countDesc(children[j], map[int]bool{})
-			if di != dj {
-				return di < dj
+		base := len(stack)
+		stack = children(stack, v)
+		next := stack[base:]
+		slices.SortFunc(next, func(a, b int) int {
+			if da, db := countDesc(a), countDesc(b); da != db {
+				return cmp.Compare(da, db)
 			}
-			return children[i] < children[j]
+			return cmp.Compare(a, b)
 		})
-		for _, w := range children {
+		for _, w := range next {
 			dfs(w)
 		}
+		stack = stack[:base]
 	}
 	for _, r := range roots {
 		dfs(r)
@@ -420,8 +438,8 @@ func chainOrder(g *graph.Graph, kernels []int, inSet map[int]bool) []int {
 // refine performs greedy single-kernel moves between adjacent parts when a
 // move strictly reduces the number of crossing edges and keeps parts
 // non-empty.
-func refine(g *graph.Graph, parts [][]int, inSet map[int]bool) {
-	partOf := map[int]int{}
+func refine(g *graph.Graph, parts [][]int, inSet []bool) {
+	partOf := make([]int, len(g.Nodes))
 	for pi, p := range parts {
 		for _, v := range p {
 			partOf[v] = pi

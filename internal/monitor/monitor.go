@@ -159,7 +159,9 @@ type linkState struct {
 type Monitor struct {
 	cfg     Config
 	scalers []core.Scaler
-	linkIdx map[*core.LinkInfo]int // static link identity → estimator link index
+	// linkIdx maps a static link to its estimator index; built only under
+	// RateControl, the one rule that reads it.
+	linkIdx map[*core.LinkInfo]int
 
 	stop chan struct{}
 	done chan struct{}
@@ -201,11 +203,20 @@ type Event struct {
 // New builds a Monitor over the engine's links and scalers.
 func New(cfg Config, links []*core.LinkInfo, scalers []core.Scaler) *Monitor {
 	cfg.fill()
-	idx := make(map[*core.LinkInfo]int, len(links))
+	// One slab holds the state of every link given here; AddLink allocates
+	// a rewrite's links one by one.
+	slab := make([]linkState, len(links))
 	states := make([]*linkState, len(links))
+	var idx map[*core.LinkInfo]int
+	if cfg.RateControl && cfg.Rates != nil {
+		idx = make(map[*core.LinkInfo]int, len(links))
+	}
 	for i, l := range links {
-		idx[l] = i
-		states[i] = &linkState{l: l, estIdx: i}
+		if idx != nil {
+			idx[l] = i
+		}
+		slab[i] = linkState{l: l, estIdx: i}
+		states[i] = &slab[i]
 	}
 	return &Monitor{
 		cfg:        cfg,

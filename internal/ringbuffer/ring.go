@@ -46,15 +46,15 @@ type Ring[T any] struct {
 	bestEffort atomic.Bool
 	readOnly   bool // slice-backed rings reject writes and resizes
 	zero       bool // T holds pointers: released slots are zeroed for the GC
-	maxCap     int  // growth bound, under mu; 0 means unbounded
 	// wparked is set under mu while the producer sleeps in waitForSpace;
 	// deferredCap is a resize waiting for the producer (applyDeferredLocked).
 	wparked     bool
+	maxCap      int // growth bound, under mu; 0 means unbounded
 	deferredCap int
 
 	// wake, when set, is called under r.mu when an armed end may proceed
 	// (see WakeHooker and Blocked).
-	wake func(Wake)
+	wake WakeHook
 
 	// prodOwner and consOwner are the kernels at the two ends of the stream
 	// (nil for a ring used outside a graph). An end that is about to sleep
@@ -321,15 +321,15 @@ func (r *Ring[T]) Close() {
 	r.mu.Unlock()
 	r.wait.Broadcast()
 	if wake != nil {
-		wake(WakeClosed)
+		wake.OnWake(WakeClosed)
 	}
 }
 
 // SetWakeHook installs (or, with nil, detaches) the scheduler wake hook.
 // See WakeHooker for the contract.
-func (r *Ring[T]) SetWakeHook(fn func(Wake)) {
+func (r *Ring[T]) SetWakeHook(h WakeHook) {
 	r.mu.Lock()
-	r.wake = fn
+	r.wake = h
 	r.mu.Unlock()
 }
 
@@ -400,7 +400,7 @@ func (r *Ring[T]) attendLocked() {
 		clearBits(&r.rattn, attnReader)
 		r.wait.Broadcast()
 		if r.wake != nil {
-			r.wake(WakeNotEmpty)
+			r.wake.OnWake(WakeNotEmpty)
 		}
 	}
 	r.applyDeferredLocked()
@@ -632,7 +632,7 @@ func (r *Ring[T]) drop(st *store[T], h uint64, n int, locked bool) {
 			clearBits(&r.wattn, attnWriter)
 			r.wait.Broadcast()
 			if r.wake != nil {
-				r.wake(WakeNotFull)
+				r.wake.OnWake(WakeNotFull)
 			}
 		}
 	}
@@ -847,7 +847,7 @@ func (r *Ring[T]) applyDeferredLocked() {
 	// be met); wake both sides to re-evaluate.
 	r.wait.Broadcast()
 	if grew && r.wake != nil {
-		r.wake(WakeNotFull)
+		r.wake.OnWake(WakeNotFull)
 	}
 }
 

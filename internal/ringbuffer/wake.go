@@ -49,5 +49,18 @@ func (w Wake) String() string {
 // endpoints start (or accept that a transition during the install race may
 // be missed — the watchdog covers that too).
 type WakeHooker interface {
-	SetWakeHook(func(Wake))
+	SetWakeHook(WakeHook)
 }
+
+// WakeHook receives a queue's readiness transitions. It is an interface, not
+// a func, so a scheduler can hook every link of a graph from one slab of
+// per-link records without a closure for each.
+type WakeHook interface {
+	OnWake(Wake)
+}
+
+// WakeFunc adapts a function to a WakeHook.
+type WakeFunc func(Wake)
+
+// OnWake calls f(w).
+func (f WakeFunc) OnWake(w Wake) { f(w) }

@@ -36,7 +36,7 @@ func (l *wakeLog) count(w Wake) int {
 func TestRingWakeHook(t *testing.T) {
 	r := NewRing[int](2)
 	var log wakeLog
-	r.SetWakeHook(log.hook)
+	r.SetWakeHook(WakeFunc(log.hook))
 
 	// Nobody is waiting: pushes fire nothing.
 	mustPush(t, r, 1)
@@ -85,7 +85,7 @@ func TestRingWakeHook(t *testing.T) {
 
 	// Detached hook must not fire.
 	r2 := NewRing[int](2)
-	r2.SetWakeHook(log.hook)
+	r2.SetWakeHook(WakeFunc(log.hook))
 	r2.SetWakeHook(nil)
 	r2.TryPop()
 	mustPush(t, r2, 1)
@@ -97,7 +97,7 @@ func TestRingWakeHook(t *testing.T) {
 func TestRingWakeHookBatchPaths(t *testing.T) {
 	r := NewRing[int](4)
 	var log wakeLog
-	r.SetWakeHook(log.hook)
+	r.SetWakeHook(WakeFunc(log.hook))
 
 	dst := make([]int, 4)
 	if n, err := r.DrainTo(dst, nil); n != 0 || err != nil {
@@ -123,7 +123,7 @@ func TestRingWakeHookBatchPaths(t *testing.T) {
 func TestRingWakeHookGrowFiresNotFull(t *testing.T) {
 	r := NewRing[int](2)
 	var log wakeLog
-	r.SetWakeHook(log.hook)
+	r.SetWakeHook(WakeFunc(log.hook))
 	mustPush(t, r, 1)
 	mustPush(t, r, 2)
 	if err := r.Resize(8); err != nil {

@@ -421,14 +421,14 @@ func TestWindowOwnerRetiresBeforeSleeping(t *testing.T) {
 func TestWindowCommitWakesParkedConsumer(t *testing.T) {
 	r := NewRing[int](16)
 	var notEmpty, notFull int
-	r.SetWakeHook(func(w Wake) {
+	r.SetWakeHook(WakeFunc(func(w Wake) {
 		switch w {
 		case WakeNotEmpty:
 			notEmpty++
 		case WakeNotFull:
 			notFull++
 		}
-	})
+	}))
 	_ = pushW(r, 0, 8)
 	if notEmpty != 0 {
 		t.Fatal("wake hook fired with no consumer parked")

@@ -101,9 +101,7 @@ func runActorLifecycle(a *core.Actor, yield func()) (err error) {
 			// reachable through Unwrap for classification.
 			err = fmt.Errorf("kernel %q %w", a.Name, core.PanicError(r))
 		}
-		if a.Finish != nil {
-			a.Finish()
-		}
+		a.Finish()
 		a.Finished.Store(true)
 	}()
 	if a.Init != nil {

@@ -9,6 +9,13 @@ import (
 	"raftlib/internal/core"
 )
 
+// finishOnly is an actor Lifecycle that is always ready and runs f as its
+// Finish.
+type finishOnly func()
+
+func (finishOnly) Ready() bool { return true }
+func (f finishOnly) Finish()   { f() }
+
 // counterActor runs n steps then stops, tracking lifecycle calls.
 func counterActor(name string, n int) (*core.Actor, *atomic.Int64, *atomic.Int64) {
 	var steps, finished atomic.Int64
@@ -23,7 +30,7 @@ func counterActor(name string, n int) (*core.Actor, *atomic.Int64, *atomic.Int64
 			steps.Add(1)
 			return core.Proceed
 		},
-		Finish: func() { finished.Add(1) },
+		Life: finishOnly(func() { finished.Add(1) }),
 	}
 	return a, &steps, &finished
 }
@@ -83,10 +90,10 @@ func testInitError(t *testing.T, s Scheduler) {
 	var ran atomic.Bool
 	var finished atomic.Bool
 	a := &core.Actor{
-		Name:   "noinit",
-		Init:   func() error { return errors.New("init failed") },
-		Step:   func() core.Status { ran.Store(true); return core.Stop },
-		Finish: func() { finished.Store(true) },
+		Name: "noinit",
+		Init: func() error { return errors.New("init failed") },
+		Step: func() core.Status { ran.Store(true); return core.Stop },
+		Life: finishOnly(func() { finished.Store(true) }),
 	}
 	err := s.Run([]*core.Actor{a})
 	if err == nil || !strings.Contains(err.Error(), "init failed") {
@@ -109,7 +116,7 @@ func testVirtualActorSkipped(t *testing.T, s Scheduler) {
 		Name:    "virtual",
 		Virtual: true,
 		Step:    func() core.Status { stepped.Store(true); return core.Stop },
-		Finish:  func() { finished.Store(true) },
+		Life:    finishOnly(func() { finished.Store(true) }),
 	}
 	if err := s.Run([]*core.Actor{a}); err != nil {
 		t.Fatal(err)

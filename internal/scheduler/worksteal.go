@@ -182,27 +182,26 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	ws.errs = make([]error, len(actors))
 
 	// Initialize all actors up front: failures and virtual kernels finish
-	// immediately and never enter a deque.
+	// immediately and never enter a deque. The tasks are one slab.
+	slab := make([]wsTask, len(actors))
 	live := make([]*wsTask, 0, len(actors))
 	for i, a := range actors {
 		if a.Init != nil {
 			if err := a.Init(); err != nil {
 				ws.errs[i] = fmt.Errorf("kernel %q init: %w", a.Name, err)
-				if a.Finish != nil {
-					a.Finish()
-				}
+				a.Finish()
 				a.Finished.Store(true)
 				continue
 			}
 		}
 		if a.Virtual {
-			if a.Finish != nil {
-				a.Finish()
-			}
+			a.Finish()
 			a.Finished.Store(true)
 			continue
 		}
-		live = append(live, &wsTask{a: a, idx: i})
+		t := &slab[i]
+		t.a, t.idx = a, i
+		live = append(live, t)
 	}
 	if len(live) == 0 {
 		ws.dynMu.Lock()
@@ -215,9 +214,7 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	}
 
 	ws.placement(live, nw)
-	for _, h := range ws.installHooks(live) {
-		ws.hooked = append(ws.hooked, h)
-	}
+	ws.hooked = append(ws.hooked, ws.installHooks(live)...)
 	defer func() {
 		ws.dynMu.Lock()
 		hooked := ws.hooked
@@ -323,9 +320,7 @@ func (ws *WorkSteal) Spawn(a *core.Actor) error {
 			err = fmt.Errorf("kernel %q init: %w", a.Name, err)
 			ws.recordErr(t, err)
 			t.state.Store(wsDone)
-			if a.Finish != nil {
-				a.Finish()
-			}
+			a.Finish()
 			a.Finished.Store(true)
 			ws.taskDone()
 			return err
@@ -333,9 +328,7 @@ func (ws *WorkSteal) Spawn(a *core.Actor) error {
 	}
 	if a.Virtual {
 		t.state.Store(wsDone)
-		if a.Finish != nil {
-			a.Finish()
-		}
+		a.Finish()
 		a.Finished.Store(true)
 		ws.taskDone()
 		return nil
@@ -354,13 +347,29 @@ func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
 		return
 	}
 	<-ws.ready
-	h, ok := l.Queue.(ringbuffer.WakeHooker)
-	if !ok {
-		return
+	hk := &wsHook{ws: ws}
+	if h := hk.hook(l, ws.findTask(l.SrcActor), ws.findTask(l.DstActor)); h != nil {
+		ws.dynMu.Lock()
+		ws.hooked = append(ws.hooked, h)
+		ws.dynMu.Unlock()
 	}
-	src, dst := ws.findTask(l.SrcActor), ws.findTask(l.DstActor)
-	if src == nil && dst == nil {
-		return
+}
+
+// wsHook is one link's wake hook: a push that makes the queue non-empty
+// wakes the consumer, a pop that makes it non-full wakes the producer, and
+// close wakes both. installHooks lays the hooks of the initial link table
+// out in one slab.
+type wsHook struct {
+	ws       *WorkSteal
+	src, dst *wsTask
+}
+
+// hook installs h on l's queue with the given end tasks and returns the
+// queue, or nil when the queue takes no hooks or neither end is a task.
+func (h *wsHook) hook(l *core.LinkInfo, src, dst *wsTask) ringbuffer.WakeHooker {
+	q, ok := l.Queue.(ringbuffer.WakeHooker)
+	if !ok || src == nil && dst == nil {
+		return nil
 	}
 	if src != nil {
 		src.hooked.Store(true)
@@ -368,28 +377,21 @@ func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
 	if dst != nil {
 		dst.hooked.Store(true)
 	}
-	h.SetWakeHook(func(w ringbuffer.Wake) {
-		switch w {
-		case ringbuffer.WakeNotEmpty:
-			if dst != nil {
-				ws.wake(dst, false)
-			}
-		case ringbuffer.WakeNotFull:
-			if src != nil {
-				ws.wake(src, false)
-			}
-		default:
-			if src != nil {
-				ws.wake(src, false)
-			}
-			if dst != nil {
-				ws.wake(dst, false)
-			}
-		}
-	})
-	ws.dynMu.Lock()
-	ws.hooked = append(ws.hooked, h)
-	ws.dynMu.Unlock()
+	h.src, h.dst = src, dst
+	q.SetWakeHook(h)
+	return q
+}
+
+// OnWake implements ringbuffer.WakeHook. Hook contract: no blocking, no
+// queue re-entry. wake does CAS + deque mutex + non-blocking token send
+// only.
+func (h *wsHook) OnWake(w ringbuffer.Wake) {
+	if h.src != nil && w != ringbuffer.WakeNotEmpty {
+		h.ws.wake(h.src, false)
+	}
+	if h.dst != nil && w != ringbuffer.WakeNotFull {
+		h.ws.wake(h.dst, false)
+	}
 }
 
 // findTask locates a live task by engine actor ID (dynamic-link wiring
@@ -480,49 +482,17 @@ func taskFor(byID []*wsTask, id int) *wsTask {
 }
 
 // installHooks wires every hook-capable link queue to the park/wake
-// protocol: a push that makes a queue non-empty wakes the consumer, a pop
-// that makes it non-full wakes the producer, close wakes both. Returns the
-// hooked queues so Run can detach them on the way out.
+// protocol (wsHook). Returns the hooked queues so Run can detach them on
+// the way out.
 func (ws *WorkSteal) installHooks(tasks []*wsTask) []ringbuffer.WakeHooker {
 	byID := ws.tasksByID(tasks)
-	var hooked []ringbuffer.WakeHooker
-	for _, l := range ws.links {
-		h, ok := l.Queue.(ringbuffer.WakeHooker)
-		if !ok {
-			continue
+	hooks := make([]wsHook, len(ws.links))
+	hooked := make([]ringbuffer.WakeHooker, 0, len(ws.links))
+	for i, l := range ws.links {
+		hooks[i].ws = ws
+		if h := hooks[i].hook(l, taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)); h != nil {
+			hooked = append(hooked, h)
 		}
-		src, dst := taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)
-		if src == nil && dst == nil {
-			continue
-		}
-		if src != nil {
-			src.hooked.Store(true)
-		}
-		if dst != nil {
-			dst.hooked.Store(true)
-		}
-		h.SetWakeHook(func(w ringbuffer.Wake) {
-			// Hook contract: no blocking, no queue re-entry. wake does
-			// CAS + deque mutex + non-blocking token send only.
-			switch w {
-			case ringbuffer.WakeNotEmpty:
-				if dst != nil {
-					ws.wake(dst, false)
-				}
-			case ringbuffer.WakeNotFull:
-				if src != nil {
-					ws.wake(src, false)
-				}
-			default: // WakeClosed: both ends must observe ErrClosed
-				if src != nil {
-					ws.wake(src, false)
-				}
-				if dst != nil {
-					ws.wake(dst, false)
-				}
-			}
-		})
-		hooked = append(hooked, h)
 	}
 	return hooked
 }
@@ -700,9 +670,7 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 		}
 		if finished {
 			t.state.Store(wsDone)
-			if t.a.Finish != nil {
-				t.a.Finish()
-			}
+			t.a.Finish()
 			t.a.Finished.Store(true)
 			ws.taskDone()
 		}
@@ -717,7 +685,7 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 		// Readiness gate: a kernel that would block on a
 		// port must not capture this worker — park it and let the link
 		// transition bring it back.
-		if t.a.Ready != nil && !t.a.Ready() {
+		if !t.a.Ready() {
 			t.a.Quiesce() // never parked on an open port window
 			ws.park(t, shard)
 			return

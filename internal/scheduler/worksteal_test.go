@@ -78,7 +78,7 @@ func pipelineActors(t *testing.T, q *ringbuffer.Ring[int], n int) ([]*core.Actor
 			sent++
 			return core.Proceed
 		},
-		Finish: func() { q.Close() },
+		Life: finishOnly(func() { q.Close() }),
 	}
 	cons := &core.Actor{
 		ID: 1, Name: "cons",
@@ -183,11 +183,11 @@ func TestWorkStealEveryParkIsWoken(t *testing.T) {
 				have = false
 				return core.Proceed
 			},
-			Finish: func() {
+			Life: finishOnly(func() {
 				if out != nil {
 					out.Close()
 				}
-			}}
+			})}
 	}
 	ws := NewWorkSteal(2)
 	ws.AttachLinks(links)

@@ -91,8 +91,10 @@ type MarkerLane struct {
 	ms   []*Marker
 }
 
-// NewMarkerLane returns a lane labeled with the link name it shadows.
-func NewMarkerLane(name string) *MarkerLane { return &MarkerLane{name: name} }
+// Init labels a zero lane with the link name it shadows. The runtime keeps
+// a link's lane in its per-transaction slab, so a lane is initialised in
+// place rather than constructed.
+func (l *MarkerLane) Init(name string) { l.name = name }
 
 // Name returns the link label hops through this lane are attributed to.
 func (l *MarkerLane) Name() string { return l.name }

@@ -11,7 +11,7 @@ func bulkHarness(t *testing.T) (*Port, *Port) {
 	t.Helper()
 	src := newPort[int]("out", Out)
 	dst := newPort[int]("in", In)
-	q, typed := src.mk(8, 0)
+	q, typed := src.ops.newRing(8, 0)
 	async := &asyncCell{}
 	src.bind(q, typed, async)
 	dst.bind(q, typed, async)
@@ -96,7 +96,7 @@ func TestMoveBatchedEquivalence(t *testing.T) {
 	}()
 	go func() {
 		for {
-			if _, err := src.mover(src.typed, out.typed, 16, true); err != nil {
+			if _, err := src.ops.move(src.typed, out.typed, 16, true); err != nil {
 				out.Close()
 				return
 			}

@@ -151,10 +151,5 @@ func convertedLink(link func(src, dst Kernel, opts ...LinkOption) (*Link, error)
 	if _, err := link(conv, dst, dstSideOpts...); err != nil {
 		return nil, err
 	}
-	return &Link{
-		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
-		capacity: spec.capacity, maxCap: spec.maxCap,
-		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
-	}, nil
+	return &Link{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, linkSpec: spec}, nil
 }

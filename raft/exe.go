@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -884,19 +885,20 @@ type stream struct {
 	li   *core.LinkInfo
 }
 
-// newStream allocates l's stream under the execution's policy for the
-// build pass (rewrite.go): the ring's default capacity
+// newStream allocates l's stream into its slab slot under the execution's
+// policy for the build pass (rewrite.go): the ring's default capacity
 // (ringbuffer.DefaultCapacity) without Cap and growth bound without MaxCap,
-// a provider-owned queue (zero copy, never resized), the best-effort overflow policy, a batch control pinned at 1 on
-// AsLowLatency links so the adaptive batcher never holds their elements
-// back, the link name and the marker lane. It binds no port and touches no
-// kernel; the caller sets the LinkInfo's actor IDs.
-func newStream(cfg *Config, l *Link, id int) stream {
+// a provider-owned queue (zero copy, never resized), the best-effort
+// overflow policy, a batch control pinned at 1 on AsLowLatency links so the
+// adaptive batcher never holds their elements back, the link name and the
+// marker lane. It binds no port and touches no kernel; the caller sets the
+// LinkInfo's actor IDs.
+func (ls *linkSlot) newStream(cfg *Config, l *Link, id int, name string) stream {
 	maxCap := l.maxCap
 	if maxCap <= 0 {
 		maxCap = defaultMaxCap
 	}
-	s := stream{async: &asyncCell{}, bc: &core.BatchControl{}}
+	s := stream{async: &ls.async, bc: &ls.batch, li: &ls.info}
 	resizable := true
 	if qp, ok := l.Src.(QueueProvider); ok {
 		if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
@@ -905,7 +907,7 @@ func newStream(cfg *Config, l *Link, id int) stream {
 		}
 	}
 	if s.q == nil {
-		s.q, s.typed = l.SrcPort.mk(l.capacity, maxCap)
+		s.q, s.typed = l.SrcPort.ops.newRing(l.capacity, maxCap)
 	}
 	if l.bestEffort {
 		// Provider-owned queues (read-only source rings) have nothing to
@@ -917,11 +919,11 @@ func newStream(cfg *Config, l *Link, id int) stream {
 	if l.lowLatency {
 		s.bc.Pin(1)
 	}
-	name := fmt.Sprintf("%s.%s->%s.%s", l.Src.kernelBase().Name(), l.SrcPort.name, l.Dst.kernelBase().Name(), l.DstPort.name)
 	if cfg.markers != nil {
-		s.lane = trace.NewMarkerLane(name)
+		ls.lane.Init(name)
+		s.lane = &ls.lane
 	}
-	s.li = &core.LinkInfo{
+	ls.info = core.LinkInfo{
 		ID:              id,
 		Name:            name,
 		Queue:           s.q,
@@ -932,6 +934,35 @@ func newStream(cfg *Config, l *Link, id int) stream {
 		BestEffort:      l.bestEffort,
 	}
 	return s
+}
+
+// linkNames returns each link's "src.port->dst.port" name, all cut from
+// one string.
+func linkNames(links []*Link) []string {
+	parts := func(l *Link) [7]string {
+		return [...]string{l.Src.kernelBase().name, ".", l.SrcPort.name, "->", l.Dst.kernelBase().name, ".", l.DstPort.name}
+	}
+	size := 0
+	for _, l := range links {
+		for _, part := range parts(l) {
+			size += len(part)
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	ends := make([]int, len(links))
+	for i, l := range links {
+		for _, part := range parts(l) {
+			b.WriteString(part)
+		}
+		ends[i] = b.Len()
+	}
+	all, start := b.String(), 0
+	names := make([]string, len(links))
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
 }
 
 // bindPort attaches one endpoint port of link l to the stream.
@@ -959,28 +990,31 @@ func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 	}
 }
 
-// buildActor wraps one kernel into an actor for the build pass. When
-// tracing is on, the actor carries the shared recorder: core.Actor.StepTimed
-// emits RunStart/RunEnd itself, only on invocations it times and from the
-// same clock reads, so tracing adds no extra time.Now calls. Kernels that
-// run their own event loops (oar bridges) are handed the recorder through
-// the TraceAttacher interface so their reconnect/replay transitions land on
-// the same bus.
-func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
+// buildActor wraps one kernel into the actor of its slab slot for the
+// build pass. When tracing is on, the actor carries the shared recorder:
+// core.Actor.StepTimed emits RunStart/RunEnd itself, only on invocations it
+// times and from the same clock reads, so tracing adds no extra time.Now
+// calls. Kernels that run their own event loops (oar bridges) are handed
+// the recorder through the TraceAttacher interface so their
+// reconnect/replay transitions land on the same bus.
+func (ks *kernelSlot) buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
 	kb := k.kernelBase()
 	// Marker lifecycle events attribute to the kernel's trace track.
 	kb.actor = int32(id)
-	a := &core.Actor{
+	a := &ks.actor
+	ks.k, ks.kb, ks.a = k, kb, a
+	*a = core.Actor{
 		ID:      id,
 		Name:    kb.Name(),
 		Place:   place,
 		Weight:  kb.Weight(),
 		Step:    k.Run,
+		Life:    &ks.actorEntry,
 		Windows: (*windowOwner)(kb),
 		Virtual: kb.Virtual(),
 		// Every actor carries a gate so a later rewrite can pause it at a
 		// step boundary (one atomic load per step when idle).
-		Gate: core.NewGate(),
+		Gate: &ks.gate,
 	}
 	if rec != nil {
 		a.Trace = rec
@@ -993,17 +1027,16 @@ func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.
 	if init, ok := k.(Initializer); ok {
 		a.Init = init.Init
 	}
-	a.Ready = readinessOf(kb)
-	fin, hasFin := k.(Finalizer)
-	a.Finish = func() {
-		if hasFin {
-			fin.Finalize()
-		}
-		// Close outputs (EOF downstream) and inputs (unblocks upstream
-		// producers if this kernel died early).
-		kb.closeAllQueues()
-	}
 	return a
+}
+
+// Finish runs the kernel's Finalizer, then closes its outputs (EOF
+// downstream) and inputs (unblocks upstream producers if it died early).
+func (ae *actorEntry) Finish() {
+	if fin, ok := ae.k.(Finalizer); ok {
+		fin.Finalize()
+	}
+	ae.k.kernelBase().closeAllQueues()
 }
 
 // buildEstimator wires the online rate estimator over the engine state
@@ -1038,46 +1071,64 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 	return qmodel.NewEstimator(qmodel.EstimatorConfig{}, rd, kts, lts)
 }
 
-// readinessOf builds the cooperative-scheduler progress predicate for a
-// kernel: every input stream must hold data (or be closed, so the pop
-// returns immediately) and every output stream must have space (or be
-// closed). Kernels that pop several elements per invocation can still
-// block past the gate and capture a work-stealing worker (DESIGN §9),
-// backstopped by WithDeadlockDetection.
+// Ready is the cooperative-scheduler progress predicate of the entry's
+// kernel (core.Lifecycle), which the work-stealing scheduler asks before
+// every step:
+// every input stream must hold data (or be closed, so the pop returns
+// immediately) and every output stream must have space (or be closed).
+// Kernels that pop several elements per invocation can still block past the
+// gate and capture a work-stealing worker (DESIGN §9), backstopped by
+// WithDeadlockDetection.
 //
 // An open port window answers for its stream: a read window always holds an
 // element the kernel has not popped and a write window a slot it has not
 // filled, so such a port is ready. Any other port asks its ring, which arms
 // a blocked end as it answers: the predicate returning false is the park,
 // and the other end's next publish or release fires the wake hook.
-func readinessOf(kb *KernelBase) func() bool {
-	return func() bool {
-		for _, p := range kb.ins {
-			q := p.q
-			if q == nil || q.WindowPos(false) > 0 {
-				continue
-			}
-			if q.Blocked(false) {
+func (ae *actorEntry) Ready() bool {
+	for _, p := range ae.kb.ins {
+		q := p.q
+		if q == nil || q.WindowPos(false) > 0 {
+			continue
+		}
+		if q.Blocked(false) {
+			if !ae.kb.stagedSlot() {
 				return false
 			}
+			break
 		}
-		for _, p := range kb.outs {
-			q := p.q
-			if q == nil || q.WindowPos(true) > 0 {
-				continue
-			}
-			if q.Blocked(true) {
-				return false
-			}
-		}
-		return true
 	}
+	for _, p := range ae.kb.outs {
+		q := p.q
+		if q == nil || q.WindowPos(true) > 0 {
+			continue
+		}
+		if q.Blocked(true) {
+			return false
+		}
+	}
+	return true
 }
 
-// buildReport assembles the Report from the registry once the run is over.
+// stagedSlot reports whether a rewrite staged a binding on one of the
+// kernel's unlinked input slots (a merge's). Only a step of the kernel
+// adopts it, and no wake can come from its stream before that, so such a
+// kernel is ready even with an empty linked input (though not with a full
+// output, on which the step would block its worker).
+func (kb *KernelBase) stagedSlot() bool {
+	for _, p := range kb.ins {
+		if p.q == nil && p.pending.Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// buildReport assembles the Report from the registry once the run is over:
+// one row per registry entry, in registry order, each with its lifecycle
+// columns, written into rows allocated at their final length.
 func (ex *Execution) buildReport() *Report {
-	cfg, est := ex.cfg, ex.est
-	actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
+	cfg, est, reg := ex.cfg, ex.est, ex.reg
 	rep := &Report{
 		Elapsed:   ex.elapsed,
 		Scheduler: ex.sched.Name(),
@@ -1096,8 +1147,12 @@ func (ex *Execution) buildReport() *Report {
 			CrossShardLinks: ss.CrossShardLinks,
 		}
 	}
-	for _, a := range actors {
-		kr := KernelReport{
+	reg.mu.Lock()
+	rep.Kernels = make([]KernelReport, len(reg.actors))
+	for i, ae := range reg.actors {
+		a := ae.a
+		kr := &rep.Kernels[i]
+		*kr = KernelReport{
 			Name:         a.Name,
 			Place:        a.Place,
 			Runs:         a.Service.Count(),
@@ -1107,27 +1162,21 @@ func (ex *Execution) buildReport() *Report {
 			BusyNanos:    a.Service.BusyNanos(),
 			RatePerSec:   a.Service.RatePerSecond(),
 			Restarts:     a.Restarts.Load(),
+			JoinedAt:     time.Duration(ae.joinedNs),
+			LeftAt:       time.Duration(ae.leftNs),
 		}
 		if est != nil {
 			if r, ok := est.Kernel(int32(a.ID)); ok && r.Primed {
 				kr.MuHat = r.MuElems
 			}
 		}
-		rep.Kernels = append(rep.Kernels, kr)
 	}
-	if cfg.resLog != nil {
-		rep.Recoveries = cfg.resLog.Events()
-	}
-	for _, k := range ex.m.kernels {
-		if br, ok := k.(BridgeReporter); ok {
-			if b, carried := br.BridgeStats(); carried {
-				rep.Bridges = append(rep.Bridges, b)
-			}
-		}
-	}
-	for i, l := range links {
+	rep.Links = make([]LinkReport, len(reg.links))
+	for i, le := range reg.links {
+		l := le.li
 		tel := l.Queue.Telemetry().Snapshot()
-		lr := LinkReport{
+		lr := &rep.Links[i]
+		*lr = LinkReport{
 			Name:          l.Name,
 			FinalCap:      l.Queue.Cap(),
 			MeanOccupancy: l.Occupancy.Mean(),
@@ -1147,13 +1196,25 @@ func (ex *Execution) buildReport() *Report {
 			Batch:         l.Batch.Get(),
 			Views:         tel.Views,
 			ViewHoldNs:    tel.ViewHoldNs,
+			JoinedAt:      time.Duration(le.joinedNs),
+			LeftAt:        time.Duration(le.leftNs),
 		}
 		if est != nil {
 			if r, ok := est.Link(i); ok && r.Primed {
 				lr.LambdaHat, lr.MuHat, lr.RhoHat = r.Lambda, r.Mu, r.Rho
 			}
 		}
-		rep.Links = append(rep.Links, lr)
+	}
+	reg.mu.Unlock()
+	if cfg.resLog != nil {
+		rep.Recoveries = cfg.resLog.Events()
+	}
+	for _, k := range ex.m.kernels {
+		if br, ok := k.(BridgeReporter); ok {
+			if b, carried := br.BridgeStats(); carried {
+				rep.Bridges = append(rep.Bridges, b)
+			}
+		}
 	}
 	if ex.mon != nil {
 		rep.MonitorTicks = ex.mon.Ticks()
@@ -1178,6 +1239,5 @@ func (ex *Execution) buildReport() *Report {
 			rep.Latency.FlightDumps = cfg.flight.Dumps()
 		}
 	}
-	ex.reg.stampReport(rep)
 	return rep
 }

@@ -78,14 +78,14 @@ func sameSignature(a, b *KernelBase) error {
 		return fmt.Errorf("port count differs")
 	}
 	for _, ap := range a.ins {
-		bp, ok := b.inPorts[ap.name]
-		if !ok || bp.elem != ap.elem {
+		bp := lookupPort(b.ins, b.inPorts, ap.name)
+		if bp == nil || bp.elem != ap.elem {
 			return fmt.Errorf("input port %q differs", ap.name)
 		}
 	}
 	for _, ap := range a.outs {
-		bp, ok := b.outPorts[ap.name]
-		if !ok || bp.elem != ap.elem {
+		bp := lookupPort(b.outs, b.outPorts, ap.name)
+		if bp == nil || bp.elem != ap.elem {
 			return fmt.Errorf("output port %q differs", ap.name)
 		}
 	}
@@ -121,10 +121,10 @@ func (g *KernelGroup) Init() error {
 	for _, mk := range g.members {
 		mb := mk.kernelBase()
 		for _, p := range g.ins {
-			mb.inPorts[p.name].share(p)
+			lookupPort(mb.ins, mb.inPorts, p.name).share(p)
 		}
 		for _, p := range g.outs {
-			mb.outPorts[p.name].share(p)
+			lookupPort(mb.outs, mb.outPorts, p.name).share(p)
 		}
 		if init, ok := mk.(Initializer); ok {
 			if err := init.Init(); err != nil {

@@ -57,8 +57,9 @@ type KernelBase struct {
 	weight  float64
 	virtual bool
 
-	// ins and outs hold the ports in declaration order, inPorts and
-	// outPorts by name (see lookupPort for which one In and Out consult).
+	// ins and outs hold the ports in declaration order; inPorts and
+	// outPorts index them by name once there are more than portScanMax
+	// (see lookupPort).
 	ins      []*Port
 	outs     []*Port
 	inPorts  map[string]*Port
@@ -224,46 +225,62 @@ func (k *KernelBase) closeAllQueues() {
 }
 
 // addPort registers a new port, panicking on duplicates (construction bug).
+// The by-name index exists only for a kernel wider than portScanMax, the
+// only one lookupPort hashes for.
 func (k *KernelBase) addPort(p *Port) {
 	p.owner = k
-	switch p.dir {
-	case In:
-		if k.inPorts == nil {
-			k.inPorts = map[string]*Port{}
+	list, byName, what := &k.ins, &k.inPorts, "input"
+	if p.dir == Out {
+		list, byName, what = &k.outs, &k.outPorts, "output"
+	}
+	if lookupPort(*list, *byName, p.name) != nil {
+		panic(misuse(ErrPortInUse, "kernel %q declares %s port %q twice", k.name, what, p.name))
+	}
+	*list = append(*list, p)
+	switch {
+	case len(*list) <= portScanMax:
+	case *byName == nil:
+		*byName = make(map[string]*Port, len(*list))
+		for _, q := range *list {
+			(*byName)[q.name] = q
 		}
-		if _, dup := k.inPorts[p.name]; dup {
-			panic(misuse(ErrPortInUse, "kernel %q declares input port %q twice", k.name, p.name))
-		}
-		k.inPorts[p.name] = p
-		k.ins = append(k.ins, p)
-	case Out:
-		if k.outPorts == nil {
-			k.outPorts = map[string]*Port{}
-		}
-		if _, dup := k.outPorts[p.name]; dup {
-			panic(misuse(ErrPortInUse, "kernel %q declares output port %q twice", k.name, p.name))
-		}
-		k.outPorts[p.name] = p
-		k.outs = append(k.outs, p)
+	default:
+		(*byName)[p.name] = p
 	}
 }
 
-// newPort builds a typed port with its generically-captured ring factory
-// and transfer closures.
-func newPort[T any](name string, dir Direction) *Port {
-	return &Port{
-		name: name,
-		dir:  dir,
-		elem: reflect.TypeOf((*T)(nil)).Elem(),
-		mk: func(capacity, maxCap int) (ringbuffer.Queue, any) {
-			r := ringbuffer.NewRing[T](capacity)
-			if maxCap > 0 {
-				r.SetMaxCap(maxCap)
-			}
-			return r, r
-		},
-		mover: moveView[T],
+// elemOps is what a port knows of its element type beyond its
+// reflect.Type: how to allocate a stream's ring, and how to move a frame
+// between two rings of it (the runtime's split and merge adapters are
+// built without knowing T). ringOps[T] is zero-sized, so a port holds it
+// without an allocation.
+type elemOps interface {
+	// newRing returns the stream's ring as a Queue and as the
+	// *ringbuffer.Ring[T] the typed operations assert.
+	newRing(capacity, maxCap int) (ringbuffer.Queue, any)
+	// move transfers up to max elements from one ring to another as one
+	// frame (moveView); block selects whether it waits for the source's
+	// first element; it always waits for room at the destination.
+	move(src, dst any, max int, block bool) (int, error)
+}
+
+type ringOps[T any] struct{}
+
+func (ringOps[T]) newRing(capacity, maxCap int) (ringbuffer.Queue, any) {
+	r := ringbuffer.NewRing[T](capacity)
+	if maxCap > 0 {
+		r.SetMaxCap(maxCap)
 	}
+	return r, r
+}
+
+func (ringOps[T]) move(src, dst any, max int, block bool) (int, error) {
+	return moveView[T](src, dst, max, block)
+}
+
+// newPort builds a typed port.
+func newPort[T any](name string, dir Direction) *Port {
+	return &Port{name: name, dir: dir, elem: reflect.TypeFor[T](), ops: ringOps[T]{}}
 }
 
 // AddInput declares a new input port carrying elements of type T on the

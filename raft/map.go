@@ -8,7 +8,6 @@ import (
 // §4, Fig. 3). Build it with Link calls, then execute with Exe.
 type Map struct {
 	kernels  []Kernel
-	index    map[*KernelBase]int
 	links    []*Link
 	exc      exception
 	executed bool
@@ -18,7 +17,7 @@ type Map struct {
 
 // NewMap returns an empty topology.
 func NewMap() *Map {
-	return &Map{index: map[*KernelBase]int{}}
+	return &Map{}
 }
 
 // Link is one stream connection between two kernels. The paper's link()
@@ -30,12 +29,9 @@ type Link struct {
 	// SrcPort and DstPort are the bound endpoints.
 	SrcPort, DstPort *Port
 
-	capacity    int
-	maxCap      int
-	outOfOrder  bool
-	reorderable bool
-	lowLatency  bool
-	bestEffort  bool
+	// linkSpec is what the link's options asked for. Link applies them to
+	// it in place: one allocation per link.
+	linkSpec
 }
 
 // OutOfOrder reports whether the link permits out-of-order processing,
@@ -120,20 +116,19 @@ func AsReorderable() LinkOption {
 }
 
 // add registers a kernel with the map (idempotent), assigning its default
-// name.
+// name. A kernel belongs to the map once its owner is set.
 func (m *Map) add(k Kernel) error {
 	kb := k.kernelBase()
-	if _, ok := m.index[kb]; ok {
+	if kb.m == m {
 		return nil
 	}
-	if kb.m != nil && kb.m != m {
+	if kb.m != nil {
 		return fmt.Errorf("raft: kernel %q already belongs to another map", kernelName(k))
 	}
 	kb.m = m
 	if kb.name == "" {
 		kb.name = fmt.Sprintf("%s#%d", kernelName(k), len(m.kernels))
 	}
-	m.index[kb] = len(m.kernels)
 	m.kernels = append(m.kernels, k)
 	return nil
 }
@@ -144,9 +139,9 @@ func (m *Map) add(k Kernel) error {
 // immediately; a mismatch is an error, the library's stand-in for the C++
 // template compile error.
 func (m *Map) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
-	var spec linkSpec
+	l := &Link{}
 	for _, o := range opts {
-		o(&spec)
+		o(&l.linkSpec)
 	}
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("raft: Link requires non-nil kernels")
@@ -157,26 +152,22 @@ func (m *Map) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if err := m.add(dst); err != nil {
 		return nil, err
 	}
-	sp, err := pickPort(src.kernelBase(), Out, spec.from)
+	unbound := func(p *Port) bool { return !p.Bound() }
+	sp, err := pickPort(src.kernelBase(), Out, l.from, unbound, "")
 	if err != nil {
 		return nil, err
 	}
-	dp, err := pickPort(dst.kernelBase(), In, spec.to)
+	dp, err := pickPort(dst.kernelBase(), In, l.to, unbound, "")
 	if err != nil {
 		return nil, err
 	}
 	if sp.elem != dp.elem {
-		if spec.convert {
-			return convertedLink(m.Link, src, dst, sp, dp, spec)
+		if l.convert {
+			return convertedLink(m.Link, src, dst, sp, dp, l.linkSpec)
 		}
 		return nil, fmt.Errorf("raft: %w linking %s -> %s (AllowConvert permits numeric casts)", ErrTypeMismatch, sp, dp)
 	}
-	l := &Link{
-		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
-		capacity: spec.capacity, maxCap: spec.maxCap,
-		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
-	}
+	l.Src, l.Dst, l.SrcPort, l.DstPort = src, dst, sp, dp
 	sp.link = l
 	dp.link = l
 	m.links = append(m.links, l)
@@ -193,37 +184,43 @@ func (m *Map) MustLink(src, dst Kernel, opts ...LinkOption) *Link {
 	return l
 }
 
-// pickPort resolves the port to bind: the named one, or the single unbound
-// port in the given direction.
-func pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
-	list, ports := kb.outs, kb.outPorts
+// pickPort resolves the port to bind: the named one, or the single free
+// port in the given direction. free says whether a port is free: unbound
+// for Map.Link, neither live nor staged for Tx.Link, which names the
+// remedy for a taken port.
+func pickPort(kb *KernelBase, dir Direction, name string, free func(*Port) bool, remedy string) (*Port, error) {
+	list, byName := kb.outs, kb.outPorts
 	if dir == In {
-		list, ports = kb.ins, kb.inPorts
+		list, byName = kb.ins, kb.inPorts
 	}
 	if name != "" {
-		p, ok := ports[name]
-		if !ok {
+		p := lookupPort(list, byName, name)
+		if p == nil {
 			return nil, fmt.Errorf("raft: kernel %q has no %s port %q: %w", kb.name, dir, name, ErrPortNotFound)
 		}
-		if p.Bound() {
-			return nil, fmt.Errorf("raft: port %s is already linked: %w", p, ErrPortInUse)
+		if !free(p) {
+			return nil, fmt.Errorf("raft: port %s is already linked%s: %w", p, remedy, ErrPortInUse)
 		}
 		return p, nil
 	}
-	var free []*Port
+	var first *Port
+	n := 0
 	for _, p := range list {
-		if !p.Bound() {
-			free = append(free, p)
+		if free(p) {
+			if n == 0 {
+				first = p
+			}
+			n++
 		}
 	}
-	switch len(free) {
+	switch n {
 	case 1:
-		return free[0], nil
+		return first, nil
 	case 0:
-		return nil, fmt.Errorf("raft: kernel %q has no unbound %s port: %w", kb.name, dir, ErrPortNotFound)
+		return nil, fmt.Errorf("raft: kernel %q has no free %s port: %w", kb.name, dir, ErrPortNotFound)
 	default:
-		return nil, fmt.Errorf("raft: kernel %q has %d unbound %s ports; select one with %s",
-			kb.name, len(free), dir, fromOrTo(dir))
+		return nil, fmt.Errorf("raft: kernel %q has %d free %s ports; select one with %s",
+			kb.name, n, dir, fromOrTo(dir))
 	}
 }
 

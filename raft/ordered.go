@@ -45,7 +45,7 @@ func newOrderedSplitFromSpec(spec *Port, width int) *orderedSplit {
 func (s *orderedSplit) Run() Status {
 	in := s.In("in")
 	out := s.outs[s.rr%len(s.outs)]
-	if _, err := in.mover(in.typed, out.typed, 1, true); err != nil {
+	if _, err := in.ops.move(in.typed, out.typed, 1, true); err != nil {
 		if in.migrateOnClosed(err) {
 			return Proceed
 		}
@@ -75,7 +75,7 @@ func newOrderedMergeFromSpec(spec *Port, width int) *orderedMerge {
 func (m *orderedMerge) Run() Status {
 	in := m.ins[m.rr%len(m.ins)]
 	out := m.Out("out")
-	if _, err := in.mover(in.typed, out.typed, 1, true); err != nil {
+	if _, err := in.ops.move(in.typed, out.typed, 1, true); err != nil {
 		// The cyclically-next input is exhausted: with round-robin
 		// distribution every input at or after this cyclic position holds
 		// no more elements, so the whole group is drained.

@@ -39,17 +39,9 @@ type Port struct {
 	elem  reflect.Type
 	owner *KernelBase
 
-	// mk allocates the stream's ring for a link whose producer has this
-	// element type, returning it as a Queue and as the *ringbuffer.Ring[T]
-	// the typed operations assert. Captured generically by AddInput/AddOutput.
-	mk func(capacity, maxCap int) (ringbuffer.Queue, any)
-	// mover transfers up to max elements from one ring to another
-	// (both must carry this port's element type) as one frame: a borrowed
-	// view of the source's storage pushed into the destination (moveView).
-	// block selects whether it waits for the source's first element; it
-	// always waits for room at the destination. Used by the runtime's split
-	// and merge adapters so they can be built without knowing T.
-	mover func(src, dst any, max int, block bool) (int, error)
+	// ops allocates the stream's ring for a link whose producer has this
+	// element type, and moves frames between two rings of it.
+	ops elemOps
 
 	// q is the stream's ring, typed the same ring as a *ringbuffer.Ring[T].
 	// The port window lives in the ring — the stream end — not here:
@@ -242,7 +234,7 @@ func (p *Port) BatchHint(def int) int {
 func (p *Port) cloneSpec(name string, dir Direction) *Port {
 	return &Port{
 		name: name, dir: dir, elem: p.elem,
-		mk: p.mk, mover: p.mover,
+		ops: p.ops,
 	}
 }
 

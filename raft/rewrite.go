@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"raftlib/internal/core"
 	"raftlib/internal/graph"
@@ -78,6 +79,7 @@ type registry struct {
 
 type actorEntry struct {
 	k        Kernel
+	kb       *KernelBase
 	a        *core.Actor
 	joinedNs int64
 	leftNs   int64
@@ -91,6 +93,41 @@ type linkEntry struct {
 	leftNs   int64
 	removed  bool
 }
+
+// kernelSlot and linkSlot are one kernel's and one link's share of a build
+// pass's slabs: the registry entry with the actor and gate, or the batch
+// control, marker lane, async cell and LinkInfo, that it points at. A
+// transaction allocates one array of each, whatever its size (DESIGN
+// "Per-transaction slabs"); the arrays live as long as the registry holds
+// their entries, that is, as long as the execution. Both are padded to
+// whole 128-byte pairs of cache lines (the unit the adjacent-line
+// prefetcher moves), so that no pair holds two kernels' or two links'
+// state: a kernelSlot starts with its actor, which its kernel's goroutine
+// writes on every step, and a linkSlot with what both ends of the stream
+// touch on every transfer, well away from the occupancy statistics the
+// monitor writes on every tick.
+type kernelSlot struct {
+	actor core.Actor
+	actorEntry
+	gate core.Gate
+	_    [127 - (kernelSlotBytes+127)%128]byte
+}
+
+type linkSlot struct {
+	batch core.BatchControl
+	lane  trace.MarkerLane
+	linkEntry
+	info  core.LinkInfo
+	async asyncCell
+	_     [127 - (linkSlotBytes+127)%128]byte
+}
+
+// kernelSlotBytes and linkSlotBytes are the slots' sizes before padding
+// (every field but the last is a multiple of 8 bytes long).
+const (
+	kernelSlotBytes = unsafe.Sizeof(core.Actor{}) + unsafe.Sizeof(actorEntry{}) + unsafe.Sizeof(core.Gate{})
+	linkSlotBytes   = unsafe.Sizeof(core.BatchControl{}) + unsafe.Sizeof(trace.MarkerLane{}) + unsafe.Sizeof(linkEntry{}) + unsafe.Sizeof(core.LinkInfo{}) + unsafe.Sizeof(asyncCell{})
+)
 
 // sinceStart is the offset of now from the start of the run, and 0 before
 // the run starts — so what epoch 0 builds carries no join stamp.
@@ -160,25 +197,6 @@ func (r *registry) live() ([]*core.LinkInfo, []*core.Actor) {
 		}
 	}
 	return links, actors
-}
-
-// stampReport writes the lifecycle columns onto a report whose Kernels
-// and Links rows were built from actorList/linkInfoList (same order).
-func (r *registry) stampReport(rep *Report) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range rep.Kernels {
-		if i < len(r.actors) {
-			rep.Kernels[i].JoinedAt = time.Duration(r.actors[i].joinedNs)
-			rep.Kernels[i].LeftAt = time.Duration(r.actors[i].leftNs)
-		}
-	}
-	for i := range rep.Links {
-		if i < len(r.links) {
-			rep.Links[i].JoinedAt = time.Duration(r.links[i].joinedNs)
-			rep.Links[i].LeftAt = time.Duration(r.links[i].leftNs)
-		}
-	}
 }
 
 // liveKernel returns the live actor entry for k, or nil.
@@ -326,9 +344,9 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if t.done {
 		return nil, errRewriteDone
 	}
-	var spec linkSpec
+	l := &Link{}
 	for _, o := range opts {
-		o(&spec)
+		o(&l.linkSpec)
 	}
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("raft: Link requires non-nil kernels")
@@ -339,26 +357,25 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if err := t.adopt(dst); err != nil {
 		return nil, err
 	}
-	sp, err := t.pickPort(src.kernelBase(), Out, spec.from)
+	// A port is free if neither a live link this transaction keeps nor
+	// another staged link holds it.
+	free := func(p *Port) bool { return !t.bound(p, t.isLive) }
+	const remedy = " (remove its link in this transaction first)"
+	sp, err := pickPort(src.kernelBase(), Out, l.from, free, remedy)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := t.pickPort(dst.kernelBase(), In, spec.to)
+	dp, err := pickPort(dst.kernelBase(), In, l.to, free, remedy)
 	if err != nil {
 		return nil, err
 	}
 	if sp.elem != dp.elem {
-		if spec.convert {
-			return convertedLink(t.Link, src, dst, sp, dp, spec)
+		if l.convert {
+			return convertedLink(t.Link, src, dst, sp, dp, l.linkSpec)
 		}
 		return nil, fmt.Errorf("raft: %w linking %s -> %s", ErrTypeMismatch, sp, dp)
 	}
-	l := &Link{
-		Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
-		capacity: spec.capacity, maxCap: spec.maxCap,
-		outOfOrder: spec.outOfOrder, reorderable: spec.reorderable,
-		lowLatency: spec.lowLatency, bestEffort: spec.bestEffort,
-	}
+	l.Src, l.Dst, l.SrcPort, l.DstPort = src, dst, sp, dp
 	t.claimed[sp] = l
 	t.claimed[dp] = l
 	t.addLinks = append(t.addLinks, l)
@@ -408,41 +425,6 @@ func (t *Tx) freeSlot(slots []*Port) *Port {
 		}
 	}
 	return nil
-}
-
-// pickPort resolves a port for a staged link: free means bound neither by
-// a live link this transaction keeps nor by another staged link.
-func (t *Tx) pickPort(kb *KernelBase, dir Direction, name string) (*Port, error) {
-	list, ports := kb.outs, kb.outPorts
-	if dir == In {
-		list, ports = kb.ins, kb.inPorts
-	}
-	free := func(p *Port) bool { return !t.bound(p, t.isLive) }
-	if name != "" {
-		p, ok := ports[name]
-		if !ok {
-			return nil, fmt.Errorf("raft: kernel %q has no %s port %q: %w", kb.name, dir, name, ErrPortNotFound)
-		}
-		if !free(p) {
-			return nil, fmt.Errorf("raft: port %s is already linked (remove its link in this transaction first): %w", p, ErrPortInUse)
-		}
-		return p, nil
-	}
-	var candidates []*Port
-	for _, p := range list {
-		if free(p) {
-			candidates = append(candidates, p)
-		}
-	}
-	switch len(candidates) {
-	case 1:
-		return candidates[0], nil
-	case 0:
-		return nil, fmt.Errorf("raft: kernel %q has no free %s port: %w", kb.name, dir, ErrPortNotFound)
-	default:
-		return nil, fmt.Errorf("raft: kernel %q has %d free %s ports; select one with %s",
-			kb.name, len(candidates), dir, fromOrTo(dir))
-	}
 }
 
 // stagedLink is an allocated stream with an endpoint on a continuing
@@ -667,9 +649,10 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	firstActor, firstLink := len(reg.actors), len(reg.links)
 	reg.mu.Unlock()
 
-	// Registry entries are allocated as one array per transaction: epoch 0
-	// adds every kernel and link of the map at once.
-	actors := make([]actorEntry, len(t.addKernels))
+	// Registry entries, actors, gates and per-link state are allocated as
+	// one slab per transaction: epoch 0 adds every kernel and link of the
+	// map at once.
+	kernels := make([]kernelSlot, len(t.addKernels))
 	for i, k := range t.addKernels {
 		kb := k.kernelBase()
 		kb.m = ex.m
@@ -680,18 +663,20 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		if place != nil {
 			p = place[i]
 		}
-		a := buildActor(k, firstActor+i, p, ex.rec, ex.stride)
-		wireActorResilience(cfg, k, a)
-		actors[i] = actorEntry{k: k, a: a, joinedNs: now}
+		ks := &kernels[i]
+		wireActorResilience(cfg, k, ks.buildActor(k, firstActor+i, p, ex.rec, ex.stride))
+		ks.joinedNs = now
 	}
 
 	// Actor IDs continue the registry sequence, so a kernel joins in this
 	// transaction exactly when its ID is a new one.
 	joins := func(k Kernel) bool { return int(k.kernelBase().actor) >= firstActor }
 	b := &built{}
-	links := make([]linkEntry, len(t.addLinks))
+	links := make([]linkSlot, len(t.addLinks))
+	names := linkNames(t.addLinks)
 	for i, l := range t.addLinks {
-		s := stagedLink{stream: newStream(cfg, l, firstLink+i), l: l, srcDefer: !joins(l.Src)}
+		ls := &links[i]
+		s := stagedLink{stream: ls.newStream(cfg, l, firstLink+i, names[i]), l: l, srcDefer: !joins(l.Src)}
 		dstJoins := joins(l.Dst)
 		// Marker plumbing is written only on joining kernels: a continuing
 		// endpoint already carries it, and its stamping hot path is live.
@@ -715,17 +700,17 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		}
 		s.li.SrcActor = int(l.Src.kernelBase().actor)
 		s.li.DstActor = int(l.Dst.kernelBase().actor)
-		links[i] = linkEntry{l: l, li: s.li, joinedNs: now}
+		ls.l, ls.li, ls.joinedNs = l, s.li, now
 	}
 
 	reg.mu.Lock()
-	reg.actors = slices.Grow(reg.actors, len(actors))
-	for i := range actors {
-		reg.actors = append(reg.actors, &actors[i])
+	reg.actors = slices.Grow(reg.actors, len(kernels))
+	for i := range kernels {
+		reg.actors = append(reg.actors, &kernels[i].actorEntry)
 	}
 	reg.links = slices.Grow(reg.links, len(links))
 	for i := range links {
-		reg.links = append(reg.links, &links[i])
+		reg.links = append(reg.links, &links[i].linkEntry)
 	}
 	b.actors = reg.actors[firstActor:len(reg.actors):len(reg.actors)]
 	b.links = reg.links[firstLink:len(reg.links):len(reg.links)]

@@ -102,7 +102,7 @@ func (s *splitKernel) Run() Status {
 	if out == nil {
 		return Stop
 	}
-	n, err := in.mover(in.typed, out.typed, min(batch, adapterFrame), true)
+	n, err := in.ops.move(in.typed, out.typed, min(batch, adapterFrame), true)
 	if n > 0 {
 		forwardMarks(in, out)
 	}
@@ -200,7 +200,7 @@ func (m *mergeKernel) Run() Status {
 		}
 		// One framed transfer per input per sweep, never waiting on an
 		// empty input.
-		n, err := in.mover(in.typed, out.typed, hint, false)
+		n, err := in.ops.move(in.typed, out.typed, hint, false)
 		if n > 0 {
 			forwardMarks(in, out)
 		}

@@ -68,14 +68,14 @@ func newWindowRig(t *testing.T, capacity int, bestEffort, lowLatency bool) *wind
 func (g *windowRig) addRing(capacity int) *ringbuffer.Ring[int64] {
 	r := ringbuffer.NewRing[int64](capacity)
 	r.SetBestEffort(g.bestEffort)
-	r.SetWakeHook(func(w ringbuffer.Wake) {
+	r.SetWakeHook(ringbuffer.WakeFunc(func(w ringbuffer.Wake) {
 		if w != ringbuffer.WakeNotFull {
 			signal(g.notEmpty)
 		}
 		if w != ringbuffer.WakeNotEmpty {
 			signal(g.notFull)
 		}
-	})
+	}))
 	g.rings = append(g.rings, r)
 	return r
 }

@@ -322,7 +322,7 @@ func TestWindowRetiresAtStepBoundaries(t *testing.T) {
 			}
 			return Proceed
 		}
-		a := buildActor(k, 0, 0, nil, 0)
+		a := new(kernelSlot).buildActor(k, 0, 0, nil, 0)
 		for i := 1; i <= 50; i++ {
 			if st := a.StepTimed(); st == end && committed(out) != uint64(i) {
 				t.Fatalf("step %d returned %v with %d of %d elements committed", i, end, committed(out), i)
@@ -552,12 +552,33 @@ func TestWindowAwareLengths(t *testing.T) {
 	<-nb.applied
 }
 
+// TestReadyAdoptsStagedMergeSlot: a merge slot that a rewrite linked is
+// adopted only by one of the merge's steps, and its stream cannot wake the
+// merge before that, so a staged binding on an unlinked slot makes the
+// merge ready even while a linked input is empty. Without it a work-stealing
+// scale-up could wait out drainTimeout for the adoption, the merge parked on
+// an input starved by a split blocked on the new replica.
+func TestReadyAdoptsStagedMergeSlot(t *testing.T) {
+	kb := NewMerge[int64](2).kernelBase()
+	r := ringbuffer.NewRing[int64](4)
+	kb.ins[0].bind(r, r, &asyncCell{})
+	ready := (&actorEntry{kb: kb}).Ready
+	if ready() {
+		t.Fatal("ready with its only linked input empty")
+	}
+	staged := ringbuffer.NewRing[int64](4)
+	kb.ins[1].installPending(&pendingRebind{q: staged, typed: staged, applied: make(chan struct{})})
+	if !ready() {
+		t.Fatal("not ready with a staged slot binding to adopt")
+	}
+}
+
 // TestWindowReadinessAndParkedWake: the work-stealing readiness predicate
 // reads an open window as progress possible, and a parked consumer is woken
 // by the commit.
 func TestWindowReadinessAndParkedWake(t *testing.T) {
 	k, in, out := windowed(8, 4)
-	ready := readinessOf(k.kernelBase())
+	ready := (&actorEntry{kb: k.kernelBase()}).Ready
 	if ready() {
 		t.Fatal("ready with an empty input")
 	}
@@ -595,11 +616,11 @@ func TestWindowReadinessAndParkedWake(t *testing.T) {
 	// on the producer's first publish after — a write into a window — once.
 	var wakes atomic.Int64
 	k2, _, out2 := windowed(8, 64)
-	out2.SetWakeHook(func(w ringbuffer.Wake) {
+	out2.SetWakeHook(ringbuffer.WakeFunc(func(w ringbuffer.Wake) {
 		if w == ringbuffer.WakeNotEmpty {
 			wakes.Add(1)
 		}
-	})
+	}))
 	if !out2.Blocked(false) {
 		t.Fatal("consumer of an empty stream not blocked")
 	}
@@ -618,7 +639,8 @@ func TestWindowMarkersWaitForTheirElements(t *testing.T) {
 	p := k.Out("0")
 	dom := trace.NewMarkerDomain(2)
 	k.marks = &markerRig{dom: dom}
-	p.lane = trace.NewMarkerLane("test")
+	p.lane = &trace.MarkerLane{}
+	p.lane.Init("test")
 	p.stampEvery, p.stampLeft = 2, 2
 	for i := 0; i < 5; i++ {
 		_ = Push(p, int64(i))
