@@ -36,9 +36,9 @@ bench-smoke:
 	$(GO) run ./cmd/raft-bench -ablate batch -corpus 1 -items 500000
 	$(MAKE) bench-hotpath
 
-# bench-hotpath prints the two per-element costs every stream pays — one
-# actor step and one port push+pop, both of which must stay allocation-free
-# — and the construction cost of a many-kernel execution (Exe of 10k empty
+# bench-hotpath prints the per-element costs every stream pays — one actor
+# step, one port push+pop and a lambda kernel's port lookup by name, all of
+# which must stay allocation-free — and the construction cost of a many-kernel execution (Exe of 10k empty
 # gen -> sink pairs; printed, not gated), then checks the end-to-end
 # benchmark itself: its unit tests, and a
 # 1/50-scale pass over all six workloads that verifies every oracle and
@@ -48,6 +48,7 @@ bench-smoke:
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkStepTimedNoop$$' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench '^BenchmarkPortPushPop1G$$' -benchmem ./raft/
+	$(GO) test -run '^$$' -bench '^BenchmarkKernelPortLookup$$' -benchmem ./raft/
 	$(GO) test -run '^$$' -bench '^BenchmarkExeManyPairs$$' -benchmem -benchtime 5x ./raft/
 	$(GO) test ./bench/
 	@if [ "$$(nproc)" -ge 2 ]; then \

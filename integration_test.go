@@ -230,13 +230,16 @@ func TestChaosTextsearchIdenticalToUndisturbed(t *testing.T) {
 // gauntlet: the disturbed Figure 9 topology above, with every
 // producer-side stream starting at capacity 2 and dynamic resize on — so
 // the monitor is growing rings (deferred past open port windows and views)
-// while a kernel is killed and the bridge severed. The answer must equal
-// the ground truth, and the report must show the resizes happened.
+// while a kernel is killed and the bridge severed. The source sends the
+// corpus pass after pass until an observer has seen a ring grow (a single
+// pass can end before the monitor acts). The answer must equal the ground
+// truth for the passes sent, and the report must show the resizes
+// happened.
 func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 	data := corpus.Generate(corpus.Spec{Bytes: 2 << 20, Seed: 4242})
 	pattern := []byte(corpus.DefaultPattern)
-	want := int64(bytes.Count(data, pattern))
-	if want == 0 {
+	perPass := int64(bytes.Count(data, pattern))
+	if perPass == 0 {
 		t.Fatal("corpus has no hits")
 	}
 
@@ -256,14 +259,25 @@ func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	grown := make(chan struct{})
+	var once sync.Once
+	observe := func(s raft.LiveStats) {
+		for _, l := range s.Links {
+			if l.Cap > 2 {
+				once.Do(func() { close(grown) })
+			}
+		}
+	}
+
 	producer := raft.NewMap()
 	match, err := kernels.NewCountSearch("horspool", pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reader := newPassReader(data, 8<<10, len(pattern)-1, grown)
 	// Tiny initial capacities force the monitor's write-block grow rule to
 	// fire mid-chaos; the replica links inherit Cap(2) from the group's.
-	producer.MustLink(kernels.NewBytesReader(data, 8<<10, len(pattern)-1), match, raft.AsOutOfOrder(), raft.Cap(2))
+	producer.MustLink(reader, match, raft.AsOutOfOrder(), raft.Cap(2))
 	producer.MustLink(match, send, raft.Cap(2))
 	prodOpts := []raft.Option{
 		raft.WithAutoReplicate(3), raft.WithAdaptiveBatching(true),
@@ -271,6 +285,7 @@ func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 		raft.WithSupervision(raft.SupervisionPolicy{InitialBackoff: time.Microsecond}),
 		raft.WithFaultInjection(inj),
 		raft.WithDynamicResize(true),
+		raft.WithObserver(time.Millisecond, observe),
 	}
 
 	var total int64
@@ -293,16 +308,72 @@ func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 		t.Fatalf("faults fired: kill=%d sever=%d, want 1 and 1",
 			inj.Fired("kill"), inj.Fired("sever"))
 	}
-	if total != want {
-		t.Fatalf("chaos hits = %d, want %d (must be identical)", total, want)
+	if want := int64(reader.passes) * perPass; total != want {
+		t.Fatalf("chaos hits = %d, want %d over %d passes (must be identical)", total, want, reader.passes)
 	}
 	var resizes uint64
 	for _, l := range rep.Links {
 		resizes += l.Resizes
 	}
 	if resizes == 0 {
-		t.Fatal("no resize on any link despite capacity-2 starts")
+		t.Fatalf("no resize on any link despite capacity-2 starts (%d passes)", reader.passes)
 	}
+	t.Logf("%d passes, %d resizes", reader.passes, resizes)
+}
+
+// passReader streams data in the windows kernels.BytesReader cuts, pass
+// after pass, until enough closes — an observer's witness that what the
+// test asserts on has happened — or 10 s have passed. The chunks of one
+// pass do not overlap the next, so every pass finds the hits of one. The
+// last chunk of the last pass carries SigEOF; passes counts the passes
+// sent (read it after the run).
+type passReader struct {
+	raft.KernelBase
+	data           []byte
+	chunk, overlap int
+	off, passes    int
+	enough         <-chan struct{}
+	deadline       time.Time
+}
+
+func newPassReader(data []byte, chunk, overlap int, enough <-chan struct{}) *passReader {
+	r := &passReader{data: data, chunk: chunk, overlap: overlap, enough: enough, deadline: time.Now().Add(10 * time.Second)}
+	r.SetName("filereader")
+	raft.AddOutput[kernels.Chunk](r, "out")
+	return r
+}
+
+func (r *passReader) Run() raft.Status {
+	end := min(r.off+r.chunk+r.overlap, len(r.data))
+	c := kernels.Chunk{Data: r.data[r.off:end], Off: int64(r.off), Valid: min(r.chunk, len(r.data)-r.off)}
+	if r.off > 0 {
+		c.Prev = r.data[r.off-1]
+	}
+	last, final := r.off+r.chunk >= len(r.data), false
+	if last {
+		select {
+		case <-r.enough:
+			final = true
+		default:
+			final = time.Now().After(r.deadline)
+		}
+	}
+	sig := raft.SigNone
+	if final {
+		sig = raft.SigEOF
+	}
+	if err := raft.PushSig(r.Out("out"), c, sig); err != nil {
+		return raft.Stop
+	}
+	r.off += r.chunk
+	if last {
+		r.off = 0
+		r.passes++
+	}
+	if final {
+		return raft.Stop
+	}
+	return raft.Proceed
 }
 
 // TestChaosDistributedSumExact kills the supervised, checkpointed reduce

@@ -25,10 +25,13 @@ type Actor struct {
 	// Weight is the relative compute cost estimate used by the mapper.
 	Weight float64
 
-	// Init, if non-nil, runs once before the first Step.
+	// Init, if non-nil, runs once before the first invocation.
 	Init func() error
-	// Step performs one kernel invocation.
-	Step func() Status
+	// Runner performs one kernel invocation: the raft package binds the
+	// kernel itself, or a wrapper around it (fault hook, supervisor). Step
+	// does instead on an actor built without one (a probe, a test).
+	Runner Runner
+	Step   func() Status
 	// Life, if non-nil, is the kernel's side of the actor's lifecycle
 	// besides its steps: the readiness predicate and the teardown (see
 	// Ready and Finish).
@@ -96,6 +99,23 @@ type Actor struct {
 	obsWeight  uint32
 	jitter     uint32
 	nextSpan   uint64
+}
+
+// Runner is the kernel side of one invocation; a raft kernel is one.
+type Runner interface{ Run() Status }
+
+// StepFunc adapts a function to a Runner.
+type StepFunc func() Status
+
+func (f StepFunc) Run() Status { return f() }
+
+// Invocation is what one step of the actor runs: its Runner, or its Step
+// as one. A wrapper (the supervisor) wraps it and becomes the Runner.
+func (a *Actor) Invocation() Runner {
+	if a.Runner != nil {
+		return a.Runner
+	}
+	return StepFunc(a.Step)
 }
 
 // Lifecycle is what a scheduler asks of the kernel behind an actor besides
@@ -189,7 +209,7 @@ var clockSkew = func() time.Duration {
 	return best
 }()
 
-// StepTimed invokes Step, counts the invocation, and times it if it is an
+// StepTimed performs one invocation, counts it, and times it if it is an
 // observed one. Counting is exact and clock-free: Service.Count advances on
 // every invocation. Timing is budgeted. The first invocation is observed;
 // an observed invocation of duration d sets the rate for those that follow,
@@ -210,7 +230,7 @@ var clockSkew = func() time.Duration {
 func (a *Actor) StepTimed() Status {
 	if a.unobserved != 0 {
 		a.unobserved--
-		st := a.Step()
+		st := a.Invocation().Run()
 		a.Service.Step()
 		a.held(st)
 		return st
@@ -266,7 +286,7 @@ func (a *Actor) stepObserved() Status {
 	if traced {
 		a.Trace.Record(a.TraceID, trace.RunStart, start.UnixNano())
 	}
-	st := a.Step()
+	st := a.Invocation().Run()
 	d := time.Since(start)
 	if traced {
 		a.Trace.Record(a.TraceID, trace.RunEnd, start.UnixNano()+int64(d))

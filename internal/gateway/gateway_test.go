@@ -121,6 +121,29 @@ func post(t *testing.T, h http.Handler, path, tenant, body string) *httptest.Res
 	return rw
 }
 
+// TestHTTPAdmittedBody pins the 202 answer byte for byte, for counts
+// below and above the two-digit range, against what encoding/json writes
+// for the same value.
+func TestHTTPAdmittedBody(t *testing.T) {
+	for _, n := range []int{0, 3, 99, 123, 1 << 40} {
+		rw := httptest.NewRecorder()
+		writeAdmitted(rw, n)
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusAccepted, map[string]any{"admitted": n})
+		if got := rw.Body.String(); got != want.Body.String() || got != fmt.Sprintf("{\"admitted\":%d}\n", n) {
+			t.Errorf("n=%d: body %q, want %q", n, got, want.Body.String())
+		}
+		if rw.Code != http.StatusAccepted || rw.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("n=%d: status %d, Content-Type %q", n, rw.Code, rw.Header().Get("Content-Type"))
+		}
+	}
+	srv, _ := newTestServer(t, Config{}, idleWiring())
+	rw := post(t, srv.Handler(), "/v1/ingest/words", "alice", "a\nb\nc")
+	if got := rw.Body.String(); rw.Code != http.StatusAccepted || got != "{\"admitted\":3}\n" {
+		t.Fatalf("ingest answered %d %q, want 202 {\"admitted\":3}", rw.Code, got)
+	}
+}
+
 func TestHTTPIngestAccepted(t *testing.T) {
 	srv, sink := newTestServer(t, Config{}, idleWiring())
 	rw := post(t, srv.Handler(), "/v1/ingest/words", "alice", "a\nb\nc")

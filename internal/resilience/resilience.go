@@ -140,22 +140,25 @@ type Hooks struct {
 	Log *Log
 }
 
-// Supervisor wraps one actor's Step with panic recovery and the restart
-// policy. Create with Supervise.
+// Supervisor wraps one actor's invocation with panic recovery and the
+// restart policy: it is the actor's Runner, and runs the one it replaced.
+// Create with Supervise.
 type Supervisor struct {
 	name     string
 	p        Policy
 	h        Hooks
 	actor    *core.Actor
+	inner    core.Runner
 	rng      *rand.Rand
 	attempts int
 	sinceCk  uint64
 }
 
-// Supervise wraps the actor's Step in place and returns the supervisor.
-// The wrapped step never lets a panic escape: it either restarts the
-// kernel (after backoff and optional state restore) or, once the budget is
-// exhausted, reports the failure through OnExhausted and stops the kernel.
+// Supervise wraps the actor's invocation in place and returns the
+// supervisor. The wrapped invocation never lets a panic escape: it either
+// restarts the kernel (after backoff and optional state restore) or, once
+// the budget is exhausted, reports the failure through OnExhausted and
+// stops the kernel.
 func Supervise(a *core.Actor, p Policy, h Hooks) *Supervisor {
 	if h.CheckpointEvery == 0 {
 		h.CheckpointEvery = 1
@@ -167,16 +170,16 @@ func Supervise(a *core.Actor, p Policy, h Hooks) *Supervisor {
 		p:     p.withDefaults(),
 		h:     h,
 		actor: a,
+		inner: a.Invocation(),
 		rng:   rand.New(rand.NewSource(int64(seed.Sum64()))),
 	}
-	inner := a.Step
-	a.Step = func() core.Status { return s.step(inner) }
+	a.Runner = s
 	return s
 }
 
-// step runs one supervised invocation.
-func (s *Supervisor) step(inner func() core.Status) core.Status {
-	st, perr := s.safeStep(inner)
+// Run is one supervised invocation (core.Runner).
+func (s *Supervisor) Run() core.Status {
+	st, perr := s.safeStep()
 	if perr == nil {
 		if s.h.Checkpoint != nil && st != core.Stall {
 			s.sinceCk++
@@ -277,11 +280,11 @@ func (s *Supervisor) backoff(attempt int) time.Duration {
 func (s *Supervisor) Attempts() int { return s.attempts }
 
 // safeStep invokes the kernel once, converting a panic into an error.
-func (s *Supervisor) safeStep(inner func() core.Status) (st core.Status, err error) {
+func (s *Supervisor) safeStep() (st core.Status, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = core.PanicError(r)
 		}
 	}()
-	return inner(), nil
+	return s.inner.Run(), nil
 }

@@ -27,11 +27,11 @@ func mkActor(name string, total int, panicAt map[int]bool) (*core.Actor, *int) {
 	return a, &runs
 }
 
-// drive runs the actor's (wrapped) step to completion, with a safety cap.
+// drive runs the actor's (supervised) Runner to completion, with a safety cap.
 func drive(t *testing.T, a *core.Actor) {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
-		if a.Step() == core.Stop {
+		if a.Runner.Run() == core.Stop {
 			return
 		}
 	}
@@ -78,11 +78,11 @@ func TestSupervisorExhaustionEscalates(t *testing.T) {
 
 	// 3 invocations: two absorbed restarts, third exhausts the budget.
 	for i := 0; i < 2; i++ {
-		if st := a.Step(); st != core.Proceed {
+		if st := a.Runner.Run(); st != core.Proceed {
 			t.Fatalf("restart %d: status %v, want Proceed", i+1, st)
 		}
 	}
-	if st := a.Step(); st != core.Stop {
+	if st := a.Runner.Run(); st != core.Stop {
 		t.Fatalf("exhausted step: status %v, want Stop", st)
 	}
 	if escalated == nil {
@@ -225,7 +225,7 @@ func TestRestoreFailureConsumesAttempts(t *testing.T) {
 		Restore:     func() error { return errors.New("corrupt snapshot") },
 		OnExhausted: func(err error) { escalated = err },
 	})
-	if st := a.Step(); st != core.Stop {
+	if st := a.Runner.Run(); st != core.Stop {
 		t.Fatalf("status %v, want Stop (restore failures burn the budget)", st)
 	}
 	if !errors.Is(escalated, ErrRetriesExhausted) || !errors.Is(escalated, ErrCheckpointFailed) {

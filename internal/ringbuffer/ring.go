@@ -172,12 +172,20 @@ func clearBits(w *atomic.Uint32, b uint32) {
 // NewRing returns a Ring with the given initial capacity (DefaultCapacity
 // if capacity <= 0).
 func NewRing[T any](capacity int) *Ring[T] {
+	r := new(Ring[T])
+	r.Init(capacity)
+	return r
+}
+
+// Init makes r, a zero Ring, what NewRing(capacity) returns, for a header
+// that is part of a larger allocation (an array of rings); r must not be
+// copied afterwards. Its stores are apart, so that a resize can free them.
+func (r *Ring[T]) Init(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Ring[T]{zero: !PointerFree(reflect.TypeFor[T]())}
+	r.zero = !PointerFree(reflect.TypeFor[T]())
 	r.init(make([]T, capacity), make([]Signal, capacity))
-	return r
 }
 
 // NewRingFromSlice returns a read-only Ring whose element storage aliases
@@ -854,11 +862,10 @@ func (r *Ring[T]) applyDeferredLocked() {
 // ResizePending reports whether an accepted Resize still waits for the
 // producer's boundary. The monitor skips the link meanwhile: the capacity
 // has not changed yet, so the evidence that asked for the resize would ask
-// again.
+// again. It takes no lock: the attnResize bit goes up and down with
+// deferredCap, under mu.
 func (r *Ring[T]) ResizePending() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deferredCap != 0
+	return r.rattn.Load()&attnResize != 0
 }
 
 // WriterBlockedFor returns how long the producer has currently been blocked

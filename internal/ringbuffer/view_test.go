@@ -181,6 +181,70 @@ func TestRingWriteViewSurvivesDrainToEmpty(t *testing.T) {
 }
 
 // TestRingViewDefersResize: a resize requested while a write view is out
+
+// TestResizePendingMirrorsDeferredCap checks that the lock-free
+// ResizePending reads what the lock guards: the attnResize bit is up exactly
+// while a resize waits in deferredCap — not after an applied resize, during
+// a deferred one, nor after a deferred one that is applied, or that finds
+// the ring already at its target when the producer's boundary comes.
+func TestResizePendingMirrorsDeferredCap(t *testing.T) {
+	check := func(r *Ring[int], when string, want bool) {
+		t.Helper()
+		r.mu.Lock()
+		deferred := r.deferredCap != 0
+		r.mu.Unlock()
+		if got := r.ResizePending(); got != want || deferred != want {
+			t.Fatalf("%s: ResizePending %v, deferredCap set %v, want both %v", when, got, deferred, want)
+		}
+	}
+	// fill pushes three elements and opens a one-slot write view.
+	fill := func(r *Ring[int]) WriteView[int] {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if err := r.Push(i, SigNone); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, err := r.AcquireWriteView(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	r := NewRing[int](4)
+	check(r, "new ring", false)
+	if err := r.Resize(8); err != nil || r.Cap() != 8 {
+		t.Fatalf("idle resize: cap %d err %v, want 8 applied", r.Cap(), err)
+	}
+	check(r, "applied resize", false)
+	w := fill(r)
+	if err := r.Resize(16); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "resize under a write view", true)
+	w.SetAt(0, 3, SigNone)
+	r.ReleaseWriteView(1)
+	check(r, "deferred resize applied", false)
+	if r.Cap() != 16 {
+		t.Fatalf("cap %d, want 16", r.Cap())
+	}
+	// A deferred resize to the length that finds the ring full at the
+	// producer's boundary is clamped to the store it has: nothing is
+	// installed, and the bit must still go down.
+	r = NewRing[int](4)
+	w = fill(r)
+	if err := r.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "resize to the length under a write view", true)
+	w.SetAt(0, 3, SigNone)
+	r.ReleaseWriteView(1)
+	check(r, "clamped resize at the boundary", false)
+	if r.Cap() != 4 {
+		t.Fatalf("cap %d, want 4", r.Cap())
+	}
+}
+
 // waits for its release (the producer may be writing the store); one
 // requested while a read view is out applies at once, and the borrowed
 // storage is not touched: the consumer drains the sealed store.

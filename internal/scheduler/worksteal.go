@@ -50,7 +50,7 @@ type wsTask struct {
 	// watchdog reads.
 	hooked   atomic.Bool
 	state    atomic.Int32
-	parkedAt atomic.Int64 // UnixNano of the park (watchdog grace base)
+	parkedAt atomic.Uint64 // watchdog tick count at the park (grace base)
 }
 
 // Work-stealing tuning. The quantum bounds how long one kernel holds a
@@ -61,14 +61,16 @@ const (
 	// sweeps when no wake token arrives (pure backstop; tokens are the
 	// fast path).
 	wsIdleRecheck = 2 * time.Millisecond
-	// wsWatchdogTick is the rescue scan period; wsGraceBare is the parked
-	// grace for kernels with no hooked links (their stalls have no wake
-	// source, so the watchdog IS their scheduler), wsGraceHooked the much
-	// longer grace for kernels whose links carry hooks (rescue only covers
-	// non-queue stall reasons).
+	// wsWatchdogTick is the rescue scan period. A parked task is rescued
+	// by the first scan that counts more than its grace of whole ticks
+	// since its park: after at least grace ticks, within grace+1.
+	// wsGraceBare (>= 1 ms) is for kernels with no hooked links (their
+	// stalls have no wake source, so the watchdog IS their scheduler),
+	// wsGraceHooked (>= 10 ms) for kernels whose links carry hooks (rescue
+	// only covers non-queue stall reasons).
 	wsWatchdogTick = 5 * time.Millisecond
-	wsGraceBare    = time.Millisecond
-	wsGraceHooked  = 10 * time.Millisecond
+	wsGraceBare    = 1
+	wsGraceHooked  = 2
 	// wsTraceSample emits every Nth park/wake to the trace bus (steals are
 	// always emitted; parks and wakes are the hot path).
 	wsTraceSample = 64
@@ -104,6 +106,8 @@ type WorkSteal struct {
 	tokens     chan struct{}
 	crossShard atomic.Int32
 	nw         int
+	// ticks counts the watchdog's scans; parks stamp it.
+	ticks atomic.Uint64
 
 	// ready is closed once Run has built the deques, letting Spawn and
 	// TakeLink from a rewrite transaction wait out the startup race.
@@ -546,9 +550,9 @@ func (ws *WorkSteal) wake(t *wsTask, rescue bool) {
 
 // park is the worker-side half of the protocol, called after a Stall or a
 // failed readiness gate. parkedAt is stamped before the CAS so the
-// watchdog never sees a fresh park with a stale timestamp.
+// watchdog never sees a fresh park with a stale stamp.
 func (ws *WorkSteal) park(t *wsTask, shard int) {
-	t.parkedAt.Store(time.Now().UnixNano())
+	t.parkedAt.Store(ws.ticks.Load())
 	if t.state.CompareAndSwap(wsRunning, wsParked) {
 		n := ws.Counters.parks.Add(1)
 		if ws.tr != nil && n%wsTraceSample == 1 {
@@ -576,23 +580,28 @@ func (ws *WorkSteal) watchdog(done chan struct{}) {
 			return
 		case <-tick.C:
 		}
-		// Snapshot the task list: Spawn appends under dynMu, and an append
-		// that reallocates leaves this snapshot intact.
-		ws.dynMu.Lock()
-		tasks := ws.tasks
-		ws.dynMu.Unlock()
-		now := time.Now().UnixNano()
-		for _, t := range tasks {
-			if t.state.Load() != wsParked {
-				continue
-			}
-			grace := wsGraceBare
-			if t.hooked.Load() {
-				grace = wsGraceHooked
-			}
-			if now-t.parkedAt.Load() > int64(grace) {
-				ws.wake(t, true)
-			}
+		ws.rescue(ws.ticks.Add(1))
+	}
+}
+
+// rescue is one watchdog scan at tick count now: it wakes every task parked
+// for more than its grace.
+func (ws *WorkSteal) rescue(now uint64) {
+	// Snapshot the task list: Spawn appends under dynMu, and an append that
+	// reallocates leaves this snapshot intact.
+	ws.dynMu.Lock()
+	tasks := ws.tasks
+	ws.dynMu.Unlock()
+	for _, t := range tasks {
+		if t.state.Load() != wsParked {
+			continue
+		}
+		grace := uint64(wsGraceBare)
+		if t.hooked.Load() {
+			grace = wsGraceHooked
+		}
+		if now-t.parkedAt.Load() > grace {
+			ws.wake(t, true)
 		}
 	}
 }

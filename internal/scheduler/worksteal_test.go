@@ -53,6 +53,47 @@ func TestWorkStealStallCountsRescues(t *testing.T) {
 	}
 }
 
+// TestWorkStealGraceInWholeTicks drives the watchdog's scan by hand over
+// two parked tasks: a bare one is rescued within two ticks of its park, a
+// hooked one only after more than two (at least 10 ms), and a park reads
+// the tick count, not the clock.
+func TestWorkStealGraceInWholeTicks(t *testing.T) {
+	ws := NewWorkSteal(1)
+	ws.deques = []*stealDeque{newStealDeque(2)}
+	ws.tokens = make(chan struct{}, 1)
+	bare, hooked := &wsTask{a: &core.Actor{}}, &wsTask{a: &core.Actor{ID: 1}}
+	hooked.hooked.Store(true)
+	ws.tasks = []*wsTask{bare, hooked}
+	const parkedAt = 7 // the park lands between ticks 7 and 8
+	ws.ticks.Store(parkedAt)
+	for _, task := range ws.tasks {
+		task.state.Store(wsRunning)
+		ws.park(task, 0)
+		if got := task.parkedAt.Load(); got != parkedAt {
+			t.Fatalf("park stamped tick %d, want %d", got, parkedAt)
+		}
+	}
+	for _, step := range []struct {
+		tick         uint64
+		bare, hooked bool
+	}{
+		{parkedAt + 1, false, false},
+		{parkedAt + 2, true, false},
+		{parkedAt + 3, true, true},
+	} {
+		ws.rescue(step.tick)
+		if got := bare.state.Load() == wsQueued; got != step.bare {
+			t.Errorf("tick %d: bare task rescued = %v, want %v", step.tick, got, step.bare)
+		}
+		if got := hooked.state.Load() == wsQueued; got != step.hooked {
+			t.Errorf("tick %d: hooked task rescued = %v, want %v", step.tick, got, step.hooked)
+		}
+	}
+	if got := ws.Counters.rescues.Load(); got != 2 {
+		t.Fatalf("rescues = %d, want 2", got)
+	}
+}
+
 // pipelineActors builds a producer->consumer pair over one hooked queue:
 // the producer pushes n elements (stalling when full) and the consumer pops
 // them (stalling when empty), so completion requires park/wake to work in

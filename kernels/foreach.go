@@ -29,12 +29,11 @@ func NewForEach[T any](data []T) *ForEach[T] {
 }
 
 // ProvideQueue implements raft.QueueProvider with a slice-backed ring.
-func (f *ForEach[T]) ProvideQueue(port string) (ringbuffer.Queue, any, bool) {
+func (f *ForEach[T]) ProvideQueue(port string) (ringbuffer.Queue, bool) {
 	if port != "out" {
-		return nil, nil, false
+		return nil, false
 	}
-	r := ringbuffer.NewRingFromSlice(f.data)
-	return r, r, true
+	return ringbuffer.NewRingFromSlice(f.data), true
 }
 
 // Run implements raft.Kernel; it never executes (the kernel is virtual)

@@ -6,15 +6,20 @@ import (
 	"raftlib/internal/core"
 )
 
+// newPort builds a port of no kernel, for tests that bind ports by hand.
+func newPort[T any](name string, dir Direction) *Port {
+	return &Port{name: name, dir: dir, ops: ringOps[T]{}}
+}
+
 // bulkHarness binds a pair of ports to one queue, mimicking allocate().
 func bulkHarness(t *testing.T) (*Port, *Port) {
 	t.Helper()
 	src := newPort[int]("out", Out)
 	dst := newPort[int]("in", In)
-	q, typed := src.ops.newRing(8, 0)
+	q := src.ops.rings(1)(8, 0)
 	async := &asyncCell{}
-	src.bind(q, typed, async)
-	dst.bind(q, typed, async)
+	src.bind(q, async)
+	dst.bind(q, async)
 	bc := &core.BatchControl{}
 	src.batch, dst.batch = bc, bc
 	return src, dst
@@ -96,7 +101,7 @@ func TestMoveBatchedEquivalence(t *testing.T) {
 	}()
 	go func() {
 		for {
-			if _, err := src.ops.move(src.typed, out.typed, 16, true); err != nil {
+			if _, err := src.ops.move(src.q, out.q, 16, true); err != nil {
 				out.Close()
 				return
 			}

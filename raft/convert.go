@@ -120,7 +120,7 @@ func newConverterFor(from, to reflect.Type) (Kernel, error) {
 // synthetic Link carrying the caller's original endpoints for chaining.
 func convertedLink(link func(src, dst Kernel, opts ...LinkOption) (*Link, error),
 	src, dst Kernel, sp, dp *Port, spec linkSpec) (*Link, error) {
-	conv, err := newConverterFor(sp.elem, dp.elem)
+	conv, err := newConverterFor(sp.Type(), dp.Type())
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func convertedLink(link func(src, dst Kernel, opts ...LinkOption) (*Link, error)
 	wideOpts := []LinkOption{}
 	narrowOpts := []LinkOption{Cap(spec.capacity), MaxCap(spec.maxCap)}
 	srcSideOpts, dstSideOpts := narrowOpts, wideOpts
-	if sp.elem.Size() > dp.elem.Size() {
+	if sp.Type().Size() > dp.Type().Size() {
 		srcSideOpts, dstSideOpts = wideOpts, narrowOpts
 	}
 	srcSideOpts = append(srcSideOpts, From(sp.name), To("in"))

@@ -875,7 +875,6 @@ func (m *Map) stage() *Tx {
 // endpoint ports share with it.
 type stream struct {
 	q     ringbuffer.Queue
-	typed any
 	async *asyncCell
 	// bc is the stream's batch control, shared by both endpoints and the
 	// monitor; lane its latency-marker mailbox (nil with markers off): the
@@ -885,30 +884,51 @@ type stream struct {
 	li   *core.LinkInfo
 }
 
-// newStream allocates l's stream into its slab slot under the execution's
-// policy for the build pass (rewrite.go): the ring's default capacity
-// (ringbuffer.DefaultCapacity) without Cap and growth bound without MaxCap,
-// a provider-owned queue (zero copy, never resized), the best-effort
+// streamRings returns each link's ring: the producer's own where it
+// provides one (QueueProvider; provided says which), else one with the
+// link's capacity (ringbuffer.DefaultCapacity without Cap) and growth bound
+// from one array of headers per element type (DESIGN "Per-transaction
+// slabs").
+func streamRings(links []*Link) (rings []ringbuffer.Queue, provided []bool) {
+	rings, provided = make([]ringbuffer.Queue, len(links)), make([]bool, len(links))
+	counts := map[elemOps]int{}
+	for i, l := range links {
+		if qp, ok := l.Src.(QueueProvider); ok {
+			rings[i], provided[i] = qp.ProvideQueue(l.SrcPort.name)
+		}
+		if !provided[i] {
+			counts[l.SrcPort.ops]++
+		}
+	}
+	next := make(map[elemOps]func(capacity, maxCap int) ringbuffer.Queue, len(counts))
+	for ops, n := range counts {
+		next[ops] = ops.rings(n)
+	}
+	for i, l := range links {
+		if !provided[i] {
+			rings[i] = next[l.SrcPort.ops](l.capacity, l.growthCap())
+		}
+	}
+	return rings, provided
+}
+
+// growthCap bounds the link's ring growth: MaxCap, else defaultMaxCap.
+func (l *Link) growthCap() int {
+	if l.maxCap > 0 {
+		return l.maxCap
+	}
+	return defaultMaxCap
+}
+
+// newStream builds l's stream around its ring q into its slab slot under
+// the execution's policy for the build pass (rewrite.go): a provided queue
+// (zero copy) is never resized, and the stream gets the best-effort
 // overflow policy, a batch control pinned at 1 on AsLowLatency links so the
 // adaptive batcher never holds their elements back, the link name and the
 // marker lane. It binds no port and touches no kernel; the caller sets the
 // LinkInfo's actor IDs.
-func (ls *linkSlot) newStream(cfg *Config, l *Link, id int, name string) stream {
-	maxCap := l.maxCap
-	if maxCap <= 0 {
-		maxCap = defaultMaxCap
-	}
-	s := stream{async: &ls.async, bc: &ls.batch, li: &ls.info}
-	resizable := true
-	if qp, ok := l.Src.(QueueProvider); ok {
-		if pq, pt, provided := qp.ProvideQueue(l.SrcPort.name); provided {
-			s.q, s.typed = pq, pt
-			resizable = false
-		}
-	}
-	if s.q == nil {
-		s.q, s.typed = l.SrcPort.ops.newRing(l.capacity, maxCap)
-	}
+func (ls *linkSlot) newStream(cfg *Config, l *Link, q ringbuffer.Queue, provided bool, id int, name string) stream {
+	s := stream{q: q, async: &ls.async, bc: &ls.batch, li: &ls.info}
 	if l.bestEffort {
 		// Provider-owned queues (read-only source rings) have nothing to
 		// drop and simply keep their default policy.
@@ -927,8 +947,8 @@ func (ls *linkSlot) newStream(cfg *Config, l *Link, id int, name string) stream 
 		ID:              id,
 		Name:            name,
 		Queue:           s.q,
-		ResizeEnabled:   resizable,
-		MaxCap:          maxCap,
+		ResizeEnabled:   !provided,
+		MaxCap:          l.growthCap(),
 		Batch:           s.bc,
 		LatencyPriority: l.lowLatency,
 		BestEffort:      l.bestEffort,
@@ -967,7 +987,7 @@ func linkNames(links []*Link) []string {
 
 // bindPort attaches one endpoint port of link l to the stream.
 func (s *stream) bindPort(p *Port, l *Link) {
-	p.bind(s.q, s.typed, s.async)
+	p.bind(s.q, s.async)
 	p.link, p.batch, p.lane = l, s.bc, s.lane
 }
 
@@ -982,7 +1002,6 @@ func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 		if len(kb.ins) == 0 && !kb.markForward && l.SrcPort.stampEvery == 0 {
 			l.SrcPort.stampEvery = rig.dom.Stride()
 			l.SrcPort.stampLeft = l.SrcPort.stampEvery
-			l.SrcPort.stampSource = kb.Name()
 		}
 	}
 	if dst {
@@ -1008,7 +1027,7 @@ func (ks *kernelSlot) buildActor(k Kernel, id, place int, rec *trace.Recorder, s
 		Name:    kb.Name(),
 		Place:   place,
 		Weight:  kb.Weight(),
-		Step:    k.Run,
+		Runner:  k,
 		Life:    &ks.actorEntry,
 		Windows: (*windowOwner)(kb),
 		Virtual: kb.Virtual(),

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -49,32 +50,51 @@ func allocsDuring(f func()) (objects, bytes uint64) {
 // TestExeAllocsPerKernel bounds what construction costs per kernel: the
 // map building (NewLambda + Map.Link) and Exe of 1,000 empty gen -> sink
 // pairs, under both schedulers. Exe allocates per transaction, not per
-// object (DESIGN "Per-transaction slabs"), so a kernel costs a handful of
-// objects that its own state needs: its ring store, its closures.
+// object (DESIGN "Per-transaction slabs"): a kernel is one allocation with
+// its ports inline, its actor binds the kernel itself, and its ring's
+// header comes from a slab, so what is left per kernel is its share of the
+// ring stores and of the Link, and under the default scheduler its
+// goroutine.
 func TestExeAllocsPerKernel(t *testing.T) {
 	const pairs = 1000
 	const kernels = 2 * pairs
+	// Bounds on Exe's allocs per kernel, the measured value plus 0.5. Each
+	// figure is the least of three builds in one process: another test's
+	// goroutines can only add to a measurement, and the default
+	// scheduler's first Exe also allocates the goroutines the runtime has
+	// not yet cached (about one more object per kernel).
+	exeBound := map[string]float64{
+		"goroutine":    2.6, // measured 2.1; before Runner, inline ports and the ring slab: 3.6
+		"workstealing": 1.6, // measured 1.1; before: 2.6
+	}
 	for _, sched := range bothSchedulers {
 		t.Run(sched.name, func(t *testing.T) {
-			var m *Map
-			buildObjs, _ := allocsDuring(func() { m = emptyPairs(t, pairs) })
-			var err error
-			exeObjs, exeBytes := allocsDuring(func() { _, err = m.Exe(sched.opts...) })
-			if err != nil {
-				t.Fatal(err)
+			perBuild, perObjs, perBytes, buildBytes := math.Inf(1), math.Inf(1), 0.0, 0.0
+			for attempt := 0; attempt < 3; attempt++ {
+				var m *Map
+				bObjs, bBytes := allocsDuring(func() { m = emptyPairs(t, pairs) })
+				var err error
+				eObjs, eBytes := allocsDuring(func() { _, err = m.Exe(sched.opts...) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				perBuild = min(perBuild, float64(bObjs)/kernels)
+				if objs := float64(eObjs) / kernels; objs < perObjs {
+					perObjs, perBytes, buildBytes = objs, float64(eBytes)/kernels, float64(bBytes)/kernels
+				}
 			}
-			perBuild := float64(buildObjs) / kernels
-			perObjs, perBytes := float64(exeObjs)/kernels, float64(exeBytes)/kernels
-			t.Logf("map building %.1f allocs/kernel; Exe %.1f allocs and %.0f B per kernel", perBuild, perObjs, perBytes)
-			// Before per-transaction slabs: 9.0 allocs per kernel.
-			if perBuild > 6 {
-				t.Errorf("NewLambda + Map.Link: %.1f allocs per kernel, want <= 6", perBuild)
+			t.Logf("map building %.1f allocs and %.0f B per kernel; Exe %.1f allocs and %.0f B per kernel",
+				perBuild, buildBytes, perObjs, perBytes)
+			// Measured 1.5 (the kernel and half a Link); before inline
+			// ports: 3.5.
+			if perBuild > 2 {
+				t.Errorf("NewLambda + Map.Link: %.1f allocs per kernel, want <= 2", perBuild)
 			}
-			// Before per-transaction slabs: 16.0 allocs per kernel.
-			if perObjs > 6 {
-				t.Errorf("Exe: %.1f allocs per kernel, want <= 6", perObjs)
+			if bound := exeBound[sched.name]; perObjs > bound {
+				t.Errorf("Exe: %.1f allocs per kernel, want <= %.1f", perObjs, bound)
 			}
-			// Before per-transaction slabs: 4.8 KB per kernel.
+			// Before per-transaction slabs: 4.8 KB per kernel; before
+			// the ring slab: 3.4 KB (default) and 3.1 KB (work stealing).
 			if perBytes > 3.5*1024 {
 				t.Errorf("Exe: %.0f B per kernel, want <= 3.5 KB", perBytes)
 			}

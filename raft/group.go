@@ -59,10 +59,10 @@ func NewKernelGroup(members ...Kernel) (*KernelGroup, error) {
 	// Validate signatures and mirror the first member's ports onto the
 	// group.
 	for _, p := range first.ins {
-		g.addPort(p.cloneSpec(p.name, In))
+		g.addPort(p.name, In, p.ops)
 	}
 	for _, p := range first.outs {
-		g.addPort(p.cloneSpec(p.name, Out))
+		g.addPort(p.name, Out, p.ops)
 	}
 	for i, mk := range members[1:] {
 		if err := sameSignature(first, mk.kernelBase()); err != nil {
@@ -79,13 +79,13 @@ func sameSignature(a, b *KernelBase) error {
 	}
 	for _, ap := range a.ins {
 		bp := lookupPort(b.ins, b.inPorts, ap.name)
-		if bp == nil || bp.elem != ap.elem {
+		if bp == nil || bp.Type() != ap.Type() {
 			return fmt.Errorf("input port %q differs", ap.name)
 		}
 	}
 	for _, ap := range a.outs {
 		bp := lookupPort(b.outs, b.outPorts, ap.name)
-		if bp == nil || bp.elem != ap.elem {
+		if bp == nil || bp.Type() != ap.Type() {
 			return fmt.Errorf("output port %q differs", ap.name)
 		}
 	}

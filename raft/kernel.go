@@ -2,6 +2,7 @@ package raft
 
 import (
 	"reflect"
+	"strconv"
 
 	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
@@ -45,9 +46,10 @@ type Finalizer interface {
 // for_each kernel (§4.2, Fig. 6), where the user's array memory is used
 // directly as the downstream queue.
 type QueueProvider interface {
-	// ProvideQueue returns the queue for the named output port, or
-	// ok=false to let the runtime allocate normally.
-	ProvideQueue(port string) (q ringbuffer.Queue, typed any, ok bool)
+	// ProvideQueue returns the queue for the named output port — a
+	// *ringbuffer.Ring of the port's element type — or ok=false to let the
+	// runtime allocate normally.
+	ProvideQueue(port string) (q ringbuffer.Queue, ok bool)
 }
 
 // KernelBase supplies the port containers and identity shared by all
@@ -76,6 +78,11 @@ type KernelBase struct {
 	pendingMarks []*trace.Marker
 	markForward  bool
 	actor        int32
+
+	// inline holds the first two ports declared and refs the backing of ins
+	// and outs, so a one- or two-port kernel is one allocation (addPort).
+	inline [2]Port
+	refs   [2]*Port
 }
 
 func (k *KernelBase) kernelBase() *KernelBase { return k }
@@ -224,17 +231,36 @@ func (k *KernelBase) closeAllQueues() {
 	}
 }
 
-// addPort registers a new port, panicking on duplicates (construction bug).
-// The by-name index exists only for a kernel wider than portScanMax, the
-// only one lookupPort hashes for.
-func (k *KernelBase) addPort(p *Port) {
-	p.owner = k
-	list, byName, what := &k.ins, &k.inPorts, "input"
-	if p.dir == Out {
-		list, byName, what = &k.outs, &k.outPorts, "output"
+// addPort declares a new port, panicking on duplicates (construction bug).
+// The port takes the first free inline slot, or the heap once both are
+// taken. The first list to receive a port is backed by refs — all of it,
+// until the other list claims the second entry — and either list moves to
+// the heap when it outgrows its share. The by-name index exists only for a
+// kernel wider than portScanMax, the only one lookupPort hashes for.
+func (k *KernelBase) addPort(name string, dir Direction, ops elemOps) *Port {
+	list, other, byName, what := &k.ins, &k.outs, &k.inPorts, "input"
+	if dir == Out {
+		list, other, byName, what = &k.outs, &k.ins, &k.outPorts, "output"
 	}
-	if lookupPort(*list, *byName, p.name) != nil {
-		panic(misuse(ErrPortInUse, "kernel %q declares %s port %q twice", k.name, what, p.name))
+	if lookupPort(*list, *byName, name) != nil {
+		panic(misuse(ErrPortInUse, "kernel %q declares %s port %q twice", k.name, what, name))
+	}
+	p := &k.inline[1]
+	switch {
+	case k.inline[0].owner == nil:
+		p = &k.inline[0]
+	case p.owner != nil:
+		p = new(Port)
+	}
+	*p = Port{name: name, dir: dir, ops: ops, owner: k}
+	if cap(*list) == 0 {
+		switch {
+		case cap(*other) == 0:
+			*list = k.refs[:0:2]
+		case len(*other) == 1 && cap(*other) == 2:
+			*other = (*other)[:1:1]
+			*list = k.refs[1:1:2]
+		}
 	}
 	*list = append(*list, p)
 	switch {
@@ -247,57 +273,70 @@ func (k *KernelBase) addPort(p *Port) {
 	default:
 		(*byName)[p.name] = p
 	}
+	return p
 }
 
-// elemOps is what a port knows of its element type beyond its
-// reflect.Type: how to allocate a stream's ring, and how to move a frame
-// between two rings of it (the runtime's split and merge adapters are
-// built without knowing T). ringOps[T] is zero-sized, so a port holds it
-// without an allocation.
+// slotNames name the first numbered ports (lambda, split, merge). The
+// linker keeps one copy of a string constant, so the "0" a kernel passes to
+// In and its port's name share their bytes, and lookupPort's comparison
+// returns at the pointer check.
+var slotNames = [...]string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
+
+// slotName is the name of numbered port i.
+func slotName(i int) string {
+	if i < len(slotNames) {
+		return slotNames[i]
+	}
+	return strconv.Itoa(i)
+}
+
+// elemOps is what a port knows of its element type: the type itself, how
+// to allocate streams' rings, and how to move a frame between two rings of
+// it (the runtime's split and merge adapters are built without knowing T).
+// ringOps[T] is zero-sized, so a port holds it without an allocation.
 type elemOps interface {
-	// newRing returns the stream's ring as a Queue and as the
-	// *ringbuffer.Ring[T] the typed operations assert.
-	newRing(capacity, maxCap int) (ringbuffer.Queue, any)
+	elem() reflect.Type
+	// rings returns a supply of n rings whose headers share one array:
+	// each call makes the next (capacity as NewRing, growth bound maxCap).
+	rings(n int) func(capacity, maxCap int) ringbuffer.Queue
 	// move transfers up to max elements from one ring to another as one
 	// frame (moveView); block selects whether it waits for the source's
 	// first element; it always waits for room at the destination.
-	move(src, dst any, max int, block bool) (int, error)
+	move(src, dst ringbuffer.Queue, max int, block bool) (int, error)
 }
 
 type ringOps[T any] struct{}
 
-func (ringOps[T]) newRing(capacity, maxCap int) (ringbuffer.Queue, any) {
-	r := ringbuffer.NewRing[T](capacity)
-	if maxCap > 0 {
-		r.SetMaxCap(maxCap)
+func (ringOps[T]) elem() reflect.Type { return reflect.TypeFor[T]() }
+
+func (ringOps[T]) rings(n int) func(capacity, maxCap int) ringbuffer.Queue {
+	rings := make([]ringbuffer.Ring[T], n)
+	return func(capacity, maxCap int) ringbuffer.Queue {
+		r := &rings[0]
+		rings = rings[1:]
+		r.Init(capacity)
+		if maxCap > 0 {
+			r.SetMaxCap(maxCap)
+		}
+		return r
 	}
-	return r, r
 }
 
-func (ringOps[T]) move(src, dst any, max int, block bool) (int, error) {
+func (ringOps[T]) move(src, dst ringbuffer.Queue, max int, block bool) (int, error) {
 	return moveView[T](src, dst, max, block)
-}
-
-// newPort builds a typed port.
-func newPort[T any](name string, dir Direction) *Port {
-	return &Port{name: name, dir: dir, elem: reflect.TypeFor[T](), ops: ringOps[T]{}}
 }
 
 // AddInput declares a new input port carrying elements of type T on the
 // kernel. Call it from the kernel's constructor (the analogue of the
 // paper's input.addPort<T>("name")).
 func AddInput[T any](k Kernel, name string) *Port {
-	p := newPort[T](name, In)
-	k.kernelBase().addPort(p)
-	return p
+	return k.kernelBase().addPort(name, In, ringOps[T]{})
 }
 
 // AddOutput declares a new output port carrying elements of type T on the
 // kernel (the analogue of output.addPort<T>("name")).
 func AddOutput[T any](k Kernel, name string) *Port {
-	p := newPort[T](name, Out)
-	k.kernelBase().addPort(p)
-	return p
+	return k.kernelBase().addPort(name, Out, ringOps[T]{})
 }
 
 // kernelName returns the kernel's display name, defaulting to its Go type.

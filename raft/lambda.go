@@ -1,9 +1,6 @@
 package raft
 
-import (
-	"strconv"
-	"time"
-)
+import "time"
 
 // LambdaKernel is a compute kernel defined by a plain function instead of
 // a named type, eliminating the declaration boiler-plate (§4.2, Fig. 7:
@@ -35,10 +32,10 @@ func NewLambda[T any](nIn, nOut int, fn func(k *LambdaKernel) Status) *LambdaKer
 	l := &LambdaKernel{fn: fn}
 	l.SetName("lambdak")
 	for i := 0; i < nIn; i++ {
-		AddInput[T](l, strconv.Itoa(i))
+		AddInput[T](l, slotName(i))
 	}
 	for i := 0; i < nOut; i++ {
-		AddOutput[T](l, strconv.Itoa(i))
+		AddOutput[T](l, slotName(i))
 	}
 	return l
 }
@@ -49,10 +46,10 @@ func NewLambdaIO[I, O any](nIn, nOut int, fn func(k *LambdaKernel) Status) *Lamb
 	l := &LambdaKernel{fn: fn}
 	l.SetName("lambdak")
 	for i := 0; i < nIn; i++ {
-		AddInput[I](l, strconv.Itoa(i))
+		AddInput[I](l, slotName(i))
 	}
 	for i := 0; i < nOut; i++ {
-		AddOutput[O](l, strconv.Itoa(i))
+		AddOutput[O](l, slotName(i))
 	}
 	return l
 }

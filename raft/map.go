@@ -161,7 +161,7 @@ func (m *Map) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.elem != dp.elem {
+	if sp.Type() != dp.Type() {
 		if l.convert {
 			return convertedLink(m.Link, src, dst, sp, dp, l.linkSpec)
 		}

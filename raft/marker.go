@@ -48,7 +48,7 @@ func (p *Port) markPush(n int) {
 		if uint32(n) >= p.stampLeft {
 			p.stampLeft = p.stampEvery
 			now := time.Now().UnixNano()
-			m := k.marks.dom.Stamp(p.stampTenant, p.stampSource, now)
+			m := k.marks.dom.Stamp(p.stampTenant, k.name, now)
 			if k.marks.rec != nil {
 				k.marks.rec.Emit(trace.Event{Actor: k.actor, Kind: trace.MarkStamp,
 					At: now, Arg: int64(m.ID), Label: m.Flow()})

@@ -1,7 +1,5 @@
 package raft
 
-import "strconv"
-
 // This file implements the paper's third ordering mode (§4.1): "Some
 // applications require data to be processed in order, others are okay with
 // data that is processed out of order, yet others can process the data out
@@ -31,11 +29,11 @@ type orderedSplit struct {
 	rr int
 }
 
-func newOrderedSplitFromSpec(spec *Port, width int) *orderedSplit {
+func newOrderedSplit(ops elemOps, width int) *orderedSplit {
 	s := &orderedSplit{}
-	s.addPort(spec.cloneSpec("in", In))
+	s.addPort("in", In, ops)
 	for i := 0; i < width; i++ {
-		s.addPort(spec.cloneSpec(strconv.Itoa(i), Out))
+		s.addPort(slotName(i), Out, ops)
 	}
 	return s
 }
@@ -45,7 +43,7 @@ func newOrderedSplitFromSpec(spec *Port, width int) *orderedSplit {
 func (s *orderedSplit) Run() Status {
 	in := s.In("in")
 	out := s.outs[s.rr%len(s.outs)]
-	if _, err := in.ops.move(in.typed, out.typed, 1, true); err != nil {
+	if _, err := in.ops.move(in.q, out.q, 1, true); err != nil {
 		if in.migrateOnClosed(err) {
 			return Proceed
 		}
@@ -62,12 +60,12 @@ type orderedMerge struct {
 	rr int
 }
 
-func newOrderedMergeFromSpec(spec *Port, width int) *orderedMerge {
+func newOrderedMerge(ops elemOps, width int) *orderedMerge {
 	m := &orderedMerge{}
 	for i := 0; i < width; i++ {
-		m.addPort(spec.cloneSpec(strconv.Itoa(i), In))
+		m.addPort(slotName(i), In, ops)
 	}
-	m.addPort(spec.cloneSpec("out", Out))
+	m.addPort("out", Out, ops)
 	return m
 }
 
@@ -75,7 +73,7 @@ func newOrderedMergeFromSpec(spec *Port, width int) *orderedMerge {
 func (m *orderedMerge) Run() Status {
 	in := m.ins[m.rr%len(m.ins)]
 	out := m.Out("out")
-	if _, err := in.ops.move(in.typed, out.typed, 1, true); err != nil {
+	if _, err := in.ops.move(in.q, out.q, 1, true); err != nil {
 		// The cyclically-next input is exhausted: with round-robin
 		// distribution every input at or after this cyclic position holds
 		// no more elements, so the whole group is drained.

@@ -36,18 +36,18 @@ func (d Direction) String() string {
 type Port struct {
 	name  string
 	dir   Direction
-	elem  reflect.Type
 	owner *KernelBase
 
-	// ops allocates the stream's ring for a link whose producer has this
-	// element type, and moves frames between two rings of it.
+	// ops is the port's element type: it allocates the stream's ring for a
+	// link whose producer has this element type, and moves frames between
+	// two rings of it.
 	ops elemOps
 
-	// q is the stream's ring, typed the same ring as a *ringbuffer.Ring[T].
-	// The port window lives in the ring — the stream end — not here:
-	// several Port values may be bound to one end (a KernelGroup's members).
+	// q is the stream's ring, a *ringbuffer.Ring[T], which the typed
+	// operations assert. The port window lives in the ring — the stream
+	// end — not here: several Port values may be bound to one end (a
+	// KernelGroup's members).
 	q     ringbuffer.Queue
-	typed any
 	async *asyncCell
 	link  *Link
 	batch *core.BatchControl
@@ -58,12 +58,11 @@ type Port struct {
 	lane *trace.MarkerLane
 	// stampEvery > 0 makes this (source-kernel output) port an ingest
 	// point: one marker is stamped per stampEvery pushed elements, labeled
-	// stampTenant/stampSource. stampLeft is the countdown; all three are
-	// touched only by the producing goroutine.
+	// stampTenant and the owner's name. stampLeft is the countdown; all
+	// three are touched only by the producing goroutine.
 	stampEvery  uint32
 	stampLeft   uint32
 	stampTenant string
-	stampSource string
 
 	// pending, when non-nil, is the replacement binding a graph-rewrite
 	// transaction installed before sealing the current stream. The owning
@@ -79,7 +78,6 @@ type Port struct {
 // migrates to once its sealed predecessor drains.
 type pendingRebind struct {
 	q     ringbuffer.Queue
-	typed any
 	async *asyncCell
 	link  *Link
 	batch *core.BatchControl
@@ -111,7 +109,7 @@ func (p *Port) migrateOnClosed(err error) bool {
 	if !p.pending.CompareAndSwap(nb, nil) {
 		return false
 	}
-	p.bind(nb.q, nb.typed, nb.async)
+	p.bind(nb.q, nb.async)
 	p.link, p.batch, p.lane = nb.link, nb.batch, nb.lane
 	close(nb.applied)
 	return true
@@ -124,7 +122,7 @@ func (p *Port) Name() string { return p.name }
 func (p *Port) Dir() Direction { return p.dir }
 
 // Type returns the element type carried by the port.
-func (p *Port) Type() reflect.Type { return p.elem }
+func (p *Port) Type() reflect.Type { return p.ops.elem() }
 
 // Bound reports whether the port has been connected by Map.Link.
 func (p *Port) Bound() bool { return p.link != nil }
@@ -169,13 +167,12 @@ func (p *Port) String() string {
 	if p.owner != nil {
 		owner = p.owner.Name()
 	}
-	return fmt.Sprintf("%s.%s(%s %s)", owner, p.name, p.dir, p.elem)
+	return fmt.Sprintf("%s.%s(%s %s)", owner, p.name, p.dir, p.Type())
 }
 
 // bind attaches an allocated queue and async mailbox to the port.
-func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
+func (p *Port) bind(q ringbuffer.Queue, async *asyncCell) {
 	p.q = q
-	p.typed = typed
 	p.async = async
 	if p.owner != nil {
 		q.SetWindowOwner(p.dir == Out, (*windowOwner)(p.owner))
@@ -188,7 +185,7 @@ func (p *Port) bind(q ringbuffer.Queue, typed any, async *asyncCell) {
 // actor, stays the end's owner. The link's batch control comes along so that
 // a member sizes windows as the group would (1 on an AsLowLatency link).
 func (p *Port) share(src *Port) {
-	p.q, p.typed, p.async, p.batch = src.q, src.typed, src.async, src.batch
+	p.q, p.async, p.batch = src.q, src.async, src.batch
 }
 
 // windowMax is the port-window length a scalar operation asks the stream
@@ -229,17 +226,8 @@ func (p *Port) BatchHint(def int) int {
 	return def
 }
 
-// cloneSpec returns an unbound copy of the port (same name/type/factories)
-// for the runtime's adapter construction.
-func (p *Port) cloneSpec(name string, dir Direction) *Port {
-	return &Port{
-		name: name, dir: dir, elem: p.elem,
-		ops: p.ops,
-	}
-}
-
 func (p *Port) mustBeBound() {
-	if p.typed == nil {
+	if p.q == nil {
 		panic(misuse(ErrPortUnbound, "port %s used before Map.Exe allocated its stream", p))
 	}
 }
@@ -256,7 +244,7 @@ func typeMismatchPanic[T any](p *Port) error {
 // the binding is read afresh each call, so a port rebound by a graph
 // rewrite needs no invalidation.
 func ringOf[T any](p *Port) *ringbuffer.Ring[T] {
-	r, ok := p.typed.(*ringbuffer.Ring[T])
+	r, ok := p.q.(*ringbuffer.Ring[T])
 	if !ok {
 		p.mustBeBound()
 		panic(typeMismatchPanic[T](p))
@@ -287,7 +275,7 @@ func retired[T any](p *Port) *ringbuffer.Ring[T] {
 // drained — the paper's pop_s, minus the destructor (Go returns the value
 // directly).
 func Pop[T any](p *Port) (T, error) {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := p.q.(*ringbuffer.Ring[T]); ok {
 		if v, _, ok := r.WindowPop(); ok {
 			return v, nil
 		}
@@ -298,7 +286,7 @@ func Pop[T any](p *Port) (T, error) {
 
 // PopSig is Pop plus the synchronized signal delivered with the element.
 func PopSig[T any](p *Port) (T, Signal, error) {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := p.q.(*ringbuffer.Ring[T]); ok {
 		if v, s, ok := r.WindowPop(); ok {
 			return v, s, nil
 		}
@@ -311,7 +299,7 @@ func PopSig[T any](p *Port) (T, Signal, error) {
 // element was available; err is ErrClosed once the stream is closed and
 // drained.
 func TryPop[T any](p *Port) (v T, ok bool, err error) {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := p.q.(*ringbuffer.Ring[T]); ok {
 		if v, _, ok := r.WindowPop(); ok {
 			return v, true, nil
 		}
@@ -339,7 +327,7 @@ func popSlow[T any](p *Port, block bool) (v T, s Signal, ok bool, err error) {
 
 // Push appends v to an output port, blocking while the stream is full.
 func Push[T any](p *Port, v T) error {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := p.q.(*ringbuffer.Ring[T]); ok {
 		if stored, attend := r.WindowPush(v); stored {
 			if attend {
 				p.attend(r.Attend()) // a consumer waits, the stream was closed, or a resize waits
@@ -365,7 +353,7 @@ func PushSig[T any](p *Port, v T, s Signal) error {
 // TryPush appends v without blocking; it reports whether the element was
 // accepted.
 func TryPush[T any](p *Port, v T) (bool, error) {
-	if r, ok := p.typed.(*ringbuffer.Ring[T]); ok {
+	if r, ok := p.q.(*ringbuffer.Ring[T]); ok {
 		if stored, attend := r.WindowPush(v); stored {
 			if attend {
 				p.attend(r.Attend())

@@ -2,8 +2,10 @@ package raft
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"raftlib/internal/ringbuffer"
 )
@@ -13,8 +15,8 @@ import (
 func boundRelay() (*LambdaKernel, *ringbuffer.Ring[int64]) {
 	k := NewLambda[int64](1, 1, nil)
 	r := ringbuffer.NewRing[int64](64)
-	k.In("0").bind(r, r, nil)
-	k.Out("0").bind(r, r, nil)
+	k.In("0").bind(r, nil)
+	k.Out("0").bind(r, nil)
 	return k, r
 }
 
@@ -72,6 +74,70 @@ func TestPortFastPathKeepsMisuseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotNamesAreInterned checks what the numbered-port lookup relies on:
+// the name a lambda kernel's port holds and the literal a kernel passes to
+// In or Out are one string in memory, so the comparison in lookupPort
+// returns at its pointer check.
+func TestSlotNamesAreInterned(t *testing.T) {
+	k := NewLambda[int64](2, 2, nil)
+	for lit, p := range map[string]*Port{"0": k.In("0"), "1": k.Out("1")} {
+		if unsafe.StringData(p.Name()) != unsafe.StringData(lit) {
+			t.Errorf("port %q does not share the bytes of the literal %q", p.Name(), lit)
+		}
+	}
+	if got := slotName(12); got != "12" {
+		t.Fatalf("slotName(12) = %q", got)
+	}
+}
+
+// TestPortDeclarationIsInline checks that the first two ports live in the
+// kernel whatever their directions — declaring them allocates nothing
+// beyond the kernel — and that a kernel with more ports than that keeps
+// every list in declaration order.
+func TestPortDeclarationIsInline(t *testing.T) {
+	for _, shape := range [][2]int{{0, 1}, {1, 0}, {1, 1}, {2, 0}, {0, 2}} {
+		allocs := testing.AllocsPerRun(100, func() { NewLambda[int64](shape[0], shape[1], nil) })
+		if allocs != 1 {
+			t.Errorf("NewLambda(%d in, %d out): %.0f allocs, want 1 (the kernel)", shape[0], shape[1], allocs)
+		}
+	}
+	for _, dirs := range []string{"io", "oi", "ii", "oo", "ioo", "oii", "iioo", "oioi", "ooooi"} {
+		k := &LambdaKernel{}
+		var ins, outs []string
+		for i, d := range dirs {
+			name := "p" + strconv.Itoa(i)
+			if d == 'i' {
+				AddInput[int](k, name)
+				ins = append(ins, name)
+			} else {
+				AddOutput[int](k, name)
+				outs = append(outs, name)
+			}
+		}
+		if !slices.Equal(k.InNames(), ins) || !slices.Equal(k.OutNames(), outs) {
+			t.Errorf("%s: ins %v outs %v, want %v and %v", dirs, k.InNames(), k.OutNames(), ins, outs)
+		}
+		for i := range k.inline {
+			if p := &k.inline[i]; i < len(dirs) && p.owner != &k.KernelBase {
+				t.Errorf("%s: inline slot %d unused", dirs, i)
+			}
+		}
+	}
+}
+
+// BenchmarkKernelPortLookup is the per-invocation cost of a lambda kernel
+// finding its ports by name, In("0") and Out("1"): a scan of two ports that
+// ends at a pointer-equal name. It must not allocate.
+func BenchmarkKernelPortLookup(b *testing.B) {
+	k := NewLambda[int64](2, 2, nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		portSinks[0], portSinks[1] = k.In("0"), k.Out("1")
+	}
+}
+
+var portSinks [2]*Port
 
 // BenchmarkPortPushPop1G is the port-accessor rung in isolation: one
 // goroutine, lambda-style name lookup plus typed Push and Pop on a bound

@@ -320,7 +320,7 @@ func (m *Map) Dot() string {
 	var edges strings.Builder
 	for _, l := range links {
 		fmt.Fprintf(&edges, "  %s -> %s [label=\"%s->%s : %s\"];\n",
-			id(l.Src), id(l.Dst), l.SrcPort.name, l.DstPort.name, l.SrcPort.elem)
+			id(l.Src), id(l.Dst), l.SrcPort.name, l.DstPort.name, l.SrcPort.Type())
 	}
 	sort.Strings(nodes)
 	return "digraph raft {\n  rankdir=LR;\n  node [shape=box];\n" +

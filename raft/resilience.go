@@ -127,6 +127,20 @@ func WithFaultInjection(inj *FaultInjector) Option {
 	return func(c *Config) { c.fault = inj }
 }
 
+// faultHook is the Runner of an actor under fault injection: it gives the
+// injector its say before each invocation of the kernel it wraps.
+type faultHook struct {
+	inner core.Runner
+	inj   *FaultInjector
+	name  string
+	runs  atomic.Uint64
+}
+
+func (f *faultHook) Run() core.Status {
+	f.inj.BeforeRun(f.name, f.runs.Add(1))
+	return f.inner.Run()
+}
+
 // wireActorResilience applies the execution's resilience configuration to
 // one actor in the build pass, so every kernel — of epoch 0 or spliced in
 // later — gets the same plumbing. A Checkpointable kernel restores from the
@@ -141,14 +155,7 @@ func wireActorResilience(cfg *Config, k Kernel, a *core.Actor) {
 		return
 	}
 	if cfg.fault != nil {
-		inner := a.Step
-		name := a.Name
-		inj := cfg.fault
-		var runs atomic.Uint64
-		a.Step = func() core.Status {
-			inj.BeforeRun(name, runs.Add(1))
-			return inner()
-		}
+		a.Runner = &faultHook{inner: a.Runner, inj: cfg.fault, name: a.Name}
 	}
 	var hooks resilience.Hooks
 	if ck, ok := k.(Checkpointable); ok {

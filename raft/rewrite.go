@@ -369,7 +369,7 @@ func (t *Tx) Link(src, dst Kernel, opts ...LinkOption) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.elem != dp.elem {
+	if sp.Type() != dp.Type() {
 		if l.convert {
 			return convertedLink(t.Link, src, dst, sp, dp, l.linkSpec)
 		}
@@ -613,7 +613,7 @@ func (t *Tx) validate(reg *registry) (*graph.Graph, error) {
 			return fmt.Errorf("raft: staged link %s.%s -> %s.%s references a kernel outside the rewritten graph",
 				l.Src.kernelBase().Name(), l.SrcPort.name, l.Dst.kernelBase().Name(), l.DstPort.name)
 		}
-		g.AddEdge(src, dst, l.SrcPort.name, l.DstPort.name, l.SrcPort.elem.String(), 1)
+		g.AddEdge(src, dst, l.SrcPort.name, l.DstPort.name, l.SrcPort.Type().String(), 1)
 		return nil
 	}
 	for _, le := range liveLinks {
@@ -650,8 +650,8 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	reg.mu.Unlock()
 
 	// Registry entries, actors, gates and per-link state are allocated as
-	// one slab per transaction: epoch 0 adds every kernel and link of the
-	// map at once.
+	// one slab per transaction, and ring headers as one per element type:
+	// epoch 0 adds every kernel and link of the map at once.
 	kernels := make([]kernelSlot, len(t.addKernels))
 	for i, k := range t.addKernels {
 		kb := k.kernelBase()
@@ -674,9 +674,10 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	b := &built{}
 	links := make([]linkSlot, len(t.addLinks))
 	names := linkNames(t.addLinks)
+	rings, provided := streamRings(t.addLinks)
 	for i, l := range t.addLinks {
 		ls := &links[i]
-		s := stagedLink{stream: ls.newStream(cfg, l, firstLink+i, names[i]), l: l, srcDefer: !joins(l.Src)}
+		s := stagedLink{stream: ls.newStream(cfg, l, rings[i], provided[i], firstLink+i, names[i]), l: l, srcDefer: !joins(l.Src)}
 		dstJoins := joins(l.Dst)
 		// Marker plumbing is written only on joining kernels: a continuing
 		// endpoint already carries it, and its stamping hot path is live.
@@ -690,7 +691,7 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 			s.bindPort(l.DstPort, l)
 		} else {
 			s.pending = &pendingRebind{
-				q: s.q, typed: s.typed, async: s.async,
+				q: s.q, async: s.async,
 				link: l, batch: s.bc, lane: s.lane,
 				applied: make(chan struct{}),
 			}

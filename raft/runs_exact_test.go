@@ -159,3 +159,96 @@ func liveRuns(s LiveStats, kernel string) uint64 {
 	}
 	panic(fmt.Sprintf("no kernel %q in LiveStats", kernel))
 }
+
+// countingSplit is a split kernel that counts its own invocations.
+type countingSplit struct {
+	*splitKernel
+	calls int64
+}
+
+func (c *countingSplit) Run() Status {
+	c.calls++
+	return c.splitKernel.Run()
+}
+
+// TestRunnerKernelsStepExactly checks that a kernel bound as its actor's
+// Runner steps and reports exact Runs where binding is least plain: a
+// 64-way split, whose ports outgrow the kernel's inline slots, and a relay
+// that is supervised and fault-injected, so that its Runner is the
+// supervisor around the fault hook around the kernel. Each kernel counts
+// its own invocations; the Report must agree, counting the injected kill
+// as an invocation (the supervisor absorbs it inside one step).
+func TestRunnerKernelsStepExactly(t *testing.T) {
+	const items, width = 5_000, 64
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			m := NewMap()
+			split := &countingSplit{splitKernel: NewSplit[int64](width, RoundRobin).(*splitKernel)}
+			split.SetName("split")
+			if len(split.outs) <= len(split.inline) {
+				t.Fatalf("split has %d outputs, want more than the %d inline slots", len(split.outs), len(split.inline))
+			}
+			m.MustLink(newGen(items), split)
+			var relayCalls int64
+			relay := NewLambda[int64](1, 1, func(k *LambdaKernel) Status {
+				relayCalls++
+				v, err := Pop[int64](k.In("0"))
+				if err == nil {
+					err = Push(k.Out("0"), v)
+				}
+				if err != nil {
+					return Stop
+				}
+				return Proceed
+			})
+			relay.SetName("relay")
+			m.MustLink(split, relay, From("0"))
+			sinkCalls := make([]int64, width)
+			var received int64
+			for i := 0; i < width; i++ {
+				sink := NewLambda[int64](1, 0, func(k *LambdaKernel) Status {
+					sinkCalls[i]++
+					if _, err := Pop[int64](k.In("0")); err != nil {
+						return Stop
+					}
+					atomic.AddInt64(&received, 1)
+					return Proceed
+				})
+				sink.SetName("sink" + strconv.Itoa(i))
+				if i == 0 {
+					m.MustLink(relay, sink)
+				} else {
+					m.MustLink(split, sink, From(strconv.Itoa(i)))
+				}
+			}
+			inj := NewFaultInjector()
+			inj.KillKernel("relay", 10)
+			opts := append([]Option{
+				WithSupervision(SupervisionPolicy{InitialBackoff: time.Microsecond}),
+				WithFaultInjection(inj),
+			}, sched.opts...)
+			rep, err := m.Exe(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if received != items || inj.Fired("kill") != 1 {
+				t.Fatalf("received %d of %d, kills fired %d, want 1", received, items, inj.Fired("kill"))
+			}
+			want := map[string]int64{"split": split.calls, "relay": relayCalls + 1}
+			for i, n := range sinkCalls {
+				want["sink"+strconv.Itoa(i)] = n
+			}
+			for _, k := range rep.Kernels {
+				if n, ok := want[k.Name]; ok {
+					if k.Runs != uint64(n) {
+						t.Errorf("%s: Report Runs %d, the kernel counted %d", k.Name, k.Runs, n)
+					}
+					delete(want, k.Name)
+				}
+			}
+			if len(want) != 0 {
+				t.Errorf("kernels missing from the Report: %v", want)
+			}
+		})
+	}
+}

@@ -54,14 +54,14 @@ type splitKernel struct {
 	rr     int
 }
 
-// newSplitFromSpec builds a split whose ports replicate the element type of
-// the given port spec (the group pass cannot name T).
-func newSplitFromSpec(spec *Port, width int, policy SplitPolicy) *splitKernel {
+// newSplit builds a split whose ports carry the element type of ops (the
+// group pass cannot name T).
+func newSplit(ops elemOps, width int, policy SplitPolicy) *splitKernel {
 	s := &splitKernel{policy: policy}
 	s.SetName("split")
-	s.addPort(spec.cloneSpec("in", In))
+	s.addPort("in", In, ops)
 	for i := 0; i < width; i++ {
-		s.addPort(spec.cloneSpec(strconv.Itoa(i), Out))
+		s.addPort(slotName(i), Out, ops)
 	}
 	return s
 }
@@ -75,8 +75,7 @@ func NewSplit[T any](width int, policy SplitPolicy) Kernel {
 	if width < 1 {
 		panic("raft: NewSplit width must be >= 1")
 	}
-	spec := newPort[T]("in", In)
-	return newSplitFromSpec(spec, width, policy)
+	return newSplit(ringOps[T]{}, width, policy)
 }
 
 // Run implements Kernel: move a batch from the input to the policy-chosen
@@ -102,7 +101,7 @@ func (s *splitKernel) Run() Status {
 	if out == nil {
 		return Stop
 	}
-	n, err := in.ops.move(in.typed, out.typed, min(batch, adapterFrame), true)
+	n, err := in.ops.move(in.q, out.q, min(batch, adapterFrame), true)
 	if n > 0 {
 		forwardMarks(in, out)
 	}
@@ -113,7 +112,7 @@ func (s *splitKernel) Run() Status {
 }
 
 // slotOpen reports whether an output slot carries a live stream.
-func slotOpen(p *Port) bool { return p.typed != nil && !p.q.Closed() }
+func slotOpen(p *Port) bool { return p.q != nil && !p.q.Closed() }
 
 // pick selects the destination slot and the batch size to move there; hint
 // is the adaptive batcher's target for the inbound link (falling back to
@@ -161,15 +160,14 @@ type mergeKernel struct {
 	idle int
 }
 
-// newMergeFromSpec builds a merge whose ports replicate the element type of
-// the given port spec.
-func newMergeFromSpec(spec *Port, width int) *mergeKernel {
+// newMerge builds a merge whose ports carry the element type of ops.
+func newMerge(ops elemOps, width int) *mergeKernel {
 	m := &mergeKernel{}
 	m.SetName("merge")
 	for i := 0; i < width; i++ {
-		m.addPort(spec.cloneSpec(strconv.Itoa(i), In))
+		m.addPort(slotName(i), In, ops)
 	}
-	m.addPort(spec.cloneSpec("out", Out))
+	m.addPort("out", Out, ops)
 	return m
 }
 
@@ -180,8 +178,7 @@ func NewMerge[T any](width int) Kernel {
 	if width < 1 {
 		panic("raft: NewMerge width must be >= 1")
 	}
-	spec := newPort[T]("out", Out)
-	return newMergeFromSpec(spec, width)
+	return newMerge(ringOps[T]{}, width)
 }
 
 // Run implements Kernel: sweep the linked inputs round-robin, draining
@@ -195,12 +192,12 @@ func (m *mergeKernel) Run() Status {
 	open := 0
 	for i := range ins {
 		in := ins[(m.next+i)%len(ins)]
-		if in.typed == nil && !in.migrateOnClosed(ringbuffer.ErrClosed) {
+		if in.q == nil && !in.migrateOnClosed(ringbuffer.ErrClosed) {
 			continue // an unlinked slot
 		}
 		// One framed transfer per input per sweep, never waiting on an
 		// empty input.
-		n, err := in.ops.move(in.typed, out.typed, hint, false)
+		n, err := in.ops.move(in.q, out.q, hint, false)
 		if n > 0 {
 			forwardMarks(in, out)
 		}
@@ -394,12 +391,12 @@ func (ex *Execution) stageGroups(t *Tx) ([]*groupScaler, error) {
 		g := &groupScaler{ex: ex, name: kb.Name(), proto: k, max: cfg.maxReplicas, in: in, out: out}
 		initial, kind := g.max, ""
 		if in.reorderable {
-			g.split = newOrderedSplitFromSpec(kb.ins[0], g.max)
-			g.merge = newOrderedMergeFromSpec(kb.outs[0], g.max)
+			g.split = newOrderedSplit(kb.ins[0].ops, g.max)
+			g.merge = newOrderedMerge(kb.outs[0].ops, g.max)
 			kind = "ordered-"
 		} else {
-			g.split = newSplitFromSpec(kb.ins[0], g.max, cfg.splitPolicy)
-			g.merge = newMergeFromSpec(kb.outs[0], g.max)
+			g.split = newSplit(kb.ins[0].ops, g.max, cfg.splitPolicy)
+			g.merge = newMerge(kb.outs[0].ops, g.max)
 			if cfg.autoScale {
 				initial = 1
 			}

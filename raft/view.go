@@ -151,7 +151,7 @@ func ReleaseWriteView[T any](p *Port, n int) {
 // storage: one AcquireView, one PushN per segment (the only copy on the
 // hop), one release. A destination failure mid-hop leaves the undelivered
 // elements in the source queue.
-func moveView[T any](src, dst any, max int, block bool) (n int, err error) {
+func moveView[T any](src, dst ringbuffer.Queue, max int, block bool) (n int, err error) {
 	sv, db := src.(*ringbuffer.Ring[T]), dst.(*ringbuffer.Ring[T])
 	if max < 1 {
 		max = 1

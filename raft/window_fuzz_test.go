@@ -60,8 +60,8 @@ func newWindowRig(t *testing.T, capacity int, bestEffort, lowLatency bool) *wind
 		g.prod.Out("0").batch, g.cons.In("0").batch = bc, bc
 	}
 	r := g.addRing(capacity)
-	g.prod.Out("0").bind(r, r, nil)
-	g.cons.In("0").bind(r, r, nil)
+	g.prod.Out("0").bind(r, nil)
+	g.cons.In("0").bind(r, nil)
 	return g
 }
 
@@ -125,9 +125,9 @@ func (g *windowRig) splice(capacity int) {
 	g.prod.retireWindows()
 	old := g.tail()
 	r := g.addRing(capacity)
-	g.staged = &pendingRebind{q: r, typed: r, batch: g.in().batch, applied: make(chan struct{})}
+	g.staged = &pendingRebind{q: r, batch: g.in().batch, applied: make(chan struct{})}
 	g.in().installPending(g.staged)
-	g.out().bind(r, r, nil)
+	g.out().bind(r, nil)
 	old.Close()
 }
 

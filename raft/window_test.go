@@ -19,8 +19,8 @@ import (
 func windowed(inCap, outCap int) (k *LambdaKernel, in, out *ringbuffer.Ring[int64]) {
 	k = NewLambda[int64](1, 1, nil)
 	in, out = ringbuffer.NewRing[int64](inCap), ringbuffer.NewRing[int64](outCap)
-	k.In("0").bind(in, in, nil)
-	k.Out("0").bind(out, out, nil)
+	k.In("0").bind(in, nil)
+	k.Out("0").bind(out, nil)
 	return k, in, out
 }
 
@@ -195,7 +195,7 @@ func TestWindowNoDeadlockInMultiInputGraph(t *testing.T) {
 func TestWindowPushSigCommitsAtOnce(t *testing.T) {
 	k, _, out := windowed(64, 64)
 	in := k.In("0")
-	in.bind(out, out, nil) // read back what the kernel pushes
+	in.bind(out, nil) // read back what the kernel pushes
 	_ = Push(k.Out("0"), int64(0))
 	_ = Push(k.Out("0"), int64(1))
 	if err := PushSig(k.Out("0"), int64(2), SigUser); err != nil {
@@ -223,8 +223,8 @@ func TestWindowPushSigCommitsAtOnce(t *testing.T) {
 func TestWindowBulkOpsRetireFirst(t *testing.T) {
 	k := NewLambda[int64](1, 1, nil)
 	r := ringbuffer.NewRing[int64](256)
-	k.In("0").bind(r, r, nil)
-	k.Out("0").bind(r, r, nil)
+	k.In("0").bind(r, nil)
+	k.Out("0").bind(r, nil)
 	in, out := k.In("0"), k.Out("0")
 
 	next := int64(0)
@@ -332,7 +332,7 @@ func TestWindowRetiresAtStepBoundaries(t *testing.T) {
 
 	k, _, out := windowed(64, 64)
 	in := k.In("0")
-	in.bind(out, out, nil)
+	in.bind(out, nil)
 	_ = Push(k.Out("0"), int64(1))
 	_ = Push(k.Out("0"), int64(2))
 	k.CloseOutputs()
@@ -533,7 +533,7 @@ func TestWindowAwareLengths(t *testing.T) {
 	fill(t, in2, 0, 3)
 	succ := ringbuffer.NewRing[int64](8)
 	fill(t, succ, 100, 1)
-	nb := &pendingRebind{q: succ, typed: succ, applied: make(chan struct{})}
+	nb := &pendingRebind{q: succ, applied: make(chan struct{})}
 	k2.In("0").installPending(nb)
 	in2.Close()
 	for want := int64(0); want < 3; want++ {
@@ -561,13 +561,13 @@ func TestWindowAwareLengths(t *testing.T) {
 func TestReadyAdoptsStagedMergeSlot(t *testing.T) {
 	kb := NewMerge[int64](2).kernelBase()
 	r := ringbuffer.NewRing[int64](4)
-	kb.ins[0].bind(r, r, &asyncCell{})
+	kb.ins[0].bind(r, &asyncCell{})
 	ready := (&actorEntry{kb: kb}).Ready
 	if ready() {
 		t.Fatal("ready with its only linked input empty")
 	}
 	staged := ringbuffer.NewRing[int64](4)
-	kb.ins[1].installPending(&pendingRebind{q: staged, typed: staged, applied: make(chan struct{})})
+	kb.ins[1].installPending(&pendingRebind{q: staged, applied: make(chan struct{})})
 	if !ready() {
 		t.Fatal("not ready with a staged slot binding to adopt")
 	}
