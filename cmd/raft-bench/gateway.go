@@ -137,7 +137,7 @@ func ablateGateway() {
 			defer smu.Unlock()
 			for _, l := range ls.Links {
 				if strings.Contains(l.Name, "logs") {
-					out.samples = append(out.samples, occSample{ls.At, l.Len, l.Cap})
+					out.samples = append(out.samples, occSample{ls.At, l.Len, l.FinalCap})
 				}
 			}
 		}

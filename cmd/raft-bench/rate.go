@@ -152,7 +152,7 @@ func ablateRate() {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, l := range ls.Links {
-				samples = append(samples, occSample{ls.At, l.Len, l.Cap})
+				samples = append(samples, occSample{ls.At, l.Len, l.FinalCap})
 			}
 		}
 

@@ -263,7 +263,7 @@ func TestChaosTextsearchSmallRingResizeIdentical(t *testing.T) {
 	var once sync.Once
 	observe := func(s raft.LiveStats) {
 		for _, l := range s.Links {
-			if l.Cap > 2 {
+			if l.FinalCap > 2 {
 				once.Do(func() { close(grown) })
 			}
 		}

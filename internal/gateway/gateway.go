@@ -597,10 +597,10 @@ type TenantStats struct {
 	AdmittedElems   uint64
 	ShedQuota       uint64
 	ShedModel       uint64
-	// E2EP99Ns is the tenant's observed end-to-end p99 latency in
-	// nanoseconds, from retired provenance markers (0 until the first
-	// marker of the tenant retires, or when markers are disabled).
-	E2EP99Ns int64
+	// E2EP99 is the tenant's observed end-to-end p99 latency from retired
+	// provenance markers (0 until the first marker of the tenant retires,
+	// or when markers are disabled). /v1/stats carries it in nanoseconds.
+	E2EP99 time.Duration `json:"E2EP99Ns"`
 }
 
 // SourceStats is one source's ingestion counters.
@@ -647,7 +647,7 @@ func (s *Server) Stats() Stats {
 		}
 		if latency != nil {
 			if p99, ok := latency(t.name); ok {
-				ts.E2EP99Ns = int64(p99)
+				ts.E2EP99 = p99
 			}
 		}
 		out.Tenants = append(out.Tenants, ts)

@@ -433,3 +433,20 @@ func framedSend(t *testing.T, conn net.Conn, source, tenant, payload string) (st
 	}
 	return resp[0], binary.BigEndian.Uint32(resp[1:5]), string(resp[5:])
 }
+
+// TestStatsJSONKeys pins the /v1/stats encoding: every key, and a tenant's
+// p99 in integer nanoseconds under E2EP99Ns.
+func TestStatsJSONKeys(t *testing.T) {
+	st := Stats{
+		Tenants: []TenantStats{{Name: "t", AdmittedBatches: 1, AdmittedElems: 2, ShedQuota: 3, ShedModel: 4, E2EP99: 5 * time.Microsecond}},
+		Sources: []SourceStats{{Name: "s", AdmittedElems: 6, Dropped: 7, CopiesSaved: 8}},
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Tenants":[{"Name":"t","AdmittedBatches":1,"AdmittedElems":2,"ShedQuota":3,"ShedModel":4,"E2EP99Ns":5000}],"Sources":[{"Name":"s","AdmittedElems":6,"Dropped":7,"CopiesSaved":8}]}`
+	if string(b) != want {
+		t.Fatalf("/v1/stats JSON\n got %s\nwant %s", b, want)
+	}
+}

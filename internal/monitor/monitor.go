@@ -7,10 +7,10 @@
 // can hold — and (c) drives coarser re-optimization such as widening a
 // replicated kernel group when it is the bottleneck.
 //
-// The defaults here follow the paper's constants where practical: Delta
-// defaults to 10 µs (Go's sleep granularity makes the effective tick a few
-// tens of microseconds on most systems, which the occupancy sampler simply
-// reflects), and the write-side trigger is WriterBlockedFor() >= 3×Delta.
+// The constants follow the paper's where practical: Delta is 10 µs (Go's
+// sleep granularity makes the effective tick a few tens of microseconds on
+// most systems, which the occupancy sampler simply reflects), and the
+// write-side trigger is WriterBlockedFor() >= 3×Delta.
 // Read-side over-demand is satisfied synchronously by the ring itself (see
 // internal/ringbuffer); the monitor additionally observes PendingDemand for
 // reporting.
@@ -26,24 +26,11 @@ import (
 	"raftlib/internal/trace"
 )
 
-// Config tunes the monitor loop.
+// Config selects the monitor's rules and what they read.
 type Config struct {
-	// Delta is the monitor tick period (paper: 10 µs). <=0 selects the
-	// default.
-	Delta time.Duration
-	// Resize enables the dynamic queue resizing rules.
+	// Resize enables the dynamic queue resizing rule, which only grows a
+	// queue.
 	Resize bool
-	// BlockFactor is the write-block multiple of Delta that triggers a grow
-	// (paper: 3). <=0 selects 3.
-	BlockFactor int
-	// GrowFactor multiplies capacity on a grow (<=1 selects 2).
-	GrowFactor int
-	// Shrink enables conservative queue shrinking: a queue whose mean
-	// occupancy stays below 1/8 of capacity for ShrinkAfter consecutive
-	// ticks (and whose writer is not blocked) is halved.
-	Shrink bool
-	// ShrinkAfter is the hysteresis tick count for shrinking (<=0: 1000).
-	ShrinkAfter int
 	// AutoScale enables dynamic widening/narrowing of replicated kernel
 	// groups via their Scalers.
 	AutoScale bool
@@ -56,18 +43,6 @@ type Config struct {
 	// bypassed. The ramp is deliberately steep: on loaded hosts the monitor
 	// goroutine itself is contended, so windows are scarce.
 	AdaptiveBatch bool
-	// BatchMax caps the adaptive batch size (<=0 selects 256). A link's
-	// batch is additionally capped at half its queue capacity so one
-	// endpoint can never monopolize the whole buffer per hop.
-	BatchMax int
-	// BatchWindow is the number of ticks between batch decisions (<=0: 32).
-	BatchWindow int
-	// ScaleUpFullFrac: widen when the group input queue has been observed
-	// near-full in at least this fraction of recent ticks (default 0.5).
-	ScaleUpFullFrac float64
-	// ScaleWindow is the number of ticks between scaling decisions
-	// (default 64).
-	ScaleWindow int
 	// Trace, when non-nil, additionally publishes every decision on the
 	// run's telemetry bus so resizes, batch moves and width changes land
 	// on the same timeline as kernel invocations.
@@ -79,59 +54,41 @@ type Config struct {
 	Rates *qmodel.Estimator
 	// RateControl switches the batcher and scaler from the contended-
 	// window heuristics to estimator-driven decisions: batch growth
-	// starts when ρ̂ crosses RhoGrow or the occupancy derivative predicts
+	// starts when ρ̂ crosses rhoGrow or the occupancy derivative predicts
 	// a half-full queue within the next batch window (before any
 	// blocking), and the replica scaler steps toward the
 	// qmodel.MinServersWait width for the measured λ̂ and per-replica µ̂.
 	// Links and groups whose estimates are not yet primed fall back to
 	// the heuristics, so enabling this is never worse than leaving it off.
 	RateControl bool
-	// RhoGrow is the utilization ρ̂ = λ̂/µ̂ above which a link's batch is
-	// grown pre-emptively (<=0: 0.7).
-	RhoGrow float64
-	// WaitFactor sets the scaler's waiting-time target as a multiple of
-	// the per-replica mean service time: Wq ≤ WaitFactor/µ̂ (<=0: 2).
-	WaitFactor float64
 }
 
-// DefaultDelta is the paper's monitor update period.
-const DefaultDelta = 10 * time.Microsecond
-
-func (c *Config) fill() {
-	if c.Delta <= 0 {
-		c.Delta = DefaultDelta
-	}
-	if c.BlockFactor <= 0 {
-		c.BlockFactor = 3
-	}
-	if c.GrowFactor <= 1 {
-		c.GrowFactor = 2
-	}
-	if c.ShrinkAfter <= 0 {
-		c.ShrinkAfter = 1000
-	}
-	if c.ScaleUpFullFrac <= 0 {
-		c.ScaleUpFullFrac = 0.5
-	}
-	if c.ScaleWindow <= 0 {
-		c.ScaleWindow = 64
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = DefaultBatchMax
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 32
-	}
-	if c.RhoGrow <= 0 {
-		c.RhoGrow = 0.7
-	}
-	if c.WaitFactor <= 0 {
-		c.WaitFactor = 2
-	}
-}
-
-// DefaultBatchMax is the adaptive batcher's default size ceiling.
-const DefaultBatchMax = 256
+// The monitor's constants. Delta, blockFactor and growFactor are the
+// paper's (§4.1).
+const (
+	// Delta is the monitor tick period δ.
+	Delta = 10 * time.Microsecond
+	// blockFactor is the write-block multiple of Delta that triggers a
+	// grow; growFactor multiplies the capacity on a grow.
+	blockFactor = 3
+	growFactor  = 2
+	// BatchMax caps the adaptive batch size. A link's batch is also capped
+	// at half its queue capacity, so one endpoint can never monopolize the
+	// whole buffer per hop. batchWindow is the number of ticks between
+	// batch decisions.
+	BatchMax    = 256
+	batchWindow = 32
+	// A group widens when its input queue was near-full in at least
+	// scaleUpFullFrac of the scaleWindow ticks between scaling decisions.
+	scaleUpFullFrac = 0.5
+	scaleWindow     = 64
+	// rhoGrow is the utilization ρ̂ = λ̂/µ̂ above which a link's batch is
+	// grown pre-emptively under RateControl; waitFactor sets the rate
+	// scaler's waiting-time target as a multiple of the per-replica mean
+	// service time: Wq ≤ waitFactor/µ̂.
+	rhoGrow    = 0.7
+	waitFactor = 2
+)
 
 // linkState carries one link's monitor bookkeeping. Links used to be
 // tracked in parallel index-keyed slices; graph rewrites add and remove
@@ -143,8 +100,6 @@ type linkState struct {
 	// estIdx is the link's index in the rate estimator's tap table, or -1
 	// for dynamically-added links (estimator rules skipped).
 	estIdx int
-	// shrink hysteresis counter
-	quiet int
 	// adaptive batcher state
 	batchTick  int
 	batchFull  int
@@ -194,7 +149,7 @@ func (m *Monitor) SetDeadlockWatch(w *DeadlockWatch) { m.deadlock = w }
 // Event records one monitor decision, for reports and tests.
 type Event struct {
 	At     time.Time
-	Kind   string // "grow", "shrink", "scale-up", "scale-down"
+	Kind   string // "grow", "batch-up", "batch-down", "scale-up", "scale-down", "deadlock", "drop"
 	Target string // link or group name
 	From   int
 	To     int
@@ -202,7 +157,6 @@ type Event struct {
 
 // New builds a Monitor over the engine's links and scalers.
 func New(cfg Config, links []*core.LinkInfo, scalers []core.Scaler) *Monitor {
-	cfg.fill()
 	// One slab holds the state of every link given here; AddLink allocates
 	// a rewrite's links one by one.
 	slab := make([]linkState, len(links))
@@ -295,7 +249,6 @@ func (m *Monitor) Resizes() uint64 {
 // traceKind maps a monitor decision to its telemetry-bus event kind.
 var traceKind = map[string]trace.Kind{
 	"grow":       trace.QueueGrow,
-	"shrink":     trace.QueueShrink,
 	"batch-up":   trace.BatchUp,
 	"batch-down": trace.BatchDown,
 	"scale-up":   trace.ScaleUp,
@@ -316,7 +269,7 @@ func (m *Monitor) record(kind, target string, from, to int) {
 	}
 	m.mu.Lock()
 	m.events = append(m.events, Event{At: now, Kind: kind, Target: target, From: from, To: to})
-	if kind == "grow" || kind == "shrink" {
+	if kind == "grow" {
 		m.resizes++
 	}
 	m.mu.Unlock()
@@ -331,7 +284,7 @@ func (m *Monitor) loop() {
 		default:
 		}
 		m.Tick()
-		time.Sleep(m.cfg.Delta)
+		time.Sleep(Delta)
 	}
 }
 
@@ -350,7 +303,7 @@ func (m *Monitor) Tick() {
 		// rate-limited, so the per-tick cost is two clock reads).
 		m.cfg.Rates.Tick(time.Now())
 	}
-	threshold := time.Duration(m.cfg.BlockFactor) * m.cfg.Delta
+	const threshold = blockFactor * Delta
 	m.linksMu.Lock()
 	links := m.links
 	m.linksMu.Unlock()
@@ -378,39 +331,18 @@ func (m *Monitor) Tick() {
 		// the occupancy and block times gathered this tick do not describe
 		// the link. Re-decide once the view is released.
 		if l.Queue.ResizePending() || l.Queue.ViewHeldFor() > 0 {
-			st.quiet = 0
 			continue
 		}
-		// Write-side rule (§4.1): writer blocked for >= BlockFactor×δ.
+		// Write-side rule (§4.1): writer blocked for >= blockFactor×δ.
 		if blocked := l.Queue.WriterBlockedFor(); blocked >= threshold {
 			if l.MaxCap <= 0 || qcap < l.MaxCap {
-				target := qcap * m.cfg.GrowFactor
+				target := qcap * growFactor
 				if l.MaxCap > 0 && target > l.MaxCap {
 					target = l.MaxCap
 				}
 				if target > qcap && l.Queue.Resize(target) == nil {
 					m.record("grow", l.Name, qcap, target)
-					st.quiet = 0
-					continue
 				}
-			}
-		}
-		// Conservative shrink with hysteresis.
-		if m.cfg.Shrink {
-			if qlen*8 < qcap && l.Queue.WriterBlockedFor() == 0 {
-				st.quiet++
-				if st.quiet >= m.cfg.ShrinkAfter && qcap > 1 {
-					target := qcap / 2
-					if target < qlen {
-						target = qlen
-					}
-					if target >= 1 && target < qcap && l.Queue.Resize(target) == nil {
-						m.record("shrink", l.Name, qcap, target)
-					}
-					st.quiet = 0
-				}
-			} else {
-				st.quiet = 0
 			}
 		}
 	}
@@ -435,7 +367,7 @@ func (m *Monitor) Tick() {
 			if qlen == 0 {
 				m.emptyTicks[i]++
 			}
-			if m.scaleTick[i] < m.cfg.ScaleWindow {
+			if m.scaleTick[i] < scaleWindow {
 				continue
 			}
 			window := float64(m.scaleTick[i])
@@ -447,7 +379,7 @@ func (m *Monitor) Tick() {
 				continue
 			}
 			switch {
-			case fullFrac >= m.cfg.ScaleUpFullFrac && s.Active() < s.Max():
+			case fullFrac >= scaleUpFullFrac && s.Active() < s.Max():
 				m.step(s, +1)
 			case emptyFrac >= 0.9 && s.Active() > 1:
 				m.step(s, -1)
@@ -471,7 +403,7 @@ func (m *Monitor) Tick() {
 // rateWidth applies the estimator-driven width rule to scaler s whose
 // group input is link in, and reports whether it owned the decision this
 // window. Width comes from qmodel.MinServersWait — the smallest replica
-// count whose predicted M/M/c waiting time meets WaitFactor/µ̂ — and the
+// count whose predicted M/M/c waiting time meets waitFactor/µ̂ — and the
 // monitor steps the active count ±1 toward it per scale window, so a
 // noisy estimate can never slam a group from 1 to Max in one move. Falls
 // back (returns false) whenever the estimates are not primed, leaving the
@@ -496,7 +428,7 @@ func (m *Monitor) rateWidth(s core.Scaler, in *core.LinkInfo) bool {
 	if !ok || mu <= 0 {
 		return false
 	}
-	target := qmodel.MinServersWait(lr.Lambda, mu, m.cfg.WaitFactor/mu, s.Max())
+	target := qmodel.MinServersWait(lr.Lambda, mu, waitFactor/mu, s.Max())
 	cur := s.Active()
 	switch {
 	case target > cur && cur < s.Max():
@@ -541,7 +473,7 @@ func (m *Monitor) dropStep(st *linkState) {
 }
 
 // batchStep accumulates one tick of occupancy evidence for link i and, every
-// BatchWindow ticks, moves its transfer batch size toward the
+// batchWindow ticks, moves its transfer batch size toward the
 // latency/throughput balance: grow ×2 while the link demonstrably contends
 // (blocked time accrued, or the queue sat near-full for half the window)
 // and elements are actually flowing; shrink ÷2 once the
@@ -561,7 +493,7 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 	if qlen == 0 {
 		st.batchEmpty++
 	}
-	if st.batchTick < m.cfg.BatchWindow {
+	if st.batchTick < batchWindow {
 		return
 	}
 	window := float64(st.batchTick)
@@ -590,9 +522,9 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 		if lr, ok := m.cfg.Rates.Link(st.estIdx); ok {
 			rateHot := false
 			if lr.Primed {
-				horizon := float64(m.cfg.BatchWindow) * m.cfg.Delta.Seconds()
+				horizon := float64(batchWindow) * Delta.Seconds()
 				predicted := lr.OccMean + lr.OccSlope*horizon
-				rateHot = (lr.Mu > 0 && lr.Rho >= m.cfg.RhoGrow) ||
+				rateHot = (lr.Mu > 0 && lr.Rho >= rhoGrow) ||
 					(lr.OccSlope > 0 && predicted >= float64(qcap)/2)
 			}
 			contended = rateHot || fullFrac >= 0.5
@@ -603,7 +535,7 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 	if cur < 1 {
 		cur = 1
 	}
-	limit := m.cfg.BatchMax
+	limit := BatchMax
 	if qcap/2 < limit {
 		limit = qcap / 2
 	}

@@ -17,11 +17,11 @@ func mkLink(capacity int, maxCap int) (*core.LinkInfo, *ringbuffer.Ring[int]) {
 	return &core.LinkInfo{Name: "l", Queue: r, ResizeEnabled: true, MaxCap: maxCap}, r
 }
 
+// TestConfigDefaults pins the paper's monitor constants (§4.1): a 10 µs
+// tick, a grow after the writer blocked for 3δ, and capacity doubled.
 func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.fill()
-	if c.Delta != DefaultDelta || c.BlockFactor != 3 || c.GrowFactor != 2 {
-		t.Fatalf("defaults = %+v", c)
+	if Delta != 10*time.Microsecond || blockFactor != 3 || growFactor != 2 {
+		t.Fatalf("δ = %v, block factor %d, grow factor %d; want 10µs, 3, 2", Delta, blockFactor, growFactor)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestWriteBlockTriggersGrow(t *testing.T) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	// Wait until the block age exceeds 3δ, then tick manually.
-	cfg := Config{Delta: time.Microsecond, Resize: true}
+	cfg := Config{Resize: true}
 	m := New(cfg, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
@@ -82,7 +82,7 @@ func TestGrowRespectsMaxCap(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
+	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 2 {
@@ -105,7 +105,7 @@ func TestViewHoldSkipsResize(t *testing.T) {
 	if err != nil || v.Len() != 1 {
 		t.Fatalf("view = %v (len %d)", err, v.Len())
 	}
-	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
+	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 1 {
@@ -143,7 +143,7 @@ func TestWindowDefersResize(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
+	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if err := <-pushed; err != nil {
@@ -187,35 +187,13 @@ func TestResizeDisabled(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Delta: time.Microsecond, Resize: true}, []*core.LinkInfo{li}, nil)
+	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 1 {
 		t.Fatalf("cap = %d; per-link disable ignored", r.Cap())
 	}
 	r.Close()
-}
-
-func TestShrinkAfterHysteresis(t *testing.T) {
-	li, r := mkLink(64, 0)
-	m := New(Config{Delta: time.Microsecond, Resize: true, Shrink: true, ShrinkAfter: 10},
-		[]*core.LinkInfo{li}, nil)
-	for i := 0; i < 10; i++ {
-		m.Tick()
-	}
-	if r.Cap() != 32 {
-		t.Fatalf("cap after shrink = %d, want 32", r.Cap())
-	}
-	// A busy queue must not shrink.
-	for i := 0; i < 30; i++ {
-		_ = r.Push(i, ringbuffer.SigNone)
-	}
-	for i := 0; i < 20; i++ {
-		m.Tick()
-	}
-	if r.Cap() != 32 {
-		t.Fatalf("cap = %d; busy queue shrank", r.Cap())
-	}
 }
 
 // fakeScaler commits every step at once, on the caller's goroutine; with
@@ -254,9 +232,9 @@ func TestAutoScaleUpOnPressure(t *testing.T) {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 8},
+	m := New(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	for i := 0; i < 8; i++ {
+	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
 	}
 	if sc.active != 2 {
@@ -272,9 +250,9 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 	li, _ := mkLink(4, 4)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 8},
+	m := New(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	for i := 0; i < 8; i++ { // queue stays empty
+	for i := 0; i < scaleWindow; i++ { // queue stays empty
 		m.Tick()
 	}
 	if sc.active != 2 {
@@ -292,16 +270,16 @@ func TestAutoScaleSkipsGroupWhileStepping(t *testing.T) {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li, stepping: true}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 8},
+	m := New(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*scaleWindow; i++ {
 		m.Tick()
 	}
 	if sc.steps != 0 || len(m.Events()) != 0 {
 		t.Fatalf("%d steps, events %+v while a step was in flight", sc.steps, m.Events())
 	}
 	sc.stepping = false
-	for i := 0; i < 7; i++ {
+	for i := 0; i < scaleWindow-1; i++ {
 		m.Tick()
 	}
 	if sc.steps != 0 {
@@ -315,9 +293,10 @@ func TestAutoScaleSkipsGroupWhileStepping(t *testing.T) {
 
 func TestAutoScaleNilInputLink(t *testing.T) {
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: nil}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 2}, nil, []core.Scaler{sc})
-	m.Tick()
-	m.Tick() // must not panic
+	m := New(Config{AutoScale: true}, nil, []core.Scaler{sc})
+	for i := 0; i < scaleWindow; i++ {
+		m.Tick() // must not panic
+	}
 	if sc.active != 1 {
 		t.Fatalf("active changed to %d with no input link", sc.active)
 	}
@@ -325,7 +304,7 @@ func TestAutoScaleNilInputLink(t *testing.T) {
 
 func TestStartStopLifecycle(t *testing.T) {
 	li, _ := mkLink(4, 0)
-	m := New(Config{Delta: 100 * time.Microsecond}, []*core.LinkInfo{li}, nil)
+	m := New(Config{}, []*core.LinkInfo{li}, nil)
 	m.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for m.Ticks() < 3 {
@@ -353,13 +332,13 @@ func TestAdaptiveBatchGrowsUnderContention(t *testing.T) {
 	for i := 0; i < 12; i++ { // >= cap/2 every tick
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
-	m := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 4, BatchMax: 256},
+	m := New(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
 	for w := 0; w < 4; w++ {
 		// Keep elements flowing so Pushes advances between windows.
 		_, _, _, _ = r.TryPop()
 		_ = r.Push(100+w, ringbuffer.SigNone)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < batchWindow; i++ {
 			m.Tick()
 		}
 	}
@@ -380,9 +359,9 @@ func TestAdaptiveBatchShrinksWhenIdle(t *testing.T) {
 	li.ResizeEnabled = false
 	li.Batch = &core.BatchControl{}
 	li.Batch.Set(8)
-	m := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 4},
+	m := New(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
-	for i := 0; i < 4; i++ { // queue stays empty
+	for i := 0; i < batchWindow; i++ { // queue stays empty
 		m.Tick()
 	}
 	if got := li.Batch.Get(); got != 4 {
@@ -403,9 +382,9 @@ func TestAdaptiveBatchSkipsPinned(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
-	m := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 2},
+	m := New(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 5*batchWindow; i++ {
 		_, _, _, _ = r.TryPop()
 		_ = r.Push(100+i, ringbuffer.SigNone)
 		m.Tick()
@@ -423,10 +402,11 @@ func TestAdaptiveBatchSkipsPinned(t *testing.T) {
 func TestAdaptiveBatchNilControl(t *testing.T) {
 	li, _ := mkLink(16, 0)
 	li.ResizeEnabled = false
-	m := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 2},
+	m := New(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
-	m.Tick()
-	m.Tick()
+	for i := 0; i < batchWindow; i++ {
+		m.Tick()
+	}
 }
 
 // primedEstimator builds a qmodel.Estimator for one link (index 0, dst
@@ -454,7 +434,7 @@ func primedEstimator(t *testing.T, n uint64, blockedFrac float64, workerIDs ...i
 		Len:   func() int { return 0 },
 		Cap:   func() int { return 1024 },
 	}}
-	est := qmodel.NewEstimator(qmodel.EstimatorConfig{}, nil, kts, lts)
+	est := qmodel.NewEstimator(nil, kts, lts)
 	window := 2 * time.Millisecond
 	now := time.Now().Add(time.Hour)
 	est.Tick(now)
@@ -473,17 +453,16 @@ func primedEstimator(t *testing.T, n uint64, blockedFrac float64, workerIDs ...i
 // grows its batch on the utilization signal alone — queue near-empty, no
 // blocking evidence anywhere.
 func TestRateControlBatchUpOnHotLink(t *testing.T) {
-	est := primedEstimator(t, 1000, 0.1) // ρ̂ ≈ 0.9 > RhoGrow 0.7
+	est := primedEstimator(t, 1000, 0.1) // ρ̂ ≈ 0.9 > rhoGrow 0.7
 	li, r := mkLink(16, 0)
 	li.ResizeEnabled = false
 	li.Batch = &core.BatchControl{}
-	m := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 4,
-		BatchMax: 256, Rates: est, RateControl: true},
+	m := New(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, nil)
 	// Elements flow (moved > 0) but the queue never fills or blocks.
 	_ = r.Push(1, ringbuffer.SigNone)
 	_, _, _, _ = r.TryPop()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < batchWindow; i++ {
 		m.Tick()
 	}
 	if got := li.Batch.Get(); got != 4 {
@@ -518,11 +497,10 @@ func TestRateControlSuppressesStarvationNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est := primedEstimator(t, 1000, 0.75) // ρ̂ ≈ 0.25 < RhoGrow
-	rc := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 4,
-		BatchMax: 256, Rates: est, RateControl: true},
+	est := primedEstimator(t, 1000, 0.75) // ρ̂ ≈ 0.25 < rhoGrow
+	rc := New(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, nil)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < batchWindow; i++ {
 		rc.Tick()
 	}
 	if got := li.Batch.Get(); got > 1 {
@@ -531,9 +509,8 @@ func TestRateControlSuppressesStarvationNoise(t *testing.T) {
 
 	// The same telemetry drives the heuristic to batch-up — the behavior
 	// the discriminating controller exists to avoid.
-	h := New(Config{Delta: time.Microsecond, AdaptiveBatch: true, BatchWindow: 4,
-		BatchMax: 256}, []*core.LinkInfo{li}, nil)
-	for i := 0; i < 4; i++ {
+	h := New(Config{AdaptiveBatch: true}, []*core.LinkInfo{li}, nil)
+	for i := 0; i < batchWindow; i++ {
 		h.Tick()
 	}
 	if got := li.Batch.Get(); got <= 1 {
@@ -550,11 +527,11 @@ func TestRateWidthScalesUpTowardMMcTarget(t *testing.T) {
 	li, _ := mkLink(16, 16)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 2,
-		Rates: est, RateControl: true},
+	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	m.Tick()
-	m.Tick()
+	for i := 0; i < scaleWindow; i++ {
+		m.Tick()
+	}
 	if sc.active != 2 {
 		t.Fatalf("active = %d, want stepped up to 2 on predicted wait", sc.active)
 	}
@@ -571,16 +548,17 @@ func TestRateWidthScalesDownWhenOverProvisioned(t *testing.T) {
 	li, _ := mkLink(16, 16)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 2,
-		Rates: est, RateControl: true},
+	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	m.Tick()
-	m.Tick()
+	for i := 0; i < scaleWindow; i++ {
+		m.Tick()
+	}
 	if sc.active != 2 {
 		t.Fatalf("active = %d after one window, want 2 (±1 stepping)", sc.active)
 	}
-	m.Tick()
-	m.Tick()
+	for i := 0; i < scaleWindow; i++ {
+		m.Tick()
+	}
 	if sc.active != 1 {
 		t.Fatalf("active = %d after two windows, want 1", sc.active)
 	}
@@ -590,7 +568,7 @@ func TestRateWidthScalesDownWhenOverProvisioned(t *testing.T) {
 // decision to the contended-window heuristic (here: empty queue, scale
 // down), not freeze the group.
 func TestRateWidthFallsBackUnprimed(t *testing.T) {
-	est := qmodel.NewEstimator(qmodel.EstimatorConfig{}, nil,
+	est := qmodel.NewEstimator(nil,
 		[]qmodel.KernelTap{{Name: "k", ID: 1, Runs: func() uint64 { return 0 }}},
 		[]qmodel.LinkTap{{Name: "l", Src: 0, Dst: 1,
 			Flow: func() (uint64, uint64) { return 0, 0 },
@@ -600,10 +578,9 @@ func TestRateWidthFallsBackUnprimed(t *testing.T) {
 	li, _ := mkLink(4, 4)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{Delta: time.Microsecond, AutoScale: true, ScaleWindow: 8,
-		Rates: est, RateControl: true},
+	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
-	for i := 0; i < 8; i++ {
+	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
 	}
 	if sc.active != 2 {

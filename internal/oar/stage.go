@@ -67,13 +67,8 @@ func serveStageConn[T, U any](conn net.Conn, br *bufio.Reader, factory func(args
 		return
 	}
 
-	src := &stageConnSource[T]{dec: dec}
-	src.SetName("stage-recv")
-	raft.AddOutput[T](src, "out")
-	sink := &stageConnSink[U]{enc: enc}
-	sink.SetName("stage-send")
-	raft.AddInput[U](sink, "in")
-
+	src := newGobSource[T]("stage-recv", dec)
+	sink := newGobSink[U]("stage-send", enc)
 	m := raft.NewMap()
 	if _, err := m.Link(src, kernel); err != nil {
 		return
@@ -84,56 +79,59 @@ func serveStageConn[T, U any](conn net.Conn, br *bufio.Reader, factory func(args
 	_, _ = m.Exe() // errors surface to the peer as a closed connection
 }
 
-// stageConnSource feeds decoded frames into the remote pipeline.
-type stageConnSource[T any] struct {
+// gobSource pushes each decoded frame's elements, with their signals, out
+// of its "out" port until the peer's EOF frame or a read error. It is both
+// the remote stage's intake and the local receiver of its results.
+type gobSource[T any] struct {
 	raft.KernelBase
 	dec *gob.Decoder
 }
 
-func (s *stageConnSource[T]) Run() raft.Status {
+func newGobSource[T any](name string, dec *gob.Decoder) *gobSource[T] {
+	s := &gobSource[T]{dec: dec}
+	s.SetName(name)
+	raft.AddOutput[T](s, "out")
+	return s
+}
+
+func (s *gobSource[T]) Run() raft.Status {
 	var f frame[T]
-	if err := s.dec.Decode(&f); err != nil {
+	if err := s.dec.Decode(&f); err != nil || f.EOF {
 		return raft.Stop
 	}
-	if f.EOF {
+	if err := raft.PushNSig(s.Out("out"), f.Vals, f.Sigs); err != nil {
 		return raft.Stop
-	}
-	out := s.Out("out")
-	for i, v := range f.Vals {
-		sig := raft.SigNone
-		if i < len(f.Sigs) {
-			sig = f.Sigs[i]
-		}
-		if err := raft.PushSig(out, v, sig); err != nil {
-			return raft.Stop
-		}
 	}
 	return raft.Proceed
 }
 
-// stageConnSink returns the remote pipeline's results to the peer.
-type stageConnSink[U any] struct {
+// gobSink encodes what its "in" port holds as frames of up to senderBatch
+// elements, each element with its signal, and an EOF frame once the stream
+// closes. It is both the local sender to a remote stage and the stage's
+// return path.
+type gobSink[T any] struct {
 	raft.KernelBase
-	enc *gob.Encoder
+	enc  *gob.Encoder
+	vals []T
+	sigs []raft.Signal
 }
 
-func (s *stageConnSink[U]) Run() raft.Status {
-	in := s.In("in")
-	v, sig, err := raft.PopSig[U](in)
-	if err != nil {
-		_ = s.enc.Encode(frame[U]{EOF: true})
-		return raft.Stop
-	}
-	f := frame[U]{Vals: []U{v}, Sigs: []raft.Signal{sig}}
-	for len(f.Vals) < senderBatch {
-		v, ok, err := raft.TryPop[U](in)
-		if err != nil || !ok {
-			break
+func newGobSink[T any](name string, enc *gob.Encoder) *gobSink[T] {
+	s := &gobSink[T]{enc: enc, vals: make([]T, senderBatch), sigs: make([]raft.Signal, senderBatch)}
+	s.SetName(name)
+	raft.AddInput[T](s, "in")
+	return s
+}
+
+func (s *gobSink[T]) Run() raft.Status {
+	n, err := raft.PopNSig(s.In("in"), s.vals, s.sigs)
+	if n > 0 {
+		if s.enc.Encode(frame[T]{Vals: s.vals[:n], Sigs: s.sigs[:n]}) != nil {
+			return raft.Stop
 		}
-		f.Vals = append(f.Vals, v)
-		f.Sigs = append(f.Sigs, raft.SigNone)
 	}
-	if err := s.enc.Encode(f); err != nil {
+	if err != nil {
+		_ = s.enc.Encode(frame[T]{EOF: true})
 		return raft.Stop
 	}
 	return raft.Proceed
@@ -167,67 +165,6 @@ func RemoteStage[T, U any](addr, stage string, args map[string]string) (raft.Ker
 		return nil, nil, fmt.Errorf("oar: node %s rejected stage %q (unregistered or factory error)", addr, stage)
 	}
 
-	send := &stageLocalSender[T]{conn: conn, enc: enc}
-	send.SetName("remote-stage-send[" + stage + "]")
-	raft.AddInput[T](send, "in")
-	recv := &stageLocalReceiver[U]{dec: dec}
-	recv.SetName("remote-stage-recv[" + stage + "]")
-	raft.AddOutput[U](recv, "out")
-	return send, recv, nil
-}
-
-// stageLocalSender forwards the local upstream to the remote stage.
-type stageLocalSender[T any] struct {
-	raft.KernelBase
-	conn net.Conn
-	enc  *gob.Encoder
-}
-
-func (s *stageLocalSender[T]) Run() raft.Status {
-	in := s.In("in")
-	v, sig, err := raft.PopSig[T](in)
-	if err != nil {
-		_ = s.enc.Encode(frame[T]{EOF: true})
-		return raft.Stop
-	}
-	f := frame[T]{Vals: []T{v}, Sigs: []raft.Signal{sig}}
-	for len(f.Vals) < senderBatch {
-		v, ok, err := raft.TryPop[T](in)
-		if err != nil || !ok {
-			break
-		}
-		f.Vals = append(f.Vals, v)
-		f.Sigs = append(f.Sigs, raft.SigNone)
-	}
-	if err := s.enc.Encode(f); err != nil {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
-
-// stageLocalReceiver delivers the remote stage's results locally.
-type stageLocalReceiver[U any] struct {
-	raft.KernelBase
-	dec *gob.Decoder
-}
-
-func (r *stageLocalReceiver[U]) Run() raft.Status {
-	var f frame[U]
-	if err := r.dec.Decode(&f); err != nil {
-		return raft.Stop
-	}
-	if f.EOF {
-		return raft.Stop
-	}
-	out := r.Out("out")
-	for i, v := range f.Vals {
-		sig := raft.SigNone
-		if i < len(f.Sigs) {
-			sig = f.Sigs[i]
-		}
-		if err := raft.PushSig(out, v, sig); err != nil {
-			return raft.Stop
-		}
-	}
-	return raft.Proceed
+	return newGobSink[T]("remote-stage-send["+stage+"]", enc),
+		newGobSource[U]("remote-stage-recv["+stage+"]", dec), nil
 }

@@ -85,6 +85,72 @@ func TestRemoteStageTypeChange(t *testing.T) {
 	}
 }
 
+// TestRemoteStageCarriesSignals sends a user signal on every third element
+// through a remote stage that forwards signals, and checks that each
+// element comes back with its own signal — also the ones that are not the
+// first of their wire frame.
+func TestRemoteStageCarriesSignals(t *testing.T) {
+	worker := newTestNode(t, "worker")
+	RegisterStage[int64, int64](worker, "relay", func(map[string]string) (raft.Kernel, error) {
+		return raft.NewLambdaIO[int64, int64](1, 1, func(lk *raft.LambdaKernel) raft.Status {
+			v, sig, err := raft.PopSig[int64](lk.In("0"))
+			if err != nil {
+				return raft.Stop
+			}
+			if err := raft.PushSig(lk.Out("0"), v, sig); err != nil {
+				return raft.Stop
+			}
+			return raft.Proceed
+		}), nil
+	})
+	send, recv, err := RemoteStage[int64, int64](worker.Addr(), "relay", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	sigOf := func(i int64) raft.Signal {
+		if i%3 == 2 {
+			return raft.SigUser
+		}
+		return raft.SigNone
+	}
+	var next int64
+	src := raft.NewLambda[int64](0, 1, func(lk *raft.LambdaKernel) raft.Status {
+		if next == n {
+			return raft.Stop
+		}
+		if err := raft.PushSig(lk.Out("0"), next, sigOf(next)); err != nil {
+			return raft.Stop
+		}
+		next++
+		return raft.Proceed
+	})
+	var got []int64
+	var sigs []raft.Signal
+	sink := raft.NewLambda[int64](1, 0, func(lk *raft.LambdaKernel) raft.Status {
+		v, sig, err := raft.PopSig[int64](lk.In("0"))
+		if err != nil {
+			return raft.Stop
+		}
+		got, sigs = append(got, v), append(sigs, sig)
+		return raft.Proceed
+	})
+	m := raft.NewMap()
+	m.MustLink(src, send)
+	m.MustLink(recv, sink)
+	if _, err := m.Exe(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("received %d elements, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != int64(i) || sigs[i] != sigOf(int64(i)) {
+			t.Fatalf("element %d = %d with signal %v, want %d with %v", i, v, sigs[i], i, sigOf(int64(i)))
+		}
+	}
+}
+
 func TestRemoteStageUnregistered(t *testing.T) {
 	worker := newTestNode(t, "worker")
 	if _, _, err := RemoteStage[int64, int64](worker.Addr(), "nope", nil); err == nil {

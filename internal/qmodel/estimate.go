@@ -64,37 +64,24 @@ type LinkTap struct {
 	Cap func() int
 }
 
-// EstimatorConfig tunes the estimation windows.
-type EstimatorConfig struct {
-	// Window is the minimum interval between estimate folds; Tick calls
+// The estimator's constants.
+const (
+	// window is the minimum interval between estimate folds; Tick calls
 	// closer together than this are no-ops, so the monitor can call Tick
-	// every δ without re-deriving rates at δ granularity (<=0: 2ms —
-	// long enough that flow deltas carry real counts on fast pipelines,
-	// short enough to track a ramp within tens of milliseconds).
-	Window time.Duration
-	// Alpha is the EWMA smoothing factor (<=0: 0.3).
-	Alpha float64
-	// BurstFactor rejects samples above this multiple of the running
-	// estimate (<=1: 4).
-	BurstFactor float64
-	// BurstStreak is the consecutive-rejection escape hatch (<=0: 8).
-	BurstStreak int
-}
+	// every δ without re-deriving rates at δ granularity. 2ms is long
+	// enough that flow deltas carry real counts on fast pipelines and
+	// short enough to track a ramp within tens of milliseconds.
+	window = 2 * time.Millisecond
+	// alpha is the EWMA smoothing factor; a sample above burstFactor times
+	// the running estimate is rejected, unless burstStreak samples in a
+	// row were (the escape hatch).
+	alpha       = 0.3
+	burstFactor = 4
+	burstStreak = 8
+)
 
-func (c *EstimatorConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Millisecond
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.BurstFactor <= 1 {
-		c.BurstFactor = 4
-	}
-	if c.BurstStreak <= 0 {
-		c.BurstStreak = 8
-	}
-}
+// newEWMA is one rate or duration filter under the estimator's constants.
+func newEWMA() *stats.BurstEWMA { return stats.NewBurstEWMA(alpha, burstFactor, burstStreak) }
 
 // LinkRates is one link's current estimates. Rates are elements/second.
 type LinkRates struct {
@@ -139,7 +126,6 @@ type KernelRate struct {
 // stats, report building, the monitor's own decisions) take the mutex
 // briefly per query.
 type Estimator struct {
-	cfg   EstimatorConfig
 	spans *trace.Reader
 
 	mu      sync.Mutex
@@ -178,16 +164,15 @@ type linkEst struct {
 // NewEstimator builds an estimator over the given taps. spans may be nil
 // (no µ̂; λ̂ and occupancy signals still work — the degraded mode used
 // when tracing is disabled).
-func NewEstimator(cfg EstimatorConfig, spans *trace.Reader, kernels []KernelTap, links []LinkTap) *Estimator {
-	cfg.fill()
-	e := &Estimator{cfg: cfg, spans: spans, kidx: make(map[int32]int, len(kernels))}
+func NewEstimator(spans *trace.Reader, kernels []KernelTap, links []LinkTap) *Estimator {
+	e := &Estimator{spans: spans, kidx: make(map[int32]int, len(kernels))}
 	for _, kt := range kernels {
 		e.kidx[kt.ID] = len(e.kernels)
 		e.kernels = append(e.kernels, kernelEst{
 			tap:   kt,
-			svcNs: stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak),
-			rate:  stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak),
-			elems: stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak),
+			svcNs: newEWMA(),
+			rate:  newEWMA(),
+			elems: newEWMA(),
 		})
 	}
 	for _, lt := range links {
@@ -196,7 +181,7 @@ func NewEstimator(cfg EstimatorConfig, spans *trace.Reader, kernels []KernelTap,
 			// Flow-counter deltas are exact, so λ̂ primes on the mean of its
 			// first windows: the arrivals over their span, however unevenly
 			// they fell into them (see stats.BurstEWMA.PrimeOnMean).
-			lam: stats.NewBurstEWMA(cfg.Alpha, cfg.BurstFactor, cfg.BurstStreak).PrimeOnMean(),
+			lam: newEWMA().PrimeOnMean(),
 		})
 		if lt.Block != nil {
 			if i, ok := e.kidx[lt.Src]; ok {
@@ -211,7 +196,7 @@ func NewEstimator(cfg EstimatorConfig, spans *trace.Reader, kernels []KernelTap,
 }
 
 // Tick folds one estimation window ending at now. Calls closer together
-// than the configured Window are no-ops, so it is safe (and intended) to
+// than window are no-ops, so it is safe (and intended) to
 // call from every monitor tick.
 func (e *Estimator) Tick(now time.Time) {
 	e.mu.Lock()
@@ -236,7 +221,7 @@ func (e *Estimator) Tick(now time.Time) {
 		return
 	}
 	dt := now.Sub(e.last)
-	if dt < e.cfg.Window {
+	if dt < window {
 		return
 	}
 	e.last = now
@@ -304,8 +289,8 @@ func (e *Estimator) Tick(now time.Time) {
 		}
 		slope := (winMean - l.occPrev) / secs
 		l.occPrev = winMean
-		l.occMean = e.cfg.Alpha*winMean + (1-e.cfg.Alpha)*l.occMean
-		l.occSlope = e.cfg.Alpha*slope + (1-e.cfg.Alpha)*l.occSlope
+		l.occMean = alpha*winMean + (1-alpha)*l.occMean
+		l.occSlope = alpha*slope + (1-alpha)*l.occSlope
 	}
 
 	// Per-kernel folds from the accumulated link evidence: elements per

@@ -57,7 +57,7 @@ func drive(e *Estimator, s *synthLink, now *time.Time, ticks int, n uint64, bloc
 func TestEstimatorLambdaPrimesWhenArrivalsFillFewWindows(t *testing.T) {
 	s := &synthLink{qcap: 1 << 15}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now) // baseline
 
@@ -94,7 +94,7 @@ func TestEstimatorLambdaPrimesWhenArrivalsFillFewWindows(t *testing.T) {
 func TestEstimatorSteadyConvergence(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now) // baseline
 
@@ -131,7 +131,7 @@ func TestEstimatorSteadyConvergence(t *testing.T) {
 func TestEstimatorStarvedConsumerMu(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -149,7 +149,7 @@ func TestEstimatorStarvedConsumerMu(t *testing.T) {
 func TestEstimatorBurstRejected(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -166,7 +166,7 @@ func TestEstimatorBurstRejected(t *testing.T) {
 func TestEstimatorRampFollows(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -188,7 +188,7 @@ func TestEstimatorRampFollows(t *testing.T) {
 func TestEstimatorFullyBlockedWindowYieldsNoRate(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -205,7 +205,7 @@ func TestEstimatorFullyBlockedWindowYieldsNoRate(t *testing.T) {
 func TestEstimatorOccupancySlopeOnRamp(t *testing.T) {
 	s := &synthLink{qcap: 1024}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -234,7 +234,7 @@ func TestEstimatorSpanFallbackWithoutBlockTaps(t *testing.T) {
 	rec := trace.NewRecorder(1 << 10)
 	var runs uint64
 	kts := []KernelTap{{Name: "k", ID: 3, Runs: func() uint64 { return runs }}}
-	e := NewEstimator(EstimatorConfig{}, rec.NewReader(), kts, nil)
+	e := NewEstimator(rec.NewReader(), kts, nil)
 	now := time.Now()
 	e.Tick(now)
 
@@ -266,7 +266,7 @@ func TestEstimatorSpanFallbackWithoutBlockTaps(t *testing.T) {
 func TestEstimatorTickRateLimited(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(EstimatorConfig{}, nil, kts, lts)
+	e := NewEstimator(nil, kts, lts)
 	now := time.Now()
 	e.Tick(now)
 	drive(e, s, &now, 10, 1000, 0.5)
@@ -286,7 +286,7 @@ func TestEstimatorGroupMu(t *testing.T) {
 	b := &synthLink{qcap: 64}
 	kta, lta := a.taps(0, 1)
 	ktb, ltb := b.taps(0, 2)
-	e := NewEstimator(EstimatorConfig{}, nil,
+	e := NewEstimator(nil,
 		append(kta, ktb...), append(lta, ltb...))
 	now := time.Now()
 	e.Tick(now)

@@ -5,15 +5,14 @@
 //
 // Three pieces are provided:
 //
-//   - Classic M/M/1 and M/M/1/K formulas for per-queue estimates.
+//   - Classic M/M/1, M/M/1/K and M/M/c (Erlang C) formulas for per-queue
+//     estimates and replica sizing.
 //   - A flow model in the style of Beard & Chamberlain [8] that propagates
 //     rates through the kernel graph, accounts for filtering/amplifying
 //     kernels and replication, and predicts the application's bottleneck
 //     and maximum throughput (used for the A8 model-vs-measured ablation).
-//   - A deterministic simulated-annealing optimizer (§4.1: "combined with
-//     well known optimization techniques such as simulated annealing ...
-//     to continually optimize long-running ... streaming applications")
-//     used to pick buffer sizes and replica counts against a model cost.
+//   - An online estimator of service and arrival rates (estimate.go,
+//     after arXiv:1504.00591) that feeds the monitor and the reports.
 package qmodel
 
 import (

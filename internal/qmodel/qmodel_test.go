@@ -198,75 +198,3 @@ func TestProductForm(t *testing.T) {
 		t.Fatal("empty input passes trivially")
 	}
 }
-
-func TestAnnealFindsMinimum(t *testing.T) {
-	// Convex bowl with minimum at (10, 20).
-	cost := func(x []int) float64 {
-		dx, dy := float64(x[0]-10), float64(x[1]-20)
-		return dx*dx + dy*dy
-	}
-	best, c := Anneal(Problem{
-		Initial: []int{90, 90},
-		Lo:      []int{0, 0},
-		Hi:      []int{100, 100},
-		Cost:    cost,
-		Steps:   5000,
-		Seed:    1,
-	})
-	if c > 4 {
-		t.Fatalf("anneal cost = %v at %v, want near 0", c, best)
-	}
-}
-
-func TestAnnealDeterministic(t *testing.T) {
-	cost := func(x []int) float64 { return math.Abs(float64(x[0] - 7)) }
-	p := Problem{Initial: []int{100}, Lo: []int{0}, Hi: []int{128}, Cost: cost, Steps: 500, Seed: 9}
-	a1, c1 := Anneal(p)
-	a2, c2 := Anneal(p)
-	if a1[0] != a2[0] || c1 != c2 {
-		t.Fatal("same seed must reproduce the same result")
-	}
-}
-
-func TestAnnealRespectsBounds(t *testing.T) {
-	cost := func(x []int) float64 { return -float64(x[0]) } // wants +inf
-	best, _ := Anneal(Problem{Initial: []int{5}, Lo: []int{0}, Hi: []int{10}, Cost: cost, Steps: 1000, Seed: 3})
-	if best[0] != 10 {
-		t.Fatalf("best = %v, want hi bound 10", best)
-	}
-}
-
-func TestAnnealClampsInitial(t *testing.T) {
-	cost := func(x []int) float64 { return float64(x[0]) }
-	best, _ := Anneal(Problem{Initial: []int{999}, Lo: []int{0}, Hi: []int{10}, Cost: cost, Steps: 100, Seed: 2})
-	if best[0] < 0 || best[0] > 10 {
-		t.Fatalf("best %v escaped bounds", best)
-	}
-}
-
-func TestAnnealBufferSizingUseCase(t *testing.T) {
-	// The paper's §4.1 use: pick per-link buffer sizes minimizing a
-	// blocking + memory cost under an M/M/1 view of three links.
-	lambdas := []float64{80, 60, 90}
-	mu := 100.0
-	cost := func(caps []int) float64 {
-		total := 0.0
-		for i, c := range caps {
-			q := MM1{Lambda: lambdas[i], Mu: mu}
-			total += 1000*q.BlockingProbability(c) + 0.05*float64(c)
-		}
-		return total
-	}
-	best, _ := Anneal(Problem{
-		Initial: []int{1, 1, 1},
-		Lo:      []int{1, 1, 1},
-		Hi:      []int{512, 512, 512},
-		Cost:    cost,
-		Steps:   4000,
-		Seed:    7,
-	})
-	// The hottest link (λ=90) must get the largest buffer.
-	if !(best[2] > best[1]) {
-		t.Fatalf("buffer allocation %v does not favor the hottest link", best)
-	}
-}

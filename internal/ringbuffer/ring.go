@@ -813,6 +813,10 @@ func (r *Ring[T]) resizeLocked(newCap int) error {
 		return ErrTooSmall
 	}
 	if newCap == r.Cap() {
+		// Back to the installed capacity: a resize still waiting for the
+		// producer is cancelled, not left to apply.
+		r.deferredCap = 0
+		clearBits(&r.rattn, attnResize)
 		return nil
 	}
 	r.deferredCap = newCap

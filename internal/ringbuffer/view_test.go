@@ -180,8 +180,6 @@ func TestRingWriteViewSurvivesDrainToEmpty(t *testing.T) {
 	}
 }
 
-// TestRingViewDefersResize: a resize requested while a write view is out
-
 // TestResizePendingMirrorsDeferredCap checks that the lock-free
 // ResizePending reads what the lock guards: the attnResize bit is up exactly
 // while a resize waits in deferredCap — not after an applied resize, during
@@ -245,6 +243,42 @@ func TestResizePendingMirrorsDeferredCap(t *testing.T) {
 	}
 }
 
+// TestResizeBackToCapCancelsDeferred: a resize back to the installed
+// capacity, requested while a grow waits for the producer's boundary,
+// cancels the grow: ResizePending goes down at once and the release
+// installs nothing.
+func TestResizeBackToCapCancelsDeferred(t *testing.T) {
+	r := NewRing[int](4)
+	w, err := r.AcquireWriteView(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Resize(16); err != nil {
+		t.Fatal(err)
+	}
+	if r.Cap() != 4 || !r.ResizePending() {
+		t.Fatalf("cap %d pending %v under a write view, want 4 and pending", r.Cap(), r.ResizePending())
+	}
+	if err := r.Resize(4); err != nil {
+		t.Fatal(err)
+	}
+	if r.ResizePending() {
+		t.Fatal("ResizePending still up after a resize back to the installed capacity")
+	}
+	w.SetAt(0, 7, SigNone)
+	r.ReleaseWriteView(1)
+	if r.Cap() != 4 || r.ResizePending() {
+		t.Fatalf("after the release: cap %d pending %v, want 4 and not pending", r.Cap(), r.ResizePending())
+	}
+	if n := r.Telemetry().Resizes.Load(); n != 0 {
+		t.Fatalf("%d resizes installed, want 0", n)
+	}
+	if v, _, err := r.Pop(); err != nil || v != 7 {
+		t.Fatalf("pop = (%d, %v), want 7", v, err)
+	}
+}
+
+// TestRingViewDefersResize: a resize requested while a write view is out
 // waits for its release (the producer may be writing the store); one
 // requested while a read view is out applies at once, and the borrowed
 // storage is not touched: the consumer drains the sealed store.

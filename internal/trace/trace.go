@@ -38,9 +38,8 @@ const (
 	RunStart Kind = iota
 	// RunEnd marks its completion.
 	RunEnd
-	// QueueGrow and QueueShrink are monitor resizes (Prev/Arg = old/new cap).
+	// QueueGrow is a monitor resize (Prev/Arg = old/new cap).
 	QueueGrow
-	QueueShrink
 	// BatchUp and BatchDown are adaptive-batcher moves (Prev/Arg = old/new
 	// transfer batch size).
 	BatchUp
@@ -113,7 +112,6 @@ var kindNames = [...]string{
 	RunStart:          "run-start",
 	RunEnd:            "run-end",
 	QueueGrow:         "grow",
-	QueueShrink:       "shrink",
 	BatchUp:           "batch-up",
 	BatchDown:         "batch-down",
 	ScaleUp:           "scale-up",
@@ -370,7 +368,7 @@ func overlayChar(k Kind) (byte, int) {
 		return 'P', 4
 	case ScaleUp, ScaleDown:
 		return 'W', 3
-	case QueueGrow, QueueShrink:
+	case QueueGrow:
 		return 'G', 2
 	case BatchUp, BatchDown:
 		return 'B', 1

@@ -18,7 +18,6 @@ import (
 	"raftlib/internal/resilience"
 	"raftlib/internal/ringbuffer"
 	"raftlib/internal/scheduler"
-	"raftlib/internal/stats"
 	"raftlib/internal/trace"
 )
 
@@ -34,14 +33,14 @@ type Config struct {
 	stealWorkers int
 
 	// monitorEnabled runs the δ-tick monitor thread (default true), at the
-	// paper's period monitor.DefaultDelta.
+	// paper's period monitor.Delta.
 	monitorEnabled bool
 	// dynamicResize enables the monitor's queue-resizing rules (default
 	// true). Resizing only grows a queue.
 	dynamicResize bool
 	// adaptiveBatch enables the monitor's adaptive batcher: transfer batch
 	// sizes on each link grow under contention and shrink when a stream
-	// runs empty, up to monitor.DefaultBatchMax and half the link's
+	// runs empty, up to monitor.BatchMax and half the link's
 	// capacity (default false).
 	adaptiveBatch bool
 
@@ -486,9 +485,15 @@ type KernelReport struct {
 	LeftAt   time.Duration
 }
 
-// LinkReport is the per-stream slice of a Report.
+// LinkReport is the per-stream slice of a Report, and of LiveStats, where a
+// row describes the stream at the snapshot.
 type LinkReport struct {
-	Name          string
+	Name string
+	// Len is the number of elements buffered when the row was read (0 at
+	// the end of a run that drained).
+	Len int
+	// FinalCap is the capacity when the row was read: at the end of the run
+	// in a Report, at the snapshot in LiveStats.
 	FinalCap      int
 	MeanOccupancy float64
 	FullFrac      float64
@@ -1087,7 +1092,7 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 			Cap:   l.Queue.Cap,
 		}
 	}
-	return qmodel.NewEstimator(qmodel.EstimatorConfig{}, rd, kts, lts)
+	return qmodel.NewEstimator(rd, kts, lts)
 }
 
 // Ready is the cooperative-scheduler progress predicate of the entry's
@@ -1147,104 +1152,32 @@ func (kb *KernelBase) stagedSlot() bool {
 // one row per registry entry, in registry order, each with its lifecycle
 // columns, written into rows allocated at their final length.
 func (ex *Execution) buildReport() *Report {
-	cfg, est, reg := ex.cfg, ex.est, ex.reg
+	cfg, reg := ex.cfg, ex.reg
 	rep := &Report{
 		Elapsed:   ex.elapsed,
 		Scheduler: ex.sched.Name(),
 		CutCost:   mapper.CutCost(ex.g, cfg.topology, ex.assign),
 		Trace:     ex.rec,
-	}
-	if sr, ok := ex.sched.(scheduler.StatsReporter); ok {
-		ss := sr.SchedStats()
-		rep.Sched = &SchedReport{
-			Workers:         ss.Workers,
-			Steals:          ss.Steals,
-			StolenTasks:     ss.StolenTasks,
-			Parks:           ss.Parks,
-			Wakes:           ss.Wakes,
-			Rescues:         ss.Rescues,
-			CrossShardLinks: ss.CrossShardLinks,
-		}
+		Sched:     ex.schedReport(),
+		Bridges:   ex.bridgeRows(),
+		Groups:    ex.groupRows(),
 	}
 	reg.mu.Lock()
 	rep.Kernels = make([]KernelReport, len(reg.actors))
 	for i, ae := range reg.actors {
-		a := ae.a
-		kr := &rep.Kernels[i]
-		*kr = KernelReport{
-			Name:         a.Name,
-			Place:        a.Place,
-			Runs:         a.Service.Count(),
-			MeanSvcNanos: a.Service.MeanNanos(),
-			SvcP50Nanos:  a.Service.Quantile(0.50),
-			SvcP99Nanos:  a.Service.Quantile(0.99),
-			BusyNanos:    a.Service.BusyNanos(),
-			RatePerSec:   a.Service.RatePerSecond(),
-			Restarts:     a.Restarts.Load(),
-			JoinedAt:     time.Duration(ae.joinedNs),
-			LeftAt:       time.Duration(ae.leftNs),
-		}
-		if est != nil {
-			if r, ok := est.Kernel(int32(a.ID)); ok && r.Primed {
-				kr.MuHat = r.MuElems
-			}
-		}
+		ex.kernelRow(&rep.Kernels[i], ae, nil)
 	}
 	rep.Links = make([]LinkReport, len(reg.links))
 	for i, le := range reg.links {
-		l := le.li
-		tel := l.Queue.Telemetry().Snapshot()
-		lr := &rep.Links[i]
-		*lr = LinkReport{
-			Name:          l.Name,
-			FinalCap:      l.Queue.Cap(),
-			MeanOccupancy: l.Occupancy.Mean(),
-			FullFrac:      l.Occupancy.FullFraction(),
-			StarvedFrac:   l.Occupancy.StarvedFraction(),
-			Pushes:        tel.Pushes,
-			Pops:          tel.Pops,
-			WriteBlockNs:  tel.WriteBlockNs,
-			ReadBlockNs:   tel.ReadBlockNs,
-			Resizes:       tel.Resizes,
-			Grows:         tel.Grows,
-			Shrinks:       tel.Shrinks,
-			Dropped:       tel.Drops(),
-			OccHist:       tel.Occupancy,
-			OccP50:        stats.LogQuantile(tel.Occupancy[:], 0.50),
-			OccP99:        stats.LogQuantile(tel.Occupancy[:], 0.99),
-			Batch:         l.Batch.Get(),
-			Views:         tel.Views,
-			ViewHoldNs:    tel.ViewHoldNs,
-			JoinedAt:      time.Duration(le.joinedNs),
-			LeftAt:        time.Duration(le.leftNs),
-		}
-		if est != nil {
-			if r, ok := est.Link(i); ok && r.Primed {
-				lr.LambdaHat, lr.MuHat, lr.RhoHat = r.Lambda, r.Mu, r.Rho
-			}
-		}
+		ex.linkRow(&rep.Links[i], le)
 	}
 	reg.mu.Unlock()
 	if cfg.resLog != nil {
 		rep.Recoveries = cfg.resLog.Events()
 	}
-	for _, k := range ex.m.kernels {
-		if br, ok := k.(BridgeReporter); ok {
-			if b, carried := br.BridgeStats(); carried {
-				rep.Bridges = append(rep.Bridges, b)
-			}
-		}
-	}
 	if ex.mon != nil {
 		rep.MonitorTicks = ex.mon.Ticks()
 		rep.MonitorEvents = ex.mon.Events()
-	}
-	for _, s := range ex.scalers {
-		rep.Groups = append(rep.Groups, GroupReport{
-			Name:        s.Name(),
-			MaxReplicas: s.Max(),
-			ActiveAtEnd: s.Active(),
-		})
 	}
 	if cfg.markers != nil {
 		rep.Latency = &LatencyReport{

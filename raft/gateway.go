@@ -358,53 +358,21 @@ type GatewayReport struct {
 	Sources []GatewaySource
 }
 
-// GatewayTenant is one tenant's admission counters.
-type GatewayTenant struct {
-	Name            string
-	AdmittedBatches uint64
-	AdmittedElems   uint64
-	// ShedQuota counts batches refused by the tenant's token bucket;
-	// ShedModel counts batches refused by model-driven admission control
-	// (occupancy, utilization or predicted-wait thresholds).
-	ShedQuota uint64
-	ShedModel uint64
-	// E2EP99 is the tenant's observed end-to-end p99 latency from retired
-	// provenance markers (0 until a marker of the tenant retires).
-	E2EP99 time.Duration
-}
+// GatewayTenant is one tenant's admission counters: admitted batches and
+// elements, batches shed by the tenant's token bucket (ShedQuota) and by
+// model-driven admission control (ShedModel: occupancy, utilization or
+// predicted-wait thresholds), and the tenant's end-to-end p99 latency from
+// retired provenance markers (E2EP99, 0 until a marker of the tenant
+// retires).
+type GatewayTenant = gateway.TenantStats
 
-// GatewaySource is one source's ingestion counters.
-type GatewaySource struct {
-	Name          string
-	AdmittedElems uint64
-	// Dropped is the source link's best-effort drop count (zero on
-	// backpressure links).
-	Dropped uint64
-	// CopiesSaved counts admitted batches that avoided a per-request
-	// intermediate copy (pooled decode buffer + write-view delivery).
-	CopiesSaved uint64
-}
+// GatewaySource is one source's ingestion counters: admitted elements, the
+// source link's best-effort drop count (Dropped, zero on backpressure
+// links) and the admitted batches that avoided a per-request intermediate
+// copy (CopiesSaved: pooled decode buffer and write-view delivery).
+type GatewaySource = gateway.SourceStats
 
 func gatewayReport(gw *gateway.Server) *GatewayReport {
 	st := gw.Stats()
-	rep := &GatewayReport{Addr: gw.Addr()}
-	for _, t := range st.Tenants {
-		rep.Tenants = append(rep.Tenants, GatewayTenant{
-			Name:            t.Name,
-			AdmittedBatches: t.AdmittedBatches,
-			AdmittedElems:   t.AdmittedElems,
-			ShedQuota:       t.ShedQuota,
-			ShedModel:       t.ShedModel,
-			E2EP99:          time.Duration(t.E2EP99Ns),
-		})
-	}
-	for _, s := range st.Sources {
-		rep.Sources = append(rep.Sources, GatewaySource{
-			Name:          s.Name,
-			AdmittedElems: s.AdmittedElems,
-			Dropped:       s.Dropped,
-			CopiesSaved:   s.CopiesSaved,
-		})
-	}
-	return rep
+	return &GatewayReport{Addr: gw.Addr(), Tenants: st.Tenants, Sources: st.Sources}
 }

@@ -64,6 +64,50 @@ func TestObserverReceivesSnapshots(t *testing.T) {
 	}
 }
 
+// TestLiveRowsMatchReport: LiveStats and the Report read the same rows, so
+// on a static run the observer's final snapshot (taken once every kernel
+// has stopped) lists the Report's kernels and streams, in order, with the
+// same names, capacities, pushes, pops and drops.
+func TestLiveRowsMatchReport(t *testing.T) {
+	for _, sc := range bothSchedulers {
+		t.Run(sc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var last LiveStats
+			m := NewMap()
+			work := newWork()
+			m.MustLink(newGen(3000), work, Cap(8), MaxCap(64))
+			m.MustLink(work, newCollect(), AsBestEffort(), Cap(4), MaxCap(4))
+			rep, err := m.Exe(append([]Option{WithObserver(time.Millisecond, func(s LiveStats) {
+				mu.Lock()
+				last = s
+				mu.Unlock()
+			})}, sc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(last.Kernels) != len(rep.Kernels) || len(last.Links) != len(rep.Links) {
+				t.Fatalf("final snapshot has %d kernels and %d links, the Report %d and %d",
+					len(last.Kernels), len(last.Links), len(rep.Kernels), len(rep.Links))
+			}
+			for i, k := range last.Kernels {
+				if k.Name != rep.Kernels[i].Name {
+					t.Fatalf("kernel row %d: live %q, report %q", i, k.Name, rep.Kernels[i].Name)
+				}
+			}
+			for i, l := range last.Links {
+				if live, final := rowOf(l), rowOf(rep.Links[i]); live != final {
+					t.Fatalf("link row %d: live %+v, report %+v", i, live, final)
+				}
+			}
+			if (last.Sched != nil) != (sc.opts != nil) {
+				t.Fatalf("Sched = %+v under %s", last.Sched, sc.name)
+			}
+		})
+	}
+}
+
 func TestObserverIntervalClamped(t *testing.T) {
 	cfg := defaultConfig()
 	WithObserver(0, func(LiveStats) {})(&cfg)

@@ -7,13 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"raftlib/internal/qmodel"
-	"raftlib/internal/ringbuffer"
-	"raftlib/internal/scheduler"
+	"raftlib/internal/stats"
 )
 
 // WriteChromeTrace writes the run's event trace as Chrome trace-event JSON
@@ -126,268 +125,207 @@ func (ms *metricsServer) Stop() {
 	<-ms.done
 }
 
-// writeMetrics renders the full exposition over the live graph as it
-// stands, so kernels and links spliced in by a rewrite appear in the next
-// scrape and departed ones leave it (every series name occurs once). One
-// writer, no allocation amortization needed — scrapes are rare relative to
-// the hot path.
-func (ex *Execution) writeMetrics(w io.Writer) {
-	links, actors := ex.reg.live()
-	rec, est, mon, rig, flight := ex.rec, ex.est, ex.mon, ex.cfg.markers, ex.cfg.flight
-	sched, _ := ex.sched.(scheduler.StatsReporter)
-	var b strings.Builder
+// metric is one per-row series of the exposition: its name, help text,
+// Prometheus type and the value it takes from a row. A rate series carries
+// the estimator's λ̂/µ̂/ρ̂ and is emitted only under WithServiceRateControl.
+type metric[R any] struct {
+	name, help, typ string
+	value           func(*R) float64
+	rate            bool
+}
 
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
+// linkMetrics and kernelMetrics are the per-stream and per-kernel series,
+// read from the live rows (the occupancy and service-time histograms are
+// rendered beside them).
+var linkMetrics = []metric[LinkReport]{
+	{"raft_link_pushes_total", "Elements pushed onto the stream.", "counter", func(r *LinkReport) float64 { return float64(r.Pushes) }, false},
+	{"raft_link_pops_total", "Elements popped from the stream.", "counter", func(r *LinkReport) float64 { return float64(r.Pops) }, false},
+	{"raft_link_write_block_ns_total", "Producer block time in nanoseconds.", "counter", func(r *LinkReport) float64 { return float64(r.WriteBlockNs) }, false},
+	{"raft_link_read_block_ns_total", "Consumer block time in nanoseconds.", "counter", func(r *LinkReport) float64 { return float64(r.ReadBlockNs) }, false},
+	{"raft_link_grows_total", "Monitor-driven capacity grows.", "counter", func(r *LinkReport) float64 { return float64(r.Grows) }, false},
+	{"raft_link_shrinks_total", "Monitor-driven capacity shrinks.", "counter", func(r *LinkReport) float64 { return float64(r.Shrinks) }, false},
+	{"raft_link_dropped_total", "Elements discarded by the best-effort overflow policy.", "counter", func(r *LinkReport) float64 { return float64(r.Dropped) }, false},
+	{"raft_link_views_total", "Completed zero-copy borrow/release view cycles.", "counter", func(r *LinkReport) float64 { return float64(r.Views) }, false},
+	{"raft_link_view_hold_seconds_total", "Cumulative wall time zero-copy views were held open.", "counter", func(r *LinkReport) float64 { return float64(r.ViewHoldNs) / 1e9 }, false},
+	{"raft_link_len", "Instantaneous queue length.", "gauge", func(r *LinkReport) float64 { return float64(r.Len) }, false},
+	{"raft_link_cap", "Current queue capacity.", "gauge", func(r *LinkReport) float64 { return float64(r.FinalCap) }, false},
+	{"raft_link_batch", "Adaptive transfer batch size (0 = no decision).", "gauge", func(r *LinkReport) float64 { return float64(r.Batch) }, false},
+	{"raft_link_lambda_hat", "Online arrival-rate estimate (elements/s).", "gauge", func(r *LinkReport) float64 { return r.LambdaHat }, true},
+	{"raft_link_mu_hat", "Online consumer drain-rate estimate (elements/s).", "gauge", func(r *LinkReport) float64 { return r.MuHat }, true},
+	{"raft_link_rho_hat", "Online utilization estimate lambda_hat/mu_hat.", "gauge", func(r *LinkReport) float64 { return r.RhoHat }, true},
+}
 
-	// Per-link counters and gauges.
-	type linkRow struct {
-		name string
-		tel  ringbuffer.TelemetrySnapshot
-		qlen int
-		qcap int
-	}
-	rows := make([]linkRow, len(links))
-	for i, l := range links {
-		rows[i] = linkRow{l.Name, l.Queue.Telemetry().Snapshot(), l.Queue.Len(), l.Queue.Cap()}
-	}
-	linkCounters := []struct {
-		name, help string
-		get        func(ringbuffer.TelemetrySnapshot) uint64
-	}{
-		{"raft_link_pushes_total", "Elements pushed onto the stream.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Pushes }},
-		{"raft_link_pops_total", "Elements popped from the stream.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Pops }},
-		{"raft_link_write_block_ns_total", "Producer block time in nanoseconds.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.WriteBlockNs }},
-		{"raft_link_read_block_ns_total", "Consumer block time in nanoseconds.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.ReadBlockNs }},
-		{"raft_link_grows_total", "Monitor-driven capacity grows.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Grows }},
-		{"raft_link_shrinks_total", "Monitor-driven capacity shrinks.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Shrinks }},
-		{"raft_link_dropped_total", "Elements discarded by the best-effort overflow policy.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Drops() }},
-		{"raft_link_views_total", "Completed zero-copy borrow/release view cycles.", func(t ringbuffer.TelemetrySnapshot) uint64 { return t.Views }},
-	}
-	for _, c := range linkCounters {
-		counter(c.name, c.help)
-		for _, r := range rows {
-			fmt.Fprintf(&b, "%s{link=%q} %d\n", c.name, r.name, c.get(r.tel))
+var kernelMetrics = []metric[KernelReport]{
+	{"raft_kernel_runs_total", "Kernel invocations (exact).", "counter", func(r *KernelReport) float64 { return float64(r.Runs) }, false},
+	{"raft_kernel_busy_ns_total", "Cumulative kernel busy time in nanoseconds (estimated from timed invocations).", "counter", func(r *KernelReport) float64 { return float64(r.BusyNanos) }, false},
+	{"raft_kernel_restarts_total", "Supervised kernel restarts.", "counter", func(r *KernelReport) float64 { return float64(r.Restarts) }, false},
+	{"raft_kernel_mu_hat", "Online non-blocking service-rate estimate (elements/s).", "gauge", func(r *KernelReport) float64 { return r.MuHat }, true},
+}
+
+// writeRows renders each series of table over rows, labelling a row's
+// sample with its name.
+func writeRows[R any](b *strings.Builder, table []metric[R], rows []R, label string, name func(*R) string, rates bool) {
+	for _, m := range table {
+		if m.rate && !rates {
+			continue
+		}
+		writeHeader(b, m.name, m.help, m.typ)
+		for i := range rows {
+			r := &rows[i]
+			fmt.Fprintf(b, "%s{%s=%q} %s\n", m.name, label, name(r), strconv.FormatFloat(m.value(r), 'f', -1, 64))
 		}
 	}
-	gauge("raft_link_len", "Instantaneous queue length.")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raft_link_len{link=%q} %d\n", r.name, r.qlen)
+}
+
+// writeHeader writes a series family's HELP and TYPE lines.
+func writeHeader(b *strings.Builder, name, help, typ string) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writeHist renders one labelled log2 histogram: cumulative counts over the
+// bucket upper edges 2^(i+1)-1, divided by unit (edges beyond bucket 40 are
+// left out while empty), then +Inf, the sum and the count.
+func writeHist(b *strings.Builder, name, labels string, buckets []uint64, unit uint64, sum float64, count uint64) {
+	var cum uint64
+	for i, n := range buckets {
+		cum += n
+		if n == 0 && i > 40 {
+			continue // values beyond ~2^41 (ns: ~36 min) don't occur
+		}
+		edge := uint64(1)<<uint(i+1) - 1
+		le := strconv.FormatUint(edge, 10)
+		if unit != 1 {
+			le = strconv.FormatFloat(float64(edge)/float64(unit), 'g', -1, 64)
+		}
+		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, labels, le, cum)
 	}
-	gauge("raft_link_cap", "Current queue capacity.")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raft_link_cap{link=%q} %d\n", r.name, r.qcap)
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, count)
+	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, labels, strconv.FormatFloat(sum, 'f', -1, 64))
+	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, count)
+}
+
+// writeMetrics renders the full exposition over the live graph as it
+// stands, so kernels and links spliced in by a rewrite appear in the next
+// scrape and departed ones leave it (every series name occurs once). The
+// per-kernel and per-link series come from the live rows (liveRows), the
+// rest from the sections the Report shares. Scrapes are rare relative to
+// the hot path, so nothing here is amortized.
+func (ex *Execution) writeMetrics(w io.Writer) {
+	var svc []stats.HistogramSnapshot
+	kernels, links := ex.liveRows(&svc)
+	rates := ex.est != nil
+	var b strings.Builder
+	header := func(name, help, typ string) { writeHeader(&b, name, help, typ) }
+	sample := func(name string, v uint64) { fmt.Fprintf(&b, "%s %d\n", name, v) }
+
+	// Per-link series and occupancy histogram. The histogram's sum is
+	// reconstructed from bucket midpoints (the hot path records one counter
+	// per synchronisation, not an exact sum).
+	writeRows(&b, linkMetrics, links, "link", func(r *LinkReport) string { return r.Name }, rates)
+	header("raft_link_occupancy", "Queue occupancy at push time (elements).", "histogram")
+	for i := range links {
+		r := &links[i]
+		var count uint64
+		var sum float64
+		for j, n := range r.OccHist {
+			count += n
+			mid := 1.0
+			if j > 0 {
+				mid = 1.5 * float64(uint64(1)<<uint(j)) // midpoint of [2^j, 2^(j+1))
+			}
+			sum += float64(n) * mid
+		}
+		writeHist(&b, "raft_link_occupancy", fmt.Sprintf("link=%q", r.Name), r.OccHist[:], 1, sum, count)
 	}
-	gauge("raft_link_batch", "Adaptive transfer batch size (0 = no decision).")
-	for i, r := range rows {
-		fmt.Fprintf(&b, "raft_link_batch{link=%q} %d\n", r.name, links[i].Batch.Get())
-	}
-	counter("raft_link_view_hold_seconds_total", "Cumulative wall time zero-copy views were held open.")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raft_link_view_hold_seconds_total{link=%q} %g\n",
-			r.name, float64(r.tel.ViewHoldNs)/1e9)
+
+	// Per-kernel series and service-time histogram.
+	writeRows(&b, kernelMetrics, kernels, "kernel", func(r *KernelReport) string { return r.Name }, rates)
+	header("raft_kernel_service_ns", "Kernel service time (nanoseconds) of timed invocations, each weighted by the invocations it stands for.", "histogram")
+	for i := range kernels {
+		h := &svc[i]
+		writeHist(&b, "raft_kernel_service_ns", fmt.Sprintf("kernel=%q", kernels[i].Name), h.Buckets[:], 1, float64(h.Sum), h.Count)
 	}
 
 	// End-to-end latency provenance: per-flow histograms folded from
-	// retired markers, labeled by tenant and source. The bucket edges are
-	// the marker domain's log2-nanosecond edges converted to seconds.
-	if rig != nil {
-		flows := rig.dom.Flows()
-		if len(flows) > 0 {
-			fmt.Fprintf(&b, "# HELP raft_e2e_latency_seconds End-to-end (ingest to sink) latency of sampled markers.\n# TYPE raft_e2e_latency_seconds histogram\n")
+	// retired markers, labeled by tenant and source, in seconds.
+	if rig := ex.cfg.markers; rig != nil {
+		if flows := rig.dom.Flows(); len(flows) > 0 {
+			header("raft_e2e_latency_seconds", "End-to-end (ingest to sink) latency of sampled markers.", "histogram")
 			for _, f := range flows {
 				tenant := f.Tenant
 				if tenant == "" {
 					tenant = "default"
 				}
-				var cum uint64
-				for i, n := range f.Buckets {
-					cum += n
-					if n == 0 && i > 40 {
-						continue // latencies beyond ~2^41 ns (~36 min) don't occur
-					}
-					fmt.Fprintf(&b, "raft_e2e_latency_seconds_bucket{tenant=%q,source=%q,le=\"%g\"} %d\n",
-						tenant, f.Source, float64(uint64(1)<<uint(i+1)-1)/1e9, cum)
-				}
-				fmt.Fprintf(&b, "raft_e2e_latency_seconds_bucket{tenant=%q,source=%q,le=\"+Inf\"} %d\n",
-					tenant, f.Source, f.Count)
-				fmt.Fprintf(&b, "raft_e2e_latency_seconds_sum{tenant=%q,source=%q} %g\n",
-					tenant, f.Source, float64(f.SumNs)/1e9)
-				fmt.Fprintf(&b, "raft_e2e_latency_seconds_count{tenant=%q,source=%q} %d\n",
-					tenant, f.Source, f.Count)
+				writeHist(&b, "raft_e2e_latency_seconds", fmt.Sprintf("tenant=%q,source=%q", tenant, f.Source),
+					f.Buckets[:], 1e9, float64(f.SumNs)/1e9, f.Count)
 			}
 		}
-		counter("raft_markers_retired_total", "Latency markers retired at sinks.")
-		fmt.Fprintf(&b, "raft_markers_retired_total %d\n", rig.dom.Retired())
+		header("raft_markers_retired_total", "Latency markers retired at sinks.", "counter")
+		sample("raft_markers_retired_total", rig.dom.Retired())
 	}
-	if flight != nil {
-		counter("raft_flight_dumps_total", "Flight-recorder post-mortem artifacts written.")
-		fmt.Fprintf(&b, "raft_flight_dumps_total %d\n", flight.Dumps())
+	if flight := ex.cfg.flight; flight != nil {
+		header("raft_flight_dumps_total", "Flight-recorder post-mortem artifacts written.", "counter")
+		sample("raft_flight_dumps_total", flight.Dumps())
 	}
 
-	// Online rate estimates (the controller's inputs, observable so its
-	// decisions are auditable; only present under WithServiceRateControl).
-	if est != nil {
-		type rateRow struct {
-			name string
-			r    qmodel.LinkRates
+	// Replicated groups and bridges.
+	if groups := ex.groupRows(); len(groups) > 0 {
+		header("raft_group_active_replicas", "Active replicas in the group.", "gauge")
+		for _, g := range groups {
+			fmt.Fprintf(&b, "raft_group_active_replicas{group=%q} %d\n", g.Name, g.ActiveAtEnd)
 		}
-		rrows := make([]rateRow, 0, len(links))
-		for _, l := range links {
-			if r, ok := est.Link(l.ID); ok {
-				rrows = append(rrows, rateRow{l.Name, r})
+		header("raft_group_max_replicas", "Replica ceiling of the group.", "gauge")
+		for _, g := range groups {
+			fmt.Fprintf(&b, "raft_group_max_replicas{group=%q} %d\n", g.Name, g.MaxReplicas)
+		}
+	}
+	if bridges := ex.bridgeRows(); len(bridges) > 0 {
+		for _, c := range []struct {
+			name, help string
+			get        func(BridgeReport) uint64
+		}{
+			{"raft_bridge_reconnects_total", "Bridge reconnections.", func(br BridgeReport) uint64 { return br.Reconnects }},
+			{"raft_bridge_replayed_total", "Frames replayed after reconnect.", func(br BridgeReport) uint64 { return br.Replayed }},
+			{"raft_bridge_dropped_total", "Elements dropped under the Drop policy.", func(br BridgeReport) uint64 { return br.Dropped }},
+			{"raft_bridge_downtime_ns_total", "Cumulative bridge downtime in nanoseconds.", func(br BridgeReport) uint64 { return uint64(br.Downtime) }},
+		} {
+			header(c.name, c.help, "counter")
+			for _, br := range bridges {
+				fmt.Fprintf(&b, "%s{stream=%q} %d\n", c.name, br.Stream, c.get(br))
 			}
-		}
-		gauge("raft_link_lambda_hat", "Online arrival-rate estimate (elements/s).")
-		for _, rr := range rrows {
-			fmt.Fprintf(&b, "raft_link_lambda_hat{link=%q} %g\n", rr.name, rr.r.Lambda)
-		}
-		gauge("raft_link_mu_hat", "Online consumer drain-rate estimate (elements/s).")
-		for _, rr := range rrows {
-			fmt.Fprintf(&b, "raft_link_mu_hat{link=%q} %g\n", rr.name, rr.r.Mu)
-		}
-		gauge("raft_link_rho_hat", "Online utilization estimate lambda_hat/mu_hat.")
-		for _, rr := range rrows {
-			fmt.Fprintf(&b, "raft_link_rho_hat{link=%q} %g\n", rr.name, rr.r.Rho)
-		}
-		gauge("raft_kernel_mu_hat", "Online non-blocking service-rate estimate (elements/s).")
-		for _, a := range actors {
-			if r, ok := est.Kernel(int32(a.ID)); ok {
-				fmt.Fprintf(&b, "raft_kernel_mu_hat{kernel=%q} %g\n", a.Name, r.MuElems)
-			}
-		}
-	}
-
-	// Per-link occupancy histogram: cumulative counts over the log2 bucket
-	// upper edges. The sum is reconstructed from bucket midpoints (the hot
-	// path records one counter per push, not an exact sum).
-	fmt.Fprintf(&b, "# HELP raft_link_occupancy Queue occupancy at push time (elements).\n# TYPE raft_link_occupancy histogram\n")
-	for _, r := range rows {
-		var cum, count uint64
-		var sum float64
-		for i, n := range r.tel.Occupancy {
-			count += n
-			mid := 1.0
-			if i > 0 {
-				mid = 1.5 * float64(uint64(1)<<uint(i)) // midpoint of [2^i, 2^(i+1))
-			}
-			sum += float64(n) * mid
-			cum += n
-			fmt.Fprintf(&b, "raft_link_occupancy_bucket{link=%q,le=\"%d\"} %d\n",
-				r.name, uint64(1)<<uint(i+1)-1, cum)
-		}
-		fmt.Fprintf(&b, "raft_link_occupancy_bucket{link=%q,le=\"+Inf\"} %d\n", r.name, count)
-		fmt.Fprintf(&b, "raft_link_occupancy_sum{link=%q} %g\n", r.name, sum)
-		fmt.Fprintf(&b, "raft_link_occupancy_count{link=%q} %d\n", r.name, count)
-	}
-
-	// Per-kernel counters and service-time histogram.
-	counter("raft_kernel_runs_total", "Kernel invocations (exact).")
-	for _, a := range actors {
-		fmt.Fprintf(&b, "raft_kernel_runs_total{kernel=%q} %d\n", a.Name, a.Service.Count())
-	}
-	counter("raft_kernel_busy_ns_total", "Cumulative kernel busy time in nanoseconds (estimated from timed invocations).")
-	for _, a := range actors {
-		fmt.Fprintf(&b, "raft_kernel_busy_ns_total{kernel=%q} %d\n", a.Name, a.Service.BusyNanos())
-	}
-	counter("raft_kernel_restarts_total", "Supervised kernel restarts.")
-	for _, a := range actors {
-		fmt.Fprintf(&b, "raft_kernel_restarts_total{kernel=%q} %d\n", a.Name, a.Restarts.Load())
-	}
-	fmt.Fprintf(&b, "# HELP raft_kernel_service_ns Kernel service time (nanoseconds) of timed invocations, each weighted by the invocations it stands for.\n# TYPE raft_kernel_service_ns histogram\n")
-	for _, a := range actors {
-		snap := a.Service.Hist().Snapshot()
-		var cum uint64
-		for i, n := range snap.Buckets {
-			cum += n
-			if n == 0 && i > 40 {
-				continue // durations beyond ~2^41 ns (~36 min) don't occur
-			}
-			fmt.Fprintf(&b, "raft_kernel_service_ns_bucket{kernel=%q,le=\"%d\"} %d\n",
-				a.Name, uint64(1)<<uint(i+1)-1, cum)
-		}
-		fmt.Fprintf(&b, "raft_kernel_service_ns_bucket{kernel=%q,le=\"+Inf\"} %d\n", a.Name, snap.Count)
-		fmt.Fprintf(&b, "raft_kernel_service_ns_sum{kernel=%q} %d\n", a.Name, snap.Sum)
-		fmt.Fprintf(&b, "raft_kernel_service_ns_count{kernel=%q} %d\n", a.Name, snap.Count)
-	}
-
-	// Replicated groups.
-	if len(ex.scalers) > 0 {
-		gauge("raft_group_active_replicas", "Active replicas in the group.")
-		for _, s := range ex.scalers {
-			fmt.Fprintf(&b, "raft_group_active_replicas{group=%q} %d\n", s.Name(), s.Active())
-		}
-		gauge("raft_group_max_replicas", "Replica ceiling of the group.")
-		for _, s := range ex.scalers {
-			fmt.Fprintf(&b, "raft_group_max_replicas{group=%q} %d\n", s.Name(), s.Max())
-		}
-	}
-
-	// Bridges.
-	var bridges []BridgeReport
-	for _, k := range ex.m.kernels {
-		if br, ok := k.(BridgeReporter); ok {
-			if rep, carried := br.BridgeStats(); carried {
-				bridges = append(bridges, rep)
-			}
-		}
-	}
-	if len(bridges) > 0 {
-		counter("raft_bridge_reconnects_total", "Bridge reconnections.")
-		for _, br := range bridges {
-			fmt.Fprintf(&b, "raft_bridge_reconnects_total{stream=%q} %d\n", br.Stream, br.Reconnects)
-		}
-		counter("raft_bridge_replayed_total", "Frames replayed after reconnect.")
-		for _, br := range bridges {
-			fmt.Fprintf(&b, "raft_bridge_replayed_total{stream=%q} %d\n", br.Stream, br.Replayed)
-		}
-		counter("raft_bridge_dropped_total", "Elements dropped under the Drop policy.")
-		for _, br := range bridges {
-			fmt.Fprintf(&b, "raft_bridge_dropped_total{stream=%q} %d\n", br.Stream, br.Dropped)
-		}
-		counter("raft_bridge_downtime_ns_total", "Cumulative bridge downtime in nanoseconds.")
-		for _, br := range bridges {
-			fmt.Fprintf(&b, "raft_bridge_downtime_ns_total{stream=%q} %d\n", br.Stream, int64(br.Downtime))
 		}
 	}
 
 	// Runtime-wide.
-	if mon != nil {
-		counter("raft_monitor_ticks_total", "Monitor loop iterations.")
-		fmt.Fprintf(&b, "raft_monitor_ticks_total %d\n", mon.Ticks())
-		counter("raft_monitor_resizes_total", "Monitor resize operations.")
-		fmt.Fprintf(&b, "raft_monitor_resizes_total %d\n", mon.Resizes())
+	if mon := ex.mon; mon != nil {
+		header("raft_monitor_ticks_total", "Monitor loop iterations.", "counter")
+		sample("raft_monitor_ticks_total", mon.Ticks())
+		header("raft_monitor_resizes_total", "Monitor resize operations.", "counter")
+		sample("raft_monitor_resizes_total", mon.Resizes())
 	}
-	if rec != nil {
-		counter("raft_trace_dropped_total", "Trace events overwritten by wraparound.")
-		fmt.Fprintf(&b, "raft_trace_dropped_total %d\n", rec.Dropped())
+	if rec := ex.rec; rec != nil {
+		header("raft_trace_dropped_total", "Trace events overwritten by wraparound.", "counter")
+		sample("raft_trace_dropped_total", rec.Dropped())
 	}
 
 	// Scheduler activity (work-stealing scheduler only; the
 	// default goroutine-per-kernel scheduler has no counters to report).
-	if sched != nil {
-		ss := sched.SchedStats()
-		gauge("raft_sched_workers", "Scheduler worker goroutines.")
-		fmt.Fprintf(&b, "raft_sched_workers{scheduler=%q} %d\n", ss.Scheduler, ss.Workers)
-		gauge("raft_sched_cross_shard_links", "Links whose endpoints landed on different shards.")
-		fmt.Fprintf(&b, "raft_sched_cross_shard_links{scheduler=%q} %d\n", ss.Scheduler, ss.CrossShardLinks)
-		schedCounters := []struct {
-			name, help string
-			v          uint64
+	if ss := ex.schedReport(); ss != nil {
+		sched := ex.sched.Name()
+		for _, c := range []struct {
+			name, help, typ string
+			v               uint64
 		}{
-			{"raft_sched_steals_total", "Successful steal operations between worker deques.", ss.Steals},
-			{"raft_sched_stolen_tasks_total", "Kernels migrated by steals.", ss.StolenTasks},
-			{"raft_sched_parks_total", "Kernel park transitions (stalled, descheduled).", ss.Parks},
-			{"raft_sched_wakes_total", "Kernel wakes from link readiness hooks.", ss.Wakes},
-			{"raft_sched_rescues_total", "Watchdog rescues of parked kernels.", ss.Rescues},
-		}
-		for _, c := range schedCounters {
-			counter(c.name, c.help)
-			fmt.Fprintf(&b, "%s{scheduler=%q} %d\n", c.name, ss.Scheduler, c.v)
+			{"raft_sched_workers", "Scheduler worker goroutines.", "gauge", uint64(ss.Workers)},
+			{"raft_sched_cross_shard_links", "Links whose endpoints landed on different shards.", "gauge", uint64(ss.CrossShardLinks)},
+			{"raft_sched_steals_total", "Successful steal operations between worker deques.", "counter", ss.Steals},
+			{"raft_sched_stolen_tasks_total", "Kernels migrated by steals.", "counter", ss.StolenTasks},
+			{"raft_sched_parks_total", "Kernel park transitions (stalled, descheduled).", "counter", ss.Parks},
+			{"raft_sched_wakes_total", "Kernel wakes from link readiness hooks.", "counter", ss.Wakes},
+			{"raft_sched_rescues_total", "Watchdog rescues of parked kernels.", "counter", ss.Rescues},
+		} {
+			header(c.name, c.help, c.typ)
+			fmt.Fprintf(&b, "%s{scheduler=%q} %d\n", c.name, sched, c.v)
 		}
 	}
 

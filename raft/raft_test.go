@@ -180,7 +180,7 @@ func TestSmallQueuesForceDynamicResize(t *testing.T) {
 	seen := make(chan struct{})
 	obs := func(ls LiveStats) {
 		for _, l := range ls.Links {
-			if l.Cap > 1 {
+			if l.FinalCap > 1 {
 				select {
 				case <-seen:
 				default:

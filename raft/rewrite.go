@@ -169,13 +169,13 @@ func (r *registry) linkInfoList() []*core.LinkInfo {
 	return out
 }
 
-// live lists the links and actors that are part of the graph now, for the
+// live lists the links and kernels that are part of the graph now, for the
 // exporters (/metrics, LiveStats) whose series are keyed by name: departed
 // entries are skipped, since a reaped template instance comes back under
 // the same kernel and link names. While a commit that re-links the same
 // ports is in flight, the sealed link and its replacement share a name;
 // only the newer one is listed.
-func (r *registry) live() ([]*core.LinkInfo, []*core.Actor) {
+func (r *registry) live() ([]*linkEntry, []*actorEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	newest := map[string]int{}
@@ -184,16 +184,16 @@ func (r *registry) live() ([]*core.LinkInfo, []*core.Actor) {
 			newest[le.li.Name] = i
 		}
 	}
-	links := make([]*core.LinkInfo, 0, len(newest))
+	links := make([]*linkEntry, 0, len(newest))
 	for i, le := range r.links {
 		if !le.removed && newest[le.li.Name] == i {
-			links = append(links, le.li)
+			links = append(links, le)
 		}
 	}
-	var actors []*core.Actor
+	var actors []*actorEntry
 	for _, ae := range r.actors {
 		if !ae.left {
-			actors = append(actors, ae.a)
+			actors = append(actors, ae)
 		}
 	}
 	return links, actors

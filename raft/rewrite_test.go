@@ -761,13 +761,13 @@ func TestRegistryLiveListsEachNameOnce(t *testing.T) {
 	}
 	links, actors := reg.live()
 	var ids []int
-	for _, li := range links {
-		ids = append(ids, li.ID)
+	for _, le := range links {
+		ids = append(ids, le.li.ID)
 	}
 	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
 		t.Fatalf("live links %v, want [2 3]", ids)
 	}
-	if len(actors) != 2 || actors[0].ID != 1 || actors[1].ID != 2 {
+	if len(actors) != 2 || actors[0].a.ID != 1 || actors[1].a.ID != 2 {
 		t.Fatalf("live actors %d, want IDs 1 and 2", len(actors))
 	}
 }

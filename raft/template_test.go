@@ -495,9 +495,9 @@ func TestTemplateCorruptSnapshotFailsInit(t *testing.T) {
 	}
 	waitFor(t, "the instance kernel to fail", func() bool {
 		_, actors := ex.reg.live()
-		for _, a := range actors {
-			if a.Name == "corrupt@t1/acc" {
-				return a.Finished.Load()
+		for _, ae := range actors {
+			if ae.a.Name == "corrupt@t1/acc" {
+				return ae.a.Finished.Load()
 			}
 		}
 		return false
