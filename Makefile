@@ -73,8 +73,16 @@ loc:
 # drift: editing a step here edits it for CI too.
 ci: loc ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph
 
+# Vet for arm64 and 386 as well, and run the stats and core tests on 386,
+# so that owned.Counter's non-amd64 store and its 8-byte alignment on a
+# 32-bit target are built and run, not assumed. internal/ringbuffer stays
+# out of the 386 run: TestTelemetryLayout pins the ring's cache-line
+# offsets as they fall on a 64-bit target.
 ci-vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/stats ./internal/core
 
 # Static analysis and vulnerability scan. The tools are optional locally
 # (skipped with a notice when not installed, so `make ci` works on a bare

@@ -179,9 +179,10 @@ const (
 	// BatchControl holds no decision and no pin (a pinned link — AsLowLatency
 	// pins 1 — and a link the batcher has sized use that value; the ring
 	// further limits any window to half its capacity). It bounds how many
-	// elements ride on one ring synchronisation, and so how many a consumer
-	// may have to wait for: at 16 the lock, the counters and the condition
-	// signal cost about 6 ns an element. A longer window buys throughput on
+	// elements ride on one commit — one count, one occupancy sample and the
+	// producer's busy-flag handover (DESIGN §4.1) — and so how many a
+	// consumer may have to wait for: at 16 what is left per element is the
+	// slot store and the store of tail. A longer window buys throughput on
 	// a saturated pipeline (16/24/32/48/64: 8.1/10.2/11.7/12.5/14.2 M
 	// items/s on `scalar`, EXPERIMENTS PR 19) at the price of a
 	// proportionally longer wait for the commit, and of a rate that is no

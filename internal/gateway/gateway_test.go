@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -125,7 +126,7 @@ func post(t *testing.T, h http.Handler, path, tenant, body string) *httptest.Res
 // below and above the two-digit range, against what encoding/json writes
 // for the same value.
 func TestHTTPAdmittedBody(t *testing.T) {
-	for _, n := range []int{0, 3, 99, 123, 1 << 40} {
+	for _, n := range []int{0, 3, 99, 123, math.MaxInt} {
 		rw := httptest.NewRecorder()
 		writeAdmitted(rw, n)
 		want := httptest.NewRecorder()

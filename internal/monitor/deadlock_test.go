@@ -78,7 +78,7 @@ func TestDeadlockWatchResetOnProgress(t *testing.T) {
 	base := time.Now()
 	w.Check(base)
 	// Simulate progress: bump a queue counter between checks.
-	links[0].Queue.Telemetry().Pushes.Inc()
+	links[0].Queue.Telemetry().Pushes.Add(1)
 	w.Check(base.Add(15 * time.Millisecond))
 	if fired {
 		t.Fatal("fired despite progress between checks")

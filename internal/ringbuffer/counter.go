@@ -2,8 +2,11 @@ package ringbuffer
 
 import "sync/atomic"
 
-// counter64 is a pad-free atomic counter local to this package so the queue
-// types carry no external dependencies on their hot paths.
+// counter64 is an atomic add, for the telemetry that is off the commit path
+// or has more than one writer: block times, resizes, evictions and sheds,
+// and the view counters both ends advance. The commit path's counters
+// (Pushes, the occupancy buckets, Pops) have one writer each and are
+// owned.Counters instead.
 type counter64 struct {
 	v atomic.Uint64
 }

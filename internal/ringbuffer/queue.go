@@ -21,6 +21,8 @@ import (
 	"errors"
 	"math/bits"
 	"time"
+
+	"raftlib/internal/owned"
 )
 
 // Signal is an in-band message that travels the stream synchronized with a
@@ -109,10 +111,12 @@ type Queue interface {
 	Telemetry() *Telemetry
 }
 
-// Telemetry aggregates per-queue performance counters. The hot-path cost is
-// a handful of atomic adds; see package stats for the primitives. The
-// producer's and the consumer's counters sit on cache lines of their own,
-// so that neither end's counting moves a line the other end is writing.
+// Telemetry aggregates per-queue performance counters. A commit counts
+// with plain stores: Pushes and the occupancy buckets have one writer, the
+// producer, and Pops one, the consumer, so they are owned.Counters (DESIGN
+// §6.3); the rest are atomic adds off the commit path. The producer's and
+// the consumer's counters sit on cache lines of their own, so that neither
+// end's counting moves a line the other end is writing.
 type Telemetry struct {
 	// Written under the ring lock by whoever resizes, rarely.
 	Resizes counter64
@@ -120,8 +124,8 @@ type Telemetry struct {
 	Shrinks counter64
 
 	// Written by the producer.
-	Pushes       counter64
-	WriteBlockNs counter64 // cumulative producer block time
+	Pushes       owned.Counter // one writer: the producer's commit
+	WriteBlockNs counter64     // cumulative producer block time
 	// Evicted and Shed count elements the best-effort overflow policy
 	// (SetBestEffort) discarded. Evicted elements were resident — stale
 	// elements a full ring dropped from its head (latest-wins) — and are
@@ -135,16 +139,16 @@ type Telemetry struct {
 	// occ is the paper's §4.1 "queue occupancy histogram" recorded on the
 	// write side itself rather than by monitor sampling: bucket i counts
 	// commits that left the queue at a log2-bucketed occupancy (bucket 0 =
-	// {0,1} elements, bucket i = [2^i, 2^(i+1))). One atomic increment per
-	// commit — a window or a batch records once — so the histogram weights
-	// synchronization points, which is exactly what the allocator and
-	// batcher reason about.
-	occ [OccBuckets]counter64
+	// {0,1} elements, bucket i = [2^i, 2^(i+1))). One increment per commit,
+	// by its one writer, the producer — a window or a batch records once —
+	// so the histogram weights synchronization points, which is exactly
+	// what the allocator and batcher reason about.
+	occ [OccBuckets]owned.Counter
 	_   [64]byte
 
 	// Written by the consumer.
-	Pops        counter64
-	ReadBlockNs counter64 // cumulative consumer block time
+	Pops        owned.Counter // one writer: the consumer's release
+	ReadBlockNs counter64     // cumulative consumer block time
 	// Views counts completed borrow/release cycles (read and write batch
 	// views, see view.go); ViewHoldNs is the cumulative wall time views were
 	// held. A link whose mean hold time approaches the monitor's δ is
@@ -168,7 +172,7 @@ func (t *Telemetry) recordOcc(n int) {
 			i = OccBuckets - 1
 		}
 	}
-	t.occ[i].Inc()
+	t.occ[i].Add(1)
 }
 
 // Flow returns the cumulative push and pop counts — the per-tick read

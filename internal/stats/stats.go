@@ -11,7 +11,8 @@
 // Where even that is too much per event, the caller samples: Histogram and
 // ServiceTimer take weighted samples, so a kernel stepping every few tens of
 // nanoseconds is counted on every step but timed on a bounded share of them
-// (see core.Actor.StepTimed).
+// (see core.Actor.StepTimed). The step count has one writer, so it is an
+// owned.Counter: a load and a store, no locked instruction.
 package stats
 
 import (
@@ -22,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"raftlib/internal/owned"
 )
 
 // Counter is a monotonically increasing event counter safe for concurrent
@@ -344,13 +347,15 @@ func (o *Occupancy) Hist() *Histogram { return &o.hist }
 
 // ServiceTimer counts a kernel's invocations exactly and keeps a log-scale
 // histogram of their service times from weighted samples: every invocation
-// calls Step (one atomic add, no clock), and the invocations that were
-// actually timed call Observe with the number of invocations the measurement
-// stands for. Count is therefore exact; the mean, the quantiles, BusyNanos
-// and RatePerSecond are estimates that are exact when every invocation is
-// observed with weight one (Record).
+// calls Step (one store, no clock), and the invocations that were actually
+// timed call Observe with the number of invocations the measurement stands
+// for. Count is therefore exact; the mean, the quantiles, BusyNanos and
+// RatePerSecond are estimates that are exact when every invocation is
+// observed with weight one (Record). Step and Record have one writer, the
+// goroutine running the kernel; Count, like the estimates, may be read from
+// any goroutine.
 type ServiceTimer struct {
-	runs atomic.Uint64
+	runs owned.Counter // written by the goroutine running the kernel
 	hist Histogram
 }
 
@@ -361,7 +366,8 @@ func (t *ServiceTimer) Time(fn func()) {
 	t.Record(time.Since(start))
 }
 
-// Step counts one invocation without timing it.
+// Step counts one invocation without timing it. Only the goroutine running
+// the kernel may call it.
 func (t *ServiceTimer) Step() { t.runs.Add(1) }
 
 // Observe adds a measured service duration standing for n invocations

@@ -3,9 +3,12 @@ package stats
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"raftlib/internal/owned"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -295,6 +298,71 @@ func TestServiceTimerTime(t *testing.T) {
 	}
 	if st.MeanNanos() < float64(time.Millisecond)/2 {
 		t.Fatalf("mean = %v ns, want >= 0.5ms", st.MeanNanos())
+	}
+}
+
+// TestOwnedCounterOneWriter checks the single-writer counter that
+// ServiceTimer's run count and the ring's commit counters sit on: the
+// owner adds by a load and a store, handing ownership to a second goroutine
+// halfway as a stolen kernel does, while two readers spin on Load. Each
+// reader sees the count never fall, and after the writers are done every
+// Load returns the exact total. The counter follows a 4-byte field, so on
+// 32-bit targets a misaligned 64-bit atomic would panic here. It lives in
+// this package, the primitive's first user, so that the race and 32-bit
+// test legs run it.
+func TestOwnedCounterOneWriter(t *testing.T) {
+	var s struct {
+		_ uint32
+		c owned.Counter
+	}
+	const adds = 1 << 20
+	var total uint64
+	for i := 0; i < adds; i++ {
+		total += uint64(i%3 + 1)
+	}
+	var done atomic.Bool
+	var wg, reading sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		reading.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			reading.Done()
+			for !done.Load() {
+				v := s.c.Load()
+				if v < last {
+					t.Errorf("reader saw %d after %d", v, last)
+					return
+				}
+				last = v
+			}
+			if v := s.c.Load(); v != total {
+				t.Errorf("reader's final load %d, want %d", v, total)
+			}
+		}()
+	}
+	handover := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		reading.Wait()
+		for i := 0; i < adds/2; i++ {
+			s.c.Add(uint64(i%3 + 1))
+		}
+		close(handover)
+	}()
+	go func() {
+		defer wg.Done()
+		<-handover
+		for i := adds / 2; i < adds; i++ {
+			s.c.Add(uint64(i%3 + 1))
+		}
+		done.Store(true)
+	}()
+	wg.Wait()
+	if v := s.c.Load(); v != total {
+		t.Fatalf("final load %d, want %d", v, total)
 	}
 }
 

@@ -2,7 +2,6 @@ package raft
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"raftlib/internal/core"
@@ -133,11 +132,12 @@ type faultHook struct {
 	inner core.Runner
 	inj   *FaultInjector
 	name  string
-	runs  atomic.Uint64
+	runs  uint64 // read and written only here, on the kernel's goroutine
 }
 
 func (f *faultHook) Run() core.Status {
-	f.inj.BeforeRun(f.name, f.runs.Add(1))
+	f.runs++
+	f.inj.BeforeRun(f.name, f.runs)
 	return f.inner.Run()
 }
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,4 +252,113 @@ func TestRunnerKernelsStepExactly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCountsExactAtEndOfRun checks the Report against what the kernels
+// themselves counted, over many short runs under both schedulers: the
+// `scalar` shape (src -> relay -> sink of int64) and the same chain with a
+// best-effort relay -> sink link small enough to evict. Every kernel
+// counts its own invocations and every port end the elements it handed
+// over or took. Each KernelReport.Runs must equal its kernel's count, and
+// each LinkReport must obey the drop law once drained: Len 0, Pushes what
+// the producer pushed, Pops what the consumer popped, and Pushes = Pops +
+// Dropped. A chain without signals or views sheds nothing, so every drop
+// is an eviction and Pushes counts every element offered. The log gives
+// the evictions of each arm: under work stealing they are zero, since the
+// cooperative scheduler parks a producer whose output ring is full,
+// best-effort or not.
+func TestCountsExactAtEndOfRun(t *testing.T) {
+	const items, runs = 20_000, 20
+	arms := []struct {
+		name string
+		last []LinkOption
+	}{
+		{"scalar", nil},
+		{"besteffort", []LinkOption{AsBestEffort(), Cap(4), MaxCap(4)}},
+	}
+	for _, sched := range bothSchedulers {
+		for _, arm := range arms {
+			t.Run(sched.name+"/"+arm.name, func(t *testing.T) {
+				var evicted uint64
+				for r := 0; r < runs && !t.Failed(); r++ {
+					evicted += countsExactRun(t, items, sched.opts, arm.last)
+				}
+				t.Logf("%d runs of %d items: %d evicted", runs, items, evicted)
+			})
+		}
+	}
+}
+
+// countsExactRun runs one src -> relay -> sink chain, its last link built
+// with last, checks the Report against the kernels' own counts and returns
+// the last link's drops.
+func countsExactRun(t *testing.T, items int64, opts []Option, last []LinkOption) uint64 {
+	t.Helper()
+	var srcRuns, relayRuns, sinkRuns, sent, relayed, forwarded, got int64
+	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		srcRuns++
+		if sent == items {
+			return Stop
+		}
+		if err := Push(k.Out("0"), sent); err != nil {
+			return Stop
+		}
+		sent++
+		return Proceed
+	})
+	src.SetName("src")
+	relay := NewLambda[int64](1, 1, func(k *LambdaKernel) Status {
+		relayRuns++
+		v, err := Pop[int64](k.In("0"))
+		if err != nil {
+			return Stop
+		}
+		relayed++
+		if err := Push(k.Out("0"), v); err != nil {
+			return Stop
+		}
+		forwarded++
+		return Proceed
+	})
+	relay.SetName("relay")
+	sink := NewLambda[int64](1, 0, func(k *LambdaKernel) Status {
+		sinkRuns++
+		if _, err := Pop[int64](k.In("0")); err != nil {
+			return Stop
+		}
+		got++
+		return Proceed
+	})
+	sink.SetName("sink")
+	m := NewMap()
+	m.MustLink(src, relay)
+	m.MustLink(relay, sink, last...)
+	rep, err := m.Exe(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runs := map[string]int64{"src": srcRuns, "relay": relayRuns, "sink": sinkRuns}
+	for _, k := range rep.Kernels {
+		if want, ok := runs[k.Name]; !ok || k.Runs != uint64(want) {
+			t.Errorf("kernel %q: Runs = %d, its own count %d", k.Name, k.Runs, want)
+		}
+	}
+	if len(rep.Kernels) != len(runs) || len(rep.Links) != 2 {
+		t.Fatalf("report has %d kernels and %d links, want 3 and 2", len(rep.Kernels), len(rep.Links))
+	}
+	ends := map[string][2]int64{"src": {sent, relayed}, "relay": {forwarded, got}}
+	var dropped uint64
+	for _, l := range rep.Links {
+		producer := strings.SplitN(l.Name, ".", 2)[0]
+		e, ok := ends[producer]
+		if !ok || l.Len != 0 || l.Pushes != uint64(e[0]) || l.Pops != uint64(e[1]) || l.Pushes != l.Pops+l.Dropped {
+			t.Errorf("link %s: Len %d, Pushes %d, Pops %d, Dropped %d; its ends pushed %d and popped %d",
+				l.Name, l.Len, l.Pushes, l.Pops, l.Dropped, e[0], e[1])
+		}
+		if producer == "relay" {
+			dropped = l.Dropped
+		}
+	}
+	return dropped
 }
