@@ -38,8 +38,9 @@ bench-smoke:
 
 # bench-hotpath prints the per-element costs every stream pays — one actor
 # step, one port push+pop and a lambda kernel's port lookup by name, all of
-# which must stay allocation-free — and the construction cost of a many-kernel execution (Exe of 10k empty
-# gen -> sink pairs; printed, not gated), then checks the end-to-end
+# which must stay allocation-free — the construction cost of a many-kernel execution (Exe of 10k empty
+# gen -> sink pairs) and the items/s of a remote stage on loopback (int64 and
+# []byte elements; both printed, not gated), then checks the end-to-end
 # benchmark itself: its unit tests, and a
 # 1/50-scale pass over all six workloads that verifies every oracle and
 # that the emitted metric names equal BENCHMARK.json. The benchmark refuses
@@ -50,6 +51,7 @@ bench-hotpath:
 	$(GO) test -run '^$$' -bench '^BenchmarkPortPushPop1G$$' -benchmem ./raft/
 	$(GO) test -run '^$$' -bench '^BenchmarkKernelPortLookup$$' -benchmem ./raft/
 	$(GO) test -run '^$$' -bench '^BenchmarkExeManyPairs$$' -benchmem -benchtime 5x ./raft/
+	$(GO) test -run '^$$' -bench '^BenchmarkRemoteStage$$' ./internal/oar/
 	$(GO) test ./bench/
 	@if [ "$$(nproc)" -ge 2 ]; then \
 		echo "$(GO) run ./bench -smoke"; $(GO) run ./bench -smoke; \

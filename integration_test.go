@@ -80,7 +80,12 @@ func TestDistributedSearchAgrees(t *testing.T) {
 		}), nil
 	})
 
-	send, recv, err := oar.RemoteStage[[]byte, int64](node.Addr(), "count",
+	local, err := oar.NewNode("local", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	send, recv, err := oar.RemoteStage[[]byte, int64](local, node.Addr(), "count",
 		map[string]string{"algo": "horspool", "pattern": string(pattern)})
 	if err != nil {
 		t.Fatal(err)

@@ -920,7 +920,8 @@ type Receiver[T any] struct {
 }
 
 // NewReceiver registers the named stream endpoint on node and returns the
-// source kernel delivering its elements.
+// source kernel delivering its elements. The receiver releases the name
+// when it finishes.
 func NewReceiver[T any](node *Node, stream string, opts ...BridgeOption) (*Receiver[T], error) {
 	ch, err := node.registerStream(stream)
 	if err != nil {
@@ -947,6 +948,7 @@ func (r *Receiver[T]) Init() error {
 		r.started = true
 		return nil
 	case <-time.After(r.opt.firstConnect):
+		r.release()
 		return fmt.Errorf("oar: receiver %q: no sender connected within %v: %w",
 			r.stream, r.opt.firstConnect, raft.ErrBridgeDown)
 	}
@@ -1242,10 +1244,16 @@ func (r *Receiver[T]) await() (raft.Status, bool) {
 	}
 }
 
-// Finalize implements raft.Finalizer by closing the connection.
+// Finalize implements raft.Finalizer by closing the connection and
+// releasing the stream name.
 func (r *Receiver[T]) Finalize() {
 	r.dropConn()
+	r.release()
 }
+
+// release unregisters the receiver's stream from its node, so the name can
+// be bridged again.
+func (r *Receiver[T]) release() { r.node.releaseStream(r.stream, r.accept) }
 
 // BridgeStats implements raft.BridgeReporter.
 func (r *Receiver[T]) BridgeStats() (raft.BridgeReport, bool) {

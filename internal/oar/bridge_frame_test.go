@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"raftlib/internal/ringbuffer"
+	"raftlib/kernels"
 	"raftlib/raft"
 )
 
@@ -284,5 +285,40 @@ func TestBridgeHealsMalformedFrame(t *testing.T) {
 	requireExactSequence(t, sink.values(), 30)
 	if rr, _ := recv.BridgeStats(); rr.Reconnects != 2 {
 		t.Fatalf("receiver reconnects = %d, want 2", rr.Reconnects)
+	}
+}
+
+// TestBridgeCompressedRoundTrip tunnels highly compressible text through a
+// deflate-compressed bridge and verifies exact delivery.
+func TestBridgeCompressedRoundTrip(t *testing.T) {
+	node := newTestNode(t, "zworker")
+	send, recv, err := BridgeCompressed[string](node, "ztext")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	producer := raft.NewMap()
+	producer.MustLink(kernels.NewGenerate(n, func(i int64) string {
+		return fmt.Sprintf("the same compressible line of text, sequence %d", i)
+	}), send)
+	var got []string
+	consumer := raft.NewMap()
+	consumer.MustLink(recv, kernels.NewWriteEach(&got))
+
+	done := make(chan error, 2)
+	go func() { _, err := producer.Exe(); done <- err }()
+	go func() { _, err := consumer.Exe(); done <- err }()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("received %d, want %d", len(got), n)
+	}
+	for i, s := range got {
+		if s != fmt.Sprintf("the same compressible line of text, sequence %d", i) {
+			t.Fatalf("got[%d] = %q", i, s)
+		}
 	}
 }

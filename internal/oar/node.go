@@ -13,10 +13,12 @@
 //     stream over a TCP connection in sequenced binary frames, so a
 //     topology can be split across processes without changing any kernel
 //     code;
-//   - remote execution: nodes register named services (kernel pipelines)
-//     that peers invoke with a request/response exchange — the stand-in
-//     for the paper's remote compile-and-execute (shipping Go source and
-//     compiling remotely is out of scope; see DESIGN.md substitutions).
+//   - remote execution: nodes register named services that peers invoke
+//     with a request/response exchange — the stand-in for the paper's
+//     remote compile-and-execute (shipping Go source and compiling
+//     remotely is out of scope; see DESIGN.md substitutions). A remote
+//     stage is one such service whose data rides two bridges, one each
+//     way, so it has no wire of its own (stage.go).
 //
 // Benchmarks and examples run nodes on loopback addresses: identical code
 // paths (dial, accept, frame, serialize), one machine.
@@ -30,6 +32,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -61,8 +64,9 @@ type Node struct {
 	self     NodeInfo
 	streams  map[string]chan net.Conn
 	services map[string]ServiceFunc
-	stages   map[string]func(net.Conn, *bufio.Reader)
 	closed   bool
+	// fresh numbers the streams this node names itself (freshStream).
+	fresh atomic.Uint64
 
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -87,7 +91,6 @@ func NewNode(id, addr string) (*Node, error) {
 		peers:    map[string]NodeInfo{},
 		streams:  map[string]chan net.Conn{},
 		services: map[string]ServiceFunc{},
-		stages:   map[string]func(net.Conn, *bufio.Reader){},
 		stopCh:   make(chan struct{}),
 	}
 	n.self = NodeInfo{ID: id, Addr: ln.Addr().String(), Cores: runtime.GOMAXPROCS(0), Stamp: time.Now()}
@@ -174,15 +177,6 @@ func (n *Node) handle(conn net.Conn) {
 		n.serveStream(conn, br, arg, gen)
 	case hdrService:
 		n.serveService(conn, br, arg)
-	case stageHdr:
-		n.mu.Lock()
-		serve, ok := n.stages[arg]
-		n.mu.Unlock()
-		if !ok {
-			conn.Close()
-			return
-		}
-		serve(conn, br)
 	default:
 		conn.Close()
 	}
@@ -368,6 +362,27 @@ func (n *Node) registerStream(name string) (<-chan net.Conn, error) {
 	ch := make(chan net.Conn, 1)
 	n.streams[name] = ch
 	return ch, nil
+}
+
+// releaseStream unregisters the named stream if it is still ch's, and
+// closes a connection delivered to ch that its receiver never adopted.
+func (n *Node) releaseStream(name string, ch <-chan net.Conn) {
+	n.mu.Lock()
+	if cur, ok := n.streams[name]; ok && cur == ch {
+		delete(n.streams, name)
+	}
+	n.mu.Unlock()
+	select {
+	case conn := <-ch:
+		conn.Close()
+	default:
+	}
+}
+
+// freshStream returns a stream name no other call on n returns: prefix and
+// a per-node count.
+func (n *Node) freshStream(prefix string) string {
+	return fmt.Sprintf("%s#%d", prefix, n.fresh.Add(1))
 }
 
 func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string, gen uint64) {

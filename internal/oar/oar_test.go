@@ -11,7 +11,7 @@ import (
 	"raftlib/raft"
 )
 
-func newTestNode(t *testing.T, id string) *Node {
+func newTestNode(t testing.TB, id string) *Node {
 	t.Helper()
 	n, err := NewNode(id, "127.0.0.1:0")
 	if err != nil {
@@ -159,6 +159,19 @@ func TestStreamDuplicateRegistration(t *testing.T) {
 	}
 	if _, err := NewReceiver[int](n, "s"); err == nil {
 		t.Fatal("duplicate stream registration must error")
+	}
+}
+
+// TestBridgeStreamNameReusable bridges a stream twice in a row under one
+// name on one node: a finished receiver gives its name back.
+func TestBridgeStreamNameReusable(t *testing.T) {
+	node := newTestNode(t, "again")
+	for i := 0; i < 2; i++ {
+		got, perr, cerr := runBridge(t, node, "s", 1000)
+		if perr != nil || cerr != nil {
+			t.Fatalf("run %d: producer=%v consumer=%v", i, perr, cerr)
+		}
+		requireExactSequence(t, got, 1000)
 	}
 }
 

@@ -1,11 +1,7 @@
 package oar
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
-	"net"
-	"time"
 
 	"raftlib/raft"
 )
@@ -17,154 +13,102 @@ import (
 // its local topology with RemoteStage, which returns a (sender, receiver)
 // kernel pair:
 //
-//	local upstream -> sender ==tcp==> [recv -> kernel -> send] ==tcp==> receiver -> local downstream
+//	caller                                      serving node
+//	upstream -> Sender ==bridge "<stage>.in#i"==> Receiver -> kernel
+//	                                                            |
+//	downstream <- Receiver <==bridge "<stage>.out#j"== Sender <-+
 //
-// The remote half runs as a full raft application on the serving node, one
-// instance per RemoteStage call, full-duplex on a single TCP connection.
-// Go cannot compile shipped source at runtime, so factories are registered
-// ahead of time — the substitution recorded in DESIGN.md.
+// The spawn is one service call ("stage:<name>"): the serving node builds
+// the kernel, registers the inbound stream, points a sender at the stream
+// the caller registered on its own node, and only then replies with the
+// inbound stream's name. The data rides the two bridges, so a stage heals a
+// cut connection, blits pointer-free elements and carries markers exactly
+// as a bridge does, and its lifetime follows the bridge policy. Go cannot
+// compile shipped source at runtime, so factories are registered ahead of
+// time — the substitution recorded in DESIGN.md.
 
-// stageHdr is the connection header kind for stage spawns.
-const stageHdr = "spawn"
+// stageService prefixes the service name a stage is registered under.
+const stageService = "stage:"
 
-// frame is one stage wire batch. Stage connections are not self-healing
-// (the bridge's sequenced binary frames are), so a plain gob batch struct
-// suffices.
-type frame[T any] struct {
-	Vals []T
-	Sigs []raft.Signal
-	EOF  bool
-}
+// Request keys RemoteStage adds to the user's args, and the reply key of
+// the stage's inbound stream.
+const (
+	keyReplyAddr   = "oar.stage.reply-addr"
+	keyReplyStream = "oar.stage.reply-stream"
+	keyStream      = "oar.stage.stream"
+)
 
 // RegisterStage exposes a kernel factory under name on node n. T and U are
 // the stage's input and output element types; the factory must return a
-// kernel with exactly one input port of T and one output port of U.
+// kernel with exactly one input port of T and one output port of U. Each
+// RemoteStage call runs one instance as its own raft application on n.
 func RegisterStage[T, U any](n *Node, name string, factory func(args map[string]string) (raft.Kernel, error)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stages[name] = func(conn net.Conn, br *bufio.Reader) {
-		serveStageConn[T, U](conn, br, factory)
-	}
+	registerStage[T, U](n, name, factory)
 }
 
-// serveStageConn runs one remote stage instance over an accepted
-// connection.
-func serveStageConn[T, U any](conn net.Conn, br *bufio.Reader, factory func(args map[string]string) (raft.Kernel, error)) {
-	defer conn.Close()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var args map[string]string
-	if err := dec.Decode(&args); err != nil {
-		return
-	}
-	kernel, err := factory(args)
-	if err != nil {
-		// Closing without an ack tells the peer the spawn failed.
-		return
-	}
-	// Ack the spawn so the caller can distinguish setup errors.
-	if err := enc.Encode(true); err != nil {
-		return
-	}
-
-	src := newGobSource[T]("stage-recv", dec)
-	sink := newGobSink[U]("stage-send", enc)
-	m := raft.NewMap()
-	if _, err := m.Link(src, kernel); err != nil {
-		return
-	}
-	if _, err := m.Link(kernel, sink); err != nil {
-		return
-	}
-	_, _ = m.Exe() // errors surface to the peer as a closed connection
-}
-
-// gobSource pushes each decoded frame's elements, with their signals, out
-// of its "out" port until the peer's EOF frame or a read error. It is both
-// the remote stage's intake and the local receiver of its results.
-type gobSource[T any] struct {
-	raft.KernelBase
-	dec *gob.Decoder
-}
-
-func newGobSource[T any](name string, dec *gob.Decoder) *gobSource[T] {
-	s := &gobSource[T]{dec: dec}
-	s.SetName(name)
-	raft.AddOutput[T](s, "out")
-	return s
-}
-
-func (s *gobSource[T]) Run() raft.Status {
-	var f frame[T]
-	if err := s.dec.Decode(&f); err != nil || f.EOF {
-		return raft.Stop
-	}
-	if err := raft.PushNSig(s.Out("out"), f.Vals, f.Sigs); err != nil {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
-
-// gobSink encodes what its "in" port holds as frames of up to senderBatch
-// elements, each element with its signal, and an EOF frame once the stream
-// closes. It is both the local sender to a remote stage and the stage's
-// return path.
-type gobSink[T any] struct {
-	raft.KernelBase
-	enc  *gob.Encoder
-	vals []T
-	sigs []raft.Signal
-}
-
-func newGobSink[T any](name string, enc *gob.Encoder) *gobSink[T] {
-	s := &gobSink[T]{enc: enc, vals: make([]T, senderBatch), sigs: make([]raft.Signal, senderBatch)}
-	s.SetName(name)
-	raft.AddInput[T](s, "in")
-	return s
-}
-
-func (s *gobSink[T]) Run() raft.Status {
-	n, err := raft.PopNSig(s.In("in"), s.vals, s.sigs)
-	if n > 0 {
-		if s.enc.Encode(frame[T]{Vals: s.vals[:n], Sigs: s.sigs[:n]}) != nil {
-			return raft.Stop
+// registerStage is RegisterStage with options for both bridge endpoints
+// the serving node builds.
+func registerStage[T, U any](n *Node, name string, factory func(args map[string]string) (raft.Kernel, error), opts ...BridgeOption) {
+	n.RegisterService(stageService+name, func(req map[string]string) (map[string]string, error) {
+		addr, out := req[keyReplyAddr], req[keyReplyStream]
+		if addr == "" || out == "" {
+			return nil, fmt.Errorf("oar: stage %q: request names no reply stream", name)
 		}
-	}
-	if err != nil {
-		_ = s.enc.Encode(frame[T]{EOF: true})
-		return raft.Stop
-	}
-	return raft.Proceed
+		delete(req, keyReplyAddr)
+		delete(req, keyReplyStream)
+		kernel, err := factory(req)
+		if err != nil {
+			return nil, err
+		}
+		recv, err := NewReceiver[T](n, n.freshStream(name+".in"), opts...)
+		if err != nil {
+			return nil, err
+		}
+		m := raft.NewMap()
+		if _, err := m.Link(recv, kernel); err != nil {
+			recv.release()
+			return nil, err
+		}
+		if _, err := m.Link(kernel, NewSender[U](addr, out, opts...)); err != nil {
+			recv.release()
+			return nil, err
+		}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			_, _ = m.Exe() // a failure ends the caller's stream with EOF
+		}()
+		return map[string]string{keyStream: recv.stream}, nil
+	})
 }
 
 // RemoteStage splices the named registered stage of the node at addr into
-// a local topology. The returned sender kernel (input port "in", type T)
-// forwards local elements to the remote stage; the returned receiver
-// kernel (output port "out", type U) delivers the stage's results.
-func RemoteStage[T, U any](addr, stage string, args map[string]string) (raft.Kernel, raft.Kernel, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, nil, fmt.Errorf("oar: stage dial %s: %w", addr, err)
-	}
-	if _, err := fmt.Fprintf(conn, "%s %s\n", stageHdr, stage); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if args == nil {
-		args = map[string]string{}
-	}
-	if err := enc.Encode(args); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	var ok bool
-	if err := dec.Decode(&ok); err != nil || !ok {
-		conn.Close()
-		return nil, nil, fmt.Errorf("oar: node %s rejected stage %q (unregistered or factory error)", addr, stage)
-	}
+// a local topology. The returned sender (input port "in", type T) forwards
+// local elements to the remote stage; the returned receiver (output port
+// "out", type U) delivers the stage's results. The receiver's stream is
+// registered on local, which the serving node dials back.
+func RemoteStage[T, U any](local *Node, addr, stage string, args map[string]string) (*Sender[T], *Receiver[U], error) {
+	return remoteStage[T, U](local, addr, stage, args)
+}
 
-	return newGobSink[T]("remote-stage-send["+stage+"]", enc),
-		newGobSource[U]("remote-stage-recv["+stage+"]", dec), nil
+// remoteStage is RemoteStage with options for both local bridge endpoints.
+func remoteStage[T, U any](local *Node, addr, stage string, args map[string]string, opts ...BridgeOption) (*Sender[T], *Receiver[U], error) {
+	req := make(map[string]string, len(args)+2)
+	for k, v := range args {
+		if k == keyReplyAddr || k == keyReplyStream {
+			return nil, nil, fmt.Errorf("oar: stage %q: argument %q is reserved", stage, k)
+		}
+		req[k] = v
+	}
+	recv, err := NewReceiver[U](local, local.freshStream(stage+".out"), opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	req[keyReplyAddr], req[keyReplyStream] = local.Addr(), recv.stream
+	resp, err := Call(addr, stageService+stage, req)
+	if err != nil {
+		recv.release()
+		return nil, nil, fmt.Errorf("oar: stage %q on %s: %w", stage, addr, err)
+	}
+	return NewSender[T](addr, resp[keyStream], opts...), recv, nil
 }

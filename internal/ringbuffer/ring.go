@@ -509,13 +509,14 @@ func (r *Ring[T]) armEmpty(locked bool) bool {
 	return !r.closed.Load() && r.buffered() == 0
 }
 
-// Blocked implements Queue.
+// Blocked implements Queue. A best-effort ring never blocks its producer:
+// a push there evicts or sheds instead of waiting (room).
 func (r *Ring[T]) Blocked(producer bool) bool {
 	if r.closed.Load() {
 		return false
 	}
 	if producer {
-		return r.free(r.live.Load(), r.tail.Load(), 1) == 0 && r.armFull()
+		return r.free(r.live.Load(), r.tail.Load(), 1) == 0 && !r.bestEffort.Load() && r.armFull()
 	}
 	return r.buffered() == 0 && r.armEmpty(false)
 }

@@ -77,6 +77,10 @@ type Source[T any] struct {
 	// through a write view, buffer recycled. Surfaced as CopiesSaved in the
 	// gateway's /v1/stats.
 	copiesSaved atomic.Uint64
+
+	// poll is Run's idle timer, one per source and re-armed on each call
+	// (armPoll), so an idle call allocates no timer.
+	poll *time.Timer
 }
 
 // NewSource builds a gateway-fed source kernel. The name doubles as the
@@ -104,6 +108,7 @@ func (s *Source[T]) CloseIntake() {
 // Raise or deadlock teardown) even when no traffic arrives.
 func (s *Source[T]) Run() Status {
 	out := s.Out("out")
+	s.armPoll()
 	select {
 	case b := <-s.feed:
 		b.done <- s.deliver(out, b)
@@ -119,12 +124,30 @@ func (s *Source[T]) Run() Status {
 				return Stop
 			}
 		}
-	case <-time.After(5 * time.Millisecond):
+	case <-s.poll.C:
 		if q := out.Queue(); q != nil && q.Closed() {
 			return Stop
 		}
 		return Proceed
 	}
+}
+
+// armPoll starts the poll timer for one Run. Stop, drain, Reset: a fire
+// that the last Run did not consume is discarded first, which is correct
+// under the timer semantics of every Go version since 1.22.
+func (s *Source[T]) armPoll() {
+	const poll = 5 * time.Millisecond
+	if s.poll == nil {
+		s.poll = time.NewTimer(poll)
+		return
+	}
+	if !s.poll.Stop() {
+		select {
+		case <-s.poll.C:
+		default:
+		}
+	}
+	s.poll.Reset(poll)
 }
 
 // deliver commits one admitted batch to the output stream. The batch is

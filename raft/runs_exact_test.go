@@ -263,10 +263,9 @@ func TestRunnerKernelsStepExactly(t *testing.T) {
 // each LinkReport must obey the drop law once drained: Len 0, Pushes what
 // the producer pushed, Pops what the consumer popped, and Pushes = Pops +
 // Dropped. A chain without signals or views sheds nothing, so every drop
-// is an eviction and Pushes counts every element offered. The log gives
-// the evictions of each arm: under work stealing they are zero, since the
-// cooperative scheduler parks a producer whose output ring is full,
-// best-effort or not.
+// is an eviction and Pushes counts every element offered. A best-effort
+// ring never reports its producer blocked, so the best-effort arm must
+// evict under both schedulers; the log gives the evictions of each arm.
 func TestCountsExactAtEndOfRun(t *testing.T) {
 	const items, runs = 20_000, 20
 	arms := []struct {
@@ -284,6 +283,9 @@ func TestCountsExactAtEndOfRun(t *testing.T) {
 					evicted += countsExactRun(t, items, sched.opts, arm.last)
 				}
 				t.Logf("%d runs of %d items: %d evicted", runs, items, evicted)
+				if arm.name == "besteffort" && evicted == 0 {
+					t.Errorf("best-effort arm evicted nothing in %d runs", runs)
+				}
 			})
 		}
 	}
