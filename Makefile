@@ -112,9 +112,12 @@ ci-test:
 # ringbuffer and scheduler packages run three times — the lock-free commit,
 # the resize handover and the park/wake Dekker pair are interleaving-
 # dependent, and repeated runs shake out schedules a single pass misses.
+# Width steps under both schedulers run twenty times: a replica adapter
+# that held a work-stealing worker hung them there.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
 	$(GO) test -race -count=3 ./internal/ringbuffer/... ./internal/scheduler/...
+	$(GO) test -race -count=20 -run TestScaleStepsAreCommits ./raft/
 
 # Short-budget coverage-guided fuzzing of the ring: the port-window
 # protocol under three goroutines (lock-free commits, parks and wakes, the

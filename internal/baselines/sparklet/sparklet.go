@@ -75,9 +75,6 @@ type RDD[T any] struct {
 	compute func(p int) []T
 }
 
-// Ctx returns the owning context.
-func (r *RDD[T]) Ctx() *Context { return r.ctx }
-
 // Partitions returns the partition count.
 func (r *RDD[T]) Partitions() int { return r.parts }
 

@@ -128,6 +128,9 @@ type Lifecycle interface {
 	// kernel cannot capture a pooled worker; the goroutine-per-kernel
 	// scheduler ignores it.
 	Ready() bool
+	// Await is the goroutine-per-kernel scheduler's wait after a Stall,
+	// until the end the kernel could not serve may make progress.
+	Await()
 	// Finish runs once after the final Step (regardless of whether the
 	// actor stopped voluntarily or the engine shut it down); it must close
 	// the actor's output queues.
@@ -342,9 +345,6 @@ type LinkInfo struct {
 	ResizeEnabled bool
 	// MaxCap bounds monitor-driven growth (0 = unbounded).
 	MaxCap int
-	// LatencyClass is the mapper's estimate of the cost of crossing this
-	// link (e.g. same-core, cross-socket, TCP); informational.
-	LatencyClass string
 	// Batch publishes the adaptive batcher's chosen transfer size for this
 	// link; adapters and bridges consult it on their hot path. Nil when the
 	// engine predates allocation (tests building LinkInfo by hand).

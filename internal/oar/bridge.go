@@ -885,6 +885,9 @@ type Receiver[T any] struct {
 	// mkDec layers the frame reader over a fresh connection (compressed
 	// bridges swap in a flate reader); nil reads the connection itself.
 	mkDec func(conn net.Conn) io.Reader
+	// verdict, when set, runs after the EOF frame: a remote stage's
+	// receiver asks how the stage ended and raises a failure.
+	verdict func() error
 
 	conn net.Conn
 	rd   io.Reader
@@ -1011,6 +1014,9 @@ func (r *Receiver[T]) Run() raft.Status {
 			continue
 		case h.flags == flagEOF:
 			r.ack(h.seq)
+			if r.verdict != nil {
+				r.Raise(r.verdict())
+			}
 			return raft.Stop
 		}
 		if len(r.marks) > 0 {

@@ -2,6 +2,7 @@ package oar
 
 import (
 	"fmt"
+	"sync"
 
 	"raftlib/raft"
 )
@@ -23,7 +24,9 @@ import (
 // the caller registered on its own node, and only then replies with the
 // inbound stream's name. The data rides the two bridges, so a stage heals a
 // cut connection, blits pointer-free elements and carries markers exactly
-// as a bridge does, and its lifetime follows the bridge policy. Go cannot
+// as a bridge does, and its lifetime follows the bridge policy. At the end
+// of the stream the caller asks how the stage's run ended (keyResult) and
+// raises its error, so a failed stage fails the caller's Exe. Go cannot
 // compile shipped source at runtime, so factories are registered ahead of
 // time — the substitution recorded in DESIGN.md.
 
@@ -31,11 +34,13 @@ import (
 const stageService = "stage:"
 
 // Request keys RemoteStage adds to the user's args, and the reply key of
-// the stage's inbound stream.
+// the stage's inbound stream. A request with keyResult answers, once, with
+// the error of the instance whose inbound stream it names, once it ends.
 const (
 	keyReplyAddr   = "oar.stage.reply-addr"
 	keyReplyStream = "oar.stage.reply-stream"
 	keyStream      = "oar.stage.stream"
+	keyResult      = "oar.stage.result"
 )
 
 // RegisterStage exposes a kernel factory under name on node n. T and U are
@@ -49,7 +54,11 @@ func RegisterStage[T, U any](n *Node, name string, factory func(args map[string]
 // registerStage is RegisterStage with options for both bridge endpoints
 // the serving node builds.
 func registerStage[T, U any](n *Node, name string, factory func(args map[string]string) (raft.Kernel, error), opts ...BridgeOption) {
+	var results sync.Map // inbound stream name -> chan error of a running instance
 	n.RegisterService(stageService+name, func(req map[string]string) (map[string]string, error) {
+		if done, ok := results.LoadAndDelete(req[keyResult]); ok {
+			return nil, <-done.(chan error)
+		}
 		addr, out := req[keyReplyAddr], req[keyReplyStream]
 		if addr == "" || out == "" {
 			return nil, fmt.Errorf("oar: stage %q: request names no reply stream", name)
@@ -73,10 +82,13 @@ func registerStage[T, U any](n *Node, name string, factory func(args map[string]
 			recv.release()
 			return nil, err
 		}
+		done := make(chan error, 1)
+		results.Store(recv.stream, done)
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			_, _ = m.Exe() // a failure ends the caller's stream with EOF
+			_, err := m.Exe()
+			done <- err
 		}()
 		return map[string]string{keyStream: recv.stream}, nil
 	})
@@ -95,7 +107,7 @@ func RemoteStage[T, U any](local *Node, addr, stage string, args map[string]stri
 func remoteStage[T, U any](local *Node, addr, stage string, args map[string]string, opts ...BridgeOption) (*Sender[T], *Receiver[U], error) {
 	req := make(map[string]string, len(args)+2)
 	for k, v := range args {
-		if k == keyReplyAddr || k == keyReplyStream {
+		if k == keyReplyAddr || k == keyReplyStream || k == keyResult {
 			return nil, nil, fmt.Errorf("oar: stage %q: argument %q is reserved", stage, k)
 		}
 		req[k] = v
@@ -110,5 +122,12 @@ func remoteStage[T, U any](local *Node, addr, stage string, args map[string]stri
 		recv.release()
 		return nil, nil, fmt.Errorf("oar: stage %q on %s: %w", stage, addr, err)
 	}
-	return NewSender[T](addr, resp[keyStream], opts...), recv, nil
+	in := resp[keyStream]
+	recv.verdict = func() (err error) {
+		if _, err = Call(addr, stageService+stage, map[string]string{keyResult: in}); err != nil {
+			err = fmt.Errorf("oar: stage %q on %s failed: %w", stage, addr, err)
+		}
+		return err
+	}
+	return NewSender[T](addr, in, opts...), recv, nil
 }

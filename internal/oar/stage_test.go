@@ -375,3 +375,39 @@ func benchRemoteStage[T any](b *testing.B, gen func(int64) T) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "items/s")
 }
+
+// TestRemoteStageFailureReachesCaller: a stage kernel that panics on
+// element 1,000 of 20,000 fails the caller's Exe with an error that names
+// the stage, where a clean EOF would hide the failure behind 999 results.
+func TestRemoteStageFailureReachesCaller(t *testing.T) {
+	worker := newTestNode(t, "worker")
+	RegisterStage[int64, int64](worker, "fragile", func(map[string]string) (raft.Kernel, error) {
+		return raft.NewLambdaIO[int64, int64](1, 1, func(lk *raft.LambdaKernel) raft.Status {
+			v, err := raft.Pop[int64](lk.In("0"))
+			if err != nil {
+				return raft.Stop
+			}
+			if v == 999 {
+				panic("element 1000")
+			}
+			if err := raft.Push(lk.Out("0"), v); err != nil {
+				return raft.Stop
+			}
+			return raft.Proceed
+		}), nil
+	})
+	send, recv, err := RemoteStage[int64, int64](newTestNode(t, "local"), worker.Addr(), "fragile", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	var got []int64
+	m := raft.NewMap()
+	m.MustLink(kernels.NewGenerate(n, func(i int64) int64 { return i }), send)
+	m.MustLink(recv, kernels.NewWriteEach(&got))
+	_, err = m.Exe()
+	if err == nil || !strings.Contains(err.Error(), `stage "fragile"`) {
+		t.Fatalf("Exe = %v after %d results, want an error naming stage \"fragile\"", err, len(got))
+	}
+	t.Logf("%d results, then: %v", len(got), err)
+}

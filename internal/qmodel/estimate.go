@@ -400,14 +400,3 @@ func (e *Estimator) GroupMu(ids []int32) (float64, bool) {
 	}
 	return sum / float64(n), true
 }
-
-// SpansLost reports how many trace events wrapped past the estimator's
-// reader (its µ̂ samples degrade gracefully — spans are a sample anyway).
-func (e *Estimator) SpansLost() uint64 {
-	if e.spans == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spans.Lost()
-}

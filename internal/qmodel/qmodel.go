@@ -48,15 +48,6 @@ func (q MM1) MeanQueueLength() float64 {
 	return rho * rho / (1 - rho)
 }
 
-// MeanNumberInSystem returns L = ρ/(1-ρ).
-func (q MM1) MeanNumberInSystem() float64 {
-	rho := q.Rho()
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho)
-}
-
 // MeanWait returns the expected time in system W = 1/(µ-λ) (Little's law).
 func (q MM1) MeanWait() float64 {
 	if q.Mu <= q.Lambda {
@@ -255,22 +246,4 @@ func (n *Network) Solve() (*Prediction, error) {
 		}
 	}
 	return pred, nil
-}
-
-// ProductForm heuristically reports whether per-queue M/M/1 analysis is
-// justified for the network under Jackson's theorem assumptions: it
-// requires the caller's assessment that service times are roughly
-// exponential (scv ≈ 1 per kernel). A squared coefficient of variation far
-// from 1 breaks product form, in which case the flow model plus measurement
-// (the paper's approach) is the right tool.
-func ProductForm(serviceSCVs []float64, tol float64) bool {
-	if tol <= 0 {
-		tol = 0.5
-	}
-	for _, scv := range serviceSCVs {
-		if math.Abs(scv-1) > tol {
-			return false
-		}
-	}
-	return true
 }

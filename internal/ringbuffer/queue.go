@@ -107,6 +107,10 @@ type Queue interface {
 	// other end's next release or publish wakes it through the WakeHooker
 	// hook. Call it from that end's goroutine.
 	Blocked(producer bool) bool
+	// Wait sleeps while Blocked(producer) would hold, as a blocking push or
+	// pop at that end would: the sleep counts as that end's block time.
+	// Call it from that end's goroutine, outside a view of its own.
+	Wait(producer bool)
 	// Telemetry returns the queue's performance counters.
 	Telemetry() *Telemetry
 }

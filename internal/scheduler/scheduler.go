@@ -24,76 +24,19 @@ type Scheduler interface {
 	// Run executes every actor until it stops, then returns the combined
 	// error (nil on clean completion). Run handles actor Init/Finish.
 	Run(actors []*core.Actor) error
+	// Spawn absorbs an actor into the running execution (a graph rewrite):
+	// it runs the actor's lifecycle and folds its error into Run's result,
+	// and fails once Run has completed.
+	Spawn(a *core.Actor) error
 	// Name identifies the scheduler in reports.
 	Name() string
 }
 
-// Spawner is implemented by schedulers that can absorb actors into a
-// running execution — the scheduling half of the graph-rewrite protocol.
-// Spawn runs the actor's full lifecycle (Init, Step loop, Finish) and
-// folds its error into Run's combined result; it fails once Run has
-// completed, since a finished execution cannot adopt new kernels.
-type Spawner interface {
-	Spawn(a *core.Actor) error
-}
-
-// dynSet tracks dynamically-runnable actors for the simpler schedulers:
-// a goroutine per actor, a shared error list, and a completion latch so
-// Run can wait for spawns that arrive while it is already waiting.
-type dynSet struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	errs   []error
-	closed bool
-}
-
-func (d *dynSet) launch(a *core.Actor) error {
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	if d.closed {
-		d.mu.Unlock()
-		return errors.New("scheduler: execution already completed")
-	}
-	d.n++
-	d.mu.Unlock()
-	go func() {
-		err := runActorLifecycle(a, runtime.Gosched)
-		d.mu.Lock()
-		if err != nil {
-			d.errs = append(d.errs, err)
-		}
-		d.n--
-		if d.n == 0 {
-			d.cond.Broadcast()
-		}
-		d.mu.Unlock()
-	}()
-	return nil
-}
-
-// wait blocks until every launched actor (including ones spawned during
-// the wait) has finished, then closes the set against further spawns.
-func (d *dynSet) wait() error {
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	for d.n > 0 {
-		d.cond.Wait()
-	}
-	d.closed = true
-	err := errors.Join(d.errs...)
-	d.mu.Unlock()
-	return err
-}
-
 // runActorLifecycle executes one actor: Init, the Step loop, then Finish.
-// yield is invoked on Stall. Panics inside kernel code are recovered and
-// converted into errors so one faulty kernel cannot crash the process.
-func runActorLifecycle(a *core.Actor, yield func()) (err error) {
+// On Stall it waits where the actor's Lifecycle says, or yields. Kernel
+// panics are recovered and converted into errors so one faulty kernel
+// cannot crash the process.
+func runActorLifecycle(a *core.Actor) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Typed: errors.Is(err, core.ErrKernelPanicked) holds, and an
@@ -121,50 +64,70 @@ func runActorLifecycle(a *core.Actor, yield func()) (err error) {
 		case core.Stop:
 			return nil
 		case core.Stall:
-			yield()
+			if a.Life == nil {
+				runtime.Gosched()
+			} else {
+				a.Life.Await()
+			}
 		}
 	}
 }
 
 // Goroutine runs one goroutine per actor — the Go analogue of the paper's
-// "default OS thread scheduler" choice. It is the runtime's default. The
-// zero value works; NewGoroutine returns one that additionally supports
-// Spawn (actors added mid-run by a graph rewrite).
+// "default OS thread scheduler" choice. It is the runtime's default. Spawn
+// adds actors mid-run (a graph rewrite), and Run waits for those too. Build
+// it with NewGoroutine.
 type Goroutine struct {
-	dyn *dynSet
+	mu     sync.Mutex
+	idle   sync.Cond // broadcast when the last running actor finishes
+	n      int
+	errs   []error
+	closed bool
 }
 
-// NewGoroutine returns a Goroutine scheduler that implements Spawner.
-func NewGoroutine() Goroutine { return Goroutine{dyn: &dynSet{}} }
+// NewGoroutine returns a Goroutine scheduler.
+func NewGoroutine() *Goroutine {
+	g := &Goroutine{}
+	g.idle.L = &g.mu
+	return g
+}
 
 // Name implements Scheduler.
-func (Goroutine) Name() string { return "goroutine-per-kernel" }
+func (*Goroutine) Name() string { return "goroutine-per-kernel" }
 
-// Run implements Scheduler.
-func (g Goroutine) Run(actors []*core.Actor) error {
-	if g.dyn != nil {
-		for _, a := range actors {
-			g.dyn.launch(a)
-		}
-		return g.dyn.wait()
+// Run implements Scheduler: it launches the actors and waits until every
+// actor, spawned ones included, has finished; then it refuses spawns.
+func (g *Goroutine) Run(actors []*core.Actor) error {
+	for _, a := range actors {
+		g.Spawn(a)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(actors))
-	for i, a := range actors {
-		wg.Add(1)
-		go func(i int, a *core.Actor) {
-			defer wg.Done()
-			errs[i] = runActorLifecycle(a, runtime.Gosched)
-		}(i, a)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.n > 0 {
+		g.idle.Wait()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	g.closed = true
+	return errors.Join(g.errs...)
 }
 
-// Spawn implements Spawner on schedulers built with NewGoroutine.
-func (g Goroutine) Spawn(a *core.Actor) error {
-	if g.dyn == nil {
-		return errors.New("scheduler: Goroutine zero value cannot spawn (use NewGoroutine)")
+// Spawn implements Scheduler.
+func (g *Goroutine) Spawn(a *core.Actor) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return errors.New("scheduler: execution already completed")
 	}
-	return g.dyn.launch(a)
+	g.n++
+	go func() {
+		err := runActorLifecycle(a)
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if err != nil {
+			g.errs = append(g.errs, err)
+		}
+		if g.n--; g.n == 0 {
+			g.idle.Broadcast()
+		}
+	}()
+	return nil
 }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,11 +10,12 @@ import (
 	"raftlib/internal/core"
 )
 
-// finishOnly is an actor Lifecycle that is always ready and runs f as its
-// Finish.
+// finishOnly is an actor Lifecycle that is always ready, yields on a Stall
+// and runs f as its Finish.
 type finishOnly func()
 
 func (finishOnly) Ready() bool { return true }
+func (finishOnly) Await()      { runtime.Gosched() }
 func (f finishOnly) Finish()   { f() }
 
 // counterActor runs n steps then stops, tracking lifecycle calls.
@@ -59,11 +61,11 @@ func testSchedulerRunsAll(t *testing.T, s Scheduler) {
 	}
 }
 
-func TestGoroutineRunsAll(t *testing.T) { testSchedulerRunsAll(t, Goroutine{}) }
+func TestGoroutineRunsAll(t *testing.T) { testSchedulerRunsAll(t, NewGoroutine()) }
 
 func TestSchedulerNames(t *testing.T) {
-	if (Goroutine{}).Name() != "goroutine-per-kernel" {
-		t.Fatal((Goroutine{}).Name())
+	if NewGoroutine().Name() != "goroutine-per-kernel" {
+		t.Fatal(NewGoroutine().Name())
 	}
 }
 
@@ -83,7 +85,7 @@ func testPanicRecovered(t *testing.T, s Scheduler) {
 	}
 }
 
-func TestGoroutinePanicRecovered(t *testing.T) { testPanicRecovered(t, Goroutine{}) }
+func TestGoroutinePanicRecovered(t *testing.T) { testPanicRecovered(t, NewGoroutine()) }
 
 func testInitError(t *testing.T, s Scheduler) {
 	t.Helper()
@@ -107,7 +109,7 @@ func testInitError(t *testing.T, s Scheduler) {
 	}
 }
 
-func TestGoroutineInitError(t *testing.T) { testInitError(t, Goroutine{}) }
+func TestGoroutineInitError(t *testing.T) { testInitError(t, NewGoroutine()) }
 
 func testVirtualActorSkipped(t *testing.T, s Scheduler) {
 	t.Helper()
@@ -129,7 +131,7 @@ func testVirtualActorSkipped(t *testing.T, s Scheduler) {
 	}
 }
 
-func TestGoroutineVirtualActor(t *testing.T) { testVirtualActorSkipped(t, Goroutine{}) }
+func TestGoroutineVirtualActor(t *testing.T) { testVirtualActorSkipped(t, NewGoroutine()) }
 
 func testStallThenFinish(t *testing.T, s Scheduler) {
 	t.Helper()
@@ -152,11 +154,11 @@ func testStallThenFinish(t *testing.T, s Scheduler) {
 	}
 }
 
-func TestGoroutineStall(t *testing.T) { testStallThenFinish(t, Goroutine{}) }
+func TestGoroutineStall(t *testing.T) { testStallThenFinish(t, NewGoroutine()) }
 
 func TestServiceTimeRecorded(t *testing.T) {
 	a, _, _ := counterActor("timed", 10)
-	if err := (Goroutine{}).Run([]*core.Actor{a}); err != nil {
+	if err := NewGoroutine().Run([]*core.Actor{a}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Service.Count() != 11 { // 10 Proceeds + final Stop
@@ -168,7 +170,7 @@ func TestServiceTimeRecorded(t *testing.T) {
 }
 
 func TestEmptyActorList(t *testing.T) {
-	if err := (Goroutine{}).Run(nil); err != nil {
+	if err := NewGoroutine().Run(nil); err != nil {
 		t.Fatal(err)
 	}
 }

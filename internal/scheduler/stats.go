@@ -25,22 +25,12 @@ type Stats struct {
 	CrossShardLinks int
 }
 
-// StatsReporter is implemented by schedulers that expose activity counters.
-// SchedStats must be safe to call concurrently with Run (the live-stats
-// streamer and the metrics endpoint poll it mid-flight).
-type StatsReporter interface {
-	SchedStats() Stats
-}
-
 // counters is the shared mutable counter block behind Stats.
 type counters struct {
 	steals, stolen, parks, wakes, rescues atomic.Uint64
 }
 
 func (c *counters) snapshot(into *Stats) {
-	if c == nil {
-		return
-	}
 	into.Steals = c.steals.Load()
 	into.StolenTasks = c.stolen.Load()
 	into.Parks = c.parks.Load()

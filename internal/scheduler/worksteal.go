@@ -91,8 +91,7 @@ type WorkSteal struct {
 	// steal still takes at most half the victim's queue).
 	StealBatch int
 
-	// Counters is the shared stats block (created by NewWorkSteal; Run
-	// creates it lazily for zero-value literals).
+	// Counters is the shared stats block.
 	Counters *counters
 
 	// Engine attachments (optional; plain Run works without them, it just
@@ -111,7 +110,6 @@ type WorkSteal struct {
 
 	// ready is closed once Run has built the deques, letting Spawn and
 	// TakeLink from a rewrite transaction wait out the startup race.
-	// Created by NewWorkSteal; the zero-value literal cannot spawn.
 	ready chan struct{}
 
 	// dynMu guards the dynamic run state: the live task list (watchdog
@@ -130,7 +128,7 @@ type WorkSteal struct {
 }
 
 // NewWorkSteal returns a work-stealing scheduler with the given worker
-// count (0 = GOMAXPROCS).
+// count (0 = GOMAXPROCS). Build every WorkSteal with it.
 func NewWorkSteal(workers int) *WorkSteal {
 	return &WorkSteal{Workers: workers, Counters: &counters{}, ready: make(chan struct{})}
 }
@@ -164,7 +162,8 @@ func (ws *WorkSteal) stealBatch() int {
 	return 8
 }
 
-// SchedStats implements StatsReporter. Safe concurrently with Run.
+// SchedStats snapshots the scheduler's counters. It is safe concurrently
+// with Run: the live-stats streamer and the metrics endpoint poll it.
 func (ws *WorkSteal) SchedStats() Stats {
 	s := Stats{
 		Scheduler:       ws.Name(),
@@ -177,9 +176,6 @@ func (ws *WorkSteal) SchedStats() Stats {
 
 // Run implements Scheduler.
 func (ws *WorkSteal) Run(actors []*core.Actor) error {
-	if ws.Counters == nil {
-		ws.Counters = &counters{}
-	}
 	nw := ws.workers()
 	ws.nw = nw
 	ws.pendCond = sync.NewCond(&ws.dynMu)
@@ -211,9 +207,7 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 		ws.dynMu.Lock()
 		ws.stopped = true
 		ws.dynMu.Unlock()
-		if ws.ready != nil {
-			close(ws.ready)
-		}
+		close(ws.ready)
 		return errors.Join(ws.errs...)
 	}
 
@@ -244,9 +238,7 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	for i := 0; i < nw; i++ {
 		ws.token()
 	}
-	if ws.ready != nil {
-		close(ws.ready) // Spawn/TakeLink may proceed from here
-	}
+	close(ws.ready) // Spawn/TakeLink may proceed from here
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -298,15 +290,12 @@ func (ws *WorkSteal) recordErr(t *wsTask, err error) {
 	ws.errMu.Unlock()
 }
 
-// Spawn implements Spawner: a rewrite transaction hands the running
+// Spawn implements Scheduler: a rewrite transaction hands the running
 // scheduler a freshly-built actor. The task joins a shard deque chosen
 // round-robin (locality for dynamic kernels comes from the wake hooks,
 // not placement) and is woken like any queued task. Blocks until Run has
 // built the deques; fails once the execution has completed.
 func (ws *WorkSteal) Spawn(a *core.Actor) error {
-	if ws.ready == nil {
-		return errors.New("scheduler: WorkSteal zero value cannot spawn (use NewWorkSteal)")
-	}
 	<-ws.ready
 	t := &wsTask{a: a, idx: -1}
 	ws.dynMu.Lock()
@@ -344,18 +333,20 @@ func (ws *WorkSteal) Spawn(a *core.Actor) error {
 }
 
 // TakeLink wires a dynamically-added link's queue into the park/wake
-// protocol, exactly as installHooks does for the initial link table. The
-// hook is detached with the others when Run returns.
+// protocol, exactly as installHooks does for the initial link table, and
+// wakes the link's consumer, which may have taken up the stream before its
+// hook was in place. The hook is detached with the others when Run returns.
 func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
-	if ws.ready == nil {
-		return
-	}
 	<-ws.ready
 	hk := &wsHook{ws: ws}
-	if h := hk.hook(l, ws.findTask(l.SrcActor), ws.findTask(l.DstActor)); h != nil {
+	dst := ws.findTask(l.DstActor)
+	if h := hk.hook(l, ws.findTask(l.SrcActor), dst); h != nil {
 		ws.dynMu.Lock()
 		ws.hooked = append(ws.hooked, h)
 		ws.dynMu.Unlock()
+	}
+	if dst != nil {
+		ws.wake(dst, false)
 	}
 }
 
@@ -719,8 +710,6 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 }
 
 var (
-	_ Scheduler     = (*WorkSteal)(nil)
-	_ StatsReporter = (*WorkSteal)(nil)
-	_ Spawner       = (*WorkSteal)(nil)
-	_ Spawner       = Goroutine{}
+	_ Scheduler = (*WorkSteal)(nil)
+	_ Scheduler = (*Goroutine)(nil)
 )

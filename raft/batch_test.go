@@ -100,10 +100,18 @@ func TestMoveBatchedEquivalence(t *testing.T) {
 		src.Close()
 	}()
 	go func() {
+		// The mover never waits; this loop waits where a scheduler would,
+		// on the end that could not be served.
 		for {
-			if _, err := src.ops.move(src.q, out.q, 16, true); err != nil {
+			n, err := src.ops.move(src.q, out.q, 16)
+			switch {
+			case err != nil:
 				out.Close()
 				return
+			case n == 0 && src.q.Len() == 0:
+				src.q.Wait(false)
+			case n == 0:
+				out.q.Wait(true)
 			}
 		}
 	}()

@@ -566,19 +566,16 @@ func (m *Map) Exe(opts ...Option) (*Report, error) {
 // transactions that add and remove kernels and links under graph epochs
 // while the rest of the application keeps streaming.
 type Execution struct {
-	m      *Map
-	cfg    *Config
-	g      *graph.Graph
-	assign mapper.Assignment
-	rec    *trace.Recorder
-	stride int
-	mon    *monitor.Monitor
-	dw     *monitor.DeadlockWatch
-	est    *qmodel.Estimator
-	sched  interface {
-		scheduler.Scheduler
-		scheduler.Spawner
-	}
+	m       *Map
+	cfg     *Config
+	g       *graph.Graph
+	assign  mapper.Assignment
+	rec     *trace.Recorder
+	stride  int
+	mon     *monitor.Monitor
+	dw      *monitor.DeadlockWatch
+	est     *qmodel.Estimator
+	sched   scheduler.Scheduler
 	ws      *scheduler.WorkSteal
 	scalers []*groupScaler
 	// steps counts the scalers' width steps in flight; Wait waits for
@@ -1097,12 +1094,11 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 
 // Ready is the cooperative-scheduler progress predicate of the entry's
 // kernel (core.Lifecycle), which the work-stealing scheduler asks before
-// every step:
-// every input stream must hold data (or be closed, so the pop returns
-// immediately) and every output stream must have space (or be closed).
-// Kernels that pop several elements per invocation can still block past the
-// gate and capture a work-stealing worker (DESIGN §9), backstopped by
-// WithDeadlockDetection.
+// every step. A replica adapter never waits inside Run, so it is ready
+// unless its last Stall recorded ends of which none can be served yet
+// (canServe). Any other kernel is ready when every input stream holds data
+// (or is closed, so the pop returns immediately) and every output stream
+// has space (or is closed).
 //
 // An open port window answers for its stream: a read window always holds an
 // element the kernel has not popped and a write window a slot it has not
@@ -1110,16 +1106,16 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 // a blocked end as it answers: the predicate returning false is the park,
 // and the other end's next publish or release fires the wake hook.
 func (ae *actorEntry) Ready() bool {
+	if ae.kb.adapter {
+		return ae.kb.canServe()
+	}
 	for _, p := range ae.kb.ins {
 		q := p.q
 		if q == nil || q.WindowPos(false) > 0 {
 			continue
 		}
 		if q.Blocked(false) {
-			if !ae.kb.stagedSlot() {
-				return false
-			}
-			break
+			return false
 		}
 	}
 	for _, p := range ae.kb.outs {
@@ -1134,18 +1130,19 @@ func (ae *actorEntry) Ready() bool {
 	return true
 }
 
-// stagedSlot reports whether a rewrite staged a binding on one of the
-// kernel's unlinked input slots (a merge's). Only a step of the kernel
-// adopts it, and no wake can come from its stream before that, so such a
-// kernel is ready even with an empty linked input (though not with a full
-// output, on which the step would block its worker).
-func (kb *KernelBase) stagedSlot() bool {
-	for _, p := range kb.ins {
-		if p.q == nil && p.pending.Load() != nil {
-			return true
-		}
+// Await is the goroutine scheduler's wait after a Stall (core.Lifecycle).
+// An adapter sleeps on the ends its Stall recorded: one end in its ring's
+// own wait, so the sleep counts as block time there, or every input of a
+// merge until the first publish on any. Any other kernel yields.
+func (ae *actorEntry) Await() {
+	switch ends := ae.kb.waitOn; {
+	case len(ends) == 1:
+		ends[0].q.Wait(ends[0].dir == Out)
+	case len(ends) > 1:
+		ae.k.(*mergeKernel).await()
+	default:
+		runtime.Gosched()
 	}
-	return false
 }
 
 // buildReport assembles the Report from the registry once the run is over:

@@ -58,6 +58,11 @@ type KernelBase struct {
 	name    string
 	weight  float64
 	virtual bool
+	// adapter marks a replica adapter, which never waits inside Run: it
+	// returns Stall with waitOn holding the ends it could not serve, and
+	// the scheduler waits on those (DESIGN §9).
+	adapter bool
+	waitOn  []*Port
 
 	// ins and outs hold the ports in declaration order; inPorts and
 	// outPorts index them by name once there are more than portScanMax
@@ -300,9 +305,9 @@ type elemOps interface {
 	// each call makes the next (capacity as NewRing, growth bound maxCap).
 	rings(n int) func(capacity, maxCap int) ringbuffer.Queue
 	// move transfers up to max elements from one ring to another as one
-	// frame (moveView); block selects whether it waits for the source's
-	// first element; it always waits for room at the destination.
-	move(src, dst ringbuffer.Queue, max int, block bool) (int, error)
+	// frame, as many as the destination has room for, and never waits
+	// (moveView).
+	move(src, dst ringbuffer.Queue, max int) (int, error)
 }
 
 type ringOps[T any] struct{}
@@ -322,8 +327,8 @@ func (ringOps[T]) rings(n int) func(capacity, maxCap int) ringbuffer.Queue {
 	}
 }
 
-func (ringOps[T]) move(src, dst ringbuffer.Queue, max int, block bool) (int, error) {
-	return moveView[T](src, dst, max, block)
+func (ringOps[T]) move(src, dst ringbuffer.Queue, max int) (int, error) {
+	return moveView[T](src, dst, max)
 }
 
 // AddInput declares a new input port carrying elements of type T on the

@@ -31,6 +31,7 @@ type orderedSplit struct {
 
 func newOrderedSplit(ops elemOps, width int) *orderedSplit {
 	s := &orderedSplit{}
+	s.adapter = true
 	s.addPort("in", In, ops)
 	for i := 0; i < width; i++ {
 		s.addPort(slotName(i), Out, ops)
@@ -38,18 +39,22 @@ func newOrderedSplit(ops elemOps, width int) *orderedSplit {
 	return s
 }
 
-// Run implements Kernel. The group's input may be relinked by a rewrite;
-// its positions — the outputs here and the merge's inputs — may not.
+// Run implements Kernel: move one element to the cyclically next output,
+// or return Stall waiting on the input or that output. The group's input
+// may be relinked by a rewrite; its positions — the outputs here and the
+// merge's inputs — may not.
 func (s *orderedSplit) Run() Status {
 	in := s.In("in")
-	out := s.outs[s.rr%len(s.outs)]
-	if _, err := in.ops.move(in.q, out.q, 1, true); err != nil {
-		if in.migrateOnClosed(err) {
-			return Proceed
-		}
+	j := s.rr % len(s.outs)
+	n, err := in.ops.move(in.q, s.outs[j].q, 1)
+	switch {
+	case n > 0:
+		s.rr++
+	case err == nil:
+		return s.stall(s.ins[:1], s.outs[j:j+1])
+	case !in.migrateOnClosed(err):
 		return Stop
 	}
-	s.rr++
 	return Proceed
 }
 
@@ -62,6 +67,7 @@ type orderedMerge struct {
 
 func newOrderedMerge(ops elemOps, width int) *orderedMerge {
 	m := &orderedMerge{}
+	m.adapter = true
 	for i := 0; i < width; i++ {
 		m.addPort(slotName(i), In, ops)
 	}
@@ -69,16 +75,21 @@ func newOrderedMerge(ops elemOps, width int) *orderedMerge {
 	return m
 }
 
-// Run implements Kernel.
+// Run implements Kernel: move one element from the cyclically next input,
+// or return Stall waiting on that input or the output.
 func (m *orderedMerge) Run() Status {
-	in := m.ins[m.rr%len(m.ins)]
-	out := m.Out("out")
-	if _, err := in.ops.move(in.q, out.q, 1, true); err != nil {
+	j := m.rr % len(m.ins)
+	n, err := m.ins[j].ops.move(m.ins[j].q, m.Out("out").q, 1)
+	switch {
+	case n > 0:
+		m.rr++
+	case err == nil:
+		return m.stall(m.ins[j:j+1], m.outs[:1])
+	default:
 		// The cyclically-next input is exhausted: with round-robin
 		// distribution every input at or after this cyclic position holds
 		// no more elements, so the whole group is drained.
 		return Stop
 	}
-	m.rr++
 	return Proceed
 }

@@ -3,7 +3,6 @@ package raft
 import (
 	"time"
 
-	"raftlib/internal/scheduler"
 	"raftlib/internal/stats"
 )
 
@@ -107,11 +106,10 @@ func (ex *Execution) liveRows(svc *[]stats.HistogramSnapshot) ([]KernelReport, [
 // schedReport reads the scheduler's activity counters; nil under the
 // goroutine-per-kernel scheduler, which keeps none.
 func (ex *Execution) schedReport() *SchedReport {
-	sr, ok := ex.sched.(scheduler.StatsReporter)
-	if !ok {
+	if ex.ws == nil {
 		return nil
 	}
-	ss := sr.SchedStats()
+	ss := ex.ws.SchedStats()
 	return &SchedReport{
 		Workers:         ss.Workers,
 		Steals:          ss.Steals,

@@ -147,35 +147,17 @@ func ReleaseWriteView[T any](p *Port, n int) {
 	}
 }
 
-// moveView transfers up to max elements src→dst by borrowing the source's
-// storage: one AcquireView, one PushN per segment (the only copy on the
-// hop), one release. A destination failure mid-hop leaves the undelivered
-// elements in the source queue.
-func moveView[T any](src, dst ringbuffer.Queue, max int, block bool) (n int, err error) {
+// moveView moves up to max elements src→dst, up to the source's wrap point,
+// without waiting: it borrows the source's storage and copies what fits at
+// the destination. Nothing moves when the source is empty or the
+// destination full, and the try that failed has armed that end.
+func moveView[T any](src, dst ringbuffer.Queue, max int) (n int, err error) {
 	sv, db := src.(*ringbuffer.Ring[T]), dst.(*ringbuffer.Ring[T])
-	if max < 1 {
-		max = 1
-	}
-	var v ringbuffer.View[T]
-	if block {
-		v, err = sv.AcquireView(max)
-	} else {
-		v, err = sv.TryAcquireView(max)
-	}
+	v, err := sv.TryAcquireView(max)
 	if v.Len() == 0 {
 		return 0, err
 	}
-	if perr := db.PushN(v.Vals, v.Sigs); perr != nil {
-		sv.ReleaseView(0)
-		return 0, perr
-	}
-	if len(v.Vals2) > 0 {
-		if perr := db.PushN(v.Vals2, v.Sigs2); perr != nil {
-			sv.ReleaseView(len(v.Vals)) // the first segment was delivered
-			return len(v.Vals), perr
-		}
-	}
-	n = v.Len()
+	n, err = db.TryPushN(v.Vals, v.Sigs)
 	sv.ReleaseView(n)
 	return n, err
 }

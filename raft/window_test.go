@@ -554,15 +554,19 @@ func TestWindowAwareLengths(t *testing.T) {
 
 // TestReadyAdoptsStagedMergeSlot: a merge slot that a rewrite linked is
 // adopted only by one of the merge's steps, and its stream cannot wake the
-// merge before that, so a staged binding on an unlinked slot makes the
-// merge ready even while a linked input is empty. Without it a work-stealing
+// merge before that, so a staged binding on an unlinked slot makes a merge
+// that stalled on its empty inputs ready again. Without it a work-stealing
 // scale-up could wait out drainTimeout for the adoption, the merge parked on
-// an input starved by a split blocked on the new replica.
+// an input starved by a split waiting on the new replica.
 func TestReadyAdoptsStagedMergeSlot(t *testing.T) {
-	kb := NewMerge[int64](2).kernelBase()
-	r := ringbuffer.NewRing[int64](4)
-	kb.ins[0].bind(r, &asyncCell{})
-	ready := (&actorEntry{kb: kb}).Ready
+	k := NewMerge[int64](2)
+	kb := k.kernelBase()
+	kb.ins[0].bind(ringbuffer.NewRing[int64](4), &asyncCell{})
+	kb.outs[0].bind(ringbuffer.NewRing[int64](4), &asyncCell{})
+	ready := (&actorEntry{k: k, kb: kb}).Ready
+	if st := k.Run(); st != Stall {
+		t.Fatalf("merge over an empty input returned %v, want stall", st)
+	}
 	if ready() {
 		t.Fatal("ready with its only linked input empty")
 	}
