@@ -113,11 +113,14 @@ ci-test:
 # the resize handover and the park/wake Dekker pair are interleaving-
 # dependent, and repeated runs shake out schedules a single pass misses.
 # Width steps under both schedulers run twenty times: a replica adapter
-# that held a work-stealing worker hung them there.
+# that held a work-stealing worker hung them there. So does the chain whose
+# every park must be woken by a ring hook: a watchdog rescue there is a
+# lost (or grace-late) wake.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
 	$(GO) test -race -count=3 ./internal/ringbuffer/... ./internal/scheduler/...
 	$(GO) test -race -count=20 -run TestScaleStepsAreCommits ./raft/
+	$(GO) test -race -count=20 -run TestWorkStealEveryParkIsWoken ./internal/scheduler/
 
 # Short-budget coverage-guided fuzzing of the ring: the port-window
 # protocol under three goroutines (lock-free commits, parks and wakes, the
@@ -147,7 +150,7 @@ ci-smoke:
 	$(MAKE) bench-hotpath
 
 # Gateway gate: race-test the admission front door (token buckets, the
-# source-kernel handoff, the HTTP/framed servers are all concurrent by
+# source-kernel handoff, the HTTP server are all concurrent by
 # construction), then run the A14 ablation as a seeded smoke — the
 # shed-before-saturation and best-effort bars assert on every run, and
 # the isolation bar enforces on multi-core hosts.

@@ -1,7 +1,7 @@
 // Package gateway implements a multi-tenant ingestion front door for a
-// running streaming graph: an HTTP (and optional length-framed TCP)
-// endpoint that turns POSTed element batches into bulk pushes on a named
-// source port, multiplexing many tenants onto shared pipelines.
+// running streaming graph: an HTTP endpoint that turns POSTed element
+// batches into bulk pushes on a named source port, multiplexing many
+// tenants onto shared pipelines.
 //
 // Admission is two-staged. A per-tenant token bucket enforces the
 // provisioned elements/second quota. Batches within quota then pass
@@ -51,11 +51,6 @@ type Config struct {
 	// knows its address.
 	Addr     string
 	Listener net.Listener
-
-	// FramedAddr / FramedListener optionally serve the length-framed TCP
-	// protocol (see framed.go) alongside HTTP. Disabled when both are zero.
-	FramedAddr     string
-	FramedListener net.Listener
 
 	// OccShed sheds a batch when the target queue is at or above this
 	// occupancy fraction (default 0.75). The margin below full is what
@@ -110,13 +105,11 @@ type Binding struct {
 	// Decode parses one payload into an engine-typed batch and reports the
 	// element count the quota charges for.
 	Decode func(payload []byte) (batch any, n int, err error)
-	// Push delivers a decoded batch to the source port, blocking until the
-	// batch is in the stream's FIFO (or the intake is closed).
-	Push func(batch any) error
-	// PushTenant, when set, is preferred over Push and additionally
-	// receives the admitting tenant's name, so the source can attribute
-	// latency provenance (sampled markers) to the tenant. Optional.
-	PushTenant func(tenant string, batch any) error
+	// Push delivers a decoded batch, admitted for the named tenant, to the
+	// source port, blocking until the batch is in the stream's FIFO (or the
+	// intake is closed). The tenant lets the source attribute latency
+	// provenance (sampled markers) to the sender.
+	Push func(tenant string, batch any) error
 	// CloseIntake ends the source's stream: buffered batches still drain,
 	// then EOF propagates downstream.
 	CloseIntake func()
@@ -182,15 +175,13 @@ func (b *binding) recycle(batch any) {
 // (directly or through raft.BindSource), and hand it to raft.WithGateway;
 // Exe wires, starts and stops it around the run.
 type Server struct {
-	cfg      Config
-	httpLn   net.Listener
-	framedLn net.Listener
-	httpSrv  *http.Server
+	cfg    Config
+	httpLn net.Listener
 
 	mu       sync.Mutex
+	httpSrv  *http.Server // set by Start
 	bindings map[string]*binding
 	tenants  map[string]*tenantState
-	started  bool
 	stopped  bool
 
 	rec        *trace.Recorder
@@ -208,7 +199,7 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// New builds a Server and binds its listeners eagerly, so Addr is valid
+// New builds a Server and binds its listener eagerly, so Addr is valid
 // (and can be advertised) before the graph runs.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
@@ -230,29 +221,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.httpLn = ln
 	}
-	s.framedLn = cfg.FramedListener
-	if s.framedLn == nil && cfg.FramedAddr != "" {
-		ln, err := net.Listen("tcp", cfg.FramedAddr)
-		if err != nil {
-			s.httpLn.Close()
-			return nil, fmt.Errorf("gateway: listen framed %s: %w", cfg.FramedAddr, err)
-		}
-		s.framedLn = ln
-	}
 	return s, nil
 }
 
 // Addr returns the HTTP listen address.
 func (s *Server) Addr() string { return s.httpLn.Addr().String() }
-
-// FramedAddr returns the framed-protocol listen address, or "" when the
-// framed listener is disabled.
-func (s *Server) FramedAddr() string {
-	if s.framedLn == nil {
-		return ""
-	}
-	return s.framedLn.Addr().String()
-}
 
 // Register adds a source binding. Duplicate names are an error.
 func (s *Server) Register(b Binding) error {
@@ -329,38 +302,27 @@ func (s *Server) SetTrace(rec *trace.Recorder, actor int32) {
 	s.mu.Unlock()
 }
 
-// Start serves HTTP (and the framed protocol, when configured) on the
-// listeners bound at New.
+// Start serves HTTP on the listener bound at New.
 func (s *Server) Start() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return ErrStopped
 	}
-	if s.started {
-		s.mu.Unlock()
+	if s.httpSrv != nil {
 		return nil
 	}
-	s.started = true
-	s.mu.Unlock()
-
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler()}
+	s.httpSrv = srv
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.httpSrv.Serve(s.httpLn)
+		srv.Serve(s.httpLn)
 	}()
-	if s.framedLn != nil {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveFramed(s.framedLn)
-		}()
-	}
 	return nil
 }
 
-// Stop closes the listeners and in-flight connections and waits for the
+// Stop closes the listener and in-flight connections and waits for the
 // serving goroutines. Idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
@@ -369,22 +331,15 @@ func (s *Server) Stop() {
 		return
 	}
 	s.stopped = true
-	started := s.started
+	srv := s.httpSrv
 	s.mu.Unlock()
 
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
-	} else {
+	if srv == nil {
 		s.httpLn.Close()
+		return
 	}
-	if s.framedLn != nil {
-		s.framedLn.Close()
-	}
-	if started {
-		s.wg.Wait()
-	} else {
-		s.httpLn.Close()
-	}
+	srv.Close()
+	s.wg.Wait()
 }
 
 // tenant returns (creating on first sight) the named tenant's state.
@@ -413,8 +368,8 @@ func (s *Server) binding(name string) *binding {
 	return s.bindings[name]
 }
 
-// code classifies one ingest outcome, shared by the HTTP and framed
-// front ends.
+// code classifies one ingest outcome; the HTTP front end maps it to a
+// status.
 type code uint8
 
 const (
@@ -463,29 +418,23 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 		return ingestResult{code: badPayload, msg: err.Error()}
 	}
 	t := s.tenant(tenantName)
-	if ok, wait := t.bucket.take(float64(n), time.Now()); !ok {
-		t.shedQuota.Add(1)
+	shed := func(c code, counter *atomic.Uint64, wait time.Duration, msg string) ingestResult {
+		counter.Add(1)
 		b.recycle(batch)
 		retry := s.clampRetry(wait)
-		s.emitShed(t.name, sourceName, retry)
-		return ingestResult{code: shedQuota, n: n, retry: retry, msg: "tenant quota exceeded"}
+		s.emit(trace.Shed, t.name, sourceName, retry.Milliseconds())
+		return ingestResult{code: c, n: n, retry: retry, msg: msg}
 	}
-	if shed, wait, why := s.modelShed(b); shed {
+	if ok, wait := t.bucket.take(float64(n), time.Now()); !ok {
+		return shed(shedQuota, &t.shedQuota, wait, "tenant quota exceeded")
+	}
+	if over, wait, why := s.modelShed(b); over {
 		// The tokens were provisioned capacity the tenant did not get to
 		// use; give them back so a model shed never double-charges.
 		t.bucket.refund(float64(n))
-		t.shedModel.Add(1)
-		b.recycle(batch)
-		retry := s.clampRetry(wait)
-		s.emitShed(t.name, sourceName, retry)
-		return ingestResult{code: shedModel, n: n, retry: retry, msg: "pipeline saturated: " + why}
+		return shed(shedModel, &t.shedModel, wait, "pipeline saturated: "+why)
 	}
-	push := b.Push
-	if b.PushTenant != nil {
-		tn := t.name
-		push = func(batch any) error { return b.PushTenant(tn, batch) }
-	}
-	if err := push(batch); err != nil {
+	if err := b.Push(t.name, batch); err != nil {
 		t.bucket.refund(float64(n))
 		b.recycle(batch)
 		return ingestResult{code: closed, msg: err.Error()}
@@ -493,7 +442,7 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 	t.admittedBatches.Add(1)
 	t.admittedElems.Add(uint64(n))
 	b.admittedElems.Add(uint64(n))
-	s.emitAdmit(t.name, sourceName, n)
+	s.emit(trace.Admit, t.name, sourceName, int64(n))
 	return ingestResult{code: accepted, n: n}
 }
 
@@ -567,14 +516,6 @@ func (s *Server) clampRetry(wait time.Duration) time.Duration {
 		wait = time.Second
 	}
 	return wait
-}
-
-func (s *Server) emitAdmit(tenant, source string, n int) {
-	s.emit(trace.Admit, tenant, source, int64(n))
-}
-
-func (s *Server) emitShed(tenant, source string, retry time.Duration) {
-	s.emit(trace.Shed, tenant, source, retry.Milliseconds())
 }
 
 func (s *Server) emit(kind trace.Kind, tenant, source string, arg int64) {

@@ -2,12 +2,9 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,15 +67,15 @@ func TestBucketRefund(t *testing.T) {
 }
 
 // newTestServer builds an unstarted Server with one wired source feeding
-// the returned sink slice.
-func newTestServer(t *testing.T, cfg Config, w Wiring) (*Server, *[][]byte) {
+// the returned sink slice, one "tenant/element" entry per element.
+func newTestServer(t *testing.T, cfg Config, w Wiring) (*Server, *[]string) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Stop)
-	var sink [][]byte
+	var sink []string
 	err = srv.Register(Binding{
 		Name: "words",
 		Decode: func(p []byte) (any, int, error) {
@@ -88,8 +85,10 @@ func newTestServer(t *testing.T, cfg Config, w Wiring) (*Server, *[][]byte) {
 			lines := bytes.Split(p, []byte("\n"))
 			return lines, len(lines), nil
 		},
-		Push: func(batch any) error {
-			sink = append(sink, batch.([][]byte)...)
+		Push: func(tenant string, batch any) error {
+			for _, e := range batch.([][]byte) {
+				sink = append(sink, tenant+"/"+string(e))
+			}
 			return nil
 		},
 		CloseIntake: func() {},
@@ -156,12 +155,17 @@ func TestHTTPIngestAccepted(t *testing.T) {
 	if resp["admitted"] != 3 {
 		t.Fatalf("admitted = %d, want 3", resp["admitted"])
 	}
-	if len(*sink) != 3 {
-		t.Fatalf("sink got %d elements, want 3", len(*sink))
+	if got := strings.Join(*sink, ","); got != "alice/a,alice/b,alice/c" {
+		t.Fatalf("sink got %q, want alice's three elements", got)
 	}
 	st := srv.Stats()
 	if len(st.Tenants) != 1 || st.Tenants[0].Name != "alice" || st.Tenants[0].AdmittedElems != 3 {
 		t.Fatalf("stats = %+v", st.Tenants)
+	}
+	// A request without a tenant header is pushed for the default tenant.
+	post(t, srv.Handler(), "/v1/ingest/words", "", "d")
+	if got := (*sink)[len(*sink)-1]; got != "default/d" {
+		t.Fatalf("untenanted element pushed as %q, want default/d", got)
 	}
 }
 
@@ -181,7 +185,7 @@ func TestHTTPUnwiredSource(t *testing.T) {
 	srv.Register(Binding{
 		Name:   "cold",
 		Decode: func(p []byte) (any, int, error) { return p, 1, nil },
-		Push:   func(any) error { return nil },
+		Push:   func(string, any) error { return nil },
 	})
 	if rw := post(t, srv.Handler(), "/v1/ingest/cold", "", "x"); rw.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 before Exe wires the source", rw.Code)
@@ -295,7 +299,7 @@ func TestHTTPCloseIntake(t *testing.T) {
 	srv.Register(Binding{
 		Name:        "words",
 		Decode:      func(p []byte) (any, int, error) { return p, 1, nil },
-		Push:        func(any) error { return nil },
+		Push:        func(string, any) error { return nil },
 		CloseIntake: func() { closedCh = true },
 	})
 	req := httptest.NewRequest("POST", "/v1/sources/words/close", nil)
@@ -347,92 +351,6 @@ func TestModelShedRefundsQuota(t *testing.T) {
 	if rw := post(t, h, "/v1/ingest/words", "alice", "a"); rw.Code != http.StatusAccepted {
 		t.Fatalf("after drain: %d (model shed consumed the quota token)", rw.Code)
 	}
-}
-
-func TestFramedRoundtrip(t *testing.T) {
-	srv, err := New(Config{FramedAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	var got int
-	srv.Register(Binding{
-		Name: "words",
-		Decode: func(p []byte) (any, int, error) {
-			return p, len(bytes.Split(p, []byte("\n"))), nil
-		},
-		Push: func(batch any) error {
-			got += len(bytes.Split(batch.([]byte), []byte("\n")))
-			return nil
-		},
-	})
-	srv.Wire("words", idleWiring())
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	conn, err := net.Dial("tcp", srv.FramedAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	status, value, _ := framedSend(t, conn, "words", "alice", "a\nb\nc")
-	if status != FrameAccepted || value != 3 {
-		t.Fatalf("frame response = %d/%d, want accepted/3", status, value)
-	}
-	if got != 3 {
-		t.Fatalf("source got %d elements", got)
-	}
-	// Unknown source answers FrameError.
-	status, _, msg := framedSend(t, conn, "ghost", "", "x")
-	if status != FrameError || !strings.Contains(msg, "ghost") {
-		t.Fatalf("unknown source: status %d msg %q", status, msg)
-	}
-}
-
-func TestFramedShedCarriesRetry(t *testing.T) {
-	w := idleWiring()
-	w.Queue = func() (int, int) { return 64, 64 }
-	srv, _ := newTestServer(t, Config{FramedAddr: "127.0.0.1:0"}, w)
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", srv.FramedAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	status, retry, _ := framedSend(t, conn, "words", "alice", "a")
-	if status != FrameShed || retry < 1 {
-		t.Fatalf("shed frame = %d/%d, want shed with positive retry", status, retry)
-	}
-}
-
-// framedSend writes one request frame and reads one response frame.
-func framedSend(t *testing.T, conn net.Conn, source, tenant, payload string) (status uint8, value uint32, msg string) {
-	t.Helper()
-	body := make([]byte, 0, 2+len(source)+len(tenant)+len(payload))
-	body = append(body, byte(len(source)))
-	body = append(body, source...)
-	body = append(body, byte(len(tenant)))
-	body = append(body, tenant...)
-	body = append(body, payload...)
-	frame := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	frame = append(frame, body...)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	resp := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-	if _, err := io.ReadFull(conn, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp[0], binary.BigEndian.Uint32(resp[1:5]), string(resp[5:])
 }
 
 // TestStatsJSONKeys pins the /v1/stats encoding: every key, and a tenant's

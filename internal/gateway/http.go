@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // TenantHeader names the request header carrying the tenant identity.
@@ -48,12 +49,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case accepted:
 		writeAdmitted(w, res.n)
 	case shedQuota, shedModel:
-		// ceil to whole seconds: a zero Retry-After reads as "retry now",
-		// which defeats the point of shedding.
-		secs := int64((res.retry + 999999999) / 1000000000)
-		if secs < 1 {
-			secs = 1
-		}
+		// Whole seconds, rounded up; clampRetry keeps res.retry >= 1s, since
+		// a zero Retry-After reads as "retry now".
+		secs := int64((res.retry + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		writeJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":       res.msg,

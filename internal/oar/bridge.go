@@ -305,9 +305,10 @@ type Sender[T any] struct {
 	// frames to the connection itself.
 	mkEnc func(conn net.Conn) io.Writer
 
-	mu   sync.Mutex // guards conn, w, hdr, iov, iovs
-	conn net.Conn
-	w    io.Writer
+	mu     sync.Mutex // guards conn, w, ackEnd, hdr, iov, iovs
+	conn   net.Conn
+	w      io.Writer
+	ackEnd chan struct{} // closed when conn's ack reader returns
 	// hdr and iov are the persistent frame header and write vector: one
 	// writev per frame, with nothing boxed or allocated per frame.
 	hdr  [frameHdrLen]byte
@@ -332,6 +333,7 @@ type Sender[T any] struct {
 	nextSeq uint64
 	buffer  []sentFrame // unacknowledged frames, ascending seq
 	acked   atomic.Uint64
+	acks    chan struct{} // a token per ack read, for finish (capacity 1)
 
 	// stageMarks holds the encoded marker sidecar for the borrow currently
 	// being staged; the first frame staged after a pop consumes it.
@@ -356,7 +358,7 @@ type Sender[T any] struct {
 // NewSender returns a bridge sender that will dial the receiver node at
 // addr and feed the named stream.
 func NewSender[T any](addr, stream string, opts ...BridgeOption) *Sender[T] {
-	k := &Sender[T]{addr: addr, stream: stream, opt: defaultBridgeOpts(), stop: make(chan struct{})}
+	k := &Sender[T]{addr: addr, stream: stream, opt: defaultBridgeOpts(), stop: make(chan struct{}), acks: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(&k.opt)
 	}
@@ -394,16 +396,19 @@ func (s *Sender[T]) connect(dialTimeout time.Duration) error {
 	if s.mkEnc != nil {
 		w = s.mkEnc(conn)
 	}
+	end := make(chan struct{})
 	s.mu.Lock()
-	s.conn, s.w = conn, w
+	s.conn, s.w, s.ackEnd = conn, w, end
 	s.mu.Unlock()
 	// Acks ride the same connection receiver->sender, always uncompressed.
-	go s.ackLoop(conn)
+	go s.ackLoop(conn, end)
 	return nil
 }
 
-// ackLoop drains acknowledgments from one connection until it dies.
-func (s *Sender[T]) ackLoop(conn net.Conn) {
+// ackLoop drains acknowledgments from one connection until it dies, then
+// closes end. Each ack leaves a token in acks.
+func (s *Sender[T]) ackLoop(conn net.Conn, end chan struct{}) {
+	defer close(end)
 	var b [8]byte
 	for {
 		if _, err := io.ReadFull(conn, b[:]); err != nil {
@@ -415,6 +420,10 @@ func (s *Sender[T]) ackLoop(conn net.Conn) {
 			if seq <= cur || s.acked.CompareAndSwap(cur, seq) {
 				break
 			}
+		}
+		select {
+		case s.acks <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -802,9 +811,10 @@ func (s *Sender[T]) giveUp(err error) raft.Status {
 	return raft.Stop
 }
 
-// finish sequences and transmits the EOF frame, then waits briefly for the
-// final acknowledgment so frames replayed during a late outage are not
-// abandoned in a dying connection.
+// finish sequences and transmits the EOF frame, then waits for the final
+// acknowledgment so frames replayed during a late outage are not abandoned
+// in a dying connection — until the connection ends (a receiver that
+// stopped early closes it) or the peer timeout passes.
 func (s *Sender[T]) finish() raft.Status {
 	if s.gaveUp || !s.started {
 		return raft.Stop
@@ -812,9 +822,19 @@ func (s *Sender[T]) finish() raft.Status {
 	if err := s.transmit(s.stageEOF()); err != nil {
 		return s.giveUp(err)
 	}
-	deadline := time.Now().Add(s.opt.peerTimeout)
-	for s.acked.Load() < s.nextSeq && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	s.mu.Lock()
+	end := s.ackEnd
+	s.mu.Unlock()
+	deadline := time.NewTimer(s.opt.peerTimeout)
+	defer deadline.Stop()
+	for s.acked.Load() < s.nextSeq {
+		select {
+		case <-s.acks:
+		case <-end:
+			return raft.Stop
+		case <-deadline.C:
+			return raft.Stop
+		}
 	}
 	return raft.Stop
 }
@@ -829,9 +849,13 @@ func (s *Sender[T]) stageEOF() uint64 {
 // Finalize implements raft.Finalizer by stopping the heartbeat and closing
 // the connection.
 func (s *Sender[T]) Finalize() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.halt()
 	s.dropConn()
 }
+
+// halt stops the heartbeat and ends any reconnect: from now on an outage
+// is permanent.
+func (s *Sender[T]) halt() { s.stopOnce.Do(func() { close(s.stop) }) }
 
 // BridgeStats implements raft.BridgeReporter.
 func (s *Sender[T]) BridgeStats() (raft.BridgeReport, bool) {

@@ -123,11 +123,15 @@ func remoteStage[T, U any](local *Node, addr, stage string, args map[string]stri
 		return nil, nil, fmt.Errorf("oar: stage %q on %s: %w", stage, addr, err)
 	}
 	in := resp[keyStream]
+	send := NewSender[T](addr, in, opts...)
 	recv.verdict = func() (err error) {
 		if _, err = Call(addr, stageService+stage, map[string]string{keyResult: in}); err != nil {
 			err = fmt.Errorf("oar: stage %q on %s failed: %w", stage, addr, err)
+			// The failed stage reads no more input: stop the sender, whose
+			// reconnects would otherwise wait out the peer's MaxDowntime.
+			send.halt()
 		}
 		return err
 	}
-	return NewSender[T](addr, in, opts...), recv, nil
+	return send, recv, nil
 }

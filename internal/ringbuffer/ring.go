@@ -403,13 +403,15 @@ func (r *Ring[T]) exit() {
 	}
 }
 
+// attendLocked wakes a consumer that found the ring empty; its bit comes
+// down after the hook (WakePending).
 func (r *Ring[T]) attendLocked() {
 	if r.rattn.Load()&attnReader != 0 {
-		clearBits(&r.rattn, attnReader)
 		r.wait.Broadcast()
 		if r.wake != nil {
 			r.wake.OnWake(WakeNotEmpty)
 		}
+		clearBits(&r.rattn, attnReader)
 	}
 	r.applyDeferredLocked()
 }
@@ -519,6 +521,17 @@ func (r *Ring[T]) Blocked(producer bool) bool {
 		return r.free(r.live.Load(), r.tail.Load(), 1) == 0 && !r.bestEffort.Load() && r.armFull()
 	}
 	return r.buffered() == 0 && r.armEmpty(false)
+}
+
+// WakePending implements WakeHooker: the end's bit is still up (it comes
+// down after the hook) over data or space. A stale bit, of an end that
+// armed and then found data or space, reads as pending until the other
+// end's next transition.
+func (r *Ring[T]) WakePending(producer bool) bool {
+	if producer {
+		return r.wattn.Load()&attnWriter != 0 && r.Len() < r.Cap()
+	}
+	return r.rattn.Load()&attnReader != 0 && r.buffered() > 0
 }
 
 // Wait implements Queue.
@@ -647,11 +660,11 @@ func (r *Ring[T]) drop(st *store[T], h uint64, n int, locked bool) {
 			defer r.mu.Unlock()
 		}
 		if r.wattn.Load() != 0 {
-			clearBits(&r.wattn, attnWriter)
 			r.wait.Broadcast()
 			if r.wake != nil {
 				r.wake.OnWake(WakeNotFull)
 			}
+			clearBits(&r.wattn, attnWriter)
 		}
 	}
 }

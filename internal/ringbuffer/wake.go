@@ -48,8 +48,11 @@ func (w Wake) String() string {
 // in-flight operations beyond the queue's own ordering: install before the
 // endpoints start (or accept that a transition during the install race may
 // be missed — the watchdog covers that too).
+// WakePending reports whether a wake for an armed end is under way: the
+// other end made its transition and the hook has yet to return.
 type WakeHooker interface {
 	SetWakeHook(WakeHook)
+	WakePending(producer bool) bool
 }
 
 // WakeHook receives a queue's readiness transitions. It is an interface, not

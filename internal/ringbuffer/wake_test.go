@@ -140,3 +140,28 @@ func mustPush(t *testing.T, r *Ring[int], v int) {
 		t.Fatal(err)
 	}
 }
+
+// TestRingWakePending: an armed end's wake reads as pending from the other
+// end's publish or release until the hook has returned, and at no other
+// time.
+func TestRingWakePending(t *testing.T) {
+	r := NewRing[int](1)
+	var during []bool
+	r.SetWakeHook(WakeFunc(func(w Wake) { during = append(during, r.WakePending(w == WakeNotFull)) }))
+	if !r.Blocked(false) || r.WakePending(false) {
+		t.Fatal("an armed consumer of an empty ring reads as woken")
+	}
+	mustPush(t, r, 1)
+	if !r.Blocked(true) || r.WakePending(false) || r.WakePending(true) {
+		t.Fatal("a wake reads as pending after its hook returned, or before the release")
+	}
+	if _, _, err := r.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	if r.WakePending(true) {
+		t.Fatal("the producer's wake reads as pending after its hook returned")
+	}
+	if len(during) != 2 || !during[0] || !during[1] {
+		t.Fatalf("pending inside the hooks = %v, want [true true]", during)
+	}
+}

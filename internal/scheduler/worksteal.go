@@ -19,7 +19,8 @@ import (
 // iff its state is wsQueued; the transitions are CAS-only so a wake racing
 // a park can never lose the kernel:
 //
-//	Parked --wake/rescue--> Queued --worker pop--> Running
+//	Parked --wake--> Queued --worker pop--> Running
+//	Parked --watchdog claim--> Running --ready--> Queued (a rescue)
 //	Running --stall, CAS ok--> Parked
 //	Running --hook fires mid-step--> RunningWake --park attempt--> Queued
 //	Running --Stop/panic--> Done
@@ -41,14 +42,9 @@ const (
 
 // wsTask is one kernel's scheduling handle.
 type wsTask struct {
-	a    *core.Actor
-	idx  int // index into Run's actors slice (error slot)
-	home int // shard whose deque wakes re-enqueue to
-	// hooked records whether at least one of the kernel's links carries a
-	// wake hook; hook-less stallers rely on the watchdog alone and get the
-	// short rescue grace. Atomic: dynamic link wiring flips it while the
-	// watchdog reads.
-	hooked   atomic.Bool
+	a        *core.Actor
+	idx      int // index into Run's actors slice (error slot)
+	home     int // shard whose deque wakes re-enqueue to
 	state    atomic.Int32
 	parkedAt atomic.Uint64 // watchdog tick count at the park (grace base)
 }
@@ -61,16 +57,12 @@ const (
 	// sweeps when no wake token arrives (pure backstop; tokens are the
 	// fast path).
 	wsIdleRecheck = 2 * time.Millisecond
-	// wsWatchdogTick is the rescue scan period. A parked task is rescued
-	// by the first scan that counts more than its grace of whole ticks
-	// since its park: after at least grace ticks, within grace+1.
-	// wsGraceBare (>= 1 ms) is for kernels with no hooked links (their
-	// stalls have no wake source, so the watchdog IS their scheduler),
-	// wsGraceHooked (>= 10 ms) for kernels whose links carry hooks (rescue
-	// only covers non-queue stall reasons).
+	// wsWatchdogTick is the rescue scan period. A parked task is looked at
+	// by the first scan more than wsGrace whole ticks after its stamp
+	// (5–10 ms); a wake under way is waited for up to wsLate ticks (1 s).
 	wsWatchdogTick = 5 * time.Millisecond
-	wsGraceBare    = 1
-	wsGraceHooked  = 2
+	wsGrace        = 1
+	wsLate         = 200
 	// wsTraceSample emits every Nth park/wake to the trace bus (steals are
 	// always emitted; parks and wakes are the hot path).
 	wsTraceSample = 64
@@ -115,13 +107,13 @@ type WorkSteal struct {
 	// dynMu guards the dynamic run state: the live task list (watchdog
 	// scan set, extended by Spawn), the unfinished-task count standing in
 	// for a WaitGroup (Add racing Wait-at-zero is illegal on WaitGroup),
-	// and the hooked-queue list Run detaches on the way out.
+	// and the installed hooks (Run detaches them on the way out).
 	dynMu    sync.Mutex
 	pendCond *sync.Cond
 	pendingN int
 	stopped  bool
 	tasks    []*wsTask
-	hooked   []ringbuffer.WakeHooker
+	hooks    []*wsHook
 
 	errMu sync.Mutex
 	errs  []error
@@ -212,13 +204,13 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	}
 
 	ws.placement(live, nw)
-	ws.hooked = append(ws.hooked, ws.installHooks(live)...)
+	ws.hooks = append(ws.hooks, ws.installHooks(live)...)
 	defer func() {
 		ws.dynMu.Lock()
-		hooked := ws.hooked
+		hooks := ws.hooks
 		ws.dynMu.Unlock()
-		for _, h := range hooked {
-			h.SetWakeHook(nil)
+		for _, h := range hooks {
+			h.q.SetWakeHook(nil)
 		}
 	}()
 
@@ -340,13 +332,13 @@ func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
 	<-ws.ready
 	hk := &wsHook{ws: ws}
 	dst := ws.findTask(l.DstActor)
-	if h := hk.hook(l, ws.findTask(l.SrcActor), dst); h != nil {
+	if hk.hook(l, ws.findTask(l.SrcActor), dst) {
 		ws.dynMu.Lock()
-		ws.hooked = append(ws.hooked, h)
+		ws.hooks = append(ws.hooks, hk)
 		ws.dynMu.Unlock()
 	}
 	if dst != nil {
-		ws.wake(dst, false)
+		ws.wake(dst)
 	}
 }
 
@@ -357,24 +349,19 @@ func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
 type wsHook struct {
 	ws       *WorkSteal
 	src, dst *wsTask
+	q        ringbuffer.WakeHooker
 }
 
-// hook installs h on l's queue with the given end tasks and returns the
-// queue, or nil when the queue takes no hooks or neither end is a task.
-func (h *wsHook) hook(l *core.LinkInfo, src, dst *wsTask) ringbuffer.WakeHooker {
+// hook installs h on l's queue with the given end tasks, or reports false
+// when the queue takes no hooks or neither end is a task.
+func (h *wsHook) hook(l *core.LinkInfo, src, dst *wsTask) bool {
 	q, ok := l.Queue.(ringbuffer.WakeHooker)
 	if !ok || src == nil && dst == nil {
-		return nil
+		return false
 	}
-	if src != nil {
-		src.hooked.Store(true)
-	}
-	if dst != nil {
-		dst.hooked.Store(true)
-	}
-	h.src, h.dst = src, dst
+	h.src, h.dst, h.q = src, dst, q
 	q.SetWakeHook(h)
-	return q
+	return true
 }
 
 // OnWake implements ringbuffer.WakeHook. Hook contract: no blocking, no
@@ -382,10 +369,10 @@ func (h *wsHook) hook(l *core.LinkInfo, src, dst *wsTask) ringbuffer.WakeHooker 
 // only.
 func (h *wsHook) OnWake(w ringbuffer.Wake) {
 	if h.src != nil && w != ringbuffer.WakeNotEmpty {
-		h.ws.wake(h.src, false)
+		h.ws.wake(h.src)
 	}
 	if h.dst != nil && w != ringbuffer.WakeNotFull {
-		h.ws.wake(h.dst, false)
+		h.ws.wake(h.dst)
 	}
 }
 
@@ -477,19 +464,31 @@ func taskFor(byID []*wsTask, id int) *wsTask {
 }
 
 // installHooks wires every hook-capable link queue to the park/wake
-// protocol (wsHook). Returns the hooked queues so Run can detach them on
+// protocol (wsHook). Returns the installed hooks, which Run detaches on
 // the way out.
-func (ws *WorkSteal) installHooks(tasks []*wsTask) []ringbuffer.WakeHooker {
+func (ws *WorkSteal) installHooks(tasks []*wsTask) []*wsHook {
 	byID := ws.tasksByID(tasks)
-	hooks := make([]wsHook, len(ws.links))
-	hooked := make([]ringbuffer.WakeHooker, 0, len(ws.links))
+	slab := make([]wsHook, len(ws.links))
+	hooks := make([]*wsHook, 0, len(ws.links))
 	for i, l := range ws.links {
-		hooks[i].ws = ws
-		if h := hooks[i].hook(l, taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)); h != nil {
-			hooked = append(hooked, h)
+		h := &slab[i]
+		h.ws = ws
+		if h.hook(l, taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)) {
+			hooks = append(hooks, h)
 		}
 	}
-	return hooked
+	return hooks
+}
+
+// wakeUnderWay reports whether a hooked ring at one of t's ends has a wake
+// for t under way.
+func wakeUnderWay(hooks []*wsHook, t *wsTask) bool {
+	for _, h := range hooks {
+		if h.dst == t && h.q.WakePending(false) || h.src == t && h.q.WakePending(true) {
+			return true
+		}
+	}
+	return false
 }
 
 // token nudges one idle worker awake. The channel holds Workers tokens, so
@@ -502,31 +501,16 @@ func (ws *WorkSteal) token() {
 	}
 }
 
-// wake transitions a task toward Queued in response to a link transition
-// (rescue=false) or a watchdog rescue (rescue=true). Safe from any
-// goroutine, including under a ring's internal lock.
-func (ws *WorkSteal) wake(t *wsTask, rescue bool) {
+// wake transitions a task toward Queued in response to a link transition.
+// Safe from any goroutine, including under a ring's internal lock.
+func (ws *WorkSteal) wake(t *wsTask) {
 	for {
 		switch t.state.Load() {
 		case wsParked:
 			if !t.state.CompareAndSwap(wsParked, wsQueued) {
 				continue // raced another waker; re-inspect
 			}
-			var n uint64
-			if rescue {
-				n = ws.Counters.rescues.Add(1)
-			} else {
-				n = ws.Counters.wakes.Add(1)
-			}
-			ws.deques[t.home].pushBottom(t)
-			ws.token()
-			if ws.tr != nil && n%wsTraceSample == 1 {
-				arg := int64(0)
-				if rescue {
-					arg = 1
-				}
-				ws.tr.Emit(trace.Event{Actor: int32(t.a.ID), Kind: trace.Wake, At: time.Now().UnixNano(), Arg: arg})
-			}
+			ws.enqueue(t, false)
 			return
 		case wsRunning:
 			// Mid-step: leave a wake mark so the park attempt requeues.
@@ -539,29 +523,52 @@ func (ws *WorkSteal) wake(t *wsTask, rescue bool) {
 	}
 }
 
+// enqueue pushes a task in state Queued onto its home shard, counted as a
+// wake or a rescue.
+func (ws *WorkSteal) enqueue(t *wsTask, rescue bool) {
+	var n uint64
+	var arg int64 // the trace event's rescue flag
+	if rescue {
+		n, arg = ws.Counters.rescues.Add(1), 1
+	} else {
+		n = ws.Counters.wakes.Add(1)
+	}
+	ws.deques[t.home].pushBottom(t)
+	ws.token()
+	if ws.tr != nil && n%wsTraceSample == 1 {
+		ws.tr.Emit(trace.Event{Actor: int32(t.a.ID), Kind: trace.Wake, At: time.Now().UnixNano(), Arg: arg})
+	}
+}
+
 // park is the worker-side half of the protocol, called after a Stall or a
-// failed readiness gate. parkedAt is stamped before the CAS so the
-// watchdog never sees a fresh park with a stale stamp.
+// failed readiness gate.
 func (ws *WorkSteal) park(t *wsTask, shard int) {
-	t.parkedAt.Store(ws.ticks.Load())
-	if t.state.CompareAndSwap(wsRunning, wsParked) {
-		n := ws.Counters.parks.Add(1)
-		if ws.tr != nil && n%wsTraceSample == 1 {
-			ws.tr.Emit(trace.Event{Actor: int32(t.a.ID), Kind: trace.Park, At: time.Now().UnixNano(), Prev: int64(shard)})
-		}
+	if !ws.settle(t, shard, ws.ticks.Load()) {
 		return
 	}
-	// A wake fired mid-step (state is RunningWake): the stall is already
-	// stale, requeue immediately.
+	n := ws.Counters.parks.Add(1)
+	if ws.tr != nil && n%wsTraceSample == 1 {
+		ws.tr.Emit(trace.Event{Actor: int32(t.a.ID), Kind: trace.Park, At: time.Now().UnixNano(), Prev: int64(shard)})
+	}
+}
+
+// settle parks the running task t with the given parkedAt stamp (stored
+// before the CAS, so the watchdog never sees a fresh park with a stale
+// one), or requeues it on shard if a wake fired while it ran.
+func (ws *WorkSteal) settle(t *wsTask, shard int, stamp uint64) bool {
+	t.parkedAt.Store(stamp)
+	if t.state.CompareAndSwap(wsRunning, wsParked) {
+		return true
+	}
 	t.state.Store(wsQueued)
 	ws.deques[shard].pushBottom(t)
 	ws.token()
+	return false
 }
 
-// watchdog periodically rescues overdue parked tasks. It is the liveness
-// backstop for kernels that stall without any hooked link (their stalls
-// have no wake source); with hooks installed it should almost never fire —
-// Rescues spiking in a report means wakes are being lost.
+// watchdog periodically looks at overdue parked tasks (rescue). It is the
+// liveness backstop for kernels that stall without any hooked link and for
+// lost wakes; Rescues spiking in a report means wakes are being lost.
 func (ws *WorkSteal) watchdog(done chan struct{}) {
 	tick := time.NewTicker(wsWatchdogTick)
 	defer tick.Stop()
@@ -575,24 +582,40 @@ func (ws *WorkSteal) watchdog(done chan struct{}) {
 	}
 }
 
-// rescue is one watchdog scan at tick count now: it wakes every task parked
-// for more than its grace.
+// rescue is one watchdog scan at tick count now. It claims each task parked
+// for more than wsGrace ticks as a worker would, and asks what a worker
+// asks. A held or retired gate queues it as a wake (its controller waits at
+// the boundary). A task not Ready parks again, freshly stamped. A Ready one
+// whose ring has its wake under way (the other end was preempted between
+// its commit and the hook) parks again with its old stamp, for up to
+// wsLate ticks. Any other Ready task was owed a wake that was lost, or
+// waits on no hooked ring: it is queued as a rescue. Parking again counts
+// no park.
 func (ws *WorkSteal) rescue(now uint64) {
-	// Snapshot the task list: Spawn appends under dynMu, and an append that
-	// reallocates leaves this snapshot intact.
+	// Snapshot the task and hook lists: Spawn and TakeLink append under
+	// dynMu, and an append that reallocates leaves this snapshot intact.
 	ws.dynMu.Lock()
-	tasks := ws.tasks
+	tasks, hooks := ws.tasks, ws.hooks
 	ws.dynMu.Unlock()
 	for _, t := range tasks {
-		if t.state.Load() != wsParked {
+		stamp := t.parkedAt.Load()
+		if t.state.Load() != wsParked || now-stamp <= wsGrace ||
+			!t.state.CompareAndSwap(wsParked, wsRunning) {
 			continue
 		}
-		grace := uint64(wsGraceBare)
-		if t.hooked.Load() {
-			grace = wsGraceHooked
-		}
-		if now-t.parkedAt.Load() > grace {
-			ws.wake(t, true)
+		switch {
+		case t.a.Gate != nil && !t.a.Gate.Open():
+			t.state.Store(wsQueued)
+			ws.enqueue(t, false)
+		case !t.a.Ready():
+			ws.settle(t, t.home, now)
+		case now-stamp <= wsLate && wakeUnderWay(hooks, t):
+			ws.settle(t, t.home, stamp)
+		default:
+			// A hook that fired during the look (RunningWake) was not lost.
+			rescued := t.state.CompareAndSwap(wsRunning, wsQueued)
+			t.state.Store(wsQueued)
+			ws.enqueue(t, rescued)
 		}
 	}
 }

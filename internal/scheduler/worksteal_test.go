@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,16 +55,41 @@ func TestWorkStealStallCountsRescues(t *testing.T) {
 }
 
 // TestWorkStealGraceInWholeTicks drives the watchdog's scan by hand over
-// two parked tasks: a bare one is rescued within two ticks of its park, a
-// hooked one only after more than two (at least 10 ms), and a park reads
-// the tick count, not the clock.
+// four tasks parked between ticks 7 and 8. Each is looked at once more than
+// one whole tick has passed since its park (tick 9). The retired task is
+// queued as a wake and the ready one as a rescue. The waiting task is
+// parked again, and looked at anew two ticks later. The ready task whose
+// input ring has a wake under way — published into, the hook not yet
+// fired — is parked again with its old stamp, until wsLate ticks after its
+// park count the wake as lost. No look counts a park, and a park reads the
+// tick count, not the clock.
 func TestWorkStealGraceInWholeTicks(t *testing.T) {
 	ws := NewWorkSteal(1)
-	ws.deques = []*stealDeque{newStealDeque(2)}
+	ws.deques = []*stealDeque{newStealDeque(4)}
 	ws.tokens = make(chan struct{}, 1)
-	bare, hooked := &wsTask{a: &core.Actor{}}, &wsTask{a: &core.Actor{ID: 1}}
-	hooked.hooked.Store(true)
-	ws.tasks = []*wsTask{bare, hooked}
+	asked := 0
+	ready := &wsTask{a: &core.Actor{}}
+	retired := &wsTask{a: &core.Actor{ID: 1, Gate: &core.Gate{}}}
+	waiting := &wsTask{a: &core.Actor{ID: 2, Life: waitingLife{&asked}}}
+	late := &wsTask{a: &core.Actor{ID: 3}}
+	ws.tasks = []*wsTask{ready, retired, waiting, late}
+	// late's input: its consumer armed the ring, and a producer published
+	// into it through a write window without the Attend the push asked for.
+	in := ringbuffer.NewRing[int](8)
+	if !in.Blocked(false) {
+		t.Fatal("empty ring not blocked")
+	}
+	if _, ok, _ := in.PushWindowed(1, ringbuffer.SigNone, 4, false); !ok {
+		t.Fatal("push refused")
+	}
+	in.TryPop()
+	if _, _, ok, _ := in.TryPop(); ok {
+		t.Fatal("TryPop on an empty ring returned an element")
+	}
+	if stored, attend := in.WindowPush(2); !stored || !attend {
+		t.Fatalf("window push stored %v, attend %v; want both", stored, attend)
+	}
+	ws.hooks = []*wsHook{{ws: ws, dst: late, q: in}}
 	const parkedAt = 7 // the park lands between ticks 7 and 8
 	ws.ticks.Store(parkedAt)
 	for _, task := range ws.tasks {
@@ -73,24 +99,60 @@ func TestWorkStealGraceInWholeTicks(t *testing.T) {
 			t.Fatalf("park stamped tick %d, want %d", got, parkedAt)
 		}
 	}
+	retired.a.Gate.Retire()
 	for _, step := range []struct {
-		tick         uint64
-		bare, hooked bool
+		tick   uint64
+		queued bool // ready and retired
+		asked  int  // the waiting task's Ready calls so far
+		late   bool // late queued
 	}{
-		{parkedAt + 1, false, false},
-		{parkedAt + 2, true, false},
-		{parkedAt + 3, true, true},
+		{parkedAt + 1, false, 0, false},
+		{parkedAt + 2, true, 1, false},
+		{parkedAt + 3, true, 1, false},
+		{parkedAt + 4, true, 2, false},
+		{parkedAt + wsLate, true, 3, false},
+		{parkedAt + wsLate + 1, true, 3, true},
 	} {
+		ws.ticks.Store(step.tick)
 		ws.rescue(step.tick)
-		if got := bare.state.Load() == wsQueued; got != step.bare {
-			t.Errorf("tick %d: bare task rescued = %v, want %v", step.tick, got, step.bare)
+		for _, task := range []*wsTask{ready, retired} {
+			if got := task.state.Load() == wsQueued; got != step.queued {
+				t.Errorf("tick %d: task %d queued = %v, want %v", step.tick, task.a.ID, got, step.queued)
+			}
 		}
-		if got := hooked.state.Load() == wsQueued; got != step.hooked {
-			t.Errorf("tick %d: hooked task rescued = %v, want %v", step.tick, got, step.hooked)
+		if waiting.state.Load() != wsParked || asked != step.asked {
+			t.Errorf("tick %d: waiting task state %d asked %d times, want parked and %d", step.tick, waiting.state.Load(), asked, step.asked)
+		}
+		if got := late.state.Load() == wsQueued; got != step.late {
+			t.Errorf("tick %d: task with a wake under way queued = %v, want %v", step.tick, got, step.late)
 		}
 	}
-	if got := ws.Counters.rescues.Load(); got != 2 {
-		t.Fatalf("rescues = %d, want 2", got)
+	s := ws.SchedStats()
+	if s.Rescues != 2 || s.Wakes != 1 || s.Parks != 4 {
+		t.Fatalf("rescues %d wakes %d parks %d, want 2, 1 and 4", s.Rescues, s.Wakes, s.Parks)
+	}
+}
+
+// waitingLife is a Lifecycle that is never ready and counts the asks.
+type waitingLife struct{ asked *int }
+
+func (w waitingLife) Ready() bool { *w.asked++; return false }
+func (waitingLife) Await()        {}
+func (waitingLife) Finish()       {}
+
+// ringLife is the Lifecycle of a stage between two rings (nil at a chain
+// end). Ready asks the rings as the engine's kernels do: no input empty and
+// no output full, a closed ring counting as ready, and a blocked end armed
+// as it answers. Finish closes the output.
+type ringLife struct{ in, out *ringbuffer.Ring[int] }
+
+func (r ringLife) Ready() bool {
+	return (r.in == nil || !r.in.Blocked(false)) && (r.out == nil || !r.out.Blocked(true))
+}
+func (ringLife) Await() { runtime.Gosched() }
+func (r ringLife) Finish() {
+	if r.out != nil {
+		r.out.Close()
 	}
 }
 
@@ -161,11 +223,12 @@ func TestWorkStealParkWakeRing(t *testing.T) {
 }
 
 // TestWorkStealEveryParkIsWoken runs a chain of stages over two-slot rings
-// whose every end parks: a stage stalls when its input is empty or its
-// output full, and only a ring's wake hook — fired by the other end's next
-// publish or release after the failed try armed the ring — brings it back.
-// A wake lost between the arming and the park would leave the stage to the
-// watchdog, so the run must finish with no rescue at all.
+// whose every end parks: a stage is not ready, or stalls, when its input is
+// empty or its output full, and only a ring's wake hook — fired by the
+// other end's next publish or release after Ready or the failed try armed
+// the ring — brings it back. A wake lost between the arming and the park
+// would leave a ready stage to the watchdog, so the run must finish with no
+// rescue at all.
 func TestWorkStealEveryParkIsWoken(t *testing.T) {
 	const n, stages = 20000, 4
 	rings := make([]*ringbuffer.Ring[int], stages-1)
@@ -224,11 +287,7 @@ func TestWorkStealEveryParkIsWoken(t *testing.T) {
 				have = false
 				return core.Proceed
 			},
-			Life: finishOnly(func() {
-				if out != nil {
-					out.Close()
-				}
-			})}
+			Life: ringLife{in, out}}
 	}
 	ws := NewWorkSteal(2)
 	ws.AttachLinks(links)

@@ -13,7 +13,7 @@ import (
 // internal/gateway and NewGateway) to the run: Exe wires every source
 // registered on it (BindSource) to that source's engine link — live
 // occupancy, the online λ̂/µ̂/ρ̂ estimates, the consumer replica width and
-// the best-effort drop counter — starts its listeners just before the
+// the best-effort drop counter — starts its listener just before the
 // graph runs, and stops them when the graph completes. Admission
 // decisions land on the run's trace bus when WithTrace is active, and the
 // Report carries a GatewayReport.
@@ -32,7 +32,7 @@ type GatewayConfig = gateway.Config
 // GatewayQuota re-exports the per-tenant quota type.
 type GatewayQuota = gateway.Quota
 
-// NewGateway builds an ingestion gateway, binding its listeners eagerly
+// NewGateway builds an ingestion gateway, binding its listener eagerly
 // so the address can be advertised before Exe starts serving.
 func NewGateway(cfg GatewayConfig) (*gateway.Server, error) {
 	return gateway.New(cfg)
@@ -54,7 +54,7 @@ type sourceBatch[T any] struct {
 // Source is an externally-fed source kernel: the bridge between the
 // ingestion gateway's admitted batches and a graph stream. It has a
 // single output port "out"; batches arrive through inject (called by the
-// gateway on its HTTP/framed serving goroutines), are pushed in bulk onto
+// gateway on its HTTP serving goroutines), are pushed in bulk onto
 // the stream, and the caller is unblocked only once the batch is in the
 // FIFO — so an accepted request means exactly-once delivery to the graph.
 // The kernel stops after CloseIntake (draining buffered batches first) or
@@ -200,10 +200,6 @@ func (s *Source[T]) lease() []T {
 	return nil
 }
 
-// CopiesSaved reports how many admitted batches avoided the per-request
-// intermediate allocation (pooled decode buffer + write-view delivery).
-func (s *Source[T]) CopiesSaved() uint64 { return s.copiesSaved.Load() }
-
 // Finalize marks the kernel stopped, failing any inject still in flight.
 func (s *Source[T]) Finalize() {
 	s.stopOnce.Do(func() { close(s.stopped) })
@@ -247,24 +243,7 @@ func BindSource[T any](gw *gateway.Server, src *Source[T], dec func(payload []by
 	if src.Name() == "" {
 		return fmt.Errorf("raft: BindSource requires a named source")
 	}
-	return gw.Register(gateway.Binding{
-		Name: src.Name(),
-		Decode: func(payload []byte) (any, int, error) {
-			vals, err := dec(payload)
-			if err != nil {
-				return nil, 0, err
-			}
-			return vals, len(vals), nil
-		},
-		Push: func(batch any) error {
-			return src.inject("", batch.([]T), false)
-		},
-		PushTenant: func(tenant string, batch any) error {
-			return src.inject(tenant, batch.([]T), false)
-		},
-		CloseIntake: src.CloseIntake,
-		CopiesSaved: src.CopiesSaved,
-	})
+	return gw.Register(sourceBinding(src.Name(), src, func(p []byte, _ []T) ([]T, error) { return dec(p) }, false))
 }
 
 // BindSourceAppend registers a Source kernel with a gateway using a
@@ -279,28 +258,40 @@ func BindSourceAppend[T any](gw *gateway.Server, src *Source[T], dec func(payloa
 	if src.Name() == "" {
 		return fmt.Errorf("raft: BindSourceAppend requires a named source")
 	}
-	return gw.Register(gateway.Binding{
-		Name: src.Name(),
+	return gw.Register(sourceBinding(src.Name(), src, dec, true))
+}
+
+// sourceBinding builds every gateway binding of a Source. A pooled one
+// decodes into buffers leased from the source's pool, takes undelivered
+// batches back and counts delivered ones in CopiesSaved; an unpooled one
+// hands dec a nil buffer.
+func sourceBinding[T any](name string, src *Source[T], dec func(payload []byte, buf []T) ([]T, error), pooled bool) gateway.Binding {
+	b := gateway.Binding{
+		Name: name,
 		Decode: func(payload []byte) (any, int, error) {
-			vals, err := dec(payload, src.lease())
+			var buf []T
+			if pooled {
+				buf = src.lease()
+			}
+			vals, err := dec(payload, buf)
 			if err != nil {
 				return nil, 0, err
 			}
 			return vals, len(vals), nil
 		},
-		Push: func(batch any) error {
-			return src.inject("", batch.([]T), true)
-		},
-		PushTenant: func(tenant string, batch any) error {
-			return src.inject(tenant, batch.([]T), true)
-		},
-		Recycle: func(batch any) {
-			vs := batch.([]T)
-			src.pool.Put(&vs)
+		Push: func(tenant string, batch any) error {
+			return src.inject(tenant, batch.([]T), pooled)
 		},
 		CloseIntake: src.CloseIntake,
-		CopiesSaved: src.CopiesSaved,
-	})
+		CopiesSaved: src.copiesSaved.Load,
+	}
+	if pooled {
+		b.Recycle = func(batch any) {
+			vs := batch.([]T)
+			src.pool.Put(&vs)
+		}
+	}
+	return b
 }
 
 // wireGateway completes every source binding registered up front with the
@@ -348,7 +339,6 @@ func (ex *Execution) gatewayWiring(le *linkEntry) gateway.Wiring {
 	w := gateway.Wiring{
 		Queue:      func() (int, int) { return li.Queue.Len(), li.Queue.Cap() },
 		Dropped:    li.Queue.Telemetry().Drops,
-		Servers:    func() int { return 1 },
 		BestEffort: li.BestEffort,
 	}
 	if est := ex.est; est != nil {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -385,5 +386,163 @@ func TestGatewayPooledIngest(t *testing.T) {
 	}
 	if got := rep.Gateway.Sources[0].CopiesSaved; got != batches {
 		t.Fatalf("CopiesSaved = %d, want %d (every admitted batch on the pooled view path)", got, batches)
+	}
+}
+
+// TestGatewayCloseIntakeRacesIngest closes a source's intake while several
+// tenants are posting batches of distinct element IDs to it, once through
+// each binding that decodes into a Source. Every element of a 202 batch
+// reaches the sink exactly once and no element of a refused batch does,
+// whichever side of the close a request lands on; CopiesSaved counts the
+// admitted batches of the pooled binding and stays 0 for the plain one.
+func TestGatewayCloseIntakeRacesIngest(t *testing.T) {
+	parse := func(p []byte, buf []int64) ([]int64, error) {
+		for _, f := range strings.Fields(string(p)) {
+			v, err := strconv.ParseInt(f, 10, 64)
+			if err != nil {
+				return nil, err
+			}
+			buf = append(buf, v)
+		}
+		return buf, nil
+	}
+	for _, tc := range []struct {
+		name   string
+		pooled bool
+		bind   func(gw *Gateway, src *Source[int64]) error
+	}{
+		{"BindSource", false, func(gw *Gateway, src *Source[int64]) error {
+			return BindSource(gw, src, func(p []byte) ([]int64, error) { return parse(p, nil) })
+		}},
+		{"BindSourceAppend", true, func(gw *Gateway, src *Source[int64]) error {
+			return BindSourceAppend(gw, src, parse)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw, err := NewGateway(GatewayConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := NewSource[int64]("ingest")
+			if err := tc.bind(gw, src); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			got := map[int64]int{}
+			sink := NewLambdaIO[int64, int64](1, 0, func(k *LambdaKernel) Status {
+				v, err := Pop[int64](k.In("0"))
+				if err != nil {
+					return Stop
+				}
+				mu.Lock()
+				got[v]++
+				mu.Unlock()
+				return Proceed
+			})
+			m := NewMap()
+			if _, err := m.Link(src, sink, Cap(64)); err != nil {
+				t.Fatal(err)
+			}
+			ex, err := m.ExeAsync(WithGateway(gw), WithDynamicResize(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(gw.Handler())
+			defer ts.Close()
+
+			// Each tenant posts batches until the closed intake answers 503;
+			// the intake closes once a quarter of the planned batches are in.
+			const tenants, batchLen, closeAfter, maxPosts = 4, 8, 40, 5000
+			var admittedBatches atomic.Int64
+			admitted := make([][][]int64, tenants)
+			refused := make([][][]int64, tenants)
+			var wg sync.WaitGroup
+			for tn := 0; tn < tenants; tn++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for b := 0; b < maxPosts; b++ {
+						ids := make([]int64, batchLen)
+						fields := make([]string, batchLen)
+						for j := range ids {
+							ids[j] = int64(tn)<<32 | int64(b*batchLen+j)
+							fields[j] = strconv.FormatInt(ids[j], 10)
+						}
+						req, _ := http.NewRequest("POST", ts.URL+"/v1/ingest/ingest", strings.NewReader(strings.Join(fields, " ")))
+						req.Header.Set("X-Raft-Tenant", fmt.Sprintf("t%d", tn))
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Errorf("tenant %d: %v", tn, err)
+							return
+						}
+						resp.Body.Close()
+						switch resp.StatusCode {
+						case http.StatusAccepted:
+							admitted[tn] = append(admitted[tn], ids)
+							admittedBatches.Add(1)
+						case http.StatusTooManyRequests:
+							refused[tn] = append(refused[tn], ids)
+						case http.StatusServiceUnavailable:
+							refused[tn] = append(refused[tn], ids)
+							return
+						default:
+							t.Errorf("tenant %d batch %d: status %d", tn, b, resp.StatusCode)
+							return
+						}
+					}
+					t.Errorf("tenant %d: no 503 after %d posts", tn, maxPosts)
+				}()
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for admittedBatches.Load() < closeAfter && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if n := admittedBatches.Load(); n < closeAfter {
+				t.Errorf("only %d batches admitted before the close", n)
+			}
+			req, _ := http.NewRequest("POST", ts.URL+"/v1/sources/ingest/close", nil)
+			if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("close intake: %v / %v", err, resp)
+			}
+			wg.Wait()
+			rep, err := ex.Wait()
+			if err != nil {
+				t.Fatalf("Exe: %v", err)
+			}
+
+			var want, lost, leaked, nRefused int
+			for tn := 0; tn < tenants; tn++ {
+				for _, ids := range admitted[tn] {
+					for _, id := range ids {
+						want++
+						if got[id] != 1 {
+							lost++
+						}
+					}
+				}
+				nRefused += len(refused[tn])
+				for _, ids := range refused[tn] {
+					for _, id := range ids {
+						if got[id] != 0 {
+							leaked++
+						}
+					}
+				}
+			}
+			if lost != 0 || leaked != 0 || len(got) != want {
+				t.Fatalf("%d admitted elements not delivered exactly once, %d refused elements delivered, sink saw %d distinct of %d admitted", lost, leaked, len(got), want)
+			}
+			wantSaved := uint64(0)
+			if tc.pooled {
+				wantSaved = uint64(admittedBatches.Load())
+			}
+			if rep.Gateway == nil || len(rep.Gateway.Sources) != 1 {
+				t.Fatalf("report gateway sources = %+v", rep.Gateway)
+			}
+			if s := rep.Gateway.Sources[0]; s.CopiesSaved != wantSaved || s.AdmittedElems != uint64(want) {
+				t.Fatalf("CopiesSaved %d, AdmittedElems %d; want %d and %d", s.CopiesSaved, s.AdmittedElems, wantSaved, want)
+			}
+			t.Logf("%d batches admitted, %d refused across %d tenants", admittedBatches.Load(), nRefused, tenants)
+		})
 	}
 }

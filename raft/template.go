@@ -41,10 +41,10 @@ type InstanceBuilder struct {
 
 	links []*Link
 
-	// Gateway intake staged by BindInstanceSource.
-	gwRegister func(gw *gateway.Server, bindingName string) error
-	gwClose    func()
-	gwSrc      Kernel
+	// Gateway intake staged by BindInstanceSource: the source and its
+	// binding under the instance's binding name.
+	gwSrc     Kernel
+	gwBinding func(name string) gateway.Binding
 }
 
 // Key returns the instantiation key (the tenant, under gateway-driven
@@ -78,26 +78,8 @@ func (b *InstanceBuilder) MustLink(src, dst Kernel, opts ...LinkOption) *Link {
 // parses one request payload into an element batch, as in BindSource.
 func BindInstanceSource[T any](b *InstanceBuilder, src *Source[T], dec func(payload []byte) ([]T, error)) {
 	b.gwSrc = src
-	b.gwClose = src.CloseIntake
-	b.gwRegister = func(gw *gateway.Server, bindingName string) error {
-		return gw.Register(gateway.Binding{
-			Name: bindingName,
-			Decode: func(payload []byte) (any, int, error) {
-				vals, err := dec(payload)
-				if err != nil {
-					return nil, 0, err
-				}
-				return vals, len(vals), nil
-			},
-			Push: func(batch any) error {
-				return src.inject("", batch.([]T), false)
-			},
-			PushTenant: func(tenant string, batch any) error {
-				return src.inject(tenant, batch.([]T), false)
-			},
-			CloseIntake: src.CloseIntake,
-			CopiesSaved: src.CopiesSaved,
-		})
+	b.gwBinding = func(name string) gateway.Binding {
+		return sourceBinding(name, src, func(p []byte, _ []T) ([]T, error) { return dec(p) }, false)
 	}
 }
 
@@ -115,8 +97,8 @@ type templateInstance struct {
 
 	kernels []Kernel
 	links   []*linkEntry
+	// gwClose closes the instance's gateway intake; nil when it has none.
 	gwClose func()
-	hasGw   bool
 
 	// Idle detection: lastMoved is the last activity sum sampled from the
 	// instance's link telemetry; lastSeen the time it last changed.
@@ -222,7 +204,7 @@ func (ts *templateSet) resolve(source, tenant string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return inst.binding, inst.hasGw
+	return inst.binding, inst.gwClose != nil
 }
 
 // instantiate finds or builds the instance for (def, key). The first
@@ -299,9 +281,10 @@ func (ts *templateSet) build(inst *templateInstance) error {
 
 	// Gateway intake: registered only after the instance is live, so an
 	// admitted batch always has a running pipeline under it.
-	if b.gwRegister != nil && ex.cfg.gateway != nil {
+	if b.gwBinding != nil && ex.cfg.gateway != nil {
 		gw := ex.cfg.gateway
-		if err := b.gwRegister(gw, inst.binding); err != nil {
+		bnd := b.gwBinding(inst.binding)
+		if err := gw.Register(bnd); err != nil {
 			return err
 		}
 		var srcLink *linkEntry
@@ -317,8 +300,7 @@ func (ts *templateSet) build(inst *templateInstance) error {
 		if err := gw.Wire(inst.binding, ex.gatewayWiring(srcLink)); err != nil {
 			return err
 		}
-		inst.gwClose = b.gwClose
-		inst.hasGw = true
+		inst.gwClose = bnd.CloseIntake
 	}
 	return nil
 }
@@ -399,10 +381,8 @@ func (ts *templateSet) reapPeriod() time.Duration {
 // state so a future instantiation of the key resumes.
 func (ts *templateSet) reap(inst *templateInstance) error {
 	ex := ts.ex
-	if inst.hasGw && ex.cfg.gateway != nil {
-		ex.cfg.gateway.Unregister(inst.binding)
-	}
 	if inst.gwClose != nil {
+		ex.cfg.gateway.Unregister(inst.binding)
 		inst.gwClose()
 	}
 
