@@ -62,13 +62,16 @@ bench:
 
 # loc prints the size numbers the ROADMAP's simplicity aim tracks:
 # non-test Go lines outside bench/, the public With*/As* options of the
-# importable packages (raft, kernels), and every exported func there that
+# importable packages (raft, kernels), every exported func there that
 # returns an Option or a LinkOption (which adds From, To, Cap, MaxCap and
-# AllowConvert). Informational: it never fails.
+# AllowConvert), and the line count of each package's surface golden (one
+# line per exported declaration, pinned by TestSurface). Informational: it
+# never fails.
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l)"
 	@echo "public With*/As* options: $$(cat $$(ls raft/*.go kernels/*.go | grep -v '_test\.go$$') | grep -cE '^func (With|As)')"
 	@echo "exported funcs returning Option/LinkOption: $$(cat $$(ls raft/*.go kernels/*.go | grep -v '_test\.go$$') | grep -cE '^func [A-Z][A-Za-z0-9_]*(\[[^]]*\])?\(.*\) (Option|LinkOption) \{')"
+	@echo "surface golden lines: raft $$(wc -l < raft/testdata/surface.golden), kernels $$(wc -l < kernels/testdata/surface.golden)"
 
 # ci runs exactly what .github/workflows/ci.yml runs, as one local command.
 # The workflow jobs invoke the ci-* sub-targets below so the two can never

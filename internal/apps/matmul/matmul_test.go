@@ -105,100 +105,3 @@ func TestQueueCapacityConversion(t *testing.T) {
 		}
 	}
 }
-
-func randSized(rows, cols int, seed uint64) [][]float64 {
-	s := seed | 1
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			m[i][j] = float64(s%1000)/1000 - 0.5
-		}
-	}
-	return m
-}
-
-func sizedEqual(a, b [][]float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Abs(a[i][j]-b[i][j]) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func TestRunSizedRectangular(t *testing.T) {
-	a := randSized(37, 53, 1)
-	b := randSized(53, 19, 2)
-	want := ReferenceSized(a, b)
-	res, err := RunSized(a, b, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sizedEqual(res.C, want, 1e-9) {
-		t.Fatal("sized streaming result differs from reference")
-	}
-}
-
-func TestRunSizedParallel(t *testing.T) {
-	a := randSized(64, 64, 3)
-	b := randSized(64, 64, 4)
-	want := ReferenceSized(a, b)
-	res, err := RunSized(a, b, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sizedEqual(res.C, want, 1e-9) {
-		t.Fatal("parallel sized result differs from reference")
-	}
-	if len(res.Report.Groups) != 1 {
-		t.Fatalf("expected replicated multiply group, got %+v", res.Report.Groups)
-	}
-}
-
-func TestRunSizedShapeValidation(t *testing.T) {
-	good := randSized(4, 4, 5)
-	if _, err := RunSized(nil, good, Config{}); err == nil {
-		t.Fatal("empty A must error")
-	}
-	if _, err := RunSized(good, nil, Config{}); err == nil {
-		t.Fatal("empty B must error")
-	}
-	if _, err := RunSized(randSized(4, 5, 6), randSized(4, 4, 7), Config{}); err == nil {
-		t.Fatal("inner dimension mismatch must error")
-	}
-	ragged := randSized(4, 4, 8)
-	ragged[2] = ragged[2][:3]
-	if _, err := RunSized(ragged, good, Config{}); err == nil {
-		t.Fatal("ragged A must error")
-	}
-	raggedB := randSized(4, 4, 9)
-	raggedB[1] = raggedB[1][:2]
-	if _, err := RunSized(good, raggedB, Config{}); err == nil {
-		t.Fatal("ragged B must error")
-	}
-}
-
-func TestRunSizedSingleRow(t *testing.T) {
-	a := [][]float64{{1, 2, 3}}
-	b := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	res, err := RunSized(a, b, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{4, 5}}
-	if !sizedEqual(res.C, want, 1e-12) {
-		t.Fatalf("got %v", res.C)
-	}
-}

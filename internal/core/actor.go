@@ -133,18 +133,40 @@ type Lifecycle interface {
 	Await()
 	// Finish runs once after the final Step (regardless of whether the
 	// actor stopped voluntarily or the engine shut it down); it must close
-	// the actor's output queues.
-	Finish()
+	// the actor's output queues. err is why the actor ended: nil for a
+	// stop, its Init error or recovered panic otherwise.
+	Finish(err error)
 }
 
 // Ready is Life.Ready; an actor without a Lifecycle is always ready.
 func (a *Actor) Ready() bool { return a.Life == nil || a.Life.Ready() }
 
-// Finish is Life.Finish, if the actor has a Lifecycle.
-func (a *Actor) Finish() {
-	if a.Life != nil {
-		a.Life.Finish()
+// Start runs the actor's Init, the first thing a scheduler does with an
+// actor. An actor whose Init fails, or a Virtual one, has nothing to step:
+// Start ends it at once and reports false, with the Init error wrapped.
+func (a *Actor) Start() (bool, error) {
+	if a.Init != nil {
+		if err := a.Init(); err != nil {
+			err = fmt.Errorf("kernel %q init: %w", a.Name, err)
+			a.End(err)
+			return false, err
+		}
 	}
+	if a.Virtual {
+		a.End(nil)
+		return false, nil
+	}
+	return true, nil
+}
+
+// End ends the actor's lifecycle: Life.Finish with the reason (if the
+// actor has a Lifecycle), then Finished. It runs exactly once per actor:
+// from Start for an actor that is never stepped, else from the scheduler.
+func (a *Actor) End(err error) {
+	if a.Life != nil {
+		a.Life.Finish(err)
+	}
+	a.Finished.Store(true)
 }
 
 const (

@@ -47,6 +47,9 @@ type DeadlockWatch struct {
 	frozenSince time.Time
 	lastOps     uint64
 	fired       bool
+	// parked is frozen's scratch, indexed by actor ID and kept across
+	// ticks, so an armed watch allocates nothing per tick.
+	parked []bool
 }
 
 // AddActor includes a dynamically-spawned actor in the freeze scan.
@@ -114,16 +117,16 @@ func (d *DeadlockWatch) Fired() bool { return d.fired }
 // frozen reports whether every unfinished actor is parked, plus the total
 // operation count used for the progress check.
 func (d *DeadlockWatch) frozen() (bool, uint64) {
-	parked := map[int]bool{}
+	clear(d.parked)
 	var ops uint64
 	for _, l := range d.links {
 		tel := l.Queue.Telemetry()
 		ops += tel.Pushes.Load() + tel.Pops.Load()
 		if l.Queue.WriterBlockedFor() > 0 {
-			parked[l.SrcActor] = true
+			d.park(l.SrcActor)
 		}
 		if l.Queue.ReaderStarvedFor() > 0 {
-			parked[l.DstActor] = true
+			d.park(l.DstActor)
 		}
 	}
 	unfinished := 0
@@ -135,11 +138,22 @@ func (d *DeadlockWatch) frozen() (bool, uint64) {
 			continue
 		}
 		unfinished++
-		if !parked[a.ID] {
+		if a.ID < 0 || a.ID >= len(d.parked) || !d.parked[a.ID] {
 			return false, ops
 		}
 	}
 	return unfinished > 0, ops
+}
+
+// park marks actor id parked for this tick, growing the scratch to fit.
+func (d *DeadlockWatch) park(id int) {
+	if id < 0 {
+		return
+	}
+	if id >= len(d.parked) {
+		d.parked = append(d.parked, make([]bool, id+1-len(d.parked))...)
+	}
+	d.parked[id] = true
 }
 
 // diagnose renders the parked streams for the abort error.

@@ -140,3 +140,45 @@ func TestDeadlockWatchRestartsCountAsProgress(t *testing.T) {
 		t.Fatal("fired despite a supervised restart between checks")
 	}
 }
+
+// TestDeadlockWatchCheckAllocatesNothing: an armed watch is asked every δ
+// tick for the whole run, so Check must not allocate: not on a running
+// graph (sixteen producers parked on full rings, their consumer busy), nor
+// on a frozen one still inside its grace (the consumer left out). Sixteen
+// parked actors are more than a small map keeps off the heap.
+func TestDeadlockWatchCheckAllocatesNothing(t *testing.T) {
+	const n = 16
+	var actors []*core.Actor
+	var links []*core.LinkInfo
+	for i := 0; i < n; i++ {
+		full := ringbuffer.NewRing[int](1)
+		if err := full.Push(0, ringbuffer.SigNone); err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = full.Push(1, ringbuffer.SigNone) }()
+		defer full.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for full.WriterBlockedFor() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("producer never parked")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		actors = append(actors, &core.Actor{ID: i, Name: "producer"})
+		links = append(links, &core.LinkInfo{ID: i, Queue: full, SrcActor: i, DstActor: n})
+	}
+	running := append(actors[:n:n], &core.Actor{ID: n, Name: "consumer"})
+	for _, tc := range []struct {
+		name   string
+		actors []*core.Actor
+	}{{"running", running}, {"frozen", actors}} {
+		w := NewDeadlockWatch(tc.actors, links, time.Hour, func(string) { t.Error("fired") })
+		now := time.Now()
+		w.Check(now) // sizes the scratch
+		allocs := testing.AllocsPerRun(100, func() { w.Check(now) })
+		t.Logf("%s: %v allocs per Check", tc.name, allocs)
+		if allocs != 0 {
+			t.Fatalf("%s: Check allocates %v per tick, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -184,10 +184,6 @@ const senderBatch = 256
 // raft.ErrBridgeDown instead.
 var ErrPeerGone = errors.New("oar: peer connection lost")
 
-// IsTransient reports whether a bridge error is a recoverable connection
-// loss (as opposed to a permanent raft.ErrBridgeDown failure).
-func IsTransient(err error) bool { return errors.Is(err, ErrPeerGone) }
-
 // Policy selects how a bridge endpoint degrades when its connection stays
 // down past MaxDowntime.
 type Policy int
@@ -735,7 +731,9 @@ func (s *Sender[T]) AttachTrace(rec *trace.Recorder, actor int32) { s.trc.Attach
 
 // reconnect re-establishes the connection with capped exponential backoff
 // and replays every unacknowledged frame. It fails (wrapping
-// raft.ErrBridgeDown) once the outage outlasts MaxDowntime.
+// raft.ErrBridgeDown) once the outage outlasts MaxDowntime, or at once when
+// the sender is finalized or its execution fails: a receiver in a lost run
+// is not coming back.
 func (s *Sender[T]) reconnect() error {
 	start := time.Now()
 	defer func() { s.downtimeNs.Add(int64(time.Since(start))) }()
@@ -761,6 +759,8 @@ func (s *Sender[T]) reconnect() error {
 		select {
 		case <-s.stop:
 			return fmt.Errorf("oar: stream %q: sender stopped while down: %w", s.stream, raft.ErrBridgeDown)
+		case <-s.Failed():
+			return fmt.Errorf("oar: stream %q: execution failed while down: %w", s.stream, raft.ErrBridgeDown)
 		case <-time.After(backoff):
 		}
 		backoff *= 2
@@ -794,8 +794,14 @@ func (s *Sender[T]) replay() error {
 	return flushFrame(s.w)
 }
 
-// giveUp applies the degradation policy to a permanent failure.
+// giveUp applies the degradation policy to a permanent failure. In a
+// failed execution it just stops: the run's own error says why.
 func (s *Sender[T]) giveUp(err error) raft.Status {
+	select {
+	case <-s.Failed():
+		return raft.Stop
+	default:
+	}
 	if s.opt.policy == Drop {
 		s.gaveUp = true
 		for i := range s.buffer {
@@ -849,13 +855,9 @@ func (s *Sender[T]) stageEOF() uint64 {
 // Finalize implements raft.Finalizer by stopping the heartbeat and closing
 // the connection.
 func (s *Sender[T]) Finalize() {
-	s.halt()
+	s.stopOnce.Do(func() { close(s.stop) })
 	s.dropConn()
 }
-
-// halt stops the heartbeat and ends any reconnect: from now on an outage
-// is permanent.
-func (s *Sender[T]) halt() { s.stopOnce.Do(func() { close(s.stop) }) }
 
 // BridgeStats implements raft.BridgeReporter.
 func (s *Sender[T]) BridgeStats() (raft.BridgeReport, bool) {
@@ -1247,9 +1249,9 @@ func (r *Receiver[T]) ack(seq uint64) {
 // AttachTrace implements raft.TraceAttacher.
 func (r *Receiver[T]) AttachTrace(rec *trace.Recorder, actor int32) { r.trc.AttachTrace(rec, actor) }
 
-// await blocks until the sender reconnects, or the outage outlasts
-// MaxDowntime and the degradation policy fires. done=true carries a final
-// kernel status.
+// await blocks until the sender reconnects, the outage outlasts
+// MaxDowntime and the degradation policy fires, or the execution fails.
+// done=true carries a final kernel status.
 func (r *Receiver[T]) await() (raft.Status, bool) {
 	start := time.Now()
 	defer func() { r.downtimeNs.Add(int64(time.Since(start))) }()
@@ -1265,6 +1267,8 @@ func (r *Receiver[T]) await() (raft.Status, bool) {
 		r.setup(conn)
 		r.trc.emit(trace.BridgeReconnect, r.stream, int64(r.reconnects.Load()))
 		return raft.Proceed, false
+	case <-r.Failed():
+		return raft.Stop, true
 	case <-expire:
 		if r.opt.policy == Fail {
 			r.Raise(fmt.Errorf("oar: stream %q: receiver down %v: %w",

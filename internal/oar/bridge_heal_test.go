@@ -362,10 +362,50 @@ func TestBridgeDropPolicyDegradesGracefully(t *testing.T) {
 }
 
 func TestTransientClassification(t *testing.T) {
-	if !IsTransient(fmt.Errorf("wrap: %w", ErrPeerGone)) {
+	if !errors.Is(fmt.Errorf("wrap: %w", ErrPeerGone), ErrPeerGone) {
 		t.Error("wrapped ErrPeerGone not classified transient")
 	}
-	if IsTransient(fmt.Errorf("wrap: %w", raft.ErrBridgeDown)) {
+	if errors.Is(fmt.Errorf("wrap: %w", raft.ErrBridgeDown), ErrPeerGone) {
 		t.Error("ErrBridgeDown must be permanent, not transient")
 	}
+}
+
+// TestBridgeSenderStopsWhenItsExecutionFails: a loopback bridge in one map
+// whose receiving kernel panics mid-stream. The receiver stops and releases
+// its stream, so every redial of the sender is refused; the sender must give
+// up on the execution's failure, not wait out MaxDowntime (15 s by default).
+func TestBridgeSenderStopsWhenItsExecutionFails(t *testing.T) {
+	node := newTestNode(t, "fails")
+	send, recv, err := Bridge[int64](node, "fails")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragile := raft.NewLambdaIO[int64, int64](1, 1, func(k *raft.LambdaKernel) raft.Status {
+		v, err := raft.Pop[int64](k.In("0"))
+		if err != nil {
+			return raft.Stop
+		}
+		if v == 999 {
+			panic("element 1000")
+		}
+		if err := raft.Push(k.Out("0"), v); err != nil {
+			return raft.Stop
+		}
+		return raft.Proceed
+	})
+	var got []int64
+	m := raft.NewMap()
+	m.MustLink(kernels.NewGenerate(1<<20, func(i int64) int64 { return i }), send)
+	m.MustLink(recv, fragile)
+	m.MustLink(fragile, kernels.NewWriteEach(&got))
+	start := time.Now()
+	_, err = m.Exe()
+	took := time.Since(start)
+	if !errors.Is(err, raft.ErrKernelPanicked) {
+		t.Fatalf("Exe = %v, want the receiving kernel's panic", err)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("Exe took %v after the panic, want < 2s", took)
+	}
+	t.Logf("%d results in %v, then: %v", len(got), took, err)
 }

@@ -126,10 +126,9 @@ func remoteStage[T, U any](local *Node, addr, stage string, args map[string]stri
 	send := NewSender[T](addr, in, opts...)
 	recv.verdict = func() (err error) {
 		if _, err = Call(addr, stageService+stage, map[string]string{keyResult: in}); err != nil {
+			// Raised, this fails the execution, which ends the sender's
+			// reconnects into the failed stage (Sender.reconnect).
 			err = fmt.Errorf("oar: stage %q on %s failed: %w", stage, addr, err)
-			// The failed stage reads no more input: stop the sender, whose
-			// reconnects would otherwise wait out the peer's MaxDowntime.
-			send.halt()
 		}
 		return err
 	}

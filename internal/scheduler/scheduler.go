@@ -37,23 +37,23 @@ type Scheduler interface {
 // panics are recovered and converted into errors so one faulty kernel
 // cannot crash the process.
 func runActorLifecycle(a *core.Actor) (err error) {
+	// run: Start returned with the actor still to end (it ends an actor
+	// it will not step itself); a panic in Init leaves it to end here too.
+	run := false
 	defer func() {
 		if r := recover(); r != nil {
 			// Typed: errors.Is(err, core.ErrKernelPanicked) holds, and an
 			// error-valued panic (typed port misuse, injected fault) stays
 			// reachable through Unwrap for classification.
 			err = fmt.Errorf("kernel %q %w", a.Name, core.PanicError(r))
+			run = true
 		}
-		a.Finish()
-		a.Finished.Store(true)
+		if run {
+			a.End(err)
+		}
 	}()
-	if a.Init != nil {
-		if err := a.Init(); err != nil {
-			return fmt.Errorf("kernel %q init: %w", a.Name, err)
-		}
-	}
-	if a.Virtual {
-		return nil
+	if run, err = a.Start(); !run {
+		return err
 	}
 	for {
 		if a.PollGate() == core.GateStop {

@@ -14,9 +14,16 @@ import (
 // and runs f as its Finish.
 type finishOnly func()
 
-func (finishOnly) Ready() bool { return true }
-func (finishOnly) Await()      { runtime.Gosched() }
-func (f finishOnly) Finish()   { f() }
+func (finishOnly) Ready() bool    { return true }
+func (finishOnly) Await()         { runtime.Gosched() }
+func (f finishOnly) Finish(error) { f() }
+
+// lifeErr is finishOnly that also hands f the reason the actor ended.
+type lifeErr func(error)
+
+func (lifeErr) Ready() bool        { return true }
+func (lifeErr) Await()             { runtime.Gosched() }
+func (f lifeErr) Finish(err error) { f(err) }
 
 // counterActor runs n steps then stops, tracking lifecycle calls.
 func counterActor(name string, n int) (*core.Actor, *atomic.Int64, *atomic.Int64) {
@@ -87,51 +94,79 @@ func testPanicRecovered(t *testing.T, s Scheduler) {
 
 func TestGoroutinePanicRecovered(t *testing.T) { testPanicRecovered(t, NewGoroutine()) }
 
-func testInitError(t *testing.T, s Scheduler) {
+// runOrSpawn runs a under a fresh scheduler: as one of Run's actors, or
+// spawned mid-run by a host actor's first step. It returns Run's error.
+func runOrSpawn(t *testing.T, newS func() Scheduler, spawn bool, a *core.Actor) error {
 	t.Helper()
-	var ran atomic.Bool
-	var finished atomic.Bool
-	a := &core.Actor{
-		Name: "noinit",
-		Init: func() error { return errors.New("init failed") },
-		Step: func() core.Status { ran.Store(true); return core.Stop },
-		Life: finishOnly(func() { finished.Store(true) }),
+	s := newS()
+	if !spawn {
+		return s.Run([]*core.Actor{a})
 	}
-	err := s.Run([]*core.Actor{a})
-	if err == nil || !strings.Contains(err.Error(), "init failed") {
-		t.Fatalf("err = %v", err)
+	host := &core.Actor{
+		Name: "host",
+		Step: func() core.Status {
+			_ = s.Spawn(a) // its error is folded into Run's
+			return core.Stop
+		},
+		Life: finishOnly(func() {}),
 	}
-	if ran.Load() {
-		t.Fatal("Step ran after failed Init")
-	}
-	if !finished.Load() {
-		t.Fatal("Finish must still run for cleanup after failed Init")
+	return s.Run([]*core.Actor{host})
+}
+
+func testInitError(t *testing.T, newS func() Scheduler) {
+	for _, spawn := range []bool{false, true} {
+		var ran, finished atomic.Bool
+		var finishErr error
+		a := &core.Actor{
+			Name: "noinit",
+			Init: func() error { return errors.New("init failed") },
+			Step: func() core.Status { ran.Store(true); return core.Stop },
+			Life: lifeErr(func(err error) { finishErr = err; finished.Store(true) }),
+		}
+		err := runOrSpawn(t, newS, spawn, a)
+		if err == nil || !strings.Contains(err.Error(), "init failed") {
+			t.Fatalf("spawn=%v: err = %v", spawn, err)
+		}
+		if ran.Load() {
+			t.Fatalf("spawn=%v: Step ran after failed Init", spawn)
+		}
+		if !finished.Load() || !a.Finished.Load() {
+			t.Fatalf("spawn=%v: Finish must still run for cleanup after failed Init", spawn)
+		}
+		if finishErr == nil || !strings.Contains(finishErr.Error(), "init failed") {
+			t.Fatalf("spawn=%v: Finish got %v, want the Init error", spawn, finishErr)
+		}
 	}
 }
 
-func TestGoroutineInitError(t *testing.T) { testInitError(t, NewGoroutine()) }
+func TestGoroutineInitError(t *testing.T) {
+	testInitError(t, func() Scheduler { return NewGoroutine() })
+}
 
-func testVirtualActorSkipped(t *testing.T, s Scheduler) {
-	t.Helper()
-	var stepped, finished atomic.Bool
-	a := &core.Actor{
-		Name:    "virtual",
-		Virtual: true,
-		Step:    func() core.Status { stepped.Store(true); return core.Stop },
-		Life:    finishOnly(func() { finished.Store(true) }),
-	}
-	if err := s.Run([]*core.Actor{a}); err != nil {
-		t.Fatal(err)
-	}
-	if stepped.Load() {
-		t.Fatal("virtual actor must never step")
-	}
-	if !finished.Load() {
-		t.Fatal("virtual actor must still finish (close outputs)")
+func testVirtualActorSkipped(t *testing.T, newS func() Scheduler) {
+	for _, spawn := range []bool{false, true} {
+		var stepped, finished atomic.Bool
+		a := &core.Actor{
+			Name:    "virtual",
+			Virtual: true,
+			Step:    func() core.Status { stepped.Store(true); return core.Stop },
+			Life:    finishOnly(func() { finished.Store(true) }),
+		}
+		if err := runOrSpawn(t, newS, spawn, a); err != nil {
+			t.Fatalf("spawn=%v: %v", spawn, err)
+		}
+		if stepped.Load() {
+			t.Fatalf("spawn=%v: virtual actor must never step", spawn)
+		}
+		if !finished.Load() || !a.Finished.Load() {
+			t.Fatalf("spawn=%v: virtual actor must still finish (close outputs)", spawn)
+		}
 	}
 }
 
-func TestGoroutineVirtualActor(t *testing.T) { testVirtualActorSkipped(t, NewGoroutine()) }
+func TestGoroutineVirtualActor(t *testing.T) {
+	testVirtualActorSkipped(t, func() Scheduler { return NewGoroutine() })
+}
 
 func testStallThenFinish(t *testing.T, s Scheduler) {
 	t.Helper()

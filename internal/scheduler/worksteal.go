@@ -178,17 +178,9 @@ func (ws *WorkSteal) Run(actors []*core.Actor) error {
 	slab := make([]wsTask, len(actors))
 	live := make([]*wsTask, 0, len(actors))
 	for i, a := range actors {
-		if a.Init != nil {
-			if err := a.Init(); err != nil {
-				ws.errs[i] = fmt.Errorf("kernel %q init: %w", a.Name, err)
-				a.Finish()
-				a.Finished.Store(true)
-				continue
-			}
-		}
-		if a.Virtual {
-			a.Finish()
-			a.Finished.Store(true)
+		run, err := a.Start()
+		if !run {
+			ws.errs[i] = err
 			continue
 		}
 		t := &slab[i]
@@ -290,6 +282,9 @@ func (ws *WorkSteal) recordErr(t *wsTask, err error) {
 func (ws *WorkSteal) Spawn(a *core.Actor) error {
 	<-ws.ready
 	t := &wsTask{a: a, idx: -1}
+	// Running until Start returns: the watchdog claims only parked tasks,
+	// and a zero state would read as one parked since tick 0.
+	t.state.Store(wsRunning)
 	ws.dynMu.Lock()
 	if ws.stopped {
 		ws.dynMu.Unlock()
@@ -300,23 +295,13 @@ func (ws *WorkSteal) Spawn(a *core.Actor) error {
 	ws.tasks = append(ws.tasks, t)
 	ws.dynMu.Unlock()
 
-	if a.Init != nil {
-		if err := a.Init(); err != nil {
-			err = fmt.Errorf("kernel %q init: %w", a.Name, err)
+	if run, err := a.Start(); !run {
+		if err != nil {
 			ws.recordErr(t, err)
-			t.state.Store(wsDone)
-			a.Finish()
-			a.Finished.Store(true)
-			ws.taskDone()
-			return err
 		}
-	}
-	if a.Virtual {
 		t.state.Store(wsDone)
-		a.Finish()
-		a.Finished.Store(true)
 		ws.taskDone()
-		return nil
+		return err
 	}
 	t.state.Store(wsQueued)
 	ws.deques[t.home].pushBottom(t)
@@ -687,14 +672,15 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 	}
 	finished := false
 	defer func() {
+		var err error
 		if r := recover(); r != nil {
-			ws.recordErr(t, fmt.Errorf("kernel %q %w", t.a.Name, core.PanicError(r)))
+			err = fmt.Errorf("kernel %q %w", t.a.Name, core.PanicError(r))
+			ws.recordErr(t, err)
 			finished = true
 		}
 		if finished {
 			t.state.Store(wsDone)
-			t.a.Finish()
-			t.a.Finished.Store(true)
+			t.a.End(err)
 			ws.taskDone()
 		}
 	}()

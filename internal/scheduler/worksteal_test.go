@@ -19,8 +19,12 @@ func TestWorkStealSingleWorker(t *testing.T) { testSchedulerRunsAll(t, NewWorkSt
 func TestWorkStealPanicRecovered(t *testing.T) {
 	testPanicRecovered(t, NewWorkSteal(2))
 }
-func TestWorkStealInitError(t *testing.T)    { testInitError(t, NewWorkSteal(2)) }
-func TestWorkStealVirtualActor(t *testing.T) { testVirtualActorSkipped(t, NewWorkSteal(1)) }
+func TestWorkStealInitError(t *testing.T) {
+	testInitError(t, func() Scheduler { return NewWorkSteal(2) })
+}
+func TestWorkStealVirtualActor(t *testing.T) {
+	testVirtualActorSkipped(t, func() Scheduler { return NewWorkSteal(1) })
+}
 
 // TestWorkStealStall exercises the watchdog path: the staller has no links,
 // so nothing ever fires a wake hook and only rescues can finish it.
@@ -138,7 +142,7 @@ type waitingLife struct{ asked *int }
 
 func (w waitingLife) Ready() bool { *w.asked++; return false }
 func (waitingLife) Await()        {}
-func (waitingLife) Finish()       {}
+func (waitingLife) Finish(error)  {}
 
 // ringLife is the Lifecycle of a stage between two rings (nil at a chain
 // end). Ready asks the rings as the engine's kernels do: no input empty and
@@ -150,7 +154,7 @@ func (r ringLife) Ready() bool {
 	return (r.in == nil || !r.in.Blocked(false)) && (r.out == nil || !r.out.Blocked(true))
 }
 func (ringLife) Await() { runtime.Gosched() }
-func (r ringLife) Finish() {
+func (r ringLife) Finish(error) {
 	if r.out != nil {
 		r.out.Close()
 	}

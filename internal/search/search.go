@@ -46,11 +46,6 @@ func New(algo string, pattern []byte) (Matcher, error) {
 	}
 }
 
-// Algorithms lists every matcher selectable through New.
-func Algorithms() []string {
-	return []string{"ahocorasick", "horspool", "boyermoore", "kmp", "rabinkarp", "naive"}
-}
-
 // Naive is the quadratic reference scanner used to validate the optimized
 // matchers in tests.
 type Naive struct {

@@ -263,7 +263,7 @@ func TestHorspoolVsBoyerMooreOnCorpus(t *testing.T) {
 func BenchmarkMatchers(b *testing.B) {
 	text := corpus.Generate(corpus.Spec{Bytes: 4 << 20, Seed: 11})
 	pat := []byte(corpus.DefaultPattern)
-	for _, algo := range Algorithms() {
+	for _, algo := range []string{"ahocorasick", "horspool", "boyermoore", "kmp", "rabinkarp", "naive"} {
 		m, err := New(algo, pat)
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,6 @@
 // Package stats provides the low-overhead performance instrumentation used
-// by the RaftLib runtime: atomic counters, exponentially weighted rate
-// estimators, log-scale histograms and occupancy samplers.
+// by the RaftLib runtime: atomic counters, exponentially weighted moving
+// averages, log-scale histograms and occupancy samplers.
 //
 // The paper (§4.1) stresses that "the data collection process itself is
 // optimized to reduce overhead" (citing the TimeTrial profiler work). The
@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,68 +55,6 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Rate estimates an event rate (events per second) using an exponentially
-// weighted moving average over observation windows. Observe is cheap (one
-// atomic add); the EWMA update is performed by the sampler that calls Tick.
-type Rate struct {
-	events atomic.Uint64
-
-	mu       sync.Mutex
-	lastN    uint64
-	lastTick time.Time
-	ewma     float64
-	alpha    float64
-	primed   bool
-}
-
-// NewRate returns a rate estimator with smoothing factor alpha in (0, 1].
-// Larger alpha weights recent windows more heavily.
-func NewRate(alpha float64) *Rate {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.25
-	}
-	return &Rate{alpha: alpha}
-}
-
-// Observe records n events. Safe for concurrent use.
-func (r *Rate) Observe(n uint64) { r.events.Add(n) }
-
-// Tick folds the events recorded since the previous Tick into the EWMA.
-// It is intended to be called periodically by a single monitor goroutine.
-func (r *Rate) Tick(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := r.events.Load()
-	if r.lastTick.IsZero() {
-		r.lastTick = now
-		r.lastN = total
-		return
-	}
-	dt := now.Sub(r.lastTick).Seconds()
-	if dt <= 0 {
-		return
-	}
-	inst := float64(total-r.lastN) / dt
-	if !r.primed {
-		r.ewma = inst
-		r.primed = true
-	} else {
-		r.ewma = r.alpha*inst + (1-r.alpha)*r.ewma
-	}
-	r.lastN = total
-	r.lastTick = now
-}
-
-// PerSecond returns the smoothed events-per-second estimate.
-func (r *Rate) PerSecond() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ewma
-}
-
-// Total returns the total number of events observed.
-func (r *Rate) Total() uint64 { return r.events.Load() }
 
 // nBuckets is the number of power-of-two histogram buckets. Bucket i counts
 // values v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0 and v == 1).

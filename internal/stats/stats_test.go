@@ -53,52 +53,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestRateEstimation(t *testing.T) {
-	r := NewRate(1.0) // no smoothing: rate == last window
-	t0 := time.Unix(0, 0)
-	r.Tick(t0)
-	r.Observe(500)
-	r.Tick(t0.Add(500 * time.Millisecond))
-	got := r.PerSecond()
-	if math.Abs(got-1000) > 1 {
-		t.Fatalf("rate = %v, want ~1000", got)
-	}
-	if r.Total() != 500 {
-		t.Fatalf("total = %d, want 500", r.Total())
-	}
-}
-
-func TestRateSmoothing(t *testing.T) {
-	r := NewRate(0.5)
-	t0 := time.Unix(0, 0)
-	r.Tick(t0)
-	r.Observe(100)
-	r.Tick(t0.Add(time.Second)) // inst 100/s, primed -> 100
-	r.Tick(t0.Add(2 * time.Second))
-	// second window saw 0 events: ewma = 0.5*0 + 0.5*100 = 50
-	if got := r.PerSecond(); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("smoothed rate = %v, want 50", got)
-	}
-}
-
-func TestRateBadAlphaDefaults(t *testing.T) {
-	r := NewRate(-1)
-	if r.alpha != 0.25 {
-		t.Fatalf("alpha = %v, want default 0.25", r.alpha)
-	}
-}
-
-func TestRateZeroDtIgnored(t *testing.T) {
-	r := NewRate(1.0)
-	t0 := time.Unix(0, 0)
-	r.Tick(t0)
-	r.Observe(10)
-	r.Tick(t0) // dt == 0 must not divide by zero or update
-	if got := r.PerSecond(); got != 0 {
-		t.Fatalf("rate after zero-dt tick = %v, want 0", got)
-	}
-}
-
 func TestHistogramBucketIndex(t *testing.T) {
 	cases := []struct {
 		v    uint64

@@ -1,17 +1,12 @@
 package kernels
 
-import (
-	"time"
-
-	"raftlib/raft"
-)
+import "raftlib/raft"
 
 // This file provides the generic stream adapters that round out the
 // standard kernel library: the small composable pieces (filter, transform,
-// duplicate, join, batch, rate-limit, prefix/suffix selection) a stream
-// programmer reaches for between the domain kernels. Each is a plain
-// kernel over typed ports; the stateless ones are cloneable so the runtime
-// may replicate them.
+// duplicate) a stream programmer reaches for between the domain kernels.
+// Each is a plain kernel over typed ports; the stateless ones are
+// cloneable so the runtime may replicate them.
 
 // Filter passes through only the elements satisfying a predicate.
 type Filter[T any] struct {
@@ -111,221 +106,6 @@ func (t *Tee[T]) Run() raft.Status {
 		if err := raft.PushSig(out, v, sig); err != nil {
 			return raft.Stop
 		}
-	}
-	return raft.Proceed
-}
-
-// Pair is the element type produced by Zip.
-type Pair[A, B any] struct {
-	A A
-	B B
-}
-
-// Zip joins two streams element-wise: one element from each input forms a
-// Pair. The kernel stops when either input is exhausted (trailing
-// unmatched elements on the longer stream are discarded, like the sum
-// kernel of the paper's Fig. 2 when one operand stream ends first).
-type Zip[A, B any] struct {
-	raft.KernelBase
-}
-
-// NewZip returns a kernel pairing port "a" with port "b" onto port "out".
-func NewZip[A, B any]() *Zip[A, B] {
-	k := &Zip[A, B]{}
-	k.SetName("zip")
-	raft.AddInput[A](k, "a")
-	raft.AddInput[B](k, "b")
-	raft.AddOutput[Pair[A, B]](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (z *Zip[A, B]) Run() raft.Status {
-	a, err := raft.Pop[A](z.In("a"))
-	if err != nil {
-		return raft.Stop
-	}
-	b, err := raft.Pop[B](z.In("b"))
-	if err != nil {
-		return raft.Stop
-	}
-	if err := raft.Push(z.Out("out"), Pair[A, B]{A: a, B: b}); err != nil {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
-
-// Batch groups consecutive elements into fixed-size slices, emitting a
-// final short batch at end of stream. Batching amortizes per-element
-// stream costs for fine-grained element types.
-type Batch[T any] struct {
-	raft.KernelBase
-	size int
-	cur  []T
-}
-
-// NewBatch returns a kernel grouping port "in" into []T batches of the
-// given size on port "out".
-func NewBatch[T any](size int) *Batch[T] {
-	if size < 1 {
-		size = 1
-	}
-	k := &Batch[T]{size: size}
-	k.SetName("batch")
-	raft.AddInput[T](k, "in")
-	raft.AddOutput[[]T](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (b *Batch[T]) Run() raft.Status {
-	v, err := raft.Pop[T](b.In("in"))
-	if err != nil {
-		if len(b.cur) > 0 {
-			_ = raft.Push(b.Out("out"), b.cur)
-			b.cur = nil
-		}
-		return raft.Stop
-	}
-	b.cur = append(b.cur, v)
-	if len(b.cur) == b.size {
-		if err := raft.Push(b.Out("out"), b.cur); err != nil {
-			return raft.Stop
-		}
-		b.cur = make([]T, 0, b.size)
-	}
-	return raft.Proceed
-}
-
-// Unbatch flattens slices back into their elements.
-type Unbatch[T any] struct {
-	raft.KernelBase
-}
-
-// NewUnbatch returns a kernel expanding []T batches from port "in" into
-// single elements on port "out".
-func NewUnbatch[T any]() *Unbatch[T] {
-	k := &Unbatch[T]{}
-	k.SetName("unbatch")
-	raft.AddInput[[]T](k, "in")
-	raft.AddOutput[T](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (u *Unbatch[T]) Run() raft.Status {
-	vs, err := raft.Pop[[]T](u.In("in"))
-	if err != nil {
-		return raft.Stop
-	}
-	out := u.Out("out")
-	for _, v := range vs {
-		if err := raft.Push(out, v); err != nil {
-			return raft.Stop
-		}
-	}
-	return raft.Proceed
-}
-
-// Take forwards the first n elements, then terminates the stream — the
-// downstream-driven cut-off for unbounded sources.
-type Take[T any] struct {
-	raft.KernelBase
-	remaining int64
-}
-
-// NewTake returns a kernel passing through the first n elements of port
-// "in" to port "out".
-func NewTake[T any](n int64) *Take[T] {
-	k := &Take[T]{remaining: n}
-	k.SetName("take")
-	raft.AddInput[T](k, "in")
-	raft.AddOutput[T](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (t *Take[T]) Run() raft.Status {
-	if t.remaining <= 0 {
-		return raft.Stop
-	}
-	v, sig, err := raft.PopSig[T](t.In("in"))
-	if err != nil {
-		return raft.Stop
-	}
-	t.remaining--
-	if t.remaining == 0 && sig == raft.SigNone {
-		sig = raft.SigEOF
-	}
-	if err := raft.PushSig(t.Out("out"), v, sig); err != nil {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
-
-// Drop discards the first n elements and forwards the rest.
-type Drop[T any] struct {
-	raft.KernelBase
-	remaining int64
-}
-
-// NewDrop returns a kernel discarding the first n elements of port "in".
-func NewDrop[T any](n int64) *Drop[T] {
-	k := &Drop[T]{remaining: n}
-	k.SetName("drop")
-	raft.AddInput[T](k, "in")
-	raft.AddOutput[T](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (d *Drop[T]) Run() raft.Status {
-	v, sig, err := raft.PopSig[T](d.In("in"))
-	if err != nil {
-		return raft.Stop
-	}
-	if d.remaining > 0 {
-		d.remaining--
-		return raft.Proceed
-	}
-	if err := raft.PushSig(d.Out("out"), v, sig); err != nil {
-		return raft.Stop
-	}
-	return raft.Proceed
-}
-
-// Throttle rate-limits a stream to at most one element per interval —
-// pacing for downstream systems with ingest limits.
-type Throttle[T any] struct {
-	raft.KernelBase
-	interval time.Duration
-	last     time.Time
-}
-
-// NewThrottle returns a kernel forwarding at most one element per
-// interval.
-func NewThrottle[T any](interval time.Duration) *Throttle[T] {
-	k := &Throttle[T]{interval: interval}
-	k.SetName("throttle")
-	raft.AddInput[T](k, "in")
-	raft.AddOutput[T](k, "out")
-	return k
-}
-
-// Run implements raft.Kernel.
-func (t *Throttle[T]) Run() raft.Status {
-	v, sig, err := raft.PopSig[T](t.In("in"))
-	if err != nil {
-		return raft.Stop
-	}
-	if !t.last.IsZero() {
-		if wait := t.interval - time.Since(t.last); wait > 0 {
-			time.Sleep(wait)
-		}
-	}
-	t.last = time.Now()
-	if err := raft.PushSig(t.Out("out"), v, sig); err != nil {
-		return raft.Stop
 	}
 	return raft.Proceed
 }

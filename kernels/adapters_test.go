@@ -3,7 +3,6 @@ package kernels
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"raftlib/raft"
 )
@@ -132,138 +131,6 @@ func TestTeeWidthValidation(t *testing.T) {
 		}
 	}()
 	NewTee[int](0)
-}
-
-func TestZipPairsStreams(t *testing.T) {
-	m := raft.NewMap()
-	z := NewZip[int64, int64]()
-	if _, err := m.Link(ints(10), z, raft.To("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(NewGenerate(10, func(i int64) int64 { return i * i }), z, raft.To("b")); err != nil {
-		t.Fatal(err)
-	}
-	var out []Pair[int64, int64]
-	if _, err := m.Link(z, NewWriteEach(&out)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exe(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 10 {
-		t.Fatalf("zipped %d pairs", len(out))
-	}
-	for i, p := range out {
-		if p.A != int64(i) || p.B != int64(i*i) {
-			t.Fatalf("pair[%d] = %+v", i, p)
-		}
-	}
-}
-
-func TestZipUnequalLengthsStopAtShorter(t *testing.T) {
-	m := raft.NewMap()
-	z := NewZip[int64, int64]()
-	if _, err := m.Link(ints(3), z, raft.To("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(ints(100), z, raft.To("b")); err != nil {
-		t.Fatal(err)
-	}
-	var out []Pair[int64, int64]
-	if _, err := m.Link(z, NewWriteEach(&out)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exe(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("zipped %d pairs, want 3", len(out))
-	}
-}
-
-func TestBatchUnbatchRoundTrip(t *testing.T) {
-	m := raft.NewMap()
-	b := NewBatch[int64](7) // 100 elements -> 14 batches of 7 + one of 2
-	u := NewUnbatch[int64]()
-	var batches [][]int64
-	tee := NewTee[[]int64](2)
-	if _, err := m.Link(ints(100), b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(b, tee); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(tee, NewWriteEach(&batches), raft.From("0")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(tee, u, raft.From("1")); err != nil {
-		t.Fatal(err)
-	}
-	var flat []int64
-	if _, err := m.Link(u, NewWriteEach(&flat)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exe(); err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 15 {
-		t.Fatalf("batches = %d, want 15", len(batches))
-	}
-	if len(batches[14]) != 2 {
-		t.Fatalf("tail batch = %d elements, want 2", len(batches[14]))
-	}
-	if len(flat) != 100 {
-		t.Fatalf("flattened %d elements", len(flat))
-	}
-	for i, v := range flat {
-		if v != int64(i) {
-			t.Fatalf("flat[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestTakeCutsStream(t *testing.T) {
-	got := runPipe[int64](t, ints(1_000_000), NewTake[int64](5))
-	want := []int64{0, 1, 2, 3, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTakeMoreThanAvailable(t *testing.T) {
-	got := runPipe[int64](t, ints(3), NewTake[int64](10))
-	if len(got) != 3 {
-		t.Fatalf("got %d", len(got))
-	}
-}
-
-func TestDrop(t *testing.T) {
-	got := runPipe[int64](t, ints(10), NewDrop[int64](7))
-	want := []int64{7, 8, 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestDropAll(t *testing.T) {
-	got := runPipe[int64](t, ints(5), NewDrop[int64](100))
-	if len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestThrottlePacesStream(t *testing.T) {
-	const interval = 5 * time.Millisecond
-	start := time.Now()
-	got := runPipe[int64](t, ints(5), NewThrottle[int64](interval))
-	elapsed := time.Since(start)
-	if len(got) != 5 {
-		t.Fatalf("got %d elements", len(got))
-	}
-	// Four inter-element gaps minimum.
-	if elapsed < 4*interval {
-		t.Fatalf("elapsed %v, want >= %v", elapsed, 4*interval)
-	}
 }
 
 func TestItoa(t *testing.T) {

@@ -52,15 +52,3 @@ func (r *Reduce[T]) Snapshot() ([]byte, error) { return gobEncode(&r.acc) }
 
 // Restore implements raft.Checkpointable.
 func (r *Reduce[T]) Restore(snap []byte) error { return gobDecode(snap, &r.acc) }
-
-// Snapshot implements raft.Checkpointable (elements still to forward).
-func (t *Take[T]) Snapshot() ([]byte, error) { return gobEncode(t.remaining) }
-
-// Restore implements raft.Checkpointable.
-func (t *Take[T]) Restore(snap []byte) error { return gobDecode(snap, &t.remaining) }
-
-// Snapshot implements raft.Checkpointable (elements still to discard).
-func (d *Drop[T]) Snapshot() ([]byte, error) { return gobEncode(d.remaining) }
-
-// Restore implements raft.Checkpointable.
-func (d *Drop[T]) Restore(snap []byte) error { return gobDecode(snap, &d.remaining) }

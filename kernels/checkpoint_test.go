@@ -12,8 +12,6 @@ var (
 	_ raft.Checkpointable = (*Generate[int])(nil)
 	_ raft.Checkpointable = (*ReadEach[int])(nil)
 	_ raft.Checkpointable = (*Reduce[int])(nil)
-	_ raft.Checkpointable = (*Take[int])(nil)
-	_ raft.Checkpointable = (*Drop[int])(nil)
 )
 
 func TestKernelSnapshotRoundtrips(t *testing.T) {
@@ -59,28 +57,6 @@ func TestKernelSnapshotRoundtrips(t *testing.T) {
 	}
 	if rd2.acc != (pair{7, 9}) {
 		t.Fatalf("Reduce.acc = %+v, want {7 9}", rd2.acc)
-	}
-
-	tk := NewTake[int](10)
-	tk.remaining = 4
-	snap, _ = tk.Snapshot()
-	tk2 := NewTake[int](10)
-	if err := tk2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if tk2.remaining != 4 {
-		t.Fatalf("Take.remaining = %d, want 4", tk2.remaining)
-	}
-
-	dp := NewDrop[int](10)
-	dp.remaining = 3
-	snap, _ = dp.Snapshot()
-	dp2 := NewDrop[int](10)
-	if err := dp2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if dp2.remaining != 3 {
-		t.Fatalf("Drop.remaining = %d, want 3", dp2.remaining)
 	}
 }
 

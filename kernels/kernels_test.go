@@ -270,7 +270,7 @@ func TestSearchKernelFindsAllHits(t *testing.T) {
 	for _, algo := range []string{"ahocorasick", "horspool", "boyermoore"} {
 		var hits []int64
 		m := raft.NewMap()
-		if _, err := m.Link(NewBytesReader(data, 64<<10, len(pattern)-1), MustSearch(algo, pattern)); err != nil {
+		if _, err := m.Link(NewBytesReader(data, 64<<10, len(pattern)-1), mustSearch(t, algo, pattern)); err != nil {
 			t.Fatal(err)
 		}
 		srch := m.Kernels()[1]
@@ -299,7 +299,7 @@ func TestSearchKernelParallelMatchesSequential(t *testing.T) {
 	var hits []int64
 	m := raft.NewMap()
 	if _, err := m.Link(NewBytesReader(data, 64<<10, len(pattern)-1),
-		MustSearch("horspool", pattern), raft.AsOutOfOrder()); err != nil {
+		mustSearch(t, "horspool", pattern), raft.AsOutOfOrder()); err != nil {
 		t.Fatal(err)
 	}
 	srch := m.Kernels()[1]
@@ -353,12 +353,15 @@ func TestNewSearchRejectsBadAlgo(t *testing.T) {
 	if _, err := NewSearch("quantum", []byte("x")); err == nil {
 		t.Fatal("unknown algorithm must error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSearch must panic on bad algorithm")
-		}
-	}()
-	MustSearch("quantum", []byte("x"))
+}
+
+func mustSearch(t *testing.T, algo string, pattern []byte) *Search {
+	t.Helper()
+	k, err := NewSearch(algo, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // naivePositions is the test oracle: every match start of pattern in data.

@@ -37,15 +37,6 @@ func NewSearch(algo string, pattern []byte) (*Search, error) {
 	return k, nil
 }
 
-// MustSearch is NewSearch for known-good algorithm names.
-func MustSearch(algo string, pattern []byte) *Search {
-	k, err := NewSearch(algo, pattern)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Run implements raft.Kernel.
 func (s *Search) Run() raft.Status {
 	c, err := raft.Pop[Chunk](s.In("in"))

@@ -90,28 +90,3 @@ func TestFilterBatchReplicated(t *testing.T) {
 		t.Fatalf("parallel filter passed %d, want 5000", len(out))
 	}
 }
-
-// TestBatchLambda exercises the raw raft.NewBatchLambda surface: an
-// in-place transform that also compacts (keep evens, negate them).
-func TestBatchLambda(t *testing.T) {
-	mid := raft.NewBatchLambda(32, func(vals []int64, sigs []raft.Signal) int {
-		k := 0
-		for i, v := range vals {
-			if v%2 != 0 {
-				continue
-			}
-			vals[k], sigs[k] = -v, sigs[i]
-			k++
-		}
-		return k
-	})
-	got := runPipe[int64](t, ints(1000), mid)
-	if len(got) != 500 {
-		t.Fatalf("emitted %d elements, want 500", len(got))
-	}
-	for i, v := range got {
-		if v != int64(-2*i) {
-			t.Fatalf("got[%d] = %d, want %d", i, v, -2*i)
-		}
-	}
-}

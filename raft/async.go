@@ -49,12 +49,31 @@ func (p *Port) PeekAsync() Signal {
 	return Signal(p.async.v.Load())
 }
 
-// exception is the map-global error latch behind KernelBase.Raise.
+// exception is the map-global error latch behind KernelBase.Raise, and
+// the failure signal behind KernelBase.Failed.
 type exception struct {
-	mu    sync.Mutex
-	err   error
-	abort func()
-	once  sync.Once
+	mu       sync.Mutex
+	err      error
+	abort    func()
+	once     sync.Once
+	failed   chan struct{} // closed by fail
+	failOnce sync.Once
+}
+
+// fail marks the execution failed.
+func (e *exception) fail() { e.failOnce.Do(func() { close(e.failed) }) }
+
+// Failed returns a channel that is closed once the kernel's execution has
+// failed: a kernel raised (Raise) or ended with an error (a failed Init, a
+// panic no supervisor absorbed), or the deadlock watch aborted the run. A
+// kernel that waits on something other than its ports — a socket, a peer,
+// a timer — selects on it, so it stops waiting for a run that is lost.
+// It is nil (never ready) for a kernel linked into no Map.
+func (k *KernelBase) Failed() <-chan struct{} {
+	if k.m == nil {
+		return nil
+	}
+	return k.m.exc.failed
 }
 
 // Raise delivers a global exception from inside a kernel: the first raised
@@ -72,6 +91,7 @@ func (k *KernelBase) Raise(err error) {
 	}
 	abort := exc.abort
 	exc.mu.Unlock()
+	exc.fail()
 	if abort != nil {
 		exc.once.Do(abort)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestConvertedLinkNumericCast(t *testing.T) {
@@ -307,5 +308,69 @@ func TestRaiseNilIsNoop(t *testing.T) {
 	}
 	if _, err := m.Exe(); err != nil {
 		t.Fatalf("nil raise must not fail the app: %v", err)
+	}
+}
+
+// failingInit is a source whose Init fails.
+type failingInit struct{ KernelBase }
+
+func (*failingInit) Init() error { return errors.New("no input file") }
+func (*failingInit) Run() Status { return Stop }
+
+// TestFailedClosesWhenTheExecutionFails: a kernel waiting on something
+// other than its ports learns through Failed that its run is lost —
+// whether another kernel raised, panicked or failed its Init, under both
+// schedulers — and a clean run leaves the channel open.
+func TestFailedClosesWhenTheExecutionFails(t *testing.T) {
+	failers := map[string]func() Kernel{
+		"raise": func() Kernel {
+			return NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+				k.Raise(errors.New("raised"))
+				return Stop
+			})
+		},
+		"panic": func() Kernel {
+			return NewLambda[int64](0, 1, func(*LambdaKernel) Status { panic("kernel bug") })
+		},
+		"init": func() Kernel {
+			k := &failingInit{}
+			AddOutput[int64](k, "out")
+			return k
+		},
+		"none": func() Kernel { return newGen(10) },
+	}
+	for name, failer := range failers {
+		for _, sched := range []Option{WithWorkStealing(2), func(*Config) {}} {
+			m := NewMap()
+			var failed <-chan struct{}
+			woke := false
+			waiter := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+				failed = k.Failed()
+				if name != "none" {
+					select {
+					case <-failed:
+						woke = true
+					case <-time.After(5 * time.Second):
+					}
+				}
+				return Stop
+			})
+			m.MustLink(waiter, newCollect())
+			m.MustLink(failer(), newCollect())
+			_, err := m.Exe(sched)
+			select {
+			case <-failed:
+				if name == "none" {
+					t.Fatalf("%s: Failed closed on a clean run", name)
+				}
+			default:
+				if name != "none" {
+					t.Fatalf("%s: Failed still open after Exe = %v", name, err)
+				}
+			}
+			if (err != nil) != (name != "none") || woke != (name != "none") {
+				t.Fatalf("%s: Exe = %v, waiter woken = %v", name, err, woke)
+			}
+		}
 	}
 }

@@ -766,6 +766,7 @@ func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 						m.exc.err = fmt.Errorf("raft: %s", diag)
 					}
 					m.exc.mu.Unlock()
+					m.exc.fail()
 					// Capture the post-mortem before the teardown below
 					// disturbs the frozen state (the bus tap also fires on
 					// the monitor's Deadlock event; the cooldown dedups).
@@ -1053,7 +1054,11 @@ func (ks *kernelSlot) buildActor(k Kernel, id, place int, rec *trace.Recorder, s
 
 // Finish runs the kernel's Finalizer, then closes its outputs (EOF
 // downstream) and inputs (unblocks upstream producers if it died early).
-func (ae *actorEntry) Finish() {
+// A kernel that ended with an error fails its execution (Failed) first.
+func (ae *actorEntry) Finish(err error) {
+	if err != nil {
+		ae.kb.m.exc.fail()
+	}
 	if fin, ok := ae.k.(Finalizer); ok {
 		fin.Finalize()
 	}

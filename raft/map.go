@@ -17,7 +17,7 @@ type Map struct {
 
 // NewMap returns an empty topology.
 func NewMap() *Map {
-	return &Map{}
+	return &Map{exc: exception{failed: make(chan struct{})}}
 }
 
 // Link is one stream connection between two kernels. The paper's link()

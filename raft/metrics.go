@@ -331,16 +331,3 @@ func (ex *Execution) writeMetrics(w io.Writer) {
 
 	_, _ = io.WriteString(w, b.String())
 }
-
-// pollMetricsOnce is a test helper: fetch the endpoint body with a short
-// timeout.
-func pollMetricsOnce(addr string) (string, error) {
-	c := &http.Client{Timeout: 2 * time.Second}
-	resp, err := c.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return string(body), err
-}

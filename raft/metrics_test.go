@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -200,4 +202,16 @@ func TestReportOccupancyHistogram(t *testing.T) {
 			t.Fatalf("link %s: pushes=%d but no occupancy sample", l.Name, l.Pushes)
 		}
 	}
+}
+
+// pollMetricsOnce fetches the endpoint body with a short timeout.
+func pollMetricsOnce(addr string) (string, error) {
+	c := &http.Client{Timeout: 2 * time.Second}
+	resp, err := c.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return string(body), err
 }

@@ -382,24 +382,6 @@ func pushSlow[T any](p *Port, v T, s Signal, block bool) (ok bool, err error) {
 	return ok, err
 }
 
-// PushBatch appends all of vs (more efficient than element-wise Push for
-// high-rate streams); the final element carries sig.
-func PushBatch[T any](p *Port, vs []T, sig Signal) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	r := retired[T](p)
-	last := [1]Signal{sig}
-	err := r.PushN(vs[:len(vs)-1], nil)
-	if err == nil {
-		err = r.PushN(vs[len(vs)-1:], last[:])
-	}
-	if err == nil {
-		p.markPush(len(vs))
-	}
-	return err
-}
-
 // PushN appends all of vs to an output port in one bulk operation — one
 // publish per contiguous run of free slots instead of one per element. Every element carries SigNone; use
 // PushNSig to attach synchronized signals. PushN blocks while the stream is

@@ -1,8 +1,6 @@
 package raft
 
 import (
-	"errors"
-
 	"raftlib/internal/core"
 	"raftlib/internal/ringbuffer"
 )
@@ -43,6 +41,3 @@ const (
 // its producer and drained (reads), or closed outright (writes). Kernels
 // typically translate it into Stop.
 var ErrClosed = ringbuffer.ErrClosed
-
-// IsClosed reports whether err indicates a closed stream.
-func IsClosed(err error) bool { return errors.Is(err, ErrClosed) }

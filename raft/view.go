@@ -100,21 +100,6 @@ func PopView[T any](p *Port, max int) (View[T], error) {
 	}
 }
 
-// TryPopView is the non-blocking PopView: an empty view with a nil error
-// when the stream is empty but open, (empty, ErrClosed) once it is closed
-// and drained. An empty view must not be released.
-func TryPopView[T any](p *Port, max int) (View[T], error) {
-	for {
-		v, err := retired[T](p).TryAcquireView(max)
-		if len(v.Vals) > 0 {
-			p.markPop()
-		}
-		if err == nil || len(v.Vals) > 0 || !p.migrateOnClosed(err) {
-			return View[T](v), err
-		}
-	}
-}
-
 // ReleaseView ends the port's outstanding read view, consuming its first n
 // elements; the remainder stays buffered for the next PopView.
 func ReleaseView[T any](p *Port, n int) {
@@ -160,73 +145,4 @@ func moveView[T any](src, dst ringbuffer.Queue, max int) (n int, err error) {
 	n, err = db.TryPushN(v.Vals, v.Sigs)
 	sv.ReleaseView(n)
 	return n, err
-}
-
-// NewBatchLambda builds a 1-in/1-out kernel that processes the stream one
-// borrowed batch at a time: fn receives each contiguous segment of the
-// input queue's own storage (vals with aligned, always non-nil sigs),
-// transforms it in place, and returns how many leading elements to emit
-// downstream — len(vals) for a map, fewer for a filter that compacted the
-// segment. The emitted prefix is pushed with its (possibly rewritten)
-// signals; a filter must carry any dropped element's non-SigNone signal
-// onto an emitted element itself, or the signal is lost. batch bounds the
-// borrow size (the adaptive batcher's per-link hint, when present,
-// overrides it).
-//
-// State captured by fn is subject to the lambda-replication caveat; use
-// NewLambdaCloneable with a maker that calls NewBatchLambda for a
-// replicable kernel.
-func NewBatchLambda[T any](batch int, fn func(vals []T, sigs []Signal) int) *LambdaKernel {
-	if batch < 1 {
-		batch = 1
-	}
-	var scratchS []Signal
-	l := &LambdaKernel{}
-	l.SetName("batch_lambdak")
-	AddInput[T](l, "0")
-	AddOutput[T](l, "0")
-	// sigsFor hands fn a real signal slice even when the view's segment is
-	// nil (all SigNone): in-place compaction needs somewhere to move
-	// signals, and PushNSig needs alignment either way.
-	sigsFor := func(sigs []Signal, n int) []Signal {
-		if sigs != nil {
-			return sigs[:n]
-		}
-		if cap(scratchS) < n {
-			scratchS = make([]Signal, n)
-		}
-		s := scratchS[:n]
-		for i := range s {
-			s[i] = SigNone
-		}
-		return s
-	}
-	l.fn = func(k *LambdaKernel) Status {
-		in, out := k.In("0"), k.Out("0")
-		max := in.BatchHint(batch)
-		if max < 1 {
-			max = 1
-		}
-		v, err := PopView[T](in, max)
-		if v.Len() == 0 {
-			_ = err // blocking PopView returns elements or ErrClosed
-			return Stop
-		}
-		// emit runs fn over one segment and pushes the kept prefix.
-		emit := func(vals []T, sigs []Signal) bool {
-			if len(vals) == 0 {
-				return true
-			}
-			ss := sigsFor(sigs, len(vals))
-			keep := fn(vals, ss)
-			return keep == 0 || PushNSig(out, vals[:keep], ss[:keep]) == nil
-		}
-		ok := emit(v.Vals, v.Sigs) && emit(v.Vals2, v.Sigs2)
-		ReleaseView[T](in, v.Len())
-		if !ok {
-			return Stop
-		}
-		return Proceed
-	}
-	return l
 }

@@ -236,7 +236,7 @@ func TestWindowBulkOpsRetireFirst(t *testing.T) {
 	}
 	next += 2
 	push()
-	if err := PushBatch(out, []int64{next}, SigNone); err != nil {
+	if err := PushNSig(out, []int64{next}, []Signal{SigNone}); err != nil {
 		t.Fatal(err)
 	}
 	next++
