@@ -21,11 +21,11 @@ test:
 # check is the fast pre-commit gate: vet everything, race-test the
 # packages with the trickiest concurrency (resilience supervisor, oar
 # bridge healing, ring buffer, batched port path, sharded
-# trace bus, monitor, histogram counters), then smoke the batch
-# ablation so a batching regression fails loudly.
+# trace bus, monitor, histogram counters, the actor's atomics), then smoke
+# the batch ablation so a batching regression fails loudly.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/ringbuffer/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./internal/gateway/... ./raft/...
+	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/ringbuffer/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./internal/core/... ./internal/gateway/... ./raft/...
 	$(MAKE) bench-smoke
 
 # bench-smoke runs the batch ablation on a small corpus/stream — seconds,
@@ -111,7 +111,9 @@ ci-fmt:
 ci-test:
 	$(GO) test ./...
 
-# Same package list as `check`: the packages with real concurrency. The
+# Same package list as `check`: the packages with real concurrency (core's
+# timing tests skip themselves under -race; its gate, lifecycle and the
+# words other goroutines read off a running actor do not). The
 # ringbuffer and scheduler packages run three times — the lock-free commit,
 # the resize handover and the park/wake Dekker pair are interleaving-
 # dependent, and repeated runs shake out schedules a single pass misses.
@@ -120,7 +122,7 @@ ci-test:
 # every park must be woken by a ring hook: a watchdog rescue there is a
 # lost (or grace-late) wake.
 ci-race:
-	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
+	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./internal/core/... ./raft/...
 	$(GO) test -race -count=3 ./internal/ringbuffer/... ./internal/scheduler/...
 	$(GO) test -race -count=20 -run TestScaleStepsAreCommits ./raft/
 	$(GO) test -race -count=20 -run TestWorkStealEveryParkIsWoken ./internal/scheduler/

@@ -17,6 +17,7 @@ import (
 	"raftlib/internal/baselines/sparklet"
 	"raftlib/internal/corpus"
 	"raftlib/internal/oar"
+	"raftlib/internal/search"
 	"raftlib/kernels"
 	"raftlib/raft"
 )
@@ -61,18 +62,17 @@ func TestDistributedSearchAgrees(t *testing.T) {
 
 	// The worker serves a per-chunk count stage ([]byte in, int64 out).
 	oar.RegisterStage[[]byte, int64](node, "count", func(args map[string]string) (raft.Kernel, error) {
-		cs, err := kernels.NewCountSearch(args["algo"], []byte(args["pattern"]))
+		m, err := search.New(args["algo"], []byte(args["pattern"]))
 		if err != nil {
 			return nil, err
 		}
-		// Adapt Chunk-based kernel: wrap raw []byte into Chunks locally.
+		// Count each raw []byte buffer with the matcher a search kernel uses.
 		return raft.NewLambdaIO[[]byte, int64](1, 1, func(k *raft.LambdaKernel) raft.Status {
 			b, err := raft.Pop[[]byte](k.In("0"))
 			if err != nil {
 				return raft.Stop
 			}
-			_ = cs // the wrapped kernel's matcher does the counting below
-			n := int64(cs.CountBytes(b))
+			n := int64(m.Count(b))
 			if err := raft.Push(k.Out("0"), n); err != nil {
 				return raft.Stop
 			}

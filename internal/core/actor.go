@@ -14,53 +14,59 @@ import (
 // Actor is the engine's view of one schedulable compute kernel. The raft
 // package wraps each user kernel into an Actor; the engine and schedulers
 // never see kernel types directly.
+// Its first cache line holds what the actor's goroutine writes or follows
+// on every step, up to the run count at the head of Service; the fields
+// set at build and read at start, end and report time come last.
 type Actor struct {
-	// ID is the actor's index within the engine (dense, 0-based).
-	ID int
-	// Name is a human-readable label used in reports and errors.
-	Name string
-	// Place is the mapper-assigned resource (index into the topology's
-	// place list); -1 when unmapped.
-	Place int
-	// Weight is the relative compute cost estimate used by the mapper.
-	Weight float64
-
-	// Init, if non-nil, runs once before the first invocation.
-	Init func() error
-	// Runner performs one kernel invocation: the raft package binds the
-	// kernel itself, or a wrapper around it (fault hook, supervisor). Step
-	// does instead on an actor built without one (a probe, a test).
-	Runner Runner
-	Step   func() Status
-	// Life, if non-nil, is the kernel's side of the actor's lifecycle
-	// besides its steps: the readiness predicate and the teardown (see
-	// Ready and Finish).
-	Life Lifecycle
-
-	// Service accumulates per-invocation service times; the monitor reads
-	// it to estimate service rates for bottleneck detection and modeling.
-	Service stats.ServiceTimer
-
-	// Virtual marks actors that complete instantly (e.g. the paper's
-	// for_each source, which "appears as a kernel only momentarily",
-	// §4.2): the engine runs Finish immediately and never schedules Step.
-	Virtual bool
-
-	// Restarts counts supervised recoveries of this actor: each time the
-	// resilience supervisor absorbs a panic and restarts the kernel the
-	// counter advances. It doubles as a progress signal for the deadlock
-	// watch (a kernel sleeping through restart backoff is alive, not
-	// frozen) and feeds the restart columns of reports and LiveStats.
-	Restarts stats.Counter
+	// Observation state of StepTimed, touched only by the actor's own
+	// goroutine. unobserved counts down the invocations that run without a
+	// clock read; the one that finds it at zero is observed and enters
+	// Service with weight obsWeight (zero on the very first, which counts
+	// once). nextSpan is the run count from which an observed invocation
+	// emits a Run span; jitter is the xorshift state behind the countdowns.
+	// holdSteps is how many invocations may pass between two retires of
+	// the port windows, from the last observed duration (0 or 1: retire
+	// after every invocation); holdLeft counts the current hold down.
+	unobserved uint32
+	holdLeft   uint32
+	holdSteps  uint32
+	obsWeight  uint32
+	jitter     uint32
 
 	// Finished is set by the scheduler once the actor's lifecycle ends;
 	// the monitor's deadlock detector ignores finished actors.
 	Finished atomic.Bool
 
+	nextSpan uint64
+
+	// Runner performs one kernel invocation: the raft package binds the
+	// kernel itself, or a wrapper around it (fault hook, supervisor). Step
+	// does instead on an actor built without one (a probe, a test).
+	Runner Runner
+
 	// Gate, when non-nil, lets the runtime hold the actor at a step
 	// boundary (graph-rewrite splices) or retire it mid-run. Schedulers
 	// poll it between invocations; the open-gate cost is one atomic load.
 	Gate *Gate
+
+	// Service accumulates per-invocation service times; the monitor reads
+	// it to estimate service rates for bottleneck detection and modeling.
+	// Its run count is the last word of the first cache line.
+	Service stats.ServiceTimer
+
+	// Windows, when non-nil, is the kernel whose port windows (see
+	// ringbuffer/window.go) this actor's steps open. Quiesce retires them;
+	// StepTimed calls it when a step does not return Proceed and once the
+	// steps since the last retire add up to windowHoldNanos of estimated
+	// kernel time, and schedulers and the supervisor call it wherever the
+	// kernel stops running for any other reason (gate pause, park, requeue,
+	// restart back-off, checkpoint).
+	Windows ringbuffer.WindowOwner
+	// Life, if non-nil, is the kernel's side of the actor's lifecycle
+	// besides its steps: the readiness predicate and the teardown (see
+	// Ready and Finish).
+	Life Lifecycle
+	Step func() Status
 
 	// Trace, when non-nil, receives RunStart/RunEnd events for sampled
 	// invocations (and restart/checkpoint events from the supervisor).
@@ -75,30 +81,27 @@ type Actor struct {
 	// resizes — are never sampled; only the high-frequency Run spans are.
 	TraceStride uint32
 
-	// Windows, when non-nil, is the kernel whose port windows (see
-	// ringbuffer/window.go) this actor's steps open. Quiesce retires them;
-	// StepTimed calls it when a step does not return Proceed and once the
-	// steps since the last retire add up to windowHoldNanos of estimated
-	// kernel time, and schedulers and the supervisor call it wherever the
-	// kernel stops running for any other reason (gate pause, park, requeue,
-	// restart back-off, checkpoint).
-	Windows ringbuffer.WindowOwner
-	// holdSteps is how many invocations may pass between two retires, from
-	// the last observed duration (0 or 1: retire after every invocation);
-	// holdLeft counts the current hold down.
-	holdSteps uint32
-	holdLeft  uint32
+	// ID is the actor's index within the engine (dense, 0-based).
+	ID int
+	// Name is a human-readable label used in reports and errors.
+	Name string
+	// Place is the mapper-assigned resource (index into the topology's
+	// place list); -1 when unmapped.
+	Place int
+	// Init, if non-nil, runs once before the first invocation.
+	Init func() error
 
-	// Observation state of StepTimed, touched only by the actor's own
-	// goroutine. unobserved counts down the invocations that run without a
-	// clock read; the one that finds it at zero is observed and enters
-	// Service with weight obsWeight (zero on the very first, which counts
-	// once). nextSpan is the run count from which an observed invocation
-	// emits a Run span; jitter is the xorshift state behind the countdowns.
-	unobserved uint32
-	obsWeight  uint32
-	jitter     uint32
-	nextSpan   uint64
+	// Virtual marks actors that complete instantly (e.g. the paper's
+	// for_each source, which "appears as a kernel only momentarily",
+	// §4.2): the engine runs Finish immediately and never schedules Step.
+	Virtual bool
+
+	// Restarts counts supervised recoveries of this actor: each time the
+	// resilience supervisor absorbs a panic and restarts the kernel the
+	// counter advances. It doubles as a progress signal for the deadlock
+	// watch (a kernel sleeping through restart backoff is alive, not
+	// frozen) and feeds the restart columns of reports and LiveStats.
+	Restarts stats.Counter
 }
 
 // Runner is the kernel side of one invocation; a raft kernel is one.
@@ -176,6 +179,12 @@ const (
 	// time, so it stays near 3 % of the kernel it observes. An invocation
 	// that took more than half of this is followed by an observed one.
 	observeBudgetNanos = 4096
+	// spikeShare and spikeFloorNanos bound what one observation adds to the
+	// busy time beyond its own duration (observe): 1/spikeShare of the busy
+	// time so far, and never less than spikeFloorNanos, eight observation
+	// budgets, which an ordinary sample stays well within.
+	spikeShare      = 8
+	spikeFloorNanos = 8 * observeBudgetNanos
 	// maxObserveGap caps the mean distance between observed invocations,
 	// however short they are: a kernel whose service time changes is
 	// noticed within a few times 64 invocations, and a short-lived one
@@ -319,7 +328,7 @@ func (a *Actor) stepObserved() Status {
 	}
 	d = max(d-clockSkew, 0)
 	a.Service.Step()
-	a.Service.Observe(d, uint64(max(a.obsWeight, 1)))
+	a.observe(d)
 	// The hold follows the newest observation at once: a kernel that just
 	// took long (or blocked) retires now and after every invocation until
 	// one is observed short again.
@@ -348,6 +357,23 @@ func (a *Actor) stepObserved() Status {
 		a.unobserved = uint32(math.Log(u) / math.Log1p(-1/float64(rate)))
 	}
 	return st
+}
+
+// observe enters an observed duration into Service with the weight of the
+// invocations it stands for (obsWeight). What it adds to the busy time
+// beyond its own duration is capped at 1/spikeShare of the busy time so far
+// (and never below spikeFloorNanos): an observed invocation whose goroutine
+// lost its processor mid-step would otherwise charge that wait to every
+// invocation it stands for, and one such sample can outweigh the whole run.
+// The invocations still count at the observed duration, so the histogram's
+// shape — a slow mode's share included — is unchanged.
+func (a *Actor) observe(d time.Duration) {
+	w := uint64(max(a.obsWeight, 1))
+	if lim := max(a.Service.BusyNanos()/spikeShare, spikeFloorNanos); uint64(d)*(w-1) > lim {
+		a.Service.ObserveSum(d, w, d+time.Duration(lim))
+		return
+	}
+	a.Service.Observe(d, w)
 }
 
 // LinkInfo is the engine's view of one stream (queue) between two actors.

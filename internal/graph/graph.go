@@ -112,37 +112,6 @@ func (g *Graph) degreeZero(endpoint func(Edge) int) []int {
 	return out
 }
 
-// WeaklyConnected reports whether the graph forms a single weakly connected
-// component. An empty graph is trivially connected; a graph with nodes but
-// no edges is connected only if it has one node.
-func (g *Graph) WeaklyConnected() bool {
-	n := len(g.Nodes)
-	if n <= 1 {
-		return true
-	}
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-		adj[e.Dst] = append(adj[e.Dst], e.Src)
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == n
-}
-
 // TopoSort returns a topological ordering of node IDs, or an error naming a
 // node on a cycle. Streaming graphs executed by the runtime must be acyclic
 // (a cycle of blocking FIFOs can deadlock), so exe() rejects cycles.

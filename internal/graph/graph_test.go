@@ -48,26 +48,6 @@ func TestInOutEdges(t *testing.T) {
 	}
 }
 
-func TestWeaklyConnected(t *testing.T) {
-	if !pipeline(5).WeaklyConnected() {
-		t.Fatal("pipeline must be connected")
-	}
-	g := pipeline(2)
-	g.AddNode("island", 1)
-	if g.WeaklyConnected() {
-		t.Fatal("island node must break connectivity")
-	}
-	empty := &Graph{}
-	if !empty.WeaklyConnected() {
-		t.Fatal("empty graph is trivially connected")
-	}
-	single := &Graph{}
-	single.AddNode("only", 1)
-	if !single.WeaklyConnected() {
-		t.Fatal("single node is connected")
-	}
-}
-
 func TestTopoSortOrder(t *testing.T) {
 	// Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3.
 	g := &Graph{}

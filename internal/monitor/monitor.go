@@ -22,7 +22,6 @@ import (
 
 	"raftlib/internal/core"
 	"raftlib/internal/qmodel"
-	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 )
 
@@ -104,7 +103,8 @@ type linkState struct {
 	batchTick  int
 	batchFull  int
 	batchEmpty int
-	prevTel    ringbuffer.TelemetrySnapshot
+	// The stream's pushes and block times at the last batch decision.
+	prevPushes, prevWriteNs, prevReadNs uint64
 	// drop watcher state (best-effort links only)
 	dropTick int
 	dropSeen uint64
@@ -501,10 +501,12 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 	emptyFrac := float64(st.batchEmpty) / window
 	st.batchTick, st.batchFull, st.batchEmpty = 0, 0, 0
 
-	tel := l.Queue.Telemetry().Snapshot()
-	prev := st.prevTel
-	st.prevTel = tel
-	moved := tel.Pushes - prev.Pushes
+	tel := l.Queue.Telemetry()
+	pushes, _ := tel.Flow()
+	writeNs, readNs := tel.BlockNs()
+	moved := pushes - st.prevPushes
+	blocked := writeNs > st.prevWriteNs || readNs > st.prevReadNs
+	st.prevPushes, st.prevWriteNs, st.prevReadNs = pushes, writeNs, readNs
 
 	// Pre-saturation signal from the rate estimator: a link running at
 	// high utilization, or whose occupancy derivative predicts a half-full
@@ -517,7 +519,7 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 	// distinguishes the two. λ̂ primes within ~5 estimator windows of
 	// startup, so gating growth on it costs a few milliseconds once,
 	// not adaptivity.
-	contended := tel.Blocked(prev) || fullFrac >= 0.5
+	contended := blocked || fullFrac >= 0.5
 	if m.cfg.RateControl && m.cfg.Rates != nil && st.estIdx >= 0 {
 		if lr, ok := m.cfg.Rates.Link(st.estIdx); ok {
 			rateHot := false

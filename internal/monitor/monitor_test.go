@@ -35,8 +35,9 @@ func TestTickSamplesOccupancy(t *testing.T) {
 	m := New(Config{}, []*core.LinkInfo{li}, nil)
 	m.Tick()
 	m.Tick()
-	if li.Occupancy.Samples() != 2 {
-		t.Fatalf("samples = %d", li.Occupancy.Samples())
+	if li.Occupancy.StarvedFraction() != 0 || li.Occupancy.FullFraction() != 0 {
+		t.Fatalf("starved %v, full %v of a 3/4 ring, want 0 and 0",
+			li.Occupancy.StarvedFraction(), li.Occupancy.FullFraction())
 	}
 	if li.Occupancy.Mean() != 3 {
 		t.Fatalf("mean occupancy = %v, want 3", li.Occupancy.Mean())

@@ -105,13 +105,6 @@ func (n *Node) ID() string { return n.id }
 // Addr returns the listening address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Self returns the node's own published info.
-func (n *Node) Self() NodeInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.self
-}
-
 // SetLoad updates the self-reported utilization published on the next
 // gossip exchange.
 func (n *Node) SetLoad(load float64) {

@@ -30,25 +30,6 @@ func (n *Node) FreshPeers(maxAge time.Duration) []NodeInfo {
 	return out
 }
 
-// ForgetStale removes peers whose records are older than maxAge from the
-// view entirely and returns how many were dropped.
-func (n *Node) ForgetStale(maxAge time.Duration) int {
-	if maxAge <= 0 {
-		maxAge = time.Minute
-	}
-	cutoff := time.Now().Add(-maxAge)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	dropped := 0
-	for id, p := range n.peers {
-		if !p.Stamp.After(cutoff) {
-			delete(n.peers, id)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 // PickLeastLoaded returns the fresh peer with the most headroom, defined
 // as cores × (1 - load): the target the runtime should hand the next
 // remote kernel to. It returns an error when no fresh peer exists.

@@ -31,18 +31,6 @@ func TestFreshPeersFiltersByAge(t *testing.T) {
 	}
 }
 
-func TestForgetStale(t *testing.T) {
-	n := newTestNode(t, "self")
-	seedPeer(n, "young", 4, 0.1, 10*time.Millisecond)
-	seedPeer(n, "old", 8, 0.1, 10*time.Minute)
-	if dropped := n.ForgetStale(time.Minute); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	if peers := n.Peers(); len(peers) != 1 || peers[0].ID != "young" {
-		t.Fatalf("peers = %+v", peers)
-	}
-}
-
 func TestPickLeastLoaded(t *testing.T) {
 	n := newTestNode(t, "self")
 	seedPeer(n, "busy", 16, 0.9, 0)  // headroom 1.6

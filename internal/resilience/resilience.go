@@ -276,9 +276,6 @@ func (s *Supervisor) backoff(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// Attempts returns the number of failures absorbed or escalated so far.
-func (s *Supervisor) Attempts() int { return s.attempts }
-
 // safeStep invokes the kernel once, converting a panic into an error.
 func (s *Supervisor) safeStep() (st core.Status, err error) {
 	defer func() {

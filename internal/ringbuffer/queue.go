@@ -20,6 +20,7 @@ package ringbuffer
 import (
 	"errors"
 	"math/bits"
+	"sync/atomic"
 	"time"
 
 	"raftlib/internal/owned"
@@ -122,11 +123,6 @@ type Queue interface {
 // the consumer's counters sit on cache lines of their own, so that neither
 // end's counting moves a line the other end is writing.
 type Telemetry struct {
-	// Written under the ring lock by whoever resizes, rarely.
-	Resizes counter64
-	Grows   counter64
-	Shrinks counter64
-
 	// Written by the producer.
 	Pushes       owned.Counter // one writer: the producer's commit
 	WriteBlockNs counter64     // cumulative producer block time
@@ -148,7 +144,16 @@ type Telemetry struct {
 	// so the histogram weights synchronization points, which is exactly
 	// what the allocator and batcher reason about.
 	occ [OccBuckets]owned.Counter
-	_   [64]byte
+
+	// A cache line of cold words between the two ends' counters: the resize
+	// counts, written under the ring lock by whoever resizes, and the two
+	// block stamps (UnixNano, 0 when not blocked), written as an end goes to
+	// sleep and wakes.
+	Resizes                            counter64
+	Grows                              counter64
+	Shrinks                            counter64
+	writerBlockSince, readerBlockSince atomic.Int64
+	_                                  [24]byte
 
 	// Written by the consumer.
 	Pops        owned.Counter // one writer: the consumer's release
@@ -266,10 +271,3 @@ type TelemetrySnapshot struct {
 
 // Drops returns the best-effort drop count, Evicted + Shed.
 func (t TelemetrySnapshot) Drops() uint64 { return t.Evicted + t.Shed }
-
-// Blocked reports whether either side of the queue spent time blocked
-// between prev and t — the contention signal consumed by the monitor's
-// adaptive batcher.
-func (t TelemetrySnapshot) Blocked(prev TelemetrySnapshot) bool {
-	return t.WriteBlockNs > prev.WriteBlockNs || t.ReadBlockNs > prev.ReadBlockNs
-}

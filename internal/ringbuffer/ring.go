@@ -30,44 +30,36 @@ const DefaultCapacity = 64
 // of the buffered region is a pair of slices of the ring's own storage
 // (view.go, window.go).
 type Ring[T any] struct {
+	// The first two cache lines hold the fields both ends read on their
+	// fast paths and never write there. Storage is a chain of stores. live
+	// is the one the producer writes; the consumer reads cst and moves to
+	// the next store when head reaches the sealed end of its own. s0 is the
+	// first, allocated with the ring.
+	live       atomic.Pointer[store[T]]
+	s0         store[T]
+	closed     atomic.Bool
+	bestEffort atomic.Bool
+	readOnly   bool // slice-backed rings reject writes and resizes
+	zero       bool // T holds pointers: released slots are zeroed for the GC
+	// wparked is set under mu while the producer sleeps in waitForSpace.
+	wparked       bool
+	pendingDemand atomic.Int64
+	// maxCap is the growth bound (0: unbounded) and deferredCap a resize
+	// waiting for the producer (applyDeferredLocked), both under mu.
+	maxCap      int32
+	deferredCap int32
+
+	// The lock and the sleepers' condition, written on slow paths only,
+	// are the line that keeps the shared fields from the producer's.
 	mu sync.Mutex
 	// wait is where an end sleeps, under mu, for room or for elements. The
 	// two ends share it: a broadcast wakes at most the other end, since the
 	// end that broadcasts is awake.
 	wait sync.Cond
 
-	// Storage is a chain of stores. live is the one the producer writes;
-	// the consumer reads cst and moves to the next store when head reaches
-	// the sealed end of its own. s0 is the first, allocated with the ring.
-	live atomic.Pointer[store[T]]
-	s0   store[T]
-
-	closed     atomic.Bool
-	bestEffort atomic.Bool
-	readOnly   bool // slice-backed rings reject writes and resizes
-	zero       bool // T holds pointers: released slots are zeroed for the GC
-	// wparked is set under mu while the producer sleeps in waitForSpace;
-	// deferredCap is a resize waiting for the producer (applyDeferredLocked).
-	wparked     bool
-	maxCap      int // growth bound, under mu; 0 means unbounded
-	deferredCap int
-
-	// wake, when set, is called under r.mu when an armed end may proceed
-	// (see WakeHooker and Blocked).
-	wake WakeHook
-
-	// prodOwner and consOwner are the kernels at the two ends of the stream
-	// (nil for a ring used outside a graph). An end that is about to sleep
-	// on this ring first has its owner retire every port window it holds.
-	prodOwner, consOwner WindowOwner
-
-	writerBlockSince, readerBlockSince atomic.Int64 // UnixNano, 0 when not blocked
-	pendingDemand                      atomic.Int64
-
-	// The producer's cache lines, which run on into the producer's
-	// counters at the head of tel: tail and rattn are read by others, the
-	// rest is the producer's own.
-	_          [64]byte
+	// The producer's cache lines, from a line boundary on into the
+	// producer's counters at the head of tel: tail and rattn are read by
+	// others, the rest is the producer's own.
 	tail       atomic.Uint64
 	rattn      atomic.Uint32 // attnReader|attnClosed|attnResize: the producer must visit
 	pbusy      atomic.Uint32 // 1 while the producer may write its store
@@ -76,20 +68,30 @@ type Ring[T any] struct {
 	wviewN     int          // slots of the outstanding write view; 0 when none
 	wviewSince atomic.Int64 // UnixNano of the explicit write view, 0 when none
 
-	tel Telemetry // the producer's counters, a pad, the consumer's
+	tel Telemetry // the producer's counters, the cold ones, the consumer's
 
-	// The consumer's, after its counters. head and wattn, which the
-	// producer reads, fill the last cache line alone: the consumer's
-	// per-element writes (rw.pos) do not move the line the producer loads.
+	// The consumer's, after its counters.
 	tailCache uint64
 	cst       *store[T]
 	rw        window[T]
 	viewN     int          // elements of the outstanding read view; 0 when none
 	viewSince atomic.Int64 // UnixNano of the explicit read view, 0 when none
-	_         [16]byte
-	head      atomic.Uint64
-	wattn     atomic.Uint32 // attnWriter: the consumer must wake the producer
-	_         [52]byte
+
+	// wake, when set, is called under r.mu when an armed end may proceed
+	// (see WakeHooker and Blocked). prodOwner and consOwner are the kernels
+	// at the two ends of the stream (nil for a ring used outside a graph):
+	// an end that is about to sleep on this ring first has its owner retire
+	// every port window it holds. Set before the ends start and read only
+	// as an end goes to sleep, they fill the line before head.
+	wake                 WakeHook
+	prodOwner, consOwner WindowOwner
+
+	// head and wattn, which the producer reads, fill the last cache line
+	// alone: the consumer's per-element writes (rw.pos) do not move the
+	// line the producer loads.
+	head  atomic.Uint64
+	wattn atomic.Uint32 // attnWriter: the consumer must wake the producer
+	_     [52]byte
 }
 
 // store is one backing array of the ring. A resize does not copy: it seals
@@ -237,7 +239,7 @@ func PointerFree(t reflect.Type) bool {
 // A value <= 0 removes the bound.
 func (r *Ring[T]) SetMaxCap(n int) {
 	r.mu.Lock()
-	r.maxCap = n
+	r.maxCap = int32(min(n, math.MaxInt32))
 	r.mu.Unlock()
 }
 
@@ -559,7 +561,7 @@ func (r *Ring[T]) waitForSpace() error {
 		r.mu.Lock()
 	}
 	start := nowNanos()
-	r.writerBlockSince.Store(start)
+	r.tel.writerBlockSince.Store(start)
 	r.wparked = true
 	r.applyDeferredLocked()
 	for !r.closed.Load() {
@@ -571,7 +573,7 @@ func (r *Ring[T]) waitForSpace() error {
 	}
 	r.wparked = false
 	clearBits(&r.wattn, attnWriter)
-	r.writerBlockSince.Store(0)
+	r.tel.writerBlockSince.Store(0)
 	r.tel.WriteBlockNs.Add(uint64(nowNanos() - start))
 	if r.closed.Load() {
 		return ErrClosed
@@ -687,7 +689,7 @@ func (r *Ring[T]) waitForItems(k int, locked bool) error {
 		r.mu.Lock()
 	}
 	start := nowNanos()
-	r.readerBlockSince.Store(start)
+	r.tel.readerBlockSince.Store(start)
 	for {
 		setBits(&r.rattn, attnReader)
 		closed := r.closed.Load()
@@ -697,7 +699,7 @@ func (r *Ring[T]) waitForItems(k int, locked bool) error {
 		r.wait.Wait()
 	}
 	clearBits(&r.rattn, attnReader)
-	r.readerBlockSince.Store(0)
+	r.tel.readerBlockSince.Store(0)
 	r.tel.ReadBlockNs.Add(uint64(nowNanos() - start))
 	if r.buffered() < k {
 		return ErrClosed
@@ -747,14 +749,14 @@ func (r *Ring[T]) PeekRange(n int) ([]T, []Signal, error) {
 	defer r.mu.Unlock()
 	if n > r.Cap() && !r.readOnly && !r.closed.Load() {
 		r.pendingDemand.Store(int64(n))
-		if r.maxCap > 0 && n > r.maxCap {
+		if maxCap := int(r.maxCap); maxCap > 0 && n > maxCap {
 			// Correctness trumps the growth bound: a window request the
 			// queue can never hold would deadlock the consumer (§4.1: "if a
 			// kernel asks to receive five items and the buffer size is only
 			// allocated for two, the program cannot continue").
-			r.maxCap = n
+			r.maxCap = int32(min(n, math.MaxInt32))
 		}
-		if err := r.resizeLocked(growTarget(n, r.maxCap)); err != nil {
+		if err := r.resizeLocked(growTarget(n, int(r.maxCap))); err != nil {
 			return nil, nil, err
 		}
 		r.pendingDemand.Store(0)
@@ -830,7 +832,7 @@ func (r *Ring[T]) resizeLocked(newCap int) error {
 	}
 	newCap = max(newCap, 1)
 	if r.maxCap > 0 {
-		newCap = min(newCap, r.maxCap)
+		newCap = min(newCap, int(r.maxCap))
 	}
 	if newCap < r.Len() {
 		return ErrTooSmall
@@ -842,7 +844,7 @@ func (r *Ring[T]) resizeLocked(newCap int) error {
 		clearBits(&r.rattn, attnResize)
 		return nil
 	}
-	r.deferredCap = newCap
+	r.deferredCap = int32(min(newCap, math.MaxInt32))
 	setBits(&r.rattn, attnResize)
 	r.applyDeferredLocked()
 	return nil
@@ -858,7 +860,7 @@ func (r *Ring[T]) applyDeferredLocked() {
 		return
 	}
 	old := r.live.Load()
-	target := max(r.deferredCap, r.Len())
+	target := max(int(r.deferredCap), r.Len())
 	r.deferredCap = 0
 	// The bit goes down only once live is the new store: a producer that
 	// enters after reading it down must load the new one.
@@ -899,13 +901,13 @@ func (r *Ring[T]) ResizePending() bool {
 // waiting for free space, or zero if it is not blocked. Lock-free; intended
 // for the monitor's 3×δ resize rule.
 func (r *Ring[T]) WriterBlockedFor() time.Duration {
-	return sinceNanos(r.writerBlockSince.Load())
+	return sinceNanos(r.tel.writerBlockSince.Load())
 }
 
 // ReaderStarvedFor returns how long the consumer has currently been blocked
 // waiting for data, or zero if it is not blocked.
 func (r *Ring[T]) ReaderStarvedFor() time.Duration {
-	return sinceNanos(r.readerBlockSince.Load())
+	return sinceNanos(r.tel.readerBlockSince.Load())
 }
 
 func sinceNanos(since int64) time.Duration {

@@ -16,12 +16,6 @@ type AhoCorasick struct {
 	maxLen int
 }
 
-// Match is one multi-pattern hit: the start offset and which pattern.
-type Match struct {
-	Pos     int
-	Pattern int
-}
-
 // NewAhoCorasick compiles the automaton for the given patterns; every
 // pattern must be non-empty.
 func NewAhoCorasick(patterns [][]byte) (*AhoCorasick, error) {
@@ -123,26 +117,14 @@ func (ac *AhoCorasick) Name() string { return "ahocorasick" }
 // PatternLen implements Matcher (the longest pattern).
 func (ac *AhoCorasick) PatternLen() int { return ac.maxLen }
 
-// Find implements Matcher for the single-pattern case and reports start
-// offsets; for multi-pattern automata use FindAll.
+// Find implements Matcher: the start offset of every hit of every pattern,
+// in the order the hits end.
 func (ac *AhoCorasick) Find(dst []int, text []byte) []int {
 	state := int32(0)
 	for i := 0; i < len(text); i++ {
 		state = ac.next[int(state)*256+int(text[i])]
 		for _, pi := range ac.outputs[state] {
 			dst = append(dst, i+1-len(ac.patterns[pi]))
-		}
-	}
-	return dst
-}
-
-// FindAll reports every hit with its pattern index.
-func (ac *AhoCorasick) FindAll(dst []Match, text []byte) []Match {
-	state := int32(0)
-	for i := 0; i < len(text); i++ {
-		state = ac.next[int(state)*256+int(text[i])]
-		for _, pi := range ac.outputs[state] {
-			dst = append(dst, Match{Pos: i + 1 - len(ac.patterns[pi]), Pattern: int(pi)})
 		}
 	}
 	return dst

@@ -31,7 +31,6 @@ type BurstEWMA struct {
 	onMean bool      // PrimeOnMean: the priming window settles on its mean
 	streak int
 	n      uint64
-	rej    uint64
 }
 
 // NewBurstEWMA returns an estimator with smoothing factor alpha in
@@ -89,7 +88,6 @@ func (e *BurstEWMA) Observe(v float64) bool {
 	if e.value > 0 && v > e.burstFactor*e.value {
 		e.streak++
 		if e.streak <= e.maxStreak {
-			e.rej++
 			return false
 		}
 		// Streak escape: this is a regime change, not a burst.
@@ -108,9 +106,6 @@ func (e *BurstEWMA) Primed() bool { return len(e.warm) >= primeWindow }
 
 // Count returns the number of samples observed (accepted or not).
 func (e *BurstEWMA) Count() uint64 { return e.n }
-
-// Rejected returns the number of samples discarded as bursts.
-func (e *BurstEWMA) Rejected() uint64 { return e.rej }
 
 // median returns the median of xs without mutating it (k is tiny).
 func median(xs []float64) float64 {

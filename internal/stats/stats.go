@@ -79,15 +79,16 @@ func bucketIndex(v uint64) int {
 	return bits.Len64(v) - 1
 }
 
-// Record adds one sample with value v.
-func (h *Histogram) Record(v uint64) { h.RecordN(v, 1) }
-
 // RecordN adds a sample of value v that stands for n events: count, sum and
 // v's bucket all advance by n, so means and quantiles weigh the sample as n
 // identical ones. Samplers that observe one event in n record this way.
-func (h *Histogram) RecordN(v, n uint64) {
+func (h *Histogram) RecordN(v, n uint64) { h.recordSum(v, n, v*n) }
+
+// recordSum is RecordN with the n events' total given: they count in v's
+// bucket, but add sum, not v·n, to the sum.
+func (h *Histogram) recordSum(v, n, sum uint64) {
 	h.buckets[bucketIndex(v)].Add(n)
-	h.sum.Add(v * n)
+	h.sum.Add(sum)
 	h.count.Add(n)
 	for {
 		cur := h.max.Load()
@@ -230,22 +231,28 @@ func (s HistogramSnapshot) String() string {
 }
 
 // Occupancy tracks queue occupancy over time. The monitor thread calls
-// Sample with the instantaneous length; consumers read the running mean,
-// a log-bucketed distribution, and the fraction of samples at/above a
-// utilization threshold (used for bottleneck detection).
+// Sample with the instantaneous length; consumers read the running mean
+// and the fractions of samples near capacity and empty (used for
+// bottleneck detection). It is four words and holds no pointer: the
+// per-commit log2 distribution of a stream is its ring's own
+// (ringbuffer.Telemetry), so the sampler keeps only what the mean and the
+// fractions need. Sample has one writer, the monitor's tick, so the counts
+// are owned.Counters (a load and a store each, no locked instruction);
+// they may be read from any goroutine.
 type Occupancy struct {
-	hist      Histogram
-	samples   atomic.Uint64
-	fullCount atomic.Uint64 // samples where len >= hi-water fraction of cap
-	zeroCount atomic.Uint64 // samples where len == 0 (starvation)
+	sum       owned.Counter
+	samples   owned.Counter
+	fullCount owned.Counter // samples where len >= hi-water fraction of cap
+	zeroCount owned.Counter // samples where len == 0 (starvation)
 }
 
 // Sample records one observation of a queue with length n and capacity c.
+// Only one goroutine may call it.
 func (o *Occupancy) Sample(n, c int) {
 	if n < 0 {
 		n = 0
 	}
-	o.hist.Record(uint64(n))
+	o.sum.Add(uint64(n))
 	o.samples.Add(1)
 	if c > 0 && n >= c-(c>>3) { // within 12.5% of full
 		o.fullCount.Add(1)
@@ -256,31 +263,22 @@ func (o *Occupancy) Sample(n, c int) {
 }
 
 // Mean returns the mean observed occupancy.
-func (o *Occupancy) Mean() float64 { return o.hist.Mean() }
-
-// Samples returns the number of observations.
-func (o *Occupancy) Samples() uint64 { return o.samples.Load() }
+func (o *Occupancy) Mean() float64 { return o.perSample(&o.sum) }
 
 // FullFraction returns the fraction of samples observed near capacity.
-func (o *Occupancy) FullFraction() float64 {
-	s := o.samples.Load()
-	if s == 0 {
-		return 0
-	}
-	return float64(o.fullCount.Load()) / float64(s)
-}
+func (o *Occupancy) FullFraction() float64 { return o.perSample(&o.fullCount) }
 
 // StarvedFraction returns the fraction of samples observed empty.
-func (o *Occupancy) StarvedFraction() float64 {
+func (o *Occupancy) StarvedFraction() float64 { return o.perSample(&o.zeroCount) }
+
+// perSample is a counter divided by the samples, 0 before the first.
+func (o *Occupancy) perSample(c *owned.Counter) float64 {
 	s := o.samples.Load()
 	if s == 0 {
 		return 0
 	}
-	return float64(o.zeroCount.Load()) / float64(s)
+	return float64(c.Load()) / float64(s)
 }
-
-// Hist exposes the underlying occupancy histogram.
-func (o *Occupancy) Hist() *Histogram { return &o.hist }
 
 // ServiceTimer counts a kernel's invocations exactly and keeps a log-scale
 // histogram of their service times from weighted samples: every invocation
@@ -314,6 +312,12 @@ func (t *ServiceTimer) Observe(d time.Duration, n uint64) {
 		d = 0
 	}
 	t.hist.RecordN(uint64(d), n)
+}
+
+// ObserveSum is Observe for a sample whose n invocations took total in all,
+// not n·d: they count at d in the histogram, and total in the busy time.
+func (t *ServiceTimer) ObserveSum(d time.Duration, n uint64, total time.Duration) {
+	t.hist.recordSum(uint64(max(d, 0)), n, uint64(max(total, 0)))
 }
 
 // Record counts one invocation and observes its duration.

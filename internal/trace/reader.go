@@ -18,7 +18,6 @@ package trace
 type Reader struct {
 	rec  *Recorder
 	next []uint64        // per-shard cursor of the next unread event
-	lost uint64          // events overwritten before they could be read
 	open map[int32]int64 // per-actor pending RunStart, for PollSpans
 }
 
@@ -45,7 +44,6 @@ func (rd *Reader) Poll(fn func(Event)) int {
 			continue
 		}
 		if c-from > uint64(len(sh.slots)) {
-			rd.lost += c - from - uint64(len(sh.slots))
 			from = c - uint64(len(sh.slots))
 		}
 		for j := from; j < c; j++ {
@@ -79,7 +77,3 @@ func (rd *Reader) PollSpans(fn func(Span)) int {
 	})
 	return spans
 }
-
-// Lost returns how many events were overwritten before this reader could
-// observe them.
-func (rd *Reader) Lost() uint64 { return rd.lost }

@@ -323,13 +323,9 @@ type Span struct {
 	Start, End int64
 }
 
-// Spans pairs RunStart/RunEnd events per actor into busy intervals;
+// pairSpans pairs RunStart/RunEnd events per actor into busy intervals;
 // unmatched starts (still running, or their end was overwritten) are
 // dropped.
-func (r *Recorder) Spans() []Span {
-	return pairSpans(r.Events())
-}
-
 func pairSpans(events []Event) []Span {
 	open := map[int32]int64{}
 	var spans []Span

@@ -70,7 +70,7 @@ func TestSpansPairing(t *testing.T) {
 	r.Record(0, RunEnd, 10)
 	r.Record(1, RunEnd, 15)
 	r.Record(0, RunStart, 20) // unmatched (still running)
-	spans := r.Spans()
+	spans := pairSpans(r.Events())
 	if len(spans) != 2 {
 		t.Fatalf("spans = %+v", spans)
 	}

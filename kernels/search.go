@@ -117,8 +117,3 @@ func (s *CountSearch) Clone() raft.Kernel {
 	}
 	return dup
 }
-
-// CountBytes counts every match in a raw buffer with the kernel's matcher,
-// for callers that manage chunking themselves (e.g. remote stages shipping
-// whole buffers).
-func (s *CountSearch) CountBytes(b []byte) int { return s.m.Count(b) }

@@ -25,28 +25,28 @@ type asyncCell struct {
 // SendAsync posts an asynchronous signal on the port's stream; it
 // overwrites any signal not yet consumed (signals are level, not queued).
 func (p *Port) SendAsync(s Signal) {
-	if p.async == nil {
+	if p.ls == nil {
 		panic(misuse(ErrPortUnbound, "SendAsync on unbound port %s", p))
 	}
-	p.async.v.Store(uint32(s))
+	p.ls.async.v.Store(uint32(s))
 }
 
 // RecvAsync consumes a pending asynchronous signal on the port's stream;
 // ok is false when none is pending.
 func (p *Port) RecvAsync() (Signal, bool) {
-	if p.async == nil {
+	if p.ls == nil {
 		return SigNone, false
 	}
-	s := Signal(p.async.v.Swap(uint32(SigNone)))
+	s := Signal(p.ls.async.v.Swap(uint32(SigNone)))
 	return s, s != SigNone
 }
 
 // PeekAsync returns a pending asynchronous signal without consuming it.
 func (p *Port) PeekAsync() Signal {
-	if p.async == nil {
+	if p.ls == nil {
 		return SigNone
 	}
-	return Signal(p.async.v.Load())
+	return Signal(p.ls.async.v.Load())
 }
 
 // exception is the map-global error latch behind KernelBase.Raise, and

@@ -2,8 +2,6 @@ package raft
 
 import (
 	"testing"
-
-	"raftlib/internal/core"
 )
 
 // newPort builds a port of no kernel, for tests that bind ports by hand.
@@ -17,11 +15,9 @@ func bulkHarness(t *testing.T) (*Port, *Port) {
 	src := newPort[int]("out", Out)
 	dst := newPort[int]("in", In)
 	q := src.ops.rings(1)(8, 0)
-	async := &asyncCell{}
-	src.bind(q, async)
-	dst.bind(q, async)
-	bc := &core.BatchControl{}
-	src.batch, dst.batch = bc, bc
+	ls := &linkSlot{}
+	src.bind(q, ls)
+	dst.bind(q, ls)
 	return src, dst
 }
 
@@ -75,7 +71,7 @@ func TestBatchHint(t *testing.T) {
 	if got := src.BatchHint(16); got != 16 {
 		t.Fatalf("no-decision BatchHint = %d, want 16", got)
 	}
-	src.batch.Set(64)
+	src.batch().Set(64)
 	if got := src.BatchHint(16); got != 64 {
 		t.Fatalf("decided BatchHint = %d, want 64", got)
 	}

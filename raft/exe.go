@@ -877,12 +877,12 @@ func (m *Map) stage() *Tx {
 // stream is one link's allocated stream: the queue and the state both
 // endpoint ports share with it.
 type stream struct {
-	q     ringbuffer.Queue
-	async *asyncCell
-	// bc is the stream's batch control, shared by both endpoints and the
-	// monitor; lane its latency-marker mailbox (nil with markers off): the
-	// producer's push deposits, the consumer's pop collects.
-	bc   *core.BatchControl
+	q ringbuffer.Queue
+	// ls is the stream's link line (batch control and asynchronous-signal
+	// cell), shared by both endpoints and the monitor; lane its
+	// latency-marker mailbox (nil with markers off): the producer's push
+	// deposits, the consumer's pop collects.
+	ls   *linkSlot
 	lane *trace.MarkerLane
 	li   *core.LinkInfo
 }
@@ -923,15 +923,16 @@ func (l *Link) growthCap() int {
 	return defaultMaxCap
 }
 
-// newStream builds l's stream around its ring q into its slab slot under
-// the execution's policy for the build pass (rewrite.go): a provided queue
+// newStream builds l's stream around its ring q into its link line ls, its
+// marker lane (nil with markers off) and its cold record under the
+// execution's policy for the build pass (rewrite.go): a provided queue
 // (zero copy) is never resized, and the stream gets the best-effort
 // overflow policy, a batch control pinned at 1 on AsLowLatency links so the
 // adaptive batcher never holds their elements back, the link name and the
 // marker lane. It binds no port and touches no kernel; the caller sets the
 // LinkInfo's actor IDs.
-func (ls *linkSlot) newStream(cfg *Config, l *Link, q ringbuffer.Queue, provided bool, id int, name string) stream {
-	s := stream{q: q, async: &ls.async, bc: &ls.batch, li: &ls.info}
+func (lr *linkRecord) newStream(cfg *Config, ls *linkSlot, lane *trace.MarkerLane, l *Link, q ringbuffer.Queue, provided bool, id int, name string) stream {
+	s := stream{q: q, ls: ls, li: &lr.info}
 	if l.bestEffort {
 		// Provider-owned queues (read-only source rings) have nothing to
 		// drop and simply keep their default policy.
@@ -940,19 +941,19 @@ func (ls *linkSlot) newStream(cfg *Config, l *Link, q ringbuffer.Queue, provided
 		}
 	}
 	if l.lowLatency {
-		s.bc.Pin(1)
+		ls.batch.Pin(1)
 	}
 	if cfg.markers != nil {
-		ls.lane.Init(name)
-		s.lane = &ls.lane
+		lane.Init(name)
+		s.lane = lane
 	}
-	ls.info = core.LinkInfo{
+	lr.info = core.LinkInfo{
 		ID:              id,
 		Name:            name,
 		Queue:           s.q,
 		ResizeEnabled:   !provided,
 		MaxCap:          l.growthCap(),
-		Batch:           s.bc,
+		Batch:           &ls.batch,
 		LatencyPriority: l.lowLatency,
 		BestEffort:      l.bestEffort,
 	}
@@ -990,8 +991,8 @@ func linkNames(links []*Link) []string {
 
 // bindPort attaches one endpoint port of link l to the stream.
 func (s *stream) bindPort(p *Port, l *Link) {
-	p.bind(s.q, s.async)
-	p.link, p.batch, p.lane = l, s.bc, s.lane
+	p.bind(s.q, s.ls)
+	p.link, p.lane = l, s.lane
 }
 
 // rigMarkers installs the marker rig on l's producer (src) and/or consumer
@@ -1012,32 +1013,29 @@ func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 	}
 }
 
-// buildActor wraps one kernel into the actor of its slab slot for the
-// build pass. When tracing is on, the actor carries the shared recorder:
-// core.Actor.StepTimed emits RunStart/RunEnd itself, only on invocations it
-// times and from the same clock reads, so tracing adds no extra time.Now
-// calls. Kernels that run their own event loops (oar bridges) are handed
-// the recorder through the TraceAttacher interface so their
-// reconnect/replay transitions land on the same bus.
-func (ks *kernelSlot) buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
+// buildActor wraps one kernel into the actor of its (zero) slab slot and
+// fills its registry entry ae for the build pass. When tracing is on, the
+// actor carries the shared recorder: core.Actor.StepTimed emits
+// RunStart/RunEnd itself, only on invocations it times and from the same
+// clock reads, so tracing adds no extra time.Now calls. Kernels that run
+// their own event loops (oar bridges) are handed the recorder through the
+// TraceAttacher interface so their reconnect/replay transitions land on the
+// same bus.
+func (ks *kernelSlot) buildActor(ae *actorEntry, k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
 	kb := k.kernelBase()
 	// Marker lifecycle events attribute to the kernel's trace track.
 	kb.actor = int32(id)
 	a := &ks.actor
-	ks.k, ks.kb, ks.a = k, kb, a
-	*a = core.Actor{
-		ID:      id,
-		Name:    kb.Name(),
-		Place:   place,
-		Weight:  kb.Weight(),
-		Runner:  k,
-		Life:    &ks.actorEntry,
-		Windows: (*windowOwner)(kb),
-		Virtual: kb.Virtual(),
-		// Every actor carries a gate so a later rewrite can pause it at a
-		// step boundary (one atomic load per step when idle).
-		Gate: &ks.gate,
+	ae.k, ae.kb, ae.a = k, kb, a
+	if w, ok := k.(waiter); ok {
+		ae.wait = w.waits()
 	}
+	// The slot is zero: setting the fields one by one writes only these
+	// words, where a composite literal would build the whole actor aside
+	// and copy it in. Every actor carries a gate so a later rewrite can
+	// pause it at a step boundary (one atomic load per step when idle).
+	a.ID, a.Name, a.Place, a.Virtual = id, kb.Name(), place, kb.Virtual()
+	a.Runner, a.Life, a.Windows, a.Gate = k, ae, (*windowOwner)(kb), &ks.gate
 	if rec != nil {
 		a.Trace = rec
 		a.TraceID = int32(id)
@@ -1111,8 +1109,8 @@ func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Rec
 // a blocked end as it answers: the predicate returning false is the park,
 // and the other end's next publish or release fires the wake hook.
 func (ae *actorEntry) Ready() bool {
-	if ae.kb.adapter {
-		return ae.kb.canServe()
+	if ae.wait != nil {
+		return ae.wait.canServe()
 	}
 	for _, p := range ae.kb.ins {
 		q := p.q
@@ -1140,7 +1138,11 @@ func (ae *actorEntry) Ready() bool {
 // own wait, so the sleep counts as block time there, or every input of a
 // merge until the first publish on any. Any other kernel yields.
 func (ae *actorEntry) Await() {
-	switch ends := ae.kb.waitOn; {
+	var ends []*Port
+	if ae.wait != nil {
+		ends = ae.wait.waitOn
+	}
+	switch {
 	case len(ends) == 1:
 		ends[0].q.Wait(ends[0].dir == Out)
 	case len(ends) > 1:

@@ -55,14 +55,8 @@ type QueueProvider interface {
 // KernelBase supplies the port containers and identity shared by all
 // kernels; embed it (by value) in every kernel type.
 type KernelBase struct {
-	name    string
-	weight  float64
-	virtual bool
-	// adapter marks a replica adapter, which never waits inside Run: it
-	// returns Stall with waitOn holding the ends it could not serve, and
-	// the scheduler waits on those (DESIGN §9).
-	adapter bool
-	waitOn  []*Port
+	name   string
+	weight float64
 
 	// ins and outs hold the ports in declaration order; inPorts and
 	// outPorts index them by name once there are more than portScanMax
@@ -81,13 +75,17 @@ type KernelBase struct {
 	// (set by Exe; used to attribute marker events to kernel tracks).
 	marks        *markerRig
 	pendingMarks []*trace.Marker
-	markForward  bool
 	actor        int32
+	markForward  bool
+	virtual      bool
 
-	// inline holds the first two ports declared and refs the backing of ins
-	// and outs, so a one- or two-port kernel is one allocation (addPort).
-	inline [2]Port
+	// inline holds the first port declared and refs the backing of ins and
+	// outs, so a one-port kernel is one allocation (addPort). spare is room
+	// for the ports after the first that the kernel's constructor allocated
+	// with it (NewLambda sizes it to the declared ports).
+	inline [1]Port
 	refs   [2]*Port
+	spare  []Port
 }
 
 func (k *KernelBase) kernelBase() *KernelBase { return k }
@@ -237,11 +235,12 @@ func (k *KernelBase) closeAllQueues() {
 }
 
 // addPort declares a new port, panicking on duplicates (construction bug).
-// The port takes the first free inline slot, or the heap once both are
-// taken. The first list to receive a port is backed by refs — all of it,
-// until the other list claims the second entry — and either list moves to
-// the heap when it outgrows its share. The by-name index exists only for a
-// kernel wider than portScanMax, the only one lookupPort hashes for.
+// The port takes the inline slot, then the spare room the kernel was
+// allocated with, then the heap. The first list to receive a port is
+// backed by refs — all of it, until the other list claims the second
+// entry — and either list moves to the heap when it outgrows its share.
+// The by-name index exists only for a kernel wider than portScanMax, the
+// only one lookupPort hashes for.
 func (k *KernelBase) addPort(name string, dir Direction, ops elemOps) *Port {
 	list, other, byName, what := &k.ins, &k.outs, &k.inPorts, "input"
 	if dir == Out {
@@ -250,11 +249,13 @@ func (k *KernelBase) addPort(name string, dir Direction, ops elemOps) *Port {
 	if lookupPort(*list, *byName, name) != nil {
 		panic(misuse(ErrPortInUse, "kernel %q declares %s port %q twice", k.name, what, name))
 	}
-	p := &k.inline[1]
+	var p *Port
 	switch {
 	case k.inline[0].owner == nil:
 		p = &k.inline[0]
-	case p.owner != nil:
+	case len(k.spare) > 0:
+		p, k.spare = &k.spare[0], k.spare[1:]
+	default:
 		p = new(Port)
 	}
 	*p = Port{name: name, dir: dir, ops: ops, owner: k}

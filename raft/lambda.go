@@ -29,8 +29,7 @@ func (l *LambdaKernel) Run() Status { return l.fn(l) }
 // fn is called repeatedly by the runtime with the kernel itself, giving it
 // access to In("0"), Out("0"), etc.
 func NewLambda[T any](nIn, nOut int, fn func(k *LambdaKernel) Status) *LambdaKernel {
-	l := &LambdaKernel{fn: fn}
-	l.SetName("lambdak")
+	l := newLambda(nIn+nOut, fn)
 	for i := 0; i < nIn; i++ {
 		AddInput[T](l, slotName(i))
 	}
@@ -43,14 +42,31 @@ func NewLambda[T any](nIn, nOut int, fn func(k *LambdaKernel) Status) *LambdaKer
 // NewLambdaIO builds a lambda kernel whose nIn input ports carry I and
 // whose nOut output ports carry O (the two-template-parameter form).
 func NewLambdaIO[I, O any](nIn, nOut int, fn func(k *LambdaKernel) Status) *LambdaKernel {
-	l := &LambdaKernel{fn: fn}
-	l.SetName("lambdak")
+	l := newLambda(nIn+nOut, fn)
 	for i := 0; i < nIn; i++ {
 		AddInput[I](l, slotName(i))
 	}
 	for i := 0; i < nOut; i++ {
 		AddOutput[O](l, slotName(i))
 	}
+	return l
+}
+
+// newLambda allocates a lambda kernel of ports ports: the first port lives
+// in its KernelBase, and a second one in the same allocation (spare), so a
+// kernel of one or two ports carries those and no others.
+func newLambda(ports int, fn func(k *LambdaKernel) Status) *LambdaKernel {
+	var l *LambdaKernel
+	if ports == 2 {
+		x := new(struct {
+			LambdaKernel
+			more [1]Port
+		})
+		l, x.spare = &x.LambdaKernel, x.more[:]
+	} else {
+		l = new(LambdaKernel)
+	}
+	l.fn, l.name = fn, "lambdak"
 	return l
 }
 

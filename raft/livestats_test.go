@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"raftlib/internal/trace"
 )
 
 func TestObserverReceivesSnapshots(t *testing.T) {
@@ -161,8 +163,13 @@ func TestTraceRecordsAndRenders(t *testing.T) {
 	if rep.Trace == nil {
 		t.Fatal("no trace recorder on report")
 	}
-	spans := rep.Trace.Spans()
-	if len(spans) == 0 {
+	ends := 0
+	for _, e := range rep.Trace.Events() {
+		if e.Kind == trace.RunEnd {
+			ends++
+		}
+	}
+	if ends == 0 {
 		t.Fatal("no spans recorded")
 	}
 	out := rep.Trace.Timeline(TraceNames(rep), 40)

@@ -26,12 +26,13 @@ package raft
 // ordered merge relies on).
 type orderedSplit struct {
 	KernelBase
+	adapterWait
 	rr int
 }
 
 func newOrderedSplit(ops elemOps, width int) *orderedSplit {
 	s := &orderedSplit{}
-	s.adapter = true
+	s.spare = make([]Port, width)
 	s.addPort("in", In, ops)
 	for i := 0; i < width; i++ {
 		s.addPort(slotName(i), Out, ops)
@@ -62,12 +63,13 @@ func (s *orderedSplit) Run() Status {
 // order produced by orderedSplit + 1:1 kernels.
 type orderedMerge struct {
 	KernelBase
+	adapterWait
 	rr int
 }
 
 func newOrderedMerge(ops elemOps, width int) *orderedMerge {
 	m := &orderedMerge{}
-	m.adapter = true
+	m.spare = make([]Port, width)
 	for i := 0; i < width; i++ {
 		m.addPort(slotName(i), In, ops)
 	}

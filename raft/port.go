@@ -47,14 +47,18 @@ type Port struct {
 	// operations assert. The port window lives in the ring — the stream
 	// end — not here: several Port values may be bound to one end (a
 	// KernelGroup's members).
-	q     ringbuffer.Queue
-	async *asyncCell
-	link  *Link
-	batch *core.BatchControl
+	q ringbuffer.Queue
+	// ls is the stream's hot link line — its batch control and
+	// asynchronous-signal cell, shared by both endpoint ports and the
+	// monitor — and link the Link that connects the port (set by Map.Link,
+	// before any stream exists).
+	ls   *linkSlot
+	link *Link
 
 	// lane is the link's latency-marker mailbox, shared by both endpoint
-	// ports (like batch above); nil when markers are off, which keeps the
-	// disabled cost of every port operation to one pointer check.
+	// ports; nil when markers are off (and on a KernelGroup member's
+	// ports), which keeps the disabled cost of every port operation to one
+	// pointer check.
 	lane *trace.MarkerLane
 	// stampEvery > 0 makes this (source-kernel output) port an ingest
 	// point: one marker is stamped per stampEvery pushed elements, labeled
@@ -77,11 +81,10 @@ type Port struct {
 // pendingRebind is a staged port binding: the new stream a consumer port
 // migrates to once its sealed predecessor drains.
 type pendingRebind struct {
-	q     ringbuffer.Queue
-	async *asyncCell
-	link  *Link
-	batch *core.BatchControl
-	lane  *trace.MarkerLane
+	q    ringbuffer.Queue
+	ls   *linkSlot
+	link *Link
+	lane *trace.MarkerLane
 	// applied is closed once the owning kernel has swapped to this
 	// binding; the rewriter's commit waits on it so "Commit returned"
 	// means the new structure carries the traffic.
@@ -109,8 +112,8 @@ func (p *Port) migrateOnClosed(err error) bool {
 	if !p.pending.CompareAndSwap(nb, nil) {
 		return false
 	}
-	p.bind(nb.q, nb.async)
-	p.link, p.batch, p.lane = nb.link, nb.batch, nb.lane
+	p.bind(nb.q, nb.ls)
+	p.link, p.lane = nb.link, nb.lane
 	close(nb.applied)
 	return true
 }
@@ -170,10 +173,10 @@ func (p *Port) String() string {
 	return fmt.Sprintf("%s.%s(%s %s)", owner, p.name, p.dir, p.Type())
 }
 
-// bind attaches an allocated queue and async mailbox to the port.
-func (p *Port) bind(q ringbuffer.Queue, async *asyncCell) {
+// bind attaches an allocated queue and its link line to the port.
+func (p *Port) bind(q ringbuffer.Queue, ls *linkSlot) {
 	p.q = q
-	p.async = async
+	p.ls = ls
 	if p.owner != nil {
 		q.SetWindowOwner(p.dir == Out, (*windowOwner)(p.owner))
 	}
@@ -182,10 +185,20 @@ func (p *Port) bind(q ringbuffer.Queue, async *asyncCell) {
 // share binds p to the stream end src is bound to without claiming it: a
 // KernelGroup's members read and write the group's streams — one port
 // window per end, whichever member is running — and the group, which is the
-// actor, stays the end's owner. The link's batch control comes along so that
-// a member sizes windows as the group would (1 on an AsLowLatency link).
+// actor, stays the end's owner. The link line comes along so that a member
+// sizes windows as the group would (1 on an AsLowLatency link); the marker
+// lane does not.
 func (p *Port) share(src *Port) {
-	p.q, p.async, p.batch = src.q, src.async, src.batch
+	p.q, p.ls = src.q, src.ls
+}
+
+// batch is the stream's batch control, nil on an unbound port (a nil
+// control reads as no decision).
+func (p *Port) batch() *core.BatchControl {
+	if p.ls == nil {
+		return nil
+	}
+	return &p.ls.batch
 }
 
 // windowMax is the port-window length a scalar operation asks the stream
@@ -193,7 +206,7 @@ func (p *Port) share(src *Port) {
 // which is one commit per element) or the batcher's decision — and
 // core.MaxWindow otherwise. The ring caps it at half its capacity.
 func (p *Port) windowMax() int {
-	if n := p.batch.Get(); n > 0 {
+	if n := p.batch().Get(); n > 0 {
 		return n
 	}
 	return core.MaxWindow
@@ -220,7 +233,7 @@ func (p *Port) retireWindow() {
 // (or the port is unbound). Batch-aware kernels and adapters call it per
 // invocation; it is one lock-free load.
 func (p *Port) BatchHint(def int) int {
-	if n := p.batch.Get(); n > 0 {
+	if n := p.batch().Get(); n > 0 {
 		return n
 	}
 	return def

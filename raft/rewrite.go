@@ -79,9 +79,13 @@ type registry struct {
 }
 
 type actorEntry struct {
-	k        Kernel
-	kb       *KernelBase
-	a        *core.Actor
+	k  Kernel
+	kb *KernelBase
+	a  *core.Actor
+	// wait is a replica adapter's wait record (nil for any other kernel):
+	// the scheduler asks it whether the adapter can be served (Ready) and
+	// waits on the ends it holds (Await).
+	wait     *adapterWait
 	joinedNs int64
 	leftNs   int64
 	left     bool
@@ -95,39 +99,37 @@ type linkEntry struct {
 	removed  bool
 }
 
-// kernelSlot and linkSlot are one kernel's and one link's share of a build
-// pass's slabs: the registry entry with the actor and gate, or the batch
-// control, marker lane, async cell and LinkInfo, that it points at. A
-// transaction allocates one array of each, whatever its size (DESIGN
-// "Per-transaction slabs"); the arrays live as long as the registry holds
-// their entries, that is, as long as the execution. Both are padded to
-// whole 128-byte pairs of cache lines (the unit the adjacent-line
-// prefetcher moves), so that no pair holds two kernels' or two links'
-// state: a kernelSlot starts with its actor, which its kernel's goroutine
-// writes on every step, and a linkSlot with what both ends of the stream
-// touch on every transfer, well away from the occupancy statistics the
-// monitor writes on every tick.
+// A build pass allocates its kernels' and links' state as a few arrays per
+// transaction (DESIGN "Per-transaction slabs"), which live as long as the
+// execution. The hot ones are padded so that no line holds two kernels' or
+// two streams' hot words: a kernelSlot, the actor and gate its goroutine
+// writes on every step, to 128-byte pairs of lines (the unit the
+// adjacent-line prefetcher moves); a linkSlot, which a stream's ends read
+// per window, to one line. The cold ones, written at build, rewrite and
+// report time, are packed: actorEntry, linkRecord and the marker lanes.
 type kernelSlot struct {
 	actor core.Actor
-	actorEntry
-	gate core.Gate
-	_    [127 - (kernelSlotBytes+127)%128]byte
+	gate  core.Gate
+	_     [127 - (kernelSlotBytes+127)%128]byte
 }
 
 type linkSlot struct {
 	batch core.BatchControl
-	lane  trace.MarkerLane
-	linkEntry
-	info  core.LinkInfo
 	async asyncCell
-	_     [127 - (linkSlotBytes+127)%128]byte
+	_     [63 - (linkSlotBytes+63)%64]byte
 }
 
-// kernelSlotBytes and linkSlotBytes are the slots' sizes before padding
-// (every field but the last is a multiple of 8 bytes long).
+// linkRecord is a stream's cold record: its registry entry and the engine's
+// view of it, to which the entry points.
+type linkRecord struct {
+	linkEntry
+	info core.LinkInfo
+}
+
+// kernelSlotBytes and linkSlotBytes are the slots' sizes before padding.
 const (
-	kernelSlotBytes = unsafe.Sizeof(core.Actor{}) + unsafe.Sizeof(actorEntry{}) + unsafe.Sizeof(core.Gate{})
-	linkSlotBytes   = unsafe.Sizeof(core.BatchControl{}) + unsafe.Sizeof(trace.MarkerLane{}) + unsafe.Sizeof(linkEntry{}) + unsafe.Sizeof(core.LinkInfo{}) + unsafe.Sizeof(asyncCell{})
+	kernelSlotBytes = unsafe.Sizeof(core.Actor{}) + unsafe.Sizeof(core.Gate{})
+	linkSlotBytes   = unsafe.Sizeof(core.BatchControl{}) + unsafe.Sizeof(asyncCell{})
 )
 
 // sinceStart is the offset of now from the start of the run, and 0 before
@@ -650,10 +652,11 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	firstActor, firstLink := len(reg.actors), len(reg.links)
 	reg.mu.Unlock()
 
-	// Registry entries, actors, gates and per-link state are allocated as
-	// one slab per transaction, and ring headers as one per element type:
-	// epoch 0 adds every kernel and link of the map at once.
+	// Kernels' and links' hot and cold state are allocated as a few slabs
+	// per transaction, and ring headers as one per element type: epoch 0
+	// adds every kernel and link of the map at once.
 	kernels := make([]kernelSlot, len(t.addKernels))
+	entries := make([]actorEntry, len(t.addKernels))
 	for i, k := range t.addKernels {
 		kb := k.kernelBase()
 		kb.m = ex.m
@@ -664,21 +667,29 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		if place != nil {
 			p = place[i]
 		}
-		ks := &kernels[i]
-		wireActorResilience(cfg, k, ks.buildActor(k, firstActor+i, p, ex.rec, ex.stride))
-		ks.joinedNs = now
+		wireActorResilience(cfg, k, kernels[i].buildActor(&entries[i], k, firstActor+i, p, ex.rec, ex.stride))
+		entries[i].joinedNs = now
 	}
 
 	// Actor IDs continue the registry sequence, so a kernel joins in this
 	// transaction exactly when its ID is a new one.
 	joins := func(k Kernel) bool { return int(k.kernelBase().actor) >= firstActor }
 	b := &built{}
-	links := make([]linkSlot, len(t.addLinks))
+	hot := make([]linkSlot, len(t.addLinks))
+	links := make([]linkRecord, len(t.addLinks))
+	var lanes []trace.MarkerLane
+	if cfg.markers != nil {
+		lanes = make([]trace.MarkerLane, len(t.addLinks))
+	}
 	names := linkNames(t.addLinks)
 	rings, provided := streamRings(t.addLinks)
 	for i, l := range t.addLinks {
-		ls := &links[i]
-		s := stagedLink{stream: ls.newStream(cfg, l, rings[i], provided[i], firstLink+i, names[i]), l: l, srcDefer: !joins(l.Src)}
+		lr := &links[i]
+		var lane *trace.MarkerLane
+		if lanes != nil {
+			lane = &lanes[i]
+		}
+		s := stagedLink{stream: lr.newStream(cfg, &hot[i], lane, l, rings[i], provided[i], firstLink+i, names[i]), l: l, srcDefer: !joins(l.Src)}
 		dstJoins := joins(l.Dst)
 		// Marker plumbing is written only on joining kernels: a continuing
 		// endpoint already carries it, and its stamping hot path is live.
@@ -692,8 +703,7 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 			s.bindPort(l.DstPort, l)
 		} else {
 			s.pending = &pendingRebind{
-				q: s.q, async: s.async,
-				link: l, batch: s.bc, lane: s.lane,
+				q: s.q, ls: s.ls, link: l, lane: s.lane,
 				applied: make(chan struct{}),
 			}
 		}
@@ -702,13 +712,13 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		}
 		s.li.SrcActor = int(l.Src.kernelBase().actor)
 		s.li.DstActor = int(l.Dst.kernelBase().actor)
-		ls.l, ls.li, ls.joinedNs = l, s.li, now
+		lr.l, lr.li, lr.joinedNs = l, s.li, now
 	}
 
 	reg.mu.Lock()
 	reg.actors = slices.Grow(reg.actors, len(kernels))
-	for i := range kernels {
-		reg.actors = append(reg.actors, &kernels[i].actorEntry)
+	for i := range entries {
+		reg.actors = append(reg.actors, &entries[i])
 	}
 	reg.links = slices.Grow(reg.links, len(links))
 	for i := range links {

@@ -49,6 +49,7 @@ const adapterFrame = 256
 // commit that links or removes one.
 type splitKernel struct {
 	KernelBase
+	adapterWait
 	policy SplitPolicy
 	rr     int
 }
@@ -58,7 +59,7 @@ type splitKernel struct {
 func newSplit(ops elemOps, width int, policy SplitPolicy) *splitKernel {
 	s := &splitKernel{policy: policy}
 	s.SetName("split")
-	s.adapter = true
+	s.spare = make([]Port, width)
 	s.addPort("in", In, ops)
 	for i := 0; i < width; i++ {
 		s.addPort(slotName(i), Out, ops)
@@ -151,14 +152,28 @@ func (s *splitKernel) pick(hint int) (int, int) {
 	return -1, 0
 }
 
+// adapterWait is what a replica adapter keeps of its last Stall: the ends
+// it could not serve, on which the scheduler waits (DESIGN §9). The four
+// adapters embed it; no other kernel carries it.
+type adapterWait struct {
+	waitOn []*Port
+}
+
+// waits returns the adapter's wait record (see waiter).
+func (w *adapterWait) waits() *adapterWait { return w }
+
+// waiter is implemented by the replica adapters, which never wait inside
+// Run: the build pass hands the record to the kernel's registry entry.
+type waiter interface{ waits() *adapterWait }
+
 // stall returns Stall after moves from in to out (slices of the adapter's
 // own ports) moved nothing, recording the ends it could not serve: out,
 // which was full, if an input holds elements, else in, which were empty.
-func (k *KernelBase) stall(in, out []*Port) Status {
-	k.waitOn = in
+func (w *adapterWait) stall(in, out []*Port) Status {
+	w.waitOn = in
 	for _, p := range in {
 		if p.Len() > 0 {
-			k.waitOn = out
+			w.waitOn = out
 		}
 	}
 	return Stall
@@ -168,23 +183,23 @@ func (k *KernelBase) stall(in, out []*Port) Status {
 // served now (true with none), forgetting the record if so, and arms each
 // blocked end. A merge input unlinked or closed and drained is done: it
 // counts only with a binding a rewrite staged, or once all inputs are done.
-func (k *KernelBase) canServe() bool {
+func (w *adapterWait) canServe() bool {
 	done := 0
-	for _, p := range k.waitOn {
-		if p.q == nil || len(k.waitOn) > 1 && p.q.Closed() && p.Len() == 0 {
+	for _, p := range w.waitOn {
+		if p.q == nil || len(w.waitOn) > 1 && p.q.Closed() && p.Len() == 0 {
 			if done++; p.pending.Load() == nil {
 				continue
 			}
 		} else if p.q.Blocked(p.dir == Out) {
 			continue
 		}
-		done = len(k.waitOn)
+		done = len(w.waitOn)
 		break
 	}
-	if done == len(k.waitOn) {
-		k.waitOn = nil
+	if done == len(w.waitOn) {
+		w.waitOn = nil
 	}
-	return k.waitOn == nil
+	return w.waitOn == nil
 }
 
 // mergeKernel funnels the streams of its linked input slots into one
@@ -194,6 +209,7 @@ func (k *KernelBase) canServe() bool {
 // (Port.pending), which the merge adopts on its next sweep.
 type mergeKernel struct {
 	KernelBase
+	adapterWait
 	next int
 	// wake ends the goroutine scheduler's wait on every input (await).
 	wake chan struct{}
@@ -203,7 +219,7 @@ type mergeKernel struct {
 func newMerge(ops elemOps, width int) *mergeKernel {
 	m := &mergeKernel{wake: make(chan struct{}, 1)}
 	m.SetName("merge")
-	m.adapter = true
+	m.spare = make([]Port, width)
 	for i := 0; i < width; i++ {
 		m.addPort(slotName(i), In, ops)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"raftlib/internal/core"
 	"raftlib/internal/ringbuffer"
 )
 
@@ -54,14 +53,13 @@ func newWindowRig(t *testing.T, capacity int, bestEffort, lowLatency bool) *wind
 	g := &windowRig{t: t, bestEffort: bestEffort, notEmpty: make(chan struct{}, 1), notFull: make(chan struct{}, 1)}
 	g.prod = NewLambda[int64](0, 1, nil)
 	g.cons = NewLambda[int64](1, 0, nil)
+	ls := &linkSlot{}
 	if lowLatency {
-		bc := &core.BatchControl{}
-		bc.Pin(1)
-		g.prod.Out("0").batch, g.cons.In("0").batch = bc, bc
+		ls.batch.Pin(1)
 	}
 	r := g.addRing(capacity)
-	g.prod.Out("0").bind(r, nil)
-	g.cons.In("0").bind(r, nil)
+	g.prod.Out("0").bind(r, ls)
+	g.cons.In("0").bind(r, ls)
 	return g
 }
 
@@ -125,9 +123,9 @@ func (g *windowRig) splice(capacity int) {
 	g.prod.retireWindows()
 	old := g.tail()
 	r := g.addRing(capacity)
-	g.staged = &pendingRebind{q: r, batch: g.in().batch, applied: make(chan struct{})}
+	g.staged = &pendingRebind{q: r, ls: g.in().ls, applied: make(chan struct{})}
 	g.in().installPending(g.staged)
-	g.out().bind(r, nil)
+	g.out().bind(r, g.out().ls)
 	old.Close()
 }
 

@@ -57,9 +57,9 @@ func TestWindowRetiresWhenFullOrEmpty(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k, in, out := windowed(tc.cap, tc.cap)
 			if tc.batch != nil {
-				bc := &core.BatchControl{}
-				tc.batch(bc)
-				k.In("0").batch, k.Out("0").batch = bc, bc
+				ls := &linkSlot{}
+				tc.batch(&ls.batch)
+				k.In("0").ls, k.Out("0").ls = ls, ls
 			}
 			for i := 0; i < 2*tc.window; i++ {
 				if err := Push(k.Out("0"), int64(i)); err != nil {
@@ -322,7 +322,7 @@ func TestWindowRetiresAtStepBoundaries(t *testing.T) {
 			}
 			return Proceed
 		}
-		a := new(kernelSlot).buildActor(k, 0, 0, nil, 0)
+		a := new(kernelSlot).buildActor(new(actorEntry), k, 0, 0, nil, 0)
 		for i := 1; i <= 50; i++ {
 			if st := a.StepTimed(); st == end && committed(out) != uint64(i) {
 				t.Fatalf("step %d returned %v with %d of %d elements committed", i, end, committed(out), i)
@@ -561,9 +561,9 @@ func TestWindowAwareLengths(t *testing.T) {
 func TestReadyAdoptsStagedMergeSlot(t *testing.T) {
 	k := NewMerge[int64](2)
 	kb := k.kernelBase()
-	kb.ins[0].bind(ringbuffer.NewRing[int64](4), &asyncCell{})
-	kb.outs[0].bind(ringbuffer.NewRing[int64](4), &asyncCell{})
-	ready := (&actorEntry{k: k, kb: kb}).Ready
+	kb.ins[0].bind(ringbuffer.NewRing[int64](4), &linkSlot{})
+	kb.outs[0].bind(ringbuffer.NewRing[int64](4), &linkSlot{})
+	ready := (&actorEntry{k: k, kb: kb, wait: k.(waiter).waits()}).Ready
 	if st := k.Run(); st != Stall {
 		t.Fatalf("merge over an empty input returned %v, want stall", st)
 	}
