@@ -104,8 +104,8 @@ func main() {
 			peers := node.Peers()
 			fmt.Printf("mesh view: %d peer(s)\n", len(peers))
 			for _, p := range peers {
-				fmt.Printf("  %-12s %-21s cores=%d load=%.2f age=%s\n",
-					p.ID, p.Addr, p.Cores, p.Load, time.Since(p.Stamp).Round(time.Millisecond))
+				fmt.Printf("  %-12s %-21s cores=%d age=%s\n",
+					p.ID, p.Addr, p.Cores, time.Since(p.Stamp).Round(time.Millisecond))
 			}
 		}
 	}

@@ -16,28 +16,35 @@ import (
 	"unsafe"
 
 	"raftlib/internal/fault"
+	"raftlib/internal/hook"
 	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 	"raftlib/raft"
 )
 
-// bridgeTrace is the telemetry-bus hookup shared by both bridge endpoints.
-// Exe attaches the run's recorder through raft.TraceAttacher before
-// scheduling, so disconnect/reconnect/replay transitions land on the same
-// timeline as kernel invocations and monitor decisions.
-type bridgeTrace struct {
+// bridgeHooks is the runtime hookup shared by both bridge endpoints. Exe
+// attaches the run's recorder (hook.TraceAttacher) before scheduling, so
+// disconnect/reconnect/replay transitions land on the same timeline as
+// kernel invocations and monitor decisions, and hands the endpoint its
+// marker operations (hook.MarkerCarrier): the sender ships the markers it
+// takes over the wire, the receiver deposits them on its output.
+type bridgeHooks struct {
 	rec   *trace.Recorder
 	actor int32
+	carry hook.Markers
 }
 
-// AttachTrace implements raft.TraceAttacher.
-func (b *bridgeTrace) AttachTrace(rec *trace.Recorder, actor int32) {
+// AttachTrace implements hook.TraceAttacher.
+func (b *bridgeHooks) AttachTrace(rec *trace.Recorder, actor int32) {
 	b.rec = rec
 	b.actor = actor
 }
 
+// CarryMarkers implements hook.MarkerCarrier.
+func (b *bridgeHooks) CarryMarkers(m hook.Markers) { b.carry = m }
+
 // emit publishes one bridge transition (no-op when unattached).
-func (b *bridgeTrace) emit(kind trace.Kind, stream string, arg int64) {
+func (b *bridgeHooks) emit(kind trace.Kind, stream string, arg int64) {
 	if b.rec == nil {
 		return
 	}
@@ -348,7 +355,7 @@ type Sender[T any] struct {
 	dropped    atomic.Uint64
 	downtimeNs atomic.Int64
 
-	trc bridgeTrace
+	bridgeHooks
 }
 
 // NewSender returns a bridge sender that will dial the receiver node at
@@ -360,7 +367,6 @@ func NewSender[T any](addr, stream string, opts ...BridgeOption) *Sender[T] {
 	}
 	k.raw = ringbuffer.PointerFree(reflect.TypeFor[T]())
 	k.SetName("tcp-send[" + stream + "]")
-	k.SetMarkerForwarder()
 	raft.AddInput[T](k, "in")
 	return k
 }
@@ -528,7 +534,7 @@ func (s *Sender[T]) Run() raft.Status {
 // markers are disabled or none rode the batch, and drops a sidecar over
 // maxMarksLen, which the receiver would refuse on every replay.
 func (s *Sender[T]) takeMarkSidecar() []byte {
-	ms := s.TakeMarkers()
+	ms := s.carry.Take()
 	if len(ms) == 0 {
 		return nil
 	}
@@ -726,9 +732,6 @@ func (s *Sender[T]) writeFrameLocked(sf *sentFrame) error {
 	return err
 }
 
-// AttachTrace implements raft.TraceAttacher.
-func (s *Sender[T]) AttachTrace(rec *trace.Recorder, actor int32) { s.trc.AttachTrace(rec, actor) }
-
 // reconnect re-establishes the connection with capped exponential backoff
 // and replays every unacknowledged frame. It fails (wrapping
 // raft.ErrBridgeDown) once the outage outlasts MaxDowntime, or at once when
@@ -737,7 +740,7 @@ func (s *Sender[T]) AttachTrace(rec *trace.Recorder, actor int32) { s.trc.Attach
 func (s *Sender[T]) reconnect() error {
 	start := time.Now()
 	defer func() { s.downtimeNs.Add(int64(time.Since(start))) }()
-	s.trc.emit(trace.BridgeDisconnect, s.stream, 0)
+	s.emit(trace.BridgeDisconnect, s.stream, 0)
 	backoff := s.opt.reconnectMin
 	for {
 		if s.opt.maxDowntime > 0 && time.Since(start) > s.opt.maxDowntime {
@@ -748,9 +751,9 @@ func (s *Sender[T]) reconnect() error {
 			replayedBefore := s.replayed.Load()
 			if err := s.replay(); err == nil {
 				s.reconnects.Add(1)
-				s.trc.emit(trace.BridgeReconnect, s.stream, int64(s.reconnects.Load()))
+				s.emit(trace.BridgeReconnect, s.stream, int64(s.reconnects.Load()))
 				if n := s.replayed.Load() - replayedBefore; n > 0 {
-					s.trc.emit(trace.BridgeReplay, s.stream, int64(n))
+					s.emit(trace.BridgeReplay, s.stream, int64(n))
 				}
 				return nil
 			}
@@ -945,7 +948,7 @@ type Receiver[T any] struct {
 	reconnects atomic.Uint64
 	downtimeNs atomic.Int64
 
-	trc bridgeTrace
+	bridgeHooks
 }
 
 // NewReceiver registers the named stream endpoint on node and returns the
@@ -964,7 +967,6 @@ func NewReceiver[T any](node *Node, stream string, opts ...BridgeOption) (*Recei
 		o(&k.opt)
 	}
 	k.SetName("tcp-recv[" + stream + "]")
-	k.SetMarkerForwarder()
 	raft.AddOutput[T](k, "out")
 	return k, nil
 }
@@ -1056,7 +1058,7 @@ func (r *Receiver[T]) Run() raft.Status {
 				for _, m := range ms {
 					m.EndTransit("bridge:"+r.stream, now)
 				}
-				r.DepositMarkers(ms)
+				r.carry.Deposit(ms)
 			}
 		}
 		out := r.Out("out")
@@ -1246,16 +1248,13 @@ func (r *Receiver[T]) ack(seq uint64) {
 	}
 }
 
-// AttachTrace implements raft.TraceAttacher.
-func (r *Receiver[T]) AttachTrace(rec *trace.Recorder, actor int32) { r.trc.AttachTrace(rec, actor) }
-
 // await blocks until the sender reconnects, the outage outlasts
 // MaxDowntime and the degradation policy fires, or the execution fails.
 // done=true carries a final kernel status.
 func (r *Receiver[T]) await() (raft.Status, bool) {
 	start := time.Now()
 	defer func() { r.downtimeNs.Add(int64(time.Since(start))) }()
-	r.trc.emit(trace.BridgeDisconnect, r.stream, 0)
+	r.emit(trace.BridgeDisconnect, r.stream, 0)
 	var expire <-chan time.Time
 	if r.opt.maxDowntime > 0 {
 		t := time.NewTimer(r.opt.maxDowntime)
@@ -1265,7 +1264,7 @@ func (r *Receiver[T]) await() (raft.Status, bool) {
 	select {
 	case conn := <-r.accept:
 		r.setup(conn)
-		r.trc.emit(trace.BridgeReconnect, r.stream, int64(r.reconnects.Load()))
+		r.emit(trace.BridgeReconnect, r.stream, int64(r.reconnects.Load()))
 		return raft.Proceed, false
 	case <-r.Failed():
 		return raft.Stop, true

@@ -8,7 +8,8 @@
 // Three capabilities are provided over real TCP sockets:
 //
 //   - a gossip mesh: nodes join each other, periodically exchange NodeInfo
-//     (core counts, load, queue stats) and expose the merged view;
+//     (address, core count, stamp) and expose the merged view; nothing
+//     places a kernel by it yet;
 //   - stream bridges: a sender/receiver kernel pair that tunnels a raft
 //     stream over a TCP connection in sequenced binary frames, so a
 //     topology can be split across processes without changing any kernel
@@ -41,8 +42,6 @@ type NodeInfo struct {
 	ID    string
 	Addr  string
 	Cores int
-	// Load is a 0..1 utilization estimate the node publishes about itself.
-	Load float64
 	// Stamp is the publisher's wall-clock at publication; newer wins.
 	Stamp time.Time
 }
@@ -104,15 +103,6 @@ func (n *Node) ID() string { return n.id }
 
 // Addr returns the listening address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
-
-// SetLoad updates the self-reported utilization published on the next
-// gossip exchange.
-func (n *Node) SetLoad(load float64) {
-	n.mu.Lock()
-	n.self.Load = load
-	n.self.Stamp = time.Now()
-	n.mu.Unlock()
-}
 
 // Peers returns the current merged view of the mesh (excluding self).
 func (n *Node) Peers() []NodeInfo {

@@ -69,45 +69,31 @@ func TestGossipTransitivity(t *testing.T) {
 	}
 }
 
-func TestGossipLoadPropagates(t *testing.T) {
-	a := newTestNode(t, "a")
-	b := newTestNode(t, "b")
-	b.SetLoad(0.75)
-	if err := a.Join(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	var got float64
-	for _, p := range a.Peers() {
-		if p.ID == "b" {
-			got = p.Load
-		}
-	}
-	if got != 0.75 {
-		t.Fatalf("propagated load = %v, want 0.75", got)
-	}
-}
-
+// TestStartGossipRefreshes checks that a's gossip loop keeps re-stamping
+// its record in b's view: each exchange publishes a fresh Stamp.
 func TestStartGossipRefreshes(t *testing.T) {
 	a := newTestNode(t, "a")
 	b := newTestNode(t, "b")
 	if err := a.Join(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	a.StartGossip(20 * time.Millisecond)
-	b.SetLoad(0.5)
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		var load float64
-		for _, p := range a.Peers() {
-			if p.ID == "b" {
-				load = p.Load
+	stampOfA := func() time.Time {
+		for _, p := range b.Peers() {
+			if p.ID == "a" {
+				return p.Stamp
 			}
 		}
-		if load == 0.5 {
-			return
-		}
+		return time.Time{}
+	}
+	first := stampOfA()
+	if first.IsZero() {
+		t.Fatal("b has no record of a after the join")
+	}
+	a.StartGossip(20 * time.Millisecond)
+	deadline := time.Now().Add(3 * time.Second)
+	for !stampOfA().After(first) {
 		if time.Now().After(deadline) {
-			t.Fatal("gossip loop never refreshed b's load")
+			t.Fatal("gossip loop never refreshed a's record in b's view")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -269,14 +255,14 @@ func TestReceiverTimesOutWithoutSender(t *testing.T) {
 func TestMergeNewestStampWins(t *testing.T) {
 	n := newTestNode(t, "self")
 	now := time.Now()
-	n.merge(NodeInfo{ID: "p", Load: 0.9, Stamp: now})
-	n.merge(NodeInfo{ID: "p", Load: 0.1, Stamp: now.Add(-time.Second)}) // stale
+	n.merge(NodeInfo{ID: "p", Addr: "now", Stamp: now})
+	n.merge(NodeInfo{ID: "p", Addr: "stale", Stamp: now.Add(-time.Second)})
 	peers := n.Peers()
-	if len(peers) != 1 || peers[0].Load != 0.9 {
+	if len(peers) != 1 || peers[0].Addr != "now" {
 		t.Fatalf("stale record overwrote newer: %+v", peers)
 	}
-	n.merge(NodeInfo{ID: "p", Load: 0.2, Stamp: now.Add(time.Second)}) // fresher
-	if got := n.Peers()[0].Load; got != 0.2 {
+	n.merge(NodeInfo{ID: "p", Addr: "fresher", Stamp: now.Add(time.Second)})
+	if got := n.Peers()[0].Addr; got != "fresher" {
 		t.Fatalf("fresher record ignored: %v", got)
 	}
 	// Self and empty IDs are never merged.

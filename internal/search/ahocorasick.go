@@ -143,27 +143,3 @@ func (ac *AhoCorasick) Count(text []byte) int {
 	}
 	return n
 }
-
-// StreamState carries the automaton state across chunk boundaries for true
-// streaming (stateful) scanning, as an alternative to overlapped chunks.
-type StreamState struct {
-	state  int32
-	offset int // absolute offset of the next byte
-}
-
-// FindStream scans one chunk, carrying automaton state in st so matches
-// straddling chunk boundaries are still found; reported positions are
-// absolute (match start within the whole stream).
-func (ac *AhoCorasick) FindStream(st *StreamState, dst []int, chunk []byte) []int {
-	state := st.state
-	base := st.offset
-	for i := 0; i < len(chunk); i++ {
-		state = ac.next[int(state)*256+int(chunk[i])]
-		for _, pi := range ac.outputs[state] {
-			dst = append(dst, base+i+1-len(ac.patterns[pi]))
-		}
-	}
-	st.state = state
-	st.offset += len(chunk)
-	return dst
-}

@@ -45,42 +45,6 @@ func FuzzMatchersAgree(f *testing.F) {
 	})
 }
 
-// FuzzStreamingEqualsWhole verifies the stateful Aho-Corasick scanner over
-// arbitrary chunkings.
-func FuzzStreamingEqualsWhole(f *testing.F) {
-	f.Add([]byte("abba"), []byte("abbaabba"), uint8(3))
-	f.Add([]byte("zz"), []byte("zzzz"), uint8(1))
-	f.Fuzz(func(t *testing.T, pattern, text []byte, chunkSeed uint8) {
-		if len(pattern) == 0 || len(pattern) > 32 || len(text) > 1<<14 {
-			t.Skip()
-		}
-		ac, err := NewAhoCorasick([][]byte{pattern})
-		if err != nil {
-			t.Skip()
-		}
-		want := ac.Find(nil, text)
-		chunk := int(chunkSeed%32) + 1
-		var st StreamState
-		var got []int
-		for off := 0; off < len(text); off += chunk {
-			end := off + chunk
-			if end > len(text) {
-				end = len(text)
-			}
-			got = ac.FindStream(&st, got, text[off:end])
-		}
-		if len(got) != len(want) {
-			t.Fatalf("stream found %d, whole found %d (pattern %q, chunk %d)",
-				len(got), len(want), pattern, chunk)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("stream[%d] = %d, want %d", i, got[i], want[i])
-			}
-		}
-	})
-}
-
 // FuzzCountChunked verifies overlapped-chunk counting (the streaming
 // kernels' access pattern) for every matcher.
 func FuzzCountChunked(f *testing.F) {

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -189,60 +188,6 @@ func TestAhoCorasickRejectsEmptyInputs(t *testing.T) {
 	}
 	if _, err := NewAhoCorasick([][]byte{[]byte("ok"), nil}); err == nil {
 		t.Fatal("empty pattern must error")
-	}
-}
-
-func TestAhoCorasickStreaming(t *testing.T) {
-	ac, err := NewAhoCorasick([][]byte{[]byte("needle")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := bytes.Repeat([]byte("hayneedlehay"), 100)
-	want := ac.Find(nil, text)
-
-	// Feed in awkward chunk sizes that split the needle.
-	for _, chunk := range []int{1, 3, 5, 7, 64} {
-		var st StreamState
-		var got []int
-		for off := 0; off < len(text); off += chunk {
-			end := off + chunk
-			if end > len(text) {
-				end = len(text)
-			}
-			got = ac.FindStream(&st, got, text[off:end])
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk=%d: stream found %d, whole found %d", chunk, len(got), len(want))
-		}
-	}
-}
-
-func TestPropertyStreamingEqualsWhole(t *testing.T) {
-	f := func(textSeed []byte, chunkSeed uint8) bool {
-		alphabet := []byte("ab")
-		text := make([]byte, len(textSeed))
-		for i, b := range textSeed {
-			text[i] = alphabet[int(b)%2]
-		}
-		ac, err := NewAhoCorasick([][]byte{[]byte("abba"), []byte("aa")})
-		if err != nil {
-			return false
-		}
-		want := ac.Find(nil, text)
-		chunk := int(chunkSeed%16) + 1
-		var st StreamState
-		var got []int
-		for off := 0; off < len(text); off += chunk {
-			end := off + chunk
-			if end > len(text) {
-				end = len(text)
-			}
-			got = ac.FindStream(&st, got, text[off:end])
-		}
-		return len(got) == len(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"raftlib/internal/hook"
 	"raftlib/internal/ringbuffer"
 	"raftlib/raft"
 )
@@ -10,30 +11,21 @@ import (
 // queue for downstream compute kernels ... When this kernel is executed,
 // it appears as a kernel only momentarily."
 //
-// The Go realization: the kernel implements raft.QueueProvider, handing
-// the runtime a read-only ring whose storage aliases the caller's slice —
-// downstream kernels that use PeekRange read the caller's array with no
-// copy at all. The kernel itself is virtual (never scheduled).
+// The Go realization: the constructor hands the runtime (hook.ProvideQueue)
+// a read-only ring whose storage aliases the caller's slice — downstream
+// kernels that use PeekRange read the caller's array with no copy at all.
+// The kernel itself is virtual (never scheduled).
 type ForEach[T any] struct {
 	raft.KernelBase
-	data []T
 }
 
 // NewForEach returns the zero-copy source for data, exposed on port "out".
 func NewForEach[T any](data []T) *ForEach[T] {
-	k := &ForEach[T]{data: data}
+	k := &ForEach[T]{}
 	k.SetName("for_each")
-	k.SetVirtual(true)
 	raft.AddOutput[T](k, "out")
+	hook.ProvideQueue(k, "out", ringbuffer.NewRingFromSlice(data))
 	return k
-}
-
-// ProvideQueue implements raft.QueueProvider with a slice-backed ring.
-func (f *ForEach[T]) ProvideQueue(port string) (ringbuffer.Queue, bool) {
-	if port != "out" {
-		return nil, false
-	}
-	return ringbuffer.NewRingFromSlice(f.data), true
 }
 
 // Run implements raft.Kernel; it never executes (the kernel is virtual)

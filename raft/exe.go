@@ -12,6 +12,7 @@ import (
 	"raftlib/internal/core"
 	"raftlib/internal/gateway"
 	"raftlib/internal/graph"
+	"raftlib/internal/hook"
 	"raftlib/internal/mapper"
 	"raftlib/internal/monitor"
 	"raftlib/internal/qmodel"
@@ -330,14 +331,6 @@ func WithMetricsListener(l net.Listener) Option {
 	return func(c *Config) { c.metricsListener = l }
 }
 
-// TraceAttacher is implemented by kernels that run their own event loops
-// (e.g. oar bridge endpoints) and want to publish lifecycle transitions on
-// the run's trace bus. Exe calls AttachTrace before scheduling when
-// WithTrace is active.
-type TraceAttacher interface {
-	AttachTrace(rec *trace.Recorder, actor int32)
-}
-
 // WithDeadlockDetection makes the monitor detect a globally frozen
 // application — every unfinished kernel parked on a stream with no
 // progress for the grace period — and abort it with a diagnostic error
@@ -368,7 +361,7 @@ type Report struct {
 	// MonitorTicks is the number of monitor iterations.
 	MonitorTicks uint64
 	// MonitorEvents lists the monitor's resize and scaling decisions.
-	MonitorEvents []monitor.Event
+	MonitorEvents []MonitorEvent
 	// Groups reports the final active width of each replicated group.
 	Groups []GroupReport
 	// CutCost is the mapper's latency-weighted cost of streams crossing
@@ -376,7 +369,7 @@ type Report struct {
 	CutCost time.Duration
 	// Trace holds the kernel invocation recorder when WithTrace was set;
 	// render it with Trace.Timeline(TraceNames(report), width).
-	Trace *trace.Recorder
+	Trace *TraceRecorder
 	// Recoveries lists every supervised restart (and terminal failure)
 	// observed during the execution, in order.
 	Recoveries []RecoveryEvent
@@ -400,6 +393,24 @@ type Report struct {
 	// counters of its own.
 	Sched *SchedReport
 }
+
+// MonitorEvent is one resize or scaling decision of the monitor
+// (Report.MonitorEvents).
+type MonitorEvent = monitor.Event
+
+// TraceRecorder is the kernel invocation recorder of Report.Trace.
+type TraceRecorder = trace.Recorder
+
+// FlowStats is one (tenant, source) flow's end-to-end latency
+// distribution (LatencyReport.Flows, LiveStats.Flows).
+type FlowStats = trace.FlowStats
+
+// StageStats is one stage's residence attribution, time in queue against
+// time in kernel (LatencyReport.Stages).
+type StageStats = trace.StageStats
+
+// OccBuckets is the number of log2 buckets of LinkReport.OccHist.
+const OccBuckets = ringbuffer.OccBuckets
 
 // SchedReport is the scheduler-activity section of a Report, populated by
 // the work-stealing scheduler.
@@ -429,10 +440,10 @@ type LatencyReport struct {
 	// journey.
 	Retired uint64
 	// Flows holds per-(tenant,source) e2e latency distributions.
-	Flows []trace.FlowStats
+	Flows []FlowStats
 	// Stages holds per-stage residence attribution (time-in-queue vs
 	// time-in-kernel), sorted by total residence descending.
-	Stages []trace.StageStats
+	Stages []StageStats
 	// FlightDir and FlightDumps describe the flight recorder, when armed.
 	FlightDir   string
 	FlightDumps uint64
@@ -513,7 +524,7 @@ type LinkReport struct {
 	// §4.1 "queue occupancy histogram" (bucket 0 = {0,1} elements,
 	// bucket i = [2^i, 2^(i+1)) elements at push time). OccP50/OccP99
 	// are its quantile upper bounds.
-	OccHist [ringbuffer.OccBuckets]uint64
+	OccHist [OccBuckets]uint64
 	OccP50  uint64
 	OccP99  uint64
 	// Batch is the transfer batch size in effect when execution ended
@@ -887,8 +898,8 @@ type stream struct {
 	li   *core.LinkInfo
 }
 
-// streamRings returns each link's ring: the producer's own where it
-// provides one (QueueProvider; provided says which), else one with the
+// streamRings returns each link's ring: a momentary producer's own
+// (hook.ProvideQueue; provided says which), else one with the
 // link's capacity (ringbuffer.DefaultCapacity without Cap) and growth bound
 // from one array of headers per element type (DESIGN "Per-transaction
 // slabs").
@@ -896,10 +907,9 @@ func streamRings(links []*Link) (rings []ringbuffer.Queue, provided []bool) {
 	rings, provided = make([]ringbuffer.Queue, len(links)), make([]bool, len(links))
 	counts := map[elemOps]int{}
 	for i, l := range links {
-		if qp, ok := l.Src.(QueueProvider); ok {
-			rings[i], provided[i] = qp.ProvideQueue(l.SrcPort.name)
-		}
-		if !provided[i] {
+		if q := l.SrcPort.q; q != nil && l.Src.kernelBase().virtual {
+			rings[i], provided[i] = q, true
+		} else {
 			counts[l.SrcPort.ops]++
 		}
 	}
@@ -997,7 +1007,7 @@ func (s *stream) bindPort(p *Port, l *Link) {
 
 // rigMarkers installs the marker rig on l's producer (src) and/or consumer
 // (dst) kernel. An ingest port — the out port of a kernel with no inputs
-// that has not opted out via SetMarkerForwarder — additionally stamps fresh
+// that is not a hook.MarkerCarrier — additionally stamps fresh
 // markers at the sampling stride.
 func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 	if src {
@@ -1018,9 +1028,9 @@ func rigMarkers(rig *markerRig, l *Link, src, dst bool) {
 // actor carries the shared recorder: core.Actor.StepTimed emits
 // RunStart/RunEnd itself, only on invocations it times and from the same
 // clock reads, so tracing adds no extra time.Now calls. Kernels that run
-// their own event loops (oar bridges) are handed the recorder through the
-// TraceAttacher interface so their reconnect/replay transitions land on the
-// same bus.
+// their own event loops (oar bridges) are handed the recorder through
+// hook.TraceAttacher so their reconnect/replay transitions land on the
+// same bus; a hook.MarkerCarrier is handed its marker operations.
 func (ks *kernelSlot) buildActor(ae *actorEntry, k Kernel, id, place int, rec *trace.Recorder, stride int) *core.Actor {
 	kb := k.kernelBase()
 	// Marker lifecycle events attribute to the kernel's trace track.
@@ -1034,15 +1044,19 @@ func (ks *kernelSlot) buildActor(ae *actorEntry, k Kernel, id, place int, rec *t
 	// words, where a composite literal would build the whole actor aside
 	// and copy it in. Every actor carries a gate so a later rewrite can
 	// pause it at a step boundary (one atomic load per step when idle).
-	a.ID, a.Name, a.Place, a.Virtual = id, kb.Name(), place, kb.Virtual()
+	a.ID, a.Name, a.Place, a.Virtual = id, kb.Name(), place, kb.virtual
 	a.Runner, a.Life, a.Windows, a.Gate = k, ae, (*windowOwner)(kb), &ks.gate
 	if rec != nil {
 		a.Trace = rec
 		a.TraceID = int32(id)
 		a.TraceStride = uint32(stride)
-		if ta, ok := k.(TraceAttacher); ok {
+		if ta, ok := k.(hook.TraceAttacher); ok {
 			ta.AttachTrace(rec, int32(id))
 		}
+	}
+	if mc, ok := k.(hook.MarkerCarrier); ok {
+		kb.markForward = true
+		mc.CarryMarkers((*markerCarriage)(kb))
 	}
 	if init, ok := k.(Initializer); ok {
 		a.Init = init.Init

@@ -17,7 +17,7 @@ import (
 // graph runs, and stops them when the graph completes. Admission
 // decisions land on the run's trace bus when WithTrace is active, and the
 // Report carries a GatewayReport.
-func WithGateway(gw *gateway.Server) Option {
+func WithGateway(gw *Gateway) Option {
 	return func(c *Config) { c.gateway = gw }
 }
 
@@ -34,7 +34,7 @@ type GatewayQuota = gateway.Quota
 
 // NewGateway builds an ingestion gateway, binding its listener eagerly
 // so the address can be advertised before Exe starts serving.
-func NewGateway(cfg GatewayConfig) (*gateway.Server, error) {
+func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return gateway.New(cfg)
 }
 
@@ -125,7 +125,7 @@ func (s *Source[T]) Run() Status {
 			}
 		}
 	case <-s.poll.C:
-		if q := out.Queue(); q != nil && q.Closed() {
+		if q := out.q; q != nil && q.Closed() {
 			return Stop
 		}
 		return Proceed
@@ -239,7 +239,7 @@ func (s *Source[T]) inject(tenant string, vals []T, pooled bool) error {
 // request payload into an element batch (its error becomes HTTP 400).
 // Exe completes the binding with the engine-side wiring when the graph
 // runs; until then the gateway answers 503 for this source.
-func BindSource[T any](gw *gateway.Server, src *Source[T], dec func(payload []byte) ([]T, error)) error {
+func BindSource[T any](gw *Gateway, src *Source[T], dec func(payload []byte) ([]T, error)) error {
 	if src.Name() == "" {
 		return fmt.Errorf("raft: BindSource requires a named source")
 	}
@@ -254,7 +254,7 @@ func BindSource[T any](gw *gateway.Server, src *Source[T], dec func(payload []by
 // a steady ingest stream decodes without allocating a fresh intermediate
 // slice per request. dec must not retain the slice (or any memory it
 // returns) past the call.
-func BindSourceAppend[T any](gw *gateway.Server, src *Source[T], dec func(payload []byte, buf []T) ([]T, error)) error {
+func BindSourceAppend[T any](gw *Gateway, src *Source[T], dec func(payload []byte, buf []T) ([]T, error)) error {
 	if src.Name() == "" {
 		return fmt.Errorf("raft: BindSourceAppend requires a named source")
 	}

@@ -4,9 +4,12 @@ import (
 	"reflect"
 	"strconv"
 
+	"raftlib/internal/hook"
 	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 )
+
+func init() { hook.ProvideQueue = provideQueue }
 
 // Kernel is one compute kernel: a sequentially-written unit of work that
 // communicates only through its ports. Implementations embed [KernelBase]
@@ -41,17 +44,6 @@ type Finalizer interface {
 	Finalize()
 }
 
-// QueueProvider is implemented by source kernels that supply their own
-// pre-filled output queue — the zero-copy mechanism behind the paper's
-// for_each kernel (§4.2, Fig. 6), where the user's array memory is used
-// directly as the downstream queue.
-type QueueProvider interface {
-	// ProvideQueue returns the queue for the named output port — a
-	// *ringbuffer.Ring of the port's element type — or ok=false to let the
-	// runtime allocate normally.
-	ProvideQueue(port string) (q ringbuffer.Queue, ok bool)
-}
-
 // KernelBase supplies the port containers and identity shared by all
 // kernels; embed it (by value) in every kernel type.
 type KernelBase struct {
@@ -70,9 +62,10 @@ type KernelBase struct {
 
 	// Latency-marker carriage (see marker.go): marks is the execution's
 	// rig (nil when markers are off), pendingMarks holds markers picked up
-	// but not yet forwarded, markForward opts bridge endpoints out of
-	// stamping and retirement, and actor is the kernel's trace actor id
-	// (set by Exe; used to attribute marker events to kernel tracks).
+	// but not yet forwarded, markForward opts a hook.MarkerCarrier (the
+	// bridge endpoints) out of stamping and retirement, and actor is the
+	// kernel's trace actor id (set by Exe; used to attribute marker events
+	// to kernel tracks). virtual marks a momentary kernel (hook.ProvideQueue).
 	marks        *markerRig
 	pendingMarks []*trace.Marker
 	actor        int32
@@ -109,13 +102,14 @@ func (k *KernelBase) Weight() float64 {
 // SetWeight sets the mapper cost estimate.
 func (k *KernelBase) SetWeight(w float64) { k.weight = w }
 
-// SetVirtual marks the kernel as momentary: it provides its outputs
-// up-front (see QueueProvider) and is never scheduled (§4.2: the for_each
-// source "appears as a kernel only momentarily").
-func (k *KernelBase) SetVirtual(v bool) { k.virtual = v }
-
-// Virtual reports whether the kernel is momentary.
-func (k *KernelBase) Virtual() bool { return k.virtual }
+// provideQueue is hook.ProvideQueue: kernels.ForEach hands its pre-filled
+// ring to its own out port, and streamRings gives the port's link that
+// ring instead of allocating one.
+func provideQueue(k any, port string, q ringbuffer.Queue) {
+	kb := k.(Kernel).kernelBase()
+	kb.virtual = true
+	kb.Out(port).q = q
+}
 
 // In returns the named input port, panicking if it does not exist (a
 // kernel-construction bug, analogous to the C++ template failing to

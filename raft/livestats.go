@@ -1,10 +1,6 @@
 package raft
 
-import (
-	"time"
-
-	"raftlib/internal/trace"
-)
+import "time"
 
 // LiveStats is one point-in-time snapshot of a running application,
 // delivered to the observer installed with WithObserver. This is the
@@ -26,7 +22,7 @@ type LiveStats struct {
 	// Flows holds per-(tenant,source) end-to-end latency so far, from
 	// retired markers (empty until the first marker completes its journey;
 	// always empty under WithoutLatencyMarkers).
-	Flows []trace.FlowStats
+	Flows []FlowStats
 	// Sched holds the scheduler's activity counters so far (nil under the
 	// default goroutine-per-kernel scheduler, which has none to report).
 	Sched *SchedReport

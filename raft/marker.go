@@ -13,8 +13,8 @@ import (
 // re-deposited by its next push — growing one Hop per stage — and retired
 // into the domain's histograms when a sink (a kernel with no output
 // ports) picks them up. Bridge endpoints opt out of both stamping and
-// retirement with SetMarkerForwarder and carry markers across the wire
-// themselves.
+// retirement by implementing hook.MarkerCarrier and carry markers across
+// the wire themselves.
 //
 // Disabled cost: p.lane stays nil, so every port operation pays exactly
 // one pointer check. Enabled cost: one atomic load per pop (the lane's
@@ -113,33 +113,27 @@ func forwardMarks(in, out *Port) {
 	}
 }
 
-// SetMarkerForwarder marks the kernel as a marker carrier: it neither
-// stamps fresh markers (even when it looks like a source) nor retires
-// picked-up ones (even when it looks like a sink). Bridge endpoints call
-// it — the sender ships TakeMarkers over the wire, the receiver re-injects
-// them with DepositMarkers.
-func (k *KernelBase) SetMarkerForwarder() { k.markForward = true }
+// markerCarriage is a hook.MarkerCarrier's own KernelBase seen as its
+// hook.Markers: buildActor hands it to the carrier, so the take and deposit
+// operations stay off KernelBase's public surface.
+type markerCarriage KernelBase
 
-// TakeMarkers removes and returns the latency markers the kernel has
-// picked up but not yet forwarded (nil when none). Used by forwarding
-// carriers that hand markers to a non-lane transport.
-func (k *KernelBase) TakeMarkers() []*trace.Marker {
-	if len(k.pendingMarks) == 0 {
+// Take implements hook.Markers.
+func (c *markerCarriage) Take() []*trace.Marker {
+	if len(c.pendingMarks) == 0 {
 		return nil
 	}
-	ms := k.pendingMarks
-	k.pendingMarks = nil
+	ms := c.pendingMarks
+	c.pendingMarks = nil
 	return ms
 }
 
-// DepositMarkers parks externally carried markers on the kernel's first
-// marker-enabled output lane; a no-op when latency markers are off in
-// this execution (the markers are dropped, never the elements).
-func (k *KernelBase) DepositMarkers(ms []*trace.Marker) {
+// Deposit implements hook.Markers.
+func (c *markerCarriage) Deposit(ms []*trace.Marker) {
 	if len(ms) == 0 {
 		return
 	}
-	for _, p := range k.outs {
+	for _, p := range c.outs {
 		if p.lane != nil {
 			now := time.Now().UnixNano()
 			for _, m := range ms {

@@ -130,10 +130,6 @@ func (p *Port) Type() reflect.Type { return p.ops.elem() }
 // Bound reports whether the port has been connected by Map.Link.
 func (p *Port) Bound() bool { return p.link != nil }
 
-// Queue returns the untyped view of the port's stream, or nil before Exe
-// allocates it.
-func (p *Port) Queue() ringbuffer.Queue { return p.q }
-
 // Close closes the stream attached to the port. Producers call it (usually
 // indirectly, via the runtime, which closes all output streams when a
 // kernel stops) to deliver EOF downstream.

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"raftlib/internal/trace"
 )
 
 // String renders the execution report as an aligned text summary: the
@@ -114,11 +112,11 @@ func (r *Report) String() string {
 	if r.Latency != nil && (r.Latency.Retired > 0 || r.Latency.FlightDumps > 0) {
 		fmt.Fprintf(&b, "\nlatency (marker stride %d, %d retired):\n", r.Latency.Stride, r.Latency.Retired)
 		writeTable(&b, flowCols(), len(r.Latency.Flows),
-			func(i int) *traceFlow { return &r.Latency.Flows[i] })
+			func(i int) *FlowStats { return &r.Latency.Flows[i] })
 		if len(r.Latency.Stages) > 0 {
 			fmt.Fprintf(&b, " per-stage residence:\n")
 			writeTable(&b, stageCols(), len(r.Latency.Stages),
-				func(i int) *traceStage { return &r.Latency.Stages[i] })
+				func(i int) *StageStats { return &r.Latency.Stages[i] })
 		}
 		if r.Latency.FlightDumps > 0 {
 			fmt.Fprintf(&b, "  flight recorder: %d dump(s) in %s\n",
@@ -214,16 +212,9 @@ func fmtStamp(d time.Duration) string {
 	return "+" + fmtNanos(float64(d))
 }
 
-// traceFlow / traceStage alias the marker-domain aggregates so the
-// generic table writer can address them without re-declaring the shape.
-type (
-	traceFlow  = trace.FlowStats
-	traceStage = trace.StageStats
-)
-
 // flowName renders a flow's tenant/source pair (bare source when the
 // flow never crossed the gateway).
-func flowName(f *traceFlow) string {
+func flowName(f *FlowStats) string {
 	if f.Tenant == "" {
 		return f.Source
 	}
@@ -231,31 +222,31 @@ func flowName(f *traceFlow) string {
 }
 
 // flowCols is the per-flow latency-table layout.
-func flowCols() []col[*traceFlow] {
-	return []col[*traceFlow]{
+func flowCols() []col[*FlowStats] {
+	return []col[*FlowStats]{
 		{"flow", 28, flowName},
-		{"count", 8, func(f *traceFlow) string { return fmt.Sprintf("%d", f.Count) }},
-		{"mean", 10, func(f *traceFlow) string { return fmtNanos(float64(f.Mean())) }},
-		{"p50", 10, func(f *traceFlow) string { return fmtNanos(float64(f.Quantile(0.50))) }},
-		{"p99", 10, func(f *traceFlow) string { return fmtNanos(float64(f.Quantile(0.99))) }},
-		{"max", 10, func(f *traceFlow) string { return fmtNanos(float64(f.MaxNs)) }},
+		{"count", 8, func(f *FlowStats) string { return fmt.Sprintf("%d", f.Count) }},
+		{"mean", 10, func(f *FlowStats) string { return fmtNanos(float64(f.Mean())) }},
+		{"p50", 10, func(f *FlowStats) string { return fmtNanos(float64(f.Quantile(0.50))) }},
+		{"p99", 10, func(f *FlowStats) string { return fmtNanos(float64(f.Quantile(0.99))) }},
+		{"max", 10, func(f *FlowStats) string { return fmtNanos(float64(f.MaxNs)) }},
 	}
 }
 
 // stageCols is the per-stage residence-attribution layout: how long the
 // sampled elements sat in each stage's inbound queue versus inside the
 // stage itself.
-func stageCols() []col[*traceStage] {
-	return []col[*traceStage]{
-		{"stage", 44, func(s *traceStage) string { return s.Stage }},
-		{"hops", 8, func(s *traceStage) string { return fmt.Sprintf("%d", s.Count) }},
-		{"queue mean", 11, func(s *traceStage) string {
+func stageCols() []col[*StageStats] {
+	return []col[*StageStats]{
+		{"stage", 44, func(s *StageStats) string { return s.Stage }},
+		{"hops", 8, func(s *StageStats) string { return fmt.Sprintf("%d", s.Count) }},
+		{"queue mean", 11, func(s *StageStats) string {
 			if s.Count == 0 {
 				return "-"
 			}
 			return fmtNanos(float64(s.QueueNs) / float64(s.Count))
 		}},
-		{"kernel mean", 11, func(s *traceStage) string {
+		{"kernel mean", 11, func(s *StageStats) string {
 			if s.Count == 0 {
 				return "-"
 			}

@@ -115,8 +115,8 @@ func TestRewriteSpliceAndRemoveMidRun(t *testing.T) {
 	// resolved the original stream many times over. Ports are written only
 	// by Commit and, for a consumer, before Commit returns, so reading
 	// their binding around a Commit is ordered.
-	q0 := gen.Out("out").Queue()
-	if sink.In("in").Queue() != q0 {
+	q0 := gen.Out("out").q
+	if sink.In("in").q != q0 {
 		t.Fatal("endpoints of one link are bound to different queues")
 	}
 
@@ -143,7 +143,7 @@ func TestRewriteSpliceAndRemoveMidRun(t *testing.T) {
 	// The splice rebound a producer port (gen.out) and a consumer port
 	// (sink.in) of kernels that were mid-stream on the scalar accessors;
 	// segment exactness below proves they followed the new bindings.
-	q1, q2 := gen.Out("out").Queue(), sink.In("in").Queue()
+	q1, q2 := gen.Out("out").q, sink.In("in").q
 	if q1 == q0 || q2 == q0 || q1 == q2 {
 		t.Fatalf("after the splice gen.out and sink.in must be bound to two new queues (old %p, now %p and %p)", q0, q1, q2)
 	}

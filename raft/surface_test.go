@@ -9,8 +9,11 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,9 +23,17 @@ var update = flag.Bool("update", false, "rewrite testdata/surface.golden from th
 // TestSurface pins what the package exports: one sorted line per exported
 // const, var, type, func and method, rendered from the source with go/doc.
 // A change to the public surface must change testdata/surface.golden on
-// purpose; go test -run TestSurface -update rewrites it.
+// purpose; go test -run TestSurface -update rewrites it. The surface names
+// only what a user can import: no line may name an internal package,
+// except the declaration of a public alias (type X = pkg.Y).
 func TestSurface(t *testing.T) {
-	got := strings.Join(surface(t), "\n") + "\n"
+	lines, internal := surface(t)
+	for _, l := range lines {
+		if pkg := namesInternal(l, internal); pkg != "" {
+			t.Errorf("surface line names internal package %s: %s", pkg, l)
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
 	golden := filepath.Join("testdata", "surface.golden")
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -40,8 +51,9 @@ func TestSurface(t *testing.T) {
 }
 
 // surface renders the exported declarations of the package's non-test
-// files (parsed without comments, so no doc text reaches the lines).
-func surface(t *testing.T) []string {
+// files (parsed without comments, so no doc text reaches the lines) and
+// lists the names those files import internal packages under.
+func surface(t *testing.T) (lines, internal []string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	paths, err := filepath.Glob("*.go")
@@ -58,6 +70,17 @@ func surface(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		files = append(files, f)
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if !strings.Contains(path, "/internal/") {
+				continue
+			}
+			name := pathpkg.Base(path)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			internal = append(internal, name)
+		}
 	}
 	pkg, err := doc.NewFromFiles(fset, files, "raftlib")
 	if err != nil {
@@ -70,7 +93,6 @@ func surface(t *testing.T) []string {
 		}
 		return strings.Join(strings.Fields(b.String()), " ")
 	}
-	var lines []string
 	values := func(vs []*doc.Value) {
 		for _, v := range vs {
 			for _, s := range v.Decl.Specs {
@@ -115,7 +137,23 @@ func surface(t *testing.T) []string {
 		funcs(typ.Methods)
 	}
 	sort.Strings(lines)
-	return lines
+	return lines, internal
+}
+
+var aliasDecl = regexp.MustCompile(`^type \w+ = \w+\.\w+$`)
+
+// namesInternal returns the internal package a surface line names as a
+// qualifier, "" when none does or the line declares an alias.
+func namesInternal(line string, internal []string) string {
+	if aliasDecl.MatchString(line) {
+		return ""
+	}
+	for _, pkg := range internal {
+		if regexp.MustCompile(`\b` + pkg + `\.`).MatchString(line) {
+			return pkg
+		}
+	}
+	return ""
 }
 
 // lineDiff lists the lines only in want (-) and only in got (+).

@@ -14,7 +14,7 @@ import "raftlib/internal/ringbuffer"
 // queue's free region and published with ReleaseWriteView.
 //
 // Every stream is a ring, and every ring supports views — the slice-backed
-// one a QueueProvider hands out included. The borrow
+// one kernels.ForEach provides included. The borrow
 // discipline (one view per side, release exactly once, slices invalid after
 // release) is documented on the ringbuffer package.
 
