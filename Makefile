@@ -192,12 +192,15 @@ ci-obs:
 
 # Scheduler gate: race-test the work-stealing scheduler and the actor
 # core with three passes — deque steals, park/wake hook delivery and the
-# watchdog are all interleaving-dependent — then run the A17 scale
+# watchdog are all interleaving-dependent — and the deadlock watch's
+# freeze scan, whose parked-actor mark the work-stealing scheduler writes,
+# under both schedulers; then run the A17 scale
 # ablation as a seeded smoke. Element exactness and park/wake counter
 # visibility assert on every run; the 1.05x scale-ratio bars warn on
 # small runners and are enforced by the nightly perf-bars job.
 ci-sched:
 	$(GO) test -race -count=3 ./internal/scheduler/... ./internal/core/...
+	$(GO) test -race -count=3 -run 'Deadlock' ./raft/ ./internal/monitor/
 	$(GO) run ./cmd/raft-bench -ablate sched -corpus 4 -seed $(CI_SEED)
 
 # Graph-rewrite gate: race-test the rewrite transaction protocol, the

@@ -21,9 +21,9 @@ import (
 //     must make its first batch-up decision before the queue saturates
 //     (the heuristic, by construction, can only react after).
 //  3. overhead — a statically batched pipeline with the controller's full
-//     machinery armed (span tracing, estimator folds, monitor decisions)
-//     but nothing to decide; the cost must stay under the 3% telemetry
-//     bar established in A12.
+//     machinery armed (estimator folds over the counters, monitor
+//     decisions) but nothing to decide; the cost must stay under the 3%
+//     telemetry bar established in A12.
 func ablateRate() {
 	header("A13: Service-rate controller — heuristic vs online λ̂/µ̂ estimates")
 
@@ -280,8 +280,8 @@ func ablateRate() {
 	fmt.Println("\nexpected: parity or better on the adaptive pipeline (the rate")
 	fmt.Println("signal reaches the same ceiling sooner); on the ramp the first")
 	fmt.Println("batch-up lands during the ρ̂≈0.8 phase while the queue is still")
-	fmt.Println("nearly empty; and the armed-but-idle controller prices at the")
-	fmt.Println("sampled-trace cost measured in A12, inside the 3% bar.")
+	fmt.Println("nearly empty; and the armed-but-idle controller, which reads")
+	fmt.Println("counters the runtime keeps anyway, stays inside the 3% bar.")
 }
 
 func max(a, b float64) float64 {

@@ -95,6 +95,11 @@ type Actor struct {
 	// for_each source, which "appears as a kernel only momentarily",
 	// §4.2): the engine runs Finish immediately and never schedules Step.
 	Virtual bool
+	// Parked is set while the work-stealing scheduler holds the actor
+	// parked, from the park until a worker next runs it: the deadlock
+	// watch counts such an actor as blocked on its streams, as it does one
+	// whose ring stamps a blocking wait.
+	Parked atomic.Bool
 
 	// Restarts counts supervised recoveries of this actor: each time the
 	// resilience supervisor absorbs a panic and restarts the kernel the

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -19,22 +20,25 @@ import (
 //
 // Detection predicate, evaluated per tick against the link set:
 //
-//  1. every unfinished actor is parked on at least one of its streams
-//     (the producer side reports WriterBlockedFor > 0 or the consumer
-//     side ReaderStarvedFor > 0) — a computing kernel is never parked, so
-//     long computations cannot be misdiagnosed;
+//  1. every unfinished actor is parked on at least one of its streams —
+//     the producer side reports WriterBlockedFor > 0 or the consumer side
+//     ReaderStarvedFor > 0 (a blocking wait under the goroutine
+//     scheduler), or the work-stealing scheduler holds it parked
+//     (core.Actor.Parked). A computing kernel is never parked, so long
+//     computations cannot be misdiagnosed;
 //  2. total push+pop counts — plus supervised restart counts, so a kernel
 //     crash-looping through recovery registers as activity rather than a
 //     freeze — are unchanged since the previous tick (no in-flight
 //     progress racing the scan); and
 //  3. 1 and 2 have held continuously for the configured grace period.
 //
-// The predicate is conservative: adapters that sleep between polls (the
-// merge kernel's idle back-off) do not register as parked, so topologies
-// containing them simply never satisfy condition 1 — a missed detection,
-// never a false abort.
+// The predicate is conservative: under the goroutine scheduler a merge
+// asleep on several inputs at once (actorEntry.Await in raft) stamps no
+// ring, so a topology frozen around one never satisfies condition 1 — a
+// missed detection, never a false abort.
 
-// DeadlockWatch extends a Monitor with freeze detection.
+// DeadlockWatch extends a Monitor with freeze detection. It is built
+// empty; every transaction, epoch 0 included, hands it what it added.
 type DeadlockWatch struct {
 	// mu guards actors and links: Check runs on the monitor goroutine
 	// while graph rewrites splice both sets from the rewriter's.
@@ -52,40 +56,29 @@ type DeadlockWatch struct {
 	parked []bool
 }
 
-// AddActor includes a dynamically-spawned actor in the freeze scan.
-func (d *DeadlockWatch) AddActor(a *core.Actor) {
-	d.mu.Lock()
-	d.actors = append(d.actors, a)
-	d.mu.Unlock()
-}
-
-// AddLink includes a dynamically-spliced link in the freeze scan.
-func (d *DeadlockWatch) AddLink(l *core.LinkInfo) {
-	d.mu.Lock()
-	d.links = append(d.links, l)
-	d.mu.Unlock()
-}
-
-// RemoveLink drops a sealed link from the freeze scan (removed actors
-// need no counterpart: they finish, and finished actors are skipped).
-func (d *DeadlockWatch) RemoveLink(l *core.LinkInfo) {
-	d.mu.Lock()
-	for i, x := range d.links {
-		if x == l {
-			d.links = append(d.links[:i], d.links[i+1:]...)
-			break
-		}
-	}
-	d.mu.Unlock()
-}
-
 // NewDeadlockWatch builds a watcher that calls abort with a diagnostic
 // once the application has been globally frozen for the grace period.
-func NewDeadlockWatch(actors []*core.Actor, links []*core.LinkInfo, grace time.Duration, abort func(string)) *DeadlockWatch {
+func NewDeadlockWatch(grace time.Duration, abort func(string)) *DeadlockWatch {
 	if grace <= 0 {
 		grace = time.Second
 	}
-	return &DeadlockWatch{actors: actors, links: links, grace: grace, abort: abort}
+	return &DeadlockWatch{grace: grace, abort: abort}
+}
+
+// Add includes one transaction's actors and links in the freeze scan.
+func (d *DeadlockWatch) Add(actors []*core.Actor, links []*core.LinkInfo) {
+	d.mu.Lock()
+	d.actors = append(d.actors, actors...)
+	d.links = append(d.links, links...)
+	d.mu.Unlock()
+}
+
+// RemoveLinks drops sealed links from the freeze scan (removed actors need
+// no counterpart: they finish, and finished actors are skipped).
+func (d *DeadlockWatch) RemoveLinks(links []*core.LinkInfo) {
+	d.mu.Lock()
+	d.links = slices.DeleteFunc(d.links, func(l *core.LinkInfo) bool { return slices.Contains(links, l) })
+	d.mu.Unlock()
 }
 
 // Check evaluates the predicate once; the Monitor calls it per tick.
@@ -138,7 +131,7 @@ func (d *DeadlockWatch) frozen() (bool, uint64) {
 			continue
 		}
 		unfinished++
-		if a.ID < 0 || a.ID >= len(d.parked) || !d.parked[a.ID] {
+		if (a.ID < 0 || a.ID >= len(d.parked) || !d.parked[a.ID]) && !a.Parked.Load() {
 			return false, ops
 		}
 	}
@@ -156,7 +149,8 @@ func (d *DeadlockWatch) park(id int) {
 	d.parked[id] = true
 }
 
-// diagnose renders the parked streams for the abort error.
+// diagnose renders the parked streams for the abort error, and the kernels
+// the work-stealing scheduler holds parked.
 func (d *DeadlockWatch) diagnose() string {
 	var b strings.Builder
 	b.WriteString("application deadlocked; parked streams:")
@@ -172,6 +166,13 @@ func (d *DeadlockWatch) diagnose() string {
 		}
 		if r > 0 {
 			fmt.Fprintf(&b, " consumer starved %v", r.Round(time.Millisecond))
+		}
+	}
+	sep := "\n  kernels parked by the scheduler: "
+	for _, a := range d.actors {
+		if a.Parked.Load() && !a.Finished.Load() {
+			b.WriteString(sep + a.Name)
+			sep = ", "
 		}
 	}
 	return b.String()

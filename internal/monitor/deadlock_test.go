@@ -44,11 +44,19 @@ func frozenFixture(t *testing.T) ([]*core.Actor, []*core.LinkInfo, func()) {
 	return actors, links, cleanup
 }
 
+// newWatch is a deadlock watch that one transaction handed actors and
+// links.
+func newWatch(actors []*core.Actor, links []*core.LinkInfo, grace time.Duration, abort func(string)) *DeadlockWatch {
+	w := NewDeadlockWatch(grace, abort)
+	w.Add(actors, links)
+	return w
+}
+
 func TestDeadlockWatchFires(t *testing.T) {
 	actors, links, cleanup := frozenFixture(t)
 	defer cleanup()
 	var diag string
-	w := NewDeadlockWatch(actors, links, 10*time.Millisecond, func(d string) { diag = d })
+	w := newWatch(actors, links, 10*time.Millisecond, func(d string) { diag = d })
 	base := time.Now()
 	w.Check(base)                           // establishes freeze start
 	w.Check(base.Add(5 * time.Millisecond)) // within grace: no fire
@@ -74,7 +82,7 @@ func TestDeadlockWatchResetOnProgress(t *testing.T) {
 	actors, links, cleanup := frozenFixture(t)
 	defer cleanup()
 	fired := false
-	w := NewDeadlockWatch(actors, links, 10*time.Millisecond, func(string) { fired = true })
+	w := newWatch(actors, links, 10*time.Millisecond, func(string) { fired = true })
 	base := time.Now()
 	w.Check(base)
 	// Simulate progress: bump a queue counter between checks.
@@ -92,7 +100,7 @@ func TestDeadlockWatchIgnoresFinishedActors(t *testing.T) {
 	// and it is parked, so the watch must still fire.
 	actors[1].Finished.Store(true)
 	fired := false
-	w := NewDeadlockWatch(actors, links, 5*time.Millisecond, func(string) { fired = true })
+	w := newWatch(actors, links, 5*time.Millisecond, func(string) { fired = true })
 	base := time.Now()
 	w.Check(base)                            // syncs the op counter
 	w.Check(base.Add(10 * time.Millisecond)) // starts the freeze clock
@@ -108,7 +116,7 @@ func TestDeadlockWatchNotFrozenWhenActorRunning(t *testing.T) {
 	// A third actor with no parked streams is "running": never frozen.
 	actors = append(actors, &core.Actor{ID: 2, Name: "busy"})
 	fired := false
-	w := NewDeadlockWatch(actors, links, 5*time.Millisecond, func(string) { fired = true })
+	w := newWatch(actors, links, 5*time.Millisecond, func(string) { fired = true })
 	base := time.Now()
 	w.Check(base)
 	w.Check(base.Add(10 * time.Millisecond))
@@ -119,7 +127,7 @@ func TestDeadlockWatchNotFrozenWhenActorRunning(t *testing.T) {
 }
 
 func TestDeadlockWatchDefaultGrace(t *testing.T) {
-	w := NewDeadlockWatch(nil, nil, 0, func(string) {})
+	w := NewDeadlockWatch(0, func(string) {})
 	if w.grace != time.Second {
 		t.Fatalf("default grace = %v", w.grace)
 	}
@@ -129,7 +137,7 @@ func TestDeadlockWatchRestartsCountAsProgress(t *testing.T) {
 	actors, links, cleanup := frozenFixture(t)
 	defer cleanup()
 	fired := false
-	w := NewDeadlockWatch(actors, links, 10*time.Millisecond, func(string) { fired = true })
+	w := newWatch(actors, links, 10*time.Millisecond, func(string) { fired = true })
 	base := time.Now()
 	w.Check(base)
 	// A supervised restart between ticks is recovery activity, not a
@@ -172,7 +180,7 @@ func TestDeadlockWatchCheckAllocatesNothing(t *testing.T) {
 		name   string
 		actors []*core.Actor
 	}{{"running", running}, {"frozen", actors}} {
-		w := NewDeadlockWatch(tc.actors, links, time.Hour, func(string) { t.Error("fired") })
+		w := newWatch(tc.actors, links, time.Hour, func(string) { t.Error("fired") })
 		now := time.Now()
 		w.Check(now) // sizes the scratch
 		allocs := testing.AllocsPerRun(100, func() { w.Check(now) })
@@ -180,5 +188,41 @@ func TestDeadlockWatchCheckAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: Check allocates %v per tick, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestDeadlockWatchCountsSchedulerParks: under the work-stealing scheduler
+// a kernel waits parked, not in a ring, so no stream stamps a block. An
+// actor the scheduler holds parked counts as blocked, and the diagnostic
+// names it; one that is not keeps the graph alive. A removed link leaves
+// the scan.
+func TestDeadlockWatchCountsSchedulerParks(t *testing.T) {
+	q := ringbuffer.NewRing[int](2)
+	defer q.Close()
+	actors := []*core.Actor{{ID: 0, Name: "tee"}, {ID: 1, Name: "join"}}
+	links := []*core.LinkInfo{{ID: 0, Name: "tee.a->join.a", Queue: q, SrcActor: 0, DstActor: 1}}
+	var diag string
+	w := newWatch(actors, links, 5*time.Millisecond, func(d string) { diag = d })
+	actors[0].Parked.Store(true)
+	base := time.Now()
+	for i := 0; i < 3; i++ {
+		w.Check(base.Add(time.Duration(i) * 10 * time.Millisecond))
+	}
+	if w.Fired() {
+		t.Fatal("fired with an actor not parked")
+	}
+	actors[1].Parked.Store(true)
+	for i := 3; i < 6; i++ {
+		w.Check(base.Add(time.Duration(i) * 10 * time.Millisecond))
+	}
+	if !w.Fired() {
+		t.Fatal("did not fire with every actor parked by the scheduler")
+	}
+	if !strings.Contains(diag, "kernels parked by the scheduler: tee, join") {
+		t.Fatalf("diagnostic = %q", diag)
+	}
+	w.RemoveLinks(links)
+	if len(w.links) != 0 {
+		t.Fatalf("%d links left after RemoveLinks", len(w.links))
 	}
 }

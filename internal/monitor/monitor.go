@@ -17,6 +17,7 @@
 package monitor
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -47,9 +48,8 @@ type Config struct {
 	// on the same timeline as kernel invocations.
 	Trace *trace.Recorder
 	// Rates, when non-nil with RateControl set, is the online λ̂/µ̂
-	// estimator. The monitor drives its Tick and consumes its estimates;
-	// estimator link index i MUST correspond to links[i] passed to New
-	// (raft keeps the two aligned when it builds the taps).
+	// estimator. The monitor drives its Tick and reads a link's estimates
+	// by its LinkInfo.ID, the key of the link's estimator tap.
 	Rates *qmodel.Estimator
 	// RateControl switches the batcher and scaler from the contended-
 	// window heuristics to estimator-driven decisions: batch growth
@@ -89,16 +89,10 @@ const (
 	waitFactor = 2
 )
 
-// linkState carries one link's monitor bookkeeping. Links used to be
-// tracked in parallel index-keyed slices; graph rewrites add and remove
-// links mid-run, so the state now travels with the link record and only
-// estIdx remembers the estimator slot (taps are built at Exe — links
-// added dynamically have no estimator slot and run the heuristics).
+// linkState carries one link's monitor bookkeeping. Graph rewrites add
+// and remove links mid-run, so the state travels with the link record.
 type linkState struct {
 	l *core.LinkInfo
-	// estIdx is the link's index in the rate estimator's tap table, or -1
-	// for dynamically-added links (estimator rules skipped).
-	estIdx int
 	// adaptive batcher state
 	batchTick  int
 	batchFull  int
@@ -114,16 +108,13 @@ type linkState struct {
 type Monitor struct {
 	cfg     Config
 	scalers []core.Scaler
-	// linkIdx maps a static link to its estimator index; built only under
-	// RateControl, the one rule that reads it.
-	linkIdx map[*core.LinkInfo]int
 
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
 
 	// linksMu guards the copy-on-write links slice: Tick snapshots the
-	// header; AddLink/RemoveLink publish a fresh slice, so a tick in
+	// header; AddLinks/RemoveLinks publish a fresh slice, so a tick in
 	// flight finishes over the structure it started with.
 	linksMu sync.Mutex
 	links   []*linkState
@@ -155,28 +146,12 @@ type Event struct {
 	To     int
 }
 
-// New builds a Monitor over the engine's links and scalers.
-func New(cfg Config, links []*core.LinkInfo, scalers []core.Scaler) *Monitor {
-	// One slab holds the state of every link given here; AddLink allocates
-	// a rewrite's links one by one.
-	slab := make([]linkState, len(links))
-	states := make([]*linkState, len(links))
-	var idx map[*core.LinkInfo]int
-	if cfg.RateControl && cfg.Rates != nil {
-		idx = make(map[*core.LinkInfo]int, len(links))
-	}
-	for i, l := range links {
-		if idx != nil {
-			idx[l] = i
-		}
-		slab[i] = linkState{l: l, estIdx: i}
-		states[i] = &slab[i]
-	}
+// New builds a Monitor over the engine's scalers. It samples no link until
+// a transaction hands it its links (AddLinks).
+func New(cfg Config, scalers []core.Scaler) *Monitor {
 	return &Monitor{
 		cfg:        cfg,
-		links:      states,
 		scalers:    scalers,
-		linkIdx:    idx,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		scaleTick:  make([]int, len(scalers)),
@@ -185,26 +160,31 @@ func New(cfg Config, links []*core.LinkInfo, scalers []core.Scaler) *Monitor {
 	}
 }
 
-// AddLink attaches a dynamically-spliced link to the sampling loop. The
-// link gets occupancy sampling, resize rules, the adaptive batcher and
-// the drop watcher; estimator-driven rules are skipped (taps are built at
-// Exe), so it runs the contended-window heuristics.
-func (m *Monitor) AddLink(l *core.LinkInfo) {
+// AddLinks attaches one transaction's links to the sampling loop: occupancy
+// sampling, the resize rules, the adaptive batcher, the drop watcher and,
+// under RateControl, the estimator-driven rules. Their state is one slab,
+// and the link slice is published once.
+func (m *Monitor) AddLinks(links []*core.LinkInfo) {
+	slab := make([]linkState, len(links))
 	m.linksMu.Lock()
-	next := make([]*linkState, len(m.links), len(m.links)+1)
+	next := make([]*linkState, len(m.links), len(m.links)+len(links))
 	copy(next, m.links)
-	m.links = append(next, &linkState{l: l, estIdx: -1})
+	for i, l := range links {
+		slab[i].l = l
+		next = append(next, &slab[i])
+	}
+	m.links = next
 	m.linksMu.Unlock()
 }
 
-// RemoveLink detaches a link from the sampling loop (its queue is sealed;
-// re-applying resize or batch rules to it would be dead work). A tick in
-// flight may sample it once more, which is harmless.
-func (m *Monitor) RemoveLink(l *core.LinkInfo) {
+// RemoveLinks detaches links from the sampling loop (their queues are
+// sealed; re-applying resize or batch rules to them would be dead work). A
+// tick in flight may sample them once more, which is harmless.
+func (m *Monitor) RemoveLinks(links []*core.LinkInfo) {
 	m.linksMu.Lock()
 	next := make([]*linkState, 0, len(m.links))
 	for _, st := range m.links {
-		if st.l != l {
+		if !slices.Contains(links, st.l) {
 			next = append(next, st)
 		}
 	}
@@ -277,14 +257,22 @@ func (m *Monitor) record(kind, target string, from, to int) {
 
 func (m *Monitor) loop() {
 	defer close(m.done)
+	// The pause between ticks ends early on Stop: with every P idle a
+	// timer can fire up to a millisecond late, and Stop must not wait it
+	// out.
+	pause := time.NewTimer(Delta)
+	if !pause.Stop() {
+		<-pause.C // armed after each tick, so it must start drained
+	}
+	defer pause.Stop()
 	for {
+		m.Tick()
+		pause.Reset(Delta)
 		select {
 		case <-m.stop:
 			return
-		default:
+		case <-pause.C:
 		}
-		m.Tick()
-		time.Sleep(Delta)
 	}
 }
 
@@ -416,11 +404,7 @@ func (m *Monitor) rateWidth(s core.Scaler, in *core.LinkInfo) bool {
 	if !ok {
 		return false
 	}
-	li, ok := m.linkIdx[in]
-	if !ok {
-		return false
-	}
-	lr, ok := m.cfg.Rates.Link(li)
+	lr, ok := m.cfg.Rates.Link(in.ID)
 	if !ok || !lr.Primed || lr.Lambda <= 0 {
 		return false
 	}
@@ -520,8 +504,8 @@ func (m *Monitor) batchStep(st *linkState, qlen, qcap int) {
 	// startup, so gating growth on it costs a few milliseconds once,
 	// not adaptivity.
 	contended := blocked || fullFrac >= 0.5
-	if m.cfg.RateControl && m.cfg.Rates != nil && st.estIdx >= 0 {
-		if lr, ok := m.cfg.Rates.Link(st.estIdx); ok {
+	if m.cfg.RateControl && m.cfg.Rates != nil {
+		if lr, ok := m.cfg.Rates.Link(l.ID); ok {
 			rateHot := false
 			if lr.Primed {
 				horizon := float64(batchWindow) * Delta.Seconds()

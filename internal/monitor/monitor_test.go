@@ -32,7 +32,7 @@ func TestTickSamplesOccupancy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := New(Config{}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{}, []*core.LinkInfo{li}, nil)
 	m.Tick()
 	m.Tick()
 	if li.Occupancy.StarvedFraction() != 0 || li.Occupancy.FullFraction() != 0 {
@@ -57,7 +57,7 @@ func TestWriteBlockTriggersGrow(t *testing.T) {
 	}
 	// Wait until the block age exceeds 3δ, then tick manually.
 	cfg := Config{Resize: true}
-	m := New(cfg, []*core.LinkInfo{li}, nil)
+	m := newMon(cfg, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 2 {
@@ -83,7 +83,7 @@ func TestGrowRespectsMaxCap(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 2 {
@@ -106,7 +106,7 @@ func TestViewHoldSkipsResize(t *testing.T) {
 	if err != nil || v.Len() != 1 {
 		t.Fatalf("view = %v (len %d)", err, v.Len())
 	}
-	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 1 {
@@ -144,7 +144,7 @@ func TestWindowDefersResize(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if err := <-pushed; err != nil {
@@ -188,7 +188,7 @@ func TestResizeDisabled(t *testing.T) {
 	for r.WriterBlockedFor() == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	m := New(Config{Resize: true}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{Resize: true}, []*core.LinkInfo{li}, nil)
 	time.Sleep(time.Millisecond)
 	m.Tick()
 	if r.Cap() != 1 {
@@ -233,7 +233,7 @@ func TestAutoScaleUpOnPressure(t *testing.T) {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li}
-	m := New(Config{AutoScale: true},
+	m := newMon(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
@@ -251,7 +251,7 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 	li, _ := mkLink(4, 4)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li}
-	m := New(Config{AutoScale: true},
+	m := newMon(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ { // queue stays empty
 		m.Tick()
@@ -271,7 +271,7 @@ func TestAutoScaleSkipsGroupWhileStepping(t *testing.T) {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li, stepping: true}
-	m := New(Config{AutoScale: true},
+	m := newMon(Config{AutoScale: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < 2*scaleWindow; i++ {
 		m.Tick()
@@ -294,7 +294,7 @@ func TestAutoScaleSkipsGroupWhileStepping(t *testing.T) {
 
 func TestAutoScaleNilInputLink(t *testing.T) {
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: nil}
-	m := New(Config{AutoScale: true}, nil, []core.Scaler{sc})
+	m := newMon(Config{AutoScale: true}, nil, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ {
 		m.Tick() // must not panic
 	}
@@ -305,7 +305,7 @@ func TestAutoScaleNilInputLink(t *testing.T) {
 
 func TestStartStopLifecycle(t *testing.T) {
 	li, _ := mkLink(4, 0)
-	m := New(Config{}, []*core.LinkInfo{li}, nil)
+	m := newMon(Config{}, []*core.LinkInfo{li}, nil)
 	m.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for m.Ticks() < 3 {
@@ -333,7 +333,7 @@ func TestAdaptiveBatchGrowsUnderContention(t *testing.T) {
 	for i := 0; i < 12; i++ { // >= cap/2 every tick
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
-	m := New(Config{AdaptiveBatch: true},
+	m := newMon(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
 	for w := 0; w < 4; w++ {
 		// Keep elements flowing so Pushes advances between windows.
@@ -360,7 +360,7 @@ func TestAdaptiveBatchShrinksWhenIdle(t *testing.T) {
 	li.ResizeEnabled = false
 	li.Batch = &core.BatchControl{}
 	li.Batch.Set(8)
-	m := New(Config{AdaptiveBatch: true},
+	m := newMon(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
 	for i := 0; i < batchWindow; i++ { // queue stays empty
 		m.Tick()
@@ -383,7 +383,7 @@ func TestAdaptiveBatchSkipsPinned(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		_ = r.Push(i, ringbuffer.SigNone)
 	}
-	m := New(Config{AdaptiveBatch: true},
+	m := newMon(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
 	for i := 0; i < 5*batchWindow; i++ {
 		_, _, _, _ = r.TryPop()
@@ -403,7 +403,7 @@ func TestAdaptiveBatchSkipsPinned(t *testing.T) {
 func TestAdaptiveBatchNilControl(t *testing.T) {
 	li, _ := mkLink(16, 0)
 	li.ResizeEnabled = false
-	m := New(Config{AdaptiveBatch: true},
+	m := newMon(Config{AdaptiveBatch: true},
 		[]*core.LinkInfo{li}, nil)
 	for i := 0; i < batchWindow; i++ {
 		m.Tick()
@@ -435,7 +435,7 @@ func primedEstimator(t *testing.T, n uint64, blockedFrac float64, workerIDs ...i
 		Len:   func() int { return 0 },
 		Cap:   func() int { return 1024 },
 	}}
-	est := qmodel.NewEstimator(nil, kts, lts)
+	est := newEstimator(kts, lts)
 	window := 2 * time.Millisecond
 	now := time.Now().Add(time.Hour)
 	est.Tick(now)
@@ -458,7 +458,7 @@ func TestRateControlBatchUpOnHotLink(t *testing.T) {
 	li, r := mkLink(16, 0)
 	li.ResizeEnabled = false
 	li.Batch = &core.BatchControl{}
-	m := New(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
+	m := newMon(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, nil)
 	// Elements flow (moved > 0) but the queue never fills or blocks.
 	_ = r.Push(1, ringbuffer.SigNone)
@@ -499,7 +499,7 @@ func TestRateControlSuppressesStarvationNoise(t *testing.T) {
 	}
 
 	est := primedEstimator(t, 1000, 0.75) // ρ̂ ≈ 0.25 < rhoGrow
-	rc := New(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
+	rc := newMon(Config{AdaptiveBatch: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, nil)
 	for i := 0; i < batchWindow; i++ {
 		rc.Tick()
@@ -510,7 +510,7 @@ func TestRateControlSuppressesStarvationNoise(t *testing.T) {
 
 	// The same telemetry drives the heuristic to batch-up — the behavior
 	// the discriminating controller exists to avoid.
-	h := New(Config{AdaptiveBatch: true}, []*core.LinkInfo{li}, nil)
+	h := newMon(Config{AdaptiveBatch: true}, []*core.LinkInfo{li}, nil)
 	for i := 0; i < batchWindow; i++ {
 		h.Tick()
 	}
@@ -528,7 +528,7 @@ func TestRateWidthScalesUpTowardMMcTarget(t *testing.T) {
 	li, _ := mkLink(16, 16)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 1, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
+	m := newMon(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
@@ -549,7 +549,7 @@ func TestRateWidthScalesDownWhenOverProvisioned(t *testing.T) {
 	li, _ := mkLink(16, 16)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
+	m := newMon(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
@@ -569,7 +569,7 @@ func TestRateWidthScalesDownWhenOverProvisioned(t *testing.T) {
 // decision to the contended-window heuristic (here: empty queue, scale
 // down), not freeze the group.
 func TestRateWidthFallsBackUnprimed(t *testing.T) {
-	est := qmodel.NewEstimator(nil,
+	est := newEstimator(
 		[]qmodel.KernelTap{{Name: "k", ID: 1, Runs: func() uint64 { return 0 }}},
 		[]qmodel.LinkTap{{Name: "l", Src: 0, Dst: 1,
 			Flow: func() (uint64, uint64) { return 0, 0 },
@@ -579,7 +579,7 @@ func TestRateWidthFallsBackUnprimed(t *testing.T) {
 	li, _ := mkLink(4, 4)
 	li.ResizeEnabled = false
 	sc := &fakeScaler{name: "grp", active: 3, max: 4, in: li, workers: []int32{1}}
-	m := New(Config{AutoScale: true, Rates: est, RateControl: true},
+	m := newMon(Config{AutoScale: true, Rates: est, RateControl: true},
 		[]*core.LinkInfo{li}, []core.Scaler{sc})
 	for i := 0; i < scaleWindow; i++ {
 		m.Tick()
@@ -587,4 +587,36 @@ func TestRateWidthFallsBackUnprimed(t *testing.T) {
 	if sc.active != 2 {
 		t.Fatalf("active = %d, want heuristic scale-down to 2", sc.active)
 	}
+}
+
+// newMon is a monitor to which one transaction handed links.
+func newMon(cfg Config, links []*core.LinkInfo, scalers []core.Scaler) *Monitor {
+	m := New(cfg, scalers)
+	m.AddLinks(links)
+	return m
+}
+
+// newEstimator is an estimator one transaction handed kernels and links.
+func newEstimator(kernels []qmodel.KernelTap, links []qmodel.LinkTap) *qmodel.Estimator {
+	e := qmodel.NewEstimator()
+	e.Add(kernels, links)
+	return e
+}
+
+// TestLinksJoinAndLeaveInBatches: each transaction's links join the
+// sampling loop in one publication, and removed links leave it.
+func TestLinksJoinAndLeaveInBatches(t *testing.T) {
+	a, _ := mkLink(4, 0)
+	b, _ := mkLink(4, 0)
+	c, _ := mkLink(4, 0)
+	m := newMon(Config{}, []*core.LinkInfo{a}, nil)
+	m.AddLinks([]*core.LinkInfo{b, c})
+	if len(m.links) != 3 || m.links[1].l != b || m.links[2].l != c {
+		t.Fatalf("links after two batches: %d", len(m.links))
+	}
+	m.RemoveLinks([]*core.LinkInfo{a, c})
+	if len(m.links) != 1 || m.links[0].l != b {
+		t.Fatalf("links after removal: %d", len(m.links))
+	}
+	m.Tick()
 }

@@ -1,26 +1,29 @@
 package qmodel
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"raftlib/internal/stats"
-	"raftlib/internal/trace"
 )
 
 // This file implements the online half of the package: where flow.go and
 // mmc.go evaluate *given* rates, the Estimator produces those rates at
-// run time from the instrumentation the runtime already pays for — the
-// trace bus's sampled RunStart/RunEnd spans and the rings' push-side
-// occupancy histograms and flow counters. It follows the instantaneous-
-// rate model of Beard & Chamberlain, "Run Time Approximation of
-// Non-blocking Service Rates for Streaming Systems" (arXiv:1504.00591):
-// the non-blocking service rate µ of a kernel is approximated from
-// short-interval observations of its service times, with observations
-// contaminated by blocking (a span that sat on an empty input, an
-// arrival window distorted by a descheduled producer) rejected as
-// bursts rather than averaged in; arrival rates λ come from exact flow
-// counter deltas over the same windows. The resulting λ̂/µ̂/ρ̂ stream is
+// run time from counters the runtime already keeps — each kernel's
+// invocation count and each ring's flow counters, blocked times and
+// push-side occupancy histogram. It follows the instantaneous-rate model
+// of Beard & Chamberlain, "Run Time Approximation of Non-blocking Service
+// Rates for Streaming Systems" (arXiv:1504.00591): the non-blocking
+// service rate µ of a kernel is approximated over short intervals as its
+// invocations per second of time it was not blocked on a stream, with
+// observations distorted by blocking or descheduling rejected as bursts
+// rather than averaged in; arrival rates λ come from exact flow counter
+// deltas over the same windows.
+//
+// The estimator is built empty. Every transaction of the graph, epoch 0
+// included, hands it the taps of what it added (Add), and a link's tap is
+// dropped with the link (RemoveLinks). The resulting λ̂/µ̂/ρ̂ stream is
 // what turns the monitor's reactive contended-window heuristics into a
 // model-driven controller: M/M/c waiting-time predictions pick replica
 // widths, and utilization plus the occupancy derivative start batch
@@ -32,7 +35,7 @@ import (
 type KernelTap struct {
 	// Name labels the kernel in diagnostics.
 	Name string
-	// ID is the kernel's trace actor id — spans on the bus carry it.
+	// ID is the kernel's actor id, which link taps name as Src and Dst.
 	ID int32
 	// Runs returns the cumulative invocation count.
 	Runs func() uint64
@@ -41,6 +44,9 @@ type KernelTap struct {
 // LinkTap gives the estimator read access to one stream's counters
 // (closures over ringbuffer.Telemetry's read hooks).
 type LinkTap struct {
+	// ID is the link's ID (core.LinkInfo.ID), by which its estimates are
+	// read; the engine's link IDs are dense.
+	ID int
 	// Name labels the link in diagnostics.
 	Name string
 	// Src is the trace actor id of the producing kernel (-1 external).
@@ -52,7 +58,8 @@ type LinkTap struct {
 	// Block returns cumulative producer and consumer blocked time in
 	// nanoseconds (Telemetry.BlockNs); may be nil. Window deltas are what
 	// let µ̂ be computed over busy time only — the de-contamination step
-	// of arXiv:1504.00591 — instead of from blocking-inclusive wall time.
+	// of arXiv:1504.00591 — instead of from blocking-inclusive wall time;
+	// a kernel with no adjacent Block tap gets no µ̂.
 	Block func() (writeNs, readNs uint64)
 	// Occ returns the occupancy histogram reduced to count and weighted
 	// sum (Telemetry.OccStats); deltas yield mean occupancy-at-push.
@@ -103,21 +110,15 @@ type LinkRates struct {
 
 // KernelRate is one kernel's current estimates.
 type KernelRate struct {
-	// SvcNanos is the burst-rejected mean observed run duration from
-	// sampled spans. Spans include any blocking the invocation suffered,
-	// so this is a latency figure, not 1/µ̂.
-	SvcNanos float64
 	// MuRuns is the non-blocking invocation rate: runs per second of
-	// non-blocked wall time when the kernel's links expose block
-	// counters, else 1e9/SvcNanos (span fallback).
+	// wall time the kernel's links did not count as blocked.
 	MuRuns float64
 	// MuElems is the non-blocking element service rate — MuRuns scaled
 	// by the observed elements consumed per invocation (1 when the
 	// kernel has no observed input flow).
 	MuElems float64
 	// Primed reports whether MuRuns is authoritative: the busy-time rate
-	// EWMA has left its priming window (or, for kernels with no block
-	// counters, the span EWMA has).
+	// EWMA has left its priming window.
 	Primed bool
 }
 
@@ -126,21 +127,22 @@ type KernelRate struct {
 // stats, report building, the monitor's own decisions) take the mutex
 // briefly per query.
 type Estimator struct {
-	spans *trace.Reader
-
 	mu      sync.Mutex
 	last    time.Time
 	kernels []kernelEst
 	kidx    map[int32]int
-	links   []linkEst
+	// links is indexed by link ID: nil for an ID not (or no longer) tapped.
+	links []*linkEst
 }
 
 type kernelEst struct {
 	tap      KernelTap
-	svcNs    *stats.BurstEWMA
 	rate     *stats.BurstEWMA // non-blocking runs/s over busy time
 	elems    *stats.BurstEWMA // elements consumed per invocation
 	hasBlock bool             // any adjacent link exposes block counters
+	// based is set once a fold has read the counter baseline; a tap added
+	// since the last fold observes nothing in the next one.
+	based    bool
 	prevRuns uint64
 	dPops    uint64  // inbound pop delta accumulated this window
 	blockNs  float64 // adjacent-link blocked time accumulated this window
@@ -148,6 +150,7 @@ type kernelEst struct {
 
 type linkEst struct {
 	tap      LinkTap
+	based    bool
 	lam      *stats.BurstEWMA // arrivals/s
 	prevPush uint64
 	prevPops uint64
@@ -161,65 +164,59 @@ type linkEst struct {
 	occInit  bool
 }
 
-// NewEstimator builds an estimator over the given taps. spans may be nil
-// (no µ̂; λ̂ and occupancy signals still work — the degraded mode used
-// when tracing is disabled).
-func NewEstimator(spans *trace.Reader, kernels []KernelTap, links []LinkTap) *Estimator {
-	e := &Estimator{spans: spans, kidx: make(map[int32]int, len(kernels))}
+// NewEstimator returns an estimator with no taps.
+func NewEstimator() *Estimator { return &Estimator{kidx: map[int32]int{}} }
+
+// Add taps one transaction's kernels and links; the links' states are one
+// slab. A tap's first fold reads its counters' baseline and observes
+// nothing.
+func (e *Estimator) Add(kernels []KernelTap, links []LinkTap) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, kt := range kernels {
 		e.kidx[kt.ID] = len(e.kernels)
-		e.kernels = append(e.kernels, kernelEst{
-			tap:   kt,
-			svcNs: newEWMA(),
-			rate:  newEWMA(),
-			elems: newEWMA(),
-		})
+		e.kernels = append(e.kernels, kernelEst{tap: kt, rate: newEWMA(), elems: newEWMA()})
 	}
+	slab := make([]linkEst, len(links))
+	top := len(e.links)
 	for _, lt := range links {
-		e.links = append(e.links, linkEst{
-			tap: lt,
-			// Flow-counter deltas are exact, so λ̂ primes on the mean of its
-			// first windows: the arrivals over their span, however unevenly
-			// they fell into them (see stats.BurstEWMA.PrimeOnMean).
-			lam: newEWMA().PrimeOnMean(),
-		})
+		top = max(top, lt.ID+1)
+	}
+	e.links = slices.Grow(e.links, top-len(e.links))[:top]
+	for i, lt := range links {
+		// Flow-counter deltas are exact, so λ̂ primes on the mean of its
+		// first windows: the arrivals over their span, however unevenly
+		// they fell into them (see stats.BurstEWMA.PrimeOnMean).
+		slab[i] = linkEst{tap: lt, lam: newEWMA().PrimeOnMean()}
+		e.links[lt.ID] = &slab[i]
 		if lt.Block != nil {
-			if i, ok := e.kidx[lt.Src]; ok {
-				e.kernels[i].hasBlock = true
+			if ki, ok := e.kidx[lt.Src]; ok {
+				e.kernels[ki].hasBlock = true
 			}
-			if i, ok := e.kidx[lt.Dst]; ok {
-				e.kernels[i].hasBlock = true
+			if ki, ok := e.kidx[lt.Dst]; ok {
+				e.kernels[ki].hasBlock = true
 			}
 		}
 	}
-	return e
+}
+
+// RemoveLinks drops the taps of the links with the given IDs.
+func (e *Estimator) RemoveLinks(ids []int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, id := range ids {
+		if id >= 0 && id < len(e.links) {
+			e.links[id] = nil
+		}
+	}
 }
 
 // Tick folds one estimation window ending at now. Calls closer together
 // than window are no-ops, so it is safe (and intended) to
-// call from every monitor tick.
+// call from every monitor tick. The first call only reads baselines.
 func (e *Estimator) Tick(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.last.IsZero() {
-		// First call establishes counter baselines; no rates yet.
-		e.last = now
-		for i := range e.links {
-			l := &e.links[i]
-			l.prevPush, l.prevPops = l.tap.Flow()
-			l.prevOccN, l.prevOccW = l.tap.Occ()
-			if l.tap.Block != nil {
-				l.prevBlkW, l.prevBlkR = l.tap.Block()
-			}
-		}
-		for i := range e.kernels {
-			e.kernels[i].prevRuns = e.kernels[i].tap.Runs()
-		}
-		if e.spans != nil {
-			e.spans.Poll(func(trace.Event) {}) // discard pre-baseline spans
-		}
-		return
-	}
 	dt := now.Sub(e.last)
 	if dt < window {
 		return
@@ -227,29 +224,29 @@ func (e *Estimator) Tick(now time.Time) {
 	e.last = now
 	secs := dt.Seconds()
 
-	// Observed run durations from sampled spans. Span durations include
-	// any blocking the invocation suffered; the burst filter keeps
-	// episodic blocked outliers out, but a *chronically* starved kernel's
-	// spans all carry the wait, which is why spans alone cannot yield µ̂
-	// (they converge to the arrival rate, ρ̂→1, under light load). The
-	// busy-time rate below is the de-contaminated estimate.
-	if e.spans != nil {
-		e.spans.PollSpans(func(s trace.Span) {
-			if i, ok := e.kidx[s.Actor]; ok {
-				e.kernels[i].svcNs.Observe(float64(s.End - s.Start))
-			}
-		})
-	}
-
 	// λ̂ and occupancy per link; inbound pop deltas and adjacent blocked
 	// time accumulate per kernel.
 	for i := range e.kernels {
 		e.kernels[i].dPops = 0
 		e.kernels[i].blockNs = 0
 	}
-	for i := range e.links {
-		l := &e.links[i]
+	for _, l := range e.links {
+		if l == nil {
+			continue
+		}
 		push, pops := l.tap.Flow()
+		occN, occW := l.tap.Occ()
+		var blkW, blkR uint64
+		if l.tap.Block != nil {
+			blkW, blkR = l.tap.Block()
+		}
+		if !l.based {
+			l.based = true
+			l.prevPush, l.prevPops = push, pops
+			l.prevOccN, l.prevOccW = occN, occW
+			l.prevBlkW, l.prevBlkR = blkW, blkR
+			continue
+		}
 		dPush := push - l.prevPush
 		dPops := pops - l.prevPops
 		l.prevPush, l.prevPops = push, pops
@@ -258,7 +255,6 @@ func (e *Estimator) Tick(now time.Time) {
 			e.kernels[ki].dPops += dPops
 		}
 		if l.tap.Block != nil {
-			blkW, blkR := l.tap.Block()
 			dW, dR := blkW-l.prevBlkW, blkR-l.prevBlkR
 			l.prevBlkW, l.prevBlkR = blkW, blkR
 			// A kernel's goroutine waits serially: write blocks on its
@@ -275,7 +271,6 @@ func (e *Estimator) Tick(now time.Time) {
 		// Window mean occupancy: histogram delta when the window saw
 		// pushes, instantaneous length otherwise (an idle link's
 		// occupancy is whatever is sitting in it).
-		occN, occW := l.tap.Occ()
 		var winMean float64
 		if dN := occN - l.prevOccN; dN > 0 {
 			winMean = (occW - l.prevOccW) / float64(dN)
@@ -305,6 +300,10 @@ func (e *Estimator) Tick(now time.Time) {
 		runs := k.tap.Runs()
 		dRuns := runs - k.prevRuns
 		k.prevRuns = runs
+		if !k.based {
+			k.based = true
+			continue
+		}
 		if dRuns > 0 && k.dPops > 0 {
 			k.elems.Observe(float64(k.dPops) / float64(dRuns))
 		}
@@ -320,25 +319,15 @@ func (e *Estimator) Tick(now time.Time) {
 // kernelRateLocked derives a KernelRate; callers hold e.mu.
 func (e *Estimator) kernelRateLocked(i int) KernelRate {
 	k := &e.kernels[i]
-	kr := KernelRate{SvcNanos: k.svcNs.Value()}
-	switch {
-	case k.rate.Primed():
-		kr.MuRuns = k.rate.Value()
-		kr.Primed = true
-	case !k.hasBlock && k.svcNs.Primed() && kr.SvcNanos > 0:
-		// No block counters to correct with: fall back to the span-based
-		// rate, which is only trustworthy when blocking cannot be the
-		// dominant term (hence authoritative only without block taps).
-		kr.MuRuns = 1e9 / kr.SvcNanos
-		kr.Primed = true
+	if !k.rate.Primed() {
+		return KernelRate{}
 	}
-	if kr.MuRuns > 0 {
-		per := 1.0
-		if k.elems.Primed() && k.elems.Value() > 0 {
-			per = k.elems.Value()
-		}
-		kr.MuElems = kr.MuRuns * per
+	kr := KernelRate{MuRuns: k.rate.Value(), Primed: true}
+	per := 1.0
+	if k.elems.Primed() && k.elems.Value() > 0 {
+		per = k.elems.Value()
 	}
+	kr.MuElems = kr.MuRuns * per
 	return kr
 }
 
@@ -354,16 +343,15 @@ func (e *Estimator) Kernel(id int32) (KernelRate, bool) {
 	return e.kernelRateLocked(i), true
 }
 
-// Link returns the current estimates for link i (the index order of the
-// taps passed to NewEstimator, which raft keeps aligned with its link
-// list).
-func (e *Estimator) Link(i int) (LinkRates, bool) {
+// Link returns the current estimates for the link with the given ID, and
+// false when no tap of it is in place.
+func (e *Estimator) Link(id int) (LinkRates, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.links) {
+	if id < 0 || id >= len(e.links) || e.links[id] == nil {
 		return LinkRates{}, false
 	}
-	l := &e.links[i]
+	l := e.links[id]
 	lr := LinkRates{
 		Lambda:   l.lam.Value(),
 		OccMean:  l.occMean,

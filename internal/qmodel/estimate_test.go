@@ -3,13 +3,12 @@ package qmodel
 import (
 	"testing"
 	"time"
-
-	"raftlib/internal/trace"
 )
 
 // synthLink is a synthetic tap pair: cumulative counters the test advances
 // by hand between Tick calls, emulating a link and its consumer kernel.
 type synthLink struct {
+	id                 int // the link's ID
 	runs, pushes, pops uint64
 	blkW, blkR         uint64
 	occN               uint64
@@ -20,6 +19,7 @@ type synthLink struct {
 func (s *synthLink) taps(src, dst int32) ([]KernelTap, []LinkTap) {
 	kts := []KernelTap{{Name: "k", ID: dst, Runs: func() uint64 { return s.runs }}}
 	lts := []LinkTap{{
+		ID:    s.id,
 		Name:  "l",
 		Src:   src,
 		Dst:   dst,
@@ -57,7 +57,7 @@ func drive(e *Estimator, s *synthLink, now *time.Time, ticks int, n uint64, bloc
 func TestEstimatorLambdaPrimesWhenArrivalsFillFewWindows(t *testing.T) {
 	s := &synthLink{qcap: 1 << 15}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now) // baseline
 
@@ -94,7 +94,7 @@ func TestEstimatorLambdaPrimesWhenArrivalsFillFewWindows(t *testing.T) {
 func TestEstimatorSteadyConvergence(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now) // baseline
 
@@ -131,7 +131,7 @@ func TestEstimatorSteadyConvergence(t *testing.T) {
 func TestEstimatorStarvedConsumerMu(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -149,7 +149,7 @@ func TestEstimatorStarvedConsumerMu(t *testing.T) {
 func TestEstimatorBurstRejected(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -166,7 +166,7 @@ func TestEstimatorBurstRejected(t *testing.T) {
 func TestEstimatorRampFollows(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -188,7 +188,7 @@ func TestEstimatorRampFollows(t *testing.T) {
 func TestEstimatorFullyBlockedWindowYieldsNoRate(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -205,7 +205,7 @@ func TestEstimatorFullyBlockedWindowYieldsNoRate(t *testing.T) {
 func TestEstimatorOccupancySlopeOnRamp(t *testing.T) {
 	s := &synthLink{qcap: 1024}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 
@@ -230,43 +230,10 @@ func TestEstimatorOccupancySlopeOnRamp(t *testing.T) {
 	}
 }
 
-func TestEstimatorSpanFallbackWithoutBlockTaps(t *testing.T) {
-	rec := trace.NewRecorder(1 << 10)
-	var runs uint64
-	kts := []KernelTap{{Name: "k", ID: 3, Runs: func() uint64 { return runs }}}
-	e := NewEstimator(rec.NewReader(), kts, nil)
-	now := time.Now()
-	e.Tick(now)
-
-	// No links, no block counters: µ̂ falls back to sampled span durations.
-	at := int64(0)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 3; j++ {
-			rec.Record(3, trace.RunStart, at)
-			at += 1000 // 1µs service time
-			rec.Record(3, trace.RunEnd, at)
-			at += 100
-		}
-		runs += 3
-		now = now.Add(win)
-		e.Tick(now)
-	}
-	kr, ok := e.Kernel(3)
-	if !ok || !kr.Primed {
-		t.Fatalf("kernel not primed from spans: %+v", kr)
-	}
-	if kr.SvcNanos < 990 || kr.SvcNanos > 1010 {
-		t.Fatalf("svc = %vns, want ~1000", kr.SvcNanos)
-	}
-	if kr.MuRuns < 0.98e6 || kr.MuRuns > 1.02e6 {
-		t.Fatalf("µ̂ runs = %v, want ~1M", kr.MuRuns)
-	}
-}
-
 func TestEstimatorTickRateLimited(t *testing.T) {
 	s := &synthLink{qcap: 64}
 	kts, lts := s.taps(0, 1)
-	e := NewEstimator(nil, kts, lts)
+	e := newEstimator(kts, lts)
 	now := time.Now()
 	e.Tick(now)
 	drive(e, s, &now, 10, 1000, 0.5)
@@ -283,11 +250,10 @@ func TestEstimatorTickRateLimited(t *testing.T) {
 
 func TestEstimatorGroupMu(t *testing.T) {
 	a := &synthLink{qcap: 64}
-	b := &synthLink{qcap: 64}
+	b := &synthLink{id: 1, qcap: 64}
 	kta, lta := a.taps(0, 1)
 	ktb, ltb := b.taps(0, 2)
-	e := NewEstimator(nil,
-		append(kta, ktb...), append(lta, ltb...))
+	e := newEstimator(append(kta, ktb...), append(lta, ltb...))
 	now := time.Now()
 	e.Tick(now)
 
@@ -317,5 +283,53 @@ func TestEstimatorGroupMu(t *testing.T) {
 	}
 	if _, ok := e.GroupMu([]int32{99}); ok {
 		t.Fatal("unknown ids reported primed")
+	}
+}
+
+// newEstimator is an estimator one transaction handed kernels and links.
+func newEstimator(kernels []KernelTap, links []LinkTap) *Estimator {
+	e := NewEstimator()
+	e.Add(kernels, links)
+	return e
+}
+
+// TestEstimatorTapsJoinAndLeaveByID: a link tapped by a later transaction
+// reads its baseline at the next fold and is estimated from the one after,
+// under its own ID; a removed link's estimates are gone, the others stay.
+func TestEstimatorTapsJoinAndLeaveByID(t *testing.T) {
+	a := &synthLink{qcap: 64}
+	kta, lta := a.taps(0, 1)
+	e := newEstimator(kta, lta)
+	now := time.Now()
+	e.Tick(now)
+	drive(e, a, &now, 3, 1000, 0.5)
+
+	b := &synthLink{id: 5, qcap: 64, pushes: 1 << 20, pops: 1 << 20}
+	ktb, ltb := b.taps(2, 3)
+	e.Add(ktb, ltb)
+	if _, ok := e.Link(4); ok {
+		t.Fatal("an ID never tapped reads as tapped")
+	}
+	for i := 0; i < 10; i++ {
+		b.pushes += 400
+		b.pops += 400
+		b.runs += 400
+		b.occN += 400
+		drive(e, a, &now, 1, 1000, 0.5)
+	}
+	lr, ok := e.Link(5)
+	if !ok || !lr.Primed {
+		t.Fatalf("added link: %+v, tapped %v; want primed", lr, ok)
+	}
+	if want := 400 / win.Seconds(); lr.Lambda < 0.95*want || lr.Lambda > 1.05*want {
+		t.Fatalf("added link λ̂ = %v, want ~%v (its counters before the tap must not count)", lr.Lambda, want)
+	}
+	e.RemoveLinks([]int{0})
+	if _, ok := e.Link(0); ok {
+		t.Fatal("a removed link still has estimates")
+	}
+	drive(e, a, &now, 1, 1000, 0.5)
+	if _, ok := e.Link(5); !ok {
+		t.Fatal("removing one link dropped another")
 	}
 }

@@ -36,8 +36,25 @@ func newStealDeque(capHint int) *stealDeque {
 func (d *stealDeque) size() int { return int(d.tail - d.head) }
 
 // grow doubles the ring. Callers must hold d.mu.
-func (d *stealDeque) grow() {
-	nb := make([]*wsTask, len(d.buf)*2)
+func (d *stealDeque) grow() { d.resize(len(d.buf) * 2) }
+
+// reserve makes room for n more tasks in at most one allocation.
+func (d *stealDeque) reserve(n int) {
+	d.mu.Lock()
+	if need := d.size() + n; need > len(d.buf) {
+		p := len(d.buf)
+		for p < need {
+			p <<= 1
+		}
+		d.resize(p)
+	}
+	d.mu.Unlock()
+}
+
+// resize moves the ring into a new one of p (a power of two, at least the
+// size) slots. Callers must hold d.mu.
+func (d *stealDeque) resize(p int) {
+	nb := make([]*wsTask, p)
 	nm := uint64(len(nb) - 1)
 	for s := d.head; s != d.tail; s++ {
 		nb[s&nm] = d.buf[s&d.mask]

@@ -34,7 +34,7 @@ func (m *modelDeque) stealInto(dst *modelDeque, max int) int {
 // FuzzStealDeque drives two stealDeques through a randomized interleaving
 // of push/pop/steal operations, mirrored on model deques, and fails on any
 // divergence in returned values, steal counts or final contents. Task
-// identity is encoded in wsTask.idx.
+// identity is encoded in wsTask.home.
 func FuzzStealDeque(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 3, 2, 1})
 	f.Add([]byte{3, 3, 3, 3})
@@ -49,11 +49,11 @@ func FuzzStealDeque(f *testing.F) {
 			o := (d + 1) % 2    // the other one
 			switch op & 3 {
 			case 0: // pushBottom
-				real[d].pushBottom(&wsTask{idx: next})
+				real[d].pushBottom(&wsTask{home: next})
 				model[d].pushBottom(next)
 				next++
 			case 1: // pushTop
-				real[d].pushTop(&wsTask{idx: next})
+				real[d].pushTop(&wsTask{home: next})
 				(&model[d]).pushTop(next)
 				next++
 			case 2: // popBottom
@@ -62,8 +62,8 @@ func FuzzStealDeque(f *testing.F) {
 				if (rt != nil) != ok {
 					t.Fatalf("popBottom presence mismatch: real=%v model ok=%v", rt, ok)
 				}
-				if rt != nil && rt.idx != mv {
-					t.Fatalf("popBottom value: real=%d model=%d", rt.idx, mv)
+				if rt != nil && rt.home != mv {
+					t.Fatalf("popBottom value: real=%d model=%d", rt.home, mv)
 				}
 			case 3: // steal d -> other
 				max := 1 + int(op>>3)&3
@@ -85,8 +85,8 @@ func FuzzStealDeque(f *testing.F) {
 				if rt == nil {
 					break
 				}
-				if rt.idx != mv {
-					t.Fatalf("drain value on deque %d: real=%d model=%d", d, rt.idx, mv)
+				if rt.home != mv {
+					t.Fatalf("drain value on deque %d: real=%d model=%d", d, rt.home, mv)
 				}
 			}
 		}

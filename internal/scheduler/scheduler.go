@@ -19,18 +19,25 @@ import (
 	"raftlib/internal/core"
 )
 
-// Scheduler drives a set of actors to completion.
+// Scheduler drives the actors of an execution to completion. It is built
+// empty; every transaction of the graph, epoch 0 included, hands it what it
+// added through one Spawn.
 type Scheduler interface {
-	// Run executes every actor until it stops, then returns the combined
-	// error (nil on clean completion). Run handles actor Init/Finish.
-	Run(actors []*core.Actor) error
-	// Spawn absorbs an actor into the running execution (a graph rewrite):
-	// it runs the actor's lifecycle and folds its error into Run's result,
-	// and fails once Run has completed.
-	Spawn(a *core.Actor) error
+	// Spawn adopts one transaction's actors and the links among them and the
+	// running ones: it runs each actor's lifecycle, folding its error into
+	// Wait's result, and wakes a running consumer of a new link. It fails,
+	// starting nothing, once Wait has returned.
+	Spawn(actors []*core.Actor, links []*core.LinkInfo) error
+	// Wait blocks until every spawned actor has stopped, then refuses
+	// further spawns and returns the combined error (nil on clean
+	// completion).
+	Wait() error
 	// Name identifies the scheduler in reports.
 	Name() string
 }
+
+// errCompleted is Spawn's refusal once Wait has returned.
+var errCompleted = errors.New("scheduler: execution already completed")
 
 // runActorLifecycle executes one actor: Init, the Step loop, then Finish.
 // On Stall it waits where the actor's Lifecycle says, or yields. Kernel
@@ -74,8 +81,7 @@ func runActorLifecycle(a *core.Actor) (err error) {
 }
 
 // Goroutine runs one goroutine per actor — the Go analogue of the paper's
-// "default OS thread scheduler" choice. It is the runtime's default. Spawn
-// adds actors mid-run (a graph rewrite), and Run waits for those too. Build
+// "default OS thread scheduler" choice. It is the runtime's default. Build
 // it with NewGoroutine.
 type Goroutine struct {
 	mu     sync.Mutex
@@ -95,12 +101,39 @@ func NewGoroutine() *Goroutine {
 // Name implements Scheduler.
 func (*Goroutine) Name() string { return "goroutine-per-kernel" }
 
-// Run implements Scheduler: it launches the actors and waits until every
-// actor, spawned ones included, has finished; then it refuses spawns.
-func (g *Goroutine) Run(actors []*core.Actor) error {
-	for _, a := range actors {
-		g.Spawn(a)
+// Spawn implements Scheduler: one goroutine per actor. The links need no
+// wiring, since each actor's goroutine waits on its own streams. The
+// goroutines start outside the lock, so an actor that ends at once can
+// exit, and its goroutine be reused, while the batch still starts.
+func (g *Goroutine) Spawn(actors []*core.Actor, _ []*core.LinkInfo) error {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return errCompleted
 	}
+	g.n += len(actors)
+	g.mu.Unlock()
+	for _, a := range actors {
+		go g.run(a)
+	}
+	return nil
+}
+
+// run is one actor's goroutine.
+func (g *Goroutine) run(a *core.Actor) {
+	err := runActorLifecycle(a)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err != nil {
+		g.errs = append(g.errs, err)
+	}
+	if g.n--; g.n == 0 {
+		g.idle.Broadcast()
+	}
+}
+
+// Wait implements Scheduler.
+func (g *Goroutine) Wait() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for g.n > 0 {
@@ -108,26 +141,4 @@ func (g *Goroutine) Run(actors []*core.Actor) error {
 	}
 	g.closed = true
 	return errors.Join(g.errs...)
-}
-
-// Spawn implements Scheduler.
-func (g *Goroutine) Spawn(a *core.Actor) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return errors.New("scheduler: execution already completed")
-	}
-	g.n++
-	go func() {
-		err := runActorLifecycle(a)
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if err != nil {
-			g.errs = append(g.errs, err)
-		}
-		if g.n--; g.n == 0 {
-			g.idle.Broadcast()
-		}
-	}()
-	return nil
 }

@@ -55,7 +55,7 @@ func testSchedulerRunsAll(t *testing.T, s Scheduler) {
 		stepCounts = append(stepCounts, st)
 		finCounts = append(finCounts, fin)
 	}
-	if err := s.Run(actors); err != nil {
+	if err := run(s, actors); err != nil {
 		t.Fatal(err)
 	}
 	for i := range actors {
@@ -83,7 +83,7 @@ func testPanicRecovered(t *testing.T, s Scheduler) {
 		Step: func() core.Status { panic("boom") },
 	}
 	good, steps, _ := counterActor("good", 50)
-	err := s.Run([]*core.Actor{bad, good})
+	err := run(s, []*core.Actor{bad, good})
 	if err == nil || !strings.Contains(err.Error(), "bomb") {
 		t.Fatalf("err = %v, want panic surfaced", err)
 	}
@@ -94,23 +94,31 @@ func testPanicRecovered(t *testing.T, s Scheduler) {
 
 func TestGoroutinePanicRecovered(t *testing.T) { testPanicRecovered(t, NewGoroutine()) }
 
-// runOrSpawn runs a under a fresh scheduler: as one of Run's actors, or
-// spawned mid-run by a host actor's first step. It returns Run's error.
+// run spawns actors and links as one batch into s and waits for them.
+func run(s Scheduler, actors []*core.Actor, links ...*core.LinkInfo) error {
+	if err := s.Spawn(actors, links); err != nil {
+		return err
+	}
+	return s.Wait()
+}
+
+// runOrSpawn runs a under a fresh scheduler: in the first batch, or spawned
+// mid-run by a host actor's first step. It returns Wait's error.
 func runOrSpawn(t *testing.T, newS func() Scheduler, spawn bool, a *core.Actor) error {
 	t.Helper()
 	s := newS()
 	if !spawn {
-		return s.Run([]*core.Actor{a})
+		return run(s, []*core.Actor{a})
 	}
 	host := &core.Actor{
 		Name: "host",
 		Step: func() core.Status {
-			_ = s.Spawn(a) // its error is folded into Run's
+			_ = s.Spawn([]*core.Actor{a}, nil) // its error is folded into Wait's
 			return core.Stop
 		},
 		Life: finishOnly(func() {}),
 	}
-	return s.Run([]*core.Actor{host})
+	return run(s, []*core.Actor{host})
 }
 
 func testInitError(t *testing.T, newS func() Scheduler) {
@@ -181,7 +189,7 @@ func testStallThenFinish(t *testing.T, s Scheduler) {
 			return core.Stop
 		},
 	}
-	if err := s.Run([]*core.Actor{a}); err != nil {
+	if err := run(s, []*core.Actor{a}); err != nil {
 		t.Fatal(err)
 	}
 	if stalls != 0 {
@@ -193,7 +201,7 @@ func TestGoroutineStall(t *testing.T) { testStallThenFinish(t, NewGoroutine()) }
 
 func TestServiceTimeRecorded(t *testing.T) {
 	a, _, _ := counterActor("timed", 10)
-	if err := NewGoroutine().Run([]*core.Actor{a}); err != nil {
+	if err := run(NewGoroutine(), []*core.Actor{a}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Service.Count() != 11 { // 10 Proceeds + final Stop
@@ -205,7 +213,23 @@ func TestServiceTimeRecorded(t *testing.T) {
 }
 
 func TestEmptyActorList(t *testing.T) {
-	if err := NewGoroutine().Run(nil); err != nil {
+	if err := run(NewGoroutine(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// testSpawnAfterWait: a finished run refuses a batch and starts none of it.
+func testSpawnAfterWait(t *testing.T, s Scheduler) {
+	a, steps, _ := counterActor("late", 1)
+	if err := run(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Spawn([]*core.Actor{a}, nil); err == nil {
+		t.Fatal("Spawn after Wait succeeded")
+	}
+	if steps.Load() != 0 || a.Finished.Load() {
+		t.Fatal("a refused actor was started")
+	}
+}
+
+func TestGoroutineSpawnAfterWait(t *testing.T) { testSpawnAfterWait(t, NewGoroutine()) }

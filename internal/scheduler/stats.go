@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Stats is a point-in-time snapshot of a scheduler's internal activity,
 // surfaced in Report/LiveStats and as Prometheus counters. All counters are
-// cumulative since Run started.
+// cumulative since the first Spawn.
 type Stats struct {
 	// Scheduler is the implementation's Name().
 	Scheduler string

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,7 +44,6 @@ const (
 // wsTask is one kernel's scheduling handle.
 type wsTask struct {
 	a        *core.Actor
-	idx      int // index into Run's actors slice (error slot)
 	home     int // shard whose deque wakes re-enqueue to
 	state    atomic.Int32
 	parkedAt atomic.Uint64 // watchdog tick count at the park (grace base)
@@ -76,9 +76,6 @@ const (
 // links that still cross shards. See DESIGN.md §Schedulers for the
 // correctness argument.
 type WorkSteal struct {
-	// Workers is the number of worker goroutines / deque shards (defaults
-	// to GOMAXPROCS).
-	Workers int
 	// StealBatch caps how many tasks one steal moves (defaults to 8; the
 	// steal still takes at most half the victim's queue).
 	StealBatch int
@@ -86,66 +83,62 @@ type WorkSteal struct {
 	// Counters is the shared stats block.
 	Counters *counters
 
-	// Engine attachments (optional; plain Run works without them, it just
-	// schedules with round-robin placement and watchdog-only wakes).
-	links    []*core.LinkInfo
-	topo     mapper.Topology
-	haveTopo bool
-	tr       *trace.Recorder
+	nw   int
+	topo mapper.Topology
+	tr   *trace.Recorder
 
 	deques     []*stealDeque
 	tokens     chan struct{}
 	crossShard atomic.Int32
-	nw         int
 	// ticks counts the watchdog's scans; parks stamp it.
 	ticks atomic.Uint64
+	// done stops the workers and the watchdog; wg waits for them.
+	done chan struct{}
+	wg   sync.WaitGroup
 
-	// ready is closed once Run has built the deques, letting Spawn and
-	// TakeLink from a rewrite transaction wait out the startup race.
-	ready chan struct{}
-
-	// dynMu guards the dynamic run state: the live task list (watchdog
-	// scan set, extended by Spawn), the unfinished-task count standing in
+	// dynMu guards the run state Spawn extends and Wait ends: the task list
+	// (the watchdog's scan set) and its index by actor ID, the installed
+	// hooks (Wait detaches them), the unfinished-task count standing in
 	// for a WaitGroup (Add racing Wait-at-zero is illegal on WaitGroup),
-	// and the installed hooks (Run detaches them on the way out).
+	// and whether the workers run.
 	dynMu    sync.Mutex
-	pendCond *sync.Cond
+	pendCond sync.Cond
 	pendingN int
+	started  bool
 	stopped  bool
 	tasks    []*wsTask
+	byID     []*wsTask
 	hooks    []*wsHook
 
 	errMu sync.Mutex
 	errs  []error
 }
 
-// NewWorkSteal returns a work-stealing scheduler with the given worker
-// count (0 = GOMAXPROCS). Build every WorkSteal with it.
-func NewWorkSteal(workers int) *WorkSteal {
-	return &WorkSteal{Workers: workers, Counters: &counters{}, ready: make(chan struct{})}
+// NewWorkSteal returns an empty work-stealing scheduler with the given
+// worker count (0 = GOMAXPROCS). topo is the mapper's topology, which
+// shard assignment follows (a zero one keeps construction order); rec,
+// when non-nil, receives Steal, Park and Wake events. Build every
+// WorkSteal with it.
+func NewWorkSteal(workers int, topo mapper.Topology, rec *trace.Recorder) *WorkSteal {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ws := &WorkSteal{
+		nw: workers, topo: topo, tr: rec,
+		Counters: &counters{},
+		deques:   make([]*stealDeque, workers),
+		tokens:   make(chan struct{}, workers),
+		done:     make(chan struct{}),
+	}
+	ws.pendCond.L = &ws.dynMu
+	for i := range ws.deques {
+		ws.deques[i] = newStealDeque(0)
+	}
+	return ws
 }
-
-// AttachLinks hands the scheduler the engine's link table so it can install
-// wake hooks and score cross-shard edges. Call before Run.
-func (ws *WorkSteal) AttachLinks(links []*core.LinkInfo) { ws.links = links }
-
-// AttachTopology hands the scheduler the mapper's topology so shard
-// assignment can follow place locality. Call before Run.
-func (ws *WorkSteal) AttachTopology(t mapper.Topology) { ws.topo, ws.haveTopo = t, true }
-
-// AttachTrace points the scheduler at the engine's trace bus for Steal /
-// Park / Wake events. Call before Run.
-func (ws *WorkSteal) AttachTrace(r *trace.Recorder) { ws.tr = r }
 
 // Name implements Scheduler.
-func (ws *WorkSteal) Name() string { return fmt.Sprintf("worksteal-%d", ws.workers()) }
-
-func (ws *WorkSteal) workers() int {
-	if ws.Workers > 0 {
-		return ws.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (ws *WorkSteal) Name() string { return fmt.Sprintf("worksteal-%d", ws.nw) }
 
 func (ws *WorkSteal) stealBatch() int {
 	if ws.StealBatch > 0 {
@@ -155,104 +148,115 @@ func (ws *WorkSteal) stealBatch() int {
 }
 
 // SchedStats snapshots the scheduler's counters. It is safe concurrently
-// with Run: the live-stats streamer and the metrics endpoint poll it.
+// with the run: the live-stats streamer and the metrics endpoint poll it.
 func (ws *WorkSteal) SchedStats() Stats {
 	s := Stats{
 		Scheduler:       ws.Name(),
-		Workers:         ws.workers(),
+		Workers:         ws.nw,
 		CrossShardLinks: int(ws.crossShard.Load()),
 	}
 	ws.Counters.snapshot(&s)
 	return s
 }
 
-// Run implements Scheduler.
-func (ws *WorkSteal) Run(actors []*core.Actor) error {
-	nw := ws.workers()
-	ws.nw = nw
-	ws.pendCond = sync.NewCond(&ws.dynMu)
-	ws.errs = make([]error, len(actors))
+// Spawn implements Scheduler. It starts the batch's actors (failures and
+// virtual kernels finish at once and never enter a deque), gives the rest
+// their home shards (placement), wires the batch's links to the park/wake
+// protocol, wakes a running consumer of a new link (it may have taken up
+// the stream before the hook was in place), and queues the new tasks. The
+// first batch with a task starts the workers and the watchdog.
+func (ws *WorkSteal) Spawn(actors []*core.Actor, links []*core.LinkInfo) error {
+	ws.dynMu.Lock()
+	if ws.stopped {
+		ws.dynMu.Unlock()
+		return errCompleted
+	}
+	ws.pendingN += len(actors)
+	ws.dynMu.Unlock()
 
-	// Initialize all actors up front: failures and virtual kernels finish
-	// immediately and never enter a deque. The tasks are one slab.
+	// The batch's tasks are one slab. A task reads as done until it is
+	// queued below: a wake has nothing to add to that, and the watchdog
+	// claims only parked tasks.
 	slab := make([]wsTask, len(actors))
 	live := make([]*wsTask, 0, len(actors))
 	for i, a := range actors {
-		run, err := a.Start()
-		if !run {
-			ws.errs[i] = err
+		t := &slab[i]
+		t.a = a
+		t.state.Store(wsDone)
+		if run, err := a.Start(); !run {
+			if err != nil {
+				ws.recordErr(err)
+			}
+			ws.taskDone()
 			continue
 		}
-		t := &slab[i]
-		t.a, t.idx = a, i
 		live = append(live, t)
 	}
-	if len(live) == 0 {
-		ws.dynMu.Lock()
-		ws.stopped = true
-		ws.dynMu.Unlock()
-		close(ws.ready)
-		return errors.Join(ws.errs...)
-	}
 
-	ws.placement(live, nw)
-	ws.hooks = append(ws.hooks, ws.installHooks(live)...)
-	defer func() {
-		ws.dynMu.Lock()
-		hooks := ws.hooks
-		ws.dynMu.Unlock()
-		for _, h := range hooks {
-			h.q.SetWakeHook(nil)
+	ws.dynMu.Lock()
+	defer ws.dynMu.Unlock()
+	if ws.stopped { // only a batch none of whose actors started can meet a finished run
+		return errCompleted
+	}
+	ws.placement(live)
+	ws.tasks = append(ws.tasks, live...)
+	for _, h := range ws.wire(links) {
+		if h.dst != nil {
+			ws.wake(h.dst)
 		}
-	}()
-
-	ws.deques = make([]*stealDeque, nw)
-	for i := range ws.deques {
-		ws.deques[i] = newStealDeque(2 * len(live) / nw)
 	}
-	ws.tokens = make(chan struct{}, nw)
-	done := make(chan struct{})
-
-	ws.tasks = live
-	ws.pendingN = len(live)
+	if len(live) == 0 {
+		return nil
+	}
+	for _, d := range ws.deques {
+		d.reserve(2 * len(live) / ws.nw)
+	}
 	for _, t := range live {
 		t.state.Store(wsQueued)
 		ws.deques[t.home].pushBottom(t)
 	}
-	for i := 0; i < nw; i++ {
+	for i := 0; i < min(len(live), ws.nw); i++ {
 		ws.token()
 	}
-	close(ws.ready) // Spawn/TakeLink may proceed from here
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ws.watchdog(done)
-	}()
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws.worker(w, nw, done)
-		}(w)
+	if !ws.started {
+		ws.started = true
+		ws.wg.Add(1 + ws.nw)
+		go func() {
+			defer ws.wg.Done()
+			ws.watchdog()
+		}()
+		for w := 0; w < ws.nw; w++ {
+			go func(w int) {
+				defer ws.wg.Done()
+				ws.worker(w)
+			}(w)
+		}
 	}
+	return nil
+}
 
+// Wait implements Scheduler: it waits until every spawned task has
+// finished, stops the workers and the watchdog, and detaches the hooks.
+func (ws *WorkSteal) Wait() error {
 	ws.dynMu.Lock()
 	for ws.pendingN > 0 {
 		ws.pendCond.Wait()
 	}
 	ws.stopped = true
+	hooks := ws.hooks
 	ws.dynMu.Unlock()
-	close(done)
-	wg.Wait()
+	close(ws.done)
+	ws.wg.Wait()
+	for _, h := range hooks {
+		h.q.SetWakeHook(nil)
+	}
 	ws.errMu.Lock()
 	defer ws.errMu.Unlock()
 	return errors.Join(ws.errs...)
 }
 
 // taskDone retires one task from the pending count; the last one out
-// wakes Run.
+// wakes Wait.
 func (ws *WorkSteal) taskDone() {
 	ws.dynMu.Lock()
 	ws.pendingN--
@@ -262,75 +266,16 @@ func (ws *WorkSteal) taskDone() {
 	ws.dynMu.Unlock()
 }
 
-// recordErr files one task's terminal error: initial actors keep their
-// positional slot, spawned actors append.
-func (ws *WorkSteal) recordErr(t *wsTask, err error) {
+// recordErr files one task's terminal error.
+func (ws *WorkSteal) recordErr(err error) {
 	ws.errMu.Lock()
-	if t.idx >= 0 && t.idx < len(ws.errs) {
-		ws.errs[t.idx] = err
-	} else {
-		ws.errs = append(ws.errs, err)
-	}
+	ws.errs = append(ws.errs, err)
 	ws.errMu.Unlock()
-}
-
-// Spawn implements Scheduler: a rewrite transaction hands the running
-// scheduler a freshly-built actor. The task joins a shard deque chosen
-// round-robin (locality for dynamic kernels comes from the wake hooks,
-// not placement) and is woken like any queued task. Blocks until Run has
-// built the deques; fails once the execution has completed.
-func (ws *WorkSteal) Spawn(a *core.Actor) error {
-	<-ws.ready
-	t := &wsTask{a: a, idx: -1}
-	// Running until Start returns: the watchdog claims only parked tasks,
-	// and a zero state would read as one parked since tick 0.
-	t.state.Store(wsRunning)
-	ws.dynMu.Lock()
-	if ws.stopped {
-		ws.dynMu.Unlock()
-		return errors.New("scheduler: execution already completed")
-	}
-	ws.pendingN++
-	t.home = len(ws.tasks) % ws.nw
-	ws.tasks = append(ws.tasks, t)
-	ws.dynMu.Unlock()
-
-	if run, err := a.Start(); !run {
-		if err != nil {
-			ws.recordErr(t, err)
-		}
-		t.state.Store(wsDone)
-		ws.taskDone()
-		return err
-	}
-	t.state.Store(wsQueued)
-	ws.deques[t.home].pushBottom(t)
-	ws.token()
-	return nil
-}
-
-// TakeLink wires a dynamically-added link's queue into the park/wake
-// protocol, exactly as installHooks does for the initial link table, and
-// wakes the link's consumer, which may have taken up the stream before its
-// hook was in place. The hook is detached with the others when Run returns.
-func (ws *WorkSteal) TakeLink(l *core.LinkInfo) {
-	<-ws.ready
-	hk := &wsHook{ws: ws}
-	dst := ws.findTask(l.DstActor)
-	if hk.hook(l, ws.findTask(l.SrcActor), dst) {
-		ws.dynMu.Lock()
-		ws.hooks = append(ws.hooks, hk)
-		ws.dynMu.Unlock()
-	}
-	if dst != nil {
-		ws.wake(dst)
-	}
 }
 
 // wsHook is one link's wake hook: a push that makes the queue non-empty
 // wakes the consumer, a pop that makes it non-full wakes the producer, and
-// close wakes both. installHooks lays the hooks of the initial link table
-// out in one slab.
+// close wakes both.
 type wsHook struct {
 	ws       *WorkSteal
 	src, dst *wsTask
@@ -361,38 +306,25 @@ func (h *wsHook) OnWake(w ringbuffer.Wake) {
 	}
 }
 
-// findTask locates a live task by engine actor ID (dynamic-link wiring
-// only — not a hot path).
-func (ws *WorkSteal) findTask(id int) *wsTask {
-	if id < 0 {
-		return nil
+// placement assigns each of a batch's tasks its home shard and indexes it
+// by actor ID (IDs are dense). With a topology the tasks are ordered by
+// their mapper place's (node, socket, core) key and split into contiguous
+// equal-count shards, so kernels the mapper co-located (it already
+// minimizes latency-weighted cut cost, with cross-socket edges the
+// expensive ones) land on the same shard and their links never cross
+// deques; unmapped kernels keep construction order at the tail. Without
+// one the same contiguous split over construction order degrades to
+// blocked round-robin, which still keeps pipeline neighbours together. The
+// split starts at the shard after the tasks already placed, so epoch 0
+// starts at shard 0 and a rewrite's lone kernel goes round-robin. Callers
+// hold dynMu.
+func (ws *WorkSteal) placement(tasks []*wsTask) {
+	if len(tasks) == 0 {
+		return
 	}
-	ws.dynMu.Lock()
-	defer ws.dynMu.Unlock()
-	for _, t := range ws.tasks {
-		if t.a.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// placement assigns each task's home shard. With a topology attached the
-// tasks are ordered by their mapper place's (node, socket, core) key and
-// split into contiguous equal-count shards, so kernels the mapper
-// co-located (it already minimizes latency-weighted cut cost, with
-// cross-socket edges the expensive ones) land on the same shard and their
-// links never cross deques; unmapped kernels keep construction order at
-// the tail. Without a topology the same contiguous split over construction
-// order degrades to blocked round-robin, which still keeps pipeline
-// neighbours together. Cross-shard links are then counted and, because
-// every element crossing them pays a handoff between workers, given an
-// initial transfer-batch hint so they amortize the crossing.
-func (ws *WorkSteal) placement(tasks []*wsTask, nw int) {
-	ord := make([]*wsTask, len(tasks))
-	copy(ord, tasks)
-	if ws.haveTopo {
-		places := ws.topo.Places
+	ord := tasks
+	if places := ws.topo.Places; len(places) > 0 {
+		ord = slices.Clone(tasks)
 		key := func(t *wsTask) int {
 			p := t.a.Place
 			if p < 0 || p >= len(places) {
@@ -403,65 +335,55 @@ func (ws *WorkSteal) placement(tasks []*wsTask, nw int) {
 		}
 		sort.SliceStable(ord, func(i, j int) bool { return key(ord[i]) < key(ord[j]) })
 	}
+	base := len(ws.tasks)
 	for i, t := range ord {
-		t.home = i * nw / len(ord)
+		t.home = (base + i*ws.nw/len(ord)) % ws.nw
 	}
-
-	byID := ws.tasksByID(tasks)
-	cross := 0
-	for _, l := range ws.links {
-		src, dst := taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)
-		if src == nil || dst == nil || src.home == dst.home {
-			continue
-		}
-		cross++
-		hint := 32
-		if c := l.Queue.Cap() / 2; c < hint {
-			hint = c
-		}
-		l.Batch.Hint(hint)
-	}
-	ws.crossShard.Store(int32(cross))
-}
-
-// tasksByID indexes live tasks by actor ID for link-endpoint lookup (the
-// engine assigns dense IDs; hand-built test actors without links never
-// reach the lookups).
-func (ws *WorkSteal) tasksByID(tasks []*wsTask) []*wsTask {
 	maxID := -1
 	for _, t := range tasks {
-		if t.a.ID > maxID {
-			maxID = t.a.ID
+		maxID = max(maxID, t.a.ID)
+	}
+	if maxID >= len(ws.byID) {
+		ws.byID = slices.Grow(ws.byID, maxID+1-len(ws.byID))[:maxID+1]
+	}
+	for _, t := range tasks {
+		if t.a.ID >= 0 {
+			ws.byID[t.a.ID] = t
 		}
 	}
-	byID := make([]*wsTask, maxID+1)
-	for _, t := range tasks {
-		byID[t.a.ID] = t
-	}
-	return byID
 }
 
-func taskFor(byID []*wsTask, id int) *wsTask {
-	if id < 0 || id >= len(byID) {
+// task returns the task of actor id, or nil. Callers hold dynMu.
+func (ws *WorkSteal) task(id int) *wsTask {
+	if id < 0 || id >= len(ws.byID) {
 		return nil
 	}
-	return byID[id]
+	return ws.byID[id]
 }
 
-// installHooks wires every hook-capable link queue to the park/wake
-// protocol (wsHook). Returns the installed hooks, which Run detaches on
-// the way out.
-func (ws *WorkSteal) installHooks(tasks []*wsTask) []*wsHook {
-	byID := ws.tasksByID(tasks)
-	slab := make([]wsHook, len(ws.links))
-	hooks := make([]*wsHook, 0, len(ws.links))
-	for i, l := range ws.links {
+// wire installs a batch's links into the park/wake protocol (wsHook, the
+// batch's hooks one slab) and returns the installed hooks. A link whose
+// ends landed on different shards is counted and, because every element
+// crossing it pays a handoff between workers, given an initial
+// transfer-batch hint so it amortizes the crossing. Callers hold dynMu.
+func (ws *WorkSteal) wire(links []*core.LinkInfo) []*wsHook {
+	slab := make([]wsHook, len(links))
+	hooks := make([]*wsHook, 0, len(links))
+	cross := 0
+	for i, l := range links {
+		src, dst := ws.task(l.SrcActor), ws.task(l.DstActor)
+		if src != nil && dst != nil && src.home != dst.home {
+			cross++
+			l.Batch.Hint(min(32, l.Queue.Cap()/2))
+		}
 		h := &slab[i]
 		h.ws = ws
-		if h.hook(l, taskFor(byID, l.SrcActor), taskFor(byID, l.DstActor)) {
+		if h.hook(l, src, dst) {
 			hooks = append(hooks, h)
 		}
 	}
+	ws.crossShard.Add(int32(cross))
+	ws.hooks = append(ws.hooks, hooks...)
 	return hooks
 }
 
@@ -526,8 +448,11 @@ func (ws *WorkSteal) enqueue(t *wsTask, rescue bool) {
 }
 
 // park is the worker-side half of the protocol, called after a Stall or a
-// failed readiness gate.
+// failed readiness gate. It marks the actor parked for the deadlock watch
+// before the park can be seen, so a wake and the next step, which clears
+// the mark, always come after it; the watchdog's looks leave it set.
 func (ws *WorkSteal) park(t *wsTask, shard int) {
+	t.a.Parked.Store(true)
 	if !ws.settle(t, shard, ws.ticks.Load()) {
 		return
 	}
@@ -554,12 +479,12 @@ func (ws *WorkSteal) settle(t *wsTask, shard int, stamp uint64) bool {
 // watchdog periodically looks at overdue parked tasks (rescue). It is the
 // liveness backstop for kernels that stall without any hooked link and for
 // lost wakes; Rescues spiking in a report means wakes are being lost.
-func (ws *WorkSteal) watchdog(done chan struct{}) {
+func (ws *WorkSteal) watchdog() {
 	tick := time.NewTicker(wsWatchdogTick)
 	defer tick.Stop()
 	for {
 		select {
-		case <-done:
+		case <-ws.done:
 			return
 		case <-tick.C:
 		}
@@ -577,8 +502,7 @@ func (ws *WorkSteal) watchdog(done chan struct{}) {
 // waits on no hooked ring: it is queued as a rescue. Parking again counts
 // no park.
 func (ws *WorkSteal) rescue(now uint64) {
-	// Snapshot the task and hook lists: Spawn and TakeLink append under
-	// dynMu, and an append that reallocates leaves this snapshot intact.
+	// Snapshot the task and hook lists: Spawn appends under dynMu, and an append that reallocates leaves this snapshot intact.
 	ws.dynMu.Lock()
 	tasks, hooks := ws.tasks, ws.hooks
 	ws.dynMu.Unlock()
@@ -608,7 +532,7 @@ func (ws *WorkSteal) rescue(now uint64) {
 // worker is one shard's scheduling loop: drain the local deque bottom-up,
 // steal when dry, park on the token channel when the whole system looks
 // idle.
-func (ws *WorkSteal) worker(id, nw int, done chan struct{}) {
+func (ws *WorkSteal) worker(id int) {
 	d := ws.deques[id]
 	scratch := make([]*wsTask, ws.stealBatch())
 	label := fmt.Sprintf("w%d", id)
@@ -617,7 +541,7 @@ func (ws *WorkSteal) worker(id, nw int, done chan struct{}) {
 	for {
 		t := d.popBottom()
 		if t == nil {
-			t = ws.steal(id, nw, scratch, label)
+			t = ws.steal(id, scratch, label)
 		}
 		if t == nil {
 			if !idle.Stop() {
@@ -628,7 +552,7 @@ func (ws *WorkSteal) worker(id, nw int, done chan struct{}) {
 			}
 			idle.Reset(wsIdleRecheck)
 			select {
-			case <-done:
+			case <-ws.done:
 				return
 			case <-ws.tokens:
 			case <-idle.C:
@@ -642,10 +566,10 @@ func (ws *WorkSteal) worker(id, nw int, done chan struct{}) {
 // steal sweeps the other shards from a worker-specific offset and raids
 // the first non-empty deque, moving up to StealBatch tasks (at most half
 // the victim's queue) into the local deque.
-func (ws *WorkSteal) steal(id, nw int, scratch []*wsTask, label string) *wsTask {
+func (ws *WorkSteal) steal(id int, scratch []*wsTask, label string) *wsTask {
 	d := ws.deques[id]
-	for off := 1; off < nw; off++ {
-		victim := (id + off) % nw
+	for off := 1; off < ws.nw; off++ {
+		victim := (id + off) % ws.nw
 		n := ws.deques[victim].stealInto(d, len(scratch), scratch)
 		if n == 0 {
 			continue
@@ -670,12 +594,15 @@ func (ws *WorkSteal) runTask(t *wsTask, shard int) {
 	if !t.state.CompareAndSwap(wsQueued, wsRunning) {
 		return // defensive: a Done task can't re-enter a deque, but never double-run
 	}
+	if t.a.Parked.Load() {
+		t.a.Parked.Store(false)
+	}
 	finished := false
 	defer func() {
 		var err error
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel %q %w", t.a.Name, core.PanicError(r))
-			ws.recordErr(t, err)
+			ws.recordErr(err)
 			finished = true
 		}
 		if finished {

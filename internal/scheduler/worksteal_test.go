@@ -14,37 +14,43 @@ import (
 	"raftlib/internal/trace"
 )
 
-func TestWorkStealRunsAll(t *testing.T)      { testSchedulerRunsAll(t, NewWorkSteal(2)) }
-func TestWorkStealSingleWorker(t *testing.T) { testSchedulerRunsAll(t, NewWorkSteal(1)) }
+// newWS is a work-stealing scheduler of n workers without a topology or a
+// trace recorder.
+func newWS(n int) *WorkSteal { return NewWorkSteal(n, mapper.Topology{}, nil) }
+
+func TestWorkStealSpawnAfterWait(t *testing.T) { testSpawnAfterWait(t, newWS(2)) }
+
+func TestWorkStealRunsAll(t *testing.T)      { testSchedulerRunsAll(t, newWS(2)) }
+func TestWorkStealSingleWorker(t *testing.T) { testSchedulerRunsAll(t, newWS(1)) }
 func TestWorkStealPanicRecovered(t *testing.T) {
-	testPanicRecovered(t, NewWorkSteal(2))
+	testPanicRecovered(t, newWS(2))
 }
 func TestWorkStealInitError(t *testing.T) {
-	testInitError(t, func() Scheduler { return NewWorkSteal(2) })
+	testInitError(t, func() Scheduler { return newWS(2) })
 }
 func TestWorkStealVirtualActor(t *testing.T) {
-	testVirtualActorSkipped(t, func() Scheduler { return NewWorkSteal(1) })
+	testVirtualActorSkipped(t, func() Scheduler { return newWS(1) })
 }
 
 // TestWorkStealStall exercises the watchdog path: the staller has no links,
 // so nothing ever fires a wake hook and only rescues can finish it.
-func TestWorkStealStall(t *testing.T) { testStallThenFinish(t, NewWorkSteal(1)) }
+func TestWorkStealStall(t *testing.T) { testStallThenFinish(t, newWS(1)) }
 
 func TestWorkStealEmptyAndName(t *testing.T) {
-	ws := NewWorkSteal(3)
-	if err := ws.Run(nil); err != nil {
+	ws := newWS(3)
+	if err := run(ws, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := ws.Name(); got != "worksteal-3" {
 		t.Fatal(got)
 	}
-	if NewWorkSteal(0).workers() < 1 {
+	if newWS(0).nw < 1 {
 		t.Fatal("default workers must be >= 1")
 	}
 }
 
 func TestWorkStealStallCountsRescues(t *testing.T) {
-	ws := NewWorkSteal(1)
+	ws := newWS(1)
 	testStallThenFinish(t, ws)
 	s := ws.SchedStats()
 	if s.Parks == 0 {
@@ -68,9 +74,7 @@ func TestWorkStealStallCountsRescues(t *testing.T) {
 // park count the wake as lost. No look counts a park, and a park reads the
 // tick count, not the clock.
 func TestWorkStealGraceInWholeTicks(t *testing.T) {
-	ws := NewWorkSteal(1)
-	ws.deques = []*stealDeque{newStealDeque(4)}
-	ws.tokens = make(chan struct{}, 1)
+	ws := newWS(1)
 	asked := 0
 	ready := &wsTask{a: &core.Actor{}}
 	retired := &wsTask{a: &core.Actor{ID: 1, Gate: &core.Gate{}}}
@@ -208,9 +212,8 @@ func testWorkStealParkWake(t *testing.T, q *ringbuffer.Ring[int]) {
 	t.Helper()
 	const n = 5000
 	actors, got := pipelineActors(t, q, n)
-	ws := NewWorkSteal(2)
-	ws.AttachLinks([]*core.LinkInfo{{ID: 0, Name: "prod->cons", Queue: q, SrcActor: 0, DstActor: 1}})
-	if err := ws.Run(actors); err != nil {
+	ws := newWS(2)
+	if err := run(ws, actors, &core.LinkInfo{ID: 0, Name: "prod->cons", Queue: q, SrcActor: 0, DstActor: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != n {
@@ -293,9 +296,8 @@ func TestWorkStealEveryParkIsWoken(t *testing.T) {
 			},
 			Life: ringLife{in, out}}
 	}
-	ws := NewWorkSteal(2)
-	ws.AttachLinks(links)
-	if err := ws.Run(actors); err != nil {
+	ws := newWS(2)
+	if err := run(ws, actors, links...); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != n {
@@ -325,10 +327,8 @@ func TestWorkStealPlacementLocality(t *testing.T) {
 		{ID: 0, Queue: qa, SrcActor: 0, DstActor: 2, Batch: &core.BatchControl{}},
 		{ID: 1, Queue: qb, SrcActor: 1, DstActor: 3, Batch: &core.BatchControl{}},
 	}
-	ws := NewWorkSteal(2)
-	ws.AttachLinks(links)
-	ws.AttachTopology(topo)
-	if err := ws.Run(actors); err != nil {
+	ws := NewWorkSteal(2, topo, nil)
+	if err := run(ws, actors, links...); err != nil {
 		t.Fatal(err)
 	}
 	if got := ws.SchedStats().CrossShardLinks; got != 0 {
@@ -354,10 +354,8 @@ func TestWorkStealCrossShardBatchHint(t *testing.T) {
 		{ID: 0, Queue: qa, SrcActor: 0, DstActor: 1, Batch: &core.BatchControl{}},
 		{ID: 1, Queue: qb, SrcActor: 0, DstActor: 1, Batch: pinned},
 	}
-	ws := NewWorkSteal(2)
-	ws.AttachLinks(links)
-	ws.AttachTopology(topo)
-	if err := ws.Run([]*core.Actor{mk(0, 0), mk(1, 1)}); err != nil {
+	ws := NewWorkSteal(2, topo, nil)
+	if err := run(ws, []*core.Actor{mk(0, 0), mk(1, 1)}, links...); err != nil {
 		t.Fatal(err)
 	}
 	if got := ws.SchedStats().CrossShardLinks; got != 2 {
@@ -382,12 +380,10 @@ func TestWorkStealStealsUnderImbalance(t *testing.T) {
 		a.Place = 0
 		actors = append(actors, a)
 	}
-	ws := NewWorkSteal(4)
-	ws.StealBatch = 4
-	ws.AttachTopology(topo)
 	rec := trace.NewRecorder(1024)
-	ws.AttachTrace(rec)
-	if err := ws.Run(actors); err != nil {
+	ws := NewWorkSteal(4, topo, rec)
+	ws.StealBatch = 4
+	if err := run(ws, actors); err != nil {
 		t.Fatal(err)
 	}
 	s := ws.SchedStats()
@@ -424,10 +420,11 @@ func TestWorkStealWakeClosedUnblocksConsumer(t *testing.T) {
 			}
 			return core.Proceed
 		}}
-	ws := NewWorkSteal(1)
-	ws.AttachLinks([]*core.LinkInfo{{ID: 0, Queue: q, SrcActor: -1, DstActor: 0}})
+	ws := newWS(1)
 	errc := make(chan error, 1)
-	go func() { errc <- ws.Run([]*core.Actor{cons}) }()
+	go func() {
+		errc <- run(ws, []*core.Actor{cons}, &core.LinkInfo{ID: 0, Queue: q, SrcActor: -1, DstActor: 0})
+	}()
 	time.Sleep(20 * time.Millisecond) // let the consumer park
 	q.Close()
 	select {
@@ -442,3 +439,69 @@ func TestWorkStealWakeClosedUnblocksConsumer(t *testing.T) {
 		t.Fatal("consumer did not observe ErrClosed")
 	}
 }
+
+// TestWorkStealNewLinkWakesRunningConsumer spawns a consumer that parks with
+// nothing to read and no hooked ring, then a second batch: a producer, and
+// the link from it to the consumer, whose Init stands in for a rewrite
+// arming the consumer's staged port. Adopting the link must wake the
+// consumer, found by its actor ID; the watchdog must have nothing to
+// rescue.
+func TestWorkStealNewLinkWakesRunningConsumer(t *testing.T) {
+	const n = 1000
+	q := ringbuffer.NewRing[int](4)
+	var adopted atomic.Bool
+	var got atomic.Int64
+	cons := &core.Actor{ID: 7, Name: "cons",
+		Step: func() core.Status {
+			if !adopted.Load() {
+				return core.Stall
+			}
+			_, _, ok, err := q.TryPop()
+			if err != nil {
+				return core.Stop
+			}
+			if !ok {
+				return core.Stall
+			}
+			got.Add(1)
+			return core.Proceed
+		},
+		Life: adoptLife{&adopted, q}}
+	actors, _ := pipelineActors(t, q, n)
+	prod := actors[0]
+	prod.ID = 3
+	prod.Init = func() error { adopted.Store(true); return nil }
+	ws := newWS(2)
+	if err := ws.Spawn([]*core.Actor{cons}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !cons.Parked.Load(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("consumer never parked")
+		}
+	}
+	if err := run(ws, []*core.Actor{prod}, &core.LinkInfo{ID: 0, Queue: q, SrcActor: 3, DstActor: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Load() != n {
+		t.Fatalf("consumed %d, want %d", got.Load(), n)
+	}
+	if s := ws.SchedStats(); s.Rescues != 0 || s.Wakes == 0 {
+		t.Fatalf("stats = %+v, want link wakes and no rescue", s)
+	}
+	if cons.Parked.Load() || prod.Parked.Load() {
+		t.Fatal("a finished actor still reads as parked")
+	}
+}
+
+// adoptLife is the consumer's Lifecycle in
+// TestWorkStealNewLinkWakesRunningConsumer: not ready before its port is
+// adopted, then ready when its ring holds data.
+type adoptLife struct {
+	adopted *atomic.Bool
+	q       *ringbuffer.Ring[int]
+}
+
+func (l adoptLife) Ready() bool { return l.adopted.Load() && !l.q.Blocked(false) }
+func (adoptLife) Await()        { runtime.Gosched() }
+func (adoptLife) Finish(error)  {}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -28,10 +27,8 @@ type FlightRecorder struct {
 	dir        string
 	rec        *Recorder
 	dom        *MarkerDomain
+	names      func() []string
 	cooldownNs int64
-
-	mu    sync.Mutex
-	names []string
 
 	lastNs  atomic.Int64
 	dumping atomic.Bool
@@ -51,24 +48,18 @@ const (
 
 // NewFlightRecorder returns a recorder dumping into <base>.flightdump/
 // (base used verbatim when it already carries the suffix). dom may be nil
-// (no marker sections in the post-mortem).
-func NewFlightRecorder(base string, rec *Recorder, dom *MarkerDomain) *FlightRecorder {
+// (no marker sections in the post-mortem). names, read at each dump, is
+// the actor-name table of the trace tracks, indexed by actor id, so an
+// actor that joined after the recorder was built is named too.
+func NewFlightRecorder(base string, rec *Recorder, dom *MarkerDomain, names func() []string) *FlightRecorder {
 	dir := base
 	if !strings.HasSuffix(dir, ".flightdump") {
 		dir += ".flightdump"
 	}
 	return &FlightRecorder{
-		dir: dir, rec: rec, dom: dom,
+		dir: dir, rec: rec, dom: dom, names: names,
 		cooldownNs: int64(10 * time.Second),
 	}
-}
-
-// SetNames installs the actor-name table used for trace tracks (called
-// once actors are built; safe against a concurrent dump).
-func (f *FlightRecorder) SetNames(names []string) {
-	f.mu.Lock()
-	f.names = names
-	f.mu.Unlock()
 }
 
 // Dir returns the dump directory path.
@@ -137,9 +128,7 @@ func (f *FlightRecorder) dump(reason string, now int64) error {
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	names := f.names
-	f.mu.Unlock()
+	names := f.names()
 	events := f.rec.Events()
 
 	tf, err := os.Create(filepath.Join(f.dir, "trace.json"))

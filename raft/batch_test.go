@@ -183,12 +183,12 @@ func TestAsLowLatencyPinsBatch(t *testing.T) {
 	if _, err := ex.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	infos := ex.reg.linkInfoList()
-	if !infos[0].LatencyPriority {
+	info := ex.reg.links[0].li
+	if !info.LatencyPriority {
 		t.Fatal("LinkInfo.LatencyPriority not set")
 	}
-	if !infos[0].Batch.Pinned() || infos[0].Batch.Get() != 1 {
-		t.Fatalf("batch = %d pinned=%v, want pinned at 1", infos[0].Batch.Get(), infos[0].Batch.Pinned())
+	if !info.Batch.Pinned() || info.Batch.Get() != 1 {
+		t.Fatalf("batch = %d pinned=%v, want pinned at 1", info.Batch.Get(), info.Batch.Pinned())
 	}
 	if l.SrcPort.BatchHint(99) != 1 || l.DstPort.BatchHint(99) != 1 {
 		t.Fatal("ports do not see the pinned batch size")

@@ -11,7 +11,15 @@ import (
 // kernel consumes the branches at different rates (two pops from "b" per
 // pop from "a"). Branch a fills while the join waits on b; the tee blocks
 // pushing to a; global freeze. Without detection Exe would hang forever.
+// Under work stealing every kernel waits parked rather than in a ring, and
+// the watch must still see the freeze.
 func TestDeadlockDetected(t *testing.T) {
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) { testDeadlockDetected(t, sched.opts) })
+	}
+}
+
+func testDeadlockDetected(t *testing.T, opts []Option) {
 	m := NewMap()
 
 	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
@@ -45,10 +53,10 @@ func TestDeadlockDetected(t *testing.T) {
 	var rep *Report
 	go func() {
 		var err error
-		rep, err = m.Exe(
+		rep, err = m.Exe(append(opts,
 			WithDynamicResize(false),
 			WithDeadlockDetection(200*time.Millisecond),
-		)
+		)...)
 		done <- err
 	}()
 	select {
@@ -110,33 +118,38 @@ func (k *lopsidedJoin) Run() Status {
 
 // TestNoFalsePositiveOnSlowKernel: a kernel computing for longer than the
 // grace period (without touching its queues) must not be diagnosed as
-// deadlock, because it is never parked.
+// deadlock, because it is never parked — under work stealing too, where
+// the kernels around it are.
 func TestNoFalsePositiveOnSlowKernel(t *testing.T) {
-	m := NewMap()
-	slow := NewLambdaIO[int64, int64](1, 1, func(k *LambdaKernel) Status {
-		v, err := Pop[int64](k.In("0"))
-		if err != nil {
-			return Stop
-		}
-		time.Sleep(300 * time.Millisecond) // longer than the grace period
-		if err := Push(k.Out("0"), v); err != nil {
-			return Stop
-		}
-		return Proceed
-	})
-	sink := newCollect()
-	if _, err := m.Link(newGen(3), slow); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Link(slow, sink); err != nil {
-		t.Fatal(err)
-	}
-	_, err := m.Exe(WithDeadlockDetection(100 * time.Millisecond))
-	if err != nil {
-		t.Fatalf("false positive: %v", err)
-	}
-	if len(sink.values()) != 3 {
-		t.Fatalf("received %d", len(sink.values()))
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			m := NewMap()
+			slow := NewLambdaIO[int64, int64](1, 1, func(k *LambdaKernel) Status {
+				v, err := Pop[int64](k.In("0"))
+				if err != nil {
+					return Stop
+				}
+				time.Sleep(300 * time.Millisecond) // longer than the grace period
+				if err := Push(k.Out("0"), v); err != nil {
+					return Stop
+				}
+				return Proceed
+			})
+			sink := newCollect()
+			if _, err := m.Link(newGen(3), slow); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Link(slow, sink); err != nil {
+				t.Fatal(err)
+			}
+			_, err := m.Exe(append(sched.opts, WithDeadlockDetection(100*time.Millisecond))...)
+			if err != nil {
+				t.Fatalf("false positive: %v", err)
+			}
+			if len(sink.values()) != 3 {
+				t.Fatalf("received %d", len(sink.values()))
+			}
+		})
 	}
 }
 

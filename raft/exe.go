@@ -297,27 +297,22 @@ func WithFlightRecorder(base string) Option {
 // WithServiceRateControl turns the monitor's reactive heuristics into a
 // model-driven controller: an online estimator (internal/qmodel, after
 // the instantaneous-rate model of arXiv:1504.00591) maintains per-kernel
-// non-blocking service rates µ̂ from sampled Run spans and per-link
-// arrival rates λ̂ from flow counters, with burst rejection filtering
-// blocking-contaminated observations. The replica scaler then picks the
-// group width whose predicted M/M/c waiting time meets its target
-// (instead of waiting for the input queue to sit near-full), and the
-// adaptive batcher grows batches when utilization ρ̂ = λ̂/µ̂ runs high or
-// the occupancy derivative predicts saturation — before either side ever
-// blocks. Links and groups with unprimed estimates keep the heuristics,
+// non-blocking service rates µ̂ — invocations per second of time not
+// blocked on a stream — and per-link arrival rates λ̂ from flow counters,
+// with burst rejection filtering blocking-contaminated observations. The
+// replica scaler then picks the group width whose predicted M/M/c waiting
+// time meets its target (instead of waiting for the input queue to sit
+// near-full), and the adaptive batcher grows batches when utilization
+// ρ̂ = λ̂/µ̂ runs high or the occupancy derivative predicts saturation —
+// before either side ever blocks. Links and groups with unprimed estimates keep the heuristics,
 // so the option degrades to the default behavior rather than below it.
 //
-// Requires the monitor (the default) and span tracing: if WithTrace was
-// not given, a 64Ki-event recorder is enabled automatically. λ̂/µ̂/ρ̂ show
-// up on LiveStats, the Report, and the Prometheus endpoint.
-func WithServiceRateControl() Option {
-	return func(c *Config) {
-		c.serviceRateControl = true
-		if c.traceCapacity <= 0 {
-			c.traceCapacity = 1 << 16
-		}
-	}
-}
+// Requires the monitor (the default). The estimator reads counters the
+// runtime keeps anyway, so the option turns on no trace recorder. Every
+// link and kernel is estimated from the transaction that adds it on, a
+// rewrite's or a template's as well as epoch 0's. λ̂/µ̂/ρ̂ show up on
+// LiveStats, the Report, and the Prometheus endpoint.
+func WithServiceRateControl() Option { return func(c *Config) { c.serviceRateControl = true } }
 
 // WithMetricsListener serves Prometheus text-format metrics on l while
 // the application runs: per-link occupancy histograms, push/pop/block
@@ -715,81 +710,16 @@ func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 	if ex.assign, err = mapper.Assign(ex.g, cfg.topology); err != nil {
 		return nil, err
 	}
-	ex.build(tx, ex.assign)
 
-	// 3. Runtime services, constructed from the registry epoch 0 filled.
-	actors, links := ex.reg.actorList(), ex.reg.linkInfoList()
-	coreScalers := make([]core.Scaler, len(ex.scalers))
-	for i, s := range ex.scalers {
-		coreScalers[i] = s
-	}
-
-	// Flight recorder and latency SLO. The recorder taps the trace bus for
-	// anomaly kinds (deadlock, escalation, shed storm, SLO breach); a breach
-	// itself is detected at marker retirement and published as an SLOBreach
-	// event, so the tap sees it like any other anomaly.
-	rec := ex.rec
-	if cfg.flightPath != "" && rec != nil {
-		var dom *trace.MarkerDomain
-		if cfg.markers != nil {
-			dom = cfg.markers.dom
-		}
-		cfg.flight = trace.NewFlightRecorder(cfg.flightPath, rec, dom)
-		names := make([]string, len(actors))
-		for i, a := range actors {
-			names[i] = a.Name
-		}
-		cfg.flight.SetNames(names)
-		rec.Watch(cfg.flight.Observe)
-	}
-	if cfg.slo > 0 && cfg.markers != nil {
-		fl := cfg.flight
-		cfg.markers.dom.SetSLO(cfg.slo, func(mk *trace.Marker, e2e time.Duration) {
-			if rec != nil {
-				rec.Emit(trace.Event{Actor: -1, Kind: trace.SLOBreach,
-					At: time.Now().UnixNano(), Prev: int64(mk.ID), Arg: int64(e2e),
-					Label: mk.Flow()})
-			} else if fl != nil {
-				fl.Trigger(fmt.Sprintf("e2e latency SLO breach: %v on flow %s (marker %d)",
-					e2e.Round(time.Microsecond), mk.Flow(), mk.ID))
-			}
-		})
-	}
-
-	// Monitor (and the rate estimator it drives, when requested).
-	if cfg.serviceRateControl {
-		ex.est = buildEstimator(actors, links, rec)
-	}
-	if cfg.monitorEnabled {
-		ex.mon = monitor.New(monitor.Config{
-			Resize:        cfg.dynamicResize,
-			AutoScale:     cfg.autoScale,
-			AdaptiveBatch: cfg.adaptiveBatch,
-			Trace:         rec,
-			Rates:         ex.est,
-			RateControl:   cfg.serviceRateControl,
-		}, links, coreScalers)
-		if cfg.deadlockGrace > 0 {
-			ex.dw = monitor.NewDeadlockWatch(actors, links, cfg.deadlockGrace,
-				func(diag string) {
-					m.exc.mu.Lock()
-					if m.exc.err == nil {
-						m.exc.err = fmt.Errorf("raft: %s", diag)
-					}
-					m.exc.mu.Unlock()
-					m.exc.fail()
-					// Capture the post-mortem before the teardown below
-					// disturbs the frozen state (the bus tap also fires on
-					// the monitor's Deadlock event; the cooldown dedups).
-					if cfg.flight != nil {
-						cfg.flight.Trigger("deadlock detected: " + diag)
-					}
-					ex.reg.closeAllQueues()
-				})
-			ex.mon.SetDeadlockWatch(ex.dw)
-		}
-		ex.mon.Start()
-	}
+	// 3. The runtime services, built empty: the build pass of every
+	// transaction, epoch 0's included, hands the monitor, the deadlock
+	// watch and the estimator what it added, and its join the scheduler.
+	// Epoch 0 holds the rewriter's lock, as every commit does, so a width
+	// step of the monitor or a template the gateway instantiates waits for
+	// it to join.
+	ex.rw.mu.Lock()
+	defer ex.rw.mu.Unlock()
+	ex.startServices()
 	var streamer *statsStreamer
 	stop := func() {
 		if ex.mon != nil {
@@ -800,32 +730,18 @@ func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 		}
 	}
 
-	// Ingestion gateway: bind each registered source to its engine link so
-	// admission control sees live occupancy, rates and replica width.
+	// 4. Build epoch 0, then the wiring that can still fail, so that a
+	// failure starts no actor: the ingestion gateway binds each registered
+	// source to its engine link, so admission control sees live occupancy,
+	// rates and replica width, and its listeners start after the metrics
+	// endpoint and the stats streamer. Then join starts the actors.
+	b := ex.build(tx, ex.assign)
 	if cfg.gateway != nil {
 		if err = ex.wireGateway(); err != nil {
 			stop()
 			return nil, err
 		}
 	}
-
-	// Scheduler selection — before the metrics endpoint and the stats
-	// streamer start, so both can poll the scheduler's counters mid-run.
-	// Both schedulers can adopt kernels spliced in by a rewrite.
-	if cfg.workStealing {
-		ex.ws = scheduler.NewWorkSteal(cfg.stealWorkers)
-		ex.ws.AttachLinks(links)
-		ex.ws.AttachTopology(cfg.topology)
-		if rec != nil {
-			ex.ws.AttachTrace(rec)
-		}
-		ex.sched = ex.ws
-	} else {
-		ex.sched = scheduler.NewGoroutine()
-	}
-
-	// Metrics endpoint, stats streamer and gateway listeners up, then launch
-	// and return the handle.
 	ex.health = &execHealth{}
 	if cfg.metricsListener != nil {
 		ex.msrv = startMetrics(ex)
@@ -847,8 +763,10 @@ func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 		cfg.gateway.SetResolver(ex.tmpl.resolve)
 	}
 	ex.health.set(healthRunning)
+	// A fresh scheduler takes any batch.
+	_ = ex.join(b, 0)
 	go func() {
-		runErr := ex.sched.Run(actors)
+		runErr := ex.sched.Wait()
 		ex.elapsed = time.Since(ex.reg.start)
 		ex.health.set(healthDraining)
 		if cfg.gateway != nil {
@@ -863,6 +781,87 @@ func (m *Map) ExeAsync(opts ...Option) (_ *Execution, err error) {
 		close(ex.done)
 	}()
 	return ex, nil
+}
+
+// startServices builds the runtime services of an execution, all empty:
+// the flight recorder and the latency SLO, the rate estimator, the monitor
+// (started) with its deadlock watch, and the scheduler.
+func (ex *Execution) startServices() {
+	cfg, rec := ex.cfg, ex.rec
+	// Flight recorder and latency SLO. The recorder taps the trace bus for
+	// anomaly kinds (deadlock, escalation, shed storm, SLO breach); a breach
+	// itself is detected at marker retirement and published as an SLOBreach
+	// event, so the tap sees it like any other anomaly. It names the trace
+	// tracks from the registry when it dumps.
+	if cfg.flightPath != "" && rec != nil {
+		var dom *trace.MarkerDomain
+		if cfg.markers != nil {
+			dom = cfg.markers.dom
+		}
+		cfg.flight = trace.NewFlightRecorder(cfg.flightPath, rec, dom, ex.reg.names)
+		rec.Watch(cfg.flight.Observe)
+	}
+	if cfg.slo > 0 && cfg.markers != nil {
+		fl := cfg.flight
+		cfg.markers.dom.SetSLO(cfg.slo, func(mk *trace.Marker, e2e time.Duration) {
+			if rec != nil {
+				rec.Emit(trace.Event{Actor: -1, Kind: trace.SLOBreach,
+					At: time.Now().UnixNano(), Prev: int64(mk.ID), Arg: int64(e2e),
+					Label: mk.Flow()})
+			} else if fl != nil {
+				fl.Trigger(fmt.Sprintf("e2e latency SLO breach: %v on flow %s (marker %d)",
+					e2e.Round(time.Microsecond), mk.Flow(), mk.ID))
+			}
+		})
+	}
+
+	// Monitor (and the rate estimator it drives, when requested).
+	if cfg.serviceRateControl {
+		ex.est = qmodel.NewEstimator()
+	}
+	if cfg.monitorEnabled {
+		coreScalers := make([]core.Scaler, len(ex.scalers))
+		for i, s := range ex.scalers {
+			coreScalers[i] = s
+		}
+		ex.mon = monitor.New(monitor.Config{
+			Resize:        cfg.dynamicResize,
+			AutoScale:     cfg.autoScale,
+			AdaptiveBatch: cfg.adaptiveBatch,
+			Trace:         rec,
+			Rates:         ex.est,
+			RateControl:   cfg.serviceRateControl,
+		}, coreScalers)
+		if cfg.deadlockGrace > 0 {
+			m := ex.m
+			ex.dw = monitor.NewDeadlockWatch(cfg.deadlockGrace, func(diag string) {
+				m.exc.mu.Lock()
+				if m.exc.err == nil {
+					m.exc.err = fmt.Errorf("raft: %s", diag)
+				}
+				m.exc.mu.Unlock()
+				m.exc.fail()
+				// Capture the post-mortem before the teardown below disturbs
+				// the frozen state (the bus tap also fires on the monitor's
+				// Deadlock event; the cooldown dedups).
+				if cfg.flight != nil {
+					cfg.flight.Trigger("deadlock detected: " + diag)
+				}
+				ex.reg.closeAllQueues()
+			})
+			ex.mon.SetDeadlockWatch(ex.dw)
+		}
+		ex.mon.Start()
+	}
+
+	// The scheduler, before the metrics endpoint and the stats streamer
+	// start, so both can poll its counters mid-run.
+	if cfg.workStealing {
+		ex.ws = scheduler.NewWorkSteal(cfg.stealWorkers, cfg.topology, rec)
+		ex.sched = ex.ws
+	} else {
+		ex.sched = scheduler.NewGoroutine()
+	}
 }
 
 // Validate runs Exe's structural checks — every port linked, graph acyclic
@@ -1075,38 +1074,6 @@ func (ae *actorEntry) Finish(err error) {
 		fin.Finalize()
 	}
 	ae.k.kernelBase().closeAllQueues()
-}
-
-// buildEstimator wires the online rate estimator over the engine state
-// through closures, keeping qmodel free of engine imports: kernel taps
-// read invocation counts off each actor's service timer, link taps read
-// flow and occupancy off each queue's telemetry. Tap order matches the
-// engine's link order — the alignment monitor.Config.Rates requires.
-// rec may be nil (λ̂/occupancy only; µ̂ needs sampled spans).
-func buildEstimator(actors []*core.Actor, links []*core.LinkInfo, rec *trace.Recorder) *qmodel.Estimator {
-	var rd *trace.Reader
-	if rec != nil {
-		rd = rec.NewReader()
-	}
-	kts := make([]qmodel.KernelTap, len(actors))
-	for i, a := range actors {
-		kts[i] = qmodel.KernelTap{Name: a.Name, ID: int32(a.ID), Runs: a.Service.Count}
-	}
-	lts := make([]qmodel.LinkTap, len(links))
-	for i, l := range links {
-		tel := l.Queue.Telemetry()
-		lts[i] = qmodel.LinkTap{
-			Name:  l.Name,
-			Src:   int32(l.SrcActor),
-			Dst:   int32(l.DstActor),
-			Flow:  tel.Flow,
-			Block: tel.BlockNs,
-			Occ:   tel.OccStats,
-			Len:   l.Queue.Len,
-			Cap:   l.Queue.Cap,
-		}
-	}
-	return qmodel.NewEstimator(rd, kts, lts)
 }
 
 // Ready is the cooperative-scheduler progress predicate of the entry's

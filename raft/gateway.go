@@ -331,9 +331,9 @@ func (ex *Execution) wireGateway() error {
 
 // gatewayWiring is the admission model's view of a source's outbound link:
 // live occupancy and capacity, the telemetry drop counter, the online rate
-// estimates when the link has an estimator tap (WithServiceRateControl, a
-// link of epoch 0), and the active replica width when the link feeds a
-// replicated group's split.
+// estimates under WithServiceRateControl (every link has an estimator tap
+// from its build on, a template instance's too), and the active replica
+// width when the link feeds a replicated group's split.
 func (ex *Execution) gatewayWiring(le *linkEntry) gateway.Wiring {
 	li := le.li
 	w := gateway.Wiring{

@@ -12,6 +12,7 @@ import (
 	"raftlib/internal/core"
 	"raftlib/internal/graph"
 	"raftlib/internal/mapper"
+	"raftlib/internal/qmodel"
 	"raftlib/internal/ringbuffer"
 	"raftlib/internal/trace"
 )
@@ -19,24 +20,27 @@ import (
 // This file implements graph construction as transactions under graph
 // epochs: every kernel and link of an execution joins it through one.
 //
-// Exe is epoch 0. ExeAsync builds an empty execution and stages the whole
-// Map as one transaction against the empty graph; its validate and build
-// passes below are the only place a kernel gets its actor, gate, resilience
-// wrap and registry entry, and a link its queue, port bindings, marker lane
-// and registry entry. The runtime services are then constructed from the
-// registry, and the scheduler's Run starts the actors. Epoch 0 leaves no
-// trace of being a transaction: the epoch stays 0, no GraphAdd or EpochSeal
-// events are emitted, and nothing carries a join stamp.
+// Exe is epoch 0. ExeAsync builds an empty execution — an empty registry
+// and every runtime service built empty — and stages the whole Map as one
+// transaction against the empty graph. Its validate, build and join passes
+// below are every transaction's: build is the only place a kernel gets its
+// actor, gate, resilience wrap and registry entry, and a link its queue,
+// port bindings, marker lane and registry entry, and it hands the monitor,
+// the deadlock watch and the rate estimator what it added in one call
+// each; join hands the scheduler the new actors and links in one Spawn.
+// What a rewrite adds is adopted exactly as what epoch 0 builds. Epoch 0
+// leaves no trace of being a transaction: the epoch stays 0, no GraphAdd
+// or EpochSeal events are emitted, and nothing carries a join stamp.
 //
 // A rewrite (Rewriter.Begin, staged changes, Tx.Commit) is every later
 // epoch, against the running graph. It commits in three passes:
 //
-//  1. Build (reversible). The same validate and build passes; the new
-//     kernels are then spawned onto the running scheduler (they block
-//     harmlessly on their empty inputs) and the running services adopt the
-//     additions. Nothing existing is touched: an endpoint on a continuing
-//     kernel is staged instead of bound — a consumer's as a replacement
-//     binding (Port.pending), armed but inert until the old stream closes.
+//  1. Build and join (reversible). The same validate, build and join
+//     passes; the new kernels start on the running scheduler (they block
+//     harmlessly on their empty inputs). Nothing existing is touched: an
+//     endpoint on a continuing kernel is staged instead of bound — a
+//     consumer's as a replacement binding (Port.pending), armed but inert
+//     until the old stream closes.
 //  2. Seal and splice. Every continuing producer whose output moves is
 //     paused at a step boundary (core.Gate, downstream-first so blocked
 //     kernels drain), its output ports are rebound to the new streams,
@@ -47,8 +51,8 @@ import (
 //     preserved, and the untouched rest of the graph never stops.
 //  3. Retire. Removed source kernels are gated out; the closure cascade
 //     stops the other removed kernels at natural EOF. Once they finish,
-//     their streams leave the monitor and the freeze scan, and the
-//     registry stamps departure times for the report.
+//     their streams leave the monitor, the freeze scan and the estimator,
+//     and the registry stamps departure times for the report.
 //
 // Only sealed links ever pause, and only their producers, only for the
 // rebind — there is no global stop-the-world.
@@ -152,22 +156,14 @@ func (r *registry) closeAllQueues() {
 	}
 }
 
-func (r *registry) actorList() []*core.Actor {
+// names returns every kernel's name indexed by actor ID (= trace id), for
+// the flight recorder's trace tracks.
+func (r *registry) names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*core.Actor, len(r.actors))
+	out := make([]string, len(r.actors))
 	for i, ae := range r.actors {
-		out[i] = ae.a
-	}
-	return out
-}
-
-func (r *registry) linkInfoList() []*core.LinkInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*core.LinkInfo, len(r.links))
-	for i, le := range r.links {
-		out[i] = le.li
+		out[i] = ae.a.Name
 	}
 	return out
 }
@@ -442,15 +438,18 @@ type stagedLink struct {
 }
 
 // built is what one build pass added: the registry entries of the new
-// kernels and links, and the links staged on continuing kernels.
+// kernels and links, the engine's view of both in the same order, and the
+// links staged on continuing kernels.
 type built struct {
 	actors []*actorEntry
 	links  []*linkEntry
+	as     []*core.Actor
+	lis    []*core.LinkInfo
 	staged []stagedLink
-	// spawned counts the leading actors join handed to the scheduler;
-	// armed reports that join installed the staged consumer bindings.
-	spawned int
+	// armed reports that join installed the staged consumer bindings;
+	// spawned that it handed the new actors to the scheduler.
 	armed   bool
+	spawned bool
 }
 
 // Commit applies the transaction to the running graph. On success the
@@ -640,8 +639,8 @@ func (t *Tx) validate(reg *registry) (*graph.Graph, error) {
 // build is the transaction's construction pass — at epoch 0, the whole of
 // Exe's construction. Every added kernel gets its actor, gate, resilience
 // wrap and registry entry; every added link its queue, port bindings,
-// marker lane and registry entry; and the runtime services that already
-// run (none at epoch 0) adopt the additions. An endpoint on a continuing
+// marker lane and registry entry; and the monitor, the deadlock watch and
+// the estimator adopt the additions (adopt). An endpoint on a continuing
 // kernel is staged instead of bound. place, when non-nil, is the mapper's
 // assignment indexed like t.addKernels; kernels added by a rewrite run on
 // place 0.
@@ -728,29 +727,82 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	b.links = reg.links[firstLink:len(reg.links):len(reg.links)]
 	reg.mu.Unlock()
 
-	for _, le := range b.links {
-		if ex.mon != nil {
-			ex.mon.AddLink(le.li)
-		}
-		if ex.dw != nil {
-			ex.dw.AddLink(le.li)
-		}
+	b.as = make([]*core.Actor, len(entries))
+	for i := range entries {
+		b.as[i] = entries[i].a
 	}
-	if ex.dw != nil {
-		for _, ae := range b.actors {
-			ex.dw.AddActor(ae.a)
-		}
+	b.lis = make([]*core.LinkInfo, len(links))
+	for i := range links {
+		b.lis[i] = &links[i].info
 	}
+	ex.adopt(b)
 	return b
 }
 
-// join starts what a rewrite's build pass added to the running execution:
-// it announces the additions on the trace bus, spawns the new actors onto
-// the scheduler, arms the staged consumer migrations and hands the
-// scheduler the new streams' wake hooks. (At epoch 0 the scheduler's Run
-// starts the actors instead.)
+// adopt hands the services that watch the graph what one build pass added,
+// in one call each: the monitor its links, the deadlock watch its actors
+// and links, the estimator their taps — kernel taps read invocation counts
+// off each actor's service timer, link taps flow, blocked time and
+// occupancy off each ring's telemetry, keyed by link ID.
+func (ex *Execution) adopt(b *built) {
+	if ex.mon != nil {
+		ex.mon.AddLinks(b.lis)
+	}
+	if ex.dw != nil {
+		ex.dw.Add(b.as, b.lis)
+	}
+	if ex.est == nil {
+		return
+	}
+	kts := make([]qmodel.KernelTap, len(b.as))
+	for i, a := range b.as {
+		kts[i] = qmodel.KernelTap{Name: a.Name, ID: int32(a.ID), Runs: a.Service.Count}
+	}
+	lts := make([]qmodel.LinkTap, len(b.lis))
+	for i, l := range b.lis {
+		tel := l.Queue.Telemetry()
+		lts[i] = qmodel.LinkTap{
+			ID:    l.ID,
+			Name:  l.Name,
+			Src:   int32(l.SrcActor),
+			Dst:   int32(l.DstActor),
+			Flow:  tel.Flow,
+			Block: tel.BlockNs,
+			Occ:   tel.OccStats,
+			Len:   l.Queue.Len,
+			Cap:   l.Queue.Cap,
+		}
+	}
+	ex.est.Add(kts, lts)
+}
+
+// drop detaches links that left the graph from the services adopt handed
+// them to.
+func (ex *Execution) drop(les []*linkEntry) {
+	lis := make([]*core.LinkInfo, len(les))
+	ids := make([]int, len(les))
+	for i, le := range les {
+		lis[i], ids[i] = le.li, le.li.ID
+	}
+	if ex.mon != nil {
+		ex.mon.RemoveLinks(lis)
+	}
+	if ex.dw != nil {
+		ex.dw.RemoveLinks(lis)
+	}
+	if ex.est != nil {
+		ex.est.RemoveLinks(ids)
+	}
+}
+
+// join starts what a build pass added: it announces a rewrite's additions
+// on the trace bus (epoch 0 announces nothing), arms the staged consumer
+// migrations, then hands the scheduler the new actors and links in one
+// Spawn — it starts the actors, wires the links' wake hooks, and wakes a
+// running consumer of a new link, which may be a merge that must adopt a
+// staged slot.
 func (ex *Execution) join(b *built, epoch int64) error {
-	if ex.rec != nil {
+	if ex.rec != nil && epoch > 0 {
 		for _, ae := range b.actors {
 			ex.rec.Emit(trace.Event{Actor: int32(ae.a.ID), Kind: trace.GraphAdd,
 				At: time.Now().UnixNano(), Arg: epoch, Label: ae.a.Name})
@@ -759,12 +811,6 @@ func (ex *Execution) join(b *built, epoch int64) error {
 			ex.rec.Emit(trace.Event{Actor: -1, Kind: trace.GraphAdd,
 				At: time.Now().UnixNano(), Arg: epoch, Label: le.li.Name})
 		}
-	}
-	for _, ae := range b.actors {
-		if err := ex.sched.Spawn(ae.a); err != nil {
-			return fmt.Errorf("raft: spawning %q: %w", ae.a.Name, err)
-		}
-		b.spawned++
 	}
 	for i := range b.staged {
 		if s := &b.staged[i]; s.pending != nil {
@@ -776,14 +822,10 @@ func (ex *Execution) join(b *built, epoch int64) error {
 		}
 	}
 	b.armed = true
-	// Work stealing wires a stream's wake hooks to the tasks at its ends, so
-	// the new actors must be its tasks first; it wakes the consumer, as a
-	// merge may have adopted a staged slot before the hook was in place.
-	if ex.ws != nil {
-		for _, le := range b.links {
-			ex.ws.TakeLink(le.li)
-		}
+	if err := ex.sched.Spawn(b.as, b.lis); err != nil {
+		return fmt.Errorf("raft: starting %d kernels: %w", len(b.as), err)
 	}
+	b.spawned = true
 	return nil
 }
 
@@ -805,9 +847,11 @@ func (ex *Execution) rollback(b *built, epoch int64) {
 		le.li.Queue.Close()
 	}
 	deadline := time.Now().Add(drainTimeout)
-	for _, ae := range b.actors[:b.spawned] {
-		for !ae.a.Finished.Load() && time.Now().Before(deadline) {
-			time.Sleep(200 * time.Microsecond)
+	if b.spawned {
+		for _, ae := range b.actors {
+			for !ae.a.Finished.Load() && time.Now().Before(deadline) {
+				time.Sleep(200 * time.Microsecond)
+			}
 		}
 	}
 	now := ex.reg.sinceStart()
@@ -819,14 +863,7 @@ func (ex *Execution) rollback(b *built, epoch int64) {
 		le.removed, le.leftNs = true, now
 	}
 	ex.reg.mu.Unlock()
-	for _, le := range b.links {
-		if ex.mon != nil {
-			ex.mon.RemoveLink(le.li)
-		}
-		if ex.dw != nil {
-			ex.dw.RemoveLink(le.li)
-		}
-	}
+	ex.drop(b.links)
 	if ex.rec != nil {
 		for _, ae := range b.actors {
 			ex.rec.Emit(trace.Event{Actor: int32(ae.a.ID), Kind: trace.GraphRemove,
@@ -1050,17 +1087,12 @@ func (ex *Execution) retireRemoved(t *Tx, epoch int64) error {
 	}
 	reg.mu.Unlock()
 
+	// The sealed streams are drained (or their kernels gone); make sure no
+	// blocked endpoint outlives the epoch, then stop watching them.
 	for _, le := range removedLinks {
-		// The sealed stream is drained (or its kernel gone); make sure no
-		// blocked endpoint outlives the epoch, then stop scanning it.
 		le.li.Queue.Close()
-		if ex.mon != nil {
-			ex.mon.RemoveLink(le.li)
-		}
-		if ex.dw != nil {
-			ex.dw.RemoveLink(le.li)
-		}
 	}
+	ex.drop(removedLinks)
 	if ex.rec != nil {
 		for _, ae := range removedActors {
 			ex.rec.Emit(trace.Event{Actor: int32(ae.a.ID), Kind: trace.GraphRemove,

@@ -3,7 +3,10 @@ package raft
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -907,4 +910,92 @@ func TestExeIsEpochZero(t *testing.T) {
 			}
 		}
 	})
+}
+
+// spliceWork runs gen -> sink (paced, so the run outlasts the rewrite by
+// about half a second), splices a kernel named spliced-work between them
+// once traffic flows, and waits until a thousand elements have crossed
+// the new structure. It returns the running execution, the new kernel and
+// the two new links.
+func spliceWork(t *testing.T, opts ...Option) (*Execution, *workKernel, *pacedCollect, [2]*Link) {
+	t.Helper()
+	const n = 30_000
+	m := NewMap()
+	gen := newGen(n)
+	sink := newPacedCollect(time.Millisecond)
+	l0 := m.MustLink(gen, sink)
+	ex, err := m.ExeAsync(append(opts, WithDynamicResize(false))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "pre-splice traffic", func() bool { return sink.count() >= 500 })
+	work := newWork()
+	work.SetName("spliced-work")
+	tx := ex.Rewriter().Begin()
+	if err := tx.RemoveLink(l0); err != nil {
+		t.Fatal(err)
+	}
+	l1, err := tx.Link(gen, work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := tx.Link(work, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	at := sink.count()
+	waitFor(t, "spliced traffic", func() bool { return sink.count() >= at+1000 })
+	return ex, work, sink, [2]*Link{l1, l2}
+}
+
+// TestRewriteKernelNamedInFlightDump: the flight recorder names every
+// trace track from the registry when it dumps, so a kernel a rewrite
+// spliced in appears by name, not as actor-N.
+func TestRewriteKernelNamedInFlightDump(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "splice")
+	ex, work, _, _ := spliceWork(t, WithFlightRecorder(base), WithTraceStride(1))
+	if _, ok := ex.cfg.flight.Trigger("test dump after a splice"); !ok {
+		t.Fatal("no dump written")
+	}
+	if _, err := ex.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := os.ReadFile(filepath.Join(base+".flightdump", "postmortem.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := int(work.kernelBase().actor)
+	if strings.Contains(string(pm), fmt.Sprintf("actor-%d", id)) {
+		t.Fatalf("the spliced kernel (actor %d) is unnamed in the post-mortem:\n%s", id, pm)
+	}
+	if !strings.Contains(string(pm), "spliced-work  ") {
+		t.Fatalf("no event of spliced-work in the post-mortem:\n%s", pm)
+	}
+}
+
+// TestRewriteLinkHasRateEstimates: under WithServiceRateControl the
+// estimator taps what every transaction adds, so the links a rewrite
+// spliced in report λ̂ like the links of epoch 0, and the link it removed
+// left the estimator with it.
+func TestRewriteLinkHasRateEstimates(t *testing.T) {
+	ex, _, _, added := spliceWork(t, WithServiceRateControl())
+	rep, err := ex.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Links) != 3 {
+		t.Fatalf("%d link rows, want 3", len(rep.Links))
+	}
+	for _, l := range added {
+		row := rep.Links[ex.reg.liveLink(l).li.ID]
+		if row.JoinedAt == 0 || row.LambdaHat <= 0 {
+			t.Errorf("added link %s: joined at %v, λ̂ %v; want a join stamp and λ̂ > 0", row.Name, row.JoinedAt, row.LambdaHat)
+		}
+	}
+	if _, tapped := ex.est.Link(0); tapped {
+		t.Error("the removed link keeps its estimator tap")
+	}
 }
