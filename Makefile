@@ -130,9 +130,12 @@ ci-race:
 # Short-budget coverage-guided fuzzing of the ring: the port-window
 # protocol under three goroutines (lock-free commits, parks and wakes, the
 # resize handover) and the view/resize race get the full budget, the
-# model-based targets (the port window's among them) and the bridge's
-# binary frame reader a shorter one. Each -fuzz run must name exactly one
-# target.
+# model-based targets (the port window's among them), the bridge's binary
+# frame reader and the string matchers against the naive scanner a shorter
+# one. Each -fuzz run must name exactly one target. The matchers' inputs
+# run to kilobytes (Horspool interleaves its cursors from 4 KiB), and
+# minimizing one new input for the default 60 s would take the whole
+# budget, so their minimization is capped at 2 s.
 ci-fuzz:
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindowConcurrent$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ringbuffer/ -run='^$$' -fuzz='^FuzzViewResize$$' -fuzztime=$(FUZZTIME)
@@ -145,6 +148,8 @@ ci-fuzz:
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzGroupRewrite$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./raft/ -run='^$$' -fuzz='^FuzzPortWindow$$' -fuzztime=$(FUZZTIME_SHORT)
 	$(GO) test ./internal/oar/ -run='^$$' -fuzz='^FuzzBridgeFrame$$' -fuzztime=$(FUZZTIME_SHORT)
+	$(GO) test ./internal/search/ -run='^$$' -fuzz='^FuzzMatchersAgree$$' -fuzztime=$(FUZZTIME_SHORT) -fuzzminimizetime=2s
+	$(GO) test ./internal/search/ -run='^$$' -fuzz='^FuzzCountChunked$$' -fuzztime=$(FUZZTIME_SHORT) -fuzzminimizetime=2s
 
 # Bench smoke for CI: correctness is always asserted; perf bars downgrade
 # to warnings on small runners (auto-detected via GOMAXPROCS < 2). -seed

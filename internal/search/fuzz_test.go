@@ -3,6 +3,8 @@ package search
 import (
 	"bytes"
 	"testing"
+
+	"raftlib/internal/corpus"
 )
 
 // FuzzMatchersAgree cross-validates every optimized matcher against the
@@ -14,6 +16,12 @@ func FuzzMatchersAgree(f *testing.F) {
 	f.Add([]byte("needle"), []byte("haystack with a needle inside"))
 	f.Add([]byte{0, 1}, []byte{0, 1, 0, 1, 0})
 	f.Add([]byte("x"), []byte(""))
+	// Texts past interleaveMin, which Horspool scans with four cursors.
+	long := corpus.Generate(corpus.Spec{Bytes: interleaveMin + 1000, Seed: 3})
+	f.Add([]byte(corpus.DefaultPattern), long)
+	f.Add([]byte("aa"), bytes.Repeat([]byte("a"), interleaveMin+7))
+	f.Add([]byte("abab"), bytes.Repeat([]byte("ab"), interleaveMin/2+3))
+	f.Add([]byte("e"), long)
 	f.Fuzz(func(t *testing.T, pattern, text []byte) {
 		if len(pattern) == 0 || len(pattern) > 64 || len(text) > 1<<16 {
 			t.Skip()
@@ -49,14 +57,17 @@ func FuzzMatchersAgree(f *testing.F) {
 // kernels' access pattern) for every matcher.
 func FuzzCountChunked(f *testing.F) {
 	f.Add([]byte("abc"), []byte("xxabcxxabc"), uint16(4))
+	// Texts and chunks past interleaveMin, which Horspool scans with four
+	// cursors.
+	long := corpus.Generate(corpus.Spec{Bytes: 3 * interleaveMin, Seed: 5})
+	f.Add([]byte(corpus.DefaultPattern), long, uint16(interleaveMin+3))
+	f.Add([]byte("aa"), bytes.Repeat([]byte("a"), 2*interleaveMin+5), uint16(interleaveMin))
+	f.Add([]byte("ab"), bytes.Repeat([]byte("ab"), interleaveMin+1), uint16(300))
 	f.Fuzz(func(t *testing.T, pattern, text []byte, chunkSeed uint16) {
 		if len(pattern) == 0 || len(pattern) > 32 || len(text) > 1<<14 {
 			t.Skip()
 		}
-		if bytes.IndexByte(pattern, 0) >= 0 {
-			// fine, but keep the corpus printable-ish for failure dumps
-		}
-		chunk := int(chunkSeed%512) + 1
+		chunk := int(chunkSeed)%(2*interleaveMin) + 1
 		for _, algo := range []string{"horspool", "ahocorasick", "kmp"} {
 			m, err := New(algo, pattern)
 			if err != nil {

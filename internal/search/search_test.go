@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -204,19 +205,87 @@ func TestHorspoolVsBoyerMooreOnCorpus(t *testing.T) {
 	}
 }
 
-func BenchmarkMatchers(b *testing.B) {
-	text := corpus.Generate(corpus.Spec{Bytes: 4 << 20, Seed: 11})
-	pat := []byte(corpus.DefaultPattern)
-	for _, algo := range []string{"ahocorasick", "horspool", "boyermoore", "kmp", "rabinkarp", "naive"} {
-		m, err := New(algo, pat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(algo, func(b *testing.B) {
-			b.SetBytes(int64(len(text)))
-			for i := 0; i < b.N; i++ {
-				m.Count(text)
+// TestHorspoolInterleavedBoundaries places matches at each four-cursor
+// boundary and up to m-1 bytes either side of it, over text lengths from
+// just below interleaveMin to a few patterns above it, with periodic
+// patterns and m = 1 among them. Find's offsets and order and Count must
+// equal the naive scanner's.
+func TestHorspoolInterleavedBoundaries(t *testing.T) {
+	cases := []struct {
+		pattern string
+		fill    func(i int) byte // the text before any match is planted
+	}{
+		{"parallel", func(i int) byte { return "parlel "[(i*5+i/3)%7] }},
+		{"needle", func(i int) byte { return "xnedl"[(i*i+i/5)%5] }},
+		{"aa", func(int) byte { return 'a' }},
+		{"abab", func(i int) byte { return "ab"[i%2] }},
+		{"abab", func(i int) byte { return "abb"[i%3] }},
+		{"a", func(i int) byte { return "ab"[(i/3)%2] }},
+		{"a", func(int) byte { return 'a' }},
+	}
+	for _, tc := range cases {
+		p := []byte(tc.pattern)
+		m := len(p)
+		h, _ := NewHorspool(p)
+		naive, _ := NewNaive(p)
+		check := func(text []byte, what string) {
+			t.Helper()
+			// A prefix above every offset: Find must order only what it
+			// appends.
+			want := naive.Find([]int{len(text)}, text)
+			if got := h.Find([]int{len(text)}, text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q in %d bytes, %s: Find = %v, want %v", p, len(text), what, got, want)
 			}
-		})
+			if c := h.Count(text); c != len(want)-1 {
+				t.Fatalf("%q in %d bytes, %s: Count = %d, want %d", p, len(text), what, c, len(want)-1)
+			}
+		}
+		for n := interleaveMin - 2*m; n <= interleaveMin+4*m; n++ {
+			base := make([]byte, n)
+			for i := range base {
+				base[i] = tc.fill(i)
+			}
+			check(base, "unplanted")
+			starts := n - m + 1
+			for k := 1; k < interleave; k++ {
+				b := k * starts / interleave
+				for d := -(m - 1); d <= m-1; d++ {
+					at := b + d
+					if at < 0 || at+m > n {
+						continue
+					}
+					text := append([]byte(nil), base...)
+					copy(text[at:], p)
+					check(text, fmt.Sprintf("match at boundary %d%+d", b, d))
+				}
+			}
+		}
+	}
+}
+
+// matchSink keeps the benchmarked Count calls live.
+var matchSink int
+
+// BenchmarkMatchers counts over a 256 KiB text, the chunk each match
+// kernel sees (kernels.DefaultChunkSize), and over a 4 MiB one.
+func BenchmarkMatchers(b *testing.B) {
+	pat := []byte(corpus.DefaultPattern)
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"256KiB", 256 << 10}, {"4MiB", 4 << 20}} {
+		text := corpus.Generate(corpus.Spec{Bytes: size.bytes, Seed: 11})
+		for _, algo := range []string{"ahocorasick", "horspool", "boyermoore", "kmp", "rabinkarp", "naive"} {
+			m, err := New(algo, pat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(size.name+"/"+algo, func(b *testing.B) {
+				b.SetBytes(int64(len(text)))
+				for i := 0; i < b.N; i++ {
+					matchSink = m.Count(text)
+				}
+			})
+		}
 	}
 }

@@ -324,28 +324,86 @@ func TestSearchKernelParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCountSearchTotalsMatch(t *testing.T) {
-	data := corpus.Generate(corpus.Spec{Bytes: 1 << 20, Seed: 55})
-	pattern := []byte(corpus.DefaultPattern)
-	want := int64(len(naivePositions(data, pattern)))
+// matchAlgos are every algorithm a match kernel accepts.
+var matchAlgos = []string{"ahocorasick", "horspool", "boyermoore", "kmp", "rabinkarp", "naive"}
 
-	cs, err := NewCountSearch("ahocorasick", pattern)
-	if err != nil {
-		t.Fatal(err)
+// straddleChunk is a little over the size at which Horspool scans with
+// four cursors.
+const straddleChunk = 5000
+
+// straddlingReader streams a generated corpus in chunks of straddleChunk
+// plus a last chunk of three bytes, shorter than the overlap, so the chunk
+// before it ends early. The overlap is twice the pattern, as a reader
+// shared with a consumer that needs wider context would have: a match that
+// starts in it lies wholly inside Data, and the kernel must leave it to the
+// next chunk. The pattern is planted across every chunk boundary, starting
+// from m-1 bytes before it to m-1 bytes after it in turn, and once at the
+// end of the corpus. It returns the reader and the naive oracle's hits.
+func straddlingReader(pattern []byte) (*BytesReader, []int64) {
+	const chunks = 200
+	n := chunks*straddleChunk + 3
+	data := corpus.Generate(corpus.Spec{Bytes: n, Seed: 55})[:n:n]
+	m := len(pattern)
+	for k := 1; k < chunks; k++ {
+		copy(data[k*straddleChunk+k%(2*m-1)-(m-1):], pattern)
 	}
-	var total int64
-	m := raft.NewMap()
-	if _, err := m.Link(NewBytesReader(data, 32<<10, len(pattern)-1), cs); err != nil {
-		t.Fatal(err)
+	copy(data[n-m:], pattern)
+	return NewBytesReader(data, straddleChunk, 2*m), naivePositions(data, pattern)
+}
+
+// TestCountSearchTotalsMatch counts with every algorithm over chunks whose
+// overlaps hold matches, ending with a chunk shorter than the overlap.
+func TestCountSearchTotalsMatch(t *testing.T) {
+	pattern := []byte(corpus.DefaultPattern)
+	for _, algo := range matchAlgos {
+		t.Run(algo, func(t *testing.T) {
+			cs, err := NewCountSearch(algo, pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reader, want := straddlingReader(pattern)
+			var total int64
+			m := raft.NewMap()
+			if _, err := m.Link(reader, cs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Link(cs, NewReduce(func(a, v int64) int64 { return a + v }, 0, &total)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Exe(); err != nil {
+				t.Fatal(err)
+			}
+			if total != int64(len(want)) {
+				t.Fatalf("counted %d, want %d", total, len(want))
+			}
+		})
 	}
-	if _, err := m.Link(cs, NewReduce(func(a, v int64) int64 { return a + v }, 0, &total)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exe(); err != nil {
-		t.Fatal(err)
-	}
-	if total != want {
-		t.Fatalf("counted %d, want %d", total, want)
+}
+
+// TestSearchKernelFindsStraddlingHits is TestCountSearchTotalsMatch for the
+// kernel that emits offsets: each match is reported once, by the chunk it
+// starts in.
+func TestSearchKernelFindsStraddlingHits(t *testing.T) {
+	pattern := []byte(corpus.DefaultPattern)
+	for _, algo := range matchAlgos {
+		t.Run(algo, func(t *testing.T) {
+			reader, want := straddlingReader(pattern)
+			var hits []int64
+			m := raft.NewMap()
+			srch := mustSearch(t, algo, pattern)
+			if _, err := m.Link(reader, srch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Link(srch, NewWriteEach(&hits)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Exe(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hits, want) {
+				t.Fatalf("%d hits, want %d", len(hits), len(want))
+			}
+		})
 	}
 }
 

@@ -21,6 +21,15 @@ type Search struct {
 	scratch []int
 }
 
+// owned is the part of a chunk a match kernel scans: the match starts
+// below Valid belong to this chunk, and the last of them reads
+// PatternLen()-1 bytes past Valid. The kernel's matcher has one pattern,
+// so no match that starts at Valid or later fits; a Data that ends sooner
+// (the end of the stream) is scanned whole.
+func owned(m search.Matcher, c Chunk) []byte {
+	return c.Data[:min(len(c.Data), c.Valid+m.PatternLen()-1)]
+}
+
 // NewSearch returns a match kernel using the named algorithm
 // ("ahocorasick", "horspool", "boyermoore", "naive") for the given
 // pattern. Input port "in" carries Chunk; output port "out" carries the
@@ -43,12 +52,9 @@ func (s *Search) Run() raft.Status {
 	if err != nil {
 		return raft.Stop
 	}
-	s.scratch = s.m.Find(s.scratch[:0], c.Data)
+	s.scratch = s.m.Find(s.scratch[:0], owned(s.m, c))
 	out := s.Out("out")
 	for _, pos := range s.scratch {
-		if pos >= c.Valid {
-			continue // starts in the overlap: owned by the next chunk
-		}
 		if err := raft.Push(out, c.Off+int64(pos)); err != nil {
 			return raft.Stop
 		}
@@ -73,7 +79,6 @@ type CountSearch struct {
 	algo    string
 	pattern []byte
 	m       search.Matcher
-	scratch []int
 }
 
 // NewCountSearch returns a counting match kernel: port "in" carries Chunk,
@@ -96,13 +101,7 @@ func (s *CountSearch) Run() raft.Status {
 	if err != nil {
 		return raft.Stop
 	}
-	s.scratch = s.m.Find(s.scratch[:0], c.Data)
-	n := int64(0)
-	for _, pos := range s.scratch {
-		if pos < c.Valid {
-			n++
-		}
-	}
+	n := int64(s.m.Count(owned(s.m, c)))
 	if err := raft.Push(s.Out("out"), n); err != nil {
 		return raft.Stop
 	}
