@@ -120,12 +120,15 @@ ci-test:
 # Width steps under both schedulers run twenty times: a replica adapter
 # that held a work-stealing worker hung them there. So does the chain whose
 # every park must be woken by a ring hook: a watchdog rescue there is a
-# lost (or grace-late) wake.
+# lost (or grace-late) wake. The gateway tests run twenty times too: the
+# serving goroutines produce into a Source's stream themselves, taking
+# turns under its mutex, and the race detector checks that lock.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./internal/core/... ./raft/...
 	$(GO) test -race -count=3 ./internal/ringbuffer/... ./internal/scheduler/...
 	$(GO) test -race -count=20 -run TestScaleStepsAreCommits ./raft/
 	$(GO) test -race -count=20 -run TestWorkStealEveryParkIsWoken ./internal/scheduler/
+	$(GO) test -race -count=20 -run 'TestGateway|TestIdleGateway' ./raft/
 
 # Short-budget coverage-guided fuzzing of the ring: the port-window
 # protocol under three goroutines (lock-free commits, parks and wakes, the

@@ -158,8 +158,9 @@ type tenantState struct {
 
 type binding struct {
 	Binding
-	wiring Wiring
-	wired  bool
+	// wiring is nil until Wire publishes it; ingest reads it without the
+	// server lock.
+	wiring atomic.Pointer[Wiring]
 
 	admittedElems atomic.Uint64
 }
@@ -262,8 +263,7 @@ func (s *Server) Wire(name string, w Wiring) error {
 	if !ok {
 		return fmt.Errorf("gateway: wiring unknown source %q", name)
 	}
-	b.wiring = w
-	b.wired = true
+	b.wiring.Store(&w)
 	return nil
 }
 
@@ -393,7 +393,7 @@ type ingestResult struct {
 // model check, push. On accepted the batch is in the source's FIFO.
 func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestResult {
 	b := s.binding(sourceName)
-	if b == nil || !b.wired {
+	if b == nil || b.wiring.Load() == nil {
 		// Template hook: let the runtime materialize an instance (and its
 		// binding) for this source/tenant before giving up.
 		s.mu.Lock()
@@ -410,7 +410,8 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 	if b == nil {
 		return ingestResult{code: notFound, msg: fmt.Sprintf("unknown source %q", sourceName)}
 	}
-	if !b.wired {
+	w := b.wiring.Load()
+	if w == nil {
 		return ingestResult{code: unwired, msg: "source not running"}
 	}
 	batch, n, err := b.Decode(payload)
@@ -428,7 +429,7 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 	if ok, wait := t.bucket.take(float64(n), time.Now()); !ok {
 		return shed(shedQuota, &t.shedQuota, wait, "tenant quota exceeded")
 	}
-	if over, wait, why := s.modelShed(b); over {
+	if over, wait, why := s.modelShed(w); over {
 		// The tokens were provisioned capacity the tenant did not get to
 		// use; give them back so a model shed never double-charges.
 		t.bucket.refund(float64(n))
@@ -446,12 +447,11 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 	return ingestResult{code: accepted, n: n}
 }
 
-// modelShed applies the model-driven admission rules to a wired binding:
+// modelShed applies the model-driven admission rules to a binding's wiring:
 // shed on near-full occupancy, on estimated utilization at or beyond
 // RhoShed, or on a predicted M/M/c wait beyond MaxWait. The returned wait
 // is the model's drain/wait estimate feeding Retry-After.
-func (s *Server) modelShed(b *binding) (shed bool, wait time.Duration, why string) {
-	w := b.wiring
+func (s *Server) modelShed(w *Wiring) (shed bool, wait time.Duration, why string) {
 	if w.BestEffort {
 		// The ring sheds for us (counted in Dropped); gateway-side
 		// backpressure would just reintroduce the latency the link opted
@@ -595,8 +595,8 @@ func (s *Server) Stats() Stats {
 	}
 	for _, b := range bindings {
 		ss := SourceStats{Name: b.Name, AdmittedElems: b.admittedElems.Load()}
-		if b.wired && b.wiring.Dropped != nil {
-			ss.Dropped = b.wiring.Dropped()
+		if w := b.wiring.Load(); w != nil && w.Dropped != nil {
+			ss.Dropped = w.Dropped()
 		}
 		if b.CopiesSaved != nil {
 			ss.CopiesSaved = b.CopiesSaved()

@@ -51,9 +51,9 @@ type DeadlockWatch struct {
 	frozenSince time.Time
 	lastOps     uint64
 	fired       bool
-	// parked is frozen's scratch, indexed by actor ID and kept across
-	// ticks, so an armed watch allocates nothing per tick.
-	parked []bool
+	// parked and finished are frozen's scratch, indexed by actor ID and
+	// kept across ticks, so an armed watch allocates nothing per tick.
+	parked, finished []bool
 }
 
 // NewDeadlockWatch builds a watcher that calls abort with a diagnostic
@@ -108,18 +108,30 @@ func (d *DeadlockWatch) Check(now time.Time) {
 func (d *DeadlockWatch) Fired() bool { return d.fired }
 
 // frozen reports whether every unfinished actor is parked, plus the total
-// operation count used for the progress check.
+// operation count used for the progress check. An open stream whose
+// producer has finished can still make progress: that producer is a
+// momentary source fed from outside the graph (a finished kernel closes
+// its streams before it is marked finished).
 func (d *DeadlockWatch) frozen() (bool, uint64) {
 	clear(d.parked)
+	clear(d.finished)
+	for _, a := range d.actors {
+		if a.Finished.Load() {
+			mark(&d.finished, a.ID)
+		}
+	}
 	var ops uint64
 	for _, l := range d.links {
 		tel := l.Queue.Telemetry()
 		ops += tel.Pushes.Load() + tel.Pops.Load()
+		if marked(d.finished, l.SrcActor) && !l.Queue.Closed() {
+			return false, ops
+		}
 		if l.Queue.WriterBlockedFor() > 0 {
-			d.park(l.SrcActor)
+			mark(&d.parked, l.SrcActor)
 		}
 		if l.Queue.ReaderStarvedFor() > 0 {
-			d.park(l.DstActor)
+			mark(&d.parked, l.DstActor)
 		}
 	}
 	unfinished := 0
@@ -131,23 +143,26 @@ func (d *DeadlockWatch) frozen() (bool, uint64) {
 			continue
 		}
 		unfinished++
-		if (a.ID < 0 || a.ID >= len(d.parked) || !d.parked[a.ID]) && !a.Parked.Load() {
+		if !marked(d.parked, a.ID) && !a.Parked.Load() {
 			return false, ops
 		}
 	}
 	return unfinished > 0, ops
 }
 
-// park marks actor id parked for this tick, growing the scratch to fit.
-func (d *DeadlockWatch) park(id int) {
+// mark sets actor id in a scratch set for this tick, growing it to fit.
+func mark(set *[]bool, id int) {
 	if id < 0 {
 		return
 	}
-	if id >= len(d.parked) {
-		d.parked = append(d.parked, make([]bool, id+1-len(d.parked))...)
+	if id >= len(*set) {
+		*set = append(*set, make([]bool, id+1-len(*set))...)
 	}
-	d.parked[id] = true
+	(*set)[id] = true
 }
+
+// marked reports whether actor id is in a scratch set.
+func marked(set []bool, id int) bool { return id >= 0 && id < len(set) && set[id] }
 
 // diagnose renders the parked streams for the abort error, and the kernels
 // the work-stealing scheduler holds parked.

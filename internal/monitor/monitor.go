@@ -12,8 +12,7 @@
 // most systems, which the occupancy sampler simply reflects), and the
 // write-side trigger is WriterBlockedFor() >= 3×Delta.
 // Read-side over-demand is satisfied synchronously by the ring itself (see
-// internal/ringbuffer); the monitor additionally observes PendingDemand for
-// reporting.
+// internal/ringbuffer).
 package monitor
 
 import (

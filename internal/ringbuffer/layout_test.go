@@ -38,7 +38,7 @@ func TestTelemetryLayout(t *testing.T) {
 	if h := unsafe.Offsetof(r.head); h%64 != 0 || unsafe.Sizeof(r)-h != 64 || unsafe.Offsetof(r.viewSince)+8 > h {
 		t.Fatalf("head at %d of %d bytes: want it to open the ring's last cache line, alone with wattn", h, unsafe.Sizeof(r))
 	}
-	if gap := slices.Min(prod) - (unsafe.Offsetof(r.pendingDemand) + 8); gap < 64 {
+	if gap := slices.Min(prod) - (unsafe.Offsetof(r.deferredCap) + 4); gap < 64 {
 		t.Fatalf("shared fields and the producer's %d bytes apart, want >= 64", gap)
 	}
 	// The lock and condition before it are written whenever an end sleeps

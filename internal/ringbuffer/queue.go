@@ -95,10 +95,6 @@ type Queue interface {
 	// blocked waiting for data (zero if it is not blocked). The monitor's
 	// deadlock detector reads it.
 	ReaderStarvedFor() time.Duration
-	// PendingDemand returns the largest outstanding consumer request that
-	// exceeds availability (e.g. a PeekRange(n) with n > Cap). This feeds
-	// the paper's read-side resize trigger.
-	PendingDemand() int
 	// ViewHeldFor returns how long the longest currently outstanding batch
 	// view (read or write, view.go) has been held, or zero when none is out.
 	ViewHeldFor() time.Duration

@@ -42,12 +42,13 @@ type Ring[T any] struct {
 	readOnly   bool // slice-backed rings reject writes and resizes
 	zero       bool // T holds pointers: released slots are zeroed for the GC
 	// wparked is set under mu while the producer sleeps in waitForSpace.
-	wparked       bool
-	pendingDemand atomic.Int64
+	wparked bool
 	// maxCap is the growth bound (0: unbounded) and deferredCap a resize
 	// waiting for the producer (applyDeferredLocked), both under mu.
 	maxCap      int32
 	deferredCap int32
+	// _ pads the shared section so that tail opens a cache line.
+	_ [8]byte
 
 	// The lock and the sleepers' condition, written on slow paths only,
 	// are the line that keeps the shared fields from the producer's.
@@ -748,7 +749,6 @@ func (r *Ring[T]) PeekRange(n int) ([]T, []Signal, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n > r.Cap() && !r.readOnly && !r.closed.Load() {
-		r.pendingDemand.Store(int64(n))
 		if maxCap := int(r.maxCap); maxCap > 0 && n > maxCap {
 			// Correctness trumps the growth bound: a window request the
 			// queue can never hold would deadlock the consumer (§4.1: "if a
@@ -759,7 +759,6 @@ func (r *Ring[T]) PeekRange(n int) ([]T, []Signal, error) {
 		if err := r.resizeLocked(growTarget(n, int(r.maxCap))); err != nil {
 			return nil, nil, err
 		}
-		r.pendingDemand.Store(0)
 	}
 	err := r.waitForItems(n, true)
 	if err != nil {
@@ -916,10 +915,6 @@ func sinceNanos(since int64) time.Duration {
 	}
 	return time.Duration(nowNanos() - since)
 }
-
-// PendingDemand returns the largest outstanding consumer request observed
-// to exceed capacity, or zero.
-func (r *Ring[T]) PendingDemand() int { return int(r.pendingDemand.Load()) }
 
 // Telemetry returns the ring's performance counters.
 func (r *Ring[T]) Telemetry() *Telemetry { return &r.tel }

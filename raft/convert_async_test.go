@@ -142,10 +142,13 @@ func TestConvertUnsupportedTypes(t *testing.T) {
 
 func TestAsyncSignalOvertakesBufferedData(t *testing.T) {
 	// The producer fills the queue, then posts an async signal; the
-	// consumer must see it before consuming the buffered elements.
+	// consumer must see it before consuming the buffered elements. The
+	// sink's first invocation waits for the post, so it cannot pop all 32
+	// elements before the signal lands.
 	m := NewMap()
 	sawBefore := false
 	consumed := 0
+	posted := make(chan struct{})
 	var srcOut *Port
 	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
 		srcOut = k.Out("0")
@@ -155,9 +158,11 @@ func TestAsyncSignalOvertakesBufferedData(t *testing.T) {
 			}
 		}
 		srcOut.SendAsync(SigUser)
+		close(posted)
 		return Stop
 	})
 	sink := NewLambda[int64](1, 0, func(k *LambdaKernel) Status {
+		<-posted
 		in := k.In("0")
 		if s, ok := in.RecvAsync(); ok && s == SigUser && consumed < 32 && in.Len() > 0 {
 			sawBefore = true

@@ -1065,7 +1065,9 @@ func (ks *kernelSlot) buildActor(ae *actorEntry, k Kernel, id, place int, rec *t
 
 // Finish runs the kernel's Finalizer, then closes its outputs (EOF
 // downstream) and inputs (unblocks upstream producers if it died early).
-// A kernel that ended with an error fails its execution (Failed) first.
+// A kernel that ended with an error fails its execution (Failed) first. A
+// momentary kernel finishes as it starts, and whoever fills its stream
+// closes it: a slice ring is built closed, a Source's intake closes it.
 func (ae *actorEntry) Finish(err error) {
 	if err != nil {
 		ae.kb.m.exc.fail()
@@ -1073,7 +1075,9 @@ func (ae *actorEntry) Finish(err error) {
 	if fin, ok := ae.k.(Finalizer); ok {
 		fin.Finalize()
 	}
-	ae.k.kernelBase().closeAllQueues()
+	if !ae.kb.virtual {
+		ae.kb.closeAllQueues()
+	}
 }
 
 // Ready is the cooperative-scheduler progress predicate of the entry's

@@ -38,38 +38,28 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return gateway.New(cfg)
 }
 
-// sourceBatch is one admitted batch in flight from the gateway to the
-// Source kernel; done reports delivery (nil = in the stream's FIFO).
-// pooled marks a batch whose buffer the source owns (leased by
-// BindSourceAppend) and recycles after delivery.
-type sourceBatch[T any] struct {
-	vals   []T
-	done   chan error
-	pooled bool
-	// tenant is the admitting tenant's name, stamped onto sampled latency
-	// markers so e2e distributions attribute per tenant.
-	tenant string
-}
-
 // Source is an externally-fed source kernel: the bridge between the
-// ingestion gateway's admitted batches and a graph stream. It has a
-// single output port "out"; batches arrive through inject (called by the
-// gateway on its HTTP serving goroutines), are pushed in bulk onto
-// the stream, and the caller is unblocked only once the batch is in the
-// FIFO — so an accepted request means exactly-once delivery to the graph.
-// The kernel stops after CloseIntake (draining buffered batches first) or
-// when its downstream closes the stream (abort).
+// ingestion gateway's admitted batches and a graph stream, on a single
+// output port "out". Like kernels.ForEach it is momentary (§4.2): the
+// runtime binds its stream and never schedules it. The gateway's serving
+// goroutines produce into the stream one at a time, under mu: inject
+// commits a batch through a write view and returns once it is in the FIFO,
+// so an accepted request means exactly-once delivery to the graph.
+// CloseIntake ends the stream under the same lock, so a close never splits
+// a batch; once the downstream closes the stream (abort), every batch is
+// refused.
 type Source[T any] struct {
 	KernelBase
 
-	feed       chan sourceBatch[T]
-	intakeDone chan struct{}
-	stopped    chan struct{}
-	closeOnce  sync.Once
-	stopOnce   sync.Once
+	// mu makes the producers take turns: every inject, CloseIntake and the
+	// run's openIntake. open is set once the run has bound the stream
+	// (until then a batch is refused), closed once the intake has ended.
+	mu     sync.Mutex
+	open   bool
+	closed bool
 
 	// pool recycles decode buffers between requests (BindSourceAppend
-	// leases from it, deliver returns to it), so a steady ingest stream
+	// leases from it, inject returns to it), so a steady ingest stream
 	// stops allocating a fresh intermediate slice per batch.
 	pool sync.Pool
 	// copiesSaved counts batches that skipped the per-request intermediate
@@ -77,95 +67,71 @@ type Source[T any] struct {
 	// through a write view, buffer recycled. Surfaced as CopiesSaved in the
 	// gateway's /v1/stats.
 	copiesSaved atomic.Uint64
-
-	// poll is Run's idle timer, one per source and re-armed on each call
-	// (armPoll), so an idle call allocates no timer.
-	poll *time.Timer
 }
 
 // NewSource builds a gateway-fed source kernel. The name doubles as the
 // {source} path segment of the gateway's ingest URL.
 func NewSource[T any](name string) *Source[T] {
-	s := &Source[T]{
-		feed:       make(chan sourceBatch[T], 16),
-		intakeDone: make(chan struct{}),
-		stopped:    make(chan struct{}),
-	}
+	s := &Source[T]{}
 	s.SetName(name)
 	AddOutput[T](s, "out")
+	s.virtual = true
 	return s
 }
 
-// CloseIntake ends the source's stream: no new batches are accepted,
-// buffered ones drain, then EOF propagates downstream. Idempotent; wired
-// to the gateway's close endpoint by BindSource.
+// Run implements Kernel; it never executes (the kernel is momentary).
+func (s *Source[T]) Run() Status { return Stop }
+
+// CloseIntake ends the source's stream: no new batches are accepted, the
+// ones in the FIFO drain, then EOF propagates downstream. Idempotent; wired
+// to the gateway's close endpoint by BindSource. Called before the run, it
+// ends the stream as soon as the run binds it.
 func (s *Source[T]) CloseIntake() {
-	s.closeOnce.Do(func() { close(s.intakeDone) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if s.open {
+		s.Out("out").Close()
+	}
 }
 
-// Run delivers admitted batches onto the output stream. A 5ms poll keeps
-// the kernel responsive to downstream aborts (the stream force-closed by
-// Raise or deadlock teardown) even when no traffic arrives.
-func (s *Source[T]) Run() Status {
+// openIntake is the run's start of the source, called by the build pass
+// once the stream is bound: batches are accepted from here on, and an
+// intake that closed before the run ends the stream at once.
+func (s *Source[T]) openIntake() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.open = true
+	if s.closed {
+		s.Out("out").Close()
+	}
+}
+
+// inject commits one admitted batch to the stream and returns once it is in
+// the FIFO (nil), or fails with ErrClosed or a stream error when the source
+// cannot deliver it (the gateway answers 503, the batch was NOT admitted).
+// The batch is copied exactly once, straight into ring storage reserved by
+// a write view; best-effort links keep the PushN path because its shed
+// policy is the link's contract. A pooled buffer is recycled after delivery
+// — together with the write view that makes the decode buffer the only
+// intermediate the batch ever touches, counted in copiesSaved.
+func (s *Source[T]) inject(tenant string, vals []T, pooled bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.open || s.closed {
+		return ErrClosed
+	}
 	out := s.Out("out")
-	s.armPoll()
-	select {
-	case b := <-s.feed:
-		b.done <- s.deliver(out, b)
-		return Proceed
-	case <-s.intakeDone:
-		// Drain batches that made it into the feed before close; their
-		// injectors are still waiting on done.
-		for {
-			select {
-			case b := <-s.feed:
-				b.done <- s.deliver(out, b)
-			default:
-				return Stop
-			}
-		}
-	case <-s.poll.C:
-		if q := out.q; q != nil && q.Closed() {
-			return Stop
-		}
-		return Proceed
+	// The push hook reads stampTenant under the same lock.
+	out.stampTenant = tenant
+	if err := s.push(out, vals); err != nil {
+		return err
 	}
-}
-
-// armPoll starts the poll timer for one Run. Stop, drain, Reset: a fire
-// that the last Run did not consume is discarded first, which is correct
-// under the timer semantics of every Go version since 1.22.
-func (s *Source[T]) armPoll() {
-	const poll = 5 * time.Millisecond
-	if s.poll == nil {
-		s.poll = time.NewTimer(poll)
-		return
-	}
-	if !s.poll.Stop() {
-		select {
-		case <-s.poll.C:
-		default:
-		}
-	}
-	s.poll.Reset(poll)
-}
-
-// deliver commits one admitted batch to the output stream. The batch is
-// copied exactly once, straight into ring storage reserved by a write view;
-// best-effort links keep the PushN path because its shed policy is the
-// link's contract. A pooled buffer is recycled after delivery — together
-// with the write view that makes the decode buffer the only intermediate
-// the batch ever touches, counted in copiesSaved.
-func (s *Source[T]) deliver(out *Port, b sourceBatch[T]) error {
-	// Same-goroutine write: deliver and the push hook that reads
-	// stampTenant both run on the kernel's goroutine.
-	out.stampTenant = b.tenant
-	err := s.push(out, b.vals)
-	if b.pooled && err == nil {
+	if pooled {
 		s.copiesSaved.Add(1)
-		s.pool.Put(&b.vals)
+		s.pool.Put(&vals)
 	}
-	return err
+	return nil
 }
 
 func (s *Source[T]) push(out *Port, vals []T) error {
@@ -200,39 +166,13 @@ func (s *Source[T]) lease() []T {
 	return nil
 }
 
-// Finalize marks the kernel stopped, failing any inject still in flight.
-func (s *Source[T]) Finalize() {
-	s.stopOnce.Do(func() { close(s.stopped) })
-}
-
-// inject hands one admitted batch to the kernel and blocks until it is in
-// the stream's FIFO (nil) or the source can no longer deliver it
-// (ErrClosed / stream error — the gateway answers 503, the batch was NOT
-// admitted).
-func (s *Source[T]) inject(tenant string, vals []T, pooled bool) error {
-	b := sourceBatch[T]{vals: vals, done: make(chan error, 1), pooled: pooled, tenant: tenant}
-	select {
-	case s.feed <- b:
-	case <-s.intakeDone:
-		return ErrClosed
-	case <-s.stopped:
-		return ErrClosed
-	}
-	select {
-	case err := <-b.done:
-		return err
-	case <-s.stopped:
-		// The kernel stopped while the batch waited. It may still have
-		// been delivered by the drain loop racing this select — done is
-		// buffered, so one final check settles which side of the
-		// exactly-once line the batch landed on.
-		select {
-		case err := <-b.done:
-			return err
-		default:
-			return ErrClosed
-		}
-	}
+// intake is the runtime's side of a Source, a momentary kernel fed from
+// outside the graph: the build pass opens it once its stream is bound, and
+// a rewrite that removes it closes it, since no gate stops a kernel that is
+// never scheduled.
+type intake interface {
+	openIntake()
+	CloseIntake()
 }
 
 // BindSource registers a Source kernel with a gateway: dec parses one

@@ -251,46 +251,72 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGatewaySourceAbort checks that a Source kernel stops (and pending
-// injects fail instead of hanging) when its downstream closes the stream.
+// TestGatewaySourceAbort checks that a Source stops accepting batches (and
+// an inject waiting for room fails instead of hanging) when its downstream
+// closes the stream.
 func TestGatewaySourceAbort(t *testing.T) {
 	src := NewSource[int]("nums")
-	// One-pop consumer: reads a single element then stops, closing the
-	// stream from the consumer side.
+	// One-pop consumer: once released, reads a single element then stops,
+	// closing the stream from the consumer side.
+	release := make(chan struct{})
 	sink := NewLambdaIO[int, int](1, 0, func(k *LambdaKernel) Status {
+		<-release
 		if _, err := Pop[int](k.In("0")); err != nil && !errors.Is(err, ErrClosed) {
 			t.Errorf("pop: %v", err)
 		}
 		return Stop
 	})
 	m := NewMap()
-	if _, err := m.Link(src, sink, Cap(4)); err != nil {
+	if _, err := m.Link(src, sink, Cap(4), MaxCap(4)); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.Exe()
-	}()
-	// First inject is consumed; subsequent ones must fail once the stream
-	// closes rather than blocking forever.
+	ex, err := m.ExeAsync()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := src.inject("", []int{1}, false); err != nil {
 		t.Fatalf("first inject: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := src.inject("", []int{2}, false); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("inject kept succeeding after downstream stopped")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Eight elements never fit: the ring holds four and the sink pops one.
+	pending := make(chan error, 1)
+	go func() { pending <- src.inject("", make([]int, 8), false) }()
+	close(release)
 	select {
-	case <-done:
+	case err := <-pending:
+		if err == nil {
+			t.Fatal("an inject waiting for room succeeded after downstream stopped")
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Exe hung after downstream abort")
+		t.Fatal("an inject waiting for room hung after downstream stopped")
+	}
+	waitRun(t, ex, 5*time.Second)
+	if err := src.inject("", []int{2}, false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("inject after downstream stopped: %v, want ErrClosed", err)
+	}
+}
+
+// waitRun waits up to d for the execution to complete, failing the test on
+// a hang or a run error.
+func waitRun(t *testing.T, ex *Execution, d time.Duration) *Report {
+	t.Helper()
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := ex.Wait()
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("Exe: %v", r.err)
+		}
+		return r.rep
+	case <-time.After(d):
+		t.Fatalf("Exe did not complete within %v", d)
+		return nil
 	}
 }
 
@@ -544,5 +570,195 @@ func TestGatewayCloseIntakeRacesIngest(t *testing.T) {
 			}
 			t.Logf("%d batches admitted, %d refused across %d tenants", admittedBatches.Load(), nRefused, tenants)
 		})
+	}
+}
+
+// TestGatewayInjectBesideBusyWorker checks that an inject returns once its
+// batch is in the FIFO, whatever the scheduler is doing: the Source is
+// never scheduled, so the serving goroutine commits the batch itself. With
+// one work-stealing worker, a gen -> sink pair over a four-slot ring keeps
+// the worker busy, waking itself ahead of everything else; an inject issued
+// mid-run must still return at once. The pair stops once the inject has
+// returned; an inject that waits for the Source to be scheduled waits for
+// all n elements.
+func TestGatewayInjectBesideBusyWorker(t *testing.T) {
+	const n, mid = 2_000_000, 100_000
+	reached := make(chan struct{})
+	var injected atomic.Bool
+	var sent int64
+	gen := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		if sent == n || injected.Load() {
+			return Stop
+		}
+		if err := Push(k.Out("0"), sent); err != nil {
+			return Stop
+		}
+		if sent++; sent == mid {
+			close(reached)
+		}
+		return Proceed
+	})
+	var received atomic.Int64
+	sink := NewLambda[int64](1, 0, func(k *LambdaKernel) Status {
+		if _, err := Pop[int64](k.In("0")); err != nil {
+			return Stop
+		}
+		received.Add(1)
+		return Proceed
+	})
+	src := NewSource[int64]("nums")
+	out := newCollect()
+	m := NewMap()
+	if _, err := m.Link(gen, sink, Cap(4), MaxCap(4)); err != nil {
+		t.Fatal(err)
+	}
+	m.MustLink(src, out)
+	ex, err := m.ExeAsync(WithWorkStealing(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the busy pair never reached the middle of its run")
+	}
+	begin := time.Now()
+	err = src.inject("", []int64{7}, false)
+	took := time.Since(begin)
+	injected.Store(true)
+	src.CloseIntake()
+	waitRun(t, ex, 60*time.Second)
+	if err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	if took > 50*time.Millisecond {
+		t.Fatalf("inject beside the busy pair took %v, want < 50ms", took)
+	}
+	if got := received.Load(); got != sent || sent < mid {
+		t.Fatalf("busy sink received %d of %d sent (at least %d)", got, sent, mid)
+	}
+	if got := out.values(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("source's sink received %v, want [7]", got)
+	}
+	t.Logf("inject beside the busy pair took %v", took)
+}
+
+// TestIdleGatewayIsNotADeadlock checks that the freeze scan counts an open
+// stream whose producer has finished — a Source, fed from outside the
+// graph — as able to make progress: a gateway without traffic for many
+// graces is not aborted, and the run still delivers what arrives later.
+func TestIdleGatewayIsNotADeadlock(t *testing.T) {
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			const grace = 50 * time.Millisecond
+			gw, err := NewGateway(GatewayConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := NewSource[int64]("ingest")
+			if err := BindSource(gw, src, decodeInts); err != nil {
+				t.Fatal(err)
+			}
+			sink := newCollect()
+			m := NewMap()
+			m.MustLink(src, sink)
+			ex, err := m.ExeAsync(append(sched.opts, WithGateway(gw), WithDeadlockDetection(grace))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(gw.Handler())
+			defer ts.Close()
+			select {
+			case <-ex.done:
+				t.Fatal("the idle run ended without a close")
+			case <-time.After(6 * grace):
+			}
+			if code := postInts(t, ts.URL, "ingest", "t", 1, 2, 3); code != http.StatusAccepted {
+				t.Fatalf("post after the idle period: status %d, want 202", code)
+			}
+			src.CloseIntake()
+			rep := waitRun(t, ex, 5*time.Second)
+			if got := sink.values(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+				t.Fatalf("sink received %v, want [1 2 3]", got)
+			}
+			if s := rep.Gateway.Sources; len(s) != 1 || s[0].AdmittedElems != 3 {
+				t.Fatalf("gateway sources = %+v, want 3 admitted", s)
+			}
+		})
+	}
+}
+
+// TestGatewayCloseIntakeBeforeExe checks that an intake closed before the
+// run ends the Source's stream as soon as the run binds it.
+func TestGatewayCloseIntakeBeforeExe(t *testing.T) {
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			src := NewSource[int64]("nums")
+			sink := newCollect()
+			m := NewMap()
+			m.MustLink(src, sink)
+			if err := src.inject("", []int64{1}, false); !errors.Is(err, ErrClosed) {
+				t.Fatalf("inject before the run: %v, want ErrClosed", err)
+			}
+			src.CloseIntake()
+			ex, err := m.ExeAsync(sched.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitRun(t, ex, 5*time.Second)
+			if got := sink.values(); len(got) != 0 {
+				t.Fatalf("sink received %v from a closed intake", got)
+			}
+			if err := src.inject("", []int64{2}, false); !errors.Is(err, ErrClosed) {
+				t.Fatalf("inject after the run: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestGatewaySourceRemovedByRewrite removes a gateway Source, its link and
+// its sink in one transaction without closing the intake first: the commit
+// goes through, the sink drains what was admitted, the removed source
+// refuses later batches, and the rest of the graph runs on.
+func TestGatewaySourceRemovedByRewrite(t *testing.T) {
+	gw, err := NewGateway(GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ctl := keepAlive(t, gw)
+	src := NewSource[int64]("ingest")
+	if err := BindSource(gw, src, decodeInts); err != nil {
+		t.Fatal(err)
+	}
+	sink := newCollect()
+	l := m.MustLink(src, sink)
+	ex, err := m.ExeAsync(WithGateway(gw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+	if code := postInts(t, ts.URL, "ingest", "t", 1, 2, 3); code != http.StatusAccepted {
+		t.Fatalf("post: status %d, want 202", code)
+	}
+	tx := ex.Rewriter().Begin()
+	for _, err := range []error{tx.RemoveLink(l), tx.RemoveKernel(src), tx.RemoveKernel(sink)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit removing the source: %v", err)
+	}
+	if code := postInts(t, ts.URL, "ingest", "t", 4); code != http.StatusServiceUnavailable {
+		t.Fatalf("post to the removed source: status %d, want 503", code)
+	}
+	if code := postInts(t, ts.URL, "ctl", "t", 5); code != http.StatusAccepted {
+		t.Fatalf("post to the remaining source: status %d, want 202", code)
+	}
+	ctl.CloseIntake()
+	waitRun(t, ex, 10*time.Second)
+	if got := sink.values(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("removed source's sink received %v, want [1 2 3]", got)
 	}
 }

@@ -49,7 +49,8 @@ import (
 //     the traffic. Consumers migrate on their own goroutines once their
 //     sealed stream drains — FIFO order, signals and latency markers are
 //     preserved, and the untouched rest of the graph never stops.
-//  3. Retire. Removed source kernels are gated out; the closure cascade
+//  3. Retire. Removed source kernels are gated out (a Source, never
+//     scheduled, has its intake closed instead); the closure cascade
 //     stops the other removed kernels at natural EOF. Once they finish,
 //     their streams leave the monitor, the freeze scan and the estimator,
 //     and the registry stamps departure times for the report.
@@ -656,9 +657,13 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	// adds every kernel and link of the map at once.
 	kernels := make([]kernelSlot, len(t.addKernels))
 	entries := make([]actorEntry, len(t.addKernels))
+	var intakes []intake
 	for i, k := range t.addKernels {
 		kb := k.kernelBase()
 		kb.m = ex.m
+		if in, ok := k.(intake); ok {
+			intakes = append(intakes, in)
+		}
 		if kb.name == "" {
 			kb.name = fmt.Sprintf("%s#%d", kernelName(k), firstActor+i)
 		}
@@ -712,6 +717,10 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		s.li.SrcActor = int(l.Src.kernelBase().actor)
 		s.li.DstActor = int(l.Dst.kernelBase().actor)
 		lr.l, lr.li, lr.joinedNs = l, s.li, now
+	}
+	// The streams are bound: a Source accepts batches from here on.
+	for _, in := range intakes {
+		in.openIntake()
 	}
 
 	reg.mu.Lock()
@@ -982,7 +991,11 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 			}
 		}
 		if !hasLiveInput {
-			if ae := ex.reg.liveKernel(kb); ae != nil {
+			if in, ok := k.(intake); ok {
+				// A Source is never scheduled, so no gate stops it: its
+				// intake closes instead.
+				in.CloseIntake()
+			} else if ae := ex.reg.liveKernel(kb); ae != nil {
 				ae.a.Gate.Retire()
 			}
 		}

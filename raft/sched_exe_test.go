@@ -184,9 +184,10 @@ func TestCheckpointResumeUnderPooledSchedulers(t *testing.T) {
 }
 
 // TestGatewaySourceDrainsOnWorkStealShard checks the gateway intake path
-// under work-stealing: a Source kernel lives on a shard like any other
-// kernel, accepted batches reach the sink exactly once, and CloseIntake
-// still drains buffered batches and propagates EOF so the run completes.
+// under work-stealing: the Source's consumer lives on a shard like any
+// other kernel, accepted batches reach the sink exactly once, and
+// CloseIntake still drains buffered batches and propagates EOF so the run
+// completes.
 func TestGatewaySourceDrainsOnWorkStealShard(t *testing.T) {
 	src := NewSource[int]("nums")
 	sink := newCollectInt()
@@ -194,13 +195,10 @@ func TestGatewaySourceDrainsOnWorkStealShard(t *testing.T) {
 	if _, err := m.Link(src, sink, Cap(8), MaxCap(8)); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	var rep *Report
-	var runErr error
-	go func() {
-		defer close(done)
-		rep, runErr = m.Exe(WithWorkStealing(2), WithDynamicResize(false))
-	}()
+	ex, err := m.ExeAsync(WithWorkStealing(2), WithDynamicResize(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const batches, per = 50, 20
 	next := 0
@@ -210,25 +208,12 @@ func TestGatewaySourceDrainsOnWorkStealShard(t *testing.T) {
 			vals[i] = next
 			next++
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if err := src.inject("", vals, false); err == nil {
-				break
-			} else if time.Now().After(deadline) {
-				t.Fatalf("inject batch %d: %v", b, err)
-			}
-			time.Sleep(time.Millisecond)
+		if err := src.inject("", vals, false); err != nil {
+			t.Fatalf("inject batch %d: %v", b, err)
 		}
 	}
 	src.CloseIntake()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Exe did not complete after CloseIntake under work-stealing")
-	}
-	if runErr != nil {
-		t.Fatalf("Exe: %v", runErr)
-	}
+	rep := waitRun(t, ex, 10*time.Second)
 	got := sink.values()
 	if len(got) != batches*per {
 		t.Fatalf("sink saw %d values, want %d (drain must be lossless)", len(got), batches*per)
