@@ -898,7 +898,8 @@ type stream struct {
 }
 
 // streamRings returns each link's ring: a momentary producer's own
-// (hook.ProvideQueue; provided says which), else one with the
+// (hook.ProvideQueue; provided says which; a Source's port holds the live
+// stream of an earlier link, not a ring of its own), else one with the
 // link's capacity (ringbuffer.DefaultCapacity without Cap) and growth bound
 // from one array of headers per element type (DESIGN "Per-transaction
 // slabs").
@@ -906,8 +907,8 @@ func streamRings(links []*Link) (rings []ringbuffer.Queue, provided []bool) {
 	rings, provided = make([]ringbuffer.Queue, len(links)), make([]bool, len(links))
 	counts := map[elemOps]int{}
 	for i, l := range links {
-		if q := l.SrcPort.q; q != nil && l.Src.kernelBase().virtual {
-			rings[i], provided[i] = q, true
+		if _, fed := l.Src.(intake); !fed && l.SrcPort.q != nil && l.Src.kernelBase().virtual {
+			rings[i], provided[i] = l.SrcPort.q, true
 		} else {
 			counts[l.SrcPort.ops]++
 		}

@@ -44,19 +44,19 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 // runtime binds its stream and never schedules it. The gateway's serving
 // goroutines produce into the stream one at a time, under mu: inject
 // commits a batch through a write view and returns once it is in the FIFO,
-// so an accepted request means exactly-once delivery to the graph.
-// CloseIntake ends the stream under the same lock, so a close never splits
-// a batch; once the downstream closes the stream (abort), every batch is
-// refused.
+// so an accepted request means exactly-once delivery to the graph. Once
+// the downstream closes the stream (abort), every batch is refused.
 type Source[T any] struct {
 	KernelBase
 
-	// mu makes the producers take turns: every inject, CloseIntake and the
-	// run's openIntake. open is set once the run has bound the stream
-	// (until then a batch is refused), closed once the intake has ended.
-	mu     sync.Mutex
-	open   bool
-	closed bool
+	// mu makes the producers take turns: every inject, the run's
+	// openIntake and a rewrite that moves the stream (hold). open is set
+	// once the run has bound the stream (until then a batch is refused);
+	// closing once the intake has ended. Every holder releases mu through
+	// unlock, which ends the stream of a closing intake.
+	mu      sync.Mutex
+	open    bool
+	closing atomic.Bool
 
 	// pool recycles decode buffers between requests (BindSourceAppend
 	// leases from it, inject returns to it), so a steady ingest stream
@@ -83,15 +83,27 @@ func NewSource[T any](name string) *Source[T] {
 func (s *Source[T]) Run() Status { return Stop }
 
 // CloseIntake ends the source's stream: no new batches are accepted, the
-// ones in the FIFO drain, then EOF propagates downstream. Idempotent; wired
-// to the gateway's close endpoint by BindSource. Called before the run, it
-// ends the stream as soon as the run binds it.
+// ones in the FIFO drain, then EOF propagates downstream. It returns at
+// once: a batch still waiting for room lands whole before the stream ends.
+// Idempotent; wired to the gateway's close endpoint by BindSource. Called
+// before the run, it ends the stream as soon as the run binds it.
 func (s *Source[T]) CloseIntake() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.open {
-		s.Out("out").Close()
+	s.closing.Store(true)
+	if s.mu.TryLock() {
+		s.unlock()
+	}
+}
+
+// unlock releases mu. A CloseIntake that found mu held left the end of the
+// stream to its holder: the closing flag is stored before the close tries
+// mu, and read here after mu is released, so one of the two ends it.
+func (s *Source[T]) unlock() {
+	s.mu.Unlock()
+	if s.closing.Load() && s.mu.TryLock() {
+		if s.open {
+			s.Out("out").Close()
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -100,10 +112,22 @@ func (s *Source[T]) CloseIntake() {
 // intake that closed before the run ends the stream at once.
 func (s *Source[T]) openIntake() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.open = true
-	if s.closed {
-		s.Out("out").Close()
+	s.unlock()
+}
+
+// hold takes mu for a rewrite that moves the stream, waiting at most
+// timeout for a batch in flight to land; a hold that gave up releases mu
+// as soon as it gets it.
+func (s *Source[T]) hold(timeout time.Duration) bool {
+	got := make(chan struct{})
+	go func() { s.mu.Lock(); close(got) }()
+	select {
+	case <-got:
+		return true
+	case <-time.After(timeout):
+		go func() { <-got; s.unlock() }()
+		return false
 	}
 }
 
@@ -117,8 +141,8 @@ func (s *Source[T]) openIntake() {
 // intermediate the batch ever touches, counted in copiesSaved.
 func (s *Source[T]) inject(tenant string, vals []T, pooled bool) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.open || s.closed {
+	defer s.unlock()
+	if !s.open || s.closing.Load() {
 		return ErrClosed
 	}
 	out := s.Out("out")
@@ -167,11 +191,14 @@ func (s *Source[T]) lease() []T {
 }
 
 // intake is the runtime's side of a Source, a momentary kernel fed from
-// outside the graph: the build pass opens it once its stream is bound, and
-// a rewrite that removes it closes it, since no gate stops a kernel that is
+// outside the graph: the build pass opens it once its stream is bound, a
+// rewrite that moves its stream holds it instead of pausing a gate, and a
+// rewrite that removes it closes it, since no gate stops a kernel that is
 // never scheduled.
 type intake interface {
 	openIntake()
+	hold(timeout time.Duration) bool
+	unlock()
 	CloseIntake()
 }
 

@@ -762,3 +762,131 @@ func TestGatewaySourceRemovedByRewrite(t *testing.T) {
 		t.Fatalf("removed source's sink received %v, want [1 2 3]", got)
 	}
 }
+
+// TestGatewaySourceSplicedMidRun splices a relay after a live Source —
+// RemoveLink(src→sink), Link(src→relay), Link(relay→sink) — while a
+// serving goroutine keeps injecting: the commit goes through, and the sink
+// sees every element exactly once, in order, first as sent and then
+// doubled by the relay.
+func TestGatewaySourceSplicedMidRun(t *testing.T) {
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			const n, batch = 20_000, 8
+			src := NewSource[int64]("nums")
+			sink := newPacedCollect(time.Millisecond)
+			m := NewMap()
+			l0 := m.MustLink(src, sink)
+			ex, err := m.ExeAsync(append(sched.opts, WithDynamicResize(false))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			injected := make(chan error, 1)
+			go func() {
+				vals := make([]int64, batch)
+				for i := int64(0); i < n; i += batch {
+					for j := range vals {
+						vals[j] = i + int64(j)
+					}
+					if err := src.inject("", vals, false); err != nil {
+						injected <- fmt.Errorf("inject at %d: %w", i, err)
+						return
+					}
+				}
+				src.CloseIntake()
+				injected <- nil
+			}()
+			waitFor(t, "pre-splice traffic", func() bool { return sink.count() >= 500 })
+
+			tx := ex.Rewriter().Begin()
+			if err := tx.RemoveLink(l0); err != nil {
+				t.Fatal(err)
+			}
+			relay := newWork()
+			if _, err := tx.Link(src, relay); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Link(relay, sink); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit splicing after the source: %v", err)
+			}
+			if err := <-injected; err != nil {
+				t.Fatal(err)
+			}
+			waitRun(t, ex, 30*time.Second)
+			got := sink.values()
+			if len(got) != n {
+				t.Fatalf("sink received %d values, want %d", len(got), n)
+			}
+			id := func(i int64) int64 { return i }
+			dbl := func(i int64) int64 { return 2 * i }
+			if cuts := checkSegments(t, got, id, dbl); len(cuts) != 1 || cuts[0] == 0 || cuts[0] == n {
+				t.Fatalf("segment cuts = %v, want one cut inside the run", cuts)
+			}
+		})
+	}
+}
+
+// TestGatewayCloseIntakeBesideWaitingInject closes the intake while an
+// inject waits for room on a full Cap(4)/MaxCap(4) link: the close returns
+// at once, the waiting batch still lands whole, later batches are refused,
+// and the stream then ends.
+func TestGatewayCloseIntakeBesideWaitingInject(t *testing.T) {
+	for _, sched := range bothSchedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var got []int64
+			sink := NewLambda[int64](1, 0, func(k *LambdaKernel) Status {
+				<-gate
+				v, err := Pop[int64](k.In("0"))
+				if err != nil {
+					return Stop
+				}
+				got = append(got, v)
+				return Proceed
+			})
+			src := NewSource[int64]("nums")
+			m := NewMap()
+			if _, err := m.Link(src, sink, Cap(4), MaxCap(4)); err != nil {
+				t.Fatal(err)
+			}
+			ex, err := m.ExeAsync(sched.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+			injected := make(chan error, 1)
+			go func() { injected <- src.inject("", batch, false) }()
+			ring := ringOf[int64](src.Out("out"))
+			waitFor(t, "a full link", func() bool { return ring.Len() == 4 })
+
+			closed := make(chan struct{})
+			go func() {
+				src.CloseIntake()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("CloseIntake waited for the blocked inject")
+			}
+			close(gate)
+			if err := <-injected; err != nil {
+				t.Fatalf("the waiting inject: %v, want it to land", err)
+			}
+			if err := src.inject("", []int64{12}, false); !errors.Is(err, ErrClosed) {
+				t.Fatalf("inject after the close: %v, want ErrClosed", err)
+			}
+			waitRun(t, ex, 10*time.Second)
+			if len(got) != len(batch) {
+				t.Fatalf("sink received %v, want %v", got, batch)
+			}
+			for i, v := range got {
+				if v != batch[i] {
+					t.Fatalf("sink received %v, want %v", got, batch)
+				}
+			}
+		})
+	}
+}

@@ -657,13 +657,9 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 	// adds every kernel and link of the map at once.
 	kernels := make([]kernelSlot, len(t.addKernels))
 	entries := make([]actorEntry, len(t.addKernels))
-	var intakes []intake
 	for i, k := range t.addKernels {
 		kb := k.kernelBase()
 		kb.m = ex.m
-		if in, ok := k.(intake); ok {
-			intakes = append(intakes, in)
-		}
 		if kb.name == "" {
 			kb.name = fmt.Sprintf("%s#%d", kernelName(k), firstActor+i)
 		}
@@ -719,8 +715,10 @@ func (ex *Execution) build(t *Tx, place mapper.Assignment) *built {
 		lr.l, lr.li, lr.joinedNs = l, s.li, now
 	}
 	// The streams are bound: a Source accepts batches from here on.
-	for _, in := range intakes {
-		in.openIntake()
+	for _, k := range t.addKernels {
+		if in, ok := k.(intake); ok {
+			in.openIntake()
+		}
 	}
 
 	reg.mu.Lock()
@@ -913,16 +911,11 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 		}
 	}
 	producers := make([]*KernelBase, 0, len(rebinds)+len(sealQ))
-	seen := map[*KernelBase]bool{}
 	for kb := range rebinds {
-		if !seen[kb] {
-			seen[kb] = true
-			producers = append(producers, kb)
-		}
+		producers = append(producers, kb)
 	}
 	for kb := range sealQ {
-		if !seen[kb] {
-			seen[kb] = true
+		if _, both := rebinds[kb]; !both {
 			producers = append(producers, kb)
 		}
 	}
@@ -941,17 +934,36 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 	sort.SliceStable(producers, func(i, j int) bool { return depth[producers[i]] > depth[producers[j]] })
 
 	var paused []*core.Actor
+	var held []intake
 	resumeAll := func() {
 		for _, a := range paused {
 			a.Gate.Resume()
 		}
+		for _, in := range held {
+			in.unlock()
+		}
 	}
+	var gated []*actorEntry
 	for _, kb := range producers {
 		ae := ex.reg.liveKernel(kb)
 		if ae == nil {
 			resumeAll()
 			return fmt.Errorf("raft: producer %q is not live", kb.Name())
 		}
+		// A Source has no step boundary: its mutex is held instead, before
+		// any gate closes, so a batch waiting for room still lands.
+		if in, ok := ae.k.(intake); ok {
+			if !in.hold(sealTimeout) {
+				resumeAll()
+				return fmt.Errorf("raft: source %q did not finish a batch within %v", kb.Name(), sealTimeout)
+			}
+			held = append(held, in)
+			continue
+		}
+		gated = append(gated, ae)
+	}
+	for _, ae := range gated {
+		kb := ae.kb
 		a, finished := ae.a, ae.a.Finished.Load
 		if h, ok := ae.k.(ringbuffer.WakeHook); ok {
 			// Pause polls finished: an idle merge must be woken to reach its gate.
@@ -968,7 +980,8 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 		paused = append(paused, a)
 	}
 
-	// All affected producers are at step boundaries (or finished): splice.
+	// All affected producers are at step boundaries, finished or held:
+	// splice.
 	for _, kb := range producers {
 		for _, s := range rebinds[kb] {
 			s.bindPort(s.l.SrcPort, s.l)
@@ -983,21 +996,15 @@ func (ex *Execution) sealAndSplice(t *Tx, b *built, epoch int64) error {
 	// EOF once the closure cascade reaches it.
 	for _, k := range t.rmKernels {
 		kb := k.kernelBase()
-		hasLiveInput := false
-		for _, p := range kb.InPorts() {
-			if p.link != nil {
-				hasLiveInput = true
-				break
-			}
+		if slices.ContainsFunc(kb.ins, func(p *Port) bool { return p.link != nil }) {
+			continue
 		}
-		if !hasLiveInput {
-			if in, ok := k.(intake); ok {
-				// A Source is never scheduled, so no gate stops it: its
-				// intake closes instead.
-				in.CloseIntake()
-			} else if ae := ex.reg.liveKernel(kb); ae != nil {
-				ae.a.Gate.Retire()
-			}
+		if in, ok := k.(intake); ok {
+			// A Source is never scheduled, so no gate stops it: its intake
+			// closes instead.
+			in.CloseIntake()
+		} else if ae := ex.reg.liveKernel(kb); ae != nil {
+			ae.a.Gate.Retire()
 		}
 	}
 
